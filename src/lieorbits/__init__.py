@@ -5,6 +5,7 @@ from .errors import (
     DependentBasis,
     FormNameError,
     InconsistentDiagram,
+    InvalidReport,
     InvalidType,
     LieOrbitsError,
     NonIntegralWeights,
@@ -34,7 +35,6 @@ from .ratmat import Rat, RatMatrix, gram_split, rat_solve
 from .restricted import (
     RestrictedRootSystem,
     TypeLabel,
-    classify_restricted_type,
     is_C_or_BC,
     is_hermitian,
     parity_criterion,

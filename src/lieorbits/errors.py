@@ -47,3 +47,7 @@ class UnrecognizedSystem(LieOrbitsError):
 
 class TypeMismatch(LieOrbitsError):
     """Two diagram-like values built over different simple types."""
+
+
+class InvalidReport(LieOrbitsError):
+    """A serialized orbit report with a missing field or a value of the wrong type."""

@@ -12,15 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InconsistentDiagram, TypeMismatch
+from .errors import InconsistentDiagram, InvalidReport, TypeMismatch
 from .ratmat import RatMatrix, as_vector, rat_solve
 from .restricted import is_hermitian, parity_criterion, restricted_root_system
 from .rootsys import (
+    SimpleType,
     WeightedDynkinDiagram,
     extended_neighbors,
     min_orbit_wdd,
     orbit_dim_from_wdd,
-    pairing,
 )
 from .satake import RealFormDescriptor, SatakeDiagram, build_satake, parse_form_name, satake_involution
 
@@ -93,9 +93,11 @@ def min_g_wdd_direct(sd: SatakeDiagram) -> WeightedDynkinDiagram:
     lambda = (phi + tau* phi)/2.
     """
     rs = sd.rs
-    lam = restricted_root_system(sd).highest
+    # on the doubled root 2 lambda: weight_i = 4<a_i, 2 lambda>/<2 lambda, 2 lambda>
+    lam = restricted_root_system(sd).doubled_highest
     n = rs.rank
-    weights = tuple(pairing(rs, tuple(int(k == i) for k in range(n)), lam) for i in range(n))
+    norm = rs.scaled_inner(lam, lam)
+    weights = tuple(Fraction(4 * rs.scaled_inner(tuple(int(k == i) for k in range(n)), lam), norm) for i in range(n))
     wdd = WeightedDynkinDiagram(rs.simple_type, weights)
     if not wdd.is_integral() or any(x not in (0, 1, 2) for x in wdd.as_ints()):
         raise InconsistentDiagram(f"{sd.name}: weights {weights} outside {{0,1,2}}")
@@ -270,17 +272,45 @@ def report_to_dict(report: OrbitReport) -> dict:
     return data
 
 
+def _field(data: dict, key: str, kind: type, where: str = ""):
+    """data[key], which must exist and be of type kind; never coerced."""
+    name = where + key
+    if key not in data:
+        raise InvalidReport(f"report field {name!r} is missing")
+    value = data[key]
+    # bool is a subclass of int, so an int field must reject True and False
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InvalidReport(f"report field {name!r} must be {kind.__name__}, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _weights_field(data: dict, key: str, simple_type: SimpleType) -> WeightedDynkinDiagram:
+    values = _field(data, key, list)
+    if len(values) != simple_type.rank:
+        raise InvalidReport(f"report field {key!r} has {len(values)} weights, {simple_type.name} has {simple_type.rank} nodes")
+    for value in values:
+        if type(value) is not int:
+            raise InvalidReport(f"report field {key!r} must hold int weights, got {type(value).__name__} {value!r}")
+    return WeightedDynkinDiagram(simple_type, as_vector(values))
+
+
 def report_from_dict(data: dict) -> OrbitReport:
-    descriptor = parse_form_name(data["descriptor"])
+    """Inverse of report_to_dict.  Every field is checked, not coerced: a
+    missing field or a value of the wrong type raises InvalidReport naming
+    it.  The derived `paper_labels` field is not read."""
+    if not isinstance(data, dict):
+        raise InvalidReport(f"report must be an object, got {type(data).__name__}")
+    descriptor = parse_form_name(_field(data, "descriptor", str))
     simple_type = build_satake(descriptor).rs.simple_type
+    conditions = _field(data, "conditions", dict)
     return OrbitReport(
         descriptor=descriptor,
-        min_wdd=WeightedDynkinDiagram(simple_type, as_vector(data["min_wdd"])),
-        min_meets=bool(data["min_meets"]),
-        min_g_wdd=WeightedDynkinDiagram(simple_type, as_vector(data["min_g_wdd"])),
-        min_g_dim=int(data["min_g_dim"]),
-        g_lambda_dim=int(data["g_lambda_dim"]),
-        minimal_real_orbit_count=int(data["minimal_real_orbit_count"]),
-        hermitian=bool(data["hermitian"]),
-        conditions=EquivalenceConditions(**{f: bool(data["conditions"][f]) for f in CONDITION_FIELDS}),
+        min_wdd=_weights_field(data, "min_wdd", simple_type),
+        min_meets=_field(data, "min_meets", bool),
+        min_g_wdd=_weights_field(data, "min_g_wdd", simple_type),
+        min_g_dim=_field(data, "min_g_dim", int),
+        g_lambda_dim=_field(data, "g_lambda_dim", int),
+        minimal_real_orbit_count=_field(data, "minimal_real_orbit_count", int),
+        hermitian=_field(data, "hermitian", bool),
+        conditions=EquivalenceConditions(**{f: _field(conditions, f, bool, "conditions.") for f in CONDITION_FIELDS}),
     )

@@ -39,10 +39,6 @@ def vec_scale(c: Fraction, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
 
-def is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
 @dataclass(frozen=True)
 class RatMatrix:
     """Immutable row-major matrix of Fractions."""

@@ -4,6 +4,21 @@ Restricted roots are kept in the ambient simple-root coordinates (inside the
 tau*-fixed subspace) rather than in a separately chosen basis of the split
 part, so the Gram form restricts and every equality or pairing test stays
 exact.
+
+tau* permutes the root lattice, so every restricted root is stored doubled,
+as the integer vector 2 r(alpha) = alpha + tau* alpha.  Classification, the
+parity criterion and the dominance test all run on these vectors, with inner
+products from the integer-scaled Gram form (`RootSystem.scaled_inner`); every
+quantity they need is a ratio of inner products, so the doubling and the
+scaling cancel.  The `Fraction` fields of the public API (`elements`,
+`multiplicities`, `positives`, `simple`, `highest`) are views built from the
+doubled vectors on first use.
+
+The simple restricted roots are the indecomposable reduced positive roots.
+Each is anchored to the restriction of a white simple root (Araki), and every
+decomposable root splits off one of those restrictions or its double, so the
+indecomposability test tries those witnesses first and scans every positive
+root only for the few roots none of them decomposes.
 """
 
 from __future__ import annotations
@@ -12,11 +27,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
-from .ratmat import RatMatrix, Vector, as_vector, is_zero, vec_scale, vec_sub
-from .rootsys import SimpleType, candidate_types, cartan_matrix, find_cartan_isomorphism
+from .ratmat import RatMatrix, Vector, as_vector
+from .rootsys import RootSystem, SimpleType, candidate_types, cartan_matrix, find_cartan_isomorphism
 from .satake import SatakeDiagram, satake_involution
+
+IntVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -40,18 +58,50 @@ def restrict(sd: SatakeDiagram, v) -> Vector:
     return tuple((a + b) / 2 for a, b in zip(v, image))
 
 
+def _halved(v: IntVector) -> Vector:
+    return tuple(Fraction(x, 2) for x in v)
+
+
+def _twice(v: IntVector) -> IntVector:
+    return tuple(2 * x for x in v)
+
+
 @dataclass(frozen=True, eq=False)
 class RestrictedRootSystem:
-    """Image of the root system under restriction, with multiplicities."""
+    """Image of the root system under restriction, with multiplicities.
+
+    Stored as doubled integer vectors 2 r(alpha): `doubled` maps each nonzero
+    one to its multiplicity in sorted order, `doubled_positives` is sorted and
+    `doubled_simple` follows the white nodes.
+    """
 
     source: SatakeDiagram
-    elements: tuple[Vector, ...]
-    multiplicities: tuple[tuple[Vector, int], ...]
-    positives: tuple[Vector, ...]
-    simple: tuple[Vector, ...]
-    highest: Vector
+    doubled: dict[IntVector, int]
+    doubled_positives: tuple[IntVector, ...]
+    doubled_simple: tuple[IntVector, ...]
+    doubled_highest: IntVector
     highest_mult: int
     type_label: TypeLabel
+
+    @cached_property
+    def multiplicities(self) -> tuple[tuple[Vector, int], ...]:
+        return tuple((_halved(d), m) for d, m in self.doubled.items())
+
+    @cached_property
+    def elements(self) -> tuple[Vector, ...]:
+        return tuple(xi for xi, _ in self.multiplicities)
+
+    @cached_property
+    def positives(self) -> tuple[Vector, ...]:
+        return tuple(_halved(d) for d in self.doubled_positives)
+
+    @cached_property
+    def simple(self) -> tuple[Vector, ...]:
+        return tuple(_halved(d) for d in self.doubled_simple)
+
+    @cached_property
+    def highest(self) -> Vector:
+        return _halved(self.doubled_highest)
 
     @cached_property
     def mult(self) -> dict[Vector, int]:
@@ -64,9 +114,6 @@ class RestrictedRootSystem:
     def inner(self, v: Vector, w: Vector) -> Fraction:
         return self.source.rs.inner(v, w)
 
-    def coroot_pairing(self, v: Vector, w: Vector) -> Fraction:
-        return 2 * self.inner(v, w) / self.inner(w, w)
-
 
 @lru_cache(maxsize=None)
 def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
@@ -74,75 +121,75 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     rs = sd.rs
     inv = satake_involution(sd)
     n = rs.rank
-    # tau* is integral (it permutes the root lattice), so the counting loop
-    # runs on doubled integer coordinates: 2 r(alpha) = alpha + tau*(alpha)
     tau_rows = inv.tau_star.int_rows()
     if tau_rows is None:
         raise InconsistentDiagram(f"{sd.name}: tau* does not preserve the root lattice")
-    tau_cols = [list(col) for col in zip(*tau_rows)]
+    tau_cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*tau_rows)]
 
-    def doubled(root: tuple[int, ...]) -> tuple[int, ...]:
+    def doubled(root: IntVector) -> IntVector:
         out = list(root)
         for j, c in enumerate(root):
             if c:
-                col = tau_cols[j]
-                for i in range(n):
-                    out[i] += c * col[i]
+                for i, x in tau_cols[j]:
+                    out[i] += c * x
         return tuple(out)
 
-    def halved(vec: tuple[int, ...]) -> Vector:
-        return tuple(Fraction(x, 2) for x in vec)
-
-    doubled_counts: Counter[tuple[int, ...]] = Counter()
-    for root in rs.roots:
-        image = doubled(root)
+    # the map is linear and the negative roots are the negated positive ones
+    images = [doubled(root) for root in rs.positive_roots]
+    counts: Counter[IntVector] = Counter()
+    for image in images:
         if any(image):
-            doubled_counts[image] += 1
-    if not doubled_counts:
+            counts[image] += 1
+            counts[tuple(-x for x in image)] += 1
+    if not counts:
         raise InconsistentDiagram(f"{sd.name}: every root restricts to zero (compact-form diagram)")
-    counts = {halved(vec): m for vec, m in doubled_counts.items()}
 
-    doubled_pos = {doubled(root) for root in rs.positive_roots}
+    doubled_pos = set(images)
     doubled_pos.discard((0,) * n)
     if any(tuple(-x for x in v) in doubled_pos for v in doubled_pos):
         raise InconsistentDiagram(f"{sd.name}: restriction of the positive system is not positive")
-    positives = sorted(halved(v) for v in doubled_pos)
+    positives = sorted(doubled_pos)
 
-    simple_images: list[Vector] = []
+    simple_images: list[IntVector] = []
     for i in sd.white:
-        image = halved(doubled(tuple(int(k == i) for k in range(n))))
-        if not is_zero(image) and image not in simple_images:
+        image = doubled(tuple(int(k == i) for k in range(n)))
+        if any(image) and image not in simple_images:
             simple_images.append(image)
 
-    highest = halved(doubled(rs.highest))
-    label = _classify(rs, frozenset(counts), positives, simple_images, sd.name)
+    highest = doubled(rs.highest)
+    label = _classify(rs, counts, positives, simple_images, sd.name)
     if highest not in counts:
         raise InconsistentDiagram(f"{sd.name}: r(phi) is not a restricted root")
     return RestrictedRootSystem(
         source=sd,
-        elements=tuple(sorted(counts)),
-        multiplicities=tuple(sorted(counts.items())),
-        positives=tuple(positives),
-        simple=tuple(simple_images),
-        highest=highest,
+        doubled=dict(sorted(counts.items())),
+        doubled_positives=tuple(positives),
+        doubled_simple=tuple(simple_images),
+        doubled_highest=highest,
         highest_mult=counts[highest],
         type_label=label,
     )
 
 
-def _classify(rs, element_set, positives, simple_images, name: str) -> TypeLabel:
-    non_reduced = any(vec_scale(Fraction(2), xi) in element_set for xi in element_set)
-    reduced_pos = [xi for xi in positives if vec_scale(Fraction(2), xi) not in element_set]
+def _classify(rs: RootSystem, element_set, positives, simple_images, name: str) -> TypeLabel:
+    """Type of the restricted system; every vector argument is doubled."""
+    non_reduced = any(_twice(d) in element_set for d in element_set)
+    reduced_pos = [d for d in positives if _twice(d) not in element_set]
     reduced_set = set(reduced_pos)
-    indecomposable = [
-        xi for xi in reduced_pos if not any(eta != xi and vec_sub(xi, eta) in reduced_set for eta in reduced_pos)
-    ]
+    witnesses = [w for image in simple_images for w in (image, _twice(image)) if w in reduced_set]
 
-    def anchor(xi: Vector) -> int:
+    def splits(xi: IntVector, candidates) -> bool:
+        return any(eta != xi and tuple(map(sub, xi, eta)) in reduced_set for eta in candidates)
+
+    # the witnesses are reduced positive roots, so the full scan decides
+    # exactly the roots they leave undecided
+    indecomposable = [xi for xi in reduced_pos if not splits(xi, witnesses) and not splits(xi, reduced_pos)]
+
+    def anchor(xi: IntVector) -> int:
         for pos, image in enumerate(simple_images):
-            if xi == image or xi == vec_scale(Fraction(2), image):
+            if xi == image or xi == _twice(image):
                 return pos
-        raise UnrecognizedSystem(f"{name}: reduced simple root {xi} has no simple-image anchor")
+        raise UnrecognizedSystem(f"{name}: reduced simple root {_halved(xi)} has no simple-image anchor")
 
     simple_reduced = sorted(indecomposable, key=anchor)
     rank = len(simple_reduced)
@@ -152,7 +199,10 @@ def _classify(rs, element_set, positives, simple_images, name: str) -> TypeLabel
     entries = [[None] * rank for _ in range(rank)]
     for i in range(rank):
         for j in range(rank):
-            value = 2 * rs.inner(simple_reduced[i], simple_reduced[j]) / rs.inner(simple_reduced[j], simple_reduced[j])
+            value = Fraction(
+                2 * rs.scaled_inner(simple_reduced[i], simple_reduced[j]),
+                rs.scaled_inner(simple_reduced[j], simple_reduced[j]),
+            )
             if value.denominator != 1 or (i != j and value > 0) or (i == j and value != 2):
                 raise UnrecognizedSystem(f"{name}: restricted Cartan entry {value} at ({i},{j})")
             entries[i][j] = value
@@ -173,11 +223,6 @@ def _classify(rs, element_set, positives, simple_images, name: str) -> TypeLabel
     return TypeLabel(letter, rank, True)
 
 
-def classify_restricted_type(rrs: RestrictedRootSystem) -> TypeLabel:
-    """Type label of a restricted system (computed during construction)."""
-    return rrs.type_label
-
-
 def is_C_or_BC(rrs: RestrictedRootSystem) -> bool:
     """True for C_r/BC_r, counting A1 as C1 and B2 as C2."""
     label = rrs.type_label
@@ -188,12 +233,13 @@ def is_C_or_BC(rrs: RestrictedRootSystem) -> bool:
 
 def parity_criterion(rrs: RestrictedRootSystem) -> bool:
     """Whether some restricted root pairs oddly against the highest root."""
-    lam = rrs.highest
-    for xi in rrs.elements:
-        value = rrs.coroot_pairing(lam, xi)
-        if value.denominator != 1:
-            raise UnrecognizedSystem(f"non-integral pairing {value} in {rrs.source.name}")
-        if int(value) % 2 != 0:
+    rs = rrs.source.rs
+    lam = rrs.doubled_highest
+    for xi in rrs.doubled:
+        num, den = 2 * rs.scaled_inner(xi, lam), rs.scaled_inner(xi, xi)
+        if num % den:
+            raise UnrecognizedSystem(f"non-integral pairing {Fraction(num, den)} in {rrs.source.name}")
+        if (num // den) % 2:
             return True
     return False
 
@@ -201,14 +247,18 @@ def parity_criterion(rrs: RestrictedRootSystem) -> bool:
 def dominant_longest(rrs: RestrictedRootSystem) -> Vector:
     """The unique dominant restricted root of maximal squared length.
 
-    Independent route to the highest root; construction uses r(phi).
+    Independent route to the highest root; construction uses r(phi).  Every
+    positive restricted root is a nonnegative combination of the simple
+    restricted roots, so dominance is tested against those alone.
     """
-    max_len = max(rrs.inner(xi, xi) for xi in rrs.elements)
-    longest = [xi for xi in rrs.elements if rrs.inner(xi, xi) == max_len]
-    dominant = [xi for xi in longest if all(rrs.inner(xi, eta) >= 0 for eta in rrs.positives)]
+    rs = rrs.source.rs
+    norms = {xi: rs.scaled_inner(xi, xi) for xi in rrs.doubled}
+    max_len = max(norms.values())
+    longest = [xi for xi, norm in norms.items() if norm == max_len]
+    dominant = [xi for xi in longest if all(rs.scaled_inner(s, xi) >= 0 for s in rrs.doubled_simple)]
     if len(dominant) != 1:
         raise InconsistentDiagram(f"{rrs.source.name}: {len(dominant)} dominant longest restricted roots")
-    return dominant[0]
+    return _halved(dominant[0])
 
 
 def is_hermitian(sd: SatakeDiagram) -> bool:

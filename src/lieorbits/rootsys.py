@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch, ZeroVector
@@ -132,25 +133,38 @@ class RootSystem:
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(r for r in self.roots if sum(r) > 0)
 
+    def __hash__(self) -> int:
+        # equal systems have equal types; hashing the roots on every cache
+        # lookup keyed on a diagram would cost more than the lookup saves
+        return hash(self.simple_type)
+
     @cached_property
-    def _gram_scaled(self) -> tuple[list[list[int]], int]:
-        # integer multiple of the Gram matrix, for fast exact inner products
+    def _gram_scaled(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+        # integer multiple of the Gram matrix, rows kept as (column, entry)
+        # pairs of the nonzero entries (at most four per row)
         den = 1
         for e in self.gram.entries:
             den = lcm(den, e.denominator)
-        rows = [[int(self.gram[i, j] * den) for j in range(self.rank)] for i in range(self.rank)]
+        rows = tuple(
+            tuple((j, int(self.gram[i, j] * den)) for j in range(self.rank) if self.gram[i, j])
+            for i in range(self.rank)
+        )
         return rows, den
 
+    def scaled_inner(self, v: Sequence[int], w: Sequence[int]) -> int:
+        """den * <v, w> for integer vectors, where den is the fixed lcm of the
+        Gram denominators; the cost is linear in the support of v."""
+        rows = self._gram_scaled[0]
+        total = 0
+        for i, a in enumerate(v):
+            if a:
+                total += a * sum(g * w[j] for j, g in rows[i])
+        return total
+
     def inner(self, v: Sequence, w: Sequence) -> Fraction:
-        rows, den = self._gram_scaled
         iv, dv = intify(v)
         iw, dw = intify(w)
-        total = 0
-        for i, a in enumerate(iv):
-            if a:
-                row = rows[i]
-                total += a * sum(row[j] * b for j, b in enumerate(iw) if b)
-        return Fraction(total, den * dv * dw)
+        return Fraction(self.scaled_inner(iv, iw), self._gram_scaled[1] * dv * dw)
 
 
 def _simple_coord(n: int, i: int) -> tuple[int, ...]:
@@ -239,7 +253,8 @@ def min_orbit_wdd(rs: RootSystem) -> WeightedDynkinDiagram:
     """Weighted diagram of the minimal nonzero nilpotent orbit: a -> 2<a,phi>/<phi,phi>."""
     phi = rs.highest
     n = rs.rank
-    weights = tuple(pairing(rs, _simple_coord(n, i), phi) for i in range(n))
+    norm = rs.scaled_inner(phi, phi)
+    weights = tuple(Fraction(2 * rs.scaled_inner(_simple_coord(n, i), phi), norm) for i in range(n))
     return WeightedDynkinDiagram(rs.simple_type, weights)
 
 
@@ -260,9 +275,10 @@ def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:
         raise TypeMismatch(f"diagram of type {w.simple_type.name} against system {rs.simple_type.name}")
     if not w.is_integral():
         raise NonIntegralWeights(f"weights {w.weights} are not integers")
+    weights = w.as_ints()
     zero = ones = 0
     for root in rs.roots:
-        value = sum(c * wt for c, wt in zip(root, w.weights))
+        value = sum(map(mul, root, weights))
         if value == 0:
             zero += 1
         elif value == 1:
@@ -271,20 +287,25 @@ def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:
 
 
 def find_cartan_isomorphism(source: RatMatrix, target: RatMatrix) -> tuple[int, ...] | None:
-    """A node bijection sigma with target[sigma i][sigma j] == source[i][j], or None.
+    """A node bijection sigma with target[sigma i][sigma j] == source[i][j], or
+    None; also None when either matrix is not integral, as no Cartan matrix is.
 
-    Backtracking over node assignments; ranks here never exceed ~11 and the
-    row multiset signature prunes almost everything.
+    Backtracking over node assignments; the row multiset signature prunes
+    almost everything.
     """
     n = source.rows
     if target.rows != n:
         return None
+    # Cartan matrices are integral, and int comparisons are far cheaper
+    src, tgt = source.int_rows(), target.int_rows()
+    if src is None or tgt is None:
+        return None
 
-    def signature(mat: RatMatrix, i: int) -> tuple:
-        return (mat[i, i], tuple(sorted(mat[i, j] for j in range(n) if j != i)))
+    def signature(rows: list[list[int]], i: int) -> tuple:
+        return (rows[i][i], tuple(sorted(rows[i][j] for j in range(n) if j != i)))
 
-    src_sig = [signature(source, i) for i in range(n)]
-    tgt_sig = [signature(target, i) for i in range(n)]
+    src_sig = [signature(src, i) for i in range(n)]
+    tgt_sig = [signature(tgt, i) for i in range(n)]
     assigned: list[int | None] = [None] * n
     used = [False] * n
 
@@ -297,7 +318,7 @@ def find_cartan_isomorphism(source: RatMatrix, target: RatMatrix) -> tuple[int, 
             ok = True
             for j in range(i):
                 sj = assigned[j]
-                if source[i, j] != target[cand, sj] or source[j, i] != target[sj, cand]:
+                if src[i][j] != tgt[cand][sj] or src[j][i] != tgt[sj][cand]:
                     ok = False
                     break
             if ok:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import LieOrbitsError
@@ -23,7 +24,7 @@ from .orbits import (
     min_meets_real_form,
     solve_coroot_system,
 )
-from .ratmat import as_vector, vec_add
+from .ratmat import as_vector
 from .restricted import dominant_longest, is_C_or_BC, is_hermitian, parity_criterion, restricted_root_system
 from .rootsys import (
     ROOT_COUNT_FORMULAS,
@@ -172,7 +173,7 @@ def check_satake_entry(sd: SatakeDiagram) -> list[Failure]:
 
     rrs = restricted_root_system(sd)
     omega = len(sd.black) + len(sd.arrows)
-    if omega != sd.rs.rank - len(rrs.simple):
+    if omega != sd.rs.rank - len(rrs.doubled_simple):
         failures.append(
             Failure(sd.name, "involution.omega-count", f"#black+#arrows = {omega} != rank - #restricted simples")
         )
@@ -190,16 +191,17 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
 
     # roots restricting to zero are exactly those supported on black nodes,
     # so the multiplicity sum has an independent combinatorial count
-    total = sum(m for _, m in rrs.multiplicities)
+    total = sum(rrs.doubled.values())
     span_black = sum(1 for r in rs.roots if all(r[i] == 0 for i in range(rs.rank) if i not in sd.black))
     if total + span_black != len(rs.roots):
         failures.append(
             Failure(name, "restricted.mult-sum", f"mult sum {total} + black-span {span_black} != {len(rs.roots)} roots")
         )
 
-    for xi, m in rrs.multiplicities:
-        neg = tuple(-x for x in xi)
-        if rrs.mult.get(neg) != m:
+    # on the doubled vectors 2 xi, read without building the Fraction views
+    for d, m in rrs.doubled.items():
+        if rrs.doubled.get(tuple(-x for x in d)) != m:
+            xi = tuple(Fraction(x, 2) for x in d)
             failures.append(Failure(name, "restricted.negation", f"mult({xi}) != mult(-{xi})"))
             break
 
@@ -209,10 +211,8 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
-    pos_set = set(rrs.positives)
-    elem_set = rrs.element_set
     lam = rrs.highest
-    if any(vec_add(lam, eta) in elem_set for eta in pos_set):
+    if any(tuple(map(add, rrs.doubled_highest, eta)) in rrs.doubled for eta in rrs.doubled_positives):
         failures.append(Failure(name, "restricted.highest-nonextendable", "lambda + eta is a restricted root"))
 
     phi = as_vector(rs.highest)
@@ -243,12 +243,12 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
             Failure(name, "restricted.hermitian", f"derived {is_hermitian(sd)}, reference list says {sd.hermitian_expected}")
         )
 
-    if len(rrs.simple) != expected_real_rank(sd.descriptor):
+    if len(rrs.doubled_simple) != expected_real_rank(sd.descriptor):
         failures.append(
             Failure(
                 name,
                 "restricted.real-rank",
-                f"{len(rrs.simple)} restricted simple roots, family tables give {expected_real_rank(sd.descriptor)}",
+                f"{len(rrs.doubled_simple)} restricted simple roots, family tables give {expected_real_rank(sd.descriptor)}",
             )
         )
     return failures

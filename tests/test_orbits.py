@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieorbits.errors import TypeMismatch
+from lieorbits.errors import InvalidReport, LieOrbitsError, TypeMismatch
 from lieorbits.orbits import (
     CONDITION_FIELDS,
     black_extended_criterion,
@@ -163,3 +163,90 @@ def test_report_paper_labels_e6():
     assert labels["min_wdd"] == {"alpha1": 0, "alpha2": 0, "alpha3": 0, "alpha4": 0, "alpha5": 0, "alpha6": 1}
     assert labels["min_g_wdd"] == {"alpha1": 1, "alpha2": 0, "alpha3": 0, "alpha4": 0, "alpha5": 1, "alpha6": 0}
     assert "paper_labels" not in report_to_dict(orbit_report(form("sl(3,R)")))
+
+
+ISOMORPHIC_PAIRS = [
+    ("sp(1,1)", "so(1,4)"),
+    ("sp(2,R)", "so(2,3)"),
+    ("so*(8)", "so(2,6)"),
+    ("su*(4)", "so(1,5)"),
+    ("su(2,2)", "so(2,4)"),
+    ("sl(4,R)", "so(3,3)"),
+    ("so*(6)", "su(1,3)"),
+    ("sl(2,R)", "su(1,1)"),
+]
+
+
+def node_order_free(name):
+    report = orbit_report(form(name))
+    return {
+        "meets": report.min_meets,
+        "dimension": report.min_g_dim,
+        "g_lambda_dim": report.g_lambda_dim,
+        "orbit_count": report.minimal_real_orbit_count,
+        "hermitian": report.hermitian,
+        "conditions": report.conditions.values(),
+        "min_weights": sorted(report.min_wdd.as_ints()),
+        "meeting_weights": sorted(report.min_g_wdd.as_ints()),
+    }
+
+
+@pytest.mark.parametrize("left,right", ISOMORPHIC_PAIRS)
+def test_isomorphic_real_forms_give_the_same_report(left, right):
+    assert node_order_free(left) == node_order_free(right)
+
+
+def report_data(name="su(1,2)"):
+    return json.loads(json.dumps(report_to_dict(orbit_report(form(name)))))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("min_meets", "false"),
+        ("min_meets", 0),
+        ("hermitian", None),
+        ("min_g_dim", 6.0),
+        ("min_g_dim", "6"),
+        ("g_lambda_dim", True),
+        ("minimal_real_orbit_count", [2]),
+        ("descriptor", 7),
+        ("conditions", []),
+        ("min_wdd", "1 1"),
+    ],
+)
+def test_report_from_dict_rejects_wrong_types(field, value):
+    data = report_data()
+    data[field] = value
+    with pytest.raises(InvalidReport, match=field):
+        report_from_dict(data)
+
+
+def test_report_from_dict_rejects_bad_nested_values():
+    data = report_data()
+    data["conditions"]["c_iv"] = 1
+    with pytest.raises(InvalidReport, match=r"conditions\.c_iv"):
+        report_from_dict(data)
+    data = report_data()
+    data["min_g_wdd"] = [1, 1.0]
+    with pytest.raises(InvalidReport, match="min_g_wdd"):
+        report_from_dict(data)
+    data = report_data()
+    data["min_wdd"] = [1, 1, 0]
+    with pytest.raises(InvalidReport, match="min_wdd"):
+        report_from_dict(data)
+
+
+def test_report_from_dict_rejects_missing_fields():
+    for field in ["descriptor", "hermitian", "conditions"]:
+        data = report_data()
+        del data[field]
+        with pytest.raises(InvalidReport, match=field):
+            report_from_dict(data)
+    data = report_data()
+    del data["conditions"]["c_xii"]
+    with pytest.raises(InvalidReport, match=r"conditions\.c_xii"):
+        report_from_dict(data)
+    with pytest.raises(InvalidReport):
+        report_from_dict([report_data()])
+    assert issubclass(InvalidReport, LieOrbitsError)

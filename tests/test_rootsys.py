@@ -187,3 +187,25 @@ def test_cartan_isomorphism_and_duality():
     assert duality_permutation(SimpleType("D", 4)) == (0, 1, 2, 3)
     assert duality_permutation(SimpleType("E", 6)) == (5, 1, 4, 3, 2, 0)
     assert duality_permutation(SimpleType("E", 7)) == tuple(range(7))
+
+
+def test_root_system_hash_is_the_type_hash():
+    import dataclasses
+
+    e8 = build_root_system(SimpleType("E", 8))
+    copy = dataclasses.replace(e8)
+    assert copy == e8 and copy is not e8
+    assert hash(copy) == hash(e8) == hash(SimpleType("E", 8))
+    assert build_root_system(SimpleType("A", 8)) != e8
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
+def test_scaled_inner_matches_gram_form(t):
+    # one fixed positive scale relates scaled_inner to the Gram form
+    rs = build_root_system(t)
+    phi = rs.highest
+    for v in rs.positive_roots[:: max(1, len(rs.positive_roots) // 6)]:
+        for w in (phi, rs.roots[-1], v):
+            exact = sum(v[i] * rs.gram[i, j] * w[j] for i in range(rs.rank) for j in range(rs.rank))
+            assert rs.inner(v, w) == exact
+            assert rs.scaled_inner(v, w) * rs.inner(phi, phi) == rs.scaled_inner(phi, phi) * exact
