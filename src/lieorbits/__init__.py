@@ -2,7 +2,6 @@
 non-compact real simple Lie algebra without complex structure."""
 
 from .errors import (
-    DependentBasis,
     FormNameError,
     InconsistentDiagram,
     InvalidReport,
@@ -31,7 +30,7 @@ from .orbits import (
     report_to_dict,
     wdd_matches_satake,
 )
-from .ratmat import Rat, RatMatrix, gram_split, rat_solve
+from .ratmat import Rat, RatMatrix, rat_solve
 from .restricted import (
     RestrictedRootSystem,
     TypeLabel,

@@ -4,8 +4,9 @@
 
 Commands: list, describe, table1, verify.  Results go to stdout, diagnostics
 to stderr; exit code 0 on success, 1 on verification failure, 2 on parse or
-bounds errors.  All behavior comes from flags; there is no configuration
-file and no environment variable.
+bounds errors; a complex rank above MAX_RANK (64), in a form name or in
+--max-rank, is a bounds error.  All behavior comes from flags; there is no
+configuration file and no environment variable.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .orbits import (
     orbit_report,
     report_to_dict,
 )
-from .satake import RealFormDescriptor, SatakeDiagram, build_satake, catalog, parse_form_name
+from .satake import MAX_RANK, RealFormDescriptor, SatakeDiagram, build_satake, catalog, parse_form_name
 from .verify import golden_row, run_verification
 
 TABLE_PARAMETERS = (
@@ -61,6 +62,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if args.max_rank < 2:
         print(f"lieorbits: --max-rank must be >= 2, got {args.max_rank}", file=sys.stderr)
+        return 2
+    if args.max_rank > MAX_RANK:
+        print(f"lieorbits: --max-rank must be <= MAX_RANK = {MAX_RANK}, got {args.max_rank}", file=sys.stderr)
         return 2
     if args.format == "dot" and args.command != "describe":
         print("lieorbits: --format dot is only valid for describe", file=sys.stderr)

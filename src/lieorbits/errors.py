@@ -9,10 +9,6 @@ class SingularMatrix(LieOrbitsError):
     """A square linear system has no unique solution."""
 
 
-class DependentBasis(LieOrbitsError):
-    """Vectors handed to a Gram-orthogonal split are linearly dependent."""
-
-
 class InvalidType(LieOrbitsError):
     """A simple-type letter/rank pair outside the classification bounds."""
 
@@ -38,7 +34,16 @@ class FormNameError(LieOrbitsError):
 
 
 class InconsistentDiagram(LieOrbitsError):
-    """A Satake diagram violating an involution invariant (mis-transcribed data)."""
+    """A Satake diagram violating an involution invariant (mis-transcribed data).
+
+    `failures` holds the (check, message) pairs of the violated invariants
+    when the involution was built and checked; it is empty for an error
+    raised while building it.
+    """
+
+    def __init__(self, message: str, failures: tuple[tuple[str, str], ...] = ()):
+        super().__init__(message)
+        self.failures = failures
 
 
 class UnrecognizedSystem(LieOrbitsError):

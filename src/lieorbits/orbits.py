@@ -199,12 +199,11 @@ def equivalence_conditions(sd: SatakeDiagram) -> EquivalenceConditions:
     rs = sd.rs
     rrs = restricted_root_system(sd)
     inv = satake_involution(sd)
-    phi = as_vector(rs.highest)
     return EquivalenceConditions(
         c_i=min_g_wdd_direct(sd) != min_orbit_wdd(rs),
         c_ii=not min_meets_real_form(sd),
         c_iv=rrs.highest_mult >= 2,
-        c_v=inv.tau_star.mat_vec(phi) != phi,
+        c_v=inv.tau_image(rs.highest) != rs.highest,
         c_vi=not wdd_matches_satake(min_orbit_wdd(rs), sd),
         c_vii=black_extended_criterion(sd),
         c_xii=in_five_families(sd.descriptor),

@@ -1,19 +1,19 @@
 """Exact rational vectors and matrices.
 
-Everything in this package funnels through the two operations here: exact
-linear solves and Gram-orthogonal splits.  Scalars are fractions.Fraction
-(`Rat`), which already guarantees lowest terms and a positive denominator,
-so no rounding can ever occur.
+The rational operations here are exact linear solves and matrix views.
+Scalars are fractions.Fraction (`Rat`), which already guarantees lowest
+terms and a positive denominator, so no rounding can ever occur.  Ranks are
+taken on integer vectors by fraction-free elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .errors import DependentBasis, SingularMatrix
+from .errors import SingularMatrix
 
 Rat = Fraction
 Vector = tuple[Fraction, ...]
@@ -23,20 +23,8 @@ def as_vector(values: Iterable) -> Vector:
     return tuple(Fraction(x) for x in values)
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
 
 
 @dataclass(frozen=True)
@@ -158,55 +146,25 @@ def rat_solve(a: RatMatrix, b: Sequence[Fraction]) -> Vector:
     return tuple(x)
 
 
-def matrix_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of the row span, by exact elimination."""
+def matrix_rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of the row span of integer vectors, by fraction-free elimination:
+    each row below the pivot becomes piv * row - row[col] * pivot row, then
+    is divided by the gcd of its entries, so no entry ever leaves the ints."""
     rows = [list(v) for v in vectors]
     rank = 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][col]
+        pivot = rows[rank]
+        piv = pivot[col]
         for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / piv
-            if factor != 0:
-                for c in range(col, ncols):
-                    rows[r][c] -= factor * rows[rank][c]
+            factor = rows[r][col]
+            if factor:
+                row = [piv * a - factor * b for a, b in zip(rows[r], pivot)]
+                g = gcd(*row)
+                rows[r] = [a // g for a in row] if g > 1 else row
         rank += 1
     return rank
-
-
-def span_coefficients(gram: RatMatrix, basis: Sequence[Vector], v: Sequence[Fraction]) -> Vector:
-    """Coefficients c with gram-projection of v onto span(basis) = sum c_i basis_i.
-
-    Requires gram positive definite on the ambient space, so the small Gram
-    matrix of the basis is singular exactly when the basis is dependent.
-    """
-    if not basis:
-        return ()
-
-    def form(u: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
-        gw = gram.mat_vec(w)
-        return sum(a * b for a, b in zip(u, gw, strict=True))
-
-    small = RatMatrix.build(len(basis), len(basis), lambda i, j: form(basis[i], basis[j]))
-    rhs = tuple(form(s, v) for s in basis)
-    try:
-        return rat_solve(small, rhs)
-    except SingularMatrix as exc:
-        raise DependentBasis("subspace vectors are linearly dependent") from exc
-
-
-def gram_split(gram: RatMatrix, subspace: Sequence[Vector], v: Sequence[Fraction]) -> tuple[Vector, Vector]:
-    """Split v = v_in + v_perp with v_in in span(subspace), gram(v_perp, s) = 0.
-
-    With an empty subspace this is (0, v); with a spanning one, (v, 0).
-    """
-    v = as_vector(v)
-    coeffs = span_coefficients(gram, subspace, v)
-    v_in = zero_vector(len(v))
-    for c, s in zip(coeffs, subspace, strict=True):
-        v_in = vec_add(v_in, vec_scale(c, s))
-    return v_in, vec_sub(v, v_in)

@@ -119,12 +119,8 @@ class RestrictedRootSystem:
 def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     """Restricted roots {r(alpha)} \\ {0} with mult(xi) = #{alpha : r(alpha) = xi}."""
     rs = sd.rs
-    inv = satake_involution(sd)
     n = rs.rank
-    tau_rows = inv.tau_star.int_rows()
-    if tau_rows is None:
-        raise InconsistentDiagram(f"{sd.name}: tau* does not preserve the root lattice")
-    tau_cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*tau_rows)]
+    tau_cols = satake_involution(sd).tau_columns
 
     def doubled(root: IntVector) -> IntVector:
         out = list(root)

@@ -167,7 +167,8 @@ class RootSystem:
         return Fraction(self.scaled_inner(iv, iw), self._gram_scaled[1] * dv * dw)
 
 
-def _simple_coord(n: int, i: int) -> tuple[int, ...]:
+def simple_coord(n: int, i: int) -> tuple[int, ...]:
+    """The simple root a_i in the simple-root coordinates of a rank-n system."""
     return tuple(int(k == i) for k in range(n))
 
 
@@ -182,13 +183,13 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
     def coroot_pairing(v: tuple[int, ...], i: int) -> int:
         return sum(c * p for c, p in zip(v, pair_rows[i]))
 
-    positives: set[tuple[int, ...]] = {_simple_coord(n, i) for i in range(n)}
+    positives: set[tuple[int, ...]] = {simple_coord(n, i) for i in range(n)}
     layer = sorted(positives)
     while layer:
         nxt: set[tuple[int, ...]] = set()
         for gamma in layer:
             for i in range(n):
-                alpha = _simple_coord(n, i)
+                alpha = simple_coord(n, i)
                 # length p of the descending a_i-string through gamma
                 p = 0
                 probe = tuple(a - b for a, b in zip(gamma, alpha))
@@ -206,7 +207,7 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
     if 2 * len(positives) != count:
         raise InvalidType(f"closure produced {2 * len(positives)} roots for {t.name}, expected {count}")
 
-    tops = [g for g in positives if all(tuple(a + b for a, b in zip(g, _simple_coord(n, i))) not in positives for i in range(n))]
+    tops = [g for g in positives if all(tuple(a + b for a, b in zip(g, simple_coord(n, i))) not in positives for i in range(n))]
     if len(tops) != 1:
         raise InvalidType(f"{t.name} has {len(tops)} maximal roots; system is not irreducible")
     roots = sorted(positives, key=lambda v: (sum(v), v))
@@ -254,7 +255,7 @@ def min_orbit_wdd(rs: RootSystem) -> WeightedDynkinDiagram:
     phi = rs.highest
     n = rs.rank
     norm = rs.scaled_inner(phi, phi)
-    weights = tuple(Fraction(2 * rs.scaled_inner(_simple_coord(n, i), phi), norm) for i in range(n))
+    weights = tuple(Fraction(2 * rs.scaled_inner(simple_coord(n, i), phi), norm) for i in range(n))
     return WeightedDynkinDiagram(rs.simple_type, weights)
 
 
@@ -266,7 +267,7 @@ def extended_neighbors(rs: RootSystem) -> frozenset[int]:
     if rs.rank < 2:
         raise RankTooSmall("the extended A1 diagram is a double edge; use min_orbit_wdd")
     n = rs.rank
-    return frozenset(i for i in range(n) if rs.inner(rs.highest, _simple_coord(n, i)) != 0)
+    return frozenset(i for i in range(n) if rs.inner(rs.highest, simple_coord(n, i)) != 0)
 
 
 def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:

@@ -2,9 +2,19 @@
 complex structure, and the exact involutions they induce on the root lattice.
 
 The catalog is transcribed per family from the standard classification as
-parametrized patterns, never per instance; `validate_satake` machine-checks
-every entry against the involution invariants, so a mis-transcribed pattern
-surfaces as a named diagnostic rather than silently wrong output.
+parametrized patterns, never per instance; every entry is machine-checked
+against the involution invariants, so a mis-transcribed pattern surfaces as
+a named diagnostic rather than silently wrong output.  Complex ranks above
+MAX_RANK are refused before any root system is built.
+
+The involution theta* is stored as integer columns (over a common
+denominator, which is 1 for every sound diagram); its `Fraction` matrices
+`theta_star` and `tau_star` are views built on first use.  Only the
+projections onto the black span need a rational solve, and only for the
+simple roots that pair with a black one.  The invariants run on the integer
+columns, theta*^2 = I included, once per entry: `satake_involution` builds
+and checks the involution under one cache, raising InconsistentDiagram with
+the failed checks, and `validate_satake` reports those same failures.
 
 Node indices are 0-based Bourbaki positions.  The name grammar (parsed
 case-insensitively, no spaces):
@@ -19,10 +29,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from operator import sub
+from typing import Sequence
 
 from .errors import FormNameError, InconsistentDiagram, OutOfRangeParams
-from .ratmat import RatMatrix, as_vector, matrix_rank, rat_solve, vec_scale, vec_sub
+from .ratmat import RatMatrix, matrix_rank, rat_solve
 from .rootsys import (
     RootSystem,
     SimpleType,
@@ -31,7 +44,17 @@ from .rootsys import (
     cartan_matrix,
     duality_permutation,
     find_cartan_isomorphism,
+    simple_coord,
 )
+
+IntVector = tuple[int, ...]
+
+# Largest complex rank `build_satake` and `catalog` accept.  Describing a
+# form costs about rank^4 (sl(61,R) takes seconds), so a larger rank fails
+# fast with OutOfRangeParams instead of running for minutes.
+MAX_RANK = 64
+
+EXCEPTIONAL_RANK = {"g2": 2, "f4": 4, "e6": 6, "e7": 7, "e8": 8}
 
 EXCEPTIONAL_FAMILIES = {
     "g2_2": "g2(2)",
@@ -97,13 +120,59 @@ class SatakeDiagram:
 
 @dataclass(frozen=True)
 class SatakeInvolution:
-    """theta* on simple-root coordinates, its negative tau*, and the node
-    permutation p_tilde (arrow pairing on white nodes, duality involution on
-    each black component)."""
+    """theta* on simple-root coordinates and the node permutation p_tilde
+    (arrow pairing on white nodes, duality involution on each black
+    component).
 
-    theta_star: RatMatrix
-    tau_star: RatMatrix
+    theta* is stored as integer columns over their least common denominator:
+    `columns[j]` is `denominator * theta*(a_j)`, so the denominator is 1
+    exactly when theta* is integral, as it is for every sound diagram.  The
+    `RatMatrix` fields `theta_star` and `tau_star = -theta_star` are views
+    built on first use.
+    """
+
+    columns: tuple[IntVector, ...]
     p_tilde: tuple[int, ...]
+    denominator: int = 1
+
+    def __post_init__(self):
+        if self.denominator < 1 or gcd(self.denominator, *(x for col in self.columns for x in col)) != 1:
+            raise ValueError("theta* columns must be given over their least common denominator")
+
+    @cached_property
+    def theta_star(self) -> RatMatrix:
+        n = len(self.columns)
+        return RatMatrix.build(n, n, lambda i, j: Fraction(self.columns[j][i], self.denominator))
+
+    @cached_property
+    def tau_star(self) -> RatMatrix:
+        return -self.theta_star
+
+    @cached_property
+    def tau_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero entries (i, x) of each column of tau*."""
+        if self.denominator != 1:
+            raise InconsistentDiagram("tau* does not preserve the root lattice")
+        return tuple(tuple((i, -x) for i, x in enumerate(col) if x) for col in self.columns)
+
+    def tau_image(self, v: Sequence[int]) -> IntVector:
+        """tau* v for an integer vector v."""
+        out = [0] * len(v)
+        for j, c in enumerate(v):
+            if c:
+                for i, x in self.tau_columns[j]:
+                    out[i] += c * x
+        return tuple(out)
+
+
+def _combine(columns: Sequence[IntVector], v: Sequence[int]) -> IntVector:
+    """sum_j v_j columns[j]: the matrix with these columns applied to v."""
+    out = [0] * len(columns[0])
+    for j, c in enumerate(v):
+        if c:
+            for i, x in enumerate(columns[j]):
+                out[i] += c * x
+    return tuple(out)
 
 
 def _sorted_arrows(pairs) -> tuple[tuple[int, int], ...]:
@@ -120,8 +189,34 @@ def _check(cond: bool, message: str):
         raise OutOfRangeParams(message)
 
 
+def complex_rank(d: RealFormDescriptor) -> int:
+    """Rank of the complexification, read off the family parameters alone."""
+    f, p = d.family, d.params
+    if f == "sl_R":
+        return p[0] - 1
+    if f == "su_star":
+        return 2 * p[0] - 1
+    if f == "su_pq":
+        return p[0] + p[1] - 1
+    if f == "so_pq":
+        return (p[0] + p[1]) // 2
+    if f in ("sp_R", "so_star"):
+        return p[0]
+    if f == "sp_pq":
+        return p[0] + p[1]
+    if f in EXCEPTIONAL_FAMILIES:
+        return EXCEPTIONAL_RANK[f.split("_")[0]]
+    raise FormNameError(f"unknown real-form family {f!r}")
+
+
 def build_satake(d: RealFormDescriptor) -> SatakeDiagram:
-    """Instantiate the family pattern for one descriptor."""
+    """Instantiate the family pattern for one descriptor.
+
+    The complex rank is checked against MAX_RANK before anything is built.
+    """
+    rank = complex_rank(d)
+    if rank > MAX_RANK:
+        raise OutOfRangeParams(f"{d.canonical_name} has complex rank {rank}, above the cap MAX_RANK = {MAX_RANK}")
     f, p = d.family, d.params
     if f == "sl_R":
         (n,) = p
@@ -160,23 +255,21 @@ def build_satake(d: RealFormDescriptor) -> SatakeDiagram:
         if n % 2 == 0:
             return _diagram(d, "D", n, range(0, n, 2), (), hermitian=True)
         return _diagram(d, "D", n, range(0, n - 2, 2), ((n - 2, n - 1),), hermitian=True)
-    if f in EXCEPTIONAL_FAMILIES:
-        letter, rank, black, arrows, hermitian = {
-            "g2_2": ("G", 2, (), (), False),
-            "f4_4": ("F", 4, (), (), False),
-            "f4_m20": ("F", 4, (0, 1, 2), (), False),
-            "e6_6": ("E", 6, (), (), False),
-            "e6_2": ("E", 6, (), ((0, 5), (2, 4)), False),
-            "e6_m14": ("E", 6, (2, 3, 4), ((0, 5),), True),
-            "e6_m26": ("E", 6, (1, 2, 3, 4), (), False),
-            "e7_7": ("E", 7, (), (), False),
-            "e7_m5": ("E", 7, (1, 4, 6), (), False),
-            "e7_m25": ("E", 7, (1, 2, 3, 4), (), True),
-            "e8_8": ("E", 8, (), (), False),
-            "e8_m24": ("E", 8, (1, 2, 3, 4), (), False),
-        }[f]
-        return _diagram(d, letter, rank, black, arrows, hermitian)
-    raise FormNameError(f"unknown real-form family {f!r}")
+    letter, rank, black, arrows, hermitian = {
+        "g2_2": ("G", 2, (), (), False),
+        "f4_4": ("F", 4, (), (), False),
+        "f4_m20": ("F", 4, (0, 1, 2), (), False),
+        "e6_6": ("E", 6, (), (), False),
+        "e6_2": ("E", 6, (), ((0, 5), (2, 4)), False),
+        "e6_m14": ("E", 6, (2, 3, 4), ((0, 5),), True),
+        "e6_m26": ("E", 6, (1, 2, 3, 4), (), False),
+        "e7_7": ("E", 7, (), (), False),
+        "e7_m5": ("E", 7, (1, 4, 6), (), False),
+        "e7_m25": ("E", 7, (1, 2, 3, 4), (), True),
+        "e8_8": ("E", 8, (), (), False),
+        "e8_m24": ("E", 8, (1, 2, 3, 4), (), False),
+    }[f]
+    return _diagram(d, letter, rank, black, arrows, hermitian)
 
 
 def _build_so(d: RealFormDescriptor) -> SatakeDiagram:
@@ -256,6 +349,8 @@ def catalog(max_rank: int) -> list[SatakeDiagram]:
     """
     if max_rank < 2:
         raise OutOfRangeParams(f"catalog needs max_rank >= 2, got {max_rank}")
+    if max_rank > MAX_RANK:
+        raise OutOfRangeParams(f"catalog needs max_rank <= MAX_RANK = {MAX_RANK}, got {max_rank}")
     descriptors: list[RealFormDescriptor] = []
     descriptors += [RealFormDescriptor("sl_R", (n,)) for n in range(2, max_rank + 2)]
     descriptors += [RealFormDescriptor("su_star", (k,)) for k in range(2, (max_rank + 1) // 2 + 1)]
@@ -271,9 +366,8 @@ def catalog(max_rank: int) -> list[SatakeDiagram]:
     for total in range(2, max_rank + 1):
         descriptors += [RealFormDescriptor("sp_pq", (a, total - a)) for a in range(1, total // 2 + 1)]
     descriptors += [RealFormDescriptor("so_star", (n,)) for n in range(3, max_rank + 1)]
-    exceptional_rank = {"g2": 2, "f4": 4, "e6": 6, "e7": 7, "e8": 8}
     for fam in EXCEPTIONAL_FAMILIES:
-        if exceptional_rank[fam.split("_")[0]] <= max_rank:
+        if EXCEPTIONAL_RANK[fam.split("_")[0]] <= max_rank:
             descriptors.append(RealFormDescriptor(fam, ()))
     entries = [build_satake(d) for d in descriptors]
     entries = [sd for sd in entries if sd.rs.rank <= max_rank]
@@ -324,30 +418,44 @@ def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
     p_tilde = list(range(n))
     for i, j in sd.arrows:
         p_tilde[i], p_tilde[j] = j, i
-    for comp in _black_components(sd):
+    components = _black_components(sd)
+    for comp in components:
         for node, image in _component_duality(sd, comp).items():
             p_tilde[node] = image
 
     # w0(Pi_0) acts as -duality on span(Pi_0) and identity on its
     # Gram-orthogonal complement; realized through the Gram split of each
     # basis vector, not through Weyl words.  The basis vectors are simple
-    # roots, so the projections only need Gram matrix entries.
-    black_nodes = sorted(sd.black)
-    nb = len(black_nodes)
-    sub_gram = RatMatrix.build(nb, nb, lambda a, c: rs.gram[black_nodes[a], black_nodes[c]])
-
-    def w0_column(j: int) -> list[Fraction]:
-        column = [Fraction(int(k == j)) for k in range(n)]
-        if nb:
-            coeffs = rat_solve(sub_gram, tuple(rs.gram[b, j] for b in black_nodes))
-            for c, b in zip(coeffs, black_nodes):
+    # roots, so the projections only need Gram matrix entries.  Distinct
+    # black components are orthogonal, so the split is done per component.
+    # A black root is its own projection, and a white root orthogonal to the
+    # component is fixed, so only the white neighbours need a solve.
+    moved: dict[int, list[Fraction]] = {}
+    for comp in components:
+        sub_gram = RatMatrix.build(len(comp), len(comp), lambda a, c: rs.gram[comp[a], comp[c]])
+        for j in range(n):
+            if j in comp:
+                coeffs = [int(b == j) for b in comp]
+            else:
+                rhs = tuple(rs.gram[b, j] for b in comp)
+                if not any(rhs):
+                    continue
+                coeffs = rat_solve(sub_gram, rhs)
+            column = moved.setdefault(j, [Fraction(int(k == j)) for k in range(n)])
+            for c, b in zip(coeffs, comp):
                 column[b] -= c
                 column[p_tilde[b]] -= c
-        return column
 
-    columns = [w0_column(p_tilde[j]) for j in range(n)]
-    theta = RatMatrix.build(n, n, lambda i, j: -columns[j][i])
-    return SatakeInvolution(theta, -theta, tuple(p_tilde))
+    # theta* a_j = -w0(a_{p~ j}), over the common denominator of the solves
+    den = lcm(1, *(x.denominator for column in moved.values() for x in column))
+
+    def theta_column(j: int) -> IntVector:
+        k = p_tilde[j]
+        if k in moved:
+            return tuple(-int(x * den) for x in moved[k])
+        return tuple(-den * int(i == k) for i in range(n))
+
+    return SatakeInvolution(tuple(theta_column(j) for j in range(n)), tuple(p_tilde), den)
 
 
 def _structural_failures(sd: SatakeDiagram, strict: bool = False) -> list[str]:
@@ -373,66 +481,46 @@ def _structural_failures(sd: SatakeDiagram, strict: bool = False) -> list[str]:
     return problems
 
 
-def _int_columns(mat: RatMatrix) -> list[list[int]] | None:
-    rows = mat.int_rows()
-    if rows is None:
-        return None
-    return [list(col) for col in zip(*rows)]
-
-
-def _coroot_vector(rs: RootSystem, i: int):
-    # coroot of a simple root under the Gram identification: 2 a_i / <a_i,a_i>
-    e = as_vector(tuple(int(k == i) for k in range(rs.rank)))
-    return vec_scale(2 / rs.inner(e, e), e)
-
-
 def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple[str, str]]:
     rs = sd.rs
     n = rs.rank
-    theta, tau, p = inv.theta_star, inv.tau_star, inv.p_tilde
+    cols, d, p = inv.columns, inv.denominator, inv.p_tilde
     failures: list[tuple[str, str]] = []
 
-    if not (theta @ theta).is_identity():
+    # theta*^2 = I on the integer matrix M = d theta*: M^2 = d^2 I
+    if any(_combine(cols, cols[j]) != tuple(d * d * x for x in simple_coord(n, j)) for j in range(n)):
         failures.append(("involution.theta-squared", "theta* squared is not the identity"))
 
-    theta_cols = _int_columns(theta)
-    if theta_cols is None:
+    if d != 1:
         failures.append(("involution.preserves-roots", "theta* does not preserve the root lattice"))
         return failures
 
-    def apply_cols(cols: list[list[int]], root: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * n
-        for j, c in enumerate(root):
-            if c:
-                col = cols[j]
-                for i in range(n):
-                    out[i] += c * col[i]
-        return tuple(out)
-
+    # theta* = -tau* and both maps are linear while the root set is closed
+    # under negation, so the tests below hold on every root exactly when they
+    # hold on the positive ones; those come first in rs.roots, so the first
+    # root reported is the same as in a scan over every root
     root_set = rs.root_set
-    bad = next((r for r in rs.roots if apply_cols(theta_cols, r) not in root_set), None)
+    positives = rs.positive_roots
+    images = [inv.tau_image(r) for r in positives]
+    bad = next((r for r, image in zip(positives, images) if image not in root_set), None)
     if bad is not None:
         failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {bad})"))
 
     for b in sorted(sd.black):
-        if theta_cols[b] != [int(k == b) for k in range(n)]:
+        if cols[b] != simple_coord(n, b):
             failures.append(("involution.fixes-black", f"theta* moves black simple root {b}"))
 
     for w in sd.white:
-        shifted = [-theta_cols[w][k] - int(k == p[w]) for k in range(n)]
+        shifted = [-cols[w][k] - int(k == p[w]) for k in range(n)]
         ok = all(x >= 0 for x in shifted) and all(shifted[k] == 0 for k in range(n) if k not in sd.black)
         if not ok:
             failures.append(
                 ("involution.white-translate", f"-theta*(a_{w}) - p~(a_{w}) is not a nonnegative black combination")
             )
 
-    tau_cols = [[-x for x in col] for col in theta_cols]
-    for r in rs.roots:
-        image = apply_cols(tau_cols, r)
-        moved = tuple(a - b for a, b in zip(r, image))
-        if moved in root_set:
-            failures.append(("involution.tau-normal", f"alpha - tau*(alpha) is a root for alpha={r}"))
-            break
+    normal = next((r for r, image in zip(positives, images) if tuple(map(sub, r, image)) in root_set), None)
+    if normal is not None:
+        failures.append(("involution.tau-normal", f"alpha - tau*(alpha) is a root for alpha={normal}"))
 
     permuted_phi = [0] * n
     for i, c in enumerate(rs.highest):
@@ -443,26 +531,26 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     if any(rs.cartan[p[i], p[j]] != rs.cartan[i, j] for i in range(n) for j in range(n)):
         failures.append(("involution.ptilde-automorphism", "p~ is not a Dynkin diagram automorphism"))
 
-    omega = [_coroot_vector(rs, b) for b in sorted(sd.black)]
-    omega += [vec_sub(_coroot_vector(rs, i), _coroot_vector(rs, j)) for i, j in sd.arrows]
+    # integer multiples of the coroots 2 a_i/<a_i,a_i>: a_b for a black node,
+    # and <a_j,a_j> a_i - <a_i,a_i> a_j (scaled Gram form) for an arrow (i, j)
+    omega = [simple_coord(n, b) for b in sorted(sd.black)]
+    for i, j in sd.arrows:
+        ei, ej = simple_coord(n, i), simple_coord(n, j)
+        omega.append(tuple(rs.scaled_inner(ej, ej) * x - rs.scaled_inner(ei, ei) * y for x, y in zip(ei, ej)))
     if omega:
         if matrix_rank(omega) != len(omega):
             failures.append(("involution.basis-independent", "black/arrow coroot vectors are dependent"))
         for v in omega:
-            if tau.mat_vec(v) != vec_scale(Fraction(-1), v):
+            if inv.tau_image(v) != tuple(-x for x in v):
                 failures.append(("involution.basis-eigenspace", "a basis vector is not in the -1 eigenspace of tau*"))
                 break
-    eigen_dim = n - matrix_rank(_tau_plus_id_rows(tau, n))
+    # columns of tau* + I = I - theta*
+    eigen_dim = n - matrix_rank([tuple(map(sub, simple_coord(n, j), cols[j])) for j in range(n)])
     if eigen_dim != len(omega):
         failures.append(
             ("involution.basis-count", f"-1 eigenspace of tau* has dim {eigen_dim}, basis has {len(omega)} vectors")
         )
     return failures
-
-
-def _tau_plus_id_rows(tau: RatMatrix, n: int) -> list[list[Fraction]]:
-    ident = RatMatrix.identity(n)
-    return [[tau[i, j] + ident[i, j] for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -479,22 +567,26 @@ class ValidationReport:
 
 @lru_cache(maxsize=None)
 def satake_involution(sd: SatakeDiagram) -> SatakeInvolution:
-    """theta* for a diagram, raising InconsistentDiagram if any invariant fails."""
+    """theta* for a diagram, built and checked once per entry.  If any
+    invariant fails, raises InconsistentDiagram carrying the failures."""
     inv = _build_involution(sd)
-    failures = _involution_failures(sd, inv)
+    failures = tuple(_involution_failures(sd, inv))
     if failures:
         detail = "; ".join(f"{check}: {msg}" for check, msg in failures)
-        raise InconsistentDiagram(f"{sd.name}: {detail}")
+        raise InconsistentDiagram(f"{sd.name}: {detail}", failures)
     return inv
 
 
 def validate_satake(sd: SatakeDiagram) -> ValidationReport:
-    """Run every structural and involution check, reporting all failures."""
+    """Run every structural and involution check, reporting all failures.
+
+    The involution checks are those `satake_involution` runs, so a sound
+    entry is checked once and its involution is cached for every later use."""
     structural = [("structure.arrows", msg) for msg in _structural_failures(sd)]
     if structural:
         return ValidationReport(sd.name, tuple(structural))
     try:
-        inv = _build_involution(sd)
+        satake_involution(sd)
     except InconsistentDiagram as exc:
-        return ValidationReport(sd.name, (("structure.construction", str(exc)),))
-    return ValidationReport(sd.name, tuple(_involution_failures(sd, inv)))
+        return ValidationReport(sd.name, exc.failures or (("structure.construction", str(exc)),))
+    return ValidationReport(sd.name, ())

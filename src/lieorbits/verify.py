@@ -225,13 +225,14 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
         if phi_sq != lam_sq:
             failures.append(Failure(name, "restricted.norm-ratio", f"<phi,phi>={phi_sq} but <lam,lam>={lam_sq}"))
 
-    tau_phi = satake_involution(sd).tau_star.mat_vec(phi)
-    if (tau_phi != phi) != (rrs.highest_mult >= 2):
+    tau_phi = satake_involution(sd).tau_image(rs.highest)
+    moved = tau_phi != rs.highest
+    if moved != (rrs.highest_mult >= 2):
         failures.append(
-            Failure(name, "restricted.mult-vs-phi-moved", f"mult {rrs.highest_mult} vs tau*phi moved {tau_phi != phi}")
+            Failure(name, "restricted.mult-vs-phi-moved", f"mult {rrs.highest_mult} vs tau*phi moved {moved}")
         )
-    if tau_phi != phi and rs.inner(phi, tau_phi) != 0:
-        failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {rs.inner(phi, tau_phi)}"))
+    if moved and rs.scaled_inner(rs.highest, tau_phi) != 0:
+        failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {rs.inner(rs.highest, tau_phi)}"))
 
     if parity_criterion(rrs) == is_C_or_BC(rrs):
         failures.append(

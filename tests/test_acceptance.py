@@ -7,7 +7,8 @@ this file, independent of the package's own golden-row helpers.
 import dataclasses
 import functools
 
-from lieorbits import cli
+from lieorbits import cli, satake
+from lieorbits.errors import InconsistentDiagram
 from lieorbits.orbits import (
     count_minimal_real_orbits,
     equivalence_conditions,
@@ -253,3 +254,26 @@ def test_criterion_7_cli_corrupted(capsys, monkeypatch):
     assert cli.main(["verify", "--max-rank", "3"]) == 1
     out = capsys.readouterr().out
     assert "su*(4)" in out and "FAIL" in out
+
+
+# --- regression: validation and construction share one involution cache ---
+
+
+def test_mutants_validate_the_same_cold_and_warm():
+    for sd in catalog(5):
+        for label, mutated in _mutations(sd):
+            satake_involution.cache_clear()
+            cold = validate_satake(mutated)
+            try:
+                satake_involution(mutated)
+                raised = False
+            except InconsistentDiagram:
+                raised = True
+            warm = validate_satake(mutated)
+            assert cold.failures == warm.failures, f"{sd.name}: {label}"
+            assert raised == (not cold.ok), f"{sd.name}: {label}"
+            try:
+                battery = tuple(satake._involution_failures(mutated, satake._build_involution(mutated)))
+            except InconsistentDiagram:
+                continue  # a structural or construction failure, reported before the battery runs
+            assert cold.failures == battery, f"{sd.name}: {label}"

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import time
 
 from lieorbits import cli
 from lieorbits.orbits import orbit_report, report_from_dict
-from lieorbits.satake import build_satake, parse_form_name
+from lieorbits.satake import MAX_RANK, build_satake, parse_form_name
 
 
 def run(capsys, *argv):
@@ -43,6 +44,16 @@ def test_bad_flag_exits_2(capsys):
     capsys.readouterr()
     assert cli.main(["list", "--max-rank", "1"]) == 2
     capsys.readouterr()
+
+
+def test_rank_cap_exits_2_fast(capsys):
+    for argv in (["describe", "sl(100000,R)"], ["describe", "so(3,100000)"], ["verify", "--max-rank", "100000"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2, argv
+        assert not out
+        assert "MAX_RANK" in err and str(MAX_RANK) in err, argv
 
 
 def test_describe_json_roundtrip(capsys):

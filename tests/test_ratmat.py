@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lieorbits.errors import DependentBasis, SingularMatrix
-from lieorbits.ratmat import RatMatrix, as_vector, gram_split, matrix_rank, rat_solve, vec_add
+from lieorbits.errors import SingularMatrix
+from lieorbits.ratmat import RatMatrix, as_vector, matrix_rank, rat_solve
 
 
 def F(a, b=1):
@@ -39,35 +39,6 @@ def test_solve_needs_square():
         rat_solve(a, as_vector([1, 1]))
 
 
-A2_GRAM = RatMatrix.from_rows([[2, -1], [-1, 2]])
-
-
-def test_gram_split_empty_subspace():
-    v_in, v_perp = gram_split(A2_GRAM, [], as_vector([3, -7]))
-    assert v_in == (F(0), F(0))
-    assert v_perp == (F(3), F(-7))
-
-
-def test_gram_split_full_span():
-    basis = [as_vector([1, 0]), as_vector([0, 1])]
-    v_in, v_perp = gram_split(A2_GRAM, basis, as_vector([5, 2]))
-    assert v_in == (F(5), F(2))
-    assert v_perp == (F(0), F(0))
-
-
-def test_gram_split_a2_example():
-    # project a2 off a1: solve <a2 - c a1, a1> = 0 for c = -1/2
-    v_in, v_perp = gram_split(A2_GRAM, [as_vector([1, 0])], as_vector([0, 1]))
-    assert v_in == (F(-1, 2), F(0))
-    assert v_perp == (F(1, 2), F(1))
-
-
-def test_gram_split_dependent_raises():
-    basis = [as_vector([1, 1]), as_vector([2, 2])]
-    with pytest.raises(DependentBasis):
-        gram_split(A2_GRAM, basis, as_vector([1, 0]))
-
-
 def _random_matrix(rng, n, lo=-6, hi=6):
     return RatMatrix.from_rows([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
@@ -92,23 +63,38 @@ def test_solve_random_roundtrip():
         assert a.mat_vec(x) == b
 
 
-def test_gram_split_random_invariants():
-    rng = random.Random(515)
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        # positive definite gram: A^T A + n * I over the rationals
-        a = _random_matrix(rng, n, -3, 3)
-        gram = RatMatrix.build(
-            n, n, lambda i, j: sum(a[k, i] * a[k, j] for k in range(n)) + Fraction(n * int(i == j))
-        )
-        basis_size = rng.randint(0, n)
-        m = _random_invertible(rng, n)
-        subspace = [m.row(i) for i in range(basis_size)]
-        v = as_vector([rng.randint(-5, 5) for _ in range(n)])
-        v_in, v_perp = gram_split(gram, subspace, v)
-        assert vec_add(v_in, v_perp) == v
-        for s in subspace:
-            gw = gram.mat_vec(v_perp)
-            assert sum(x * y for x, y in zip(s, gw)) == 0
-        if subspace:
-            assert matrix_rank(subspace) == len(subspace)
+def _reference_rank(rows):
+    # Gaussian elimination over Fractions, as a reference for matrix_rank
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_matrix_rank_hand_cases():
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[0, 0], [0, 0]]) == 0
+    assert matrix_rank([[2, 4], [3, 6]]) == 1
+    assert matrix_rank([[0, 1, 2], [3, 0, 1], [3, 1, 3]]) == 2
+    assert matrix_rank([[4, 6], [6, 9], [2, 5]]) == 2
+
+
+def test_matrix_rank_random_low_rank():
+    rng = random.Random(733)
+    for _ in range(60):
+        n, k = rng.randint(1, 6), rng.randint(0, 6)
+        m = rng.randint(1, 6)
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
+        product = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+        rank = matrix_rank(product)
+        assert rank == _reference_rank(product)
+        assert rank <= min(n, k, m)

@@ -1,17 +1,23 @@
 import dataclasses
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from lieorbits import satake
 from lieorbits.errors import FormNameError, InconsistentDiagram, OutOfRangeParams
 from lieorbits.ratmat import RatMatrix
 from lieorbits.satake import (
+    MAX_RANK,
+    SatakeInvolution,
     build_satake,
     catalog,
     parse_form_name,
     satake_involution,
     validate_satake,
 )
+from lieorbits.verify import run_verification
 
 
 def form(name):
@@ -230,3 +236,70 @@ def test_hermitian_metadata():
         assert form(name).hermitian_expected, name
     for name in expected_false:
         assert not form(name).hermitian_expected, name
+
+
+def test_involution_checked_once_per_entry(monkeypatch):
+    checked = Counter()
+    original = satake._involution_failures
+
+    def counting(sd, inv):
+        checked[sd.name] += 1
+        return original(sd, inv)
+
+    monkeypatch.setattr(satake, "_involution_failures", counting)
+    satake_involution.cache_clear()
+    result = run_verification(max_rank=5)
+    assert result.ok
+    assert sorted(checked) == sorted(sd.name for sd in catalog(5))
+    assert set(checked.values()) == {1}
+
+
+def test_hand_made_bad_involutions_fail_by_name():
+    sd = form("sl(3,R)")
+    # A2 positives in rs.roots order: (0, 1), (1, 0), (1, 1)
+    not_involutive = SatakeInvolution(((-1, 0), (1, -1)), (0, 1))
+    assert satake._involution_failures(sd, not_involutive)[:2] == [
+        ("involution.theta-squared", "theta* squared is not the identity"),
+        ("involution.preserves-roots", "theta* does not preserve the root set (e.g. (0, 1))"),
+    ]
+    # theta* = [[-1, 1/2], [0, -1]]: neither an involution nor integral
+    non_integral = SatakeInvolution(((-2, 0), (1, -2)), (0, 1), denominator=2)
+    assert satake._involution_failures(sd, non_integral) == [
+        ("involution.theta-squared", "theta* squared is not the identity"),
+        ("involution.preserves-roots", "theta* does not preserve the root lattice"),
+    ]
+    # theta* = [[1, 1/2], [0, -1]] squares to the identity but is not integral
+    rational_involution = SatakeInvolution(((2, 0), (1, -2)), (0, 1), denominator=2)
+    assert satake._involution_failures(sd, rational_involution) == [
+        ("involution.preserves-roots", "theta* does not preserve the root lattice"),
+    ]
+
+
+def test_involution_columns_need_lowest_terms():
+    with pytest.raises(ValueError):
+        SatakeInvolution(((2, 0), (0, 2)), (0, 1), denominator=2)
+
+
+def test_involution_integer_columns_match_views():
+    for sd in catalog(6):
+        inv = satake_involution(sd)
+        n = sd.rs.rank
+        assert inv.denominator == 1, sd.name
+        assert inv.theta_star == RatMatrix.build(n, n, lambda i, j: inv.columns[j][i]), sd.name
+        assert inv.tau_star == -inv.theta_star, sd.name
+        for root in sd.rs.roots:
+            assert inv.tau_image(root) == tuple(int(x) for x in inv.tau_star.mat_vec(root)), sd.name
+
+
+def test_rank_cap_fails_fast():
+    for name in ["sl(100000,R)", "so(3,100000)", "su(100000,100000)", "su*(200000)", "sp(100000,R)"]:
+        start = time.perf_counter()
+        with pytest.raises(OutOfRangeParams, match="MAX_RANK"):
+            build_satake(parse_form_name(name))
+        assert time.perf_counter() - start < 1, name
+    with pytest.raises(OutOfRangeParams, match="MAX_RANK"):
+        catalog(MAX_RANK + 1)
+    assert satake.complex_rank(parse_form_name("sl(65,R)")) == MAX_RANK
+    assert satake.complex_rank(parse_form_name("sl(66,R)")) == MAX_RANK + 1
+    with pytest.raises(OutOfRangeParams, match="MAX_RANK"):
+        build_satake(parse_form_name("sl(66,R)"))
