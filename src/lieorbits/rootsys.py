@@ -78,8 +78,13 @@ def simple_root_length_halves(t: SimpleType) -> tuple[Fraction, ...]:
     return (one,) * n
 
 
+@lru_cache(maxsize=256)
 def cartan_matrix(t: SimpleType) -> RatMatrix:
-    """Integer Cartan matrix C[i][j] = 2<a_i,a_j>/<a_j,a_j>."""
+    """Integer Cartan matrix C[i][j] = 2<a_i,a_j>/<a_j,a_j>.
+
+    Cached (the matrix is immutable): the restricted-type and black-component
+    classifiers compare against the same few candidate types for every entry.
+    """
     n = t.rank
     d = simple_root_length_halves(t)
     entries = [[Fraction(0)] * n for _ in range(n)]
@@ -177,37 +182,34 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
     t = SimpleType(letter, rank)
     n = t.rank
     cartan = cartan_matrix(t)
-    # pairing of a coordinate vector against the coroot of a_i
-    pair_rows = [[int(cartan[j, i]) for j in range(n)] for i in range(n)]
+    # row i: the coroot pairings <a_i, a_k^v> = C[i][k] that stepping up by a_i adds
+    cartan_rows = cartan.int_rows()
+    nodes = range(n)
 
-    def coroot_pairing(v: tuple[int, ...], i: int) -> int:
-        return sum(c * p for c, p in zip(v, pair_rows[i]))
-
-    positives: set[tuple[int, ...]] = {simple_coord(n, i) for i in range(n)}
-    layer = sorted(positives)
+    # each root carries (coroot pairings, descending string lengths p_k)
+    layer: dict[tuple[int, ...], tuple[list[int], list[int]]] = {
+        simple_coord(n, i): (cartan_rows[i], [0] * n) for i in nodes
+    }
+    positives: set[tuple[int, ...]] = set(layer)
     while layer:
-        nxt: set[tuple[int, ...]] = set()
-        for gamma in layer:
-            for i in range(n):
-                alpha = simple_coord(n, i)
-                # length p of the descending a_i-string through gamma
-                p = 0
-                probe = tuple(a - b for a, b in zip(gamma, alpha))
-                while probe in positives:
-                    p += 1
-                    probe = tuple(a - b for a, b in zip(probe, alpha))
-                if p - coroot_pairing(gamma, i) > 0:
-                    up = tuple(a + b for a, b in zip(gamma, alpha))
-                    if up not in positives:
-                        nxt.add(up)
-        positives |= nxt
-        layer = sorted(nxt)
+        nxt: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        for gamma, (pairs, strings) in layer.items():
+            for i in nodes:
+                # the a_i-string through gamma goes on up while p_i > <gamma, a_i^v>
+                if strings[i] > pairs[i]:
+                    up = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
+                    data = nxt.get(up)
+                    if data is None:
+                        data = nxt[up] = ([a + b for a, b in zip(pairs, cartan_rows[i])], [0] * n)
+                    data[1][i] = strings[i] + 1
+        positives.update(nxt)
+        layer = nxt
 
     count = ROOT_COUNT_FORMULAS[letter](rank)
     if 2 * len(positives) != count:
         raise InvalidType(f"closure produced {2 * len(positives)} roots for {t.name}, expected {count}")
 
-    tops = [g for g in positives if all(tuple(a + b for a, b in zip(g, simple_coord(n, i))) not in positives for i in range(n))]
+    tops = [g for g in positives if all(g[:i] + (g[i] + 1,) + g[i + 1 :] not in positives for i in nodes)]
     if len(tops) != 1:
         raise InvalidType(f"{t.name} has {len(tops)} maximal roots; system is not irreducible")
     roots = sorted(positives, key=lambda v: (sum(v), v))
@@ -216,7 +218,15 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
 
 
 def build_root_system(t: SimpleType) -> RootSystem:
-    """Full root system of type t via breadth-first closure over root strings."""
+    """Full root system of type t via breadth-first closure over root strings.
+
+    Each positive root gamma found so far carries its coroot pairings
+    <gamma, a_i^v> and the lengths p_i of its descending a_i-strings.  Stepping
+    up by a_i adds Cartan row i to the pairings; the new root gets
+    p_i = p_i(gamma) + 1 and p_j = 0 for every j it was not reached along.
+    gamma + a_i is a root exactly when p_i > <gamma, a_i^v>, the root-string
+    predicate, so no string is walked down twice.
+    """
     return _build_cached(t.letter, t.rank)
 
 
@@ -267,7 +277,8 @@ def extended_neighbors(rs: RootSystem) -> frozenset[int]:
     if rs.rank < 2:
         raise RankTooSmall("the extended A1 diagram is a double edge; use min_orbit_wdd")
     n = rs.rank
-    return frozenset(i for i in range(n) if rs.inner(rs.highest, simple_coord(n, i)) != 0)
+    # a zero test does not depend on the scale of the Gram form
+    return frozenset(i for i in range(n) if rs.scaled_inner(rs.highest, simple_coord(n, i)) != 0)
 
 
 def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from lieorbits import rootsys
 from lieorbits.errors import InvalidType, NonIntegralWeights, RankTooSmall, ZeroVector
+from lieorbits.ratmat import RatMatrix
 from lieorbits.rootsys import (
     ROOT_COUNT_FORMULAS,
     SimpleType,
@@ -23,6 +25,15 @@ ALL_TYPES = (
     + [SimpleType("B", n) for n in range(2, 9)]
     + [SimpleType("C", n) for n in range(2, 9)]
     + [SimpleType("D", n) for n in range(4, 9)]
+    + [SimpleType("E", n) for n in (6, 7, 8)]
+    + [SimpleType("F", 4), SimpleType("G", 2)]
+)
+
+CLOSURE_TYPES = (
+    [SimpleType("A", n) for n in range(1, 31)]
+    + [SimpleType("B", n) for n in range(2, 31)]
+    + [SimpleType("C", n) for n in range(2, 31)]
+    + [SimpleType("D", n) for n in range(4, 31)]
     + [SimpleType("E", n) for n in (6, 7, 8)]
     + [SimpleType("F", 4), SimpleType("G", 2)]
 )
@@ -78,13 +89,37 @@ def test_g2_roots_hand_enumeration():
     assert rs.highest == (3, 2)
 
 
-@pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
+def reflection_closure(cartan: list[list[int]]) -> set[tuple[int, ...]]:
+    """Every root, as the orbit of the simple roots under the simple
+    reflections s_i(v) = v - <v, a_i^v> a_i, with <a_j, a_i^v> = C[j][i]."""
+    n = len(cartan)
+    # column i of the Cartan matrix as its nonzero (j, C[j][i]) pairs
+    columns = [[(j, cartan[j][i]) for j in range(n) if cartan[j][i]] for i in range(n)]
+    simple = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        v = frontier.pop()
+        for i in range(n):
+            k = sum(v[j] * c for j, c in columns[i])
+            if k:
+                w = v[:i] + (v[i] - k,) + v[i + 1 :]
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+    return seen
+
+
+@pytest.mark.parametrize("t", CLOSURE_TYPES, ids=lambda t: t.name)
 def test_root_counts_and_highest(t):
+    # the closure must reproduce the reflection orbit, root for root and in
+    # its (height, coordinates) order: positives first, then their negatives
     rs = build_root_system(t)
-    assert len(rs.roots) == ROOT_COUNT_FORMULAS[t.letter](t.rank)
+    roots = reflection_closure(cartan_matrix(t).int_rows())
+    positives = sorted((v for v in roots if sum(v) > 0), key=lambda v: (sum(v), v))
+    assert len(roots) == 2 * len(positives) == ROOT_COUNT_FORMULAS[t.letter](t.rank)
+    assert rs.roots == tuple(positives) + tuple(tuple(-x for x in v) for v in positives)
     assert rs.highest == HIGHEST_ROOTS[t.letter](t.rank)
-    assert set(rs.roots) == {tuple(-x for x in r) for r in rs.roots}
-    assert (0,) * t.rank not in rs.root_set
 
 
 @pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
@@ -209,3 +244,24 @@ def test_scaled_inner_matches_gram_form(t):
             exact = sum(v[i] * rs.gram[i, j] * w[j] for i in range(rs.rank) for j in range(rs.rank))
             assert rs.inner(v, w) == exact
             assert rs.scaled_inner(v, w) * rs.inner(phi, phi) == rs.scaled_inner(phi, phi) * exact
+
+
+@pytest.mark.parametrize(
+    "t, wrong, message",
+    [
+        # C3 + A1 has as many roots as A4 but two maximal ones
+        (SimpleType("A", 4), [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, 0], [0, 0, 0, 2]], "2 maximal roots"),
+        # a C3 matrix closes to 18 roots, not the 12 of A3
+        (SimpleType("A", 3), [[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "closure produced 18 roots"),
+    ],
+    ids=["maximal-root-guard", "root-count-guard"],
+)
+def test_closure_guards_reject_a_wrong_cartan_matrix(monkeypatch, t, wrong, message):
+    rootsys._build_cached.cache_clear()
+    monkeypatch.setattr(rootsys, "cartan_matrix", lambda _t: RatMatrix.from_rows(wrong))
+    try:
+        with pytest.raises(InvalidType, match=message):
+            build_root_system(t)
+    finally:
+        monkeypatch.undo()
+        rootsys._build_cached.cache_clear()
