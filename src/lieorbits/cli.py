@@ -147,14 +147,14 @@ def emit_dot(report: OrbitReport) -> str:
         lines.append(f'  n{i + 1} [label="{weights[i]}"{style}];')
     for i in range(n):
         for j in range(i + 1, n):
-            if cartan[i, j] == 0:
+            if cartan[i][j] == 0:
                 continue
-            mult = int(cartan[i, j] * cartan[j, i])
+            mult = cartan[i][j] * cartan[j][i]
             if mult == 1:
                 lines.append(f"  n{i + 1} -- n{j + 1};")
             else:
                 # C[i][j] = -mult exactly when node j is the shorter one
-                head, tail = (i, j) if cartan[i, j] == -mult else (j, i)
+                head, tail = (i, j) if cartan[i][j] == -mult else (j, i)
                 lines.append(f'  n{head + 1} -- n{tail + 1} [label="{mult}", dir=forward];')
     for i, j in sd.arrows:
         lines.append(f"  n{i + 1} -- n{j + 1} [style=dashed, constraint=false];")

@@ -21,6 +21,7 @@ from .rootsys import (
     extended_neighbors,
     min_orbit_wdd,
     orbit_dim_from_wdd,
+    simple_coord,
 )
 from .satake import RealFormDescriptor, SatakeDiagram, build_satake, parse_form_name, satake_involution
 
@@ -97,7 +98,7 @@ def min_g_wdd_direct(sd: SatakeDiagram) -> WeightedDynkinDiagram:
     lam = restricted_root_system(sd).doubled_highest
     n = rs.rank
     norm = rs.scaled_inner(lam, lam)
-    weights = tuple(Fraction(4 * rs.scaled_inner(tuple(int(k == i) for k in range(n)), lam), norm) for i in range(n))
+    weights = tuple(Fraction(4 * rs.scaled_inner(simple_coord(n, i), lam), norm) for i in range(n))
     wdd = WeightedDynkinDiagram(rs.simple_type, weights)
     if not wdd.is_integral() or any(x not in (0, 1, 2) for x in wdd.as_ints()):
         raise InconsistentDiagram(f"{sd.name}: weights {weights} outside {{0,1,2}}")
@@ -137,13 +138,13 @@ def solve_coroot_system(sd: SatakeDiagram) -> CorootSystemSolution:
     if len(columns) != n:
         raise InconsistentDiagram(f"{sd.name}: coroot system is {n}x{len(columns)}, not square")
 
-    def entry(i: int, col: tuple) -> Fraction:
+    def entry(i: int, col: tuple) -> int:
         if col[0] == "class":
-            return Fraction(int(i in class_rep and class_rep[i] == col[1]))
+            return int(i in class_rep and class_rep[i] == col[1])
         if col[0] == "black":
-            return cartan[i, col[1]]
+            return cartan[i][col[1]]
         _, a, b = col
-        return cartan[i, a] - cartan[i, b]
+        return cartan[i][a] - cartan[i][b]
 
     matrix = RatMatrix.build(n, n, lambda i, j: entry(i, columns[j]))
     target = min_orbit_wdd(rs).weights

@@ -4,13 +4,18 @@ The rational operations here are exact linear solves and matrix views.
 Scalars are fractions.Fraction (`Rat`), which already guarantees lowest
 terms and a positive denominator, so no rounding can ever occur.  Ranks are
 taken on integer vectors by fraction-free elimination.
+
+Integral data stays in plain ints: `RootSystem.cartan` is integer rows, and
+`RootSystem.scaled_inner` is the Gram form, on an integer multiple of
+itself.  A `RatMatrix` holds only genuinely rational data: the views of
+theta* and tau*, and the matrices of the two rational solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import SingularMatrix
@@ -21,10 +26,6 @@ Vector = tuple[Fraction, ...]
 
 def as_vector(values: Iterable) -> Vector:
     return tuple(Fraction(x) for x in values)
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 @dataclass(frozen=True)
@@ -85,31 +86,10 @@ class RatMatrix:
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix.build(self.cols, self.rows, lambda i, j: self[j, i])
-
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
             self[i, j] == (1 if i == j else 0) for i in range(self.rows) for j in range(self.cols)
         )
-
-    def int_rows(self) -> list[list[int]] | None:
-        """Plain-int row lists when every entry is integral, else None."""
-        if any(e.denominator != 1 for e in self.entries):
-            return None
-        return [[int(x) for x in self.row(i)] for i in range(self.rows)]
-
-
-def intify(v: Sequence) -> tuple[list[int], int]:
-    """Scale a rational vector to integers: returns (d*v as ints, d)."""
-    if all(type(x) is int for x in v):
-        return list(v), 1
-    fracs = [Fraction(x) for x in v]
-    d = 1
-    for x in fracs:
-        d = lcm(d, x.denominator)
-    return [x.numerator * (d // x.denominator) for x in fracs], d
-
 
 def rat_solve(a: RatMatrix, b: Sequence[Fraction]) -> Vector:
     """Solve a*x = b exactly for square a.

@@ -30,8 +30,8 @@ from functools import cached_property, lru_cache
 from operator import sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
-from .ratmat import RatMatrix, Vector, as_vector
-from .rootsys import RootSystem, SimpleType, candidate_types, cartan_matrix, find_cartan_isomorphism
+from .ratmat import Vector, as_vector
+from .rootsys import RootSystem, SimpleType, candidate_types, cartan_matrix, find_cartan_isomorphism, simple_coord
 from .satake import SatakeDiagram, satake_involution
 
 IntVector = tuple[int, ...]
@@ -148,7 +148,7 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
 
     simple_images: list[IntVector] = []
     for i in sd.white:
-        image = doubled(tuple(int(k == i) for k in range(n)))
+        image = doubled(simple_coord(n, i))
         if any(image) and image not in simple_images:
             simple_images.append(image)
 
@@ -192,17 +192,14 @@ def _classify(rs: RootSystem, element_set, positives, simple_images, name: str) 
     if rank != len(simple_images):
         raise UnrecognizedSystem(f"{name}: {rank} indecomposables vs {len(simple_images)} simple images")
 
-    entries = [[None] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(rank):
-            value = Fraction(
-                2 * rs.scaled_inner(simple_reduced[i], simple_reduced[j]),
-                rs.scaled_inner(simple_reduced[j], simple_reduced[j]),
-            )
-            if value.denominator != 1 or (i != j and value > 0) or (i == j and value != 2):
-                raise UnrecognizedSystem(f"{name}: restricted Cartan entry {value} at ({i},{j})")
-            entries[i][j] = value
-    cbar = RatMatrix.from_rows(entries)
+    def cartan_entry(i: int, j: int) -> int:
+        num = 2 * rs.scaled_inner(simple_reduced[i], simple_reduced[j])
+        den = rs.scaled_inner(simple_reduced[j], simple_reduced[j])
+        if num % den or (i != j and num > 0) or (i == j and num != 2 * den):
+            raise UnrecognizedSystem(f"{name}: restricted Cartan entry {Fraction(num, den)} at ({i},{j})")
+        return num // den
+
+    cbar = tuple(tuple(cartan_entry(i, j) for j in range(rank)) for i in range(rank))
 
     matches = [t for t in candidate_types(rank) if find_cartan_isomorphism(cbar, cartan_matrix(t)) is not None]
     if not matches:
@@ -213,7 +210,7 @@ def _classify(rs: RootSystem, element_set, positives, simple_images, name: str) 
         # rank-2 double edge: B2 and C2 are isomorphic; label by source order
         if set(m.letter for m in matches) != {"B", "C"}:
             raise UnrecognizedSystem(f"{name}: ambiguous restricted type {[m.name for m in matches]}")
-        letter = "B" if cbar.entries == cartan_matrix(SimpleType("B", rank)).entries else "C"
+        letter = "B" if cbar == cartan_matrix(SimpleType("B", rank)) else "C"
     if non_reduced:
         return TypeLabel("BC", rank, False)
     return TypeLabel(letter, rank, True)

@@ -1,9 +1,10 @@
 """Simple complex root systems from Cartan data.
 
 Node numbering follows Bourbaki throughout.  Arrow orientation is fixed by
-C[i][j] = 2<a_i, a_j>/<a_j, a_j>, and the Gram form is normalized so long
-roots have squared length 2; every downstream quantity is a scale-invariant
-ratio, so the normalization only makes stored values canonical.
+C[i][j] = 2<a_i, a_j>/<a_j, a_j>, and the Cartan matrix is kept as integer
+rows.  The Gram form <a_i, a_j> = C[i][j] d_j, with long roots of squared
+length 2, is kept only as an integer multiple of itself (`scaled_gram`);
+every downstream quantity is a scale-invariant ratio, so the scale cancels.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch, ZeroVector
-from .ratmat import RatMatrix, as_vector, intify
+
+IntRows = tuple[tuple[int, ...], ...]
 
 RANK_BOUNDS = {
     "A": (1, None),
@@ -79,30 +81,21 @@ def simple_root_length_halves(t: SimpleType) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=256)
-def cartan_matrix(t: SimpleType) -> RatMatrix:
-    """Integer Cartan matrix C[i][j] = 2<a_i,a_j>/<a_j,a_j>.
+def cartan_matrix(t: SimpleType) -> IntRows:
+    """Integer Cartan matrix C[i][j] = 2<a_i,a_j>/<a_j,a_j>, as rows.
 
-    Cached (the matrix is immutable): the restricted-type and black-component
+    Cached (the rows are immutable): the restricted-type and black-component
     classifiers compare against the same few candidate types for every entry.
     """
     n = t.rank
     d = simple_root_length_halves(t)
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        entries[i][i] = Fraction(2)
+    rows = [[2 * int(i == j) for j in range(n)] for i in range(n)]
     for i, j in _edges(t):
         # <a_i, a_j> = -max(d_i, d_j) for adjacent nodes in every simple type
         prod = -max(d[i], d[j])
-        entries[i][j] = prod / d[j]
-        entries[j][i] = prod / d[i]
-    return RatMatrix.from_rows(entries)
-
-
-def gram_matrix(t: SimpleType) -> RatMatrix:
-    """Gram form <a_i, a_j> with long roots of squared length 2."""
-    c = cartan_matrix(t)
-    d = simple_root_length_halves(t)
-    return RatMatrix.build(t.rank, t.rank, lambda i, j: c[i, j] * d[j])
+        rows[i][j] = int(prod / d[j])
+        rows[j][i] = int(prod / d[i])
+    return tuple(map(tuple, rows))
 
 
 ROOT_COUNT_FORMULAS = {
@@ -121,8 +114,7 @@ class RootSystem:
     """A simple complex root system in simple-root coordinates."""
 
     simple_type: SimpleType
-    cartan: RatMatrix
-    gram: RatMatrix
+    cartan: IntRows
     roots: tuple[tuple[int, ...], ...]
     highest: tuple[int, ...]
 
@@ -144,22 +136,25 @@ class RootSystem:
         return hash(self.simple_type)
 
     @cached_property
-    def _gram_scaled(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
-        # integer multiple of the Gram matrix, rows kept as (column, entry)
-        # pairs of the nonzero entries (at most four per row)
-        den = 1
-        for e in self.gram.entries:
-            den = lcm(den, e.denominator)
-        rows = tuple(
-            tuple((j, int(self.gram[i, j] * den)) for j in range(self.rank) if self.gram[i, j])
-            for i in range(self.rank)
-        )
-        return rows, den
+    def gram_scale(self) -> int:
+        """The least common denominator of the d_j, so scaled_gram is integral."""
+        return lcm(*(d.denominator for d in simple_root_length_halves(self.simple_type)))
 
-    def scaled_inner(self, v: Sequence[int], w: Sequence[int]) -> int:
-        """den * <v, w> for integer vectors, where den is the fixed lcm of the
-        Gram denominators; the cost is linear in the support of v."""
-        rows = self._gram_scaled[0]
+    @cached_property
+    def scaled_gram(self) -> IntRows:
+        """gram_scale * <a_i, a_j> = C[i][j] * (gram_scale * d_j), as rows."""
+        scaled = [int(d * self.gram_scale) for d in simple_root_length_halves(self.simple_type)]
+        return tuple(tuple(c * x for c, x in zip(row, scaled)) for row in self.cartan)
+
+    @cached_property
+    def _gram_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # the nonzero (column, entry) pairs of each scaled Gram row, at most four
+        return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.scaled_gram)
+
+    def scaled_inner(self, v: Sequence, w: Sequence) -> int | Fraction:
+        """gram_scale * <v, w>: an int for integer vectors, exact for
+        `Fraction` ones; the cost is linear in the support of v."""
+        rows = self._gram_support
         total = 0
         for i, a in enumerate(v):
             if a:
@@ -167,9 +162,7 @@ class RootSystem:
         return total
 
     def inner(self, v: Sequence, w: Sequence) -> Fraction:
-        iv, dv = intify(v)
-        iw, dw = intify(w)
-        return Fraction(self.scaled_inner(iv, iw), self._gram_scaled[1] * dv * dw)
+        return Fraction(self.scaled_inner(v, w)) / self.gram_scale
 
 
 def simple_coord(n: int, i: int) -> tuple[int, ...]:
@@ -181,27 +174,32 @@ def simple_coord(n: int, i: int) -> tuple[int, ...]:
 def _build_cached(letter: str, rank: int) -> RootSystem:
     t = SimpleType(letter, rank)
     n = t.rank
-    cartan = cartan_matrix(t)
     # row i: the coroot pairings <a_i, a_k^v> = C[i][k] that stepping up by a_i adds
-    cartan_rows = cartan.int_rows()
+    cartan = cartan_matrix(t)
     nodes = range(n)
 
     # each root carries (coroot pairings, descending string lengths p_k)
-    layer: dict[tuple[int, ...], tuple[list[int], list[int]]] = {
-        simple_coord(n, i): (cartan_rows[i], [0] * n) for i in nodes
+    layer: dict[tuple[int, ...], tuple[Sequence[int], list[int]]] = {
+        simple_coord(n, i): (cartan[i], [0] * n) for i in nodes
     }
     positives: set[tuple[int, ...]] = set(layer)
+    # the roots whose strings go on up along no a_i
+    tops: list[tuple[int, ...]] = []
     while layer:
-        nxt: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        nxt: dict[tuple[int, ...], tuple[Sequence[int], list[int]]] = {}
         for gamma, (pairs, strings) in layer.items():
+            top = True
             for i in nodes:
                 # the a_i-string through gamma goes on up while p_i > <gamma, a_i^v>
                 if strings[i] > pairs[i]:
+                    top = False
                     up = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
                     data = nxt.get(up)
                     if data is None:
-                        data = nxt[up] = ([a + b for a, b in zip(pairs, cartan_rows[i])], [0] * n)
+                        data = nxt[up] = ([a + b for a, b in zip(pairs, cartan[i])], [0] * n)
                     data[1][i] = strings[i] + 1
+            if top:
+                tops.append(gamma)
         positives.update(nxt)
         layer = nxt
 
@@ -209,12 +207,11 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
     if 2 * len(positives) != count:
         raise InvalidType(f"closure produced {2 * len(positives)} roots for {t.name}, expected {count}")
 
-    tops = [g for g in positives if all(g[:i] + (g[i] + 1,) + g[i + 1 :] not in positives for i in nodes)]
     if len(tops) != 1:
         raise InvalidType(f"{t.name} has {len(tops)} maximal roots; system is not irreducible")
     roots = sorted(positives, key=lambda v: (sum(v), v))
     all_roots = tuple(roots) + tuple(tuple(-x for x in v) for v in roots)
-    return RootSystem(t, cartan, gram_matrix(t), all_roots, tops[0])
+    return RootSystem(t, cartan, all_roots, tops[0])
 
 
 def build_root_system(t: SimpleType) -> RootSystem:
@@ -232,8 +229,6 @@ def build_root_system(t: SimpleType) -> RootSystem:
 
 def pairing(rs: RootSystem, v: Sequence, w: Sequence) -> Fraction:
     """2<v,w>/<w,w>: the value of v on the coroot of w."""
-    v = as_vector(v)
-    w = as_vector(w)
     ww = rs.inner(w, w)
     if ww == 0:
         raise ZeroVector("pairing against the zero vector")
@@ -298,22 +293,17 @@ def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:
     return len(rs.roots) - zero - ones
 
 
-def find_cartan_isomorphism(source: RatMatrix, target: RatMatrix) -> tuple[int, ...] | None:
-    """A node bijection sigma with target[sigma i][sigma j] == source[i][j], or
-    None; also None when either matrix is not integral, as no Cartan matrix is.
+def find_cartan_isomorphism(src: IntRows, tgt: IntRows) -> tuple[int, ...] | None:
+    """A node bijection sigma with tgt[sigma i][sigma j] == src[i][j], or None.
 
     Backtracking over node assignments; the row multiset signature prunes
     almost everything.
     """
-    n = source.rows
-    if target.rows != n:
-        return None
-    # Cartan matrices are integral, and int comparisons are far cheaper
-    src, tgt = source.int_rows(), target.int_rows()
-    if src is None or tgt is None:
+    n = len(src)
+    if len(tgt) != n:
         return None
 
-    def signature(rows: list[list[int]], i: int) -> tuple:
+    def signature(rows: IntRows, i: int) -> tuple:
         return (rows[i][i], tuple(sorted(rows[i][j] for j in range(n) if j != i)))
 
     src_sig = [signature(src, i) for i in range(n)]

@@ -23,8 +23,8 @@ from .orbits import (
     min_g_wdd_direct,
     min_meets_real_form,
     solve_coroot_system,
+    wdd_matches_satake,
 )
-from .ratmat import as_vector
 from .restricted import dominant_longest, is_C_or_BC, is_hermitian, parity_criterion, restricted_root_system
 from .rootsys import (
     ROOT_COUNT_FORMULAS,
@@ -211,19 +211,19 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
-    lam = rrs.highest
     if any(tuple(map(add, rrs.doubled_highest, eta)) in rrs.doubled for eta in rrs.doubled_positives):
         failures.append(Failure(name, "restricted.highest-nonextendable", "lambda + eta is a restricted root"))
 
-    phi = as_vector(rs.highest)
-    phi_sq = rs.inner(phi, phi)
-    lam_sq = rs.inner(lam, lam)
-    if rrs.highest_mult >= 2:
-        if phi_sq != 2 * lam_sq:
-            failures.append(Failure(name, "restricted.norm-ratio", f"<phi,phi>={phi_sq} but 2<lam,lam>={2 * lam_sq}"))
-    else:
-        if phi_sq != lam_sq:
-            failures.append(Failure(name, "restricted.norm-ratio", f"<phi,phi>={phi_sq} but <lam,lam>={lam_sq}"))
+    # gram_scale times <phi,phi>, and 4 gram_scale times <lam,lam> from the doubled 2 lam;
+    # <phi,phi> = ratio <lam,lam>
+    scale = rs.gram_scale
+    phi_sq = rs.scaled_inner(rs.highest, rs.highest)
+    lam_sq4 = rs.scaled_inner(rrs.doubled_highest, rrs.doubled_highest)
+    ratio = 2 if rrs.highest_mult >= 2 else 1
+    if 4 * phi_sq != ratio * lam_sq4:
+        label = "2<lam,lam>" if ratio == 2 else "<lam,lam>"
+        message = f"<phi,phi>={Fraction(phi_sq, scale)} but {label}={Fraction(ratio * lam_sq4, 4 * scale)}"
+        failures.append(Failure(name, "restricted.norm-ratio", message))
 
     tau_phi = satake_involution(sd).tau_image(rs.highest)
     moved = tau_phi != rs.highest
@@ -270,8 +270,6 @@ def check_orbit_entry(sd: SatakeDiagram) -> list[Failure]:
         )
     if not direct.is_integral() or any(x not in (0, 1, 2) for x in direct.as_ints()):
         failures.append(Failure(name, "orbit.weights-range", f"weights {direct.weights} outside {{0,1,2}}"))
-
-    from .orbits import wdd_matches_satake
 
     if not wdd_matches_satake(direct, sd):
         failures.append(Failure(name, "orbit.matches-satake", "diagram of the meeting orbit does not match the entry"))

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import time
 
+import pytest
+
 from lieorbits import cli
 from lieorbits.orbits import orbit_report, report_from_dict
 from lieorbits.satake import MAX_RANK, build_satake, parse_form_name
@@ -111,6 +113,22 @@ def test_dot_double_edge_direction(capsys):
     assert code == 0
     # B2: double edge points from the long root n1 to the short root n2
     assert 'n1 -- n2 [label="2", dir=forward];' in out
+
+
+@pytest.mark.parametrize(
+    "form, edge",
+    [
+        # G2: a1 is short, so the triple edge points from n2 to n1
+        ("g2(2)", 'n2 -- n1 [label="3", dir=forward];'),
+        # C3: a3 is long, so the double edge points from n3 to n2
+        ("sp(3,R)", 'n3 -- n2 [label="2", dir=forward];'),
+    ],
+    ids=["G2", "C3"],
+)
+def test_dot_multiple_edge_points_long_to_short(capsys, form, edge):
+    code, out, _ = run(capsys, "describe", form, "--format", "dot")
+    assert code == 0
+    assert edge in out
 
 
 def test_dot_dashed_arrow_pair(capsys):

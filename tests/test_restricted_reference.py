@@ -9,10 +9,11 @@ None of it shares the package's doubled-integer code path.
 
 from collections import Counter
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
-from lieorbits.ratmat import as_vector, vec_sub
+from lieorbits.ratmat import as_vector
 from lieorbits.restricted import dominant_longest, parity_criterion, restrict, restricted_root_system
 from lieorbits.satake import build_satake, catalog, parse_form_name
 
@@ -37,7 +38,7 @@ def twice(v):
 
 def indecomposables(positives):
     pos_set = set(positives)
-    return [xi for xi in positives if not any(eta != xi and vec_sub(xi, eta) in pos_set for eta in positives)]
+    return [xi for xi in positives if not any(eta != xi and tuple(map(sub, xi, eta)) in pos_set for eta in positives)]
 
 
 def reference(sd):

@@ -4,7 +4,6 @@ import pytest
 
 from lieorbits import rootsys
 from lieorbits.errors import InvalidType, NonIntegralWeights, RankTooSmall, ZeroVector
-from lieorbits.ratmat import RatMatrix
 from lieorbits.rootsys import (
     ROOT_COUNT_FORMULAS,
     SimpleType,
@@ -115,23 +114,31 @@ def test_root_counts_and_highest(t):
     # the closure must reproduce the reflection orbit, root for root and in
     # its (height, coordinates) order: positives first, then their negatives
     rs = build_root_system(t)
-    roots = reflection_closure(cartan_matrix(t).int_rows())
+    roots = reflection_closure(cartan_matrix(t))
     positives = sorted((v for v in roots if sum(v) > 0), key=lambda v: (sum(v), v))
     assert len(roots) == 2 * len(positives) == ROOT_COUNT_FORMULAS[t.letter](t.rank)
     assert rs.roots == tuple(positives) + tuple(tuple(-x for x in v) for v in positives)
     assert rs.highest == HIGHEST_ROOTS[t.letter](t.rank)
 
 
+def gram_form(t):
+    """The Gram form <a_i, a_j> = C[i][j] d_j, long roots of squared length 2."""
+    d = simple_root_length_halves(t)
+    return [[c * dj for c, dj in zip(row, d)] for row in cartan_matrix(t)]
+
+
 @pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
 def test_gram_cartan_consistency(t):
     rs = build_root_system(t)
+    gram = gram_form(t)
     n = t.rank
     for i in range(n):
         for j in range(n):
-            assert 2 * rs.gram[i, j] / rs.gram[j, j] == rs.cartan[i, j]
-            assert rs.gram[i, j] == rs.gram[j, i]
+            assert 2 * gram[i][j] / gram[j][j] == rs.cartan[i][j]
+            assert gram[i][j] == gram[j][i]
+            assert rs.scaled_gram[i][j] == rs.gram_scale * gram[i][j]
     # long roots have squared length 2
-    assert max(rs.gram[i, i] for i in range(n)) == 2
+    assert max(gram[i][i] for i in range(n)) == 2
 
 
 def test_pairing_examples():
@@ -238,10 +245,14 @@ def test_root_system_hash_is_the_type_hash():
 def test_scaled_inner_matches_gram_form(t):
     # one fixed positive scale relates scaled_inner to the Gram form
     rs = build_root_system(t)
+    gram = gram_form(t)
     phi = rs.highest
-    for v in rs.positive_roots[:: max(1, len(rs.positive_roots) // 6)]:
-        for w in (phi, rs.roots[-1], v):
-            exact = sum(v[i] * rs.gram[i, j] * w[j] for i in range(rs.rank) for j in range(rs.rank))
+    # a half-integer Fraction vector too, (phi + a_n)/2, shaped like a halved
+    # doubled restricted root
+    half = tuple(Fraction(x, 2) for x in phi[:-1]) + (Fraction(phi[-1] + 1, 2),)
+    for v in rs.positive_roots[:: max(1, len(rs.positive_roots) // 6)] + (half,):
+        for w in (phi, rs.roots[-1], v, half):
+            exact = sum(v[i] * gram[i][j] * w[j] for i in range(rs.rank) for j in range(rs.rank))
             assert rs.inner(v, w) == exact
             assert rs.scaled_inner(v, w) * rs.inner(phi, phi) == rs.scaled_inner(phi, phi) * exact
 
@@ -258,7 +269,7 @@ def test_scaled_inner_matches_gram_form(t):
 )
 def test_closure_guards_reject_a_wrong_cartan_matrix(monkeypatch, t, wrong, message):
     rootsys._build_cached.cache_clear()
-    monkeypatch.setattr(rootsys, "cartan_matrix", lambda _t: RatMatrix.from_rows(wrong))
+    monkeypatch.setattr(rootsys, "cartan_matrix", lambda _t: tuple(map(tuple, wrong)))
     try:
         with pytest.raises(InvalidType, match=message):
             build_root_system(t)

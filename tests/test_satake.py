@@ -200,7 +200,7 @@ def test_black_longest_element_matches_weyl_word_route():
             continue
 
         def reflection(b):
-            return RatMatrix.build(n, n, lambda i, j: Fraction(int(i == j)) - (rs.cartan[j, b] if i == b else 0))
+            return RatMatrix.build(n, n, lambda i, j: Fraction(int(i == j)) - (rs.cartan[j][b] if i == b else 0))
 
         generators = [reflection(b) for b in blacks]
         group = {RatMatrix.identity(n).entries: RatMatrix.identity(n)}
