@@ -30,7 +30,6 @@ from .orbits import (
     report_to_dict,
     wdd_matches_satake,
 )
-from .ratmat import Rat, RatMatrix, rat_solve
 from .restricted import (
     RestrictedRootSystem,
     TypeLabel,

@@ -2,7 +2,7 @@
 
 Two independent routes produce the weighted diagram of the smallest orbit
 meeting the real form: coroot pairings against the highest restricted root,
-and a square rational system in the matching-diagram unknowns plus the
+and a square integer system in the matching-diagram unknowns plus the
 black/arrow coroot basis coefficients.  The verification sweep insists they
 agree on every catalog entry.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentDiagram, InvalidReport, TypeMismatch
-from .ratmat import RatMatrix, as_vector, rat_solve
+from .ratmat import as_vector, int_solve
 from .restricted import is_hermitian, parity_criterion, restricted_root_system
 from .rootsys import (
     SimpleType,
@@ -109,11 +109,11 @@ def min_g_wdd_direct(sd: SatakeDiagram) -> WeightedDynkinDiagram:
 class CorootSystemSolution:
     """Solution of the square system splitting twice the minimal-orbit coroot
     into a split-part diagram (match unknowns, one per white arrow class) and
-    coefficients over the black/arrow coroot basis."""
+    coefficients over the black/arrow coroot basis.  Only the diagram and the
+    match values are reported."""
 
     wdd: WeightedDynkinDiagram
     white_values: dict[int, Fraction]
-    basis_coeffs: dict[tuple, Fraction]
 
 
 def solve_coroot_system(sd: SatakeDiagram) -> CorootSystemSolution:
@@ -146,12 +146,10 @@ def solve_coroot_system(sd: SatakeDiagram) -> CorootSystemSolution:
         _, a, b = col
         return cartan[i][a] - cartan[i][b]
 
-    matrix = RatMatrix.build(n, n, lambda i, j: entry(i, columns[j]))
-    target = min_orbit_wdd(rs).weights
-    solution = rat_solve(matrix, as_vector(tuple(2 * t for t in target)))
+    rows = [[entry(i, col) for col in columns] for i in range(n)]
+    nums, det = int_solve(rows, [2 * t for t in min_orbit_wdd(rs).as_ints()])
 
-    white_values = {columns[k][1]: solution[k] for k in range(len(reps))}
-    basis_coeffs = {columns[k]: solution[k] for k in range(len(reps), n)}
+    white_values = {columns[k][1]: Fraction(nums[k], det) for k in range(len(reps))}
     halve = restricted_root_system(sd).highest_mult == 1
     weights = []
     for i in range(n):
@@ -160,9 +158,7 @@ def solve_coroot_system(sd: SatakeDiagram) -> CorootSystemSolution:
         else:
             value = white_values[class_rep[i]]
             weights.append(value / 2 if halve else value)
-    return CorootSystemSolution(
-        WeightedDynkinDiagram(rs.simple_type, tuple(weights)), white_values, basis_coeffs
-    )
+    return CorootSystemSolution(WeightedDynkinDiagram(rs.simple_type, tuple(weights)), white_values)
 
 
 def min_g_wdd_linear_system(sd: SatakeDiagram) -> WeightedDynkinDiagram:

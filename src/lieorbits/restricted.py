@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from operator import sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
-from .ratmat import Vector, as_vector
+from .ratmat import Vector
 from .rootsys import RootSystem, SimpleType, candidate_types, cartan_matrix, find_cartan_isomorphism, simple_coord
 from .satake import SatakeDiagram, satake_involution
 
@@ -52,10 +52,8 @@ class TypeLabel:
 
 def restrict(sd: SatakeDiagram, v) -> Vector:
     """Project onto the tau*-fixed subspace: r(v) = (v + tau* v)/2."""
-    inv = satake_involution(sd)
-    v = as_vector(v)
-    image = inv.tau_star.mat_vec(v)
-    return tuple((a + b) / 2 for a, b in zip(v, image))
+    image = satake_involution(sd).tau_image(v)
+    return tuple(Fraction(a + b, 2) for a, b in zip(v, image))
 
 
 def _halved(v: IntVector) -> Vector:
@@ -102,17 +100,6 @@ class RestrictedRootSystem:
     @cached_property
     def highest(self) -> Vector:
         return _halved(self.doubled_highest)
-
-    @cached_property
-    def mult(self) -> dict[Vector, int]:
-        return dict(self.multiplicities)
-
-    @cached_property
-    def element_set(self) -> frozenset[Vector]:
-        return frozenset(self.elements)
-
-    def inner(self, v: Vector, w: Vector) -> Fraction:
-        return self.source.rs.inner(v, w)
 
 
 @lru_cache(maxsize=None)
@@ -237,8 +224,8 @@ def parity_criterion(rrs: RestrictedRootSystem) -> bool:
     return False
 
 
-def dominant_longest(rrs: RestrictedRootSystem) -> Vector:
-    """The unique dominant restricted root of maximal squared length.
+def dominant_longest(rrs: RestrictedRootSystem) -> IntVector:
+    """The unique dominant restricted root of maximal squared length, doubled.
 
     Independent route to the highest root; construction uses r(phi).  Every
     positive restricted root is a nonnegative combination of the simple
@@ -251,7 +238,7 @@ def dominant_longest(rrs: RestrictedRootSystem) -> Vector:
     dominant = [xi for xi in longest if all(rs.scaled_inner(s, xi) >= 0 for s in rrs.doubled_simple)]
     if len(dominant) != 1:
         raise InconsistentDiagram(f"{rrs.source.name}: {len(dominant)} dominant longest restricted roots")
-    return _halved(dominant[0])
+    return dominant[0]
 
 
 def is_hermitian(sd: SatakeDiagram) -> bool:

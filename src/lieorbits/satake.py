@@ -7,14 +7,15 @@ against the involution invariants, so a mis-transcribed pattern surfaces as
 a named diagnostic rather than silently wrong output.  Complex ranks above
 MAX_RANK are refused before any root system is built.
 
-The involution theta* is stored as integer columns (over a common
-denominator, which is 1 for every sound diagram); its `Fraction` matrices
-`theta_star` and `tau_star` are views built on first use.  Only the
-projections onto the black span need a rational solve, and only for the
-simple roots that pair with a black one.  The invariants run on the integer
-columns, theta*^2 = I included, once per entry: `satake_involution` builds
-and checks the involution under one cache, raising InconsistentDiagram with
-the failed checks, and `validate_satake` reports those same failures.
+The involution theta* is stored only as integer columns over a common
+denominator, which is 1 for every sound diagram; tau* = -theta* acts on
+vectors through `SatakeInvolution.tau_image`.  Only the projections onto
+the black span need a linear solve, an integer one on the scaled Gram rows,
+and only for the simple roots that pair with a black one.  The invariants
+run on the integer columns, theta*^2 = I included, once per entry:
+`satake_involution` builds and checks the involution under one cache,
+raising InconsistentDiagram with the failed checks, and `validate_satake`
+reports those same failures.
 
 Node indices are 0-based Bourbaki positions.  The name grammar (parsed
 case-insensitively, no spaces):
@@ -35,7 +36,7 @@ from operator import sub
 from typing import Sequence
 
 from .errors import FormNameError, InconsistentDiagram, OutOfRangeParams
-from .ratmat import RatMatrix, matrix_rank, rat_solve
+from .ratmat import int_solve, matrix_rank
 from .rootsys import (
     RootSystem,
     SimpleType,
@@ -127,9 +128,8 @@ class SatakeInvolution:
 
     theta* is stored as integer columns over their least common denominator:
     `columns[j]` is `denominator * theta*(a_j)`, so the denominator is 1
-    exactly when theta* is integral, as it is for every sound diagram.  The
-    `RatMatrix` fields `theta_star` and `tau_star = -theta_star` are views
-    built on first use.
+    exactly when theta* is integral, as it is for every sound diagram.
+    `tau_columns` and `tau_image` give tau* = -theta* on integer vectors.
     """
 
     columns: tuple[IntVector, ...]
@@ -141,15 +141,6 @@ class SatakeInvolution:
             raise ValueError("theta* columns must be given over their least common denominator")
 
     @cached_property
-    def theta_star(self) -> RatMatrix:
-        n = len(self.columns)
-        return RatMatrix.build(n, n, lambda i, j: Fraction(self.columns[j][i], self.denominator))
-
-    @cached_property
-    def tau_star(self) -> RatMatrix:
-        return -self.theta_star
-
-    @cached_property
     def tau_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries (i, x) of each column of tau*."""
         if self.denominator != 1:
@@ -157,7 +148,7 @@ class SatakeInvolution:
         return tuple(tuple((i, -x) for i, x in enumerate(col) if x) for col in self.columns)
 
     def tau_image(self, v: Sequence[int]) -> IntVector:
-        """tau* v for an integer vector v."""
+        """tau* v, for an integer vector v or one of `Fraction`s."""
         out = [0] * len(v)
         for j, c in enumerate(v):
             if c:
@@ -309,6 +300,11 @@ _NAME_PATTERNS = [
 
 _EXCEPTIONAL_BY_NAME = {name: fam for fam, name in EXCEPTIONAL_FAMILIES.items()}
 
+# In every family a parameter above 2 * MAX_RANK + 1 gives a complex rank
+# above MAX_RANK, so a parameter with more digits than that is refused
+# before int() reads it (int() refuses more than 4300 digits).
+_MAX_PARAM_DIGITS = len(str(2 * MAX_RANK + 1))
+
 
 def _pq(groups) -> tuple[int, int]:
     a, b = int(groups[0]), int(groups[1])
@@ -327,17 +323,21 @@ def parse_form_name(text: str) -> RealFormDescriptor:
         m = pattern.match(lowered)
         if not m:
             continue
+        groups = tuple(g.lstrip("0") or "0" for g in m.groups())
+        digits = max(map(len, groups))
+        if digits > _MAX_PARAM_DIGITS:
+            raise OutOfRangeParams(f"a {digits}-digit parameter puts the complex rank above the cap MAX_RANK = {MAX_RANK}")
         if make == "su_star":
-            val = int(m.group(1))
+            val = int(groups[0])
             if val % 2 != 0:
                 raise OutOfRangeParams(f"su*(m) needs even m, got {val}")
             return RealFormDescriptor("su_star", (val // 2,))
         if make == "so_star":
-            val = int(m.group(1))
+            val = int(groups[0])
             if val % 2 != 0:
                 raise OutOfRangeParams(f"so*(m) needs even m, got {val}")
             return RealFormDescriptor("so_star", (val // 2,))
-        return make(m.groups())
+        return make(groups)
     raise FormNameError(f"cannot parse real-form name {token!r}")
 
 
@@ -436,7 +436,7 @@ def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
     gram = rs.scaled_gram
     moved: dict[int, list[Fraction]] = {}
     for comp in components:
-        sub_gram = RatMatrix.from_rows([[gram[a][c] for c in comp] for a in comp])
+        sub_gram = [[gram[a][c] for c in comp] for a in comp]
         for j in range(n):
             if j in comp:
                 coeffs = [int(b == j) for b in comp]
@@ -444,7 +444,8 @@ def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
                 rhs = tuple(gram[b][j] for b in comp)
                 if not any(rhs):
                     continue
-                coeffs = rat_solve(sub_gram, rhs)
+                nums, det = int_solve(sub_gram, rhs)
+                coeffs = [Fraction(x, det) for x in nums]
             column = moved.setdefault(j, [Fraction(int(k == j)) for k in range(n)])
             for c, b in zip(coeffs, comp):
                 column[b] -= c

@@ -206,7 +206,7 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
             break
 
     try:
-        if dominant_longest(rrs) != rrs.highest:
+        if dominant_longest(rrs) != rrs.doubled_highest:
             failures.append(Failure(name, "restricted.highest-two-routes", "r(phi) is not the dominant longest root"))
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))

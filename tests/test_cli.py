@@ -49,7 +49,14 @@ def test_bad_flag_exits_2(capsys):
 
 
 def test_rank_cap_exits_2_fast(capsys):
-    for argv in (["describe", "sl(100000,R)"], ["describe", "so(3,100000)"], ["verify", "--max-rank", "100000"]):
+    huge = "9" * 5000  # past the 4300 digits int() reads
+    for argv in (
+        ["describe", "sl(100000,R)"],
+        ["describe", "so(3,100000)"],
+        ["verify", "--max-rank", "100000"],
+        ["describe", f"sl({huge},R)"],
+        ["describe", f"su*({huge})"],
+    ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1, argv

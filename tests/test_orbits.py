@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieorbits.errors import InvalidReport, LieOrbitsError, TypeMismatch
+from lieorbits.errors import InvalidReport, LieOrbitsError, OutOfRangeParams, TypeMismatch
 from lieorbits.orbits import (
     CONDITION_FIELDS,
     black_extended_criterion,
@@ -250,3 +250,10 @@ def test_report_from_dict_rejects_missing_fields():
     with pytest.raises(InvalidReport):
         report_from_dict([report_data()])
     assert issubclass(InvalidReport, LieOrbitsError)
+
+
+def test_report_from_dict_refuses_an_over_long_descriptor():
+    data = report_data()
+    data["descriptor"] = f"sl({'9' * 5000},R)"
+    with pytest.raises(OutOfRangeParams, match="MAX_RANK"):
+        report_from_dict(data)

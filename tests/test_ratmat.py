@@ -4,53 +4,114 @@ from fractions import Fraction
 import pytest
 
 from lieorbits.errors import SingularMatrix
-from lieorbits.ratmat import RatMatrix, as_vector, matrix_rank, rat_solve
+from lieorbits.ratmat import int_solve, matrix_rank
 
 
 def F(a, b=1):
     return Fraction(a, b)
 
 
+def solve(rows, rhs):
+    # the integer solve read back as Fractions
+    nums, det = int_solve(rows, rhs)
+    assert det > 0
+    return tuple(F(x, det) for x in nums)
+
+
+def _reference_solve(rows, rhs):
+    # Gaussian elimination over Fractions, as a reference for int_solve
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(n):
+            if r != col:
+                factor = m[r][col] / m[col][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def _determinant(rows):
+    # Leibniz expansion along the first row, for small matrices
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+        if rows[0][j]
+    )
+
+
 def test_solve_identity():
-    a = RatMatrix.identity(3)
-    assert rat_solve(a, as_vector([1, 2, 3])) == (F(1), F(2), F(3))
+    a = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert solve(a, [1, 2, 3]) == (F(1), F(2), F(3))
+    assert int_solve(a, [1, 2, 3]) == ((1, 2, 3), 1)
 
 
 def test_solve_diagonal():
-    a = RatMatrix.from_rows([[2, 0], [0, 4]])
-    assert rat_solve(a, as_vector([1, 1])) == (F(1, 2), F(1, 4))
+    a = [[2, 0], [0, 4]]
+    assert solve(a, [1, 1]) == (F(1, 2), F(1, 4))
+    assert int_solve(a, [1, 1]) == ((4, 2), 8)
 
 
 def test_solve_hand_elimination():
     # 2x - y = 1, -x + 2y = 0  =>  x = 2/3, y = 1/3
-    a = RatMatrix.from_rows([[2, -1], [-1, 2]])
-    assert rat_solve(a, as_vector([1, 0])) == (F(2, 3), F(1, 3))
+    a = [[2, -1], [-1, 2]]
+    assert solve(a, [1, 0]) == (F(2, 3), F(1, 3))
+    assert int_solve(a, [1, 0]) == ((2, 1), 3)
+
+
+def test_solve_row_swap():
+    # the first pivot is zero, so rows 0 and 1 swap: y = 3, x + 2y = 4
+    a = [[0, 1], [1, 2]]
+    assert _determinant(a) == -1
+    assert int_solve(a, [3, 4]) == ((-2, 3), 1)
+    # a zero second pivot after one elimination step forces a later swap
+    b = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    assert solve(b, [2, 3, 2]) == _reference_solve(b, [2, 3, 2]) == (F(1), F(1), F(1))
+
+
+def test_solve_negative_determinant():
+    # det [[1, 2], [3, 4]] = -2: the numerators flip sign with it
+    a = [[1, 2], [3, 4]]
+    assert _determinant(a) == -2
+    assert int_solve(a, [5, 6]) == ((-8, 9), 2)
+    assert solve(a, [5, 6]) == (F(-4), F(9, 2)) == _reference_solve(a, [5, 6])
+    # a swap of two rows negates the determinant of a positive one
+    assert int_solve([[0, 3], [2, 0]], [6, 4]) == ((12, 12), 6)
 
 
 def test_solve_singular_raises():
-    a = RatMatrix.from_rows([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrix):
-        rat_solve(a, as_vector([1, 1]))
+        int_solve([[1, 2], [2, 4]], [1, 1])
+    # random matrices with one row a multiple of another, swaps included
+    rng = random.Random(4051)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        a = _random_matrix(rng, n, -2, 2)
+        i, j = rng.sample(range(n), 2)
+        a[i] = [2 * x for x in a[j]]
+        with pytest.raises(SingularMatrix):
+            int_solve(a, [1] * n)
 
 
 def test_solve_needs_square():
-    a = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
-        rat_solve(a, as_vector([1, 1]))
+        int_solve([[1, 2, 3], [4, 5, 6]], [1, 1])
+    with pytest.raises(ValueError):
+        int_solve([[1, 2], [3, 4]], [1, 1, 1])
 
 
 def _random_matrix(rng, n, lo=-6, hi=6):
-    return RatMatrix.from_rows([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
 def _random_invertible(rng, n):
     while True:
         m = _random_matrix(rng, n)
-        try:
-            rat_solve(m, as_vector([1] * n))
-        except SingularMatrix:
-            continue
-        return m
+        if _determinant(m):
+            return m
 
 
 def test_solve_random_roundtrip():
@@ -58,9 +119,12 @@ def test_solve_random_roundtrip():
     for _ in range(40):
         n = rng.randint(1, 5)
         a = _random_invertible(rng, n)
-        b = as_vector([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)])
-        x = rat_solve(a, b)
-        assert a.mat_vec(x) == b
+        b = [rng.randint(-9, 9) for _ in range(n)]
+        nums, det = int_solve(a, b)
+        assert det == abs(_determinant(a))
+        x = solve(a, b)
+        assert x == _reference_solve(a, b)
+        assert tuple(sum(c * xi for c, xi in zip(row, x)) for row in a) == tuple(b)
 
 
 def _reference_rank(rows):

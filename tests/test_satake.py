@@ -7,7 +7,6 @@ import pytest
 
 from lieorbits import satake
 from lieorbits.errors import FormNameError, InconsistentDiagram, OutOfRangeParams
-from lieorbits.ratmat import RatMatrix
 from lieorbits.satake import (
     MAX_RANK,
     SatakeInvolution,
@@ -116,24 +115,44 @@ def test_low_rank_isomorphic_images():
     assert form("so*(6)").black == {1} and form("so*(6)").arrows == ((0, 2),)
 
 
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def theta_matrix(inv):
+    """theta* as rows of Fractions, read off the integer columns."""
+    n = len(inv.columns)
+    return tuple(tuple(Fraction(inv.columns[j][i], inv.denominator) for j in range(n)) for i in range(n))
+
+
 def test_involution_split_is_minus_identity():
     inv = satake_involution(form("sl(5,R)"))
-    assert inv.theta_star == -RatMatrix.identity(4)
-    assert inv.tau_star == RatMatrix.identity(4)
+    assert theta_matrix(inv) == tuple(tuple(-x for x in row) for row in identity(4))
+    assert all(inv.tau_image(e) == e for e in identity(4))
 
 
 def test_involution_su_star4():
     inv = satake_involution(form("su*(4)"))
+    assert inv.denominator == 1
     # theta* fixes the black ends and sends a2 to -(a1+a2+a3)
-    assert inv.theta_star.column(0) == (Fraction(1), Fraction(0), Fraction(0))
-    assert inv.theta_star.column(2) == (Fraction(0), Fraction(0), Fraction(1))
-    assert inv.theta_star.column(1) == (Fraction(-1), Fraction(-1), Fraction(-1))
+    assert inv.columns[0] == (1, 0, 0)
+    assert inv.columns[2] == (0, 0, 1)
+    assert inv.columns[1] == (-1, -1, -1)
 
 
 def test_involution_su12_arrow_swap():
     inv = satake_involution(form("su(1,2)"))
-    assert inv.theta_star.column(0) == (Fraction(0), Fraction(-1))
-    assert inv.theta_star.column(1) == (Fraction(-1), Fraction(0))
+    assert inv.denominator == 1
+    assert inv.columns[0] == (0, -1)
+    assert inv.columns[1] == (-1, 0)
     assert inv.p_tilde == (1, 0)
 
 
@@ -200,32 +219,33 @@ def test_black_longest_element_matches_weyl_word_route():
             continue
 
         def reflection(b):
-            return RatMatrix.build(n, n, lambda i, j: Fraction(int(i == j)) - (rs.cartan[j][b] if i == b else 0))
+            return tuple(tuple(int(i == j) - (rs.cartan[j][b] if i == b else 0) for j in range(n)) for i in range(n))
 
         generators = [reflection(b) for b in blacks]
-        group = {RatMatrix.identity(n).entries: RatMatrix.identity(n)}
-        frontier = list(group.values())
+        group = {identity(n)}
+        frontier = list(group)
         while frontier:
             new = []
             for w in frontier:
                 for g in generators:
-                    wg = w @ g
-                    if wg.entries not in group:
-                        group[wg.entries] = wg
+                    wg = mat_mul(w, g)
+                    if wg not in group:
+                        group.add(wg)
                         new.append(wg)
             frontier = new
 
         black_positive = [r for r in rs.positive_roots if all(r[i] == 0 for i in range(n) if i not in sd.black)]
 
         def sends_all_negative(w):
-            return all(sum(w.mat_vec(tuple(Fraction(x) for x in r))) < 0 for r in black_positive)
+            return all(sum(mat_vec(w, r)) < 0 for r in black_positive)
 
-        longest = [w for w in group.values() if sends_all_negative(w)]
+        longest = [w for w in group if sends_all_negative(w)]
         assert len(longest) == 1, name
 
         inv = satake_involution(sd)
         p = inv.p_tilde
-        recovered = RatMatrix.build(n, n, lambda i, j: -inv.theta_star[i, p[j]])
+        theta = theta_matrix(inv)
+        recovered = tuple(tuple(-theta[i][p[j]] for j in range(n)) for i in range(n))
         assert recovered == longest[0], name
 
 
@@ -285,20 +305,25 @@ def test_involution_integer_columns_match_views():
         inv = satake_involution(sd)
         n = sd.rs.rank
         assert inv.denominator == 1, sd.name
-        assert inv.theta_star == RatMatrix.build(n, n, lambda i, j: inv.columns[j][i]), sd.name
-        assert inv.tau_star == -inv.theta_star, sd.name
+        theta = tuple(tuple(inv.columns[j][i] for j in range(n)) for i in range(n))
+        assert theta_matrix(inv) == theta, sd.name
+        tau = tuple(tuple(-x for x in row) for row in theta)
         for root in sd.rs.roots:
-            assert inv.tau_image(root) == tuple(int(x) for x in inv.tau_star.mat_vec(root)), sd.name
+            assert inv.tau_image(root) == mat_vec(tau, root), sd.name
 
 
 def test_rank_cap_fails_fast():
-    for name in ["sl(100000,R)", "so(3,100000)", "su(100000,100000)", "su*(200000)", "sp(100000,R)"]:
+    huge = "9" * 5000  # past the 4300 digits int() reads
+    big = ["sl(100000,R)", "so(3,100000)", "su(100000,100000)", "su*(200000)", "sp(100000,R)"]
+    for name in big + [f"sl({huge},R)", f"su*({huge})"]:
         start = time.perf_counter()
         with pytest.raises(OutOfRangeParams, match="MAX_RANK"):
             build_satake(parse_form_name(name))
         assert time.perf_counter() - start < 1, name
     with pytest.raises(OutOfRangeParams, match="MAX_RANK"):
         catalog(MAX_RANK + 1)
+    # leading zeros are not significant digits
+    assert parse_form_name(f"su({'0' * 5000}2,03)") == parse_form_name("su(2,3)")
     assert satake.complex_rank(parse_form_name("sl(65,R)")) == MAX_RANK
     assert satake.complex_rank(parse_form_name("sl(66,R)")) == MAX_RANK + 1
     with pytest.raises(OutOfRangeParams, match="MAX_RANK"):
