@@ -36,7 +36,6 @@ from .restricted import (
     is_C_or_BC,
     is_hermitian,
     parity_criterion,
-    restrict,
     restricted_root_system,
 )
 from .rootsys import (

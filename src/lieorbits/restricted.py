@@ -1,24 +1,19 @@
-"""Restricted root systems with multiplicities.
+"""Restricted root systems with multiplicities, built as Araki states them.
 
-Restricted roots are kept in the ambient simple-root coordinates (inside the
-tau*-fixed subspace) rather than in a separately chosen basis of the split
-part, so the Gram form restricts and every equality or pairing test stays
-exact.
+Restricted roots stay in the ambient simple-root coordinates, inside the
+tau*-fixed subspace, and are stored doubled: 2 r(alpha) = alpha + tau* alpha
+is an integer vector, since tau* permutes the root lattice.  Every quantity
+used is a ratio of inner products of the integer-scaled Gram form
+(`RootSystem.scaled_inner`), so the doubling and the scaling cancel;
+`elements` is the one `Fraction` view.
 
-tau* permutes the root lattice, so every restricted root is stored doubled,
-as the integer vector 2 r(alpha) = alpha + tau* alpha.  Classification, the
-parity criterion and the dominance test all run on these vectors, with inner
-products from the integer-scaled Gram form (`RootSystem.scaled_inner`); every
-quantity they need is a ratio of inner products, so the doubling and the
-scaling cancel.  The `Fraction` fields of the public API (`elements`,
-`multiplicities`, `positives`, `simple`, `highest`) are views built from the
-doubled vectors on first use.
-
-The simple restricted roots are the indecomposable reduced positive roots.
-Each is anchored to the restriction of a white simple root (Araki), and every
-decomposable root splits off one of those restrictions or its double, so the
-indecomposability test tries those witnesses first and scans every positive
-root only for the few roots none of them decomposes.
+Nothing is searched for.  The simple restricted roots are the distinct images
+s of the white simple roots, and the reduced system's simple roots are those
+s, or 2s where 2s is a root (`reduced_simple`).  The type is read off their
+Cartan matrix, and `parity_criterion` pairs the highest root with their
+coroots only: every coroot is an integer combination of theirs, since
+xi^v = 2 (2 xi)^v.  The searches that reach the same answers, over the
+reduced positive roots and over every pairing, run as `verify` checks.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
 from .ratmat import Vector
@@ -50,18 +44,10 @@ class TypeLabel:
         return f"{self.letter}{self.rank}"
 
 
-def restrict(sd: SatakeDiagram, v) -> Vector:
-    """Project onto the tau*-fixed subspace: r(v) = (v + tau* v)/2."""
-    image = satake_involution(sd).tau_image(v)
-    return tuple(Fraction(a + b, 2) for a, b in zip(v, image))
-
-
-def _halved(v: IntVector) -> Vector:
-    return tuple(Fraction(x, 2) for x in v)
-
-
-def _twice(v: IntVector) -> IntVector:
-    return tuple(2 * x for x in v)
+def reduced_simple(roots, simple) -> list[IntVector]:
+    """Simple roots of the reduced system (Araki): each s, or 2s where 2s is in `roots`."""
+    doubles = [tuple(2 * x for x in s) for s in simple]
+    return [d if d in roots else s for s, d in zip(simple, doubles)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,27 +68,11 @@ class RestrictedRootSystem:
     type_label: TypeLabel
 
     @cached_property
-    def multiplicities(self) -> tuple[tuple[Vector, int], ...]:
-        return tuple((_halved(d), m) for d, m in self.doubled.items())
-
-    @cached_property
     def elements(self) -> tuple[Vector, ...]:
-        return tuple(xi for xi, _ in self.multiplicities)
-
-    @cached_property
-    def positives(self) -> tuple[Vector, ...]:
-        return tuple(_halved(d) for d in self.doubled_positives)
-
-    @cached_property
-    def simple(self) -> tuple[Vector, ...]:
-        return tuple(_halved(d) for d in self.doubled_simple)
-
-    @cached_property
-    def highest(self) -> Vector:
-        return _halved(self.doubled_highest)
+        return tuple(tuple(Fraction(x, 2) for x in d) for d in self.doubled)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     """Restricted roots {r(alpha)} \\ {0} with mult(xi) = #{alpha : r(alpha) = xi}."""
     rs = sd.rs
@@ -140,7 +110,7 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
             simple_images.append(image)
 
     highest = doubled(rs.highest)
-    label = _classify(rs, counts, positives, simple_images, sd.name)
+    label = _classify(rs, counts, simple_images, sd.name)
     if highest not in counts:
         raise InconsistentDiagram(f"{sd.name}: r(phi) is not a restricted root")
     return RestrictedRootSystem(
@@ -154,30 +124,10 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     )
 
 
-def _classify(rs: RootSystem, element_set, positives, simple_images, name: str) -> TypeLabel:
+def _classify(rs: RootSystem, roots, simple_images: list[IntVector], name: str) -> TypeLabel:
     """Type of the restricted system; every vector argument is doubled."""
-    non_reduced = any(_twice(d) in element_set for d in element_set)
-    reduced_pos = [d for d in positives if _twice(d) not in element_set]
-    reduced_set = set(reduced_pos)
-    witnesses = [w for image in simple_images for w in (image, _twice(image)) if w in reduced_set]
-
-    def splits(xi: IntVector, candidates) -> bool:
-        return any(eta != xi and tuple(map(sub, xi, eta)) in reduced_set for eta in candidates)
-
-    # the witnesses are reduced positive roots, so the full scan decides
-    # exactly the roots they leave undecided
-    indecomposable = [xi for xi in reduced_pos if not splits(xi, witnesses) and not splits(xi, reduced_pos)]
-
-    def anchor(xi: IntVector) -> int:
-        for pos, image in enumerate(simple_images):
-            if xi == image or xi == _twice(image):
-                return pos
-        raise UnrecognizedSystem(f"{name}: reduced simple root {_halved(xi)} has no simple-image anchor")
-
-    simple_reduced = sorted(indecomposable, key=anchor)
+    simple_reduced = reduced_simple(roots, simple_images)
     rank = len(simple_reduced)
-    if rank != len(simple_images):
-        raise UnrecognizedSystem(f"{name}: {rank} indecomposables vs {len(simple_images)} simple images")
 
     def cartan_entry(i: int, j: int) -> int:
         num = 2 * rs.scaled_inner(simple_reduced[i], simple_reduced[j])
@@ -198,7 +148,7 @@ def _classify(rs: RootSystem, element_set, positives, simple_images, name: str) 
         if set(m.letter for m in matches) != {"B", "C"}:
             raise UnrecognizedSystem(f"{name}: ambiguous restricted type {[m.name for m in matches]}")
         letter = "B" if cbar == cartan_matrix(SimpleType("B", rank)) else "C"
-    if non_reduced:
+    if simple_reduced != simple_images:
         return TypeLabel("BC", rank, False)
     return TypeLabel(letter, rank, True)
 
@@ -211,11 +161,11 @@ def is_C_or_BC(rrs: RestrictedRootSystem) -> bool:
     return (label.letter == "A" and label.rank == 1) or (label.letter == "B" and label.rank == 2)
 
 
-def parity_criterion(rrs: RestrictedRootSystem) -> bool:
-    """Whether some restricted root pairs oddly against the highest root."""
+def odd_pairing(rrs: RestrictedRootSystem, roots) -> bool:
+    """Whether some doubled root in `roots` pairs oddly against the highest root."""
     rs = rrs.source.rs
     lam = rrs.doubled_highest
-    for xi in rrs.doubled:
+    for xi in roots:
         num, den = 2 * rs.scaled_inner(xi, lam), rs.scaled_inner(xi, xi)
         if num % den:
             raise UnrecognizedSystem(f"non-integral pairing {Fraction(num, den)} in {rrs.source.name}")
@@ -224,15 +174,21 @@ def parity_criterion(rrs: RestrictedRootSystem) -> bool:
     return False
 
 
+def parity_criterion(rrs: RestrictedRootSystem) -> bool:
+    """Whether some restricted root pairs oddly against the highest root; the
+    reduced system's r simple coroots span every coroot, so they decide."""
+    return odd_pairing(rrs, reduced_simple(rrs.doubled, rrs.doubled_simple))
+
+
 def dominant_longest(rrs: RestrictedRootSystem) -> IntVector:
     """The unique dominant restricted root of maximal squared length, doubled.
 
-    Independent route to the highest root; construction uses r(phi).  Every
-    positive restricted root is a nonnegative combination of the simple
-    restricted roots, so dominance is tested against those alone.
+    Independent route to the highest root; construction uses r(phi).  A
+    dominant root is positive, so only positive roots are tried, and each is
+    a nonnegative combination of the simple roots, which test dominance.
     """
     rs = rrs.source.rs
-    norms = {xi: rs.scaled_inner(xi, xi) for xi in rrs.doubled}
+    norms = {xi: rs.scaled_inner(xi, xi) for xi in rrs.doubled_positives}
     max_len = max(norms.values())
     longest = [xi for xi, norm in norms.items() if norm == max_len]
     dominant = [xi for xi in longest if all(rs.scaled_inner(s, xi) >= 0 for s in rrs.doubled_simple)]

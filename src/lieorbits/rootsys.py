@@ -170,7 +170,8 @@ def simple_coord(n: int, i: int) -> tuple[int, ...]:
     return tuple(int(k == i) for k in range(n))
 
 
-@lru_cache(maxsize=None)
+# bounded like cartan_matrix: 256 is about the number of simple types up to rank 64
+@lru_cache(maxsize=256)
 def _build_cached(letter: str, rank: int) -> RootSystem:
     t = SimpleType(letter, rank)
     n = t.rank

@@ -51,8 +51,8 @@ from .rootsys import (
 IntVector = tuple[int, ...]
 
 # Largest complex rank `build_satake` and `catalog` accept.  Describing a
-# form costs about rank^3 to rank^3.5 (a cold describe of sl(64,R) takes
-# 0.92 s on one 2.1 GHz Xeon vCPU), so a larger rank fails fast with
+# form costs about rank^3 (one 2.1 GHz Xeon vCPU: sp(64,R) in 0.56 s cold,
+# sp(128,R) in 2.8 s and 93 MB), so a larger rank fails fast with
 # OutOfRangeParams instead of running for minutes.
 MAX_RANK = 64
 
@@ -570,7 +570,7 @@ class ValidationReport:
         return not self.failures
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def satake_involution(sd: SatakeDiagram) -> SatakeInvolution:
     """theta* for a diagram, built and checked once per entry.  If any
     invariant fails, raises InconsistentDiagram carrying the failures."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import LieOrbitsError
@@ -25,7 +25,8 @@ from .orbits import (
     solve_coroot_system,
     wdd_matches_satake,
 )
-from .restricted import dominant_longest, is_C_or_BC, is_hermitian, parity_criterion, restricted_root_system
+from .restricted import RestrictedRootSystem, dominant_longest, is_C_or_BC, is_hermitian, odd_pairing, parity_criterion
+from .restricted import reduced_simple, restricted_root_system
 from .rootsys import (
     ROOT_COUNT_FORMULAS,
     RootSystem,
@@ -180,6 +181,22 @@ def check_satake_entry(sd: SatakeDiagram) -> list[Failure]:
     return failures
 
 
+def _indecomposables(rrs: RestrictedRootSystem, witnesses) -> list[tuple[int, ...]]:
+    """The reduced positive roots that are no sum of two others, by search.
+
+    A decomposable root splits off a white-node root, so the `witnesses` are
+    tried first and every positive root only for the few roots they leave.
+    """
+    reduced_pos = [d for d in rrs.doubled_positives if tuple(2 * x for x in d) not in rrs.doubled]
+    reduced_set = set(reduced_pos)
+    witnesses = [w for w in witnesses if w in reduced_set]
+
+    def splits(xi, candidates) -> bool:
+        return any(eta != xi and tuple(map(sub, xi, eta)) in reduced_set for eta in candidates)
+
+    return [xi for xi in reduced_pos if not splits(xi, witnesses) and not splits(xi, reduced_pos)]
+
+
 def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
     name = sd.name
     rs = sd.rs
@@ -211,6 +228,12 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
+    araki = sorted(reduced_simple(rrs.doubled, rrs.doubled_simple))
+    searched = _indecomposables(rrs, araki)
+    if searched != araki:
+        message = f"indecomposable reduced positives {searched} vs white-node roots {araki}, doubled"
+        failures.append(Failure(name, "restricted.simple-two-routes", message))
+
     if any(tuple(map(add, rrs.doubled_highest, eta)) in rrs.doubled for eta in rrs.doubled_positives):
         failures.append(Failure(name, "restricted.highest-nonextendable", "lambda + eta is a restricted root"))
 
@@ -233,6 +256,14 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
         )
     if moved and rs.scaled_inner(rs.highest, tau_phi) != 0:
         failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {rs.inner(rs.highest, tau_phi)}"))
+
+    try:
+        scanned = odd_pairing(rrs, rrs.doubled)
+    except LieOrbitsError as exc:
+        failures.append(Failure(name, "restricted.parity-two-routes", str(exc)))
+    else:
+        if scanned != parity_criterion(rrs):
+            failures.append(Failure(name, "restricted.parity-two-routes", f"full scan {scanned}, simple roots {not scanned}"))
 
     if parity_criterion(rrs) == is_C_or_BC(rrs):
         failures.append(

@@ -205,7 +205,8 @@ def test_criterion_6_structure():
         rrs = restricted_root_system(sd)
         phi = as_vector(sd.rs.highest)
         phi_sq = sd.rs.inner(phi, phi)
-        lam_sq = sd.rs.inner(rrs.highest, rrs.highest)
+        # <2 lam, 2 lam> = 4 <lam, lam> on the doubled highest restricted root
+        lam_sq = sd.rs.inner(rrs.doubled_highest, rrs.doubled_highest) / 4
         if rrs.highest_mult >= 2:
             assert phi_sq == 2 * lam_sq, sd.name
         else:
@@ -285,3 +286,22 @@ def test_mutants_validate_the_same_cold_and_warm():
             except InconsistentDiagram:
                 continue  # a structural or construction failure, reported before the battery runs
             assert cold.failures == battery, f"{sd.name}: {label}"
+
+
+# --- regression: every module-level cache in the package is bounded --------
+
+
+def test_every_package_cache_is_bounded():
+    import importlib
+    import pkgutil
+
+    import lieorbits
+
+    caches = {}
+    for info in pkgutil.iter_modules(lieorbits.__path__):
+        module = importlib.import_module(f"lieorbits.{info.name}")
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                caches[f"{module.__name__}.{attr}"] = value.cache_parameters()["maxsize"]
+    assert {"lieorbits.restricted.restricted_root_system", "lieorbits.satake.satake_involution"} <= set(caches)
+    assert {name for name, maxsize in caches.items() if maxsize is None} == set()

@@ -1,8 +1,10 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from lieorbits import verify
 from lieorbits.errors import InconsistentDiagram
 from lieorbits.ratmat import as_vector
 from lieorbits.restricted import (
@@ -10,10 +12,9 @@ from lieorbits.restricted import (
     is_C_or_BC,
     is_hermitian,
     parity_criterion,
-    restrict,
     restricted_root_system,
 )
-from lieorbits.satake import build_satake, catalog, parse_form_name
+from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution
 
 
 def form(name):
@@ -28,17 +29,29 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def doubled(sd, v):
+    """2 r(v) = v + tau* v, the form every restricted root is stored in."""
+    return tuple(a + b for a, b in zip(v, satake_involution(sd).tau_image(v)))
+
+
+def halved(v):
+    return tuple(F(x, 2) for x in v)
+
+
 def test_restrict_kills_black_and_fixes_split():
     sd = form("su*(4)")
-    assert restrict(sd, (1, 0, 0)) == (F(0), F(0), F(0))
+    assert doubled(sd, (1, 0, 0)) == (0, 0, 0)
+    assert (0, 0, 0) not in rrs("su*(4)").doubled
     split = form("sl(4,R)")
-    assert restrict(split, (1, 2, 3)) == (F(1), F(2), F(3))
+    assert doubled(split, (1, 2, 3)) == (2, 4, 6)
+    assert rrs("sl(4,R)").doubled_simple == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
 
 
 def test_restrict_su12():
     sd = form("su(1,2)")
-    assert restrict(sd, (1, 0)) == (F(1, 2), F(1, 2))
-    assert restrict(sd, (0, 1)) == (F(1, 2), F(1, 2))
+    assert halved(doubled(sd, (1, 0))) == (F(1, 2), F(1, 2))
+    assert halved(doubled(sd, (0, 1))) == (F(1, 2), F(1, 2))
+    assert rrs("su(1,2)").doubled_simple == ((1, 1),)
 
 
 def test_restrict_linear_and_idempotent():
@@ -49,17 +62,17 @@ def test_restrict_linear_and_idempotent():
         sd = form(name)
         n = sd.rs.rank
         for _ in range(5):
-            v = tuple(F(rng.randint(-4, 4)) for _ in range(n))
-            w = tuple(F(rng.randint(-4, 4)) for _ in range(n))
-            rv, rw = restrict(sd, v), restrict(sd, w)
-            assert restrict(sd, rv) == rv
-            assert restrict(sd, tuple(a + b for a, b in zip(v, w))) == tuple(a + b for a, b in zip(rv, rw))
+            v = tuple(rng.randint(-4, 4) for _ in range(n))
+            w = tuple(rng.randint(-4, 4) for _ in range(n))
+            dv, dw = doubled(sd, v), doubled(sd, w)
+            assert doubled(sd, dv) == tuple(2 * x for x in dv)
+            assert doubled(sd, tuple(a + b for a, b in zip(v, w))) == tuple(a + b for a, b in zip(dv, dw))
 
 
 def test_split_restriction_is_whole_system():
     r = rrs("sl(3,R)")
     assert r.type_label.name == "A2" and r.type_label.reduced
-    assert all(m == 1 for _, m in r.multiplicities)
+    assert all(m == 1 for m in r.doubled.values())
     assert r.highest_mult == 1
     assert len(r.elements) == 6
 
@@ -75,35 +88,36 @@ def test_su_star4_against_hand_built_involution():
     counts = Counter()
     for root in roots:
         tau_image = tuple(-sum(x * y for x, y in zip(row, root)) for row in theta)
-        image = tuple(F(a + b, 2) for a, b in zip(root, tau_image))
+        image = tuple(a + b for a, b in zip(root, tau_image))
         if any(image):
             counts[image] += 1
 
     r = rrs("su*(4)")
-    assert dict(r.multiplicities) == dict(counts)
+    assert r.doubled == dict(counts)
     assert r.type_label.name == "A1"
     assert r.highest_mult == 4
     lam = as_vector((F(1, 2), 1, F(1, 2)))
-    assert r.highest == lam
+    assert halved(r.doubled_highest) == lam
 
 
 def test_su12_brute_force():
     r = rrs("su(1,2)")
     xi = (F(1, 2), F(1, 2))
     two_xi = (F(1), F(1))
-    assert dict(r.multiplicities) == {xi: 2, tuple(-x for x in xi): 2, two_xi: 1, tuple(-x for x in two_xi): 1}
+    by_root = {halved(d): m for d, m in r.doubled.items()}
+    assert by_root == {xi: 2, tuple(-x for x in xi): 2, two_xi: 1, tuple(-x for x in two_xi): 1}
     assert r.type_label.name == "BC1" and not r.type_label.reduced
-    assert r.highest == two_xi and r.highest_mult == 1
+    assert halved(r.doubled_highest) == two_xi and r.highest_mult == 1
 
 
 def test_f4_m20_structure():
     r = rrs("f4(-20)")
     assert r.type_label.name == "BC1"
     # BC1 shape: exactly {±xi, ±2xi} with multiplicities 8 and 7
-    by_mult = sorted(m for _, m in r.multiplicities)
+    by_mult = sorted(r.doubled.values())
     assert by_mult == [7, 7, 8, 8]
-    xi = next(v for v, m in r.multiplicities if m == 8 and sum(x > 0 for x in v))
-    assert tuple(2 * x for x in xi) == r.highest
+    xi = next(halved(d) for d, m in r.doubled.items() if m == 8 and sum(x > 0 for x in d))
+    assert tuple(2 * x for x in xi) == halved(r.doubled_highest)
     assert r.highest_mult == 7
 
 
@@ -132,7 +146,7 @@ def test_classification_examples():
 def test_expected_multiplicity_tables():
     # spot checks against the standard restricted-root multiplicity tables
     def mult_multiset(name):
-        return sorted(Counter(m for _, m in rrs(name).multiplicities).items())
+        return sorted(Counter(rrs(name).doubled.values()).items())
 
     assert rrs("su*(6)").highest_mult == 4
     assert rrs("so(1,7)").highest_mult == 6
@@ -181,14 +195,50 @@ def test_highest_root_two_routes_and_norms():
         r = restricted_root_system(sd)
         assert dominant_longest(r) == r.doubled_highest, name
         phi = as_vector(sd.rs.highest)
-        ratio = sd.rs.inner(phi, phi) / sd.rs.inner(r.highest, r.highest)
+        lam = halved(r.doubled_highest)
+        ratio = sd.rs.inner(phi, phi) / sd.rs.inner(lam, lam)
         assert ratio == (2 if r.highest_mult >= 2 else 1), name
 
 
 def test_compact_style_diagram_rejected():
-    import dataclasses
-
     sd = form("sl(2,R)")
     all_black = dataclasses.replace(sd, black=frozenset({0}))
     with pytest.raises(InconsistentDiagram):
         restricted_root_system(all_black)
+
+
+def _restricted_failures(monkeypatch, sd, doctored):
+    """check_restricted_entry run on `doctored` in place of the real system."""
+    monkeypatch.setattr(verify, "restricted_root_system", lambda _: doctored)
+    return {f.check: f.message for f in verify.check_restricted_entry(sd)}
+
+
+def test_simple_two_routes_fires_on_a_non_simple_root(monkeypatch):
+    sd = form("sl(3,R)")
+    r = restricted_root_system(sd)
+    # a1 + a2 is a positive root but not a simple one
+    doctored = dataclasses.replace(r, doubled_simple=((2, 0), (2, 2)))
+    failures = _restricted_failures(monkeypatch, sd, doctored)
+    assert "restricted.simple-two-routes" in failures
+    assert "(0, 2)" in failures["restricted.simple-two-routes"]
+
+
+def test_parity_two_routes_fires_on_a_negated_parity(monkeypatch):
+    sd = form("so(3,5)")
+    monkeypatch.setattr(verify, "parity_criterion", lambda r: not parity_criterion(r))
+    failures = {f.check for f in verify.check_restricted_entry(sd)}
+    assert "restricted.parity-two-routes" in failures
+
+
+def test_parity_two_routes_reports_a_non_integral_pairing(monkeypatch):
+    sd = form("sl(3,R)")
+    r = restricted_root_system(sd)
+    # 3 a1 / 2 pairs with the highest root a1 + a2 to 2/3, ahead of every true root
+    doctored = dataclasses.replace(r, doubled={(3, 0): 1, **r.doubled})
+    failures = _restricted_failures(monkeypatch, sd, doctored)
+    assert "non-integral pairing 2/3" in failures["restricted.parity-two-routes"]
+
+
+@pytest.mark.parametrize("name", ["su(32,32)", "so(3,125)", "su*(64)", "sp(20,44)", "e8(-24)"])
+def test_restricted_checks_pass_beyond_the_catalog(name):
+    assert verify.check_restricted_entry(form(name)) == []

@@ -1,8 +1,9 @@
 """The restricted layer against a brute-force reference written here.
 
 The reference recomputes each restricted system in `Fraction` coordinates
-through the public projection `restrict`, finds simple roots by the O(P^2)
-search for indecomposable positive roots, names the type from root counts
+through the projection r(v) = (v + tau* v)/2 written here on
+`SatakeInvolution.tau_image`, finds simple roots by the O(P^2) search for
+indecomposable positive roots, names the type from root counts
 and lengths, and tests dominance against every positive restricted root.
 None of it shares the package's doubled-integer code path.
 """
@@ -14,8 +15,8 @@ from operator import sub
 import pytest
 
 from lieorbits.ratmat import as_vector
-from lieorbits.restricted import dominant_longest, parity_criterion, restrict, restricted_root_system
-from lieorbits.satake import build_satake, catalog, parse_form_name
+from lieorbits.restricted import dominant_longest, parity_criterion, restricted_root_system
+from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution
 
 EXTRA_FORMS = ["sl(12,R)", "su(5,7)", "so(4,9)", "sp(10,R)"]
 FORMS = [sd.name for sd in catalog(8)] + EXTRA_FORMS
@@ -34,6 +35,12 @@ ROOT_COUNTS = {
 
 def twice(v):
     return tuple(2 * x for x in v)
+
+
+def restrict(sd, v):
+    """r(v) = (v + tau* v)/2, the projection onto the tau*-fixed subspace."""
+    image = satake_involution(sd).tau_image(v)
+    return tuple(Fraction(a + b, 2) for a, b in zip(v, image))
 
 
 def indecomposables(positives):
@@ -107,11 +114,12 @@ def test_restricted_layer_matches_brute_force(name):
     ref = reference(sd)
 
     assert r.elements == tuple(ref["elements"])
-    assert dict(r.multiplicities) == dict(ref["counts"])
-    assert r.positives == tuple(ref["positives"])
-    assert r.highest == ref["highest"]
+    assert r.doubled == {twice(xi): m for xi, m in ref["counts"].items()}
+    assert r.doubled_positives == tuple(twice(xi) for xi in ref["positives"])
+    assert r.doubled_highest == twice(ref["highest"])
     assert r.highest_mult == ref["counts"][ref["highest"]]
-    assert sorted(r.simple) == sorted(ref["simple"]) and len(r.simple) == len(ref["simple"])
+    simple = [twice(xi) for xi in ref["simple"]]
+    assert sorted(r.doubled_simple) == sorted(simple) and len(r.doubled_simple) == len(simple)
     label = r.type_label
     assert (label.letter, label.rank, label.reduced) == ref["type"]
     assert parity_criterion(r) == ref["parity"]
@@ -120,10 +128,13 @@ def test_restricted_layer_matches_brute_force(name):
 
 
 def test_doubled_storage_is_twice_the_views():
-    r = restricted_root_system(build_satake(parse_form_name("su(2,3)")))
+    sd = build_satake(parse_form_name("su(2,3)"))
+    r = restricted_root_system(sd)
+    ref = reference(sd)
     assert [twice(xi) for xi in r.elements] == [as_vector(d) for d in r.doubled]
-    assert [twice(xi) for xi in r.positives] == [as_vector(d) for d in r.doubled_positives]
-    assert [twice(xi) for xi in r.simple] == [as_vector(d) for d in r.doubled_simple]
-    assert twice(r.highest) == as_vector(r.doubled_highest)
+    assert [twice(xi) for xi in ref["positives"]] == [as_vector(d) for d in r.doubled_positives]
+    images = [restrict(sd, tuple(int(k == i) for k in range(sd.rs.rank))) for i in sd.white]
+    assert [twice(xi) for xi in dict.fromkeys(images) if any(xi)] == [as_vector(d) for d in r.doubled_simple]
+    assert twice(ref["highest"]) == as_vector(r.doubled_highest)
     assert all(type(x) is int for d in r.doubled for x in d)
-    assert r.highest == (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
+    assert ref["highest"] == (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
