@@ -17,6 +17,7 @@ from .errors import (
 )
 from .orbits import (
     EquivalenceConditions,
+    FormAnalysis,
     OrbitReport,
     black_extended_criterion,
     count_minimal_real_orbits,
@@ -43,6 +44,7 @@ from .rootsys import (
     SimpleType,
     WeightedDynkinDiagram,
     build_root_system,
+    dual_coxeter_number,
     extended_neighbors,
     min_orbit_wdd,
     orbit_dim_from_wdd,

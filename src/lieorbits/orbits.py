@@ -5,25 +5,33 @@ meeting the real form: coroot pairings against the highest restricted root,
 and a square integer system in the matching-diagram unknowns plus the
 black/arrow coroot basis coefficients.  The verification sweep insists they
 agree on every catalog entry.
+
+`FormAnalysis(sd)` holds every value derived for one diagram, one
+`cached_property` each, built from one another, so each is computed once per
+analysis.  `orbit_report`, `run_verification`'s entry checks and the public
+functions below all read it.  An analysis lives only as long as the call or
+the verify entry that made it: nothing caches analyses across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .errors import InconsistentDiagram, InvalidReport, TypeMismatch
 from .ratmat import as_vector, int_solve
-from .restricted import is_hermitian, parity_criterion, restricted_root_system
+from .restricted import RestrictedRootSystem, is_hermitian, parity_criterion, restricted_root_system
 from .rootsys import (
     SimpleType,
     WeightedDynkinDiagram,
+    dual_coxeter_number,
     extended_neighbors,
     min_orbit_wdd,
     orbit_dim_from_wdd,
-    simple_coord,
 )
-from .satake import RealFormDescriptor, SatakeDiagram, build_satake, parse_form_name, satake_involution
+from .satake import RealFormDescriptor, SatakeDiagram, SatakeInvolution, build_satake, parse_form_name, satake_involution
 
 CONDITION_FIELDS = ("c_i", "c_ii", "c_iv", "c_v", "c_vi", "c_vii", "c_xii")
 
@@ -66,45 +74,6 @@ class OrbitReport:
     conditions: EquivalenceConditions
 
 
-def wdd_matches_satake(w: WeightedDynkinDiagram, sd: SatakeDiagram) -> bool:
-    """Black nodes carry weight zero and arrow-paired nodes carry equal weights."""
-    if w.simple_type != sd.rs.simple_type:
-        raise TypeMismatch(f"diagram of type {w.simple_type.name} against Satake diagram of {sd.rs.simple_type.name}")
-    if any(w.weights[b] != 0 for b in sd.black):
-        return False
-    return all(w.weights[i] == w.weights[j] for i, j in sd.arrows)
-
-
-def min_meets_real_form(sd: SatakeDiagram) -> bool:
-    """Whether the minimal complex nilpotent orbit meets the real form."""
-    return wdd_matches_satake(min_orbit_wdd(sd.rs), sd)
-
-
-def black_extended_criterion(sd: SatakeDiagram) -> bool:
-    """Some black node is adjacent to the added node of the extended diagram."""
-    if sd.rs.rank < 2:
-        return False
-    return bool(sd.black & extended_neighbors(sd.rs))
-
-
-def min_g_wdd_direct(sd: SatakeDiagram) -> WeightedDynkinDiagram:
-    """Weighted diagram of the smallest orbit meeting the real form.
-
-    weight_i = 2<a_i, lambda>/<lambda,lambda> for the highest restricted root
-    lambda = (phi + tau* phi)/2.
-    """
-    rs = sd.rs
-    # on the doubled root 2 lambda: weight_i = 4<a_i, 2 lambda>/<2 lambda, 2 lambda>
-    lam = restricted_root_system(sd).doubled_highest
-    n = rs.rank
-    norm = rs.scaled_inner(lam, lam)
-    weights = tuple(Fraction(4 * rs.scaled_inner(simple_coord(n, i), lam), norm) for i in range(n))
-    wdd = WeightedDynkinDiagram(rs.simple_type, weights)
-    if not wdd.is_integral() or any(x not in (0, 1, 2) for x in wdd.as_ints()):
-        raise InconsistentDiagram(f"{sd.name}: weights {weights} outside {{0,1,2}}")
-    return wdd
-
-
 @dataclass(frozen=True)
 class CorootSystemSolution:
     """Solution of the square system splitting twice the minimal-orbit coroot
@@ -116,69 +85,20 @@ class CorootSystemSolution:
     white_values: dict[int, Fraction]
 
 
-def solve_coroot_system(sd: SatakeDiagram) -> CorootSystemSolution:
-    """Set up and solve the linear system; one equation per node."""
-    rs = sd.rs
-    n = rs.rank
-    cartan = rs.cartan
-    satake_involution(sd)  # validates the entry before we trust its data
-
-    class_rep: dict[int, int] = {}
-    for w in sd.white:
-        class_rep[w] = w
-    for i, j in sd.arrows:
-        rep = min(i, j)
-        class_rep[i] = rep
-        class_rep[j] = rep
-    reps = sorted(set(class_rep.values()))
-    blacks = sorted(sd.black)
-    columns: list[tuple] = [("class", r) for r in reps]
-    columns += [("black", b) for b in blacks]
-    columns += [("arrow", i, j) for i, j in sd.arrows]
-    if len(columns) != n:
-        raise InconsistentDiagram(f"{sd.name}: coroot system is {n}x{len(columns)}, not square")
-
-    def entry(i: int, col: tuple) -> int:
-        if col[0] == "class":
-            return int(i in class_rep and class_rep[i] == col[1])
-        if col[0] == "black":
-            return cartan[i][col[1]]
-        _, a, b = col
-        return cartan[i][a] - cartan[i][b]
-
-    rows = [[entry(i, col) for col in columns] for i in range(n)]
-    nums, det = int_solve(rows, [2 * t for t in min_orbit_wdd(rs).as_ints()])
-
-    white_values = {columns[k][1]: Fraction(nums[k], det) for k in range(len(reps))}
-    halve = restricted_root_system(sd).highest_mult == 1
-    weights = []
-    for i in range(n):
-        if i in sd.black:
-            weights.append(Fraction(0))
-        else:
-            value = white_values[class_rep[i]]
-            weights.append(value / 2 if halve else value)
-    return CorootSystemSolution(WeightedDynkinDiagram(rs.simple_type, tuple(weights)), white_values)
+def wdd_matches_satake(w: WeightedDynkinDiagram, sd: SatakeDiagram) -> bool:
+    """Black nodes carry weight zero and arrow-paired nodes carry equal weights."""
+    if w.simple_type != sd.rs.simple_type:
+        raise TypeMismatch(f"diagram of type {w.simple_type.name} against Satake diagram of {sd.rs.simple_type.name}")
+    if any(w.weights[b] != 0 for b in sd.black):
+        return False
+    return all(w.weights[i] == w.weights[j] for i, j in sd.arrows)
 
 
-def min_g_wdd_linear_system(sd: SatakeDiagram) -> WeightedDynkinDiagram:
-    """Same diagram as min_g_wdd_direct, through the linear-system route."""
-    return solve_coroot_system(sd).wdd
-
-
-def min_g_dimension(sd: SatakeDiagram) -> int:
-    """Complex dimension of the smallest orbit meeting the real form."""
-    return orbit_dim_from_wdd(sd.rs, min_g_wdd_direct(sd))
-
-
-def count_minimal_real_orbits(sd: SatakeDiagram) -> int:
-    """Number of minimal real nilpotent orbits (equivalently, minimal
-    nilpotent K_C-orbits in p_C): one when dim g_lambda >= 2 or some
-    restricted root pairs oddly against lambda, two otherwise."""
-    rrs = restricted_root_system(sd)
-    if rrs.highest_mult >= 2:
-        return 1
-    return 1 if parity_criterion(rrs) else 2
+def black_extended_criterion(sd: SatakeDiagram) -> bool:
+    """Some black node is adjacent to the added node of the extended diagram."""
+    if sd.rs.rank < 2:
+        return False
+    return bool(sd.black & extended_neighbors(sd.rs))
 
 
 FIVE_FAMILIES = ("su_star", "sp_pq", "f4_m20", "e6_m26")
@@ -191,41 +111,191 @@ def in_five_families(descriptor: RealFormDescriptor) -> bool:
     return descriptor.family == "so_pq" and descriptor.params[0] == 1
 
 
+class FormAnalysis:
+    """Every value derived for one Satake diagram, each computed once.
+
+    Each property reads the ones it depends on, so an `orbit_report` and the
+    three `verify` entry checks sharing one analysis compute every layer
+    once.  A value may be assigned to stand in for the computed one.
+    """
+
+    def __init__(self, sd: SatakeDiagram):
+        self.sd = sd
+
+    @cached_property
+    def involution(self) -> SatakeInvolution:
+        return satake_involution(self.sd)
+
+    @cached_property
+    def restricted(self) -> RestrictedRootSystem:
+        return restricted_root_system(self.sd)
+
+    @cached_property
+    def min_wdd(self) -> WeightedDynkinDiagram:
+        return min_orbit_wdd(self.sd.rs)
+
+    @cached_property
+    def min_meets(self) -> bool:
+        return wdd_matches_satake(self.min_wdd, self.sd)
+
+    @cached_property
+    def min_g_wdd(self) -> WeightedDynkinDiagram:
+        """Weighted diagram of the smallest orbit meeting the real form.
+
+        weight_i = 2<a_i, lambda>/<lambda,lambda> for the highest restricted root
+        lambda = (phi + tau* phi)/2.
+        """
+        sd = self.sd
+        # on the doubled root 2 lambda: weight_i = 4<a_i, 2 lambda>/<2 lambda, 2 lambda>
+        lam = self.restricted.doubled_highest
+        pairs = sd.rs.simple_pairings(lam)
+        norm = sum(map(mul, lam, pairs))
+        weights = tuple(Fraction(4 * p, norm) for p in pairs)
+        wdd = WeightedDynkinDiagram(sd.rs.simple_type, weights)
+        if not wdd.is_integral() or any(x not in (0, 1, 2) for x in wdd.as_ints()):
+            raise InconsistentDiagram(f"{sd.name}: weights {weights} outside {{0,1,2}}")
+        return wdd
+
+    @cached_property
+    def coroot_solution(self) -> CorootSystemSolution:
+        """Set up and solve the linear system; one equation per node."""
+        sd = self.sd
+        rs = sd.rs
+        n = rs.rank
+        cartan = rs.cartan
+        self.involution  # validates the entry before we trust its data
+
+        class_rep: dict[int, int] = {}
+        for w in sd.white:
+            class_rep[w] = w
+        for i, j in sd.arrows:
+            rep = min(i, j)
+            class_rep[i] = rep
+            class_rep[j] = rep
+        reps = sorted(set(class_rep.values()))
+        blacks = sorted(sd.black)
+        columns: list[tuple] = [("class", r) for r in reps]
+        columns += [("black", b) for b in blacks]
+        columns += [("arrow", i, j) for i, j in sd.arrows]
+        if len(columns) != n:
+            raise InconsistentDiagram(f"{sd.name}: coroot system is {n}x{len(columns)}, not square")
+
+        def entry(i: int, col: tuple) -> int:
+            if col[0] == "class":
+                return int(i in class_rep and class_rep[i] == col[1])
+            if col[0] == "black":
+                return cartan[i][col[1]]
+            _, a, b = col
+            return cartan[i][a] - cartan[i][b]
+
+        rows = [[entry(i, col) for col in columns] for i in range(n)]
+        nums, det = int_solve(rows, [2 * t for t in self.min_wdd.as_ints()])
+
+        white_values = {columns[k][1]: Fraction(nums[k], det) for k in range(len(reps))}
+        halve = self.restricted.highest_mult == 1
+        weights = []
+        for i in range(n):
+            if i in sd.black:
+                weights.append(Fraction(0))
+            else:
+                value = white_values[class_rep[i]]
+                weights.append(value / 2 if halve else value)
+        return CorootSystemSolution(WeightedDynkinDiagram(rs.simple_type, tuple(weights)), white_values)
+
+    @cached_property
+    def min_g_dim(self) -> int:
+        return orbit_dim_from_wdd(self.sd.rs, self.min_g_wdd)
+
+    @cached_property
+    def parity(self) -> bool:
+        return parity_criterion(self.restricted)
+
+    @cached_property
+    def orbit_count(self) -> int:
+        """Number of minimal real nilpotent orbits (equivalently, minimal
+        nilpotent K_C-orbits in p_C): one when dim g_lambda >= 2 or some
+        restricted root pairs oddly against lambda, two otherwise."""
+        return 1 if self.restricted.highest_mult >= 2 or self.parity else 2
+
+    @cached_property
+    def hermitian(self) -> bool:
+        return is_hermitian(self.sd)
+
+    @cached_property
+    def conditions(self) -> EquivalenceConditions:
+        sd = self.sd
+        rs = sd.rs
+        return EquivalenceConditions(
+            c_i=self.min_g_wdd != self.min_wdd,
+            # the minimal orbit is the one nonzero orbit of dimension 2h^v - 2
+            c_ii=self.min_g_dim != 2 * dual_coxeter_number(rs) - 2,
+            c_iv=self.restricted.highest_mult >= 2,
+            c_v=self.involution.tau_image(rs.highest) != rs.highest,
+            c_vi=not self.min_meets,
+            c_vii=black_extended_criterion(sd),
+            c_xii=in_five_families(sd.descriptor),
+        )
+
+    @cached_property
+    def report(self) -> OrbitReport:
+        sd = self.sd
+        report = OrbitReport(
+            descriptor=sd.descriptor,
+            min_wdd=self.min_wdd,
+            min_meets=self.min_meets,
+            min_g_wdd=self.min_g_wdd,
+            min_g_dim=self.min_g_dim,
+            g_lambda_dim=self.restricted.highest_mult,
+            minimal_real_orbit_count=self.orbit_count,
+            hermitian=self.hermitian,
+            conditions=self.conditions,
+        )
+        if report.min_meets and report.min_g_wdd != report.min_wdd:
+            raise InconsistentDiagram(f"{sd.name}: orbit meets the real form but diagrams differ")
+        if (report.minimal_real_orbit_count == 2) != report.hermitian:
+            count = report.minimal_real_orbit_count
+            raise InconsistentDiagram(f"{sd.name}: orbit count {count} vs hermitian {report.hermitian}")
+        return report
+
+
+def min_meets_real_form(sd: SatakeDiagram) -> bool:
+    """Whether the minimal complex nilpotent orbit meets the real form."""
+    return FormAnalysis(sd).min_meets
+
+
+def min_g_wdd_direct(sd: SatakeDiagram) -> WeightedDynkinDiagram:
+    """Weighted diagram of the smallest orbit meeting the real form."""
+    return FormAnalysis(sd).min_g_wdd
+
+
+def solve_coroot_system(sd: SatakeDiagram) -> CorootSystemSolution:
+    """The coroot system of the linear-system route, solved."""
+    return FormAnalysis(sd).coroot_solution
+
+
+def min_g_wdd_linear_system(sd: SatakeDiagram) -> WeightedDynkinDiagram:
+    """Same diagram as min_g_wdd_direct, through the linear-system route."""
+    return solve_coroot_system(sd).wdd
+
+
+def min_g_dimension(sd: SatakeDiagram) -> int:
+    """Complex dimension of the smallest orbit meeting the real form."""
+    return FormAnalysis(sd).min_g_dim
+
+
+def count_minimal_real_orbits(sd: SatakeDiagram) -> int:
+    """Number of minimal real nilpotent orbits: 1 or 2."""
+    return FormAnalysis(sd).orbit_count
+
+
 def equivalence_conditions(sd: SatakeDiagram) -> EquivalenceConditions:
     """The seven booleans, each computed by its own route."""
-    rs = sd.rs
-    rrs = restricted_root_system(sd)
-    inv = satake_involution(sd)
-    return EquivalenceConditions(
-        c_i=min_g_wdd_direct(sd) != min_orbit_wdd(rs),
-        c_ii=not min_meets_real_form(sd),
-        c_iv=rrs.highest_mult >= 2,
-        c_v=inv.tau_image(rs.highest) != rs.highest,
-        c_vi=not wdd_matches_satake(min_orbit_wdd(rs), sd),
-        c_vii=black_extended_criterion(sd),
-        c_xii=in_five_families(sd.descriptor),
-    )
+    return FormAnalysis(sd).conditions
 
 
 def orbit_report(sd: SatakeDiagram) -> OrbitReport:
     """Aggregate every computed quantity for one diagram."""
-    rrs = restricted_root_system(sd)
-    report = OrbitReport(
-        descriptor=sd.descriptor,
-        min_wdd=min_orbit_wdd(sd.rs),
-        min_meets=min_meets_real_form(sd),
-        min_g_wdd=min_g_wdd_direct(sd),
-        min_g_dim=min_g_dimension(sd),
-        g_lambda_dim=rrs.highest_mult,
-        minimal_real_orbit_count=count_minimal_real_orbits(sd),
-        hermitian=is_hermitian(sd),
-        conditions=equivalence_conditions(sd),
-    )
-    if report.min_meets and report.min_g_wdd != report.min_wdd:
-        raise InconsistentDiagram(f"{sd.name}: orbit meets the real form but diagrams differ")
-    if (report.minimal_real_orbit_count == 2) != report.hermitian:
-        raise InconsistentDiagram(f"{sd.name}: orbit count {report.minimal_real_orbit_count} vs hermitian {report.hermitian}")
-    return report
+    return FormAnalysis(sd).report
 
 
 # ---------------------------------------------------------------------------

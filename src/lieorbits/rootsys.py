@@ -161,6 +161,11 @@ class RootSystem:
                 total += a * sum(g * w[j] for j, g in rows[i])
         return total
 
+    def simple_pairings(self, v: Sequence) -> tuple:
+        """gram_scale * <a_i, v> for every node i, from one sparse Gram row
+        each; the Gram form is symmetric, so row i pairs a_i with v."""
+        return tuple(sum(g * v[j] for j, g in row) for row in self._gram_support)
+
     def inner(self, v: Sequence, w: Sequence) -> Fraction:
         return Fraction(self.scaled_inner(v, w)) / self.gram_scale
 
@@ -259,10 +264,9 @@ class WeightedDynkinDiagram:
 def min_orbit_wdd(rs: RootSystem) -> WeightedDynkinDiagram:
     """Weighted diagram of the minimal nonzero nilpotent orbit: a -> 2<a,phi>/<phi,phi>."""
     phi = rs.highest
-    n = rs.rank
-    norm = rs.scaled_inner(phi, phi)
-    weights = tuple(Fraction(2 * rs.scaled_inner(simple_coord(n, i), phi), norm) for i in range(n))
-    return WeightedDynkinDiagram(rs.simple_type, weights)
+    pairs = rs.simple_pairings(phi)
+    norm = sum(map(mul, phi, pairs))
+    return WeightedDynkinDiagram(rs.simple_type, tuple(Fraction(2 * p, norm) for p in pairs))
 
 
 def extended_neighbors(rs: RootSystem) -> frozenset[int]:
@@ -272,26 +276,42 @@ def extended_neighbors(rs: RootSystem) -> frozenset[int]:
     """
     if rs.rank < 2:
         raise RankTooSmall("the extended A1 diagram is a double edge; use min_orbit_wdd")
-    n = rs.rank
     # a zero test does not depend on the scale of the Gram form
-    return frozenset(i for i in range(n) if rs.scaled_inner(rs.highest, simple_coord(n, i)) != 0)
+    return frozenset(i for i, p in enumerate(rs.simple_pairings(rs.highest)) if p)
 
 
 def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:
-    """Orbit dimension from the grading a weighted diagram induces on the roots."""
+    """Orbit dimension from the grading a weighted diagram induces on the roots.
+
+    The dimension is the number of roots of degree other than 0 and 1.  The
+    grading is odd, -alpha has degree -d(alpha), so only the positive roots
+    are scanned: one of degree 0 stands for two roots of degree 0, and one of
+    degree +-1 for one root of degree 1.
+    """
     if w.simple_type != rs.simple_type:
         raise TypeMismatch(f"diagram of type {w.simple_type.name} against system {rs.simple_type.name}")
     if not w.is_integral():
         raise NonIntegralWeights(f"weights {w.weights} are not integers")
     weights = w.as_ints()
     zero = ones = 0
-    for root in rs.roots:
+    for root in rs.positive_roots:
         value = sum(map(mul, root, weights))
         if value == 0:
             zero += 1
-        elif value == 1:
+        elif value in (1, -1):
             ones += 1
-    return len(rs.roots) - zero - ones
+    return len(rs.roots) - 2 * zero - ones
+
+
+def dual_coxeter_number(rs: RootSystem) -> Fraction:
+    """1 + the sum of the highest root's coefficients over the coroot basis.
+
+    The minimal nilpotent orbit is the unique nonzero orbit of dimension
+    2h^v - 2 (Collingwood-McGovern), which this reaches without a grading.
+    """
+    # d_i = <a_i, a_i>/2 is scaled_gram[i][i] / (2 gram_scale)
+    g = rs.scaled_gram
+    return 1 + Fraction(sum(c * g[i][i] for i, c in enumerate(rs.highest)), 2 * rs.gram_scale)
 
 
 def find_cartan_isomorphism(src: IntRows, tgt: IntRows) -> tuple[int, ...] | None:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import sub
@@ -432,32 +431,43 @@ def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
     # of the integer Gram form cancels in the solve.  Distinct black
     # components are orthogonal, so the split is done per component.  A black
     # root is its own projection, and a white root orthogonal to the
-    # component is fixed, so only the white neighbours need a solve.
+    # component is fixed, so only the white neighbours need a solve.  Each
+    # moved column is kept as integer numerators over one denominator: the
+    # least common multiple of the determinants of the solves that moved it.
     gram = rs.scaled_gram
-    moved: dict[int, list[Fraction]] = {}
+    moved: dict[int, tuple[list[int], int]] = {}
     for comp in components:
         sub_gram = [[gram[a][c] for c in comp] for a in comp]
         for j in range(n):
             if j in comp:
-                coeffs = [int(b == j) for b in comp]
+                nums, det = [int(b == j) for b in comp], 1
             else:
                 rhs = tuple(gram[b][j] for b in comp)
                 if not any(rhs):
                     continue
                 nums, det = int_solve(sub_gram, rhs)
-                coeffs = [Fraction(x, det) for x in nums]
-            column = moved.setdefault(j, [Fraction(int(k == j)) for k in range(n)])
-            for c, b in zip(coeffs, comp):
+            column, den = moved.get(j, (list(simple_coord(n, j)), 1))
+            common = lcm(den, det)
+            column = [x * (common // den) for x in column]
+            for c, b in zip(nums, comp):
+                c *= common // det
                 column[b] -= c
                 column[p_tilde[b]] -= c
+            moved[j] = (column, common)
 
-    # theta* a_j = -w0(a_{p~ j}), over the common denominator of the solves
-    den = lcm(1, *(x.denominator for column in moved.values() for x in column))
+    # reduce each column by its gcd to the least denominator of its entries
+    for j, (column, den) in moved.items():
+        g = gcd(den, *column)
+        moved[j] = ([x // g for x in column], den // g)
+
+    # theta* a_j = -w0(a_{p~ j}), over the common denominator of the columns
+    den = lcm(1, *(d for _, d in moved.values()))
 
     def theta_column(j: int) -> IntVector:
         k = p_tilde[j]
         if k in moved:
-            return tuple(-int(x * den) for x in moved[k])
+            column, d = moved[k]
+            return tuple(-x * (den // d) for x in column)
         return tuple(-den * int(i == k) for i in range(n))
 
     return SatakeInvolution(tuple(theta_column(j) for j in range(n)), tuple(p_tilde), den)

@@ -15,28 +15,18 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import LieOrbitsError
-from .orbits import (
-    equivalence_conditions,
-    count_minimal_real_orbits,
-    in_five_families,
-    min_g_dimension,
-    min_g_wdd_direct,
-    min_meets_real_form,
-    solve_coroot_system,
-    wdd_matches_satake,
-)
-from .restricted import RestrictedRootSystem, dominant_longest, is_C_or_BC, is_hermitian, odd_pairing, parity_criterion
-from .restricted import reduced_simple, restricted_root_system
+from .orbits import FormAnalysis, in_five_families, wdd_matches_satake
+from .restricted import RestrictedRootSystem, dominant_longest, is_C_or_BC, odd_pairing, reduced_simple
 from .rootsys import (
     ROOT_COUNT_FORMULAS,
     RootSystem,
     build_root_system,
+    dual_coxeter_number,
     extended_neighbors,
     min_orbit_wdd,
     orbit_dim_from_wdd,
-    simple_root_length_halves,
 )
-from .satake import RealFormDescriptor, SatakeDiagram, catalog, satake_involution, validate_satake
+from .satake import RealFormDescriptor, SatakeDiagram, catalog, validate_satake
 
 EXCEPTIONAL_REAL_RANK = {
     "g2_2": 2,
@@ -123,11 +113,9 @@ class VerificationResult:
         return not self.failures
 
 
-def _dual_coxeter_number(rs: RootSystem) -> Fraction:
-    # 1 + sum of the highest root's coefficients over the coroot basis,
-    # independently of the grading-based dimension formula
-    d = simple_root_length_halves(rs.simple_type)
-    return 1 + sum(c * di for c, di in zip(rs.highest, d))
+def _analysis(entry: SatakeDiagram | FormAnalysis) -> FormAnalysis:
+    """The analysis an entry check reads: the one given, or a fresh one."""
+    return entry if isinstance(entry, FormAnalysis) else FormAnalysis(entry)
 
 
 def check_root_system(rs: RootSystem) -> list[Failure]:
@@ -160,19 +148,22 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
                 Failure(name, "minwdd.support", f"support {sorted(support)} vs neighbors {sorted(extended_neighbors(rs))}")
             )
 
+    # the dual Coxeter number is read off the highest root, independently of the grading
     dim = orbit_dim_from_wdd(rs, wdd)
-    if dim != 2 * _dual_coxeter_number(rs) - 2:
-        failures.append(Failure(name, "minwdd.dimension", f"dim {dim} != 2h^v-2 = {2 * _dual_coxeter_number(rs) - 2}"))
+    if dim != 2 * dual_coxeter_number(rs) - 2:
+        failures.append(Failure(name, "minwdd.dimension", f"dim {dim} != 2h^v-2 = {2 * dual_coxeter_number(rs) - 2}"))
     return failures
 
 
-def check_satake_entry(sd: SatakeDiagram) -> list[Failure]:
+def check_satake_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
+    analysis = _analysis(entry)
+    sd = analysis.sd
     report = validate_satake(sd)
     failures = [Failure(sd.name, check, msg) for check, msg in report.failures]
     if failures:
         return failures
 
-    rrs = restricted_root_system(sd)
+    rrs = analysis.restricted
     omega = len(sd.black) + len(sd.arrows)
     if omega != sd.rs.rank - len(rrs.doubled_simple):
         failures.append(
@@ -197,12 +188,14 @@ def _indecomposables(rrs: RestrictedRootSystem, witnesses) -> list[tuple[int, ..
     return [xi for xi in reduced_pos if not splits(xi, witnesses) and not splits(xi, reduced_pos)]
 
 
-def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
+def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
+    analysis = _analysis(entry)
+    sd = analysis.sd
     name = sd.name
     rs = sd.rs
     failures = []
     try:
-        rrs = restricted_root_system(sd)
+        rrs = analysis.restricted
     except LieOrbitsError as exc:
         return [Failure(name, "restricted.construction", str(exc))]
 
@@ -248,7 +241,7 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
         message = f"<phi,phi>={Fraction(phi_sq, scale)} but {label}={Fraction(ratio * lam_sq4, 4 * scale)}"
         failures.append(Failure(name, "restricted.norm-ratio", message))
 
-    tau_phi = satake_involution(sd).tau_image(rs.highest)
+    tau_phi = analysis.involution.tau_image(rs.highest)
     moved = tau_phi != rs.highest
     if moved != (rrs.highest_mult >= 2):
         failures.append(
@@ -262,17 +255,17 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.parity-two-routes", str(exc)))
     else:
-        if scanned != parity_criterion(rrs):
+        if scanned != analysis.parity:
             failures.append(Failure(name, "restricted.parity-two-routes", f"full scan {scanned}, simple roots {not scanned}"))
 
-    if parity_criterion(rrs) == is_C_or_BC(rrs):
+    if analysis.parity == is_C_or_BC(rrs):
         failures.append(
-            Failure(name, "restricted.parity-criterion", f"odd pairing {parity_criterion(rrs)} but type {rrs.type_label.name}")
+            Failure(name, "restricted.parity-criterion", f"odd pairing {analysis.parity} but type {rrs.type_label.name}")
         )
 
-    if is_hermitian(sd) != sd.hermitian_expected:
+    if analysis.hermitian != sd.hermitian_expected:
         failures.append(
-            Failure(name, "restricted.hermitian", f"derived {is_hermitian(sd)}, reference list says {sd.hermitian_expected}")
+            Failure(name, "restricted.hermitian", f"derived {analysis.hermitian}, reference list says {sd.hermitian_expected}")
         )
 
     if len(rrs.doubled_simple) != expected_real_rank(sd.descriptor):
@@ -286,12 +279,14 @@ def check_restricted_entry(sd: SatakeDiagram) -> list[Failure]:
     return failures
 
 
-def check_orbit_entry(sd: SatakeDiagram) -> list[Failure]:
+def check_orbit_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
+    analysis = _analysis(entry)
+    sd = analysis.sd
     name = sd.name
     failures = []
     try:
-        direct = min_g_wdd_direct(sd)
-        system = solve_coroot_system(sd)
+        direct = analysis.min_g_wdd
+        system = analysis.coroot_solution
     except LieOrbitsError as exc:
         return [Failure(name, "orbit.construction", str(exc))]
 
@@ -305,7 +300,7 @@ def check_orbit_entry(sd: SatakeDiagram) -> list[Failure]:
     if not wdd_matches_satake(direct, sd):
         failures.append(Failure(name, "orbit.matches-satake", "diagram of the meeting orbit does not match the entry"))
 
-    conditions = equivalence_conditions(sd)
+    conditions = analysis.conditions
     if not conditions.all_agree:
         failures.append(Failure(name, "orbit.condition-battery", f"conditions disagree: {conditions.values()}"))
     if conditions.c_ii != in_five_families(sd.descriptor):
@@ -313,15 +308,15 @@ def check_orbit_entry(sd: SatakeDiagram) -> list[Failure]:
             Failure(name, "orbit.five-families", f"c_ii={conditions.c_ii} vs family membership {in_five_families(sd.descriptor)}")
         )
 
-    count = count_minimal_real_orbits(sd)
+    count = analysis.orbit_count
     if count not in (1, 2):
         failures.append(Failure(name, "orbit.count-range", f"count {count}"))
     if (count == 2) != sd.hermitian_expected:
         failures.append(Failure(name, "orbit.count-hermitian", f"count {count} vs hermitian {sd.hermitian_expected}"))
 
-    min_dim = orbit_dim_from_wdd(sd.rs, min_orbit_wdd(sd.rs))
-    g_dim = min_g_dimension(sd)
-    meets = min_meets_real_form(sd)
+    min_dim = orbit_dim_from_wdd(sd.rs, analysis.min_wdd)
+    g_dim = analysis.min_g_dim
+    meets = analysis.min_meets
     if g_dim < min_dim or (g_dim == min_dim) != meets:
         failures.append(Failure(name, "orbit.dim-monotone", f"dim {g_dim} vs minimal dim {min_dim}, meets={meets}"))
 
@@ -339,7 +334,8 @@ ENTRY_CHECKS = (check_satake_entry, check_restricted_entry, check_orbit_entry)
 
 
 def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None = None) -> VerificationResult:
-    """Run every invariant suite; used by the CLI `verify` command."""
+    """Run every invariant suite; used by the CLI `verify` command.  The
+    entry checks of one entry share one analysis."""
     diagrams: Sequence[SatakeDiagram] = list(entries) if entries is not None else catalog(max_rank)
     failures: list[Failure] = []
     checks = 0
@@ -353,10 +349,11 @@ def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None 
         failures += check_root_system(build_root_system(t))
 
     for sd in diagrams:
+        analysis = FormAnalysis(sd)
         for check in ENTRY_CHECKS:
             checks += 1
             try:
-                failures += check(sd)
+                failures += check(analysis)
             except LieOrbitsError as exc:
                 failures.append(Failure(sd.name, "error", str(exc)))
     return VerificationResult(entries=len(diagrams), checks_run=checks, failures=failures)

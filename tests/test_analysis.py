@@ -1,0 +1,165 @@
+"""One FormAnalysis per real form: each orbit-layer value computed once."""
+
+import gc
+from collections import Counter
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
+
+import pytest
+
+from lieorbits import orbits, restricted, rootsys, satake, verify
+from lieorbits.orbits import FormAnalysis, equivalence_conditions, in_five_families, orbit_report
+from lieorbits.ratmat import int_solve
+from lieorbits.satake import build_satake, catalog, parse_form_name
+from lieorbits.verify import run_verification
+
+
+def form(name):
+    return build_satake(parse_form_name(name))
+
+
+def _count_layers(monkeypatch) -> Counter:
+    """Count every computation of the orbit layer, keyed on (layer, entry or type).
+
+    The direct diagram and the coroot solve exist only as FormAnalysis
+    properties, so those are wrapped; `min_orbit_wdd` and `parity_criterion`
+    are wrapped in every module that calls them.
+    """
+    counts: Counter = Counter()
+    for prop in ("min_g_wdd", "coroot_solution"):
+        original = getattr(FormAnalysis, prop).func
+
+        def counting(self, original=original, prop=prop):
+            counts[prop, self.sd.name] += 1
+            return original(self)
+
+        wrapped = cached_property(counting)
+        wrapped.__set_name__(FormAnalysis, prop)
+        monkeypatch.setattr(FormAnalysis, prop, wrapped)
+
+    min_orbit_wdd = rootsys.min_orbit_wdd
+    parity_criterion = restricted.parity_criterion
+
+    def counting_min_orbit_wdd(rs):
+        counts["min_orbit_wdd", rs.simple_type.name] += 1
+        return min_orbit_wdd(rs)
+
+    def counting_parity(rrs):
+        counts["parity_criterion", rrs.source.name] += 1
+        return parity_criterion(rrs)
+
+    for module in (rootsys, restricted, orbits, verify):
+        if hasattr(module, "min_orbit_wdd"):
+            monkeypatch.setattr(module, "min_orbit_wdd", counting_min_orbit_wdd)
+        if hasattr(module, "parity_criterion"):
+            monkeypatch.setattr(module, "parity_criterion", counting_parity)
+    return counts
+
+
+def test_orbit_layer_computed_once_per_entry_under_verify(monkeypatch):
+    counts = _count_layers(monkeypatch)
+    result = run_verification(max_rank=8)
+    assert result.ok
+    entries = catalog(8)
+    for layer in ("min_g_wdd", "coroot_solution", "parity_criterion"):
+        assert {name: n for (lay, name), n in counts.items() if lay == layer} == {sd.name: 1 for sd in entries}, layer
+    # once per entry, and once per type for check_root_system
+    per_type = Counter(sd.rs.simple_type.name for sd in entries)
+    assert {name: n for (lay, name), n in counts.items() if lay == "min_orbit_wdd"} == {
+        t: k + 1 for t, k in per_type.items()
+    }
+
+
+def test_orbit_layer_computed_once_per_report(monkeypatch):
+    counts = _count_layers(monkeypatch)
+    for sd in catalog(8):
+        counts.clear()
+        orbit_report(sd)
+        assert counts["min_orbit_wdd", sd.rs.simple_type.name] == 1, sd.name
+        assert counts["min_g_wdd", sd.name] == 1, sd.name
+        # the report needs no linear system, and the parity only when dim g_lambda = 1
+        assert counts["coroot_solution", sd.name] == 0, sd.name
+        assert counts["parity_criterion", sd.name] <= 1, sd.name
+        assert set(counts.values()) <= {0, 1}, sd.name
+
+
+def test_an_analysis_is_not_kept_across_calls():
+    sd = form("e6(-26)")
+    assert orbit_report(sd) is not orbit_report(sd)
+    assert run_verification(max_rank=4).ok
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, FormAnalysis)]
+    analysis = FormAnalysis(sd)
+    assert analysis.report is analysis.report
+
+
+def test_c_ii_reads_the_dimension_not_the_diagram_match(monkeypatch):
+    sd = form("so(1,4)")
+    # a doctored diagram match claims the minimal orbit meets every form
+    monkeypatch.setattr(orbits, "wdd_matches_satake", lambda w, d: True)
+    conditions = equivalence_conditions(sd)
+    assert not conditions.c_vi
+    assert conditions.c_ii == in_five_families(sd.descriptor)
+
+
+def _full_scan_dim(rs, w):
+    """Orbit dimension from a scan of every root."""
+    weights = w.as_ints()
+    values = [sum(map(mul, root, weights)) for root in rs.roots]
+    return sum(1 for v in values if v not in (0, 1))
+
+
+def test_positive_root_dimension_matches_a_full_scan():
+    for sd in catalog(8):
+        analysis = FormAnalysis(sd)
+        for w in (analysis.min_wdd, analysis.min_g_wdd):
+            assert rootsys.orbit_dim_from_wdd(sd.rs, w) == _full_scan_dim(sd.rs, w), sd.name
+
+
+def test_positive_root_dimension_on_negative_weights():
+    rs = rootsys.build_root_system(rootsys.SimpleType("A", 3))
+    for weights in [(-1, 0, 1), (1, -2, 1), (0, -1, 0), (-2, -2, -2)]:
+        w = rootsys.WeightedDynkinDiagram(rs.simple_type, tuple(Fraction(x) for x in weights))
+        assert rootsys.orbit_dim_from_wdd(rs, w) == _full_scan_dim(rs, w), weights
+
+
+def _fraction_theta(sd, duality):
+    """theta* as (columns, denominator) through `Fraction` projections onto
+    each black component, solved for every node."""
+    rs = sd.rs
+    n = rs.rank
+    gram = rs.scaled_gram
+    p = list(range(n))
+    for i, j in sd.arrows:
+        p[i], p[j] = j, i
+    components = satake._black_components(sd)
+    for comp in components:
+        for node, image in duality(sd, comp).items():
+            p[node] = image
+    w0 = {}
+    for k in range(n):
+        v = [Fraction(int(i == k)) for i in range(n)]
+        for comp in components:
+            nums, det = int_solve([[gram[a][c] for c in comp] for a in comp], [gram[b][k] for b in comp])
+            for x, b in zip(nums, comp):
+                v[b] -= Fraction(x, det)
+                v[p[b]] -= Fraction(x, det)
+        w0[k] = v
+    den = lcm(*(x.denominator for column in w0.values() for x in column))
+    return tuple(tuple(-int(x * den) for x in w0[p[j]]) for j in range(n)), den
+
+
+@pytest.mark.parametrize("wrong", [False, True], ids=["catalog", "identity-duality"])
+def test_integer_black_split_matches_fraction_projections(monkeypatch, wrong):
+    # with the identity in place of each black component's duality, theta* is
+    # no longer integral, so the denominators of the split are exercised
+    duality = (lambda sd, comp: {c: c for c in comp}) if wrong else satake._component_duality
+    monkeypatch.setattr(satake, "_component_duality", duality)
+    denominators = set()
+    for sd in catalog(8):
+        inv = satake._build_involution(sd)
+        assert (inv.columns, inv.denominator) == _fraction_theta(sd, duality), sd.name
+        denominators.add(inv.denominator)
+    assert (denominators != {1}) == wrong

@@ -6,6 +6,7 @@ import pytest
 
 from lieorbits import verify
 from lieorbits.errors import InconsistentDiagram
+from lieorbits.orbits import FormAnalysis
 from lieorbits.ratmat import as_vector
 from lieorbits.restricted import (
     dominant_longest,
@@ -207,35 +208,37 @@ def test_compact_style_diagram_rejected():
         restricted_root_system(all_black)
 
 
-def _restricted_failures(monkeypatch, sd, doctored):
+def _restricted_failures(sd, doctored):
     """check_restricted_entry run on `doctored` in place of the real system."""
-    monkeypatch.setattr(verify, "restricted_root_system", lambda _: doctored)
-    return {f.check: f.message for f in verify.check_restricted_entry(sd)}
+    analysis = FormAnalysis(sd)
+    analysis.restricted = doctored
+    return {f.check: f.message for f in verify.check_restricted_entry(analysis)}
 
 
-def test_simple_two_routes_fires_on_a_non_simple_root(monkeypatch):
+def test_simple_two_routes_fires_on_a_non_simple_root():
     sd = form("sl(3,R)")
     r = restricted_root_system(sd)
     # a1 + a2 is a positive root but not a simple one
     doctored = dataclasses.replace(r, doubled_simple=((2, 0), (2, 2)))
-    failures = _restricted_failures(monkeypatch, sd, doctored)
+    failures = _restricted_failures(sd, doctored)
     assert "restricted.simple-two-routes" in failures
     assert "(0, 2)" in failures["restricted.simple-two-routes"]
 
 
-def test_parity_two_routes_fires_on_a_negated_parity(monkeypatch):
+def test_parity_two_routes_fires_on_a_negated_parity():
     sd = form("so(3,5)")
-    monkeypatch.setattr(verify, "parity_criterion", lambda r: not parity_criterion(r))
-    failures = {f.check for f in verify.check_restricted_entry(sd)}
+    analysis = FormAnalysis(sd)
+    analysis.parity = not parity_criterion(restricted_root_system(sd))
+    failures = {f.check for f in verify.check_restricted_entry(analysis)}
     assert "restricted.parity-two-routes" in failures
 
 
-def test_parity_two_routes_reports_a_non_integral_pairing(monkeypatch):
+def test_parity_two_routes_reports_a_non_integral_pairing():
     sd = form("sl(3,R)")
     r = restricted_root_system(sd)
     # 3 a1 / 2 pairs with the highest root a1 + a2 to 2/3, ahead of every true root
     doctored = dataclasses.replace(r, doubled={(3, 0): 1, **r.doubled})
-    failures = _restricted_failures(monkeypatch, sd, doctored)
+    failures = _restricted_failures(sd, doctored)
     assert "non-integral pairing 2/3" in failures["restricted.parity-two-routes"]
 
 

@@ -10,12 +10,14 @@ from lieorbits.rootsys import (
     WeightedDynkinDiagram,
     build_root_system,
     cartan_matrix,
+    dual_coxeter_number,
     duality_permutation,
     extended_neighbors,
     find_cartan_isomorphism,
     min_orbit_wdd,
     orbit_dim_from_wdd,
     pairing,
+    simple_coord,
     simple_root_length_halves,
 )
 
@@ -208,6 +210,23 @@ def test_min_orbit_dimension_is_dual_coxeter_formula(t):
     d = simple_root_length_halves(t)
     hv = 1 + sum(c * di for c, di in zip(rs.highest, d))
     assert dim == 2 * hv - 2
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
+def test_dual_coxeter_number_matches_the_table(t):
+    assert dual_coxeter_number(build_root_system(t)) == DUAL_COXETER[t.letter](t.rank)
+
+
+PAIRING_TYPES = [t for t in CLOSURE_TYPES if t.rank <= 12]
+
+
+@pytest.mark.parametrize("t", PAIRING_TYPES, ids=lambda t: t.name)
+def test_simple_pairings_match_scaled_inner(t):
+    rs = build_root_system(t)
+    n = rs.rank
+    half_integer = tuple(Fraction(2 * k + 1, 2) * (-1) ** k for k in range(n))
+    for v in rs.roots + (half_integer,):
+        assert rs.simple_pairings(v) == tuple(rs.scaled_inner(simple_coord(n, i), v) for i in range(n)), v
 
 
 def test_highest_root_never_extendable():
