@@ -14,6 +14,16 @@ Cartan matrix, and `parity_criterion` pairs the highest root with their
 coroots only: every coroot is an integer combination of theirs, since
 xi^v = 2 (2 xi)^v.  The searches that reach the same answers, over the
 reduced positive roots and over every pairing, run as `verify` checks.
+
+Where one side of an inner product is fixed, the other side is paired with
+one `RootSystem.simple_pairings` row of it: column j of the Cartan entries
+in `_classify` and the simple roots in `dominant_longest`.  The norm table
+of the positive roots (`positive_norms`) is built only for `verify`, which
+shares it between `dominant_longest` and its full parity scan, and pairs
+that scan through one row of the highest root; `parity_criterion` pairs r
+roots directly and builds neither.  `verify` looks roots up as packed
+integers, sum v_i B^i, which tell vectors apart only while B > 2 max|c| over
+every coefficient c of every compared vector.
 """
 
 from __future__ import annotations
@@ -22,6 +32,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import add, mul, neg
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
 from .ratmat import Vector
@@ -79,37 +91,36 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     n = rs.rank
     tau_cols = satake_involution(sd).tau_columns
 
-    def doubled(root: IntVector) -> IntVector:
-        out = list(root)
-        for j, c in enumerate(root):
-            if c:
-                for i, x in tau_cols[j]:
-                    out[i] += c * x
-        return tuple(out)
+    def doubled(vectors) -> list[IntVector]:
+        # v + tau* v for every v at once, a coordinate column at a time:
+        # coordinate i gains x times coordinate j for each entry (i, x) of column j
+        cols = list(zip(*vectors))
+        out: list = list(cols)
+        for j, entries in enumerate(tau_cols):
+            for i, x in entries:
+                out[i] = map(add, out[i], map(mul, cols[j], repeat(x)))
+        return list(zip(*out))
 
     # the map is linear and the negative roots are the negated positive ones
-    images = [doubled(root) for root in rs.positive_roots]
-    counts: Counter[IntVector] = Counter()
-    for image in images:
-        if any(image):
-            counts[image] += 1
-            counts[tuple(-x for x in image)] += 1
+    images = doubled(rs.positive_roots)
+    nonzero = [image for image in images if any(image)]
+    counts: Counter[IntVector] = Counter(nonzero)
+    counts.update(map(tuple, map(map, repeat(neg), nonzero)))
     if not counts:
         raise InconsistentDiagram(f"{sd.name}: every root restricts to zero (compact-form diagram)")
 
     doubled_pos = set(images)
     doubled_pos.discard((0,) * n)
-    if any(tuple(-x for x in v) in doubled_pos for v in doubled_pos):
+    if not doubled_pos.isdisjoint(map(tuple, map(map, repeat(neg), doubled_pos))):
         raise InconsistentDiagram(f"{sd.name}: restriction of the positive system is not positive")
     positives = sorted(doubled_pos)
 
+    *white_images, highest = doubled([*(simple_coord(n, i) for i in sd.white), rs.highest])
     simple_images: list[IntVector] = []
-    for i in sd.white:
-        image = doubled(simple_coord(n, i))
+    for image in white_images:
         if any(image) and image not in simple_images:
             simple_images.append(image)
 
-    highest = doubled(rs.highest)
     label = _classify(rs, counts, simple_images, sd.name)
     if highest not in counts:
         raise InconsistentDiagram(f"{sd.name}: r(phi) is not a restricted root")
@@ -128,10 +139,13 @@ def _classify(rs: RootSystem, roots, simple_images: list[IntVector], name: str) 
     """Type of the restricted system; every vector argument is doubled."""
     simple_reduced = reduced_simple(roots, simple_images)
     rank = len(simple_reduced)
+    # column j pairs every simple root with s_j through one pairing row of s_j
+    rows = [rs.simple_pairings(s) for s in simple_reduced]
+    norms = [sum(map(mul, s, row)) for s, row in zip(simple_reduced, rows)]
 
     def cartan_entry(i: int, j: int) -> int:
-        num = 2 * rs.scaled_inner(simple_reduced[i], simple_reduced[j])
-        den = rs.scaled_inner(simple_reduced[j], simple_reduced[j])
+        num = 2 * sum(map(mul, simple_reduced[i], rows[j]))
+        den = norms[j]
         if num % den or (i != j and num > 0) or (i == j and num != 2 * den):
             raise UnrecognizedSystem(f"{name}: restricted Cartan entry {Fraction(num, den)} at ({i},{j})")
         return num // den
@@ -161,12 +175,10 @@ def is_C_or_BC(rrs: RestrictedRootSystem) -> bool:
     return (label.letter == "A" and label.rank == 1) or (label.letter == "B" and label.rank == 2)
 
 
-def odd_pairing(rrs: RestrictedRootSystem, roots) -> bool:
-    """Whether some doubled root in `roots` pairs oddly against the highest root."""
-    rs = rrs.source.rs
-    lam = rrs.doubled_highest
-    for xi in roots:
-        num, den = 2 * rs.scaled_inner(xi, lam), rs.scaled_inner(xi, xi)
+def odd_pairing(rrs: RestrictedRootSystem, pairings) -> bool:
+    """Whether some pairing 2<xi, lambda>/<xi, xi> against the highest root,
+    given as a (numerator, denominator) pair of integers, is odd."""
+    for num, den in pairings:
         if num % den:
             raise UnrecognizedSystem(f"non-integral pairing {Fraction(num, den)} in {rrs.source.name}")
         if (num // den) % 2:
@@ -177,21 +189,31 @@ def odd_pairing(rrs: RestrictedRootSystem, roots) -> bool:
 def parity_criterion(rrs: RestrictedRootSystem) -> bool:
     """Whether some restricted root pairs oddly against the highest root; the
     reduced system's r simple coroots span every coroot, so they decide."""
-    return odd_pairing(rrs, reduced_simple(rrs.doubled, rrs.doubled_simple))
+    rs = rrs.source.rs
+    lam = rrs.doubled_highest
+    simple = reduced_simple(rrs.doubled, rrs.doubled_simple)
+    return odd_pairing(rrs, ((2 * rs.scaled_inner(xi, lam), rs.scaled_inner(xi, xi)) for xi in simple))
 
 
-def dominant_longest(rrs: RestrictedRootSystem) -> IntVector:
+def positive_norms(rrs: RestrictedRootSystem) -> dict[IntVector, int]:
+    """gram_scale * <xi, xi> for every positive doubled root xi, in order."""
+    return dict(zip(rrs.doubled_positives, rrs.source.rs.scaled_norms(rrs.doubled_positives)))
+
+
+def dominant_longest(rrs: RestrictedRootSystem, norms: dict[IntVector, int]) -> IntVector:
     """The unique dominant restricted root of maximal squared length, doubled.
 
     Independent route to the highest root; construction uses r(phi).  A
-    dominant root is positive, so only positive roots are tried, and each is
-    a nonnegative combination of the simple roots, which test dominance.
+    dominant root is positive, so only the positive roots, the keys of
+    `norms` (`positive_norms(rrs)`), are tried, and each is a nonnegative
+    combination of the simple roots, which test dominance through one
+    pairing row each.
     """
     rs = rrs.source.rs
-    norms = {xi: rs.scaled_inner(xi, xi) for xi in rrs.doubled_positives}
     max_len = max(norms.values())
     longest = [xi for xi, norm in norms.items() if norm == max_len]
-    dominant = [xi for xi in longest if all(rs.scaled_inner(s, xi) >= 0 for s in rrs.doubled_simple)]
+    rows = [rs.simple_pairings(s) for s in rrs.doubled_simple]
+    dominant = [xi for xi in longest if all(sum(map(mul, xi, row)) >= 0 for row in rows)]
     if len(dominant) != 1:
         raise InconsistentDiagram(f"{rrs.source.name}: {len(dominant)} dominant longest restricted roots")
     return dominant[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -166,13 +167,28 @@ class RootSystem:
         each; the Gram form is symmetric, so row i pairs a_i with v."""
         return tuple(sum(g * v[j] for j, g in row) for row in self._gram_support)
 
+    def scaled_norms(self, vectors: Sequence[Sequence[int]]) -> list[int]:
+        """gram_scale * <v, v> for each of `vectors`, a coordinate column at a
+        time: one term per Gram entry on or above the diagonal, each a C-level
+        pass over the vectors."""
+        if not vectors:
+            return []
+        cols = list(zip(*vectors))
+        terms = [
+            map(mul, map(mul, cols[i], cols[j]), repeat(g if i == j else 2 * g))
+            for i, row in enumerate(self._gram_support)
+            for j, g in row
+            if j >= i
+        ]
+        return list(map(sum, zip(*terms)))
+
     def inner(self, v: Sequence, w: Sequence) -> Fraction:
         return Fraction(self.scaled_inner(v, w)) / self.gram_scale
 
 
 def simple_coord(n: int, i: int) -> tuple[int, ...]:
     """The simple root a_i in the simple-root coordinates of a rank-n system."""
-    return tuple(int(k == i) for k in range(n))
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 # bounded like cartan_matrix: 256 is about the number of simple types up to rank 64
@@ -314,21 +330,32 @@ def dual_coxeter_number(rs: RootSystem) -> Fraction:
     return 1 + Fraction(sum(c * g[i][i] for i, c in enumerate(rs.highest)), 2 * rs.gram_scale)
 
 
+# bounded like cartan_matrix; its targets are the candidate types' Cartan
+# matrices, so each type's signatures are computed once, not on every call
+@lru_cache(maxsize=256)
+def _row_signatures(rows: IntRows) -> tuple[tuple, tuple]:
+    """Per node, the diagonal entry and the sorted off-diagonal row entries;
+    and those signatures sorted, equal for isomorphic matrices."""
+    signatures = tuple((row[i], tuple(sorted(row[:i] + row[i + 1 :]))) for i, row in enumerate(rows))
+    return signatures, tuple(sorted(signatures))
+
+
 def find_cartan_isomorphism(src: IntRows, tgt: IntRows) -> tuple[int, ...] | None:
     """A node bijection sigma with tgt[sigma i][sigma j] == src[i][j], or None.
 
     Backtracking over node assignments; the row multiset signature prunes
-    almost everything.
+    almost everything, and matrices whose signature multisets differ are
+    rejected before any search.  Signatures are read from a bounded cache
+    keyed on the rows, so a candidate type's are computed once across calls.
     """
     n = len(src)
     if len(tgt) != n:
         return None
 
-    def signature(rows: IntRows, i: int) -> tuple:
-        return (rows[i][i], tuple(sorted(rows[i][j] for j in range(n) if j != i)))
-
-    src_sig = [signature(src, i) for i in range(n)]
-    tgt_sig = [signature(tgt, i) for i in range(n)]
+    src_sig, src_multiset = _row_signatures(src)
+    tgt_sig, tgt_multiset = _row_signatures(tgt)
+    if src_multiset != tgt_multiset:
+        return None
     assigned: list[int | None] = [None] * n
     used = [False] * n
 

@@ -5,18 +5,31 @@ tagged with the entry name and a stable check name so a corrupted entry is
 reported, not silently absorbed.  Cross-checks against family-derived
 reference data (expected Hermitian flag, expected real rank, golden table
 rows) catch corruptions that still yield a structurally valid diagram.
+
+The searches over pairs of roots run on packed integers.  `_packer` maps a
+vector v to the int sum v_i B^i; the map is linear, so a sum or difference
+of roots is one int addition and a set lookup hashes one int.  It is
+injective only while B > 2 max|c| over every coefficient c of every vector
+whose packing is compared, so B = 4M + 1 where M bounds the packed vectors
+and their doubles, sums or differences are looked up: `roots.highest-unique`,
+`restricted.simple-two-routes` and `restricted.highest-nonextendable` use it.
+Where one side of an inner product is fixed, the other is paired with one
+`RootSystem.simple_pairings` row of it: the simple roots in the dominance
+test, the highest root in the full parity scan.  Those two scans share one
+norm table, `restricted.positive_norms`, built here only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
-from typing import Iterable, Sequence
+from itertools import chain
+from operator import mul, neg
+from typing import Callable, Iterable, Sequence
 
 from .errors import LieOrbitsError
 from .orbits import FormAnalysis, in_five_families, wdd_matches_satake
-from .restricted import RestrictedRootSystem, dominant_longest, is_C_or_BC, odd_pairing, reduced_simple
+from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms, reduced_simple
 from .rootsys import (
     ROOT_COUNT_FORMULAS,
     RootSystem,
@@ -126,11 +139,11 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
     if len(rs.roots) != expected:
         failures.append(Failure(name, "roots.count", f"{len(rs.roots)} roots, closed form gives {expected}"))
 
-    root_set = rs.root_set
+    pack = _packer(rs.roots)
+    root_keys = set(map(pack, rs.roots))
+    positive_keys = list(map(pack, rs.positive_roots))
     non_extendable = {
-        xi
-        for xi in rs.positive_roots
-        if all(tuple(a + b for a, b in zip(xi, eta)) not in root_set for eta in rs.positive_roots)
+        xi for xi, x in zip(rs.positive_roots, positive_keys) if root_keys.isdisjoint(map(x.__add__, positive_keys))
     }
     if non_extendable != {rs.highest}:
         failures.append(Failure(name, "roots.highest-unique", f"non-extendable positives: {sorted(non_extendable)}"))
@@ -172,20 +185,40 @@ def check_satake_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
     return failures
 
 
-def _indecomposables(rrs: RestrictedRootSystem, witnesses) -> list[tuple[int, ...]]:
+def _packer(vectors: Iterable[Sequence[int]]) -> Callable[[Sequence[int]], int]:
+    """The packing v -> sum v_i B^i, with B = 4M + 1 and M the largest
+    |coefficient| among `vectors`.
+
+    The map is linear, so a sum or difference of two members packs to the
+    sum or difference of their packings.  It is injective on the vectors
+    whose coefficients c satisfy B > 2|c|: the members, their doubles and
+    their pairwise sums and differences.
+    """
+    vectors = list(vectors)
+    base = 4 * max(max(map(max, vectors)), -min(map(min, vectors))) + 1
+    powers = [base**i for i in range(len(vectors[0]))]
+    return lambda v: sum(map(mul, v, powers))
+
+
+def _indecomposables(positives, positive_keys: list[int], root_keys: set[int], witness_keys) -> list[tuple[int, ...]]:
     """The reduced positive roots that are no sum of two others, by search.
 
-    A decomposable root splits off a white-node root, so the `witnesses` are
+    A decomposable root splits off a white-node root, so the witnesses are
     tried first and every positive root only for the few roots they leave.
+    Every argument but `positives` is packed by one `_packer`: `positive_keys`
+    follows `positives`, `root_keys` holds every doubled root.
     """
-    reduced_pos = [d for d in rrs.doubled_positives if tuple(2 * x for x in d) not in rrs.doubled]
-    reduced_set = set(reduced_pos)
-    witnesses = [w for w in witnesses if w in reduced_set]
+    reduced = [(d, k) for d, k in zip(positives, positive_keys) if 2 * k not in root_keys]
+    reduced_keys = [k for _, k in reduced]
+    reduced_set = set(reduced_keys)
+    witness_keys = [k for k in witness_keys if k in reduced_set]
+    # xi - eta packs to 0 only when eta is xi, which is no split
+    nonzero_keys = reduced_set - {0}
 
-    def splits(xi, candidates) -> bool:
-        return any(eta != xi and tuple(map(sub, xi, eta)) in reduced_set for eta in candidates)
+    def splits(x: int, candidates: list[int]) -> bool:
+        return not nonzero_keys.isdisjoint(map(x.__sub__, candidates))
 
-    return [xi for xi in reduced_pos if not splits(xi, witnesses) and not splits(xi, reduced_pos)]
+    return [d for d, k in reduced if not splits(k, witness_keys) and not splits(k, reduced_keys)]
 
 
 def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
@@ -202,7 +235,8 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     # roots restricting to zero are exactly those supported on black nodes,
     # so the multiplicity sum has an independent combinatorial count
     total = sum(rrs.doubled.values())
-    span_black = sum(1 for r in rs.roots if all(r[i] == 0 for i in range(rs.rank) if i not in sd.black))
+    white = sd.white
+    span_black = sum(1 for r in rs.roots if not any(map(r.__getitem__, white)))
     if total + span_black != len(rs.roots):
         failures.append(
             Failure(name, "restricted.mult-sum", f"mult sum {total} + black-span {span_black} != {len(rs.roots)} roots")
@@ -210,24 +244,31 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
 
     # on the doubled vectors 2 xi, read without building the Fraction views
     for d, m in rrs.doubled.items():
-        if rrs.doubled.get(tuple(-x for x in d)) != m:
+        if rrs.doubled.get(tuple(map(neg, d))) != m:
             xi = tuple(Fraction(x, 2) for x in d)
             failures.append(Failure(name, "restricted.negation", f"mult({xi}) != mult(-{xi})"))
             break
 
+    norms = positive_norms(rrs)
     try:
-        if dominant_longest(rrs) != rrs.doubled_highest:
+        if dominant_longest(rrs, norms) != rrs.doubled_highest:
             failures.append(Failure(name, "restricted.highest-two-routes", "r(phi) is not the dominant longest root"))
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
     araki = sorted(reduced_simple(rrs.doubled, rrs.doubled_simple))
-    searched = _indecomposables(rrs, araki)
+    # one packing serves every lookup below: each compared vector is a root,
+    # a witness, the highest root, or a double, sum or difference of two of them
+    pack = _packer(chain(rrs.doubled, rrs.doubled_positives, araki, [rrs.doubled_highest]))
+    root_keys = set(map(pack, rrs.doubled))
+    positive_keys = list(map(pack, rrs.doubled_positives))
+    searched = _indecomposables(rrs.doubled_positives, positive_keys, root_keys, list(map(pack, araki)))
     if searched != araki:
         message = f"indecomposable reduced positives {searched} vs white-node roots {araki}, doubled"
         failures.append(Failure(name, "restricted.simple-two-routes", message))
 
-    if any(tuple(map(add, rrs.doubled_highest, eta)) in rrs.doubled for eta in rrs.doubled_positives):
+    lam = pack(rrs.doubled_highest)
+    if not root_keys.isdisjoint(map(lam.__add__, positive_keys)):
         failures.append(Failure(name, "restricted.highest-nonextendable", "lambda + eta is a restricted root"))
 
     # gram_scale times <phi,phi>, and 4 gram_scale times <lam,lam> from the doubled 2 lam;
@@ -250,8 +291,15 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     if moved and rs.scaled_inner(rs.highest, tau_phi) != 0:
         failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {rs.inner(rs.highest, tau_phi)}"))
 
+    # every key paired through one row of lambda; -xi has the norm of xi, and
+    # a key outside both (none on a sound system) has its norm computed
+    row = rs.simple_pairings(rrs.doubled_highest)
+    table = norms | {tuple(map(neg, xi)): norm for xi, norm in norms.items()}
+    pairings = (
+        (2 * sum(map(mul, xi, row)), table[xi] if xi in table else rs.scaled_inner(xi, xi)) for xi in rrs.doubled
+    )
     try:
-        scanned = odd_pairing(rrs, rrs.doubled)
+        scanned = odd_pairing(rrs, pairings)
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.parity-two-routes", str(exc)))
     else:
@@ -294,8 +342,6 @@ def check_orbit_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
         failures.append(
             Failure(name, "orbit.two-methods", f"direct {direct.weights} != linear system {system.wdd.weights}")
         )
-    if not direct.is_integral() or any(x not in (0, 1, 2) for x in direct.as_ints()):
-        failures.append(Failure(name, "orbit.weights-range", f"weights {direct.weights} outside {{0,1,2}}"))
 
     if not wdd_matches_satake(direct, sd):
         failures.append(Failure(name, "orbit.matches-satake", "diagram of the meeting orbit does not match the entry"))

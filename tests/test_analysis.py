@@ -1,5 +1,6 @@
 """One FormAnalysis per real form: each orbit-layer value computed once."""
 
+import dataclasses
 import gc
 from collections import Counter
 from fractions import Fraction
@@ -83,6 +84,49 @@ def test_orbit_layer_computed_once_per_report(monkeypatch):
         assert counts["coroot_solution", sd.name] == 0, sd.name
         assert counts["parity_criterion", sd.name] <= 1, sd.name
         assert set(counts.values()) <= {0, 1}, sd.name
+
+
+def _count_verify_tables(monkeypatch) -> Counter:
+    """Count every build of a table that only verify's checks read: the norm
+    table of the restricted positive roots and a packing of root vectors."""
+    counts: Counter = Counter()
+    positive_norms, packer = restricted.positive_norms, verify._packer
+
+    def counting_norms(rrs):
+        counts["positive_norms"] += 1
+        return positive_norms(rrs)
+
+    def counting_packer(vectors):
+        counts["packer"] += 1
+        return packer(vectors)
+
+    for module in (restricted, verify):
+        monkeypatch.setattr(module, "positive_norms", counting_norms)
+    monkeypatch.setattr(verify, "_packer", counting_packer)
+    return counts
+
+
+def test_describe_path_builds_no_verify_table(monkeypatch):
+    counts = _count_verify_tables(monkeypatch)
+    restricted.restricted_root_system.cache_clear()
+    for sd in catalog(8):
+        orbit_report(sd)
+    assert counts == Counter()
+    # the counters do see verify: one norm table per entry, one packing per
+    # entry and one per simple type
+    entries = catalog(8)
+    assert run_verification(max_rank=8).ok
+    assert counts["positive_norms"] == len(entries)
+    assert counts["packer"] == len(entries) + len({sd.rs.simple_type for sd in entries})
+
+
+def test_weights_outside_zero_one_two_fail_the_construction():
+    # the direct diagram refuses such weights itself, so verify has no separate range check
+    analysis = FormAnalysis(form("sl(3,R)"))
+    analysis.restricted = dataclasses.replace(analysis.restricted, doubled_highest=(2, 0))
+    failures = verify.check_orbit_entry(analysis)
+    assert [f.check for f in failures] == ["orbit.construction"]
+    assert "outside {0,1,2}" in failures[0].message
 
 
 def test_an_analysis_is_not_kept_across_calls():

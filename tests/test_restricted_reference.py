@@ -15,7 +15,7 @@ from operator import sub
 import pytest
 
 from lieorbits.ratmat import as_vector
-from lieorbits.restricted import dominant_longest, parity_criterion, restricted_root_system
+from lieorbits.restricted import dominant_longest, parity_criterion, positive_norms, restricted_root_system
 from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution
 
 EXTRA_FORMS = ["sl(12,R)", "su(5,7)", "so(4,9)", "sp(10,R)"]
@@ -124,7 +124,7 @@ def test_restricted_layer_matches_brute_force(name):
     assert (label.letter, label.rank, label.reduced) == ref["type"]
     assert parity_criterion(r) == ref["parity"]
     assert len(ref["dominant"]) == 1
-    assert dominant_longest(r) == twice(ref["dominant"][0])
+    assert dominant_longest(r, positive_norms(r)) == twice(ref["dominant"][0])
 
 
 def test_doubled_storage_is_twice_the_views():

@@ -5,9 +5,9 @@ The `describe --format json` digests were recorded from the CLI in
 the file.  It covers every recorded form of complex rank at most 12 and the
 four large named forms.  `snapshot_digests.json`, beside this file, holds the
 digests of `table1` (text and json), `verify --max-rank 12`,
-`verify --max-rank 8 --format json` and `describe --format json` for the
-catalog entries of rank at most 12 that the reference file does not record;
-it is read only, too.
+`verify --max-rank 16`, `verify --max-rank 8 --format json` and
+`describe --format json` for the catalog entries of rank at most 12 that the
+reference file does not record; it is read only, too.
 """
 
 import hashlib
