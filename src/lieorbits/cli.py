@@ -34,23 +34,27 @@ TABLE_PARAMETERS = (
 )
 
 
+COMMANDS = {
+    "list": "canonical names of all catalog entries",
+    "describe": "full orbit report for one real form",
+    "table1": "golden table of the five non-matching families",
+    "verify": "run every invariant suite over the catalog",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command; `main` checks that a form is given to
+    `describe` and to no other command."""
     parser = argparse.ArgumentParser(
         prog="lieorbits",
         description="Smallest complex nilpotent orbits meeting each non-compact real simple Lie algebra",
+        epilog="commands:\n" + "\n".join(f"  {name:<10}{text}" for name, text in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_form=False):
-        if with_form:
-            p.add_argument("form", help="real-form name, e.g. su*(4), so(3,5), e6(-26)")
-        p.add_argument("--max-rank", type=int, default=8, dest="max_rank", help="complex rank bound (default 8)")
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text", dest="format")
-
-    add_common(sub.add_parser("list", help="canonical names of all catalog entries"))
-    add_common(sub.add_parser("describe", help="full orbit report for one real form"), with_form=True)
-    add_common(sub.add_parser("table1", help="golden table of the five non-matching families"))
-    add_common(sub.add_parser("verify", help="run every invariant suite over the catalog"))
+    parser.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands listed below")
+    parser.add_argument("form", nargs="?", help="real-form name for describe, e.g. su*(4), so(3,5), e6(-26)")
+    parser.add_argument("--max-rank", type=int, default=8, dest="max_rank", help="complex rank bound (default 8)")
+    parser.add_argument("--format", choices=("text", "json", "dot"), default="text", dest="format")
     return parser
 
 
@@ -58,6 +62,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if (args.form is None) == (args.command == "describe"):
+            parser.error("describe takes one form" if args.form is None else f"{args.command} takes no form")
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.max_rank < 2:

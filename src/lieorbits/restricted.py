@@ -2,10 +2,16 @@
 
 Restricted roots stay in the ambient simple-root coordinates, inside the
 tau*-fixed subspace, and are stored doubled: 2 r(alpha) = alpha + tau* alpha
-is an integer vector, since tau* permutes the root lattice.  Every quantity
-used is a ratio of inner products of the integer-scaled Gram form
-(`RootSystem.scaled_inner`), so the doubling and the scaling cancel;
-`elements` is the one `Fraction` view.
+is an integer vector, since tau* permutes the root lattice.  It is taken for
+every positive root at once, on coordinate columns
+(`SatakeInvolution.tau_image_columns`).  Every quantity used is a ratio of
+inner products of the integer-scaled Gram form (`RootSystem.scaled_inner`),
+so the doubling and the scaling cancel; `elements` is the one `Fraction`
+view.
+
+A `RestrictedRootSystem` keeps its multiplicities as unsorted `counts`, which
+is all that `describe` reads.  The sorted views `doubled` and
+`doubled_positives` are built on demand, on every read, for `verify`.
 
 Nothing is searched for.  The simple restricted roots are the distinct images
 s of the white simple roots, and the reduced system's simple roots are those
@@ -32,8 +38,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, mul, neg
+from typing import Iterator
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
 from .ratmat import Vector
@@ -66,18 +73,31 @@ def reduced_simple(roots, simple) -> list[IntVector]:
 class RestrictedRootSystem:
     """Image of the root system under restriction, with multiplicities.
 
-    Stored as doubled integer vectors 2 r(alpha): `doubled` maps each nonzero
-    one to its multiplicity in sorted order, `doubled_positives` is sorted and
-    `doubled_simple` follows the white nodes.
+    Stored as doubled integer vectors 2 r(alpha): `counts` maps each nonzero
+    one to its multiplicity, unsorted, and `doubled_simple` follows the white
+    nodes.  The views `doubled` (`counts` in sorted order) and
+    `doubled_positives` (its keys of positive coefficient sum, sorted) are
+    built anew on each read, so only `verify` pays for them.
     """
 
     source: SatakeDiagram
-    doubled: dict[IntVector, int]
-    doubled_positives: tuple[IntVector, ...]
+    counts: dict[IntVector, int]
     doubled_simple: tuple[IntVector, ...]
     doubled_highest: IntVector
     highest_mult: int
     type_label: TypeLabel
+
+    @property
+    def doubled(self) -> dict[IntVector, int]:
+        return dict(sorted(self.counts.items()))
+
+    @property
+    def doubled_positives(self) -> tuple[IntVector, ...]:
+        # a positive root alpha restricts to alpha + tau* alpha, a nonnegative
+        # combination of simple roots, since tau* keeps the positive roots
+        # outside the black span positive
+        keys = self.counts
+        return tuple(sorted(compress(keys, map((0).__lt__, map(sum, keys)))))
 
     @cached_property
     def elements(self) -> tuple[Vector, ...]:
@@ -89,33 +109,22 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     """Restricted roots {r(alpha)} \\ {0} with mult(xi) = #{alpha : r(alpha) = xi}."""
     rs = sd.rs
     n = rs.rank
-    tau_cols = satake_involution(sd).tau_columns
+    inv = satake_involution(sd)
 
-    def doubled(vectors) -> list[IntVector]:
-        # v + tau* v for every v at once, a coordinate column at a time:
-        # coordinate i gains x times coordinate j for each entry (i, x) of column j
-        cols = list(zip(*vectors))
-        out: list = list(cols)
-        for j, entries in enumerate(tau_cols):
-            for i, x in entries:
-                out[i] = map(add, out[i], map(mul, cols[j], repeat(x)))
-        return list(zip(*out))
+    def doubled(columns) -> Iterator[IntVector]:
+        # v + tau* v for every v at once, given as coordinate columns, as rows
+        return zip(*map(map, repeat(add), columns, inv.tau_image_columns(columns)))
 
     # the map is linear and the negative roots are the negated positive ones
-    images = doubled(rs.positive_roots)
-    nonzero = [image for image in images if any(image)]
-    counts: Counter[IntVector] = Counter(nonzero)
-    counts.update(map(tuple, map(map, repeat(neg), nonzero)))
-    if not counts:
+    positives = Counter(filter(any, doubled(rs.positive_columns())))
+    if not positives:
         raise InconsistentDiagram(f"{sd.name}: every root restricts to zero (compact-form diagram)")
-
-    doubled_pos = set(images)
-    doubled_pos.discard((0,) * n)
-    if not doubled_pos.isdisjoint(map(tuple, map(map, repeat(neg), doubled_pos))):
+    negatives = dict(zip(map(tuple, map(map, repeat(neg), positives)), positives.values()))
+    if not negatives.keys().isdisjoint(positives):
         raise InconsistentDiagram(f"{sd.name}: restriction of the positive system is not positive")
-    positives = sorted(doubled_pos)
+    counts = {**positives, **negatives}
 
-    *white_images, highest = doubled([*(simple_coord(n, i) for i in sd.white), rs.highest])
+    *white_images, highest = doubled(tuple(zip(*(simple_coord(n, i) for i in sd.white), rs.highest)))
     simple_images: list[IntVector] = []
     for image in white_images:
         if any(image) and image not in simple_images:
@@ -126,8 +135,7 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
         raise InconsistentDiagram(f"{sd.name}: r(phi) is not a restricted root")
     return RestrictedRootSystem(
         source=sd,
-        doubled=dict(sorted(counts.items())),
-        doubled_positives=tuple(positives),
+        counts=counts,
         doubled_simple=tuple(simple_images),
         doubled_highest=highest,
         highest_mult=counts[highest],
@@ -191,13 +199,14 @@ def parity_criterion(rrs: RestrictedRootSystem) -> bool:
     reduced system's r simple coroots span every coroot, so they decide."""
     rs = rrs.source.rs
     lam = rrs.doubled_highest
-    simple = reduced_simple(rrs.doubled, rrs.doubled_simple)
+    simple = reduced_simple(rrs.counts, rrs.doubled_simple)
     return odd_pairing(rrs, ((2 * rs.scaled_inner(xi, lam), rs.scaled_inner(xi, xi)) for xi in simple))
 
 
 def positive_norms(rrs: RestrictedRootSystem) -> dict[IntVector, int]:
     """gram_scale * <xi, xi> for every positive doubled root xi, in order."""
-    return dict(zip(rrs.doubled_positives, rrs.source.rs.scaled_norms(rrs.doubled_positives)))
+    positives = rrs.doubled_positives
+    return dict(zip(positives, rrs.source.rs.scaled_norms(positives)))
 
 
 def dominant_longest(rrs: RestrictedRootSystem, norms: dict[IntVector, int]) -> IntVector:

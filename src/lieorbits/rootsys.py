@@ -2,9 +2,14 @@
 
 Node numbering follows Bourbaki throughout.  Arrow orientation is fixed by
 C[i][j] = 2<a_i, a_j>/<a_j, a_j>, and the Cartan matrix is kept as integer
-rows.  The Gram form <a_i, a_j> = C[i][j] d_j, with long roots of squared
-length 2, is kept only as an integer multiple of itself (`scaled_gram`);
-every downstream quantity is a scale-invariant ratio, so the scale cancels.
+rows.  One integer table of simple-root lengths drives the Cartan matrix and
+the Gram form <a_i, a_j> = C[i][j] d_j, long roots of squared length 2, which
+is kept only as an integer multiple of itself (`scaled_gram`); every
+downstream quantity is a scale-invariant ratio, so the scale cancels.
+
+Scans over every positive root read them as coordinate columns
+(`RootSystem.positive_columns`), one C-level pass per column; the orbit
+dimension reads only the columns of the nonzero weights.
 """
 
 from __future__ import annotations
@@ -12,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
-from math import lcm
-from operator import mul
+from itertools import compress, repeat
+from operator import add, gt, itemgetter, mul, neg
 from typing import Sequence
 
 from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch, ZeroVector
@@ -64,21 +68,21 @@ def _edges(t: SimpleType) -> list[tuple[int, int]]:
     return chain + [(1, 3)]
 
 
-def simple_root_length_halves(t: SimpleType) -> tuple[Fraction, ...]:
-    """d_i = <a_i, a_i>/2 per node, long roots normalized to d = 1."""
+def _lengths(t: SimpleType) -> tuple[int, ...]:
+    """<a_i, a_i> per node in units of the shortest simple root: the squared
+    length halves d_i (long roots d = 1) times their least common
+    denominator, which is the largest entry."""
     n = t.rank
-    one = Fraction(1)
-    half = Fraction(1, 2)
     if t.letter == "B":
-        return (one,) * (n - 1) + (half,)
+        return (2,) * (n - 1) + (1,)
     if t.letter == "C":
-        return (half,) * (n - 1) + (one,)
+        return (1,) * (n - 1) + (2,)
     if t.letter == "F":
-        return (one, one, half, half)
+        return (2, 2, 1, 1)
     if t.letter == "G":
         # a1 short: the highest root is 3a1 + 2a2
-        return (Fraction(1, 3), one)
-    return (one,) * n
+        return (1, 3)
+    return (1,) * n
 
 
 @lru_cache(maxsize=256)
@@ -89,13 +93,14 @@ def cartan_matrix(t: SimpleType) -> IntRows:
     classifiers compare against the same few candidate types for every entry.
     """
     n = t.rank
-    d = simple_root_length_halves(t)
+    d = _lengths(t)
     rows = [[2 * int(i == j) for j in range(n)] for i in range(n)]
     for i, j in _edges(t):
-        # <a_i, a_j> = -max(d_i, d_j) for adjacent nodes in every simple type
-        prod = -max(d[i], d[j])
-        rows[i][j] = int(prod / d[j])
-        rows[j][i] = int(prod / d[i])
+        # <a_i, a_j> = -max(d_i, d_j) for adjacent nodes in every simple type,
+        # and the longer length is a multiple of the shorter
+        prod = max(d[i], d[j])
+        rows[i][j] = -(prod // d[j])
+        rows[j][i] = -(prod // d[i])
     return tuple(map(tuple, rows))
 
 
@@ -129,7 +134,13 @@ class RootSystem:
 
     @cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(r for r in self.roots if sum(r) > 0)
+        return tuple(compress(self.roots, map((0).__lt__, map(sum, self.roots))))
+
+    def positive_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The positive roots as coordinate columns: column i holds the a_i
+        coefficient of every positive root, in `positive_roots` order.
+        Built on each call and not kept, since at rank 64 they take 2 MB."""
+        return tuple(zip(*self.positive_roots))
 
     def __hash__(self) -> int:
         # equal systems have equal types; hashing the roots on every cache
@@ -139,13 +150,13 @@ class RootSystem:
     @cached_property
     def gram_scale(self) -> int:
         """The least common denominator of the d_j, so scaled_gram is integral."""
-        return lcm(*(d.denominator for d in simple_root_length_halves(self.simple_type)))
+        return max(_lengths(self.simple_type))
 
     @cached_property
     def scaled_gram(self) -> IntRows:
         """gram_scale * <a_i, a_j> = C[i][j] * (gram_scale * d_j), as rows."""
-        scaled = [int(d * self.gram_scale) for d in simple_root_length_halves(self.simple_type)]
-        return tuple(tuple(c * x for c, x in zip(row, scaled)) for row in self.cartan)
+        scaled = _lengths(self.simple_type)
+        return tuple(tuple(map(mul, row, scaled)) for row in self.cartan)
 
     @cached_property
     def _gram_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -210,18 +221,16 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
     while layer:
         nxt: dict[tuple[int, ...], tuple[Sequence[int], list[int]]] = {}
         for gamma, (pairs, strings) in layer.items():
-            top = True
-            for i in nodes:
-                # the a_i-string through gamma goes on up while p_i > <gamma, a_i^v>
-                if strings[i] > pairs[i]:
-                    top = False
-                    up = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
-                    data = nxt.get(up)
-                    if data is None:
-                        data = nxt[up] = ([a + b for a, b in zip(pairs, cartan[i])], [0] * n)
-                    data[1][i] = strings[i] + 1
-            if top:
+            # the a_i-string through gamma goes on up while p_i > <gamma, a_i^v>
+            ups = list(compress(nodes, map(gt, strings, pairs)))
+            if not ups:
                 tops.append(gamma)
+            for i in ups:
+                up = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
+                data = nxt.get(up)
+                if data is None:
+                    data = nxt[up] = (list(map(add, pairs, cartan[i])), [0] * n)
+                data[1][i] = strings[i] + 1
         positives.update(nxt)
         layer = nxt
 
@@ -231,8 +240,9 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
 
     if len(tops) != 1:
         raise InvalidType(f"{t.name} has {len(tops)} maximal roots; system is not irreducible")
-    roots = sorted(positives, key=lambda v: (sum(v), v))
-    all_roots = tuple(roots) + tuple(tuple(-x for x in v) for v in roots)
+    # by height, then by coordinates: the sort by sum is stable
+    roots = sorted(sorted(positives), key=sum)
+    all_roots = tuple(roots) + tuple(map(tuple, map(map, repeat(neg), roots)))
     return RootSystem(t, cartan, all_roots, tops[0])
 
 
@@ -302,20 +312,18 @@ def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:
     The dimension is the number of roots of degree other than 0 and 1.  The
     grading is odd, -alpha has degree -d(alpha), so only the positive roots
     are scanned: one of degree 0 stands for two roots of degree 0, and one of
-    degree +-1 for one root of degree 1.
+    degree +-1 for one root of degree 1.  The degrees are summed over the
+    columns of the nonzero weights only.
     """
     if w.simple_type != rs.simple_type:
         raise TypeMismatch(f"diagram of type {w.simple_type.name} against system {rs.simple_type.name}")
     if not w.is_integral():
         raise NonIntegralWeights(f"weights {w.weights} are not integers")
-    weights = w.as_ints()
-    zero = ones = 0
-    for root in rs.positive_roots:
-        value = sum(map(mul, root, weights))
-        if value == 0:
-            zero += 1
-        elif value in (1, -1):
-            ones += 1
+    positives = rs.positive_roots
+    terms = [map(mul, map(itemgetter(i), positives), repeat(x)) for i, x in enumerate(w.as_ints()) if x]
+    degrees = list(map(sum, zip(*terms))) if terms else [0] * len(positives)
+    zero = degrees.count(0)
+    ones = degrees.count(1) + degrees.count(-1)
     return len(rs.roots) - 2 * zero - ones
 
 

@@ -8,12 +8,15 @@ a named diagnostic rather than silently wrong output.  Complex ranks above
 MAX_RANK are refused before any root system is built.
 
 The involution theta* is stored only as integer columns over a common
-denominator, which is 1 for every sound diagram; tau* = -theta* acts on
-vectors through `SatakeInvolution.tau_image`.  Only the projections onto
-the black span need a linear solve, an integer one on the scaled Gram rows,
-and only for the simple roots that pair with a black one.  The invariants
-run on the integer columns, theta*^2 = I included, once per entry:
-`satake_involution` builds and checks the involution under one cache,
+denominator, which is 1 for every sound diagram; tau* = -theta* acts on one
+vector through `SatakeInvolution.tau_image`, and on every positive root at
+once through `SatakeInvolution.tau_image_columns`, which takes and gives
+coordinate columns, one C-level pass per nonzero entry of tau*.  The root
+checks and the restriction alpha + tau* alpha read the latter.  Only the
+projections onto the black span need a linear solve, an integer one on the
+scaled Gram rows, and only for the simple roots that pair with a black one.
+The invariants run on the integer columns, theta*^2 = I included, once per
+entry: `satake_involution` builds and checks the involution under one cache,
 raising InconsistentDiagram with the failed checks, and `validate_satake`
 reports those same failures.
 
@@ -30,8 +33,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import sub
+from operator import add, itemgetter, mul, not_, sub
 from typing import Sequence
 
 from .errors import FormNameError, InconsistentDiagram, OutOfRangeParams
@@ -50,8 +54,8 @@ from .rootsys import (
 IntVector = tuple[int, ...]
 
 # Largest complex rank `build_satake` and `catalog` accept.  Describing a
-# form costs about rank^3 (one 2.1 GHz Xeon vCPU: sp(64,R) in 0.56 s cold,
-# sp(128,R) in 2.8 s and 93 MB), so a larger rank fails fast with
+# form costs about rank^3 (one 2.1 GHz Xeon vCPU: sp(64,R) in 0.36 s cold,
+# sp(128,R) in 2.1 s and 91 MB), so a larger rank fails fast with
 # OutOfRangeParams instead of running for minutes.
 MAX_RANK = 64
 
@@ -128,7 +132,8 @@ class SatakeInvolution:
     theta* is stored as integer columns over their least common denominator:
     `columns[j]` is `denominator * theta*(a_j)`, so the denominator is 1
     exactly when theta* is integral, as it is for every sound diagram.
-    `tau_columns` and `tau_image` give tau* = -theta* on integer vectors.
+    `tau_columns`, `tau_image` and `tau_image_columns` give tau* = -theta*
+    on integer vectors.
     """
 
     columns: tuple[IntVector, ...]
@@ -154,6 +159,21 @@ class SatakeInvolution:
                 for i, x in self.tau_columns[j]:
                     out[i] += c * x
         return tuple(out)
+
+    def tau_image_columns(self, columns: Sequence[Sequence[int]]) -> list:
+        """tau* of many vectors at once, given and returned as coordinate
+        columns: image column i gains x times column j for each entry (i, x)
+        of column j of tau*, one C-level pass per entry.  A column moved with
+        coefficient 1 is passed on as it is; every other one is a one-shot
+        iterator."""
+        out: list = [None] * len(columns)
+        for j, entries in enumerate(self.tau_columns):
+            for i, x in entries:
+                term = columns[j] if x == 1 else map(mul, columns[j], repeat(x))
+                out[i] = term if out[i] is None else map(add, out[i], term)
+        # a zero row of tau*, which no sound diagram has, gives a zero column
+        zero = (0,) * len(columns[0])
+        return [zero if c is None else c for c in out]
 
 
 def _combine(columns: Sequence[IntVector], v: Sequence[int]) -> IntVector:
@@ -513,11 +533,15 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     # theta* = -tau* and both maps are linear while the root set is closed
     # under negation, so the tests below hold on every root exactly when they
     # hold on the positive ones; those come first in rs.roots, so the first
-    # root reported is the same as in a scan over every root
+    # root reported is the same as in a scan over every root.  The images are
+    # taken column-wise and turned into rows one at a time by each scan.
     root_set = rs.root_set
     positives = rs.positive_roots
-    images = [inv.tau_image(r) for r in positives]
-    bad = next((r for r, image in zip(positives, images) if image not in root_set), None)
+    columns = rs.positive_columns()
+    # tuple() of a tuple is the tuple itself, so only the computed columns are copied
+    images = list(map(tuple, inv.tau_image_columns(columns)))
+    found = map(root_set.__contains__, zip(*images))
+    bad = next(compress(positives, map(not_, found)), None)
     if bad is not None:
         failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {bad})"))
 
@@ -533,7 +557,8 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
                 ("involution.white-translate", f"-theta*(a_{w}) - p~(a_{w}) is not a nonnegative black combination")
             )
 
-    normal = next((r for r, image in zip(positives, images) if tuple(map(sub, r, image)) in root_set), None)
+    differences = zip(*map(map, repeat(sub), columns, images))
+    normal = next(compress(positives, map(root_set.__contains__, differences)), None)
     if normal is not None:
         failures.append(("involution.tau-normal", f"alpha - tau*(alpha) is a root for alpha={normal}"))
 
@@ -543,15 +568,21 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     if tuple(permuted_phi) != rs.highest:
         failures.append(("involution.ptilde-fixes-phi", "p~ does not fix the highest root"))
 
-    if any(rs.cartan[p[i]][p[j]] != rs.cartan[i][j] for i in range(n) for j in range(n)):
+    # row p(i) of C permuted by p is row i; a rank-1 p is the identity, and
+    # itemgetter of one index would give a number, not a row
+    permute = itemgetter(*p)
+    if n > 1 and any(permute(rs.cartan[k]) != row for k, row in zip(p, rs.cartan)):
         failures.append(("involution.ptilde-automorphism", "p~ is not a Dynkin diagram automorphism"))
 
     # integer multiples of the coroots 2 a_i/<a_i,a_i>: a_b for a black node,
     # and <a_j,a_j> a_i - <a_i,a_i> a_j (scaled Gram form) for an arrow (i, j)
     omega = [simple_coord(n, b) for b in sorted(sd.black)]
+    gram = rs.scaled_gram
     for i, j in sd.arrows:
-        ei, ej = simple_coord(n, i), simple_coord(n, j)
-        omega.append(tuple(rs.scaled_inner(ej, ej) * x - rs.scaled_inner(ei, ei) * y for x, y in zip(ei, ej)))
+        v = [0] * n
+        v[i] = gram[j][j]
+        v[j] = -gram[i][i]
+        omega.append(tuple(v))
     if omega:
         if matrix_rank(omega) != len(omega):
             failures.append(("involution.basis-independent", "black/arrow coroot vectors are dependent"))

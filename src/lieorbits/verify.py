@@ -16,7 +16,9 @@ and their doubles, sums or differences are looked up: `roots.highest-unique`,
 Where one side of an inner product is fixed, the other is paired with one
 `RootSystem.simple_pairings` row of it: the simple roots in the dominance
 test, the highest root in the full parity scan.  Those two scans share one
-norm table, `restricted.positive_norms`, built here only.
+norm table, `restricted.positive_norms`, built here only.  The restricted
+system's sorted views, `doubled` and `doubled_positives`, are read here only,
+once per entry.
 """
 
 from __future__ import annotations
@@ -232,9 +234,14 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     except LieOrbitsError as exc:
         return [Failure(name, "restricted.construction", str(exc))]
 
+    # the sorted views are built once here; describe never builds them
+    doubled = rrs.doubled
+    norms = positive_norms(rrs)
+    positives = list(norms)
+
     # roots restricting to zero are exactly those supported on black nodes,
     # so the multiplicity sum has an independent combinatorial count
-    total = sum(rrs.doubled.values())
+    total = sum(doubled.values())
     white = sd.white
     span_black = sum(1 for r in rs.roots if not any(map(r.__getitem__, white)))
     if total + span_black != len(rs.roots):
@@ -243,26 +250,25 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
         )
 
     # on the doubled vectors 2 xi, read without building the Fraction views
-    for d, m in rrs.doubled.items():
-        if rrs.doubled.get(tuple(map(neg, d))) != m:
+    for d, m in doubled.items():
+        if doubled.get(tuple(map(neg, d))) != m:
             xi = tuple(Fraction(x, 2) for x in d)
             failures.append(Failure(name, "restricted.negation", f"mult({xi}) != mult(-{xi})"))
             break
 
-    norms = positive_norms(rrs)
     try:
         if dominant_longest(rrs, norms) != rrs.doubled_highest:
             failures.append(Failure(name, "restricted.highest-two-routes", "r(phi) is not the dominant longest root"))
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
-    araki = sorted(reduced_simple(rrs.doubled, rrs.doubled_simple))
+    araki = sorted(reduced_simple(doubled, rrs.doubled_simple))
     # one packing serves every lookup below: each compared vector is a root,
     # a witness, the highest root, or a double, sum or difference of two of them
-    pack = _packer(chain(rrs.doubled, rrs.doubled_positives, araki, [rrs.doubled_highest]))
-    root_keys = set(map(pack, rrs.doubled))
-    positive_keys = list(map(pack, rrs.doubled_positives))
-    searched = _indecomposables(rrs.doubled_positives, positive_keys, root_keys, list(map(pack, araki)))
+    pack = _packer(chain(doubled, positives, araki, [rrs.doubled_highest]))
+    root_keys = set(map(pack, doubled))
+    positive_keys = list(map(pack, positives))
+    searched = _indecomposables(positives, positive_keys, root_keys, list(map(pack, araki)))
     if searched != araki:
         message = f"indecomposable reduced positives {searched} vs white-node roots {araki}, doubled"
         failures.append(Failure(name, "restricted.simple-two-routes", message))
@@ -296,7 +302,7 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     row = rs.simple_pairings(rrs.doubled_highest)
     table = norms | {tuple(map(neg, xi)): norm for xi, norm in norms.items()}
     pairings = (
-        (2 * sum(map(mul, xi, row)), table[xi] if xi in table else rs.scaled_inner(xi, xi)) for xi in rrs.doubled
+        (2 * sum(map(mul, xi, row)), table[xi] if xi in table else rs.scaled_inner(xi, xi)) for xi in doubled
     )
     try:
         scanned = odd_pairing(rrs, pairings)

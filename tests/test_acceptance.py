@@ -26,10 +26,22 @@ from lieorbits.rootsys import (
     extended_neighbors,
     min_orbit_wdd,
     orbit_dim_from_wdd,
-    simple_root_length_halves,
 )
 from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution, validate_satake
 from lieorbits.verify import run_verification
+
+
+# d_i = <a_i, a_i>/2 per node, long roots normalized to d = 1
+LENGTH_HALVES = {
+    "B": lambda n: (1,) * (n - 1) + (Fraction(1, 2),),
+    "C": lambda n: (Fraction(1, 2),) * (n - 1) + (1,),
+    "F": lambda n: (1, 1, Fraction(1, 2), Fraction(1, 2)),
+    "G": lambda n: (Fraction(1, 3), 1),
+}
+
+
+def simple_root_length_halves(t):
+    return tuple(map(Fraction, LENGTH_HALVES.get(t.letter, lambda n: (1,) * n)(t.rank)))
 
 
 def criterion(label):

@@ -48,6 +48,37 @@ def test_bad_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe"],
+        ["describe", "--format", "json"],
+        ["list", "su(1,2)"],
+        ["table1", "e6(-26)"],
+        ["verify", "f4(-20)", "--max-rank", "4"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_wrong_form_count_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert f"error: {argv[0]} takes" in err and "form" in err
+
+
+def test_help_lists_the_four_commands(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0
+    assert not err
+    for command, text in (
+        ("list", "canonical names of all catalog entries"),
+        ("describe", "full orbit report for one real form"),
+        ("table1", "golden table of the five non-matching families"),
+        ("verify", "run every invariant suite over the catalog"),
+    ):
+        assert any(line.split() == [command, *text.split()] for line in out.splitlines()), command
+
+
 def test_rank_cap_exits_2_fast(capsys):
     huge = "9" * 5000  # past the 4300 digits int() reads
     for argv in (

@@ -1,0 +1,306 @@
+"""The column passes of the cold describe path against the row code they replaced.
+
+The references below are copies, kept here, of the per-root code as it was
+written on row tuples: tau* applied one root at a time through
+`SatakeInvolution.tau_image`, the involution checks that scanned those
+images, the restriction alpha + tau* alpha with its sorted multiplicity dict
+and sorted positive roots, and the orbit dimension graded one root at a time.
+The column code must give the same values on every catalog entry up to rank
+16, the same failure lists on doctored involutions and on every single
+black-node toggle, arrow drop and arrow addition over the catalog up to
+rank 7, and `describe` must never build the sorted views.
+"""
+
+import contextlib
+import dataclasses
+import io
+from collections import Counter
+from operator import add, sub
+
+import pytest
+
+from lieorbits import cli, restricted, satake
+from lieorbits.errors import LieOrbitsError
+from lieorbits.orbits import FormAnalysis
+from lieorbits.ratmat import matrix_rank
+from lieorbits.restricted import RestrictedRootSystem, restricted_root_system
+from lieorbits.rootsys import min_orbit_wdd, orbit_dim_from_wdd, simple_coord
+from lieorbits.satake import SatakeInvolution, build_satake, catalog, parse_form_name, satake_involution
+
+ENTRIES = catalog(16)
+
+
+# --- the row-based references ------------------------------------------------
+
+
+def ref_images(inv, rs):
+    return [inv.tau_image(r) for r in rs.positive_roots]
+
+
+def ref_restriction(sd):
+    """The sorted multiplicity dict and sorted positive roots, as they were stored."""
+    rs = sd.rs
+    images = [tuple(map(add, r, image)) for r, image in zip(rs.positive_roots, ref_images(satake_involution(sd), rs))]
+    nonzero = [image for image in images if any(image)]
+    counts = Counter(nonzero)
+    counts.update(tuple(-x for x in image) for image in nonzero)
+    positives = set(images) - {(0,) * rs.rank}
+    return dict(sorted(counts.items())), tuple(sorted(positives))
+
+
+def ref_orbit_dim(rs, w):
+    weights = w.as_ints()
+    zero = ones = 0
+    for root in rs.positive_roots:
+        value = sum(a * b for a, b in zip(root, weights))
+        if value == 0:
+            zero += 1
+        elif value in (1, -1):
+            ones += 1
+    return len(rs.roots) - 2 * zero - ones
+
+
+def ref_involution_failures(sd, inv):
+    rs = sd.rs
+    n = rs.rank
+    cols, d, p = inv.columns, inv.denominator, inv.p_tilde
+    failures = []
+
+    def combine(v):
+        out = [0] * n
+        for j, c in enumerate(v):
+            for i, x in enumerate(cols[j]):
+                out[i] += c * x
+        return tuple(out)
+
+    if any(combine(cols[j]) != tuple(d * d * x for x in simple_coord(n, j)) for j in range(n)):
+        failures.append(("involution.theta-squared", "theta* squared is not the identity"))
+    if d != 1:
+        failures.append(("involution.preserves-roots", "theta* does not preserve the root lattice"))
+        return failures
+    root_set = rs.root_set
+    positives = rs.positive_roots
+    images = ref_images(inv, rs)
+    bad = next((r for r, image in zip(positives, images) if image not in root_set), None)
+    if bad is not None:
+        failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {bad})"))
+    for b in sorted(sd.black):
+        if cols[b] != simple_coord(n, b):
+            failures.append(("involution.fixes-black", f"theta* moves black simple root {b}"))
+    for w in sd.white:
+        shifted = [-cols[w][k] - int(k == p[w]) for k in range(n)]
+        if not (all(x >= 0 for x in shifted) and all(shifted[k] == 0 for k in range(n) if k not in sd.black)):
+            failures.append(
+                ("involution.white-translate", f"-theta*(a_{w}) - p~(a_{w}) is not a nonnegative black combination")
+            )
+    normal = next((r for r, image in zip(positives, images) if tuple(map(sub, r, image)) in root_set), None)
+    if normal is not None:
+        failures.append(("involution.tau-normal", f"alpha - tau*(alpha) is a root for alpha={normal}"))
+    permuted_phi = [0] * n
+    for i, c in enumerate(rs.highest):
+        permuted_phi[p[i]] = c
+    if tuple(permuted_phi) != rs.highest:
+        failures.append(("involution.ptilde-fixes-phi", "p~ does not fix the highest root"))
+    if any(rs.cartan[p[i]][p[j]] != rs.cartan[i][j] for i in range(n) for j in range(n)):
+        failures.append(("involution.ptilde-automorphism", "p~ is not a Dynkin diagram automorphism"))
+    omega = [simple_coord(n, b) for b in sorted(sd.black)]
+    for i, j in sd.arrows:
+        ei, ej = simple_coord(n, i), simple_coord(n, j)
+        omega.append(tuple(rs.scaled_inner(ej, ej) * x - rs.scaled_inner(ei, ei) * y for x, y in zip(ei, ej)))
+    if omega:
+        if matrix_rank(omega) != len(omega):
+            failures.append(("involution.basis-independent", "black/arrow coroot vectors are dependent"))
+        for v in omega:
+            if inv.tau_image(v) != tuple(-x for x in v):
+                failures.append(("involution.basis-eigenspace", "a basis vector is not in the -1 eigenspace of tau*"))
+                break
+    eigen_dim = n - matrix_rank([tuple(map(sub, simple_coord(n, j), cols[j])) for j in range(n)])
+    if eigen_dim != len(omega):
+        failures.append(
+            ("involution.basis-count", f"-1 eigenspace of tau* has dim {eigen_dim}, basis has {len(omega)} vectors")
+        )
+    return failures
+
+
+# --- inputs ----------------------------------------------------------------
+
+
+def form(name):
+    return build_satake(parse_form_name(name))
+
+
+def mutations(sd):
+    """Every single black-node toggle, arrow drop and arrow addition of `sd`."""
+    for node in range(sd.rs.rank):
+        yield dataclasses.replace(sd, black=frozenset(set(sd.black) ^ {node}))
+    for k in range(len(sd.arrows)):
+        yield dataclasses.replace(sd, arrows=sd.arrows[:k] + sd.arrows[k + 1 :])
+    arrowed = {i for pair in sd.arrows for i in pair}
+    free = [w for w in sd.white if w not in arrowed]
+    if len(free) >= 2:
+        yield dataclasses.replace(sd, arrows=tuple(sorted(sd.arrows + ((free[0], free[1]),))))
+
+
+def doctored_involutions(inv):
+    """theta* with one column scaled by 2, or with a neighbouring simple root added."""
+    n = len(inv.columns)
+    for j in range(n):
+        for column in (
+            tuple(2 * x for x in inv.columns[j]),
+            tuple(x - int(i == (j + 1) % n) for i, x in enumerate(inv.columns[j])),
+        ):
+            yield SatakeInvolution(inv.columns[:j] + (column,) + inv.columns[j + 1 :], inv.p_tilde)
+
+
+# --- the comparisons ------------------------------------------------------
+
+
+@pytest.mark.parametrize("sd", ENTRIES, ids=lambda sd: sd.name)
+def test_column_passes_match_the_row_code(sd):
+    rs = sd.rs
+    inv = satake_involution(sd)
+    columns = rs.positive_columns()
+    assert list(zip(*columns)) == list(rs.positive_roots)
+
+    images = list(zip(*inv.tau_image_columns(columns)))
+    assert images == ref_images(inv, rs)
+    for op in (add, sub):
+        rows = list(zip(*map(map, [op] * rs.rank, columns, inv.tau_image_columns(columns))))
+        assert rows == [tuple(map(op, r, image)) for r, image in zip(rs.positive_roots, images)]
+
+    analysis = FormAnalysis(sd)
+    for w in (min_orbit_wdd(rs), analysis.min_g_wdd):
+        assert orbit_dim_from_wdd(rs, w) == ref_orbit_dim(rs, w)
+
+    rrs = restricted_root_system(sd)
+    doubled, positives = ref_restriction(sd)
+    assert rrs.doubled == doubled and list(rrs.doubled) == list(doubled)
+    assert rrs.doubled_positives == positives
+    assert rrs.counts == doubled
+    assert satake._involution_failures(sd, inv) == ref_involution_failures(sd, inv) == []
+
+
+@pytest.mark.parametrize("name", ["sl(3,R)", "so(4,9)", "e8(8)", "sp(7,R)"])
+def test_weights_of_any_sign_grade_as_the_row_code(name):
+    rs = form(name).rs
+    wdd = min_orbit_wdd(rs)
+    n = rs.rank
+    for weights in ((0,) * n, (1, -1) * (n // 2) + (1,) * (n % 2), tuple(range(-1, n - 1)), (2,) + (0,) * (n - 1)):
+        w = dataclasses.replace(wdd, weights=weights)
+        assert orbit_dim_from_wdd(rs, w) == ref_orbit_dim(rs, w), weights
+    assert orbit_dim_from_wdd(rs, dataclasses.replace(wdd, weights=(0,) * n)) == 0
+
+
+def test_a_negative_weight_grades_by_its_sign():
+    # A2 with weights (1, -1): a1 and a2 have degree +-1, a1 + a2 degree 0
+    rs = form("sl(3,R)").rs
+    assert orbit_dim_from_wdd(rs, dataclasses.replace(min_orbit_wdd(rs), weights=(1, -1))) == 2
+
+
+def test_a_column_sending_a_root_outside_the_roots_is_reported_at_the_same_root():
+    sd = form("sl(3,R)")
+    # A2 positives in rs.roots order: (0, 1), (1, 0), (1, 1); tau* a1 = 2 a1 is no root
+    inv = SatakeInvolution(((-2, 0), (0, -1)), (0, 1))
+    failures = satake._involution_failures(sd, inv)
+    assert failures == ref_involution_failures(sd, inv)
+    assert ("involution.preserves-roots", "theta* does not preserve the root set (e.g. (1, 0))") in failures
+
+
+def test_a_tau_with_a_root_difference_is_reported_at_the_same_root():
+    sd = form("sl(3,R)")
+    # tau* a1 = a1 + a2, so a1 - tau* a1 = -a2 is a root
+    inv = SatakeInvolution(((-1, -1), (0, -1)), (0, 1))
+    failures = satake._involution_failures(sd, inv)
+    assert failures == ref_involution_failures(sd, inv)
+    assert ("involution.tau-normal", "alpha - tau*(alpha) is a root for alpha=(1, 0)") in failures
+
+
+def test_doctored_involutions_give_the_same_failures():
+    fired = Counter()
+    for sd in catalog(7):
+        for inv in doctored_involutions(satake_involution(sd)):
+            failures = satake._involution_failures(sd, inv)
+            assert failures == ref_involution_failures(sd, inv), sd.name
+            fired.update(check for check, _ in failures)
+    assert {"involution.preserves-roots", "involution.tau-normal"} <= set(fired)
+
+
+def test_mutant_involutions_give_the_same_failures():
+    compared = 0
+    fired = set()
+    for sd in catalog(7):
+        for mutant in mutations(sd):
+            try:
+                inv = satake._build_involution(mutant)
+            except LieOrbitsError:
+                continue
+            failures = satake._involution_failures(mutant, inv)
+            assert failures == ref_involution_failures(mutant, inv), mutant.name
+            compared += 1
+            fired.update(check for check, _ in failures)
+    assert compared > 400
+    assert {"involution.preserves-roots", "involution.tau-normal", "involution.ptilde-automorphism"} <= fired
+
+
+def test_a_permutation_that_is_no_automorphism_is_reported():
+    sd = form("sl(4,R)")
+    inv = satake_involution(sd)
+    # swapping the end node with the middle one breaks the A3 chain
+    swapped = SatakeInvolution(inv.columns, (1, 0, 2))
+    assert ("involution.ptilde-automorphism", "p~ is not a Dynkin diagram automorphism") in satake._involution_failures(
+        sd, swapped
+    )
+    assert satake._involution_failures(sd, swapped) == ref_involution_failures(sd, swapped)
+
+
+def test_involution_checks_apply_tau_to_no_root_one_at_a_time(monkeypatch):
+    calls = Counter()
+    tau_image = SatakeInvolution.tau_image
+
+    def counting(self, v):
+        calls[v] += 1
+        return tau_image(self, v)
+
+    monkeypatch.setattr(SatakeInvolution, "tau_image", counting)
+    for name in ("su(12,13)", "so(4,9)", "e7(-5)", "sp(3,5)"):
+        sd = form(name)
+        inv = satake_involution(sd)
+        calls.clear()
+        assert satake._involution_failures(sd, inv) == []
+        # only the black and arrow coroot vectors go through tau_image, once each
+        assert sum(calls.values()) == len(sd.black) + len(sd.arrows) < len(sd.rs.positive_roots), name
+
+
+def test_describe_never_builds_the_sorted_views(monkeypatch):
+    built = Counter()
+    for view in ("doubled", "doubled_positives"):
+        getter = getattr(RestrictedRootSystem, view).fget
+
+        def counting(self, getter=getter, view=view):
+            built[view] += 1
+            return getter(self)
+
+        monkeypatch.setattr(RestrictedRootSystem, view, property(counting))
+    restricted_root_system.cache_clear()
+    satake_involution.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name in ("e8(8)", "e8(-24)", "sl(25,R)", "su(12,13)", "sp(3,5)", "so(4,9)", "f4(-20)"):
+            for fmt in ("json", "text", "dot"):
+                assert cli.main(["describe", name, "--format", fmt]) == 0
+        assert cli.main(["table1"]) == 0
+    assert built == Counter()
+
+    # verify reads each view once per entry
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--max-rank", "3"]) == 0
+    entries = len(catalog(3))
+    assert built == Counter({"doubled": entries, "doubled_positives": entries})
+
+
+def test_sorted_views_are_not_kept():
+    rrs = restricted_root_system(form("so(4,9)"))
+    assert rrs.doubled is not rrs.doubled
+    assert rrs.doubled_positives == rrs.doubled_positives
+    assert "doubled" not in vars(rrs) and "doubled_positives" not in vars(rrs)
+    assert all(sum(xi) > 0 for xi in rrs.doubled_positives)
+    assert restricted.positive_norms(rrs).keys() == set(rrs.doubled_positives)

@@ -237,10 +237,12 @@ def test_parity_two_routes_fires_on_a_negated_parity():
 def test_parity_two_routes_reports_a_non_integral_pairing():
     sd = form("sl(3,R)")
     r = restricted_root_system(sd)
-    # 3 a1 / 2 pairs with the highest root a1 + a2 to 2/3, ahead of every true root
-    doctored = dataclasses.replace(r, doubled={(3, 0): 1, **r.doubled})
+    # -3 a1 / 2 pairs with the highest root a1 + a2 to -2/3; it sorts ahead of
+    # every true root, so the full scan meets it before any odd pairing
+    doctored = dataclasses.replace(r, counts={(-3, 0): 1, **r.counts})
+    assert next(iter(doctored.doubled)) == (-3, 0)
     failures = _restricted_failures(sd, doctored)
-    assert "non-integral pairing 2/3" in failures["restricted.parity-two-routes"]
+    assert failures["restricted.parity-two-routes"] == "non-integral pairing -2/3 in sl(3,R)"
 
 
 @pytest.mark.parametrize("name", ["su(32,32)", "so(3,125)", "su*(64)", "sp(20,44)", "e8(-24)"])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,7 +19,6 @@ from lieorbits.rootsys import (
     orbit_dim_from_wdd,
     pairing,
     simple_coord,
-    simple_root_length_halves,
 )
 
 ALL_TYPES = (
@@ -50,6 +50,20 @@ HIGHEST_ROOTS = {
     "F": lambda n: (2, 3, 4, 2),
     "G": lambda n: (3, 2),
 }
+
+# d_i = <a_i, a_i>/2 per node, long roots normalized to d = 1
+LENGTH_HALVES = {
+    "B": lambda n: (1,) * (n - 1) + (Fraction(1, 2),),
+    "C": lambda n: (Fraction(1, 2),) * (n - 1) + (1,),
+    "F": lambda n: (1, 1, Fraction(1, 2), Fraction(1, 2)),
+    # a1 short: the highest root is 3a1 + 2a2
+    "G": lambda n: (Fraction(1, 3), 1),
+}
+
+
+def simple_root_length_halves(t):
+    return tuple(map(Fraction, LENGTH_HALVES.get(t.letter, lambda n: (1,) * n)(t.rank)))
+
 
 DUAL_COXETER = {
     "A": lambda n: n + 1,
@@ -139,8 +153,9 @@ def test_gram_cartan_consistency(t):
             assert 2 * gram[i][j] / gram[j][j] == rs.cartan[i][j]
             assert gram[i][j] == gram[j][i]
             assert rs.scaled_gram[i][j] == rs.gram_scale * gram[i][j]
-    # long roots have squared length 2
+    # long roots have squared length 2, and the scale is the least one that makes the form integral
     assert max(gram[i][i] for i in range(n)) == 2
+    assert rs.gram_scale == lcm(*(d.denominator for d in simple_root_length_halves(t)))
 
 
 def test_pairing_examples():

@@ -270,18 +270,38 @@ def mutations(sd):
         yield dataclasses.replace(sd, arrows=tuple(sorted(sd.arrows + ((free[0], free[1]),))))
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class GivenPositives(restricted.RestrictedRootSystem):
+    """A doctored system whose positive roots are given, not read off its counts."""
+
+    given: tuple = ()
+
+    @property
+    def doubled_positives(self):
+        return self.given
+
+
+def with_positives(rrs, positives, **changes):
+    fields = {f.name: getattr(rrs, f.name) for f in dataclasses.fields(rrs)}
+    return GivenPositives(**{**fields, **changes}, given=tuple(positives))
+
+
 def doctored(rrs):
-    """Restricted systems that make the rewritten scans fire, one at a time."""
-    lam, eta = rrs.doubled_highest, rrs.doubled_positives[0]
+    """Restricted systems that make the rewritten scans fire, one at a time.
+    A doctored count keeps the true positive roots, as a doctored copy of the
+    stored sorted dict did."""
+    lam, positives = rrs.doubled_highest, rrs.doubled_positives
+    eta = positives[0]
     negative = tuple(-x for x in eta)
     third = tuple(3 * x for x in rrs.doubled_simple[0])
-    yield dataclasses.replace(rrs, doubled={d: m for d, m in rrs.doubled.items() if d != negative})
-    yield dataclasses.replace(rrs, doubled={**rrs.doubled, lam: rrs.doubled[lam] + 1})
-    yield dataclasses.replace(rrs, doubled={**rrs.doubled, tuple(map(add, lam, eta)): 1})
-    yield dataclasses.replace(rrs, doubled={third: 1, **rrs.doubled})
+    counts = rrs.counts
+    yield with_positives(rrs, positives, counts={d: m for d, m in counts.items() if d != negative})
+    yield with_positives(rrs, positives, counts={**counts, lam: counts[lam] + 1})
+    yield with_positives(rrs, positives, counts={**counts, tuple(map(add, lam, eta)): 1})
+    yield with_positives(rrs, positives, counts={third: 1, **counts})
     yield dataclasses.replace(rrs, doubled_simple=(lam,) + rrs.doubled_simple[1:])
-    if len(rrs.doubled_positives) > 1:
-        yield dataclasses.replace(rrs, doubled_positives=rrs.doubled_positives[1:])
+    if len(positives) > 1:
+        yield with_positives(rrs, positives[1:])
 
 
 def with_restricted(sd, rrs):
