@@ -43,10 +43,14 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command; `main` checks that a form is given to
-    `describe` and to no other command."""
+    """One parser for every command; `main` parses with
+    `parse_intermixed_args`, so options may stand between the command and the
+    form, and checks that a form is given to `describe` and to no other
+    command.  The usage line is given, as in the module docstring, because
+    `parse_intermixed_args` would otherwise format it on every call."""
     parser = argparse.ArgumentParser(
         prog="lieorbits",
+        usage="%(prog)s <command> [form] [--max-rank N] [--format text|json|dot]",
         description="Smallest complex nilpotent orbits meeting each non-compact real simple Lie algebra",
         epilog="commands:\n" + "\n".join(f"  {name:<10}{text}" for name, text in COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -61,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_intermixed_args(argv)
         if (args.form is None) == (args.command == "describe"):
             parser.error("describe takes one form" if args.form is None else f"{args.command} takes no form")
     except SystemExit as exc:

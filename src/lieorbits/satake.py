@@ -163,17 +163,16 @@ class SatakeInvolution:
     def tau_image_columns(self, columns: Sequence[Sequence[int]]) -> list:
         """tau* of many vectors at once, given and returned as coordinate
         columns: image column i gains x times column j for each entry (i, x)
-        of column j of tau*, one C-level pass per entry.  A column moved with
-        coefficient 1 is passed on as it is; every other one is a one-shot
-        iterator."""
+        of column j of tau*, one C-level pass per entry, and a coefficient 1
+        costs no multiplication.  Every image column is a one-shot iterator:
+        read each once, or copy it with tuple()."""
         out: list = [None] * len(columns)
         for j, entries in enumerate(self.tau_columns):
             for i, x in entries:
-                term = columns[j] if x == 1 else map(mul, columns[j], repeat(x))
+                term = iter(columns[j]) if x == 1 else map(mul, columns[j], repeat(x))
                 out[i] = term if out[i] is None else map(add, out[i], term)
         # a zero row of tau*, which no sound diagram has, gives a zero column
-        zero = (0,) * len(columns[0])
-        return [zero if c is None else c for c in out]
+        return [repeat(0, len(columns[0])) if c is None else c for c in out]
 
 
 def _combine(columns: Sequence[IntVector], v: Sequence[int]) -> IntVector:
@@ -538,7 +537,6 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     root_set = rs.root_set
     positives = rs.positive_roots
     columns = rs.positive_columns()
-    # tuple() of a tuple is the tuple itself, so only the computed columns are copied
     images = list(map(tuple, inv.tau_image_columns(columns)))
     found = map(root_set.__contains__, zip(*images))
     bad = next(compress(positives, map(not_, found)), None)

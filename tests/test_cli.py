@@ -66,6 +66,20 @@ def test_wrong_form_count_exits_2(capsys, argv):
     assert f"error: {argv[0]} takes" in err and "form" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("describe", "--format", "json", "su(1,2)"),
+        ("--format", "json", "describe", "su(1,2)"),
+        ("describe", "--max-rank", "8", "--format", "json", "su(1,2)"),
+    ],
+)
+def test_options_may_precede_the_form(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert (code, out, err) == run(capsys, "describe", "su(1,2)", "--format", "json")
+
+
 def test_help_lists_the_four_commands(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
