@@ -13,7 +13,6 @@ from .errors import (
     SingularMatrix,
     TypeMismatch,
     UnrecognizedSystem,
-    ZeroVector,
 )
 from .orbits import (
     EquivalenceConditions,
@@ -48,7 +47,6 @@ from .rootsys import (
     extended_neighbors,
     min_orbit_wdd,
     orbit_dim_from_wdd,
-    pairing,
 )
 from .satake import (
     RealFormDescriptor,

@@ -2,16 +2,17 @@
 
     lieorbits <command> [form] [--max-rank N] [--format text|json|dot]
 
-Commands: list, describe, table1, verify.  Results go to stdout, diagnostics
-to stderr; exit code 0 on success, 1 on verification failure, 2 on parse or
-bounds errors; a complex rank above MAX_RANK (64), in a form name or in
---max-rank, is a bounds error.  All behavior comes from flags; there is no
-configuration file and no environment variable.
+Commands: list, describe, table1, verify.  `parse_args` reads the options
+anywhere, as `--opt value`, `--opt=value` or a unique prefix, and none after
+`--`.  Results go to stdout, diagnostics to stderr; exit code 0 on success, 1
+on verification failure, 2 on parse or bounds errors; a complex rank above
+MAX_RANK (64), in a form name or in --max-rank, is a bounds error.  All
+behavior comes from flags; there is no configuration file and no
+environment variable.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -40,53 +41,88 @@ COMMANDS = {
     "table1": "golden table of the five non-matching families",
     "verify": "run every invariant suite over the catalog",
 }
+USAGE = "usage: lieorbits <command> [form] [--max-rank N] [--format text|json|dot]"
+HELP = f"""{USAGE}
+
+options:
+  -h, --help    show this help message and exit
+  --max-rank N  complex rank bound (default 8)
+  --format F    text, json or dot (default text)
+
+commands:
+""" + "\n".join(f"  {name:<10}{text}" for name, text in COMMANDS.items())
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command; `main` parses with
-    `parse_intermixed_args`, so options may stand between the command and the
-    form, and checks that a form is given to `describe` and to no other
-    command.  The usage line is given, as in the module docstring, because
-    `parse_intermixed_args` would otherwise format it on every call."""
-    parser = argparse.ArgumentParser(
-        prog="lieorbits",
-        usage="%(prog)s <command> [form] [--max-rank N] [--format text|json|dot]",
-        description="Smallest complex nilpotent orbits meeting each non-compact real simple Lie algebra",
-        epilog="commands:\n" + "\n".join(f"  {name:<10}{text}" for name, text in COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands listed below")
-    parser.add_argument("form", nargs="?", help="real-form name for describe, e.g. su*(4), so(3,5), e6(-26)")
-    parser.add_argument("--max-rank", type=int, default=8, dest="max_rank", help="complex rank bound (default 8)")
-    parser.add_argument("--format", choices=("text", "json", "dot"), default="text", dest="format")
-    return parser
+class UsageError(Exception):
+    """A command line outside the grammar; `main` exits 2 on it."""
+
+
+def parse_args(argv: list[str]) -> tuple[str, str | None, int, str] | None:
+    """(command, form, max_rank, format), or None when help is asked for.
+    Options are read left to right, so a bad value stops the reading before a
+    later --help does; unknown options are reported after the whole line.
+    Before `--`, a word starting with "-", other than "-", is an option."""
+    values: dict[str, int | str] = {"--max-rank": 8, "--format": "text"}
+    positionals, unknown = [], []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--":
+            positionals += args
+            break
+        if arg[:1] != "-" or arg == "-":
+            positionals.append(arg)
+            continue
+        name, eq, value = ("--help", "", "") if arg == "-h" else arg.partition("=")
+        names = [option for option in ("--help", "--max-rank", "--format") if option.startswith(name)]
+        if name[:2] != "--" or len(names) != 1 or names == ["--help"] and eq:
+            unknown.append(arg)
+            continue
+        option = names[0]
+        if option == "--help":
+            return None
+        if not eq and (value := next(args, "-"))[:1] == "-":
+            raise UsageError(f"argument {option}: expected one argument")
+        if option == "--format" and value not in ("text", "json", "dot"):
+            raise UsageError(f"argument --format: invalid choice: {value!r} (choose from 'text', 'json', 'dot')")
+        try:
+            values[option] = value if option == "--format" else int(value)
+        except ValueError:
+            raise UsageError(f"argument --max-rank: invalid int value: {value!r}") from None
+    if not positionals:
+        raise UsageError("the following arguments are required: command")
+    command, form = (positionals + [None])[:2]
+    if command not in COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    if unknown or positionals[2:]:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown + positionals[2:])}")
+    if (form is None) == (command == "describe"):
+        raise UsageError("describe takes one form" if form is None else f"{command} takes no form")
+    max_rank, fmt = values["--max-rank"], values["--format"]
+    if not 2 <= max_rank <= MAX_RANK:
+        raise UsageError(f"--max-rank must be >= 2 and <= MAX_RANK = {MAX_RANK}, got {max_rank}")
+    if fmt == "dot" and command != "describe":
+        raise UsageError("--format dot is only valid for describe")
+    return command, form, max_rank, fmt
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_intermixed_args(argv)
-        if (args.form is None) == (args.command == "describe"):
-            parser.error("describe takes one form" if args.form is None else f"{args.command} takes no form")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.max_rank < 2:
-        print(f"lieorbits: --max-rank must be >= 2, got {args.max_rank}", file=sys.stderr)
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"{USAGE}\nlieorbits: error: {exc}", file=sys.stderr)
         return 2
-    if args.max_rank > MAX_RANK:
-        print(f"lieorbits: --max-rank must be <= MAX_RANK = {MAX_RANK}, got {args.max_rank}", file=sys.stderr)
-        return 2
-    if args.format == "dot" and args.command != "describe":
-        print("lieorbits: --format dot is only valid for describe", file=sys.stderr)
-        return 2
+    if parsed is None:
+        print(HELP)
+        return 0
+    command, form, max_rank, fmt = parsed
     try:
-        if args.command == "list":
-            return _run_list(args)
-        if args.command == "describe":
-            return _run_describe(args)
-        if args.command == "table1":
-            return _run_table(args)
-        return _run_verify(args)
+        if command == "list":
+            return _run_list(max_rank, fmt)
+        if command == "describe":
+            return _run_describe(form, fmt)
+        if command == "table1":
+            return _run_table(fmt)
+        return _run_verify(max_rank, fmt)
     except (FormNameError, OutOfRangeParams) as exc:
         print(f"lieorbits: {exc}", file=sys.stderr)
         return 2
@@ -95,9 +131,9 @@ def main(argv=None) -> int:
         return 1
 
 
-def _run_list(args) -> int:
-    names = [sd.name for sd in catalog(args.max_rank)]
-    if args.format == "json":
+def _run_list(max_rank: int, fmt: str) -> int:
+    names = [sd.name for sd in catalog(max_rank)]
+    if fmt == "json":
         print(json.dumps(names, indent=2))
     else:
         for name in names:
@@ -105,13 +141,13 @@ def _run_list(args) -> int:
     return 0
 
 
-def _run_describe(args) -> int:
-    descriptor = parse_form_name(args.form)
+def _run_describe(form: str, fmt: str) -> int:
+    descriptor = parse_form_name(form)
     sd = build_satake(descriptor)
     report = orbit_report(sd)
-    if args.format == "json":
+    if fmt == "json":
         print(json.dumps(report_to_dict(report), indent=2))
-    elif args.format == "dot":
+    elif fmt == "dot":
         print(emit_dot(report))
     else:
         print(render_text(report, sd))
@@ -172,7 +208,7 @@ def emit_dot(report: OrbitReport) -> str:
     return "\n".join(lines)
 
 
-def _run_table(args) -> int:
+def _run_table(fmt: str) -> int:
     rows = []
     failed = False
     for family, params in TABLE_PARAMETERS:
@@ -193,7 +229,7 @@ def _run_table(args) -> int:
                 "ok": ok,
             }
         )
-    if args.format == "json":
+    if fmt == "json":
         print(json.dumps(rows, indent=2))
     else:
         for row in rows:
@@ -207,21 +243,11 @@ def _run_table(args) -> int:
     return 1 if failed else 0
 
 
-def _run_verify(args) -> int:
-    result = run_verification(max_rank=args.max_rank)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "entries": result.entries,
-                    "checks_run": result.checks_run,
-                    "failures": [
-                        {"entry": f.entry, "check": f.check, "message": f.message} for f in result.failures
-                    ],
-                },
-                indent=2,
-            )
-        )
+def _run_verify(max_rank: int, fmt: str) -> int:
+    result = run_verification(max_rank=max_rank)
+    if fmt == "json":
+        failures = [{"entry": f.entry, "check": f.check, "message": f.message} for f in result.failures]
+        print(json.dumps({"entries": result.entries, "checks_run": result.checks_run, "failures": failures}, indent=2))
     else:
         for failure in result.failures:
             print(str(failure))

@@ -13,10 +13,6 @@ class InvalidType(LieOrbitsError):
     """A simple-type letter/rank pair outside the classification bounds."""
 
 
-class ZeroVector(LieOrbitsError):
-    """A pairing was requested against the zero vector."""
-
-
 class RankTooSmall(LieOrbitsError):
     """The operation needs rank >= 2 (the extended A1 diagram is a double edge)."""
 

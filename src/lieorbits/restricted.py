@@ -21,15 +21,16 @@ coroots only: every coroot is an integer combination of theirs, since
 xi^v = 2 (2 xi)^v.  The searches that reach the same answers, over the
 reduced positive roots and over every pairing, run as `verify` checks.
 
+`restricted_cartan` pairs the simple roots over their nonzero coordinates.
 Where one side of an inner product is fixed, the other side is paired with
-one `RootSystem.simple_pairings` row of it: column j of the Cartan entries
-in `_classify` and the simple roots in `dominant_longest`.  The norm table
-of the positive roots (`positive_norms`) is built only for `verify`, which
-shares it between `dominant_longest` and its full parity scan, and pairs
-that scan through one row of the highest root; `parity_criterion` pairs r
-roots directly and builds neither.  `verify` looks roots up as packed
-integers, sum v_i B^i, which tell vectors apart only while B > 2 max|c| over
-every coefficient c of every compared vector.
+one `RootSystem.simple_pairings` row of it: the simple roots in
+`dominant_longest`.  The norm table of the positive roots (`positive_norms`)
+is built only for `verify`, which shares it between `dominant_longest` and
+its full parity scan, and pairs that scan through one row of the highest
+root; `parity_criterion` pairs r roots directly and builds neither.
+`verify` looks roots up as packed integers, sum v_i B^i, which tell vectors
+apart only while B > 2 max|c| over every coefficient c of every compared
+vector.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import compress, product, repeat
 from operator import add, mul, neg
 from typing import Iterator
 
@@ -143,23 +144,32 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     )
 
 
+def restricted_cartan(rs: RootSystem, simple: list[IntVector], name: str) -> tuple[tuple[int, ...], ...]:
+    """2<s_i, s_j>/<s_j, s_j> for the doubled simple roots.  Each has one to a few nonzero
+    coordinates, so only pairs that meet through a sparse Gram row are multiplied."""
+    holders: list[list[tuple[int, int]]] = [[] for _ in range(rs.rank)]
+    for j, s in enumerate(simple):
+        for k in compress(range(rs.rank), s):
+            holders[k].append((j, s[k]))
+    products: Counter[tuple[int, int]] = Counter()  # gram_scale <s_i, s_j> wherever it may be nonzero
+    for k, held in enumerate(holders):
+        for m, g in rs.gram_support[k]:
+            for (i, c), (j, d) in product(held, holders[m]):
+                products[i, j] += c * g * d
+    cbar = [[0] * len(simple) for _ in simple]
+    for (i, j), pair in sorted(products.items()):
+        num, den = 2 * pair, products[j, j]
+        if num % den or (i != j and num > 0) or (i == j and num != 2 * den):
+            raise UnrecognizedSystem(f"{name}: restricted Cartan entry {Fraction(num, den)} at ({i},{j})")
+        cbar[i][j] = num // den
+    return tuple(map(tuple, cbar))
+
+
 def _classify(rs: RootSystem, roots, simple_images: list[IntVector], name: str) -> TypeLabel:
     """Type of the restricted system; every vector argument is doubled."""
     simple_reduced = reduced_simple(roots, simple_images)
     rank = len(simple_reduced)
-    # column j pairs every simple root with s_j through one pairing row of s_j
-    rows = [rs.simple_pairings(s) for s in simple_reduced]
-    norms = [sum(map(mul, s, row)) for s, row in zip(simple_reduced, rows)]
-
-    def cartan_entry(i: int, j: int) -> int:
-        num = 2 * sum(map(mul, simple_reduced[i], rows[j]))
-        den = norms[j]
-        if num % den or (i != j and num > 0) or (i == j and num != 2 * den):
-            raise UnrecognizedSystem(f"{name}: restricted Cartan entry {Fraction(num, den)} at ({i},{j})")
-        return num // den
-
-    cbar = tuple(tuple(cartan_entry(i, j) for j in range(rank)) for i in range(rank))
-
+    cbar = restricted_cartan(rs, simple_reduced, name)
     matches = [t for t in candidate_types(rank) if find_cartan_isomorphism(cbar, cartan_matrix(t)) is not None]
     if not matches:
         raise UnrecognizedSystem(f"{name}: restricted Cartan matrix matches no classified type")

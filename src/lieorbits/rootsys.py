@@ -21,7 +21,7 @@ from itertools import compress, repeat
 from operator import add, gt, itemgetter, mul, neg
 from typing import Sequence
 
-from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch, ZeroVector
+from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -159,14 +159,14 @@ class RootSystem:
         return tuple(tuple(map(mul, row, scaled)) for row in self.cartan)
 
     @cached_property
-    def _gram_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # the nonzero (column, entry) pairs of each scaled Gram row, at most four
+    def gram_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero (column, entry) pairs of each scaled Gram row, at most four."""
         return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.scaled_gram)
 
     def scaled_inner(self, v: Sequence, w: Sequence) -> int | Fraction:
         """gram_scale * <v, w>: an int for integer vectors, exact for
         `Fraction` ones; the cost is linear in the support of v."""
-        rows = self._gram_support
+        rows = self.gram_support
         total = 0
         for i, a in enumerate(v):
             if a:
@@ -176,7 +176,7 @@ class RootSystem:
     def simple_pairings(self, v: Sequence) -> tuple:
         """gram_scale * <a_i, v> for every node i, from one sparse Gram row
         each; the Gram form is symmetric, so row i pairs a_i with v."""
-        return tuple(sum(g * v[j] for j, g in row) for row in self._gram_support)
+        return tuple(sum(g * v[j] for j, g in row) for row in self.gram_support)
 
     def scaled_norms(self, vectors: Sequence[Sequence[int]]) -> list[int]:
         """gram_scale * <v, v> for each of `vectors`, a coordinate column at a
@@ -187,7 +187,7 @@ class RootSystem:
         cols = list(zip(*vectors))
         terms = [
             map(mul, map(mul, cols[i], cols[j]), repeat(g if i == j else 2 * g))
-            for i, row in enumerate(self._gram_support)
+            for i, row in enumerate(self.gram_support)
             for j, g in row
             if j >= i
         ]
@@ -257,14 +257,6 @@ def build_root_system(t: SimpleType) -> RootSystem:
     predicate, so no string is walked down twice.
     """
     return _build_cached(t.letter, t.rank)
-
-
-def pairing(rs: RootSystem, v: Sequence, w: Sequence) -> Fraction:
-    """2<v,w>/<w,w>: the value of v on the coroot of w."""
-    ww = rs.inner(w, w)
-    if ww == 0:
-        raise ZeroVector("pairing against the zero vector")
-    return 2 * rs.inner(v, w) / ww
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import mul, neg
+from itertools import chain, repeat
+from operator import add, itemgetter, mul, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import LieOrbitsError
@@ -239,11 +239,13 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     norms = positive_norms(rrs)
     positives = list(norms)
 
-    # roots restricting to zero are exactly those supported on black nodes,
-    # so the multiplicity sum has an independent combinatorial count
+    # an independent count of the roots restricting to zero, those supported on black
+    # nodes: twice the positive roots whose white coordinates, a column each, sum to 0
     total = sum(doubled.values())
-    white = sd.white
-    span_black = sum(1 for r in rs.roots if not any(map(r.__getitem__, white)))
+    white_sums = repeat(0, len(rs.positive_roots))
+    for i in sd.white:
+        white_sums = map(add, white_sums, map(itemgetter(i), rs.positive_roots))
+    span_black = 2 * list(white_sums).count(0)
     if total + span_black != len(rs.roots):
         failures.append(
             Failure(name, "restricted.mult-sum", f"mult sum {total} + black-span {span_black} != {len(rs.roots)} roots")

@@ -1,6 +1,13 @@
+import argparse
+import contextlib
 import dataclasses
+import io
+import itertools
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +240,224 @@ def test_verify_corrupted_catalog_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "su(1,3)" in out
     assert "FAIL" in out
+
+
+# --- the argparse parser that `cli.parse_args` replaced ----------------------
+
+
+def reference_parser():
+    """A copy of the argparse parser the command line used before it read
+    its grammar directly, with the same usage line, options and epilog."""
+    parser = argparse.ArgumentParser(
+        prog="lieorbits",
+        usage="%(prog)s <command> [form] [--max-rank N] [--format text|json|dot]",
+        description="Smallest complex nilpotent orbits meeting each non-compact real simple Lie algebra",
+        epilog="commands:\n" + "\n".join(f"  {name:<10}{text}" for name, text in cli.COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=cli.COMMANDS, metavar="command", help="one of the commands listed below")
+    parser.add_argument("form", nargs="?", help="real-form name for describe, e.g. su*(4), so(3,5), e6(-26)")
+    parser.add_argument("--max-rank", type=int, default=8, dest="max_rank", help="complex rank bound (default 8)")
+    parser.add_argument("--format", choices=("text", "json", "dot"), default="text", dest="format")
+    return parser
+
+
+def reference_outcome(argv):
+    """(command, form, max_rank, format) as the argparse parser, its
+    form-count check and the bounds checks that followed read argv, or
+    "help", or "error" after exit 2 with nothing on stdout; with the stderr
+    of an error the parser reported."""
+    parser = reference_parser()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_intermixed_args(argv)
+            if (args.form is None) == (args.command == "describe"):
+                parser.error("describe takes one form" if args.form is None else f"{args.command} takes no form")
+        except SystemExit as exc:
+            if exc.code == 0:
+                return "help", ""
+            assert exc.code == 2 and not out.getvalue() and err.getvalue().startswith("usage: lieorbits"), argv
+            return "error", err.getvalue()
+    if not 2 <= args.max_rank <= MAX_RANK or (args.format == "dot" and args.command != "describe"):
+        return "error", ""
+    return (args.command, args.form, args.max_rank, args.format), ""
+
+
+def outcome(capsys, argv):
+    """The same reading by `cli.parse_args`, with the stderr of `main` on an error."""
+    try:
+        parsed = cli.parse_args(argv)
+    except cli.UsageError as exc:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err == f"{cli.USAGE}\nlieorbits: error: {exc}\n", argv
+        return "error", err
+    if parsed is None:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out == cli.HELP + "\n" and not err, argv
+        return "help", ""
+    return parsed, ""
+
+
+def orders():
+    """Every order of command, form and two options, each option written as
+    `--opt value`, `--opt=value` or by a prefix; then a missing form, and
+    one form too many."""
+    ranks = [["--max-rank", "4"], ["--max-rank=4"], ["--max", "4"], ["--m=4"]]
+    formats = [["--format", "json"], ["--format=json"], ["--form", "json"], ["--f=json"]]
+    for command, forms in (("describe", [["su(1,2)"], []]), ("list", [[]]), ("verify", [[]])):
+        for rank, fmt, form in itertools.product(ranks, formats, forms):
+            for order in itertools.permutations([[command], rank, fmt] + [form] * bool(form)):
+                yield [arg for unit in order for arg in unit]
+        yield [command, "--max", "4", "--format=json"] + ["e8(8)"] * (2 if command == "describe" else 1)
+
+
+EDGES = [
+    # missing values
+    ["describe", "su(1,2)", "--format"],
+    ["list", "--max-rank"],
+    ["--format", "--max-rank", "4", "list"],
+    ["--max-rank", "--", "list"],
+    ["list", "--format", "-x"],
+    # bad choices and bad integers
+    ["describe", "su(1,2)", "--format", "yaml"],
+    ["list", "--format="],
+    ["list", "--format", "JSON"],
+    ["list", "--max-rank", "abc"],
+    ["list", "--max-rank=4.0"],
+    ["list", "--max-rank", ""],
+    ["list", "--max-rank="],
+    ["list", "--max-rank", "9" * 5000],
+    ["list", "--max-rank", "-3"],
+    ["list", "--max-rank=-3"],
+    ["list", "--max-rank", "1"],
+    ["list", "--max-rank", "65"],
+    ["list", "--max-rank", "64"],
+    ["list", "--format", "dot"],
+    ["list", "--max-rank", "-1.5"],
+    ["list", "--max-rank", " 8 "],
+    ["list", "--max-rank", "+8"],
+    ["list", "--max-rank", "1_0"],
+    ["list", "--max", "list"],
+    # repeated options: the last one wins
+    ["list", "--format", "json", "--format", "text"],
+    ["list", "--max-rank", "4", "--max", "6", "--m=5"],
+    ["--format=dot", "describe", "g2(2)", "--form", "json"],
+    # extra positionals and unknown options
+    ["describe", "su(1,2)", "so(3,5)"],
+    ["list", "x", "y"],
+    ["list", "--bogus"],
+    ["--bogus", "describe", "su(1,2)"],
+    ["describe", "--bogus", "su(1,2)"],
+    ["list", "-x"],
+    ["list", "--max-rank-x", "3"],
+    ["list", "--formats", "json"],
+    ["list", "--=3"],
+    ["list", "-h=3"],
+    ["list", "-5"],
+    ["list", "-"],
+    ["describe", ""],
+    ["--format json", "list"],
+    ["bogus"],
+    ["su(1,2)", "describe"],
+    [],
+    # everything after -- is positional
+    ["--", "describe", "su(1,2)"],
+    ["describe", "--", "su(1,2)"],
+    ["describe", "su(1,2)", "--"],
+    ["--format", "json", "--", "describe", "su(1,2)"],
+    ["describe", "--", "su(1,2)", "--format", "json"],
+    ["describe", "--", "--format"],
+    ["list", "--"],
+    ["--", "list"],
+    ["--format", "--", "json", "list"],
+    # help wherever it stands, unless a bad option value comes first
+    ["-h"],
+    ["--help"],
+    ["--h"],
+    ["--he"],
+    ["describe", "su(1,2)", "--help"],
+    ["--help", "describe"],
+    ["describe", "-h", "su(1,2)"],
+    ["bogus", "--help"],
+    ["list", "--bogus", "--help"],
+    ["--help", "--format", "yaml"],
+    ["--format", "yaml", "--help"],
+    ["--format", "--help", "list"],
+    ["--max-rank", "x", "-h"],
+    ["--help=1"],
+    ["list", "su(1,2)", "--help"],
+]
+
+
+def argv_id(argv):
+    return repr(argv) if len(repr(argv)) < 80 else repr(argv)[:60] + "..."
+
+
+# Usage errors whose reason reads differently from argparse's: an unknown
+# option is reported without the words after it, and the words that
+# argparse read as a negative number, a positional with a space, an
+# ambiguous prefix or an explicit value of -h are unknown options here.
+OTHER_REASONS = [
+    ["list", "--max-rank", "-1.5"],
+    ["describe", "--bogus", "su(1,2)"],
+    ["list", "--max-rank-x", "3"],
+    ["list", "--formats", "json"],
+    ["list", "--=3"],
+    ["list", "-h=3"],
+    ["list", "-5"],
+    ["--format json", "list"],
+    ["--help=1"],
+]
+
+
+@pytest.mark.parametrize("argv", [*orders(), *EDGES], ids=argv_id)
+def test_reader_matches_the_argparse_parser(capsys, argv):
+    got, err = outcome(capsys, argv)
+    expected, reference_err = reference_outcome(argv)
+    assert got == expected
+    if reference_err and argv not in OTHER_REASONS:
+        assert err == reference_err
+
+
+# Deliberate divergences from argparse, which
+# - took a negative number or a word with a space as a form, which the form
+#   parser then refused with exit 2;
+# - read -hx and --help=x as -h with a value and refused them at once, and
+#   -hh as two -h flags;
+# - refused an ambiguous prefix such as --=x before it acted on any option;
+# - under Python 3.10 and 3.11, read an option after -- in its second pass
+#   over the positionals, and dropped every -- from them.
+# Only this reader's side is asserted: argparse's differs between versions.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["describe", "-5"], "error"),
+        (["describe", "-x y"], "error"),
+        (["-hx", "--help"], "help"),
+        (["--help=x", "--help"], "help"),
+        (["-hh"], "error"),
+        (["--help", "--=x"], "help"),
+        (["--", "--help"], "error"),
+        (["list", "--", "--"], "error"),
+    ],
+    ids=argv_id,
+)
+def test_reader_divergences(capsys, argv, expected):
+    assert outcome(capsys, argv)[0] == expected
+
+
+def test_cold_describe_loads_no_argparse():
+    # an isolated interpreter without site hooks, so that only lieorbits imports
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from lieorbits import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["describe", "e8(8)", "--format", "json"])
+print(code, len(out.getvalue()) > 0, sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["0 True []", ""]

@@ -4,26 +4,29 @@ The references below are copies, kept here, of the per-root code as it was
 written on row tuples: tau* applied one root at a time through
 `SatakeInvolution.tau_image`, the involution checks that scanned those
 images, the restriction alpha + tau* alpha with its sorted multiplicity dict
-and sorted positive roots, and the orbit dimension graded one root at a time.
-The column code must give the same values on every catalog entry up to rank
-16, the same failure lists on doctored involutions and on every single
-black-node toggle, arrow drop and arrow addition over the catalog up to
-rank 7, and `describe` must never build the sorted views.
+and sorted positive roots, the orbit dimension graded one root at a time,
+the restricted Cartan matrix paired densely over every coordinate, and
+`verify`'s black-span count over every root and node.  The column code must
+give the same values on every catalog entry up to rank 16, the same failure
+lists on doctored involutions and on every single black-node toggle, arrow
+drop and arrow addition over the catalog up to rank 7, and `describe` must
+never build the sorted views.
 """
 
 import contextlib
 import dataclasses
 import io
 from collections import Counter
-from operator import add, sub
+from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 
-from lieorbits import cli, restricted, satake
-from lieorbits.errors import LieOrbitsError
+from lieorbits import cli, restricted, satake, verify
+from lieorbits.errors import LieOrbitsError, UnrecognizedSystem
 from lieorbits.orbits import FormAnalysis
 from lieorbits.ratmat import matrix_rank
-from lieorbits.restricted import RestrictedRootSystem, restricted_root_system
+from lieorbits.restricted import RestrictedRootSystem, reduced_simple, restricted_cartan, restricted_root_system
 from lieorbits.rootsys import min_orbit_wdd, orbit_dim_from_wdd, simple_coord
 from lieorbits.satake import SatakeInvolution, build_satake, catalog, parse_form_name, satake_involution
 
@@ -58,6 +61,34 @@ def ref_orbit_dim(rs, w):
         elif value in (1, -1):
             ones += 1
     return len(rs.roots) - 2 * zero - ones
+
+
+def ref_cartan(rs, simple, name):
+    """The restricted Cartan matrix as `_classify` paired it: one
+    `simple_pairings` row per column and r^2 products over every coordinate."""
+    rank = len(simple)
+    rows = [rs.simple_pairings(s) for s in simple]
+    norms = [sum(map(mul, s, row)) for s, row in zip(simple, rows)]
+
+    def cartan_entry(i, j):
+        num = 2 * sum(map(mul, simple[i], rows[j]))
+        den = norms[j]
+        if num % den or (i != j and num > 0) or (i == j and num != 2 * den):
+            raise UnrecognizedSystem(f"{name}: restricted Cartan entry {Fraction(num, den)} at ({i},{j})")
+        return num // den
+
+    return tuple(tuple(cartan_entry(i, j) for j in range(rank)) for i in range(rank))
+
+
+def ref_mult_sum(sd, rrs):
+    """`verify`'s restricted.mult-sum check with the black span counted over every root."""
+    rs = sd.rs
+    total = sum(rrs.doubled.values())
+    span_black = sum(1 for r in rs.roots if not any(map(r.__getitem__, sd.white)))
+    if total + span_black != len(rs.roots):
+        message = f"mult sum {total} + black-span {span_black} != {len(rs.roots)} roots"
+        return [verify.Failure(sd.name, "restricted.mult-sum", message)]
+    return []
 
 
 def ref_involution_failures(sd, inv):
@@ -139,6 +170,25 @@ def mutations(sd):
     free = [w for w in sd.white if w not in arrowed]
     if len(free) >= 2:
         yield dataclasses.replace(sd, arrows=tuple(sorted(sd.arrows + ((free[0], free[1]),))))
+
+
+def cartan_or_message(cartan, rs, simple, name):
+    try:
+        return cartan(rs, simple, name)
+    except UnrecognizedSystem as exc:
+        return str(exc)
+
+
+def doctored_simple_roots(simple, highest):
+    """Simple roots with one scaled, negated, repeated, summed or swapped for
+    the highest root, and in reverse order."""
+    yield [tuple(3 * x for x in simple[0])] + simple[1:]
+    yield [tuple(map(sub, (0,) * len(simple[0]), simple[0]))] + simple[1:]
+    yield simple + simple[:1]
+    yield simple[:-1] + [highest]
+    yield simple[::-1]
+    if len(simple) > 1:
+        yield [tuple(map(add, simple[0], simple[1]))] + simple[1:]
 
 
 def doctored_involutions(inv):
@@ -304,3 +354,38 @@ def test_sorted_views_are_not_kept():
     assert "doubled" not in vars(rrs) and "doubled_positives" not in vars(rrs)
     assert all(sum(xi) > 0 for xi in rrs.doubled_positives)
     assert restricted.positive_norms(rrs).keys() == set(rrs.doubled_positives)
+
+
+@pytest.mark.parametrize("sd", ENTRIES, ids=lambda sd: sd.name)
+def test_sparse_cartan_matches_the_dense_pairing(sd):
+    rrs = restricted_root_system(sd)
+    simple = reduced_simple(rrs.counts, list(rrs.doubled_simple))
+    assert restricted_cartan(sd.rs, simple, sd.name) == ref_cartan(sd.rs, simple, sd.name)
+
+
+def test_doctored_simple_roots_give_the_same_cartan_matrix_or_message():
+    messages = 0
+    for sd in catalog(7) + [form(name) for name in ("e8(8)", "e7(-25)", "so(4,9)", "su(3,5)")]:
+        rrs = restricted_root_system(sd)
+        simple = reduced_simple(rrs.counts, list(rrs.doubled_simple))
+        for doctored in doctored_simple_roots(simple, rrs.doubled_highest):
+            got = cartan_or_message(restricted_cartan, sd.rs, doctored, sd.name)
+            assert got == cartan_or_message(ref_cartan, sd.rs, doctored, sd.name), (sd.name, doctored)
+            messages += isinstance(got, str)
+    assert messages > 100
+
+
+def test_black_span_count_matches_the_root_scan():
+    fired = 0
+    for sd in catalog(7):
+        true = FormAnalysis(sd)
+        # the black set of a mutant, or of the compact form, against the true analysis
+        everything_black = dataclasses.replace(sd, black=frozenset(range(sd.rs.rank)), arrows=())
+        for entry in [sd, everything_black, *mutations(sd)]:
+            analysis = FormAnalysis(entry)
+            for value in ("involution", "restricted", "parity", "hermitian"):
+                setattr(analysis, value, getattr(true, value))
+            got = [f for f in verify.check_restricted_entry(analysis) if f.check == "restricted.mult-sum"]
+            assert got == ref_mult_sum(entry, true.restricted), entry.name
+            fired += bool(got)
+    assert fired > 200
