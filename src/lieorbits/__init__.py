@@ -19,12 +19,9 @@ from .orbits import (
     FormAnalysis,
     OrbitReport,
     black_extended_criterion,
-    count_minimal_real_orbits,
     equivalence_conditions,
-    min_g_dimension,
     min_g_wdd_direct,
     min_g_wdd_linear_system,
-    min_meets_real_form,
     orbit_report,
     report_from_dict,
     report_to_dict,

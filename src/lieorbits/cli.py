@@ -156,7 +156,7 @@ def _run_describe(form: str, fmt: str) -> int:
 
 def render_text(report: OrbitReport, sd: SatakeDiagram) -> str:
     def weights(wdd):
-        return " ".join(str(w) for w in wdd.as_ints())
+        return " ".join(map(str, wdd.weights))
 
     def yesno(flag):
         return "yes" if flag else "no"
@@ -186,7 +186,7 @@ def emit_dot(report: OrbitReport) -> str:
     sd = build_satake(report.descriptor)
     cartan = sd.rs.cartan
     n = sd.rs.rank
-    weights = report.min_g_wdd.as_ints()
+    weights = report.min_g_wdd.weights
     lines = [f'graph "{report.descriptor.canonical_name}" {{', "  rankdir=LR;", "  node [shape=circle];"]
     for i in range(n):
         style = ", style=filled, fillcolor=black, fontcolor=white" if i in sd.black else ""
@@ -216,7 +216,7 @@ def _run_table(fmt: str) -> int:
         sd = build_satake(descriptor)
         report = orbit_report(sd)
         expected_weights, expected_dim = golden_row(descriptor)
-        got = report.min_g_wdd.as_ints()
+        got = report.min_g_wdd.weights
         ok = got == expected_weights and report.min_g_dim == expected_dim
         failed = failed or not ok
         rows.append(

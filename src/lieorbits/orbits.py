@@ -6,22 +6,23 @@ and a square integer system in the matching-diagram unknowns plus the
 black/arrow coroot basis coefficients.  The verification sweep insists they
 agree on every catalog entry.
 
-`FormAnalysis(sd)` holds every value derived for one diagram, one
-`cached_property` each, built from one another, so each is computed once per
+`FormAnalysis(sd)` holds every value derived for one diagram, one cached
+attribute each, built from one another, so each is computed once per
 analysis.  `orbit_report`, `run_verification`'s entry checks and the public
 functions below all read it.  An analysis lives only as long as the call or
-the verify entry that made it: nothing caches analyses across calls.
+the verify entry that made it: nothing caches analyses across calls.  Each
+diagram weight is an integer numerator divided by its denominator once a
+divisibility test passes, so the report path builds no `Fraction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from math import gcd
 from operator import mul
 
-from .errors import InconsistentDiagram, InvalidReport, TypeMismatch
-from .ratmat import as_vector, int_solve
+from .errors import InconsistentDiagram, InvalidReport, NonIntegralWeights, TypeMismatch
+from .ratmat import int_solve
 from .restricted import RestrictedRootSystem, is_hermitian, parity_criterion, restricted_root_system
 from .rootsys import (
     SimpleType,
@@ -78,11 +79,21 @@ class OrbitReport:
 class CorootSystemSolution:
     """Solution of the square system splitting twice the minimal-orbit coroot
     into a split-part diagram (match unknowns, one per white arrow class) and
-    coefficients over the black/arrow coroot basis.  Only the diagram and the
-    match values are reported."""
+    coefficients over the black/arrow coroot basis.  Each node's weight is an
+    integer numerator over the determinant, doubled when dim g_lambda = 1
+    (a weight is then half its match value); `wdd` is None unless all are
+    integers."""
 
-    wdd: WeightedDynkinDiagram
-    white_values: dict[int, Fraction]
+    wdd: WeightedDynkinDiagram | None
+    numerators: tuple[int, ...]
+    denominator: int
+
+
+def ratio_text(numerators, denominator: int) -> str:
+    """numerators/denominator as messages print it: reduced, and "/1" left out."""
+    g = gcd(denominator, *numerators)
+    nums = tuple(x // g for x in numerators)
+    return f"{nums}" if denominator == g else f"{nums}/{denominator // g}"
 
 
 def wdd_matches_satake(w: WeightedDynkinDiagram, sd: SatakeDiagram) -> bool:
@@ -111,10 +122,25 @@ def in_five_families(descriptor: RealFormDescriptor) -> bool:
     return descriptor.family == "so_pq" and descriptor.params[0] == 1
 
 
+class cached:
+    """`functools.cached_property` without its lock: the first read stores the
+    value in the instance `__dict__`, which later reads (and assignments,
+    since there is no `__set__`) find first."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class FormAnalysis:
     """Every value derived for one Satake diagram, each computed once.
 
-    Each property reads the ones it depends on, so an `orbit_report` and the
+    Each attribute reads the ones it depends on, so an `orbit_report` and the
     three `verify` entry checks sharing one analysis compute every layer
     once.  A value may be assigned to stand in for the computed one.
     """
@@ -122,23 +148,23 @@ class FormAnalysis:
     def __init__(self, sd: SatakeDiagram):
         self.sd = sd
 
-    @cached_property
+    @cached
     def involution(self) -> SatakeInvolution:
         return satake_involution(self.sd)
 
-    @cached_property
+    @cached
     def restricted(self) -> RestrictedRootSystem:
         return restricted_root_system(self.sd)
 
-    @cached_property
+    @cached
     def min_wdd(self) -> WeightedDynkinDiagram:
         return min_orbit_wdd(self.sd.rs)
 
-    @cached_property
+    @cached
     def min_meets(self) -> bool:
         return wdd_matches_satake(self.min_wdd, self.sd)
 
-    @cached_property
+    @cached
     def min_g_wdd(self) -> WeightedDynkinDiagram:
         """Weighted diagram of the smallest orbit meeting the real form.
 
@@ -150,13 +176,13 @@ class FormAnalysis:
         lam = self.restricted.doubled_highest
         pairs = sd.rs.simple_pairings(lam)
         norm = sum(map(mul, lam, pairs))
-        weights = tuple(Fraction(4 * p, norm) for p in pairs)
-        wdd = WeightedDynkinDiagram(sd.rs.simple_type, weights)
-        if not wdd.is_integral() or any(x not in (0, 1, 2) for x in wdd.as_ints()):
-            raise InconsistentDiagram(f"{sd.name}: weights {weights} outside {{0,1,2}}")
-        return wdd
+        nums = [4 * p for p in pairs]
+        weights = tuple(x // norm for x in nums)
+        if any(x % norm for x in nums) or not {0, 1, 2}.issuperset(weights):
+            raise InconsistentDiagram(f"{sd.name}: weights {ratio_text(nums, norm)} outside {{0,1,2}}")
+        return WeightedDynkinDiagram(sd.rs.simple_type, weights)
 
-    @cached_property
+    @cached
     def coroot_solution(self) -> CorootSystemSolution:
         """Set up and solve the linear system; one equation per node."""
         sd = self.sd
@@ -165,63 +191,54 @@ class FormAnalysis:
         cartan = rs.cartan
         self.involution  # validates the entry before we trust its data
 
-        class_rep: dict[int, int] = {}
-        for w in sd.white:
-            class_rep[w] = w
+        class_rep = {w: w for w in sd.white}
         for i, j in sd.arrows:
-            rep = min(i, j)
-            class_rep[i] = rep
-            class_rep[j] = rep
+            class_rep[i] = class_rep[j] = min(i, j)
         reps = sorted(set(class_rep.values()))
-        blacks = sorted(sd.black)
         columns: list[tuple] = [("class", r) for r in reps]
-        columns += [("black", b) for b in blacks]
+        columns += [("black", b) for b in sorted(sd.black)]
         columns += [("arrow", i, j) for i, j in sd.arrows]
         if len(columns) != n:
             raise InconsistentDiagram(f"{sd.name}: coroot system is {n}x{len(columns)}, not square")
 
         def entry(i: int, col: tuple) -> int:
             if col[0] == "class":
-                return int(i in class_rep and class_rep[i] == col[1])
+                return int(class_rep.get(i) == col[1])
             if col[0] == "black":
                 return cartan[i][col[1]]
-            _, a, b = col
-            return cartan[i][a] - cartan[i][b]
+            return cartan[i][col[1]] - cartan[i][col[2]]
 
         rows = [[entry(i, col) for col in columns] for i in range(n)]
-        nums, det = int_solve(rows, [2 * t for t in self.min_wdd.as_ints()])
+        nums, det = int_solve(rows, [2 * t for t in self.min_wdd.weights])
 
-        white_values = {columns[k][1]: Fraction(nums[k], det) for k in range(len(reps))}
-        halve = self.restricted.highest_mult == 1
-        weights = []
-        for i in range(n):
-            if i in sd.black:
-                weights.append(Fraction(0))
-            else:
-                value = white_values[class_rep[i]]
-                weights.append(value / 2 if halve else value)
-        return CorootSystemSolution(WeightedDynkinDiagram(rs.simple_type, tuple(weights)), white_values)
+        # the first len(reps) unknowns are the match values, over det
+        values = dict(zip(reps, nums))
+        den = 2 * det if self.restricted.highest_mult == 1 else det
+        numerators = tuple(0 if i in sd.black else values[class_rep[i]] for i in range(n))
+        if any(x % den for x in numerators):
+            return CorootSystemSolution(None, numerators, den)
+        return CorootSystemSolution(WeightedDynkinDiagram(rs.simple_type, tuple(x // den for x in numerators)), numerators, den)
 
-    @cached_property
+    @cached
     def min_g_dim(self) -> int:
         return orbit_dim_from_wdd(self.sd.rs, self.min_g_wdd)
 
-    @cached_property
+    @cached
     def parity(self) -> bool:
         return parity_criterion(self.restricted)
 
-    @cached_property
+    @cached
     def orbit_count(self) -> int:
         """Number of minimal real nilpotent orbits (equivalently, minimal
         nilpotent K_C-orbits in p_C): one when dim g_lambda >= 2 or some
         restricted root pairs oddly against lambda, two otherwise."""
         return 1 if self.restricted.highest_mult >= 2 or self.parity else 2
 
-    @cached_property
+    @cached
     def hermitian(self) -> bool:
         return is_hermitian(self.sd)
 
-    @cached_property
+    @cached
     def conditions(self) -> EquivalenceConditions:
         sd = self.sd
         rs = sd.rs
@@ -236,7 +253,7 @@ class FormAnalysis:
             c_xii=in_five_families(sd.descriptor),
         )
 
-    @cached_property
+    @cached
     def report(self) -> OrbitReport:
         sd = self.sd
         report = OrbitReport(
@@ -258,34 +275,18 @@ class FormAnalysis:
         return report
 
 
-def min_meets_real_form(sd: SatakeDiagram) -> bool:
-    """Whether the minimal complex nilpotent orbit meets the real form."""
-    return FormAnalysis(sd).min_meets
-
-
 def min_g_wdd_direct(sd: SatakeDiagram) -> WeightedDynkinDiagram:
     """Weighted diagram of the smallest orbit meeting the real form."""
     return FormAnalysis(sd).min_g_wdd
 
 
-def solve_coroot_system(sd: SatakeDiagram) -> CorootSystemSolution:
-    """The coroot system of the linear-system route, solved."""
-    return FormAnalysis(sd).coroot_solution
-
-
 def min_g_wdd_linear_system(sd: SatakeDiagram) -> WeightedDynkinDiagram:
-    """Same diagram as min_g_wdd_direct, through the linear-system route."""
-    return solve_coroot_system(sd).wdd
-
-
-def min_g_dimension(sd: SatakeDiagram) -> int:
-    """Complex dimension of the smallest orbit meeting the real form."""
-    return FormAnalysis(sd).min_g_dim
-
-
-def count_minimal_real_orbits(sd: SatakeDiagram) -> int:
-    """Number of minimal real nilpotent orbits: 1 or 2."""
-    return FormAnalysis(sd).orbit_count
+    """Same diagram as min_g_wdd_direct, through the linear-system route;
+    NonIntegralWeights when that route's weights are not integers."""
+    solution = FormAnalysis(sd).coroot_solution
+    if solution.wdd is None:
+        raise NonIntegralWeights(f"{sd.name}: linear system gives {ratio_text(solution.numerators, solution.denominator)}")
+    return solution.wdd
 
 
 def equivalence_conditions(sd: SatakeDiagram) -> EquivalenceConditions:
@@ -313,16 +314,15 @@ def _drawn_labels(wdd: WeightedDynkinDiagram) -> dict[str, int] | None:
     order = DRAWN_NODE_ORDERS.get(wdd.simple_type.name)
     if order is None:
         return None
-    ints = wdd.as_ints()
-    return {f"alpha{k + 1}": ints[idx] for k, idx in enumerate(order)}
+    return {f"alpha{k + 1}": wdd.weights[idx] for k, idx in enumerate(order)}
 
 
 def report_to_dict(report: OrbitReport) -> dict:
     data = {
         "descriptor": report.descriptor.canonical_name,
-        "min_wdd": list(report.min_wdd.as_ints()),
+        "min_wdd": list(report.min_wdd.weights),
         "min_meets": report.min_meets,
-        "min_g_wdd": list(report.min_g_wdd.as_ints()),
+        "min_g_wdd": list(report.min_g_wdd.weights),
         "min_g_dim": report.min_g_dim,
         "g_lambda_dim": report.g_lambda_dim,
         "minimal_real_orbit_count": report.minimal_real_orbit_count,
@@ -350,20 +350,29 @@ def _field(data: dict, key: str, kind: type, where: str = ""):
     return value
 
 
+def _int_field(data: dict, key: str, low: int, high: float = float("inf")) -> int:
+    value = _field(data, key, int)
+    if not low <= value <= high:
+        raise InvalidReport(f"report field {key!r} must be from {low} to {high}, got {value}")
+    return value
+
+
 def _weights_field(data: dict, key: str, simple_type: SimpleType) -> WeightedDynkinDiagram:
     values = _field(data, key, list)
     if len(values) != simple_type.rank:
         raise InvalidReport(f"report field {key!r} has {len(values)} weights, {simple_type.name} has {simple_type.rank} nodes")
     for value in values:
-        if type(value) is not int:
-            raise InvalidReport(f"report field {key!r} must hold int weights, got {type(value).__name__} {value!r}")
-    return WeightedDynkinDiagram(simple_type, as_vector(values))
+        if type(value) is not int or value not in (0, 1, 2):
+            raise InvalidReport(f"report field {key!r} must hold int weights 0, 1 or 2, got {type(value).__name__} {value!r}")
+    return WeightedDynkinDiagram(simple_type, tuple(values))
 
 
 def report_from_dict(data: dict) -> OrbitReport:
     """Inverse of report_to_dict.  Every field is checked, not coerced: a
-    missing field or a value of the wrong type raises InvalidReport naming
-    it.  The derived `paper_labels` field is not read."""
+    missing field, a value of the wrong type or a value no report can hold
+    (a weight outside {0,1,2}, an orbit count other than 1 or 2, a
+    dimension below 1) raises InvalidReport naming it.  The derived
+    `paper_labels` field is not read."""
     if not isinstance(data, dict):
         raise InvalidReport(f"report must be an object, got {type(data).__name__}")
     descriptor = parse_form_name(_field(data, "descriptor", str))
@@ -374,9 +383,9 @@ def report_from_dict(data: dict) -> OrbitReport:
         min_wdd=_weights_field(data, "min_wdd", simple_type),
         min_meets=_field(data, "min_meets", bool),
         min_g_wdd=_weights_field(data, "min_g_wdd", simple_type),
-        min_g_dim=_field(data, "min_g_dim", int),
-        g_lambda_dim=_field(data, "g_lambda_dim", int),
-        minimal_real_orbit_count=_field(data, "minimal_real_orbit_count", int),
+        min_g_dim=_int_field(data, "min_g_dim", 1),
+        g_lambda_dim=_int_field(data, "g_lambda_dim", 1),
+        minimal_real_orbit_count=_int_field(data, "minimal_real_orbit_count", 1, 2),
         hermitian=_field(data, "hermitian", bool),
         conditions=EquivalenceConditions(**{f: _field(conditions, f, bool, "conditions.") for f in CONDITION_FIELDS}),
     )

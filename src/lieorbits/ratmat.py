@@ -6,23 +6,16 @@ itself.  The two linear solves (the black Gram split behind theta* and the
 coroot system behind the weighted diagram) take integer rows and return
 integer numerators over one determinant, and ranks are taken on integer
 vectors; both eliminate fraction-free, so no entry ever leaves the ints.
-`Vector` is a tuple of `fractions.Fraction`, for the values that are
-genuinely rational: weights and restricted roots.
+Nothing here builds a `fractions.Fraction`: a caller that needs a rational
+keeps it as integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import SingularMatrix
-
-Vector = tuple[Fraction, ...]
-
-
-def as_vector(values: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in values)
 
 
 def int_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -44,7 +44,6 @@ from operator import add, mul, neg
 from typing import Iterator
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
-from .ratmat import Vector
 from .rootsys import RootSystem, SimpleType, candidate_types, cartan_matrix, find_cartan_isomorphism, simple_coord
 from .satake import SatakeDiagram, satake_involution
 
@@ -101,7 +100,7 @@ class RestrictedRootSystem:
         return tuple(sorted(compress(keys, map((0).__lt__, map(sum, keys)))))
 
     @cached_property
-    def elements(self) -> tuple[Vector, ...]:
+    def elements(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(x, 2) for x in d) for d in self.doubled)
 
 

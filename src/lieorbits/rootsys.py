@@ -173,6 +173,11 @@ class RootSystem:
                 total += a * sum(g * w[j] for j, g in rows[i])
         return total
 
+    @cached_property
+    def highest_pairings(self) -> tuple[int, ...]:
+        """gram_scale * <a_i, phi> for every node i, read on every report."""
+        return self.simple_pairings(self.highest)
+
     def simple_pairings(self, v: Sequence) -> tuple:
         """gram_scale * <a_i, v> for every node i, from one sparse Gram row
         each; the Gram form is symmetric, so row i pairs a_i with v."""
@@ -261,30 +266,30 @@ def build_root_system(t: SimpleType) -> RootSystem:
 
 @dataclass(frozen=True)
 class WeightedDynkinDiagram:
-    """Weights a_i(H) attached to the nodes of the simple system."""
+    """Weights a_i(H) attached to the nodes of the simple system, as ints:
+    the labels of a weighted Dynkin diagram are 0, 1 or 2 (Collingwood-
+    McGovern 3.5).  A `Fraction`, float or bool weight is refused."""
 
     simple_type: SimpleType
-    weights: tuple[Fraction, ...]
+    weights: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.weights) != self.simple_type.rank:
             raise ValueError("one weight per node required")
-
-    def is_integral(self) -> bool:
-        return all(w.denominator == 1 for w in self.weights)
+        if not all(type(w) is int for w in self.weights):
+            raise NonIntegralWeights(f"weights {self.weights} are not all ints")
 
     def as_ints(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            raise NonIntegralWeights(f"weights {self.weights} are not integers")
-        return tuple(int(w) for w in self.weights)
+        return self.weights
 
 
 def min_orbit_wdd(rs: RootSystem) -> WeightedDynkinDiagram:
     """Weighted diagram of the minimal nonzero nilpotent orbit: a -> 2<a,phi>/<phi,phi>."""
-    phi = rs.highest
-    pairs = rs.simple_pairings(phi)
-    norm = sum(map(mul, phi, pairs))
-    return WeightedDynkinDiagram(rs.simple_type, tuple(Fraction(2 * p, norm) for p in pairs))
+    pairs = rs.highest_pairings
+    norm = sum(map(mul, rs.highest, pairs))
+    if any(2 * p % norm for p in pairs):
+        raise NonIntegralWeights(f"{rs.simple_type.name}: 2<a, phi>/<phi, phi> is not integral")
+    return WeightedDynkinDiagram(rs.simple_type, tuple(2 * p // norm for p in pairs))
 
 
 def extended_neighbors(rs: RootSystem) -> frozenset[int]:
@@ -295,7 +300,7 @@ def extended_neighbors(rs: RootSystem) -> frozenset[int]:
     if rs.rank < 2:
         raise RankTooSmall("the extended A1 diagram is a double edge; use min_orbit_wdd")
     # a zero test does not depend on the scale of the Gram form
-    return frozenset(i for i, p in enumerate(rs.simple_pairings(rs.highest)) if p)
+    return frozenset(i for i, p in enumerate(rs.highest_pairings) if p)
 
 
 def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:
@@ -309,25 +314,26 @@ def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:
     """
     if w.simple_type != rs.simple_type:
         raise TypeMismatch(f"diagram of type {w.simple_type.name} against system {rs.simple_type.name}")
-    if not w.is_integral():
-        raise NonIntegralWeights(f"weights {w.weights} are not integers")
     positives = rs.positive_roots
-    terms = [map(mul, map(itemgetter(i), positives), repeat(x)) for i, x in enumerate(w.as_ints()) if x]
+    terms = [map(mul, map(itemgetter(i), positives), repeat(x)) for i, x in enumerate(w.weights) if x]
     degrees = list(map(sum, zip(*terms))) if terms else [0] * len(positives)
     zero = degrees.count(0)
     ones = degrees.count(1) + degrees.count(-1)
     return len(rs.roots) - 2 * zero - ones
 
 
-def dual_coxeter_number(rs: RootSystem) -> Fraction:
+def dual_coxeter_number(rs: RootSystem) -> int:
     """1 + the sum of the highest root's coefficients over the coroot basis.
 
     The minimal nilpotent orbit is the unique nonzero orbit of dimension
     2h^v - 2 (Collingwood-McGovern), which this reaches without a grading.
     """
-    # d_i = <a_i, a_i>/2 is scaled_gram[i][i] / (2 gram_scale)
+    # d_i = <a_i, a_i>/2 is scaled_gram[i][i] / (2 gram_scale); sum c_i d_i is phi^v's height
     g = rs.scaled_gram
-    return 1 + Fraction(sum(c * g[i][i] for i, c in enumerate(rs.highest)), 2 * rs.gram_scale)
+    total, rest = divmod(sum(c * g[i][i] for i, c in enumerate(rs.highest)), 2 * rs.gram_scale)
+    if rest:
+        raise InvalidType(f"{rs.simple_type.name}: the highest coroot has non-integral coefficients")
+    return 1 + total
 
 
 # bounded like cartan_matrix; its targets are the candidate types' Cartan

@@ -30,7 +30,7 @@ from operator import add, itemgetter, mul, neg
 from typing import Callable, Iterable, Sequence
 
 from .errors import LieOrbitsError
-from .orbits import FormAnalysis, in_five_families, wdd_matches_satake
+from .orbits import FormAnalysis, in_five_families, ratio_text, wdd_matches_satake
 from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms, reduced_simple
 from .rootsys import (
     ROOT_COUNT_FORMULAS,
@@ -62,13 +62,9 @@ EXCEPTIONAL_REAL_RANK = {
 def expected_real_rank(d: RealFormDescriptor) -> int:
     """Real rank per family, from the standard classification tables."""
     f, p = d.family, d.params
-    if f == "sl_R":
+    if f in ("sl_R", "su_star"):
         return p[0] - 1
-    if f == "su_star":
-        return p[0] - 1
-    if f in ("su_pq", "so_pq", "sp_pq"):
-        return p[0]
-    if f == "sp_R":
+    if f in ("su_pq", "so_pq", "sp_pq", "sp_R"):
         return p[0]
     if f == "so_star":
         return p[0] // 2
@@ -152,7 +148,7 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
 
     wdd = min_orbit_wdd(rs)
     if rs.rank == 1:
-        if wdd.weights != (Fraction(2),):
+        if wdd.weights != (2,):
             failures.append(Failure(name, "minwdd.a1", f"A1 weight is {wdd.weights}, expected (2,)"))
     else:
         if any(w not in (0, 1) for w in wdd.weights):
@@ -347,9 +343,8 @@ def check_orbit_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
         return [Failure(name, "orbit.construction", str(exc))]
 
     if direct != system.wdd:
-        failures.append(
-            Failure(name, "orbit.two-methods", f"direct {direct.weights} != linear system {system.wdd.weights}")
-        )
+        solved = ratio_text(system.numerators, system.denominator)
+        failures.append(Failure(name, "orbit.two-methods", f"direct {direct.weights} != linear system {solved}"))
 
     if not wdd_matches_satake(direct, sd):
         failures.append(Failure(name, "orbit.matches-satake", "diagram of the meeting orbit does not match the entry"))
@@ -377,9 +372,9 @@ def check_orbit_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
     row = golden_row(sd.descriptor)
     if row is not None:
         weights, dim = row
-        if direct.as_ints() != weights or g_dim != dim:
+        if direct.weights != weights or g_dim != dim:
             failures.append(
-                Failure(name, "orbit.golden-row", f"got {direct.as_ints()} dim {g_dim}, table says {weights} dim {dim}")
+                Failure(name, "orbit.golden-row", f"got {direct.weights} dim {g_dim}, table says {weights} dim {dim}")
             )
     return failures
 

@@ -10,15 +10,7 @@ from fractions import Fraction
 
 from lieorbits import cli, satake
 from lieorbits.errors import InconsistentDiagram
-from lieorbits.orbits import (
-    count_minimal_real_orbits,
-    equivalence_conditions,
-    in_five_families,
-    min_g_dimension,
-    min_g_wdd_direct,
-    solve_coroot_system,
-)
-from lieorbits.ratmat import as_vector
+from lieorbits.orbits import FormAnalysis, equivalence_conditions, in_five_families, min_g_wdd_direct
 from lieorbits.restricted import is_C_or_BC, parity_criterion, restricted_root_system
 from lieorbits.rootsys import (
     ROOT_COUNT_FORMULAS,
@@ -42,6 +34,20 @@ LENGTH_HALVES = {
 
 def simple_root_length_halves(t):
     return tuple(map(Fraction, LENGTH_HALVES.get(t.letter, lambda n: (1,) * n)(t.rank)))
+
+
+def as_vector(values):
+    return tuple(map(Fraction, values))
+
+
+def white_values(fa):
+    """The coroot system's match unknowns, one per white arrow class: the
+    class's weight, doubled when dim g_lambda = 1."""
+    sd, solution = fa.sd, fa.coroot_solution
+    scale = 2 if fa.restricted.highest_mult == 1 else 1
+    arrowed = {k for pair in sd.arrows for k in pair}
+    reps = {min(pair) for pair in sd.arrows} | (set(sd.white) - arrowed)
+    return {r: Fraction(scale * solution.numerators[r], solution.denominator) for r in sorted(reps)}
 
 
 def criterion(label):
@@ -110,7 +116,7 @@ def test_criterion_1_table_rows():
         sd = form(name)
         weights, dim = _expected_row(name)
         assert min_g_wdd_direct(sd).as_ints() == weights, name
-        assert min_g_dimension(sd) == dim, name
+        assert FormAnalysis(sd).min_g_dim == dim, name
 
 
 # --- criterion 2: two-method agreement ------------------------------------
@@ -119,11 +125,11 @@ def test_criterion_1_table_rows():
 @criterion("criterion 2: direct and linear-system diagrams agree; e6(-26) unknowns a=b=1")
 def test_criterion_2_two_methods():
     for sd in rank8_catalog():
-        solution = solve_coroot_system(sd)
+        solution = FormAnalysis(sd).coroot_solution
         assert min_g_wdd_direct(sd) == solution.wdd, sd.name
-    e6 = solve_coroot_system(form("e6(-26)"))
-    assert sorted(e6.white_values.values()) == [1, 1]
-    assert e6.white_values == {0: 1, 5: 1}
+    e6 = white_values(FormAnalysis(form("e6(-26)")))
+    assert sorted(e6.values()) == [1, 1]
+    assert e6 == {0: 1, 5: 1}
 
 
 # --- criterion 3: the condition battery -----------------------------------
@@ -158,7 +164,7 @@ def _expected_hermitian(descriptor):
 def test_criterion_4_counts():
     for sd in rank8_catalog():
         expected = _expected_hermitian(sd.descriptor)
-        assert (count_minimal_real_orbits(sd) == 2) == expected, sd.name
+        assert (FormAnalysis(sd).orbit_count == 2) == expected, sd.name
         rrs = restricted_root_system(sd)
         assert parity_criterion(rrs) == (not is_C_or_BC(rrs)), sd.name
 

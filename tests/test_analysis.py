@@ -165,7 +165,7 @@ def test_positive_root_dimension_matches_a_full_scan():
 def test_positive_root_dimension_on_negative_weights():
     rs = rootsys.build_root_system(rootsys.SimpleType("A", 3))
     for weights in [(-1, 0, 1), (1, -2, 1), (0, -1, 0), (-2, -2, -2)]:
-        w = rootsys.WeightedDynkinDiagram(rs.simple_type, tuple(Fraction(x) for x in weights))
+        w = rootsys.WeightedDynkinDiagram(rs.simple_type, weights)
         assert rootsys.orbit_dim_from_wdd(rs, w) == _full_scan_dim(rs, w), weights
 
 

@@ -6,17 +6,14 @@ import pytest
 from lieorbits.errors import InvalidReport, LieOrbitsError, OutOfRangeParams, TypeMismatch
 from lieorbits.orbits import (
     CONDITION_FIELDS,
+    FormAnalysis,
     black_extended_criterion,
-    count_minimal_real_orbits,
     equivalence_conditions,
-    min_g_dimension,
     min_g_wdd_direct,
     min_g_wdd_linear_system,
-    min_meets_real_form,
     orbit_report,
     report_from_dict,
     report_to_dict,
-    solve_coroot_system,
     wdd_matches_satake,
 )
 from lieorbits.rootsys import SimpleType, WeightedDynkinDiagram, min_orbit_wdd
@@ -27,8 +24,22 @@ def form(name):
     return build_satake(parse_form_name(name))
 
 
+def analysis(name):
+    return FormAnalysis(form(name))
+
+
 def wdd(letter, rank, weights):
-    return WeightedDynkinDiagram(SimpleType(letter, rank), tuple(Fraction(w) for w in weights))
+    return WeightedDynkinDiagram(SimpleType(letter, rank), tuple(weights))
+
+
+def white_values(fa):
+    """The coroot system's match unknowns, one per white arrow class: the
+    class's weight, doubled when dim g_lambda = 1."""
+    sd, solution = fa.sd, fa.coroot_solution
+    scale = 2 if fa.restricted.highest_mult == 1 else 1
+    arrowed = {k for pair in sd.arrows for k in pair}
+    reps = {min(pair) for pair in sd.arrows} | (set(sd.white) - arrowed)
+    return {r: Fraction(scale * solution.numerators[r], solution.denominator) for r in sorted(reps)}
 
 
 def test_match_split_always():
@@ -53,10 +64,10 @@ def test_match_type_mismatch():
 
 
 def test_min_meets_examples():
-    assert min_meets_real_form(form("sl(5,R)"))
-    assert not min_meets_real_form(form("su*(4)"))
-    assert not min_meets_real_form(form("su*(8)"))
-    assert min_meets_real_form(form("su(2,3)"))
+    assert analysis("sl(5,R)").min_meets
+    assert not analysis("su*(4)").min_meets
+    assert not analysis("su*(8)").min_meets
+    assert analysis("su(2,3)").min_meets
 
 
 def test_black_extended_criterion_examples():
@@ -83,27 +94,26 @@ def test_min_g_wdd_linear_system_examples():
 
 
 def test_e6_m26_white_unknowns_solve_to_one():
-    solution = solve_coroot_system(form("e6(-26)"))
-    assert solution.white_values == {0: Fraction(1), 5: Fraction(1)}
+    assert white_values(analysis("e6(-26)")) == {0: Fraction(1), 5: Fraction(1)}
 
 
 def test_min_g_dimension_families():
     for k in range(2, 5):
-        assert min_g_dimension(form(f"su*({2 * k})")) == 8 * k - 8
+        assert analysis(f"su*({2 * k})").min_g_dim == 8 * k - 8
     for n in range(5, 10):
-        assert min_g_dimension(form(f"so(1,{n - 1})")) == 2 * n - 4
+        assert analysis(f"so(1,{n - 1})").min_g_dim == 2 * n - 4
     for p, q in [(1, 1), (1, 2), (2, 2), (2, 3)]:
-        assert min_g_dimension(form(f"sp({p},{q})")) == 4 * (p + q) - 2
+        assert analysis(f"sp({p},{q})").min_g_dim == 4 * (p + q) - 2
 
 
 def test_count_examples():
-    assert count_minimal_real_orbits(form("sp(1,2)")) == 1
-    assert count_minimal_real_orbits(form("su(1,2)")) == 2
-    assert count_minimal_real_orbits(form("sl(3,R)")) == 1
-    assert count_minimal_real_orbits(form("sl(2,R)")) == 2
-    assert count_minimal_real_orbits(form("so(2,7)")) == 2
-    assert count_minimal_real_orbits(form("e7(-25)")) == 2
-    assert count_minimal_real_orbits(form("e7(-5)")) == 1
+    assert analysis("sp(1,2)").orbit_count == 1
+    assert analysis("su(1,2)").orbit_count == 2
+    assert analysis("sl(3,R)").orbit_count == 1
+    assert analysis("sl(2,R)").orbit_count == 2
+    assert analysis("so(2,7)").orbit_count == 2
+    assert analysis("e7(-25)").orbit_count == 2
+    assert analysis("e7(-5)").orbit_count == 1
 
 
 def test_conditions_examples():
@@ -216,6 +226,24 @@ def report_data(name="su(1,2)"):
     ],
 )
 def test_report_from_dict_rejects_wrong_types(field, value):
+    data = report_data()
+    data[field] = value
+    with pytest.raises(InvalidReport, match=field):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("min_wdd", [0, 3]),
+        ("min_g_wdd", [5, -1]),
+        ("minimal_real_orbit_count", 7),
+        ("minimal_real_orbit_count", 0),
+        ("min_g_dim", -4),
+        ("g_lambda_dim", 0),
+    ],
+)
+def test_report_from_dict_rejects_values_no_report_holds(field, value):
     data = report_data()
     data[field] = value
     with pytest.raises(InvalidReport, match=field):

@@ -7,7 +7,6 @@ import pytest
 from lieorbits import verify
 from lieorbits.errors import InconsistentDiagram
 from lieorbits.orbits import FormAnalysis
-from lieorbits.ratmat import as_vector
 from lieorbits.restricted import (
     dominant_longest,
     is_C_or_BC,
@@ -34,6 +33,10 @@ def F(a, b=1):
 def doubled(sd, v):
     """2 r(v) = v + tau* v, the form every restricted root is stored in."""
     return tuple(a + b for a, b in zip(v, satake_involution(sd).tau_image(v)))
+
+
+def as_vector(values):
+    return tuple(map(Fraction, values))
 
 
 def halved(v):

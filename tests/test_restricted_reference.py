@@ -14,7 +14,6 @@ from operator import sub
 
 import pytest
 
-from lieorbits.ratmat import as_vector
 from lieorbits.restricted import dominant_longest, parity_criterion, positive_norms, restricted_root_system
 from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution
 
@@ -31,6 +30,10 @@ ROOT_COUNTS = {
     "F": lambda r: 48 if r == 4 else None,
     "G": lambda r: 12 if r == 2 else None,
 }
+
+
+def as_vector(values):
+    return tuple(map(Fraction, values))
 
 
 def twice(v):

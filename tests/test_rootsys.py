@@ -205,12 +205,12 @@ def test_min_wdd_support_is_extended_neighbors(t):
 
 def test_orbit_dim_examples():
     a2 = build_root_system(SimpleType("A", 2))
-    assert orbit_dim_from_wdd(a2, WeightedDynkinDiagram(a2.simple_type, (Fraction(1), Fraction(1)))) == 4
+    assert orbit_dim_from_wdd(a2, WeightedDynkinDiagram(a2.simple_type, (1, 1))) == 4
     e6 = build_root_system(SimpleType("E", 6))
-    row = WeightedDynkinDiagram(e6.simple_type, tuple(Fraction(x) for x in (1, 0, 0, 0, 0, 1)))
+    row = WeightedDynkinDiagram(e6.simple_type, (1, 0, 0, 0, 0, 1))
     assert orbit_dim_from_wdd(e6, row) == 32
     f4 = build_root_system(SimpleType("F", 4))
-    row = WeightedDynkinDiagram(f4.simple_type, tuple(Fraction(x) for x in (0, 0, 0, 1)))
+    row = WeightedDynkinDiagram(f4.simple_type, (0, 0, 0, 1))
     assert orbit_dim_from_wdd(f4, row) == 22
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from lieorbits import restricted, verify
 from lieorbits.errors import InconsistentDiagram, LieOrbitsError, UnrecognizedSystem
-from lieorbits.orbits import FormAnalysis, in_five_families, wdd_matches_satake
+from lieorbits.orbits import FormAnalysis, in_five_families, ratio_text, wdd_matches_satake
 from lieorbits.restricted import is_C_or_BC, reduced_simple, restricted_root_system
 from lieorbits.rootsys import (
     build_root_system,
@@ -211,8 +211,9 @@ def ref_check_orbit_entry(analysis):
     except LieOrbitsError as exc:
         return [Failure(name, "orbit.construction", str(exc))]
     if direct != system.wdd:
-        failures.append(Failure(name, "orbit.two-methods", f"direct {direct.weights} != linear system {system.wdd.weights}"))
-    if not direct.is_integral() or any(x not in (0, 1, 2) for x in direct.as_ints()):
+        solved = ratio_text(system.numerators, system.denominator)
+        failures.append(Failure(name, "orbit.two-methods", f"direct {direct.weights} != linear system {solved}"))
+    if any(x not in (0, 1, 2) for x in direct.weights):
         failures.append(Failure(name, "orbit.weights-range", f"weights {direct.weights} outside {{0,1,2}}"))
     if not wdd_matches_satake(direct, sd):
         failures.append(Failure(name, "orbit.matches-satake", "diagram of the meeting orbit does not match the entry"))
