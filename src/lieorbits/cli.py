@@ -257,7 +257,18 @@ def _run_verify(max_rank: int, fmt: str) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """`main` as a process.  A reader that closes the pipe early (`| head -1`)
+    ends the run with exit code 1 and no traceback: stdout is pointed at
+    devnull, as the Python docs advise, so the flush at exit cannot fail again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

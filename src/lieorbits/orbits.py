@@ -17,7 +17,7 @@ divisibility test passes, so the report path builds no `Fraction`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from operator import mul
 
@@ -37,46 +37,34 @@ from .satake import RealFormDescriptor, SatakeDiagram, SatakeInvolution, build_s
 CONDITION_FIELDS = ("c_i", "c_ii", "c_iv", "c_v", "c_vi", "c_vii", "c_xii")
 
 
-@dataclass(frozen=True)
-class EquivalenceConditions:
+class EquivalenceConditions(namedtuple("EquivalenceConditions", CONDITION_FIELDS)):
     """Seven equivalent tests for "the minimal complex orbit misses the real form".
 
     Each boolean is computed by its own route; they must all agree.
     """
 
-    c_i: bool
-    c_ii: bool
-    c_iv: bool
-    c_v: bool
-    c_vi: bool
-    c_vii: bool
-    c_xii: bool
+    __slots__ = ()
 
     def values(self) -> tuple[bool, ...]:
-        return tuple(getattr(self, f) for f in CONDITION_FIELDS)
+        return tuple(self)
 
     @property
     def all_agree(self) -> bool:
         return len(set(self.values())) == 1
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(
+    namedtuple(
+        "OrbitReport",
+        "descriptor min_wdd min_meets min_g_wdd min_g_dim g_lambda_dim minimal_real_orbit_count hermitian conditions",
+    )
+):
     """Everything this package computes about one real form."""
 
-    descriptor: RealFormDescriptor
-    min_wdd: WeightedDynkinDiagram
-    min_meets: bool
-    min_g_wdd: WeightedDynkinDiagram
-    min_g_dim: int
-    g_lambda_dim: int
-    minimal_real_orbit_count: int
-    hermitian: bool
-    conditions: EquivalenceConditions
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CorootSystemSolution:
+class CorootSystemSolution(namedtuple("CorootSystemSolution", "wdd numerators denominator")):
     """Solution of the square system splitting twice the minimal-orbit coroot
     into a split-part diagram (match unknowns, one per white arrow class) and
     coefficients over the black/arrow coroot basis.  Each node's weight is an
@@ -84,9 +72,7 @@ class CorootSystemSolution:
     (a weight is then half its match value); `wdd` is None unless all are
     integers."""
 
-    wdd: WeightedDynkinDiagram | None
-    numerators: tuple[int, ...]
-    denominator: int
+    __slots__ = ()
 
 
 def ratio_text(numerators, denominator: int) -> str:

@@ -12,8 +12,8 @@ keeps it as integer numerators over one denominator.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
-from typing import Sequence
 
 from .errors import SingularMatrix
 

@@ -35,13 +35,11 @@ vector.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import compress, product, repeat
 from operator import add, mul, neg
-from typing import Iterator
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
 from .rootsys import RootSystem, SimpleType, candidate_types, cartan_matrix, find_cartan_isomorphism, simple_coord
@@ -50,13 +48,10 @@ from .satake import SatakeDiagram, satake_involution
 IntVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TypeLabel:
+class TypeLabel(namedtuple("TypeLabel", "letter rank reduced")):
     """Classified type of a restricted root system."""
 
-    letter: str
-    rank: int
-    reduced: bool
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -69,23 +64,26 @@ def reduced_simple(roots, simple) -> list[IntVector]:
     return [d if d in roots else s for s, d in zip(simple, doubles)]
 
 
-@dataclass(frozen=True, eq=False)
-class RestrictedRootSystem:
+class RestrictedRootSystem(
+    namedtuple("RestrictedRootSystem", "source counts doubled_simple doubled_highest highest_mult type_label")
+):
     """Image of the root system under restriction, with multiplicities.
 
     Stored as doubled integer vectors 2 r(alpha): `counts` maps each nonzero
     one to its multiplicity, unsorted, and `doubled_simple` follows the white
     nodes.  The views `doubled` (`counts` in sorted order) and
     `doubled_positives` (its keys of positive coefficient sum, sorted) are
-    built anew on each read, so only `verify` pays for them.
+    built anew on each read, so only `verify` pays for them.  Equality is
+    identity, also against a plain tuple, as the `counts` dict cannot be hashed.
     """
 
-    source: SatakeDiagram
-    counts: dict[IntVector, int]
-    doubled_simple: tuple[IntVector, ...]
-    doubled_highest: IntVector
-    highest_mult: int
-    type_label: TypeLabel
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    __hash__ = object.__hash__
 
     @property
     def doubled(self) -> dict[IntVector, int]:
@@ -100,7 +98,10 @@ class RestrictedRootSystem:
         return tuple(sorted(compress(keys, map((0).__lt__, map(sum, keys)))))
 
     @cached_property
-    def elements(self) -> tuple[tuple[Fraction, ...], ...]:
+    def elements(self) -> tuple[tuple, ...]:
+        """The restricted roots r(alpha) as `Fraction` vectors, sorted."""
+        from fractions import Fraction
+
         return tuple(tuple(Fraction(x, 2) for x in d) for d in self.doubled)
 
 
@@ -159,6 +160,8 @@ def restricted_cartan(rs: RootSystem, simple: list[IntVector], name: str) -> tup
     for (i, j), pair in sorted(products.items()):
         num, den = 2 * pair, products[j, j]
         if num % den or (i != j and num > 0) or (i == j and num != 2 * den):
+            from fractions import Fraction
+
             raise UnrecognizedSystem(f"{name}: restricted Cartan entry {Fraction(num, den)} at ({i},{j})")
         cbar[i][j] = num // den
     return tuple(map(tuple, cbar))
@@ -197,6 +200,8 @@ def odd_pairing(rrs: RestrictedRootSystem, pairings) -> bool:
     given as a (numerator, denominator) pair of integers, is odd."""
     for num, den in pairings:
         if num % den:
+            from fractions import Fraction
+
             raise UnrecognizedSystem(f"non-integral pairing {Fraction(num, den)} in {rrs.source.name}")
         if (num // den) % 2:
             return True

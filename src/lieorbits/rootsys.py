@@ -14,12 +14,11 @@ dimension reads only the columns of the nonzero weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import add, gt, itemgetter, mul, neg
-from typing import Sequence
 
 from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch
 
@@ -36,14 +35,28 @@ RANK_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class Validated:
+    """Base for a named tuple record whose `_check` refuses bad fields; it
+    runs on construction and on `_replace`, which builds through `_make`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class SimpleType(Validated, namedtuple("SimpleType", "letter rank")):
     """Isomorphism class of a simple complex Lie algebra: letter + rank."""
 
-    letter: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         bounds = RANK_BOUNDS.get(self.letter)
         if bounds is None:
             raise InvalidType(f"unknown letter {self.letter!r}")
@@ -115,14 +128,10 @@ ROOT_COUNT_FORMULAS = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """A simple complex root system in simple-root coordinates."""
-
-    simple_type: SimpleType
-    cartan: IntRows
-    roots: tuple[tuple[int, ...], ...]
-    highest: tuple[int, ...]
+class RootSystem(namedtuple("RootSystem", "simple_type cartan roots highest")):
+    """A simple complex root system in simple-root coordinates: its
+    `SimpleType`, the integer Cartan rows, every root (positive ones first,
+    by height) and the highest root."""
 
     @property
     def rank(self) -> int:
@@ -163,7 +172,7 @@ class RootSystem:
         """The nonzero (column, entry) pairs of each scaled Gram row, at most four."""
         return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.scaled_gram)
 
-    def scaled_inner(self, v: Sequence, w: Sequence) -> int | Fraction:
+    def scaled_inner(self, v: Sequence, w: Sequence):
         """gram_scale * <v, w>: an int for integer vectors, exact for
         `Fraction` ones; the cost is linear in the support of v."""
         rows = self.gram_support
@@ -198,7 +207,10 @@ class RootSystem:
         ]
         return list(map(sum, zip(*terms)))
 
-    def inner(self, v: Sequence, w: Sequence) -> Fraction:
+    def inner(self, v: Sequence, w: Sequence):
+        """<v, w> as a `Fraction`."""
+        from fractions import Fraction
+
         return Fraction(self.scaled_inner(v, w)) / self.gram_scale
 
 
@@ -264,16 +276,14 @@ def build_root_system(t: SimpleType) -> RootSystem:
     return _build_cached(t.letter, t.rank)
 
 
-@dataclass(frozen=True)
-class WeightedDynkinDiagram:
+class WeightedDynkinDiagram(Validated, namedtuple("WeightedDynkinDiagram", "simple_type weights")):
     """Weights a_i(H) attached to the nodes of the simple system, as ints:
     the labels of a weighted Dynkin diagram are 0, 1 or 2 (Collingwood-
     McGovern 3.5).  A `Fraction`, float or bool weight is refused."""
 
-    simple_type: SimpleType
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.weights) != self.simple_type.rank:
             raise ValueError("one weight per node required")
         if not all(type(w) is int for w in self.weights):

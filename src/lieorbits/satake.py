@@ -31,18 +31,18 @@ case-insensitively, no spaces):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, not_, sub
-from typing import Sequence
 
 from .errors import FormNameError, InconsistentDiagram, OutOfRangeParams
 from .ratmat import int_solve, matrix_rank
 from .rootsys import (
-    RootSystem,
     SimpleType,
+    Validated,
     build_root_system,
     candidate_types,
     cartan_matrix,
@@ -77,12 +77,10 @@ EXCEPTIONAL_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class RealFormDescriptor:
+class RealFormDescriptor(namedtuple("RealFormDescriptor", "family params")):
     """A real form named by family plus integer parameters."""
 
-    family: str
-    params: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def canonical_name(self) -> str:
@@ -104,15 +102,12 @@ class RealFormDescriptor:
         return EXCEPTIONAL_FAMILIES[f]
 
 
-@dataclass(frozen=True)
-class SatakeDiagram:
-    """Dynkin diagram of the complexification + black nodes + arrow pairing."""
+class SatakeDiagram(namedtuple("SatakeDiagram", "descriptor rs black arrows hermitian_expected")):
+    """Dynkin diagram of the complexification + black nodes + arrow pairing:
+    a `RealFormDescriptor`, a `RootSystem`, the black nodes as a frozenset,
+    the sorted arrow pairs and the reference Hermitian flag."""
 
-    descriptor: RealFormDescriptor
-    rs: RootSystem
-    black: frozenset[int]
-    arrows: tuple[tuple[int, int], ...]
-    hermitian_expected: bool
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -123,8 +118,7 @@ class SatakeDiagram:
         return tuple(i for i in range(self.rs.rank) if i not in self.black)
 
 
-@dataclass(frozen=True)
-class SatakeInvolution:
+class SatakeInvolution(Validated, namedtuple("SatakeInvolution", "columns p_tilde denominator", defaults=(1,))):
     """theta* on simple-root coordinates and the node permutation p_tilde
     (arrow pairing on white nodes, duality involution on each black
     component).
@@ -136,11 +130,7 @@ class SatakeInvolution:
     on integer vectors.
     """
 
-    columns: tuple[IntVector, ...]
-    p_tilde: tuple[int, ...]
-    denominator: int = 1
-
-    def __post_init__(self):
+    def _check(self):
         if self.denominator < 1 or gcd(self.denominator, *(x for col in self.columns for x in col)) != 1:
             raise ValueError("theta* columns must be given over their least common denominator")
 
@@ -597,12 +587,10 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     return failures
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport", "entry failures")):
     """Outcome of validate_satake: empty failures means the entry is sound."""
 
-    entry: str
-    failures: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

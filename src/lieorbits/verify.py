@@ -23,11 +23,10 @@ once per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, repeat
 from operator import add, itemgetter, mul, neg
-from typing import Callable, Iterable, Sequence
 
 from .errors import LieOrbitsError
 from .orbits import FormAnalysis, in_five_families, ratio_text, wdd_matches_satake
@@ -103,21 +102,15 @@ def golden_row(d: RealFormDescriptor) -> tuple[tuple[int, ...], int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class Failure:
-    entry: str
-    check: str
-    message: str
+class Failure(namedtuple("Failure", "entry check message")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"FAIL {self.entry} [{self.check}] {self.message}"
 
 
-@dataclass
-class VerificationResult:
-    entries: int
-    checks_run: int
-    failures: list[Failure]
+class VerificationResult(namedtuple("VerificationResult", "entries checks_run failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -250,6 +243,8 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     # on the doubled vectors 2 xi, read without building the Fraction views
     for d, m in doubled.items():
         if doubled.get(tuple(map(neg, d))) != m:
+            from fractions import Fraction
+
             xi = tuple(Fraction(x, 2) for x in d)
             failures.append(Failure(name, "restricted.negation", f"mult({xi}) != mult(-{xi})"))
             break
@@ -282,6 +277,8 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     lam_sq4 = rs.scaled_inner(rrs.doubled_highest, rrs.doubled_highest)
     ratio = 2 if rrs.highest_mult >= 2 else 1
     if 4 * phi_sq != ratio * lam_sq4:
+        from fractions import Fraction
+
         label = "2<lam,lam>" if ratio == 2 else "<lam,lam>"
         message = f"<phi,phi>={Fraction(phi_sq, scale)} but {label}={Fraction(ratio * lam_sq4, 4 * scale)}"
         failures.append(Failure(name, "restricted.norm-ratio", message))

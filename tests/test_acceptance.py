@@ -4,7 +4,6 @@ Every check here is exact (tolerance zero).  Expected values are frozen in
 this file, independent of the package's own golden-row helpers.
 """
 
-import dataclasses
 import functools
 from fractions import Fraction
 
@@ -245,15 +244,15 @@ def _mutations(sd):
     for node in range(n):
         black = set(sd.black)
         black.symmetric_difference_update({node})
-        yield f"toggle black {node}", dataclasses.replace(sd, black=frozenset(black))
+        yield f"toggle black {node}", sd._replace(black=frozenset(black))
     for k in range(len(sd.arrows)):
         arrows = sd.arrows[:k] + sd.arrows[k + 1 :]
-        yield f"drop arrow {sd.arrows[k]}", dataclasses.replace(sd, arrows=arrows)
+        yield f"drop arrow {sd.arrows[k]}", sd._replace(arrows=arrows)
     arrowed = {i for pair in sd.arrows for i in pair}
     free = [w for w in sd.white if w not in arrowed]
     if len(free) >= 2:
         new = tuple(sorted(sd.arrows + ((free[0], free[1]),)))
-        yield f"add arrow {(free[0], free[1])}", dataclasses.replace(sd, arrows=new)
+        yield f"add arrow {(free[0], free[1])}", sd._replace(arrows=new)
 
 
 @criterion("criterion 7b: every single black/arrow mutation is flagged with a named diagnostic")
@@ -274,7 +273,7 @@ def test_criterion_7_cli_corrupted(capsys, monkeypatch):
     import lieorbits.verify as verify_mod
 
     corrupted = [
-        dataclasses.replace(sd, black=frozenset({0, 1})) if sd.name == "su*(4)" else sd
+        sd._replace(black=frozenset({0, 1})) if sd.name == "su*(4)" else sd
         for sd in verify_mod.catalog(3)
     ]
     monkeypatch.setattr(verify_mod, "catalog", lambda max_rank: corrupted)

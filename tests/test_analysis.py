@@ -1,6 +1,5 @@
 """One FormAnalysis per real form: each orbit-layer value computed once."""
 
-import dataclasses
 import gc
 from collections import Counter
 from fractions import Fraction
@@ -123,7 +122,7 @@ def test_describe_path_builds_no_verify_table(monkeypatch):
 def test_weights_outside_zero_one_two_fail_the_construction():
     # the direct diagram refuses such weights itself, so verify has no separate range check
     analysis = FormAnalysis(form("sl(3,R)"))
-    analysis.restricted = dataclasses.replace(analysis.restricted, doubled_highest=(2, 0))
+    analysis.restricted = analysis.restricted._replace(doubled_highest=(2, 0))
     failures = verify.check_orbit_entry(analysis)
     assert [f.check for f in failures] == ["orbit.construction"]
     assert "outside {0,1,2}" in failures[0].message

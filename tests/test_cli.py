@@ -1,9 +1,9 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -233,7 +233,7 @@ def test_verify_corrupted_catalog_exits_1(capsys, monkeypatch):
 
     good = verify_mod.catalog(3)
     corrupted = [
-        dataclasses.replace(sd, black=frozenset({0, 2})) if sd.name == "su(1,3)" else sd for sd in good
+        sd._replace(black=frozenset({0, 2})) if sd.name == "su(1,3)" else sd for sd in good
     ]
     monkeypatch.setattr(verify_mod, "catalog", lambda max_rank: corrupted)
     code, out, _ = run(capsys, "verify", "--max-rank", "3")
@@ -447,17 +447,39 @@ def test_reader_divergences(capsys, argv, expected):
     assert outcome(capsys, argv)[0] == expected
 
 
-def test_cold_describe_loads_no_argparse():
+# stdlib modules a cold describe has no use for, each several ms of start-up
+UNUSED_ON_DESCRIBE = {"argparse", "gettext", "locale", "dataclasses", "inspect", "typing", "fractions", "decimal"}
+
+
+def test_cold_describe_loads_no_unused_stdlib_module():
     # an isolated interpreter without site hooks, so that only lieorbits imports
-    code = """
+    code = f"""
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 from lieorbits import cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(["describe", "e8(8)", "--format", "json"])
-print(code, len(out.getvalue()) > 0, sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+print(code, len(out.getvalue()) > 0, sorted({UNUSED_ON_DESCRIBE!r} & set(sys.modules)))
 """
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["0 True []", ""]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["describe", "e8(8)", "--format", "json"], ["--help"]], ids=["describe", "help"])
+def test_closed_pipe_exits_1_without_a_traceback(argv, unbuffered):
+    # the reader is gone before the first write, so the write or the flush fails
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(src)}
+    flags = ["-u"] if unbuffered else []
+    try:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "lieorbits.cli", *argv], stdout=write, stderr=subprocess.PIPE, text=True, env=env
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")

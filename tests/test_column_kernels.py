@@ -14,7 +14,6 @@ never build the sorted views.
 """
 
 import contextlib
-import dataclasses
 import io
 from collections import Counter
 from fractions import Fraction
@@ -163,13 +162,13 @@ def form(name):
 def mutations(sd):
     """Every single black-node toggle, arrow drop and arrow addition of `sd`."""
     for node in range(sd.rs.rank):
-        yield dataclasses.replace(sd, black=frozenset(set(sd.black) ^ {node}))
+        yield sd._replace(black=frozenset(set(sd.black) ^ {node}))
     for k in range(len(sd.arrows)):
-        yield dataclasses.replace(sd, arrows=sd.arrows[:k] + sd.arrows[k + 1 :])
+        yield sd._replace(arrows=sd.arrows[:k] + sd.arrows[k + 1 :])
     arrowed = {i for pair in sd.arrows for i in pair}
     free = [w for w in sd.white if w not in arrowed]
     if len(free) >= 2:
-        yield dataclasses.replace(sd, arrows=tuple(sorted(sd.arrows + ((free[0], free[1]),))))
+        yield sd._replace(arrows=tuple(sorted(sd.arrows + ((free[0], free[1]),))))
 
 
 def cartan_or_message(cartan, rs, simple, name):
@@ -236,15 +235,15 @@ def test_weights_of_any_sign_grade_as_the_row_code(name):
     wdd = min_orbit_wdd(rs)
     n = rs.rank
     for weights in ((0,) * n, (1, -1) * (n // 2) + (1,) * (n % 2), tuple(range(-1, n - 1)), (2,) + (0,) * (n - 1)):
-        w = dataclasses.replace(wdd, weights=weights)
+        w = wdd._replace(weights=weights)
         assert orbit_dim_from_wdd(rs, w) == ref_orbit_dim(rs, w), weights
-    assert orbit_dim_from_wdd(rs, dataclasses.replace(wdd, weights=(0,) * n)) == 0
+    assert orbit_dim_from_wdd(rs, wdd._replace(weights=(0,) * n)) == 0
 
 
 def test_a_negative_weight_grades_by_its_sign():
     # A2 with weights (1, -1): a1 and a2 have degree +-1, a1 + a2 degree 0
     rs = form("sl(3,R)").rs
-    assert orbit_dim_from_wdd(rs, dataclasses.replace(min_orbit_wdd(rs), weights=(1, -1))) == 2
+    assert orbit_dim_from_wdd(rs, min_orbit_wdd(rs)._replace(weights=(1, -1))) == 2
 
 
 def test_a_column_sending_a_root_outside_the_roots_is_reported_at_the_same_root():
@@ -380,7 +379,7 @@ def test_black_span_count_matches_the_root_scan():
     for sd in catalog(7):
         true = FormAnalysis(sd)
         # the black set of a mutant, or of the compact form, against the true analysis
-        everything_black = dataclasses.replace(sd, black=frozenset(range(sd.rs.rank)), arrows=())
+        everything_black = sd._replace(black=frozenset(range(sd.rs.rank)), arrows=())
         for entry in [sd, everything_black, *mutations(sd)]:
             analysis = FormAnalysis(entry)
             for value in ("involution", "restricted", "parity", "hermitian"):

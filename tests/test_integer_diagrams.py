@@ -11,7 +11,6 @@ diagrams, and build no `Fraction` on the report path.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -150,7 +149,7 @@ def with_mult_toggled(sd):
     where it is 1."""
     analysis = FormAnalysis(sd)
     rrs = analysis.restricted
-    analysis.restricted = dataclasses.replace(rrs, highest_mult=1 if rrs.highest_mult > 1 else 2)
+    analysis.restricted = rrs._replace(highest_mult=1 if rrs.highest_mult > 1 else 2)
     return analysis
 
 
@@ -169,7 +168,7 @@ def doctored(sd):
     for lam in lams + ([(2, 3) + (0,) * (n - 2)] if n > 1 else []):
         for mult in (rrs.highest_mult, toggled):
             analysis = FormAnalysis(sd)
-            analysis.restricted = dataclasses.replace(rrs, doubled_highest=lam, highest_mult=mult)
+            analysis.restricted = rrs._replace(doubled_highest=lam, highest_mult=mult)
             yield analysis
     # a minimal diagram with weight 1 on every node
     analysis = FormAnalysis(sd)
@@ -188,7 +187,7 @@ def test_doctored_analyses_match_the_fraction_code():
 
 def test_twice_a_simple_root_as_lambda_is_refused_with_int_weights():
     analysis = FormAnalysis(form("sl(3,R)"))
-    analysis.restricted = dataclasses.replace(analysis.restricted, doubled_highest=(2, 0))
+    analysis.restricted = analysis.restricted._replace(doubled_highest=(2, 0))
     assert compare(analysis) == (True, True)
     with pytest.raises(InconsistentDiagram, match=r"sl\(3,R\): weights \(2, -1\) outside \{0,1,2\}"):
         analysis.min_g_wdd
@@ -197,7 +196,7 @@ def test_twice_a_simple_root_as_lambda_is_refused_with_int_weights():
 def test_fractional_weights_between_zero_and_two_are_refused():
     # 4<a_i, lam>/<lam, lam> = (2/7, 8/7) on lam = 2a1 + 3a2, whose floors lie in {0,1,2}
     analysis = FormAnalysis(form("sl(3,R)"))
-    analysis.restricted = dataclasses.replace(analysis.restricted, doubled_highest=(2, 3))
+    analysis.restricted = analysis.restricted._replace(doubled_highest=(2, 3))
     assert compare(analysis)[0]
     with pytest.raises(InconsistentDiagram, match=r"sl\(3,R\): weights \(2, 8\)/7 outside \{0,1,2\}"):
         analysis.min_g_wdd
@@ -228,11 +227,11 @@ def test_the_linear_system_route_refuses_non_integral_weights(monkeypatch):
 
 def test_a_non_integral_minimal_diagram_or_dual_coxeter_number_is_refused():
     # a doctored highest root that is no root: 2a1 in A2, the short a1 in G2
-    a2 = dataclasses.replace(build_root_system(SimpleType("A", 2)), highest=(2, 0))
+    a2 = build_root_system(SimpleType("A", 2))._replace(highest=(2, 0))
     assert ref_min_orbit_wdd(a2) == (1, Fraction(-1, 2))
     with pytest.raises(NonIntegralWeights, match="A2"):
         min_orbit_wdd(a2)
-    g2 = dataclasses.replace(build_root_system(SimpleType("G", 2)), highest=(1, 0))
+    g2 = build_root_system(SimpleType("G", 2))._replace(highest=(1, 0))
     assert ref_dual_coxeter_number(g2) == Fraction(4, 3)
     with pytest.raises(InvalidType, match="G2"):
         dual_coxeter_number(g2)

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -207,7 +206,7 @@ def test_highest_root_two_routes_and_norms():
 
 def test_compact_style_diagram_rejected():
     sd = form("sl(2,R)")
-    all_black = dataclasses.replace(sd, black=frozenset({0}))
+    all_black = sd._replace(black=frozenset({0}))
     with pytest.raises(InconsistentDiagram):
         restricted_root_system(all_black)
 
@@ -223,7 +222,7 @@ def test_simple_two_routes_fires_on_a_non_simple_root():
     sd = form("sl(3,R)")
     r = restricted_root_system(sd)
     # a1 + a2 is a positive root but not a simple one
-    doctored = dataclasses.replace(r, doubled_simple=((2, 0), (2, 2)))
+    doctored = r._replace(doubled_simple=((2, 0), (2, 2)))
     failures = _restricted_failures(sd, doctored)
     assert "restricted.simple-two-routes" in failures
     assert "(0, 2)" in failures["restricted.simple-two-routes"]
@@ -242,7 +241,7 @@ def test_parity_two_routes_reports_a_non_integral_pairing():
     r = restricted_root_system(sd)
     # -3 a1 / 2 pairs with the highest root a1 + a2 to -2/3; it sorts ahead of
     # every true root, so the full scan meets it before any odd pairing
-    doctored = dataclasses.replace(r, counts={(-3, 0): 1, **r.counts})
+    doctored = r._replace(counts={(-3, 0): 1, **r.counts})
     assert next(iter(doctored.doubled)) == (-3, 0)
     failures = _restricted_failures(sd, doctored)
     assert failures["restricted.parity-two-routes"] == "non-integral pairing -2/3 in sl(3,R)"

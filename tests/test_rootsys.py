@@ -290,10 +290,8 @@ def test_cartan_isomorphism_and_duality():
 
 
 def test_root_system_hash_is_the_type_hash():
-    import dataclasses
-
     e8 = build_root_system(SimpleType("E", 8))
-    copy = dataclasses.replace(e8)
+    copy = e8._replace()
     assert copy == e8 and copy is not e8
     assert hash(copy) == hash(e8) == hash(SimpleType("E", 8))
     assert build_root_system(SimpleType("A", 8)) != e8

@@ -1,4 +1,3 @@
-import dataclasses
 import time
 from collections import Counter
 from fractions import Fraction
@@ -182,7 +181,7 @@ def test_catalog_names_reparse_to_same_entry():
 
 def test_corrupted_black_set_fails_validation():
     sd = form("su*(4)")
-    corrupted = dataclasses.replace(sd, black=frozenset({0, 1}))
+    corrupted = sd._replace(black=frozenset({0, 1}))
     report = validate_satake(corrupted)
     assert not report.ok
     assert any(check == "involution.preserves-roots" for check, _ in report.failures)
@@ -192,7 +191,7 @@ def test_corrupted_black_set_fails_validation():
 
 def test_self_arrow_fails_validation():
     sd = form("sl(3,R)")
-    corrupted = dataclasses.replace(sd, arrows=((1, 1),))
+    corrupted = sd._replace(arrows=((1, 1),))
     report = validate_satake(corrupted)
     assert not report.ok
     assert any("itself" in msg for _, msg in report.failures)
@@ -200,7 +199,7 @@ def test_self_arrow_fails_validation():
 
 def test_arrow_touching_black_fails_validation():
     sd = form("su*(4)")
-    corrupted = dataclasses.replace(sd, arrows=((0, 1),))
+    corrupted = sd._replace(arrows=((0, 1),))
     report = validate_satake(corrupted)
     assert not report.ok
 

@@ -13,7 +13,6 @@ every single black-node toggle, arrow drop and arrow addition over the
 catalog up to rank 7.
 """
 
-import dataclasses
 import itertools
 from fractions import Fraction
 from operator import add, sub
@@ -262,20 +261,17 @@ def ref_verification_failures(sd):
 def mutations(sd):
     """Every single black-node toggle, arrow drop and arrow addition of `sd`."""
     for node in range(sd.rs.rank):
-        yield dataclasses.replace(sd, black=frozenset(set(sd.black) ^ {node}))
+        yield sd._replace(black=frozenset(set(sd.black) ^ {node}))
     for k in range(len(sd.arrows)):
-        yield dataclasses.replace(sd, arrows=sd.arrows[:k] + sd.arrows[k + 1 :])
+        yield sd._replace(arrows=sd.arrows[:k] + sd.arrows[k + 1 :])
     arrowed = {i for pair in sd.arrows for i in pair}
     free = [w for w in sd.white if w not in arrowed]
     if len(free) >= 2:
-        yield dataclasses.replace(sd, arrows=tuple(sorted(sd.arrows + ((free[0], free[1]),))))
+        yield sd._replace(arrows=tuple(sorted(sd.arrows + ((free[0], free[1]),))))
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
 class GivenPositives(restricted.RestrictedRootSystem):
     """A doctored system whose positive roots are given, not read off its counts."""
-
-    given: tuple = ()
 
     @property
     def doubled_positives(self):
@@ -283,8 +279,9 @@ class GivenPositives(restricted.RestrictedRootSystem):
 
 
 def with_positives(rrs, positives, **changes):
-    fields = {f.name: getattr(rrs, f.name) for f in dataclasses.fields(rrs)}
-    return GivenPositives(**{**fields, **changes}, given=tuple(positives))
+    doctored = GivenPositives(*rrs._replace(**changes))
+    doctored.given = tuple(positives)
+    return doctored
 
 
 def doctored(rrs):
@@ -300,7 +297,7 @@ def doctored(rrs):
     yield with_positives(rrs, positives, counts={**counts, lam: counts[lam] + 1})
     yield with_positives(rrs, positives, counts={**counts, tuple(map(add, lam, eta)): 1})
     yield with_positives(rrs, positives, counts={third: 1, **counts})
-    yield dataclasses.replace(rrs, doubled_simple=(lam,) + rrs.doubled_simple[1:])
+    yield rrs._replace(doubled_simple=(lam,) + rrs.doubled_simple[1:])
     if len(positives) > 1:
         yield with_positives(rrs, positives[1:])
 
@@ -336,7 +333,7 @@ def test_highest_unique_matches_the_tuple_scan(t):
     # without the highest root the roots just below it cannot be extended
     phi, minus_phi = rs.highest, tuple(-x for x in rs.highest)
     if 2 <= rs.rank <= 10:
-        cut = dataclasses.replace(rs, roots=tuple(r for r in rs.roots if r not in (phi, minus_phi)))
+        cut = rs._replace(roots=tuple(r for r in rs.roots if r not in (phi, minus_phi)))
         failures = verify.check_root_system(cut)
         assert failures == ref_check_root_system(cut)
         assert "roots.highest-unique" in {f.check for f in failures}
