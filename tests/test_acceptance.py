@@ -39,6 +39,11 @@ def as_vector(values):
     return tuple(map(Fraction, values))
 
 
+def inner(rs, v, w) -> Fraction:
+    """<v, w> from the integer multiple of the Gram form that the package keeps."""
+    return Fraction(rs.scaled_inner(v, w)) / rs.gram_scale
+
+
 def white_values(fa):
     """The coroot system's match unknowns, one per white arrow class: the
     class's weight, doubled when dim g_lambda = 1."""
@@ -221,9 +226,9 @@ def test_criterion_6_structure():
             assert orbit_dim_from_wdd(rs, wdd) == 2 * hv - 2, t.name
         rrs = restricted_root_system(sd)
         phi = as_vector(sd.rs.highest)
-        phi_sq = sd.rs.inner(phi, phi)
+        phi_sq = inner(sd.rs, phi, phi)
         # <2 lam, 2 lam> = 4 <lam, lam> on the doubled highest restricted root
-        lam_sq = sd.rs.inner(rrs.doubled_highest, rrs.doubled_highest) / 4
+        lam_sq = inner(sd.rs, rrs.doubled_highest, rrs.doubled_highest) / 4
         if rrs.highest_mult >= 2:
             assert phi_sq == 2 * lam_sq, sd.name
         else:

@@ -467,6 +467,25 @@ print(code, len(out.getvalue()) > 0, sorted({UNUSED_ON_DESCRIBE!r} & set(sys.mod
     assert proc.stdout.split("\n") == ["0 True []", ""]
 
 
+def test_text_describe_loads_no_json():
+    # json is imported on the --format json branches only
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import lieorbits.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = lieorbits.cli.main(["describe", "g2(2)"])
+print(code, out.getvalue().startswith("g2(2)"), "json" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = lieorbits.cli.main(["describe", "g2(2)", "--format", "json"])
+print(code, out.getvalue().startswith("{"), "json" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["0 True False", "0 True True", ""]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["describe", "e8(8)", "--format", "json"], ["--help"]], ids=["describe", "help"])
 def test_closed_pipe_exits_1_without_a_traceback(argv, unbuffered):

@@ -271,7 +271,24 @@ def test_doctored_involutions_give_the_same_failures():
             failures = satake._involution_failures(sd, inv)
             assert failures == ref_involution_failures(sd, inv), sd.name
             fired.update(check for check, _ in failures)
-    assert {"involution.preserves-roots", "involution.tau-normal"} <= set(fired)
+    # theta-squared, fixes-black and white-translate read the nonzero entries only
+    assert {
+        "involution.preserves-roots",
+        "involution.tau-normal",
+        "involution.theta-squared",
+        "involution.fixes-black",
+        "involution.white-translate",
+    } <= set(fired)
+
+
+def test_a_negative_black_coefficient_fails_the_white_translate():
+    sd = form("su(1,3)")
+    inv = satake_involution(sd)
+    # theta* a1 = a2 - a3, so -theta*(a1) - p~(a1) = -a2: black, but negative
+    doctored = SatakeInvolution(((0, 1, -1),) + inv.columns[1:], inv.p_tilde)
+    failures = satake._involution_failures(sd, doctored)
+    assert failures == ref_involution_failures(sd, doctored)
+    assert {"involution.theta-squared", "involution.white-translate"} <= {check for check, _ in failures}
 
 
 def test_mutant_involutions_give_the_same_failures():

@@ -38,6 +38,11 @@ def as_vector(values):
     return tuple(map(Fraction, values))
 
 
+def inner(rs, v, w) -> Fraction:
+    """<v, w> from the integer multiple of the Gram form that the package keeps."""
+    return Fraction(rs.scaled_inner(v, w)) / rs.gram_scale
+
+
 def halved(v):
     return tuple(F(x, 2) for x in v)
 
@@ -200,7 +205,7 @@ def test_highest_root_two_routes_and_norms():
         assert dominant_longest(r, positive_norms(r)) == r.doubled_highest, name
         phi = as_vector(sd.rs.highest)
         lam = halved(r.doubled_highest)
-        ratio = sd.rs.inner(phi, phi) / sd.rs.inner(lam, lam)
+        ratio = inner(sd.rs, phi, phi) / inner(sd.rs, lam, lam)
         assert ratio == (2 if r.highest_mult >= 2 else 1), name
 
 

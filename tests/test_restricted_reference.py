@@ -53,7 +53,11 @@ def indecomposables(positives):
 
 def reference(sd):
     rs = sd.rs
-    inner = rs.inner
+
+    def inner(v, w):
+        """<v, w> from the integer multiple of the Gram form that the package keeps."""
+        return Fraction(rs.scaled_inner(v, w)) / rs.gram_scale
+
     counts = Counter(restrict(sd, root) for root in rs.roots)
     counts.pop(as_vector((0,) * rs.rank), None)
     elements = sorted(counts)

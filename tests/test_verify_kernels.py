@@ -31,7 +31,7 @@ from lieorbits.rootsys import (
     min_orbit_wdd,
     orbit_dim_from_wdd,
 )
-from lieorbits.satake import catalog
+from lieorbits.satake import build_satake, catalog, parse_form_name
 from lieorbits.verify import Failure, expected_real_rank, golden_row
 
 TYPES = [t for rank in range(1, 17) for t in candidate_types(rank)]
@@ -39,6 +39,11 @@ ENTRIES = catalog(10)
 
 
 # --- the tuple-based references ----------------------------------------------
+
+
+def inner(rs, v, w) -> Fraction:
+    """<v, w> from the integer multiple of the Gram form that the package keeps."""
+    return Fraction(rs.scaled_inner(v, w)) / rs.gram_scale
 
 
 def ref_non_extendable(rs):
@@ -176,7 +181,7 @@ def ref_check_restricted_entry(analysis):
     if moved != (rrs.highest_mult >= 2):
         failures.append(Failure(name, "restricted.mult-vs-phi-moved", f"mult {rrs.highest_mult} vs tau*phi moved {moved}"))
     if moved and rs.scaled_inner(rs.highest, tau_phi) != 0:
-        failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {rs.inner(rs.highest, tau_phi)}"))
+        failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {inner(rs, rs.highest, tau_phi)}"))
 
     try:
         scanned = ref_odd_pairing(rrs, rrs.doubled)
@@ -400,6 +405,20 @@ def test_doctored_restricted_systems_give_the_same_failures():
         "restricted.highest-nonextendable",
         "restricted.parity-two-routes",
     } <= fired
+
+
+@pytest.mark.parametrize("highest, value", [((0, 1, 0), "-1/2"), ((1, 0, 0), "-1")], ids=["half", "whole"])
+def test_phi_tau_message_prints_the_reduced_fraction(highest, value):
+    # sp(1,2) with a short root standing in for phi, which tau* moves to a
+    # root it is not orthogonal to
+    sd = build_satake(parse_form_name("sp(1,2)"))
+    true = FormAnalysis(sd)
+    analysis = FormAnalysis(sd._replace(rs=sd.rs._replace(highest=highest)))
+    for value_name in ("involution", "restricted", "parity", "hermitian"):
+        setattr(analysis, value_name, getattr(true, value_name))
+    failures = verify.check_restricted_entry(analysis)
+    assert failures == ref_check_restricted_entry(analysis)
+    assert Failure("sp(1,2)", "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {value}") in failures
 
 
 def test_mutants_give_the_same_verify_failures():
