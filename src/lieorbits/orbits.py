@@ -8,16 +8,19 @@ agree on every catalog entry.
 
 `FormAnalysis(sd)` holds every value derived for one diagram, one cached
 attribute each, built from one another, so each is computed once per
-analysis.  `orbit_report`, `run_verification`'s entry checks and the public
-functions below all read it.  An analysis lives only as long as the call or
-the verify entry that made it: nothing caches analyses across calls.  Each
-diagram weight is an integer numerator divided by its denominator once a
-divisibility test passes, so the report path builds no `Fraction`.
+analysis.  `orbit_report` and `verify`'s entry checks read one shared
+analysis per diagram, kept in a bounded LRU, so a repeated report is a
+lookup.  `min_g_wdd_direct`, `min_g_wdd_linear_system` and
+`equivalence_conditions` each build a fresh analysis, so they recompute
+independently of the shared one.  Each diagram weight is an integer
+numerator divided by its denominator once a divisibility test passes, so
+the report path builds no `Fraction`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -128,7 +131,8 @@ class FormAnalysis:
 
     Each attribute reads the ones it depends on, so an `orbit_report` and the
     three `verify` entry checks sharing one analysis compute every layer
-    once.  A value may be assigned to stand in for the computed one.
+    once.  A value may be assigned to stand in for the computed one, on an
+    analysis built for that purpose, never on the shared one.
     """
 
     def __init__(self, sd: SatakeDiagram):
@@ -280,9 +284,20 @@ def equivalence_conditions(sd: SatakeDiagram) -> EquivalenceConditions:
     return FormAnalysis(sd).conditions
 
 
+@lru_cache(maxsize=256)
+def _shared_analysis(sd: SatakeDiagram) -> FormAnalysis:
+    """The one analysis of a diagram that `orbit_report` and `verify` read.
+
+    Not exported, since an assignment onto a shared analysis would reach
+    every later report of the diagram.  A value whose computation raises is
+    not stored, so a doctored diagram raises again on every call."""
+    return FormAnalysis(sd)
+
+
 def orbit_report(sd: SatakeDiagram) -> OrbitReport:
-    """Aggregate every computed quantity for one diagram."""
-    return FormAnalysis(sd).report
+    """Aggregate every computed quantity for one diagram, computed once per
+    diagram and read from the shared analysis on later calls."""
+    return _shared_analysis(sd).report
 
 
 # ---------------------------------------------------------------------------

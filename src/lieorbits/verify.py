@@ -30,7 +30,7 @@ from math import gcd
 from operator import add, itemgetter, mul, neg
 
 from .errors import LieOrbitsError
-from .orbits import FormAnalysis, in_five_families, ratio_text, wdd_matches_satake
+from .orbits import FormAnalysis, _shared_analysis, in_five_families, ratio_text, wdd_matches_satake
 from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms, reduced_simple
 from .rootsys import (
     ROOT_COUNT_FORMULAS,
@@ -119,8 +119,9 @@ class VerificationResult(namedtuple("VerificationResult", "entries checks_run fa
 
 
 def _analysis(entry: SatakeDiagram | FormAnalysis) -> FormAnalysis:
-    """The analysis an entry check reads: the one given, or a fresh one."""
-    return entry if isinstance(entry, FormAnalysis) else FormAnalysis(entry)
+    """The analysis an entry check reads: the one given, or the diagram's
+    shared one, so the three checks of a bare diagram share it."""
+    return entry if isinstance(entry, FormAnalysis) else _shared_analysis(entry)
 
 
 def check_root_system(rs: RootSystem) -> list[Failure]:
@@ -393,7 +394,7 @@ ENTRY_CHECKS = (check_satake_entry, check_restricted_entry, check_orbit_entry)
 
 def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None = None) -> VerificationResult:
     """Run every invariant suite; used by the CLI `verify` command.  The
-    entry checks of one entry share one analysis."""
+    entry checks of one entry share its analysis with `orbit_report`."""
     diagrams: Sequence[SatakeDiagram] = list(entries) if entries is not None else catalog(max_rank)
     failures: list[Failure] = []
     checks = 0
@@ -407,7 +408,7 @@ def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None 
         failures += check_root_system(build_root_system(t))
 
     for sd in diagrams:
-        analysis = FormAnalysis(sd)
+        analysis = _shared_analysis(sd)
         for check in ENTRY_CHECKS:
             checks += 1
             try:

@@ -1,16 +1,24 @@
 """One FormAnalysis per real form: each orbit-layer value computed once."""
 
-import gc
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+import operator
 from operator import mul
 
 import pytest
 
 from lieorbits import orbits, restricted, rootsys, satake, verify
-from lieorbits.orbits import FormAnalysis, equivalence_conditions, in_five_families, orbit_report
+from lieorbits.errors import InconsistentDiagram
+from lieorbits.orbits import (
+    FormAnalysis,
+    equivalence_conditions,
+    in_five_families,
+    min_g_wdd_direct,
+    min_g_wdd_linear_system,
+    orbit_report,
+)
 from lieorbits.ratmat import int_solve
 from lieorbits.satake import build_satake, catalog, parse_form_name
 from lieorbits.verify import run_verification
@@ -59,6 +67,7 @@ def _count_layers(monkeypatch) -> Counter:
 
 
 def test_orbit_layer_computed_once_per_entry_under_verify(monkeypatch):
+    orbits._shared_analysis.cache_clear()
     counts = _count_layers(monkeypatch)
     result = run_verification(max_rank=8)
     assert result.ok
@@ -72,7 +81,22 @@ def test_orbit_layer_computed_once_per_entry_under_verify(monkeypatch):
     }
 
 
+def test_entry_checks_on_bare_diagrams_share_one_analysis_per_entry(monkeypatch):
+    # the three checks given the same diagram in turn, as a caller outside
+    # run_verification makes them, read the diagram's shared analysis
+    orbits._shared_analysis.cache_clear()
+    counts = _count_layers(monkeypatch)
+    entries = catalog(8)
+    for sd in entries:
+        assert verify.check_satake_entry(sd) == [], sd.name
+        assert verify.check_restricted_entry(sd) == [], sd.name
+        assert verify.check_orbit_entry(sd) == [], sd.name
+    for layer in ("min_g_wdd", "coroot_solution", "parity_criterion"):
+        assert {name: n for (lay, name), n in counts.items() if lay == layer} == {sd.name: 1 for sd in entries}, layer
+
+
 def test_orbit_layer_computed_once_per_report(monkeypatch):
+    orbits._shared_analysis.cache_clear()
     counts = _count_layers(monkeypatch)
     for sd in catalog(8):
         counts.clear()
@@ -83,6 +107,44 @@ def test_orbit_layer_computed_once_per_report(monkeypatch):
         assert counts["coroot_solution", sd.name] == 0, sd.name
         assert counts["parity_criterion", sd.name] <= 1, sd.name
         assert set(counts.values()) <= {0, 1}, sd.name
+
+
+def test_each_layer_built_once_per_diagram_across_repeated_reports(monkeypatch):
+    for cached in (orbits._shared_analysis, satake.satake_involution, restricted.restricted_root_system):
+        cached.cache_clear()
+    counts = _count_layers(monkeypatch)
+    entries = catalog(8)
+    n = len(entries)
+    passes = [[orbit_report(sd) for sd in entries] for _ in range(3)]
+    for reports in passes[1:]:
+        assert all(map(operator.is_, reports, passes[0]))
+    assert orbits._shared_analysis.cache_info()[:2] == (2 * n, n)
+    assert satake.satake_involution.cache_info().misses == n
+    assert restricted.restricted_root_system.cache_info().misses == n
+    per_type = Counter(sd.rs.simple_type.name for sd in entries)
+    assert {name: k for (lay, name), k in counts.items() if lay == "min_orbit_wdd"} == per_type
+    assert {name: k for (lay, name), k in counts.items() if lay == "min_g_wdd"} == {sd.name: 1 for sd in entries}
+    # the parity is read only when dim g_lambda = 1, and the linear system never
+    assert {k for (lay, _), k in counts.items() if lay == "parity_criterion"} == {1}
+    assert not [key for key in counts if key[0] == "coroot_solution"]
+
+
+def test_the_route_wrappers_recompute_while_reports_hit_the_cache(monkeypatch):
+    # perfbench's route gate reads these three as recomputations independent
+    # of the analysis the report came from
+    orbits._shared_analysis.cache_clear()
+    counts = _count_layers(monkeypatch)
+    sd = form("e6(-26)")
+    assert orbit_report(sd) is orbit_report(sd)
+    assert (counts["min_g_wdd", sd.name], counts["coroot_solution", sd.name]) == (1, 0)
+    for _ in range(2):
+        min_g_wdd_direct(sd)
+        min_g_wdd_linear_system(sd)
+        equivalence_conditions(sd)
+    # the direct diagram and the battery's c_i each read min_g_wdd of their own analysis
+    assert (counts["min_g_wdd", sd.name], counts["coroot_solution", sd.name]) == (5, 2)
+    orbit_report(sd)
+    assert (counts["min_g_wdd", sd.name], counts["coroot_solution", sd.name]) == (5, 2)
 
 
 def _count_verify_tables(monkeypatch) -> Counter:
@@ -108,6 +170,7 @@ def _count_verify_tables(monkeypatch) -> Counter:
 def test_describe_path_builds_no_verify_table(monkeypatch):
     counts = _count_verify_tables(monkeypatch)
     restricted.restricted_root_system.cache_clear()
+    orbits._shared_analysis.cache_clear()
     for sd in catalog(8):
         orbit_report(sd)
     assert counts == Counter()
@@ -128,14 +191,34 @@ def test_weights_outside_zero_one_two_fail_the_construction():
     assert "outside {0,1,2}" in failures[0].message
 
 
-def test_an_analysis_is_not_kept_across_calls():
-    sd = form("e6(-26)")
-    assert orbit_report(sd) is not orbit_report(sd)
-    assert run_verification(max_rank=4).ok
-    gc.collect()
-    assert not [obj for obj in gc.get_objects() if isinstance(obj, FormAnalysis)]
-    analysis = FormAnalysis(sd)
-    assert analysis.report is analysis.report
+def test_the_analysis_cache_keeps_the_256_most_recently_used_diagrams():
+    shared = orbits._shared_analysis
+    shared.cache_clear()
+    entries = catalog(12)[:257]
+    analyses = [shared(sd) for sd in entries[:256]]
+    # a hit makes the first diagram the most recently used, so the 257th
+    # diagram pushes out the second
+    assert shared(entries[0]) is analyses[0]
+    shared(entries[256])
+    info = shared.cache_info()
+    assert (info.maxsize, info.currsize) == (256, 256)
+    assert shared(entries[0]) is analyses[0]
+    assert shared(entries[2]) is analyses[2]
+    assert shared(entries[1]) is not analyses[1]
+
+
+def test_a_doctored_diagram_raises_the_same_error_on_every_call():
+    sd = form("su*(4)")._replace(black=frozenset({0, 1}))
+    misses = satake.satake_involution.cache_info().misses
+    messages = []
+    for _ in range(3):
+        with pytest.raises(InconsistentDiagram) as exc:
+            orbit_report(sd)
+        messages.append(str(exc.value))
+    assert messages == [messages[0]] * 3
+    assert "involution.preserves-roots" in messages[0]
+    # no half-built answer is kept: each call builds the involution again
+    assert satake.satake_involution.cache_info().misses == misses + 3
 
 
 def test_c_ii_reads_the_dimension_not_the_diagram_match(monkeypatch):
