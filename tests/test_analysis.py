@@ -4,8 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-import operator
-from operator import mul
+from operator import is_, mul
 
 import pytest
 
@@ -117,7 +116,7 @@ def test_each_layer_built_once_per_diagram_across_repeated_reports(monkeypatch):
     n = len(entries)
     passes = [[orbit_report(sd) for sd in entries] for _ in range(3)]
     for reports in passes[1:]:
-        assert all(map(operator.is_, reports, passes[0]))
+        assert all(map(is_, reports, passes[0]))
     assert orbits._shared_analysis.cache_info()[:2] == (2 * n, n)
     assert satake.satake_involution.cache_info().misses == n
     assert restricted.restricted_root_system.cache_info().misses == n
