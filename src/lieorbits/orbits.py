@@ -8,13 +8,14 @@ agree on every catalog entry.
 
 `FormAnalysis(sd)` holds every value derived for one diagram, one cached
 attribute each, built from one another, so each is computed once per
-analysis.  `orbit_report` and `verify`'s entry checks read one shared
-analysis per diagram, kept in a bounded LRU, so a repeated report is a
-lookup.  `min_g_wdd_direct`, `min_g_wdd_linear_system` and
-`equivalence_conditions` each build a fresh analysis, so they recompute
-independently of the shared one.  Each diagram weight is an integer
-numerator divided by its denominator once a divisibility test passes, so
-the report path builds no `Fraction`.
+analysis.  `orbit_report` and a `verify` entry check given a bare diagram
+read one shared analysis per diagram, kept in a bounded LRU, so a repeated
+report is a lookup.  `run_verification` builds one analysis per entry and
+keeps none, since a sweep visits each entry once.  `min_g_wdd_direct`,
+`min_g_wdd_linear_system` and `equivalence_conditions` each build a fresh
+analysis, so they recompute independently of the shared one.  Each
+diagram weight is an integer numerator divided by its denominator once a
+divisibility test passes, so the report path builds no `Fraction`.
 """
 
 from __future__ import annotations
@@ -286,7 +287,8 @@ def equivalence_conditions(sd: SatakeDiagram) -> EquivalenceConditions:
 
 @lru_cache(maxsize=256)
 def _shared_analysis(sd: SatakeDiagram) -> FormAnalysis:
-    """The one analysis of a diagram that `orbit_report` and `verify` read.
+    """The one analysis of a diagram that `orbit_report` and the `verify`
+    entry checks given a bare diagram read.
 
     Not exported, since an assignment onto a shared analysis would reach
     every later report of the diagram.  A value whose computation raises is

@@ -394,7 +394,7 @@ ENTRY_CHECKS = (check_satake_entry, check_restricted_entry, check_orbit_entry)
 
 def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None = None) -> VerificationResult:
     """Run every invariant suite; used by the CLI `verify` command.  The
-    entry checks of one entry share its analysis with `orbit_report`."""
+    entry checks of one entry share one analysis."""
     diagrams: Sequence[SatakeDiagram] = list(entries) if entries is not None else catalog(max_rank)
     failures: list[Failure] = []
     checks = 0
@@ -408,7 +408,7 @@ def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None 
         failures += check_root_system(build_root_system(t))
 
     for sd in diagrams:
-        analysis = _shared_analysis(sd)
+        analysis = FormAnalysis(sd)
         for check in ENTRY_CHECKS:
             checks += 1
             try:

@@ -66,7 +66,6 @@ def _count_layers(monkeypatch) -> Counter:
 
 
 def test_orbit_layer_computed_once_per_entry_under_verify(monkeypatch):
-    orbits._shared_analysis.cache_clear()
     counts = _count_layers(monkeypatch)
     result = run_verification(max_rank=8)
     assert result.ok
@@ -80,10 +79,15 @@ def test_orbit_layer_computed_once_per_entry_under_verify(monkeypatch):
     }
 
 
+def test_run_verification_leaves_the_analysis_cache_empty():
+    # a sweep visits each entry once, so it keeps none of its analyses
+    assert run_verification(max_rank=8).ok
+    assert orbits._shared_analysis.cache_info().currsize == 0
+
+
 def test_entry_checks_on_bare_diagrams_share_one_analysis_per_entry(monkeypatch):
     # the three checks given the same diagram in turn, as a caller outside
     # run_verification makes them, read the diagram's shared analysis
-    orbits._shared_analysis.cache_clear()
     counts = _count_layers(monkeypatch)
     entries = catalog(8)
     for sd in entries:
@@ -95,7 +99,6 @@ def test_entry_checks_on_bare_diagrams_share_one_analysis_per_entry(monkeypatch)
 
 
 def test_orbit_layer_computed_once_per_report(monkeypatch):
-    orbits._shared_analysis.cache_clear()
     counts = _count_layers(monkeypatch)
     for sd in catalog(8):
         counts.clear()
@@ -109,7 +112,7 @@ def test_orbit_layer_computed_once_per_report(monkeypatch):
 
 
 def test_each_layer_built_once_per_diagram_across_repeated_reports(monkeypatch):
-    for cached in (orbits._shared_analysis, satake.satake_involution, restricted.restricted_root_system):
+    for cached in (satake.satake_involution, restricted.restricted_root_system):
         cached.cache_clear()
     counts = _count_layers(monkeypatch)
     entries = catalog(8)
@@ -131,7 +134,6 @@ def test_each_layer_built_once_per_diagram_across_repeated_reports(monkeypatch):
 def test_the_route_wrappers_recompute_while_reports_hit_the_cache(monkeypatch):
     # perfbench's route gate reads these three as recomputations independent
     # of the analysis the report came from
-    orbits._shared_analysis.cache_clear()
     counts = _count_layers(monkeypatch)
     sd = form("e6(-26)")
     assert orbit_report(sd) is orbit_report(sd)
@@ -169,7 +171,6 @@ def _count_verify_tables(monkeypatch) -> Counter:
 def test_describe_path_builds_no_verify_table(monkeypatch):
     counts = _count_verify_tables(monkeypatch)
     restricted.restricted_root_system.cache_clear()
-    orbits._shared_analysis.cache_clear()
     for sd in catalog(8):
         orbit_report(sd)
     assert counts == Counter()
@@ -192,7 +193,6 @@ def test_weights_outside_zero_one_two_fail_the_construction():
 
 def test_the_analysis_cache_keeps_the_256_most_recently_used_diagrams():
     shared = orbits._shared_analysis
-    shared.cache_clear()
     entries = catalog(12)[:257]
     analyses = [shared(sd) for sd in entries[:256]]
     # a hit makes the first diagram the most recently used, so the 257th

@@ -21,7 +21,7 @@ from operator import add, mul, sub
 
 import pytest
 
-from lieorbits import cli, orbits, restricted, satake, verify
+from lieorbits import cli, restricted, satake, verify
 from lieorbits.errors import LieOrbitsError, UnrecognizedSystem
 from lieorbits.orbits import FormAnalysis
 from lieorbits.ratmat import matrix_rank
@@ -349,7 +349,6 @@ def test_describe_never_builds_the_sorted_views(monkeypatch):
         monkeypatch.setattr(RestrictedRootSystem, view, property(counting))
     restricted_root_system.cache_clear()
     satake_involution.cache_clear()
-    orbits._shared_analysis.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         for name in ("e8(8)", "e8(-24)", "sl(25,R)", "su(12,13)", "sp(3,5)", "so(4,9)", "f4(-20)"):
             for fmt in ("json", "text", "dot"):

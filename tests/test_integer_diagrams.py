@@ -300,7 +300,6 @@ def test_a_cold_describe_json_builds_no_fraction(fraction_count, name):
         cached.cache_clear()
     satake.satake_involution.cache_clear()
     restricted.restricted_root_system.cache_clear()
-    orbits._shared_analysis.cache_clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["describe", name, "--format", "json"]) == 0

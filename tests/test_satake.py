@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieorbits import orbits, satake
+from lieorbits import satake
 from lieorbits.errors import FormNameError, InconsistentDiagram, OutOfRangeParams
 from lieorbits.satake import (
     MAX_RANK,
@@ -267,7 +267,6 @@ def test_involution_checked_once_per_entry(monkeypatch):
 
     monkeypatch.setattr(satake, "_involution_failures", counting)
     satake_involution.cache_clear()
-    orbits._shared_analysis.cache_clear()
     result = run_verification(max_rank=5)
     assert result.ok
     assert sorted(checked) == sorted(sd.name for sd in catalog(5))
