@@ -2,10 +2,11 @@
 
 Integral data stays in plain ints: `RootSystem.cartan` is integer rows, and
 `RootSystem.scaled_inner` is the Gram form, on an integer multiple of
-itself.  The two linear solves (the black Gram split behind theta* and the
-coroot system behind the weighted diagram) take integer rows and return
-integer numerators over one determinant, and ranks are taken on integer
-vectors; both eliminate fraction-free, so no entry ever leaves the ints.
+itself.  The coroot system behind the weighted diagram is solved here
+(`int_solve`), on integer rows, as integer numerators over one determinant,
+and ranks are taken on integer vectors; both eliminate fraction-free, so no
+entry ever leaves the ints.  The black Gram split behind theta* is solved
+on its tree, leaves first, in `satake`.
 Nothing here builds a `fractions.Fraction`: a caller that needs a rational
 keeps it as integer numerators over one denominator.
 """

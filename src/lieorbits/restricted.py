@@ -2,12 +2,12 @@
 
 Restricted roots stay in the ambient simple-root coordinates, inside the
 tau*-fixed subspace, and are stored doubled: 2 r(alpha) = alpha + tau* alpha
-is an integer vector, since tau* permutes the root lattice.  It is taken for
-every positive root at once, on coordinate columns
-(`SatakeInvolution.tau_image_columns`).  Every quantity used is a ratio of
-inner products of the integer-scaled Gram form (`RootSystem.scaled_inner`),
-so the doubling and the scaling cancel; `elements` is the one `Fraction`
-view.
+is an integer vector, since tau* permutes the root lattice.  It is counted
+for every positive root at once as the sum of two packed ints
+(`satake.tau_keys`), and only the distinct sums are read back as vectors.
+Every quantity used is a ratio of inner products of the integer-scaled Gram
+form (`RootSystem.scaled_inner`), so the doubling and the scaling cancel;
+`elements` is the one `Fraction` view.
 
 A `RestrictedRootSystem` keeps its multiplicities as unsorted `counts`, which
 is all that `describe` reads.  The sorted views `doubled` and
@@ -36,14 +36,13 @@ vector.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterator
 from functools import cached_property, lru_cache
-from itertools import compress, product, repeat
-from operator import add, mul, neg
+from itertools import chain, compress, product, repeat
+from operator import add, mul, neg, sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
 from .rootsys import RootSystem, SimpleType, candidate_types, cartan_matrix, find_cartan_isomorphism, simple_coord
-from .satake import SatakeDiagram, satake_involution
+from .satake import SatakeDiagram, satake_involution, tau_keys
 
 IntVector = tuple[int, ...]
 
@@ -112,24 +111,29 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     n = rs.rank
     inv = satake_involution(sd)
 
-    def doubled(columns) -> Iterator[IntVector]:
-        # v + tau* v for every v at once, given as coordinate columns, as rows
-        return zip(*map(map, repeat(add), columns, inv.tau_image_columns(columns)))
-
-    # the map is linear and the negative roots are the negated positive ones
-    positives = Counter(filter(any, doubled(rs.positive_columns())))
-    if not positives:
+    # the map is linear and the negative roots are the negated positive ones;
+    # the involution passed its checks, so the keys are base 256 and tau*
+    # keeps the positive roots outside the black span positive: each doubled
+    # positive root has coefficients in 0..12 and reads back as bytes
+    keys, images = tau_keys(rs, inv)
+    doubled = Counter(map(add, keys, images))
+    doubled.pop(0, None)
+    if not doubled:
         raise InconsistentDiagram(f"{sd.name}: every root restricts to zero (compact-form diagram)")
-    negatives = dict(zip(map(tuple, map(map, repeat(neg), positives)), positives.values()))
-    if not negatives.keys().isdisjoint(positives):
+    if any(map(doubled.__contains__, map(neg, doubled))):
         raise InconsistentDiagram(f"{sd.name}: restriction of the positive system is not positive")
-    counts = {**positives, **negatives}
+    positives = [tuple(k.to_bytes(n, "big")) for k in doubled]
+    negatives = map(tuple, map(map, repeat(neg), positives))
+    counts = dict(zip(chain(positives, negatives), chain(doubled.values(), doubled.values())))
 
-    *white_images, highest = doubled(tuple(zip(*(simple_coord(n, i) for i in sd.white), rs.highest)))
+    cols = inv.columns
     simple_images: list[IntVector] = []
-    for image in white_images:
+    for w in sd.white:
+        # a_w + tau* a_w = a_w - theta* a_w
+        image = tuple(map(sub, simple_coord(n, w), cols[w]))
         if any(image) and image not in simple_images:
             simple_images.append(image)
+    highest = tuple(map(add, rs.highest, inv.tau_image(rs.highest)))
 
     label = _classify(rs, counts, simple_images, sd.name)
     if highest not in counts:

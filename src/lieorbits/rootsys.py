@@ -13,9 +13,12 @@ and 5-bit ones for its coroot pairings, in -3..3, and string lengths, at
 most 3.  It yields the positive roots by height, then the negatives, so
 `RootSystem.positive_roots` is the first half of `roots`.
 
-Scans over every positive root read them as coordinate columns
-(`RootSystem.positive_columns`), one C-level pass per column; the orbit
-dimension reads only the columns of the nonzero weights.
+The closure keeps the packed positive roots (`RootSystem.positive_keys`)
+and the spanning tree it reached them along (`RootSystem.spanning_tree`):
+each root's first parent and the node it stepped up by.  A linear map on
+every positive root is then one addition per root (`RootSystem.carried`);
+the involution checks and the restriction take tau* that way.  The orbit
+dimension reads the coordinate columns of the nonzero weights only.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import itemgetter, lshift, mul, neg
+from operator import add, itemgetter, lshift, mul, neg
 
 from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch
 
@@ -144,18 +147,33 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan roots highest")):
         return self.simple_type.rank
 
     @cached_property
-    def root_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.roots)
-
-    @cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         return self.roots[: len(self.roots) // 2]
 
-    def positive_columns(self) -> tuple[tuple[int, ...], ...]:
-        """The positive roots as coordinate columns: column i holds the a_i
-        coefficient of every positive root, in `positive_roots` order.
-        Built on each call and not kept, since at rank 64 they take 2 MB."""
-        return tuple(zip(*self.positive_roots))
+    # The closure keeps the next two on the system it builds; a system built
+    # otherwise, by `_replace` say, reads its type's, and verify's
+    # roots.spanning-tree check compares them with its own roots.
+
+    @cached_property
+    def positive_keys(self) -> tuple[int, ...]:
+        """The positive roots packed as sum_i c_i 256^(n-1-i), in order."""
+        return _build_cached(self.simple_type.letter, self.rank).positive_keys
+
+    @cached_property
+    def spanning_tree(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """One (parents, nodes) pair per height: the k-th positive root of a
+        height is positive root parents[k] (or 0, for -1) plus a_{nodes[k]}."""
+        return _build_cached(self.simple_type.letter, self.rank).spanning_tree
+
+    def carried(self, images: Sequence[int]) -> list[int]:
+        """f(gamma) for every positive root gamma, in order, for the additive
+        f with f(a_i) = images[i]: f(gamma + a_i) = f(gamma) + f(a_i) along
+        the spanning tree, one C-level pass per height."""
+        (_, simple), *layers = self.spanning_tree
+        out = list(map(images.__getitem__, simple))
+        for parents, nodes in layers:
+            out += map(add, map(out.__getitem__, parents), map(images.__getitem__, nodes))
+        return out
 
     def __hash__(self) -> int:
         # equal systems have equal types; hashing the roots on every cache
@@ -231,19 +249,23 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
     # packed a_i, Cartan row i as pairing digits, string digit i, and 1 at it
     shifts = range(0, 5 * n, 5)
     steps = {
-        16 << 5 * i: (1 << 8 * (n - 1 - i), sum(map(lshift, cartan[i], shifts)), 31 << 5 * i, 1 << 5 * i)
+        16 << 5 * i: (1 << 8 * (n - 1 - i), sum(map(lshift, cartan[i], shifts)), 31 << 5 * i, 1 << 5 * i, i)
         for i in range(n)
     }
 
-    # each root carries [digits 15 - <gamma, a_k^v>, digits p_k of its descending strings]
-    layer = {unit: [offset - row, 0] for unit, row, _, _ in steps.values()}
+    # each root carries [digits 15 - <gamma, a_k^v>, digits p_k of its descending strings,
+    # the index of its first parent (-1 for 0) and the node it was reached along]
+    layer = {unit: [offset - row, 0, -1, i] for unit, row, _, _, i in steps.values()}
     positives: list[int] = []
+    tree: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     # the roots whose strings go on up along no a_i
     tops: list[int] = []
     while layer:
-        positives += sorted(layer)
+        items = sorted(layer.items())
+        datas = list(map(itemgetter(1), items))
+        tree.append((tuple(map(itemgetter(2), datas)), tuple(map(itemgetter(3), datas))))
         nxt: dict[int, list[int]] = {}
-        for gamma, (pairs, strings) in layer.items():
+        for k, (gamma, (pairs, strings, _, _)) in enumerate(items, len(positives)):
             # the a_i-string through gamma goes on up while p_i > <gamma, a_i^v>
             ups = (strings + pairs) & high
             if not ups:
@@ -251,13 +273,14 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
             while ups:
                 bit = ups & -ups
                 ups ^= bit
-                unit, row, digit, one = steps[bit]
+                unit, row, digit, one, node = steps[bit]
                 up = gamma + unit
                 data = nxt.get(up)
                 if data is None:
-                    nxt[up] = [pairs - row, (strings & digit) + one]
+                    nxt[up] = [pairs - row, (strings & digit) + one, k, node]
                 else:
                     data[1] += (strings & digit) + one
+        positives += map(itemgetter(0), items)
         layer = nxt
 
     count = ROOT_COUNT_FORMULAS[letter](rank)
@@ -268,7 +291,10 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
         raise InvalidType(f"{t.name} has {len(tops)} maximal roots; system is not irreducible")
     roots = [tuple(gamma.to_bytes(n, "big")) for gamma in positives]
     all_roots = tuple(roots) + tuple(map(tuple, map(map, repeat(neg), roots)))
-    return RootSystem(t, cartan, all_roots, tuple(tops[0].to_bytes(n, "big")))
+    rs = RootSystem(t, cartan, all_roots, tuple(tops[0].to_bytes(n, "big")))
+    rs.positive_keys = tuple(positives)
+    rs.spanning_tree = tuple(tree)
+    return rs
 
 
 def build_root_system(t: SimpleType) -> RootSystem:

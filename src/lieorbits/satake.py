@@ -10,13 +10,15 @@ MAX_RANK are refused before any root system is built.
 The involution theta* is stored only as integer columns over a common
 denominator, which is 1 for every sound diagram; tau* = -theta* acts on one
 vector through `SatakeInvolution.tau_image`, and on every positive root at
-once through `SatakeInvolution.tau_image_columns`, which takes and gives
-coordinate columns, one C-level pass per nonzero entry of tau*.  The root
-checks and the restriction alpha + tau* alpha read the latter.  Only the
-projections onto the black span need a linear solve, an integer one on the
-scaled Gram rows, and only for the simple roots that pair with a black one.
-The invariants run on the integer columns, theta*^2 = I included, once per
-entry: `satake_involution` builds and checks the involution under one cache,
+once through `tau_keys`, which packs each root and its image into one int,
+the images carried along the closure's spanning tree, one addition per
+root.  The root checks look those keys up, and the restriction
+alpha + tau* alpha adds them.  Only the projections onto the black span need
+a linear solve, an integer one on the scaled Gram rows, and only for the
+simple roots that pair with a black one: one leaves-first pass over each
+black component's tree solves for all its white neighbours.  The invariants
+run on the integer columns, theta*^2 = I included, once per entry:
+`satake_involution` builds and checks the involution under one cache,
 raising InconsistentDiagram with the failed checks, and `validate_satake`
 reports those same failures.
 
@@ -34,13 +36,14 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import compress, repeat, starmap
+from itertools import compress, starmap
 from math import gcd, lcm
-from operator import add, itemgetter, mul, neg, not_, sub
+from operator import itemgetter, neg, not_, sub
 
 from .errors import FormNameError, InconsistentDiagram, OutOfRangeParams
-from .ratmat import int_solve, matrix_rank
+from .ratmat import matrix_rank
 from .rootsys import (
+    RootSystem,
     SimpleType,
     Validated,
     build_root_system,
@@ -126,8 +129,7 @@ class SatakeInvolution(Validated, namedtuple("SatakeInvolution", "columns p_tild
     theta* is stored as integer columns over their least common denominator:
     `columns[j]` is `denominator * theta*(a_j)`, so the denominator is 1
     exactly when theta* is integral, as it is for every sound diagram.
-    `tau_columns`, `tau_image` and `tau_image_columns` give tau* = -theta*
-    on integer vectors.
+    `tau_columns` and `tau_image` give tau* = -theta* on integer vectors.
     """
 
     def _check(self):
@@ -150,20 +152,6 @@ class SatakeInvolution(Validated, namedtuple("SatakeInvolution", "columns p_tild
                 for i, x in self.tau_columns[j]:
                     out[i] += c * x
         return tuple(out)
-
-    def tau_image_columns(self, columns: Sequence[Sequence[int]]) -> list:
-        """tau* of many vectors at once, given and returned as coordinate
-        columns: image column i gains x times column j for each entry (i, x)
-        of column j of tau*, one C-level pass per entry, and a coefficient 1
-        costs no multiplication.  Every image column is a one-shot iterator:
-        read each once, or copy it with tuple()."""
-        out: list = [None] * len(columns)
-        for j, entries in enumerate(self.tau_columns):
-            for i, x in entries:
-                term = iter(columns[j]) if x == 1 else map(mul, columns[j], repeat(x))
-                out[i] = term if out[i] is None else map(add, out[i], term)
-        # a zero row of tau*, which no sound diagram has, gives a zero column
-        return [repeat(0, len(columns[0])) if c is None else c for c in out]
 
 
 def _sorted_arrows(pairs) -> tuple[tuple[int, int], ...]:
@@ -379,21 +367,20 @@ def catalog(max_rank: int) -> list[SatakeDiagram]:
 
 
 def _black_components(sd: SatakeDiagram) -> list[tuple[int, ...]]:
-    cartan = sd.rs.cartan
+    """The black components, least node first, each in breadth-first order
+    from its least node: every later node has one earlier neighbour."""
+    support = sd.rs.gram_support
     remaining = set(sd.black)
     components = []
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            node = frontier.pop()
-            for other in list(remaining - comp):
-                if cartan[node][other] != 0:
-                    comp.add(other)
-                    frontier.append(other)
-        components.append(tuple(sorted(comp)))
-        remaining -= comp
+        comp = [min(remaining)]
+        remaining.remove(comp[0])
+        for v in comp:
+            for w, _ in support[v]:
+                if w in remaining:
+                    remaining.remove(w)
+                    comp.append(w)
+        components.append(tuple(comp))
     return components
 
 
@@ -411,6 +398,38 @@ def _component_duality(sd: SatakeDiagram, comp: tuple[int, ...]) -> dict[int, in
     raise InconsistentDiagram(f"{sd.name}: black component {comp} is not of classified type")
 
 
+def _black_split(support: Sequence, comp: tuple[int, ...]) -> tuple[int, dict[int, dict[int, int]]]:
+    """(det, {j: {b: x_b}}) for one black component, in `_black_components`
+    order, and `support` = `RootSystem.gram_support`: sum_b x_b a_b / det is
+    the projection of each white neighbour a_j onto the component's span,
+    and det the determinant of its Gram block.  The block is a tree, so
+    elimination leaves first creates no fill (George-Liu 1981, ch. 6): each
+    node's row is scaled by its children's pivots, which leaves at each node
+    the determinant of its subtree's block, det at the first.  Back
+    substitution then divides exactly, since det * x is integral (Cramer)."""
+    rank = {v: k for k, v in enumerate(comp)}
+    parent = {v: next(w for w, _ in support[v] if rank.get(w, rank[v]) < rank[v]) for v in comp[1:]}
+    neighbours = dict.fromkeys(w for v in comp for w, _ in support[v] if w not in rank)
+    gram = {v: dict(support[v]) for v in comp}
+    pivot = {v: gram[v][v] for v in comp}
+    rhs = {v: [gram[v].get(j, 0) for j in neighbours] for v in comp}
+    # the factor each row has been scaled by, which its other entries carry
+    scale = dict.fromkeys(comp, 1)
+    for v in reversed(comp[1:]):
+        u = parent[v]
+        g, d = gram[u][v] * scale[u], pivot[v]
+        pivot[u] = pivot[u] * d - g * gram[v][u] * scale[v]
+        rhs[u] = [a * d - g * b for a, b in zip(rhs[u], rhs[v])]
+        scale[u] *= d
+    det = pivot[comp[0]]
+    nums = {comp[0]: rhs[comp[0]]}
+    for v in comp[1:]:
+        u = parent[v]
+        e, d = gram[v][u] * scale[v], pivot[v]
+        nums[v] = [(det * a - e * x) // d for a, x in zip(rhs[v], nums[u])]
+    return det, {j: {v: nums[v][k] for v in comp if nums[v][k]} for k, j in enumerate(neighbours)}
+
+
 def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
     rs = sd.rs
     n = rs.rank
@@ -426,49 +445,43 @@ def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
 
     # w0(Pi_0) acts as -duality on span(Pi_0) and identity on its
     # Gram-orthogonal complement; realized through the Gram split of each
-    # basis vector, not through Weyl words.  The basis vectors are simple
-    # roots, so the projections only need Gram matrix entries, and the scale
-    # of the integer Gram form cancels in the solve.  Distinct black
-    # components are orthogonal, so the split is done per component.  A black
-    # root is its own projection, and a white root orthogonal to the
-    # component is fixed, so only the white neighbours need a solve.  Each
-    # moved column is kept as integer numerators over one denominator: the
-    # least common multiple of the determinants of the solves that moved it.
-    gram = rs.scaled_gram
-    moved: dict[int, tuple[list[int], int]] = {}
+    # basis vector, not through Weyl words.  Distinct black components are
+    # orthogonal, so the split is done per component.  A black root is its
+    # own projection, and a white root orthogonal to the component is fixed,
+    # so only the white neighbours need a solve, all of a component's in one
+    # leaves-first pass (`_black_split`).  Each moved column is kept sparse,
+    # as integer numerators over one denominator: the least common multiple
+    # of the determinants of the solves that moved it.
+    moved: dict[int, tuple[dict[int, int], int]] = {}
     for comp in components:
-        sub_gram = [[gram[a][c] for c in comp] for a in comp]
-        for j in range(n):
-            if j in comp:
-                nums, det = [int(b == j) for b in comp], 1
-            else:
-                rhs = tuple(gram[b][j] for b in comp)
-                if not any(rhs):
-                    continue
-                nums, det = int_solve(sub_gram, rhs)
-            column, den = moved.get(j, (list(simple_coord(n, j)), 1))
+        for b in comp:
+            moved[b] = ({p_tilde[b]: -1}, 1)
+        det, solutions = _black_split(rs.gram_support, comp)
+        for j, nums in solutions.items():
+            column, den = moved.get(j, ({j: 1}, 1))
             common = lcm(den, det)
-            column = [x * (common // den) for x in column]
-            for c, b in zip(nums, comp):
+            column = {i: x * (common // den) for i, x in column.items()}
+            for b, c in nums.items():
                 c *= common // det
-                column[b] -= c
-                column[p_tilde[b]] -= c
+                column[b] = column.get(b, 0) - c
+                column[p_tilde[b]] = column.get(p_tilde[b], 0) - c
             moved[j] = (column, common)
 
     # reduce each column by its gcd to the least denominator of its entries
     for j, (column, den) in moved.items():
-        g = gcd(den, *column)
-        moved[j] = ([x // g for x in column], den // g)
+        g = gcd(den, *column.values())
+        moved[j] = ({i: x // g for i, x in column.items()}, den // g)
 
     # theta* a_j = -w0(a_{p~ j}), over the common denominator of the columns
     den = lcm(1, *(d for _, d in moved.values()))
 
     def theta_column(j: int) -> IntVector:
         k = p_tilde[j]
-        if k in moved:
-            column, d = moved[k]
-            return tuple(-x * (den // d) for x in column)
-        return (0,) * k + (-den,) + (0,) * (n - k - 1)
+        column, d = moved.get(k, ({k: 1}, 1))
+        out = [0] * n
+        for i, x in column.items():
+            out[i] = -x * (den // d)
+        return tuple(out)
 
     return SatakeInvolution(tuple(theta_column(j) for j in range(n)), tuple(p_tilde), den)
 
@@ -494,6 +507,32 @@ def _structural_failures(sd: SatakeDiagram, strict: bool = False) -> list[str]:
     if strict and problems:
         raise InconsistentDiagram(f"{sd.name}: " + "; ".join(problems))
     return problems
+
+
+def tau_keys(rs: RootSystem, inv: SatakeInvolution) -> tuple[Sequence[int], list[int]]:
+    """(keys, images): the positive roots gamma and their images tau* gamma
+    packed as sum_i c_i B^(n-1-i), in `positive_roots` order, the images
+    carried from tau*'s packed columns (`RootSystem.carried`).
+
+    gamma <= phi coefficientwise, so no coefficient of gamma, tau* gamma or
+    gamma +- tau* gamma exceeds M = max_i (phi_i + sum_j |tau*_ij| phi_j) in
+    size.  B is 256 if 2M < 256, else the least power of two above 2M, so
+    such vectors pack to signed digits and to equal keys only when equal.  An
+    involution that passes its checks has M <= 24 (tau* a_b = -a_b on black
+    nodes, tau* a_w >= 0 on white ones, and tau* phi is a root), so B = 256
+    and the keys are the closure's.
+    """
+    n = rs.rank
+    phi = rs.highest
+    reach = list(phi)
+    for j, entries in enumerate(inv.tau_columns):
+        for i, x in entries:
+            reach[i] += abs(x) * phi[j]
+    base = max(256, 1 << (2 * max(reach)).bit_length())
+    powers = [base ** (n - 1 - i) for i in range(n)]
+    keys = rs.positive_keys if base == 256 else rs.carried(powers)
+    images = rs.carried([sum(x * powers[i] for i, x in entries) for entries in inv.tau_columns])
+    return keys, images
 
 
 def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple[str, str]]:
@@ -522,14 +561,12 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     # theta* = -tau* and both maps are linear while the root set is closed
     # under negation, so the tests below hold on every root exactly when they
     # hold on the positive ones; those come first in rs.roots, so the first
-    # root reported is the same as in a scan over every root.  The images are
-    # taken column-wise and turned into rows one at a time by each scan.
-    root_set = rs.root_set
+    # root reported is the same as in a scan over every root.  Roots, images
+    # and differences are compared as packed ints (`tau_keys`).
+    keys, images = tau_keys(rs, inv)
+    root_keys = {*keys, *map(neg, keys)}
     positives = rs.positive_roots
-    columns = rs.positive_columns()
-    images = list(map(tuple, inv.tau_image_columns(columns)))
-    found = map(root_set.__contains__, zip(*images))
-    bad = next(compress(positives, map(not_, found)), None)
+    bad = next(compress(positives, map(not_, map(root_keys.__contains__, images))), None)
     if bad is not None:
         failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {bad})"))
 
@@ -546,8 +583,7 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
                 ("involution.white-translate", f"-theta*(a_{w}) - p~(a_{w}) is not a nonnegative black combination")
             )
 
-    differences = zip(*map(map, repeat(sub), columns, images))
-    normal = next(compress(positives, map(root_set.__contains__, differences)), None)
+    normal = next(compress(positives, map(root_keys.__contains__, map(sub, keys, images))), None)
     if normal is not None:
         failures.append(("involution.tau-normal", f"alpha - tau*(alpha) is a root for alpha={normal}"))
 

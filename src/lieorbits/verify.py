@@ -5,6 +5,8 @@ tagged with the entry name and a stable check name so a corrupted entry is
 reported, not silently absorbed.  Cross-checks against family-derived
 reference data (expected Hermitian flag, expected real rank, golden table
 rows) catch corruptions that still yield a structurally valid diagram.
+`roots.spanning-tree` holds the keys and spanning tree that the closure
+keeps, along which the Satake layer carries tau*, to the positive roots.
 
 The searches over pairs of roots run on packed integers.  `_packer` maps a
 vector v to the int sum v_i B^i; the map is linear, so a sum or difference
@@ -140,6 +142,10 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
         message = "the roots are not the positive ones by height followed by their negatives"
         failures.append(Failure(name, "roots.positive-first", message))
 
+    problem = _spanning_tree_problem(rs)
+    if problem:
+        failures.append(Failure(name, "roots.spanning-tree", problem))
+
     pack = _packer(rs.roots)
     root_keys = set(map(pack, rs.roots))
     positive_keys = list(map(pack, rs.positive_roots))
@@ -167,6 +173,27 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
     if dim != 2 * dual_coxeter_number(rs) - 2:
         failures.append(Failure(name, "minwdd.dimension", f"dim {dim} != 2h^v-2 = {2 * dual_coxeter_number(rs) - 2}"))
     return failures
+
+
+def _spanning_tree_problem(rs: RootSystem) -> str | None:
+    """What is wrong with the keys and spanning tree the closure kept, if
+    anything: the keys must pack `positive_roots` in base 256, the tree must
+    give each of them a parent that comes before it, or -1 for 0, and each
+    must be its parent plus a_node, which on the keys is one addition."""
+    n = rs.rank
+    powers = [256 ** (n - 1 - i) for i in range(n)]
+    keys = rs.positive_keys
+    if list(keys) != [sum(map(mul, root, powers)) for root in rs.positive_roots]:
+        return "the kept keys do not pack the positive roots"
+    tree = [edge for parents, nodes in rs.spanning_tree for edge in zip(parents, nodes)]
+    if len(tree) != len(keys):
+        return f"the tree has {len(tree)} entries for {len(keys)} positive roots"
+    for child, (parent, node) in enumerate(tree):
+        if not -1 <= parent < child or not 0 <= node < n:
+            return f"positive root {child} has parent {parent} and node {node}"
+        if keys[child] != (keys[parent] if parent >= 0 else 0) + powers[node]:
+            return f"positive root {child} is not its parent {parent} plus a_{node}"
+    return None
 
 
 def check_satake_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:

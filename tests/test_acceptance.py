@@ -198,13 +198,14 @@ def test_criterion_5_involutions():
         assert tuple(permuted) == sd.rs.highest, sd.name
         for b in sd.black:
             assert apply(identity[b]) == tuple(as_vector(identity[b])), sd.name
+        roots = set(sd.rs.roots)
         for root in sd.rs.roots:
             image = apply(as_vector(root))
             assert all(x.denominator == 1 for x in image), sd.name
-            assert tuple(int(x) for x in image) in sd.rs.root_set, sd.name
+            assert tuple(int(x) for x in image) in roots, sd.name
             tau_image = tuple(-int(x) for x in image)
             moved = tuple(a - b for a, b in zip(root, tau_image))
-            assert moved not in sd.rs.root_set, sd.name
+            assert moved not in roots, sd.name
 
 
 # --- criterion 6: structural invariants -----------------------------------

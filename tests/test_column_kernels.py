@@ -108,7 +108,7 @@ def ref_involution_failures(sd, inv):
     if d != 1:
         failures.append(("involution.preserves-roots", "theta* does not preserve the root lattice"))
         return failures
-    root_set = rs.root_set
+    root_set = set(rs.roots)
     positives = rs.positive_roots
     images = ref_images(inv, rs)
     bad = next((r for r, image in zip(positives, images) if image not in root_set), None)
@@ -204,18 +204,22 @@ def doctored_involutions(inv):
 # --- the comparisons ------------------------------------------------------
 
 
+def pack(v):
+    """v as sum_i v_i 256^(n-1-i), the packing of `satake.tau_keys` at base 256."""
+    return sum(x * 256 ** (len(v) - 1 - i) for i, x in enumerate(v))
+
+
 @pytest.mark.parametrize("sd", ENTRIES, ids=lambda sd: sd.name)
 def test_column_passes_match_the_row_code(sd):
     rs = sd.rs
     inv = satake_involution(sd)
-    columns = rs.positive_columns()
-    assert list(zip(*columns)) == list(rs.positive_roots)
+    keys, images = satake.tau_keys(rs, inv)
+    assert list(keys) == list(map(pack, rs.positive_roots))
 
-    images = list(zip(*inv.tau_image_columns(columns)))
-    assert images == ref_images(inv, rs)
+    rows = ref_images(inv, rs)
+    assert images == list(map(pack, rows))
     for op in (add, sub):
-        rows = list(zip(*map(map, [op] * rs.rank, columns, inv.tau_image_columns(columns))))
-        assert rows == [tuple(map(op, r, image)) for r, image in zip(rs.positive_roots, images)]
+        assert list(map(op, keys, images)) == [pack(tuple(map(op, r, image))) for r, image in zip(rs.positive_roots, rows)]
 
     analysis = FormAnalysis(sd)
     for w in (min_orbit_wdd(rs), analysis.min_g_wdd):

@@ -276,8 +276,9 @@ def test_cartan_isomorphism_reads_each_matrix_signatures_once():
 def test_highest_root_never_extendable():
     for t in ALL_TYPES:
         rs = build_root_system(t)
+        roots = set(rs.roots)
         for eta in rs.positive_roots:
-            assert tuple(a + b for a, b in zip(rs.highest, eta)) not in rs.root_set
+            assert tuple(a + b for a, b in zip(rs.highest, eta)) not in roots
 
 
 def test_cartan_isomorphism_and_duality():
