@@ -3,15 +3,17 @@
 Restricted roots stay in the ambient simple-root coordinates, inside the
 tau*-fixed subspace, and are stored doubled: 2 r(alpha) = alpha + tau* alpha
 is an integer vector, since tau* permutes the root lattice.  It is counted
-for every positive root at once as the sum of two packed ints
-(`satake.tau_keys`), and only the distinct sums are read back as vectors.
+for every positive root at once, carried along the closure's spanning tree
+from the packed columns of I + tau* (`RootSystem.carried`), and only the
+distinct sums are read back as vectors.
 Every quantity used is a ratio of inner products of the integer-scaled Gram
 form (`RootSystem.scaled_inner`), so the doubling and the scaling cancel;
 `elements` is the one `Fraction` view.
 
-A `RestrictedRootSystem` keeps its multiplicities as unsorted `counts`, which
-is all that `describe` reads.  The sorted views `doubled` and
-`doubled_positives` are built on demand, on every read, for `verify`.
+The restriction is linear, so r(-alpha) = -r(alpha): a `RestrictedRootSystem`
+keeps the positive half, unsorted, as `counts`, all that `describe` reads.
+The sorted views `doubled`, both halves, and `doubled_positives` are built
+on demand, on every read, for `verify`.
 
 Nothing is searched for.  The simple restricted roots are the distinct images
 s of the white simple roots, and the reduced system's simple roots are those
@@ -26,8 +28,8 @@ Where one side of an inner product is fixed, the other side is paired with
 one `RootSystem.simple_pairings` row of it: the simple roots in
 `dominant_longest`.  The norm table of the positive roots (`positive_norms`)
 is built only for `verify`, which shares it between `dominant_longest` and
-its full parity scan, and pairs that scan through one row of the highest
-root; `parity_criterion` pairs r roots directly and builds neither.
+its parity scan, and pairs that scan through one row of the highest root;
+`parity_criterion` pairs r roots directly and builds neither.
 `verify` looks roots up as packed integers, sum v_i B^i, which tell vectors
 apart only while B > 2 max|c| over every coefficient c of every compared
 vector.
@@ -42,7 +44,7 @@ from operator import add, mul, neg, sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
 from .rootsys import RootSystem, SimpleType, candidate_types, cartan_matrix, find_cartan_isomorphism, simple_coord
-from .satake import SatakeDiagram, satake_involution, tau_keys
+from .satake import SatakeDiagram, satake_involution
 
 IntVector = tuple[int, ...]
 
@@ -69,11 +71,11 @@ class RestrictedRootSystem(
     """Image of the root system under restriction, with multiplicities.
 
     Stored as doubled integer vectors 2 r(alpha): `counts` maps each nonzero
-    one to its multiplicity, unsorted, and `doubled_simple` follows the white
-    nodes.  The views `doubled` (`counts` in sorted order) and
-    `doubled_positives` (its keys of positive coefficient sum, sorted) are
-    built anew on each read, so only `verify` pays for them.  Equality is
-    identity, also against a plain tuple, as the `counts` dict cannot be hashed.
+    one of a positive root to its multiplicity, unsorted, and `doubled_simple`
+    follows the white nodes.  The views `doubled` (`counts` and its negatives,
+    sorted) and `doubled_positives` (its keys, sorted) are built anew on each
+    read, so only `verify` pays for them.  Equality is identity, also against
+    a plain tuple, as the `counts` dict cannot be hashed.
     """
 
     def __eq__(self, other):
@@ -86,15 +88,12 @@ class RestrictedRootSystem(
 
     @property
     def doubled(self) -> dict[IntVector, int]:
-        return dict(sorted(self.counts.items()))
+        negatives = map(tuple, map(map, repeat(neg), self.counts))
+        return dict(sorted(chain(self.counts.items(), zip(negatives, self.counts.values()))))
 
     @property
     def doubled_positives(self) -> tuple[IntVector, ...]:
-        # a positive root alpha restricts to alpha + tau* alpha, a nonnegative
-        # combination of simple roots, since tau* keeps the positive roots
-        # outside the black span positive
-        keys = self.counts
-        return tuple(sorted(compress(keys, map((0).__lt__, map(sum, keys)))))
+        return tuple(sorted(self.counts))
 
     @cached_property
     def elements(self) -> tuple[tuple, ...]:
@@ -111,20 +110,18 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     n = rs.rank
     inv = satake_involution(sd)
 
-    # the map is linear and the negative roots are the negated positive ones;
-    # the involution passed its checks, so the keys are base 256 and tau*
-    # keeps the positive roots outside the black span positive: each doubled
-    # positive root has coefficients in 0..12 and reads back as bytes
-    keys, images = tau_keys(rs, inv)
-    doubled = Counter(map(add, keys, images))
+    # the involution passed its checks, so tau* packs in base 256 (`satake.tau_keys`)
+    # and keeps the positive roots outside the black span positive: carried from
+    # the packed columns of I + tau*, each alpha + tau* alpha has digits 0..12
+    powers = [256 ** (n - 1 - i) for i in range(n)]
+    columns = [powers[j] + sum(x * powers[i] for i, x in entries) for j, entries in enumerate(inv.tau_columns)]
+    doubled = Counter(rs.carried(columns))
     doubled.pop(0, None)
     if not doubled:
         raise InconsistentDiagram(f"{sd.name}: every root restricts to zero (compact-form diagram)")
-    if any(map(doubled.__contains__, map(neg, doubled))):
+    if min(doubled) < 0:
         raise InconsistentDiagram(f"{sd.name}: restriction of the positive system is not positive")
-    positives = [tuple(k.to_bytes(n, "big")) for k in doubled]
-    negatives = map(tuple, map(map, repeat(neg), positives))
-    counts = dict(zip(chain(positives, negatives), chain(doubled.values(), doubled.values())))
+    counts = {tuple(k.to_bytes(n, "big")): m for k, m in doubled.items()}
 
     cols = inv.columns
     simple_images: list[IntVector] = []

@@ -10,8 +10,9 @@ downstream quantity is a scale-invariant ratio, so the scale cancels.
 The root-string closure (`build_root_system`) runs on packed ints whose
 digits never carry: base-256 digits for a root's coefficients, at most 6,
 and 5-bit ones for its coroot pairings, in -3..3, and string lengths, at
-most 3.  It yields the positive roots by height, then the negatives, so
-`RootSystem.positive_roots` is the first half of `roots`.
+most 3.  It yields the positive roots by height, all that a `RootSystem`
+stores: `roots`, the positive roots then their negatives, is a view that
+only `verify` builds.
 
 The closure keeps the packed positive roots (`RootSystem.positive_keys`)
 and the spanning tree it reached them along (`RootSystem.spanning_tree`):
@@ -137,18 +138,19 @@ ROOT_COUNT_FORMULAS = {
 }
 
 
-class RootSystem(namedtuple("RootSystem", "simple_type cartan roots highest")):
+class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_roots highest")):
     """A simple complex root system in simple-root coordinates: its
-    `SimpleType`, the integer Cartan rows, every root (positive ones first,
-    by height) and the highest root."""
+    `SimpleType`, the integer Cartan rows, the positive roots by height and
+    the highest root."""
 
     @property
     def rank(self) -> int:
         return self.simple_type.rank
 
     @cached_property
-    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        return self.roots[: len(self.roots) // 2]
+    def roots(self) -> tuple[tuple[int, ...], ...]:
+        """Every root: the positive ones, then their negatives in the same order."""
+        return self.positive_roots + tuple(map(tuple, map(map, repeat(neg), self.positive_roots)))
 
     # The closure keeps the next two on the system it builds; a system built
     # otherwise, by `_replace` say, reads its type's, and verify's
@@ -176,7 +178,7 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan roots highest")):
         return out
 
     def __hash__(self) -> int:
-        # equal systems have equal types; hashing the roots on every cache
+        # equal systems have equal types; hashing the positive roots on every cache
         # lookup keyed on a diagram would cost more than the lookup saves
         return hash(self.simple_type)
 
@@ -289,9 +291,8 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
 
     if len(tops) != 1:
         raise InvalidType(f"{t.name} has {len(tops)} maximal roots; system is not irreducible")
-    roots = [tuple(gamma.to_bytes(n, "big")) for gamma in positives]
-    all_roots = tuple(roots) + tuple(map(tuple, map(map, repeat(neg), roots)))
-    rs = RootSystem(t, cartan, all_roots, tuple(tops[0].to_bytes(n, "big")))
+    roots = tuple(tuple(gamma.to_bytes(n, "big")) for gamma in positives)
+    rs = RootSystem(t, cartan, roots, tuple(tops[0].to_bytes(n, "big")))
     rs.positive_keys = tuple(positives)
     rs.spanning_tree = tuple(tree)
     return rs
@@ -373,7 +374,7 @@ def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:
     degrees = list(map(sum, zip(*terms))) if terms else [0] * len(positives)
     zero = degrees.count(0)
     ones = degrees.count(1) + degrees.count(-1)
-    return len(rs.roots) - 2 * zero - ones
+    return 2 * len(positives) - 2 * zero - ones
 
 
 def dual_coxeter_number(rs: RootSystem) -> int:

@@ -433,7 +433,9 @@ def _black_split(support: Sequence, comp: tuple[int, ...]) -> tuple[int, dict[in
 def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
     rs = sd.rs
     n = rs.rank
-    _structural_failures(sd, strict=True)
+    problems = _structural_failures(sd)
+    if problems:
+        raise InconsistentDiagram(f"{sd.name}: " + "; ".join(problems))
 
     p_tilde = list(range(n))
     for i, j in sd.arrows:
@@ -486,7 +488,7 @@ def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
     return SatakeInvolution(tuple(theta_column(j) for j in range(n)), tuple(p_tilde), den)
 
 
-def _structural_failures(sd: SatakeDiagram, strict: bool = False) -> list[str]:
+def _structural_failures(sd: SatakeDiagram) -> list[str]:
     n = sd.rs.rank
     problems = []
     if not all(0 <= b < n for b in sd.black):
@@ -504,8 +506,6 @@ def _structural_failures(sd: SatakeDiagram, strict: bool = False) -> list[str]:
         if i in seen or j in seen:
             problems.append(f"node in arrow ({i},{j}) already carries an arrow")
         seen |= {i, j}
-    if strict and problems:
-        raise InconsistentDiagram(f"{sd.name}: " + "; ".join(problems))
     return problems
 
 
@@ -560,13 +560,13 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
 
     # theta* = -tau* and both maps are linear while the root set is closed
     # under negation, so the tests below hold on every root exactly when they
-    # hold on the positive ones; those come first in rs.roots, so the first
-    # root reported is the same as in a scan over every root.  Roots, images
-    # and differences are compared as packed ints (`tau_keys`).
+    # hold on the positive ones.  Roots, images and differences are compared
+    # as packed ints (`tau_keys`), whose sign is that of the leading
+    # coefficient: v is a root exactly when |key(v)| is a positive root's key.
     keys, images = tau_keys(rs, inv)
-    root_keys = {*keys, *map(neg, keys)}
+    root_keys = set(keys)
     positives = rs.positive_roots
-    bad = next(compress(positives, map(not_, map(root_keys.__contains__, images))), None)
+    bad = next(compress(positives, map(not_, map(root_keys.__contains__, map(abs, images)))), None)
     if bad is not None:
         failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {bad})"))
 
@@ -583,7 +583,7 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
                 ("involution.white-translate", f"-theta*(a_{w}) - p~(a_{w}) is not a nonnegative black combination")
             )
 
-    normal = next(compress(positives, map(root_keys.__contains__, map(sub, keys, images))), None)
+    normal = next(compress(positives, map(root_keys.__contains__, map(abs, map(sub, keys, images)))), None)
     if normal is not None:
         failures.append(("involution.tau-normal", f"alpha - tau*(alpha) is a root for alpha={normal}"))
 

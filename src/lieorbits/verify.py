@@ -17,10 +17,11 @@ and their doubles, sums or differences are looked up: `roots.highest-unique`,
 `restricted.simple-two-routes` and `restricted.highest-nonextendable` use it.
 Where one side of an inner product is fixed, the other is paired with one
 `RootSystem.simple_pairings` row of it: the simple roots in the dominance
-test, the highest root in the full parity scan.  Those two scans share one
-norm table, `restricted.positive_norms`, built here only.  The restricted
-system's sorted views, `doubled` and `doubled_positives`, are read here only,
-once per entry.
+test, the highest root in the parity scan.  Those two scans share one norm
+table of the positive roots, `restricted.positive_norms`: every scan that is
+symmetric under negation reads the positive half.  Both halves are built
+here only, once per entry: `RootSystem.roots` for the `roots.*` checks, and
+the restricted view `doubled` for `restricted.negation` and `.mult-sum`.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
     if len(rs.roots) != expected:
         failures.append(Failure(name, "roots.count", f"{len(rs.roots)} roots, closed form gives {expected}"))
 
-    # rs.positive_roots is the first half of rs.roots, so the order is checked
+    # the view rs.roots must be the positive roots by height, then their negatives
     half = len(rs.roots) // 2
     heights = list(map(sum, rs.roots[:half]))
     negated = tuple(map(tuple, map(map, repeat(neg), rs.roots[:half])))
@@ -146,9 +147,10 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
     if problem:
         failures.append(Failure(name, "roots.spanning-tree", problem))
 
-    pack = _packer(rs.roots)
-    root_keys = set(map(pack, rs.roots))
+    # a sum of two positive roots is a root exactly when it is a positive one
+    pack = _packer(rs.positive_roots)
     positive_keys = list(map(pack, rs.positive_roots))
+    root_keys = set(positive_keys)
     non_extendable = {
         xi for xi, x in zip(rs.positive_roots, positive_keys) if root_keys.isdisjoint(map(x.__add__, positive_keys))
     }
@@ -234,7 +236,7 @@ def _indecomposables(positives, positive_keys: list[int], root_keys: set[int], w
     A decomposable root splits off a white-node root, so the witnesses are
     tried first and every positive root only for the few roots they leave.
     Every argument but `positives` is packed by one `_packer`: `positive_keys`
-    follows `positives`, `root_keys` holds every doubled root.
+    follows `positives`, `root_keys` holds every positive doubled root.
     """
     reduced = [(d, k) for d, k in zip(positives, positive_keys) if 2 * k not in root_keys]
     reduced_keys = [k for _, k in reduced]
@@ -260,7 +262,7 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     except LieOrbitsError as exc:
         return [Failure(name, "restricted.construction", str(exc))]
 
-    # the sorted views are built once here; describe never builds them
+    # the sorted views are built once here, and only the next two checks read `doubled`
     doubled = rrs.doubled
     norms = positive_norms(rrs)
     positives = list(norms)
@@ -272,9 +274,10 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     for i in sd.white:
         white_sums = map(add, white_sums, map(itemgetter(i), rs.positive_roots))
     span_black = 2 * list(white_sums).count(0)
-    if total + span_black != len(rs.roots):
+    roots = 2 * len(rs.positive_roots)
+    if total + span_black != roots:
         failures.append(
-            Failure(name, "restricted.mult-sum", f"mult sum {total} + black-span {span_black} != {len(rs.roots)} roots")
+            Failure(name, "restricted.mult-sum", f"mult sum {total} + black-span {span_black} != {roots} roots")
         )
 
     # on the doubled vectors 2 xi, read without building the Fraction views
@@ -292,11 +295,11 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
-    araki = sorted(reduced_simple(doubled, rrs.doubled_simple))
+    araki = sorted(reduced_simple(rrs.counts, rrs.doubled_simple))
     # one packing serves every lookup below: each compared vector is a root,
     # a witness, the highest root, or a double, sum or difference of two of them
-    pack = _packer(chain(doubled, positives, araki, [rrs.doubled_highest]))
-    root_keys = set(map(pack, doubled))
+    pack = _packer(chain(rrs.counts, positives, araki, [rrs.doubled_highest]))
+    root_keys = set(map(pack, rrs.counts))
     positive_keys = list(map(pack, positives))
     searched = _indecomposables(positives, positive_keys, root_keys, list(map(pack, araki)))
     if searched != araki:
@@ -332,13 +335,9 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
         value = f"{product // g}" if g == scale else f"{product // g}/{scale // g}"
         failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {value}"))
 
-    # every key paired through one row of lambda; -xi has the norm of xi, and
-    # a key outside both (none on a sound system) has its norm computed
+    # every positive root paired through one row of lambda; -xi pairs as xi does
     row = rs.simple_pairings(rrs.doubled_highest)
-    table = norms | {tuple(map(neg, xi)): norm for xi, norm in norms.items()}
-    pairings = (
-        (2 * sum(map(mul, xi, row)), table[xi] if xi in table else rs.scaled_inner(xi, xi)) for xi in doubled
-    )
+    pairings = ((2 * sum(map(mul, xi, row)), norm) for xi, norm in norms.items())
     try:
         scanned = odd_pairing(rrs, pairings)
     except LieOrbitsError as exc:

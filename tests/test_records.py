@@ -46,7 +46,7 @@ def sample(name):
     return make[name]()
 
 
-A1 = "RootSystem(simple_type=SimpleType(letter='A', rank=1), cartan=((2,),), roots=((1,), (-1,)), highest=(1,))"
+A1 = "RootSystem(simple_type=SimpleType(letter='A', rank=1), cartan=((2,),), positive_roots=((1,),), highest=(1,))"
 SL2R = (
     "SatakeDiagram(descriptor=RealFormDescriptor(family='sl_R', params=(2,)), "
     f"rs={A1}, black=frozenset(), arrows=(), hermitian_expected=True)"
@@ -54,7 +54,8 @@ SL2R = (
 WDD_A1 = "WeightedDynkinDiagram(simple_type=SimpleType(letter='A', rank=1), weights=(2,))"
 NO_CONDITION = "EquivalenceConditions(c_i=False, c_ii=False, c_iv=False, c_v=False, c_vi=False, c_vii=False, c_xii=False)"
 
-# the text each record printed as a dataclass
+# the text each record printed as a dataclass, in the fields it has now: a
+# root system and a restricted one keep the positive half of their roots
 DATACLASS_REPR = {
     "SimpleType": "SimpleType(letter='A', rank=3)",
     "RootSystem": A1,
@@ -65,7 +66,7 @@ DATACLASS_REPR = {
     "ValidationReport": "ValidationReport(entry='sl(2,R)', failures=())",
     "TypeLabel": "TypeLabel(letter='BC', rank=2, reduced=False)",
     "RestrictedRootSystem": (
-        f"RestrictedRootSystem(source={SL2R}, counts={{(2,): 1, (-2,): 1}}, doubled_simple=((2,),), "
+        f"RestrictedRootSystem(source={SL2R}, counts={{(2,): 1}}, doubled_simple=((2,),), "
         "doubled_highest=(2,), highest_mult=1, type_label=TypeLabel(letter='A', rank=1, reduced=True))"
     ),
     "EquivalenceConditions": NO_CONDITION,

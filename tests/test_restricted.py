@@ -7,6 +7,7 @@ from lieorbits import verify
 from lieorbits.errors import InconsistentDiagram
 from lieorbits.orbits import FormAnalysis
 from lieorbits.restricted import (
+    RestrictedRootSystem,
     dominant_longest,
     is_C_or_BC,
     is_hermitian,
@@ -241,13 +242,22 @@ def test_parity_two_routes_fires_on_a_negated_parity():
     assert "restricted.parity-two-routes" in failures
 
 
+class GivenPositives(RestrictedRootSystem):
+    """A doctored system whose positive roots are given, not read off its counts."""
+
+    @property
+    def doubled_positives(self):
+        return self.given
+
+
 def test_parity_two_routes_reports_a_non_integral_pairing():
     sd = form("sl(3,R)")
     r = restricted_root_system(sd)
-    # -3 a1 / 2 pairs with the highest root a1 + a2 to -2/3; it sorts ahead of
-    # every true root, so the full scan meets it before any odd pairing
-    doctored = r._replace(counts={(-3, 0): 1, **r.counts})
-    assert next(iter(doctored.doubled)) == (-3, 0)
+    # -3 a1 / 2 pairs with the highest root a1 + a2 to -2/3; given ahead of
+    # every true positive root, the scan over them meets it before any odd pairing
+    doctored = GivenPositives(*r)
+    doctored.given = ((-3, 0),) + r.doubled_positives
+    assert next(iter(positive_norms(doctored))) == (-3, 0)
     failures = _restricted_failures(sd, doctored)
     assert failures["restricted.parity-two-routes"] == "non-integral pairing -2/3 in sl(3,R)"
 

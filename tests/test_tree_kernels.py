@@ -18,13 +18,13 @@ for every white neighbour of every black component of those diagrams.
 from collections import Counter
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mul, neg, not_, sub
+from operator import add, itemgetter, mul, not_, sub
 
 import pytest
 from test_column_kernels import doctored_involutions, mutations
 
 from lieorbits import satake, verify
-from lieorbits.errors import LieOrbitsError
+from lieorbits.errors import InconsistentDiagram, LieOrbitsError
 from lieorbits.ratmat import int_solve, matrix_rank
 from lieorbits.restricted import RestrictedRootSystem, restricted_root_system
 from lieorbits.rootsys import SimpleType, build_root_system, simple_coord
@@ -130,15 +130,14 @@ def column_involution_failures(sd, inv):
 
 
 def column_counts(sd):
-    """The restriction's `counts` as the column code built them."""
+    """The restriction's `counts` as the column code built them, but for
+    the negative half, which `counts` no longer holds."""
     inv = satake_involution(sd)
 
     def doubled(columns):
         return zip(*map(map, repeat(add), columns, tau_image_columns(inv, columns)))
 
-    positives = Counter(filter(any, doubled(positive_columns(sd.rs))))
-    negatives = dict(zip(map(tuple, map(map, repeat(neg), positives)), positives.values()))
-    return {**positives, **negatives}
+    return dict(Counter(filter(any, doubled(positive_columns(sd.rs)))))
 
 
 def sorted_components(sd):
@@ -164,7 +163,9 @@ def dense_involution(sd):
     """theta* with every node's Gram split solved densely by `int_solve`."""
     rs = sd.rs
     n = rs.rank
-    satake._structural_failures(sd, strict=True)
+    problems = satake._structural_failures(sd)
+    if problems:
+        raise InconsistentDiagram(f"{sd.name}: " + "; ".join(problems))
     p_tilde = list(range(n))
     for i, j in sd.arrows:
         p_tilde[i], p_tilde[j] = j, i
