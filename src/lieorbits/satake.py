@@ -12,13 +12,12 @@ denominator, which is 1 for every sound diagram; tau* = -theta* acts on one
 vector through `SatakeInvolution.tau_image`, and on every positive root at
 once through `tau_keys`, which packs each root and its image into one int,
 the images carried along the closure's spanning tree, one addition per
-root.  The root checks look those keys up, and the restriction
-alpha + tau* alpha adds them.  Only the projections onto the black span need
-a linear solve, an integer one on the scaled Gram rows, and only for the
-simple roots that pair with a black one: one leaves-first pass over each
-black component's tree solves for all its white neighbours.  The invariants
-run on the integer columns, theta*^2 = I included, once per entry:
-`satake_involution` builds and checks the involution under one cache,
+root, and the root checks look those keys up.  Only the projections onto
+the black span need a linear solve, an integer one on the scaled Gram rows,
+and only for the simple roots that pair with a black one: one leaves-first
+pass over each black component's tree solves for all its white neighbours.
+The invariants run on the integer columns, theta*^2 = I included, once per
+entry: `satake_involution` builds and checks the involution under one cache,
 raising InconsistentDiagram with the failed checks, and `validate_satake`
 reports those same failures.
 
