@@ -3,9 +3,10 @@
 Restricted roots stay in the ambient simple-root coordinates, inside the
 tau*-fixed subspace, and are stored doubled: 2 r(alpha) = alpha + tau* alpha
 is an integer vector, since tau* permutes the root lattice.  It is counted
-for every positive root at once, carried along the closure's spanning tree
-from the packed columns of I + tau* (`RootSystem.carried`), and only the
-distinct sums are read back as vectors.
+for every positive root at once, as packed ints carried along the closure's
+spanning tree from the packed columns of I + tau* (`RootSystem.carried`);
+no root is read as a tuple, and only the distinct sums are decoded, as the
+keys of `counts`.
 Every quantity used is a ratio of inner products of the integer-scaled Gram
 form (`RootSystem.scaled_inner`), so the doubling and the scaling cancel;
 `elements` is the one `Fraction` view.
@@ -17,8 +18,9 @@ on demand, on every read, for `verify`.
 
 Nothing is searched for.  The simple restricted roots are the distinct images
 s of the white simple roots, and the reduced system's simple roots are those
-s, or 2s where 2s is a root (`reduced_simple`).  The type is read off their
-Cartan matrix, and `parity_criterion` pairs the highest root with their
+s, or 2s where 2s is a root (`reduced_simple`).  The type is read off the
+Dynkin diagram of their Cartan matrix (`rootsys.read_cartan_type`), and
+`parity_criterion` pairs the highest root with their
 coroots only: every coroot is an integer combination of theirs, since
 xi^v = 2 (2 xi)^v.  The searches that reach the same answers, over the
 reduced positive roots and over every pairing, run as `verify` checks.
@@ -43,7 +45,7 @@ from itertools import chain, compress, product, repeat
 from operator import add, mul, neg, sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
-from .rootsys import RootSystem, SimpleType, candidate_types, cartan_matrix, find_cartan_isomorphism, simple_coord
+from .rootsys import RootSystem, read_cartan_type, simple_coord
 from .satake import SatakeDiagram, satake_involution
 
 IntVector = tuple[int, ...]
@@ -169,23 +171,16 @@ def restricted_cartan(rs: RootSystem, simple: list[IntVector], name: str) -> tup
 
 
 def _classify(rs: RootSystem, roots, simple_images: list[IntVector], name: str) -> TypeLabel:
-    """Type of the restricted system; every vector argument is doubled."""
+    """Type of the restricted system; every vector argument is doubled.  A
+    rank-2 double bond reads as B2 or C2 by the order of the white nodes."""
     simple_reduced = reduced_simple(roots, simple_images)
     rank = len(simple_reduced)
-    cbar = restricted_cartan(rs, simple_reduced, name)
-    matches = [t for t in candidate_types(rank) if find_cartan_isomorphism(cbar, cartan_matrix(t)) is not None]
-    if not matches:
+    found = read_cartan_type(restricted_cartan(rs, simple_reduced, name))
+    if found is None:
         raise UnrecognizedSystem(f"{name}: restricted Cartan matrix matches no classified type")
-    if len(matches) == 1:
-        letter = matches[0].letter
-    else:
-        # rank-2 double edge: B2 and C2 are isomorphic; label by source order
-        if set(m.letter for m in matches) != {"B", "C"}:
-            raise UnrecognizedSystem(f"{name}: ambiguous restricted type {[m.name for m in matches]}")
-        letter = "B" if cbar == cartan_matrix(SimpleType("B", rank)) else "C"
     if simple_reduced != simple_images:
         return TypeLabel("BC", rank, False)
-    return TypeLabel(letter, rank, True)
+    return TypeLabel(found[0].letter, rank, True)
 
 
 def is_C_or_BC(rrs: RestrictedRootSystem) -> bool:

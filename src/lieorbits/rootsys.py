@@ -10,16 +10,21 @@ downstream quantity is a scale-invariant ratio, so the scale cancels.
 The root-string closure (`build_root_system`) runs on packed ints whose
 digits never carry: base-256 digits for a root's coefficients, at most 6,
 and 5-bit ones for its coroot pairings, in -3..3, and string lengths, at
-most 3.  It yields the positive roots by height, all that a `RootSystem`
-stores: `roots`, the positive roots then their negatives, is a view that
-only `verify` builds.
+most 3.  It yields the positive roots by height, packed as
+sum_i c_i 256^(n-1-i), and a `RootSystem` stores them so, as
+`positive_keys`.  The coefficient tuples are views that only `verify`
+builds: `positive_roots` decodes the keys, and `roots` adds the negatives.
 
-The closure keeps the packed positive roots (`RootSystem.positive_keys`)
-and the spanning tree it reached them along (`RootSystem.spanning_tree`):
-each root's first parent and the node it stepped up by.  A linear map on
-every positive root is then one addition per root (`RootSystem.carried`);
-the involution checks and the restriction take tau* that way.  The orbit
-dimension reads the coordinate columns of the nonzero weights only.
+The closure also keeps the spanning tree it reached the roots along
+(`RootSystem.spanning_tree`): each root's first parent and the node it
+stepped up by.  A linear map on every positive root is then one addition
+per root (`RootSystem.carried`); the involution checks and the restriction
+take tau* that way, and the orbit dimension takes a weighted diagram's
+grading.
+
+The type of a Cartan matrix is read off its Dynkin diagram, its chain,
+branch node and bond labels (`read_cartan_type`), and confirmed by
+comparing the relabelled rows with `cartan_matrix`; nothing is searched.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, itemgetter, lshift, mul, neg
 
 from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch
@@ -113,7 +118,7 @@ def cartan_matrix(t: SimpleType) -> IntRows:
     """Integer Cartan matrix C[i][j] = 2<a_i,a_j>/<a_j,a_j>, as rows.
 
     Cached (the rows are immutable): the restricted-type and black-component
-    classifiers compare against the same few candidate types for every entry.
+    classifiers confirm every diagram they read against the same few types.
     """
     n = t.rank
     d = _lengths(t)
@@ -138,28 +143,29 @@ ROOT_COUNT_FORMULAS = {
 }
 
 
-class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_roots highest")):
+class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys highest")):
     """A simple complex root system in simple-root coordinates: its
-    `SimpleType`, the integer Cartan rows, the positive roots by height and
-    the highest root."""
+    `SimpleType`, the integer Cartan rows, the positive roots by height,
+    packed as sum_i c_i 256^(n-1-i), and the highest root."""
 
     @property
     def rank(self) -> int:
         return self.simple_type.rank
 
     @cached_property
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The positive roots as coefficient tuples, decoded from `positive_keys`."""
+        n = self.rank
+        return tuple(tuple(key.to_bytes(n, "big")) for key in self.positive_keys)
+
+    @cached_property
     def roots(self) -> tuple[tuple[int, ...], ...]:
         """Every root: the positive ones, then their negatives in the same order."""
         return self.positive_roots + tuple(map(tuple, map(map, repeat(neg), self.positive_roots)))
 
-    # The closure keeps the next two on the system it builds; a system built
+    # The closure keeps the tree on the system it builds; a system built
     # otherwise, by `_replace` say, reads its type's, and verify's
-    # roots.spanning-tree check compares them with its own roots.
-
-    @cached_property
-    def positive_keys(self) -> tuple[int, ...]:
-        """The positive roots packed as sum_i c_i 256^(n-1-i), in order."""
-        return _build_cached(self.simple_type.letter, self.rank).positive_keys
+    # roots.spanning-tree check holds it to the keys.
 
     @cached_property
     def spanning_tree(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -178,7 +184,7 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_roots hig
         return out
 
     def __hash__(self) -> int:
-        # equal systems have equal types; hashing the positive roots on every cache
+        # equal systems have equal types; hashing the positive keys on every cache
         # lookup keyed on a diagram would cost more than the lookup saves
         return hash(self.simple_type)
 
@@ -291,9 +297,7 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
 
     if len(tops) != 1:
         raise InvalidType(f"{t.name} has {len(tops)} maximal roots; system is not irreducible")
-    roots = tuple(tuple(gamma.to_bytes(n, "big")) for gamma in positives)
-    rs = RootSystem(t, cartan, roots, tuple(tops[0].to_bytes(n, "big")))
-    rs.positive_keys = tuple(positives)
+    rs = RootSystem(t, cartan, tuple(positives), tuple(tops[0].to_bytes(n, "big")))
     rs.spanning_tree = tuple(tree)
     return rs
 
@@ -364,17 +368,15 @@ def orbit_dim_from_wdd(rs: RootSystem, w: WeightedDynkinDiagram) -> int:
     The dimension is the number of roots of degree other than 0 and 1.  The
     grading is odd, -alpha has degree -d(alpha), so only the positive roots
     are scanned: one of degree 0 stands for two roots of degree 0, and one of
-    degree +-1 for one root of degree 1.  The degrees are summed over the
-    columns of the nonzero weights only.
+    degree +-1 for one root of degree 1.  The degree is additive, so it is
+    carried along the spanning tree from the weights (`RootSystem.carried`).
     """
     if w.simple_type != rs.simple_type:
         raise TypeMismatch(f"diagram of type {w.simple_type.name} against system {rs.simple_type.name}")
-    positives = rs.positive_roots
-    terms = [map(mul, map(itemgetter(i), positives), repeat(x)) for i, x in enumerate(w.weights) if x]
-    degrees = list(map(sum, zip(*terms))) if terms else [0] * len(positives)
+    degrees = rs.carried(w.weights)
     zero = degrees.count(0)
     ones = degrees.count(1) + degrees.count(-1)
-    return 2 * len(positives) - 2 * zero - ones
+    return 2 * len(degrees) - 2 * zero - ones
 
 
 def dual_coxeter_number(rs: RootSystem) -> int:
@@ -391,71 +393,86 @@ def dual_coxeter_number(rs: RootSystem) -> int:
     return 1 + total
 
 
-# bounded like cartan_matrix; its targets are the candidate types' Cartan
-# matrices, so each type's signatures are computed once, not on every call
-@lru_cache(maxsize=256)
-def _row_signatures(rows: IntRows) -> tuple[tuple, tuple]:
-    """Per node, the diagonal entry and the sorted off-diagonal row entries;
-    and those signatures sorted, equal for isomorphic matrices."""
-    signatures = tuple((row[i], tuple(sorted(row[:i] + row[i + 1 :]))) for i, row in enumerate(rows))
-    return signatures, tuple(sorted(signatures))
+def read_cartan_type(rows: IntRows) -> tuple[SimpleType, tuple[int, ...]] | None:
+    """The simple type t of integer Cartan rows and the node order with
+    cartan_matrix(t)[k][l] == rows[order[k]][order[l]], or None for rows
+    that are no Cartan matrix of a connected Dynkin diagram.
 
-
-def find_cartan_isomorphism(src: IntRows, tgt: IntRows) -> tuple[int, ...] | None:
-    """A node bijection sigma with tgt[sigma i][sigma j] == src[i][j], or None.
-
-    Backtracking over node assignments; the row multiset signature prunes
-    almost everything, and matrices whose signature multisets differ are
-    rejected before any search.  Signatures are read from a bounded cache
-    keyed on the rows, so a candidate type's are computed once across calls.
+    The type is read off the diagram (Bourbaki VI 4.2): a chain is A, B, C,
+    F4 or G2 by its one multiple bond C[i][j] C[j][i] > 1 and where it sits,
+    and a tree with one branch node is D or E by the lengths of its three
+    arms.  The order walks the diagram in Bourbaki's numbering, a multiple
+    bond's arrow turned the way `cartan_matrix` has it, and one comparison of
+    the relabelled rows with `cartan_matrix(t)` confirms both.
     """
-    n = len(src)
-    if len(tgt) != n:
+    r = len(rows)
+    if r < 2:
+        return (SimpleType("A", 1), (0,)) if r and rows[0][0] == 2 else None
+    nodes = range(r)
+    neighbours = [[j for j in compress(nodes, row) if j != i] for i, row in enumerate(rows)]
+    degree = list(map(len, neighbours))
+
+    def arm(prev: int, node: int) -> list[int]:
+        """The nodes from `node` on, away from `prev`, up to an end."""
+        path = [node]
+        while degree[node] == 2 and len(path) < r:
+            # the neighbour of node that is not prev
+            prev, node = node, neighbours[node][neighbours[node][0] == prev]
+            path.append(node)
+        return path
+
+    branches = [i for i in nodes if degree[i] > 2]
+    if not branches:
+        end = next((i for i in nodes if degree[i] == 1), None)
+        if end is None:
+            return None
+        order = [end] + arm(end, neighbours[end][0])
+        bonds = [(k, rows[a][b] * rows[b][a]) for k, (a, b) in enumerate(zip(order, order[1:]))]
+        multiple = [(k, bond) for k, bond in bonds if bond != 1]
+        if not multiple:
+            letter = "A"
+        elif len(multiple) > 1:
+            return None
+        else:
+            ((k, bond),) = multiple
+            if bond == 3 and r == 2:
+                # G2: a_1 is the short root, C[0][1] = -1
+                letter = "G"
+                if rows[order[0]][order[1]] != -1:
+                    order.reverse()
+            elif bond == 2 and r == 4 and k == 1:
+                # F4: a_2 long and a_3 short, C[1][2] = -2
+                letter = "F"
+                if rows[order[1]][order[2]] != -2:
+                    order.reverse()
+            elif bond == 2 and k in (0, r - 2):
+                # the double bond last; B_r has C[r-2][r-1] = -2, C_r has -1
+                if k != r - 2:
+                    order.reverse()
+                letter = "B" if rows[order[-2]][order[-1]] == -2 else "C"
+            else:
+                return None
+    elif len(branches) == 1 and degree[branches[0]] == 3:
+        branch = branches[0]
+        short, middle, long = sorted((arm(branch, j) for j in neighbours[branch]), key=len)
+        if len(short) == len(middle) == 1:
+            # D_r: a_1 .. a_{r-2} along the long arm, then the two short arms
+            letter = "D"
+            order = long[::-1] + [branch] + short + middle
+        elif len(short) == 1 and len(middle) == 2 and 6 <= r <= 8:
+            # E_r: a_1 - a_3 - a_4 - ... - a_r with a_2 on a_4
+            letter = "E"
+            order = [middle[1], short[0], middle[0], branch] + long
+        else:
+            return None
+    else:
         return None
-
-    src_sig, src_multiset = _row_signatures(src)
-    tgt_sig, tgt_multiset = _row_signatures(tgt)
-    if src_multiset != tgt_multiset:
+    # an order that misses or repeats a node relabels to no Cartan matrix of rank r
+    t = SimpleType(letter, r)
+    pick = itemgetter(*order)
+    if tuple(map(pick, pick(rows))) != cartan_matrix(t):
         return None
-    assigned: list[int | None] = [None] * n
-    used = [False] * n
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        for cand in range(n):
-            if used[cand] or tgt_sig[cand] != src_sig[i]:
-                continue
-            ok = True
-            for j in range(i):
-                sj = assigned[j]
-                if src[i][j] != tgt[cand][sj] or src[j][i] != tgt[sj][cand]:
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = cand
-                used[cand] = True
-                if backtrack(i + 1):
-                    return True
-                assigned[i] = None
-                used[cand] = False
-        return False
-
-    if backtrack(0):
-        return tuple(assigned)  # type: ignore[arg-type]
-    return None
-
-
-def candidate_types(rank: int) -> list[SimpleType]:
-    """All classified simple types of the given rank."""
-    out = [SimpleType("A", rank)]
-    for letter in ("B", "C", "D", "F", "G"):
-        lo, hi = RANK_BOUNDS[letter]
-        if rank >= lo and (hi is None or rank <= hi):
-            out.append(SimpleType(letter, rank))
-    if 6 <= rank <= 8:
-        out.append(SimpleType("E", rank))
-    return out
+    return t, tuple(order)
 
 
 def duality_permutation(t: SimpleType) -> tuple[int, ...]:

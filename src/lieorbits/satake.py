@@ -35,9 +35,9 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import compress, starmap
+from itertools import compress, count, starmap
 from math import gcd, lcm
-from operator import itemgetter, neg, not_, sub
+from operator import getitem, itemgetter, neg, not_, sub
 
 from .errors import FormNameError, InconsistentDiagram, OutOfRangeParams
 from .ratmat import matrix_rank
@@ -46,10 +46,8 @@ from .rootsys import (
     SimpleType,
     Validated,
     build_root_system,
-    candidate_types,
-    cartan_matrix,
     duality_permutation,
-    find_cartan_isomorphism,
+    read_cartan_type,
     simple_coord,
 )
 
@@ -386,15 +384,14 @@ def _black_components(sd: SatakeDiagram) -> list[tuple[int, ...]]:
 def _component_duality(sd: SatakeDiagram, comp: tuple[int, ...]) -> dict[int, int]:
     """Duality involution (-w0) of one black component as a node map."""
     cartan = sd.rs.cartan
-    sub = tuple(tuple(cartan[a][b] for b in comp) for a in comp)
-    for t in candidate_types(len(comp)):
-        sigma = find_cartan_isomorphism(sub, cartan_matrix(t))
-        if sigma is None:
-            continue
-        inverse = {s: i for i, s in enumerate(sigma)}
-        delta = duality_permutation(t)
-        return {comp[i]: comp[inverse[delta[sigma[i]]]] for i in range(len(comp))}
-    raise InconsistentDiagram(f"{sd.name}: black component {comp} is not of classified type")
+    sub = tuple(tuple(map(row.__getitem__, comp)) for row in map(cartan.__getitem__, comp))
+    found = read_cartan_type(sub)
+    if found is None:
+        raise InconsistentDiagram(f"{sd.name}: black component {comp} is not of classified type")
+    # order[k] is the component's node at Bourbaki position k
+    t, order = found
+    delta = duality_permutation(t)
+    return {comp[order[k]]: comp[order[delta[k]]] for k in range(len(comp))}
 
 
 def _black_split(support: Sequence, comp: tuple[int, ...]) -> tuple[int, dict[int, dict[int, int]]]:
@@ -510,8 +507,9 @@ def _structural_failures(sd: SatakeDiagram) -> list[str]:
 
 def tau_keys(rs: RootSystem, inv: SatakeInvolution) -> tuple[Sequence[int], list[int]]:
     """(keys, images): the positive roots gamma and their images tau* gamma
-    packed as sum_i c_i B^(n-1-i), in `positive_roots` order, the images
-    carried from tau*'s packed columns (`RootSystem.carried`).
+    packed as sum_i c_i B^(n-1-i), in the closure's order, that of
+    `RootSystem.positive_keys`, the images carried from tau*'s packed columns
+    (`RootSystem.carried`).
 
     gamma <= phi coefficientwise, so no coefficient of gamma, tau* gamma or
     gamma +- tau* gamma exceeds M = max_i (phi_i + sum_j |tau*_ij| phi_j) in
@@ -550,7 +548,8 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
         return not any(out.values())
 
     # theta*^2 = I on M: each column of M^2 - d^2 I, summed over nonzero entries, is zero
-    if not all(map(squares_to_identity, range(n))):
+    involution = all(map(squares_to_identity, range(n)))
+    if not involution:
         failures.append(("involution.theta-squared", "theta* squared is not the identity"))
 
     if d != 1:
@@ -562,12 +561,13 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     # hold on the positive ones.  Roots, images and differences are compared
     # as packed ints (`tau_keys`), whose sign is that of the leading
     # coefficient: v is a root exactly when |key(v)| is a positive root's key.
+    # A scan finds a root's index, whose coefficients only a message decodes.
     keys, images = tau_keys(rs, inv)
     root_keys = set(keys)
-    positives = rs.positive_roots
-    bad = next(compress(positives, map(not_, map(root_keys.__contains__, map(abs, images)))), None)
+    bad = next(compress(count(), map(not_, map(root_keys.__contains__, map(abs, images)))), None)
     if bad is not None:
-        failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {bad})"))
+        root = tuple(rs.positive_keys[bad].to_bytes(n, "big"))
+        failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {root})"))
 
     for b in sorted(sd.black):
         if entries[b] != [(b, 1)]:
@@ -582,9 +582,10 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
                 ("involution.white-translate", f"-theta*(a_{w}) - p~(a_{w}) is not a nonnegative black combination")
             )
 
-    normal = next(compress(positives, map(root_keys.__contains__, map(abs, map(sub, keys, images)))), None)
+    normal = next(compress(count(), map(root_keys.__contains__, map(abs, map(sub, keys, images)))), None)
     if normal is not None:
-        failures.append(("involution.tau-normal", f"alpha - tau*(alpha) is a root for alpha={normal}"))
+        root = tuple(rs.positive_keys[normal].to_bytes(n, "big"))
+        failures.append(("involution.tau-normal", f"alpha - tau*(alpha) is a root for alpha={root}"))
 
     permuted_phi = [0] * n
     for i, c in enumerate(rs.highest):
@@ -614,8 +615,13 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
             if inv.tau_image(v) != tuple(-x for x in v):
                 failures.append(("involution.basis-eigenspace", "a basis vector is not in the -1 eigenspace of tau*"))
                 break
-    # columns of tau* + I = I - theta*
-    eigen_dim = n - matrix_rank([tuple(map(sub, simple_coord(n, j), cols[j])) for j in range(n)])
+    # an involution is diagonalizable with eigenvalues +-1, so the -1 eigenspace
+    # of tau*, the +1 one of theta*, has dimension (n + tr theta*) / 2; any other
+    # theta* is measured by the rank of the columns of tau* + I = I - theta*
+    if involution:
+        eigen_dim = (n + sum(map(getitem, cols, range(n)))) // 2
+    else:
+        eigen_dim = n - matrix_rank([tuple(map(sub, simple_coord(n, j), cols[j])) for j in range(n)])
     if eigen_dim != len(omega):
         failures.append(
             ("involution.basis-count", f"-1 eigenspace of tau* has dim {eigen_dim}, basis has {len(omega)} vectors")

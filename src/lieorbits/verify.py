@@ -5,8 +5,14 @@ tagged with the entry name and a stable check name so a corrupted entry is
 reported, not silently absorbed.  Cross-checks against family-derived
 reference data (expected Hermitian flag, expected real rank, golden table
 rows) catch corruptions that still yield a structurally valid diagram.
-`roots.spanning-tree` holds the keys and spanning tree that the closure
-keeps, along which the Satake layer carries tau*, to the positive roots.
+
+A root system stores its positive roots as packed keys, and the other
+layers carry tau* and a weighted diagram's grading along the closure's
+spanning tree.  The coefficient tuples are built here only, once per type:
+`RootSystem.positive_roots` decodes the keys and `RootSystem.roots` adds the
+negatives, for the `roots.*` checks and the black-span count.
+`roots.spanning-tree` holds the keys and the tree to those tuples, and
+`minwdd.dimension` reads the grading only along a tree that passed it.
 
 The searches over pairs of roots run on packed integers.  `_packer` maps a
 vector v to the int sum v_i B^i; the map is linear, so a sum or difference
@@ -19,9 +25,9 @@ Where one side of an inner product is fixed, the other is paired with one
 `RootSystem.simple_pairings` row of it: the simple roots in the dominance
 test, the highest root in the parity scan.  Those two scans share one norm
 table of the positive roots, `restricted.positive_norms`: every scan that is
-symmetric under negation reads the positive half.  Both halves are built
-here only, once per entry: `RootSystem.roots` for the `roots.*` checks, and
-the restricted view `doubled` for `restricted.negation` and `.mult-sum`.
+symmetric under negation reads the positive half.  The restricted view
+`doubled`, both halves, is built here only, once per entry, for
+`restricted.negation` and `.mult-sum`.
 """
 
 from __future__ import annotations
@@ -170,18 +176,23 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
                 Failure(name, "minwdd.support", f"support {sorted(support)} vs neighbors {sorted(extended_neighbors(rs))}")
             )
 
-    # the dual Coxeter number is read off the highest root, independently of the grading
-    dim = orbit_dim_from_wdd(rs, wdd)
-    if dim != 2 * dual_coxeter_number(rs) - 2:
-        failures.append(Failure(name, "minwdd.dimension", f"dim {dim} != 2h^v-2 = {2 * dual_coxeter_number(rs) - 2}"))
+    # the dual Coxeter number is read off the highest root, independently of the
+    # grading; the grading is carried along the spanning tree, so only a tree
+    # that passed roots.spanning-tree grades
+    if problem is None:
+        dim = orbit_dim_from_wdd(rs, wdd)
+        if dim != 2 * dual_coxeter_number(rs) - 2:
+            message = f"dim {dim} != 2h^v-2 = {2 * dual_coxeter_number(rs) - 2}"
+            failures.append(Failure(name, "minwdd.dimension", message))
     return failures
 
 
 def _spanning_tree_problem(rs: RootSystem) -> str | None:
     """What is wrong with the keys and spanning tree the closure kept, if
-    anything: the keys must pack `positive_roots` in base 256, the tree must
-    give each of them a parent that comes before it, or -1 for 0, and each
-    must be its parent plus a_node, which on the keys is one addition."""
+    anything: the keys must pack the `positive_roots` view in base 256, the
+    tree must give each of them a parent that comes before it, or -1 for 0,
+    and each must be its parent plus a_node, which on the keys is one
+    addition."""
     n = rs.rank
     powers = [256 ** (n - 1 - i) for i in range(n)]
     keys = rs.positive_keys

@@ -17,11 +17,12 @@ from itertools import chain, compress, repeat
 from operator import add, neg
 
 import pytest
+from test_diagram_kernels import candidate_types
 
 from lieorbits import orbits, rootsys, satake
 from lieorbits.orbits import orbit_report
 from lieorbits.restricted import restricted_root_system
-from lieorbits.rootsys import build_root_system, candidate_types
+from lieorbits.rootsys import build_root_system
 from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution
 
 RANK_64 = ["so(1,128)", "so*(128)", "su(32,32)", "sl(64,R)", "sp(64,R)", "so(64,64)"]

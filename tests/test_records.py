@@ -46,7 +46,7 @@ def sample(name):
     return make[name]()
 
 
-A1 = "RootSystem(simple_type=SimpleType(letter='A', rank=1), cartan=((2,),), positive_roots=((1,),), highest=(1,))"
+A1 = "RootSystem(simple_type=SimpleType(letter='A', rank=1), cartan=((2,),), positive_keys=(1,), highest=(1,))"
 SL2R = (
     "SatakeDiagram(descriptor=RealFormDescriptor(family='sl_R', params=(2,)), "
     f"rs={A1}, black=frozenset(), arrows=(), hermitian_expected=True)"

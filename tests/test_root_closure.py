@@ -15,10 +15,11 @@ from itertools import compress, repeat
 from operator import add, gt, neg
 
 import pytest
+from test_diagram_kernels import candidate_types
 
 from lieorbits import rootsys, verify
 from lieorbits.errors import InvalidType
-from lieorbits.rootsys import SimpleType, build_root_system, candidate_types, simple_coord
+from lieorbits.rootsys import SimpleType, build_root_system, simple_coord
 
 TYPES = [t for rank in range(1, 25) for t in candidate_types(rank)]
 RANK_CAP_TYPES = [SimpleType(letter, 64) for letter in "ABCD"]

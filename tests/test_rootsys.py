@@ -14,9 +14,9 @@ from lieorbits.rootsys import (
     dual_coxeter_number,
     duality_permutation,
     extended_neighbors,
-    find_cartan_isomorphism,
     min_orbit_wdd,
     orbit_dim_from_wdd,
+    read_cartan_type,
     simple_coord,
 )
 
@@ -262,15 +262,15 @@ def test_scaled_norms_match_scaled_inner(t):
     assert rs.scaled_norms([]) == []
 
 
-def test_cartan_isomorphism_reads_each_matrix_signatures_once():
-    rootsys._row_signatures.cache_clear()
-    candidates = [cartan_matrix(t) for t in rootsys.candidate_types(5)]
+def test_the_diagram_reader_confirms_against_one_type():
     # a relabelled B5: the nodes in reverse order
     src = tuple(tuple(row[::-1]) for row in cartan_matrix(SimpleType("B", 5))[::-1])
+    rootsys.cartan_matrix.cache_clear()
     for _ in range(3):
-        found = [find_cartan_isomorphism(src, tgt) is not None for tgt in candidates]
-        assert found == [t.letter == "B" for t in rootsys.candidate_types(5)]
-    assert rootsys._row_signatures.cache_info().misses == len(candidates) + 1
+        assert read_cartan_type(src) == (SimpleType("B", 5), (4, 3, 2, 1, 0))
+    # one type's rows per read, built once
+    info = rootsys.cartan_matrix.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_highest_root_never_extendable():
@@ -281,13 +281,15 @@ def test_highest_root_never_extendable():
             assert tuple(a + b for a, b in zip(rs.highest, eta)) not in roots
 
 
-def test_cartan_isomorphism_and_duality():
+def test_diagram_types_and_duality():
     a3 = cartan_matrix(SimpleType("A", 3))
-    assert find_cartan_isomorphism(a3, a3) is not None
-    b3 = cartan_matrix(SimpleType("B", 3))
-    c3 = cartan_matrix(SimpleType("C", 3))
-    assert find_cartan_isomorphism(b3, c3) is None
-    assert find_cartan_isomorphism(cartan_matrix(SimpleType("B", 2)), cartan_matrix(SimpleType("C", 2))) is not None
+    assert read_cartan_type(a3) == (SimpleType("A", 3), (0, 1, 2))
+    assert read_cartan_type(cartan_matrix(SimpleType("B", 3)))[0] == SimpleType("B", 3)
+    assert read_cartan_type(cartan_matrix(SimpleType("C", 3)))[0] == SimpleType("C", 3)
+    # B2 with its nodes swapped is C2
+    b2 = cartan_matrix(SimpleType("B", 2))
+    assert read_cartan_type(b2) == (SimpleType("B", 2), (0, 1))
+    assert read_cartan_type((b2[1][::-1], b2[0][::-1])) == (SimpleType("C", 2), (0, 1))
     assert duality_permutation(SimpleType("A", 4)) == (3, 2, 1, 0)
     assert duality_permutation(SimpleType("D", 5)) == (0, 1, 2, 4, 3)
     assert duality_permutation(SimpleType("D", 4)) == (0, 1, 2, 3)

@@ -347,8 +347,9 @@ def test_a_doctored_tree_fires_the_spanning_tree_check_alone(name):
     rs = build_root_system(SimpleType(name[0], int(name[1:])))
     assert verify.check_root_system(rs) == []
     for tree, keys, message in doctored_trees(rs):
-        copy = rs._replace()
-        copy.spanning_tree, copy.positive_keys = tuple(tree), tuple(keys)
+        # the doctored keys beside the sound roots as the view
+        copy = rs._replace(positive_keys=tuple(keys))
+        copy.spanning_tree, copy.positive_roots = tuple(tree), rs.positive_roots
         assert verify.check_root_system(copy) == [Failure(name, "roots.spanning-tree", message)]
 
 
