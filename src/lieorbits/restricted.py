@@ -4,17 +4,17 @@ Restricted roots stay in the ambient simple-root coordinates, inside the
 tau*-fixed subspace, and are stored doubled: 2 r(alpha) = alpha + tau* alpha
 is an integer vector, since tau* permutes the root lattice.  It is counted
 for every positive root at once, as packed ints carried along the closure's
-spanning tree from the packed columns of I + tau* (`RootSystem.carried`);
-no root is read as a tuple, and only the distinct sums are decoded, as the
-keys of `counts`.
+spanning tree from the packed columns of I + tau* (`RootSystem.carried`),
+and kept so, in the root system's own format (`RootSystem.pack`).
 Every quantity used is a ratio of inner products of the integer-scaled Gram
 form (`RootSystem.scaled_inner`), so the doubling and the scaling cancel;
 `elements` is the one `Fraction` view.
 
 The restriction is linear, so r(-alpha) = -r(alpha): a `RestrictedRootSystem`
-keeps the positive half, unsorted, as `counts`, all that `describe` reads.
-The sorted views `doubled`, both halves, and `doubled_positives` are built
-on demand, on every read, for `verify`.
+keeps the positive half, unsorted, as `keys`, all that `describe` reads.  A
+root is looked up there by its key: 2s for a simple root s, and r(phi).
+The decoded views are for `verify`: `counts`, kept once built, and the
+sorted `doubled`, both halves, and `doubled_positives`, built on every read.
 
 Nothing is searched for.  The simple restricted roots are the distinct images
 s of the white simple roots, and the reduced system's simple roots are those
@@ -32,9 +32,8 @@ one `RootSystem.simple_pairings` row of it: the simple roots in
 is built only for `verify`, which shares it between `dominant_longest` and
 its parity scan, and pairs that scan through one row of the highest root;
 `parity_criterion` pairs r roots directly and builds neither.
-`verify` looks roots up as packed integers, sum v_i B^i, which tell vectors
-apart only while B > 2 max|c| over every coefficient c of every compared
-vector.
+`verify` adds and subtracts the keys: their digits are at most 12, so no
+sum or difference carries, and sorted they follow the coordinate order.
 """
 
 from __future__ import annotations
@@ -61,23 +60,25 @@ class TypeLabel(namedtuple("TypeLabel", "letter rank reduced")):
         return f"{self.letter}{self.rank}"
 
 
-def reduced_simple(roots, simple) -> list[IntVector]:
-    """Simple roots of the reduced system (Araki): each s, or 2s where 2s is in `roots`."""
-    doubles = [tuple(2 * x for x in s) for s in simple]
-    return [d if d in roots else s for s, d in zip(simple, doubles)]
+def reduced_simple(rs: RootSystem, keys, simple) -> list[IntVector]:
+    """Simple roots of the reduced system (Araki): each s, or 2s where the
+    key of 2s, `rs.pack` being linear twice that of s, is in `keys`."""
+    return [tuple(2 * x for x in s) if 2 * rs.pack(s) in keys else s for s in simple]
 
 
 class RestrictedRootSystem(
-    namedtuple("RestrictedRootSystem", "source counts doubled_simple doubled_highest highest_mult type_label")
+    namedtuple("RestrictedRootSystem", "source keys doubled_simple doubled_highest highest_mult type_label")
 ):
     """Image of the root system under restriction, with multiplicities.
 
-    Stored as doubled integer vectors 2 r(alpha): `counts` maps each nonzero
-    one of a positive root to its multiplicity, unsorted, and `doubled_simple`
-    follows the white nodes.  The views `doubled` (`counts` and its negatives,
-    sorted) and `doubled_positives` (its keys, sorted) are built anew on each
-    read, so only `verify` pays for them.  Equality is identity, also against
-    a plain tuple, as the `counts` dict cannot be hashed.
+    Stored as doubled integer vectors 2 r(alpha): `keys` maps the key of
+    each nonzero one of a positive root to its multiplicity, unsorted;
+    `doubled_simple` follows the white nodes and, like `doubled_highest`, is
+    paired as coordinates, so both stay tuples.  The view `counts` decodes
+    `keys` once; `doubled` (`counts` and its negatives, sorted) and
+    `doubled_positives` (its keys, sorted) are built anew on each read, so
+    only `verify` pays for them.  Equality is identity, also against a plain
+    tuple, as the `keys` Counter cannot be hashed.
     """
 
     def __eq__(self, other):
@@ -87,6 +88,11 @@ class RestrictedRootSystem(
         return self is not other
 
     __hash__ = object.__hash__
+
+    @cached_property
+    def counts(self) -> dict[IntVector, int]:
+        """`keys` decoded: each positive doubled root and its multiplicity."""
+        return dict(zip(map(self.source.rs.unpack, self.keys), self.keys.values()))
 
     @property
     def doubled(self) -> dict[IntVector, int]:
@@ -115,15 +121,14 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     # the involution passed its checks, so tau* packs in base 256 (`satake.tau_keys`)
     # and keeps the positive roots outside the black span positive: carried from
     # the packed columns of I + tau*, each alpha + tau* alpha has digits 0..12
-    powers = [256 ** (n - 1 - i) for i in range(n)]
-    columns = [powers[j] + sum(x * powers[i] for i, x in entries) for j, entries in enumerate(inv.tau_columns)]
-    doubled = Counter(rs.carried(columns))
-    doubled.pop(0, None)
-    if not doubled:
+    units = rs.simple_keys
+    columns = [units[j] + sum(x * units[i] for i, x in entries) for j, entries in enumerate(inv.tau_columns)]
+    keys = Counter(rs.carried(columns))
+    keys.pop(0, None)
+    if not keys:
         raise InconsistentDiagram(f"{sd.name}: every root restricts to zero (compact-form diagram)")
-    if min(doubled) < 0:
+    if min(keys) < 0:
         raise InconsistentDiagram(f"{sd.name}: restriction of the positive system is not positive")
-    counts = {tuple(k.to_bytes(n, "big")): m for k, m in doubled.items()}
 
     cols = inv.columns
     simple_images: list[IntVector] = []
@@ -134,15 +139,16 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
             simple_images.append(image)
     highest = tuple(map(add, rs.highest, inv.tau_image(rs.highest)))
 
-    label = _classify(rs, counts, simple_images, sd.name)
-    if highest not in counts:
+    label = _classify(rs, keys, simple_images, sd.name)
+    lam = rs.pack(highest)
+    if lam not in keys:
         raise InconsistentDiagram(f"{sd.name}: r(phi) is not a restricted root")
     return RestrictedRootSystem(
         source=sd,
-        counts=counts,
+        keys=keys,
         doubled_simple=tuple(simple_images),
         doubled_highest=highest,
-        highest_mult=counts[highest],
+        highest_mult=keys[lam],
         type_label=label,
     )
 
@@ -170,10 +176,11 @@ def restricted_cartan(rs: RootSystem, simple: list[IntVector], name: str) -> tup
     return tuple(map(tuple, cbar))
 
 
-def _classify(rs: RootSystem, roots, simple_images: list[IntVector], name: str) -> TypeLabel:
-    """Type of the restricted system; every vector argument is doubled.  A
-    rank-2 double bond reads as B2 or C2 by the order of the white nodes."""
-    simple_reduced = reduced_simple(roots, simple_images)
+def _classify(rs: RootSystem, keys, simple_images: list[IntVector], name: str) -> TypeLabel:
+    """Type of the restricted system; every vector argument is doubled, and
+    `keys` packs the positive roots.  A rank-2 double bond reads as B2 or C2
+    by the order of the white nodes."""
+    simple_reduced = reduced_simple(rs, keys, simple_images)
     rank = len(simple_reduced)
     found = read_cartan_type(restricted_cartan(rs, simple_reduced, name))
     if found is None:
@@ -209,7 +216,7 @@ def parity_criterion(rrs: RestrictedRootSystem) -> bool:
     reduced system's r simple coroots span every coroot, so they decide."""
     rs = rrs.source.rs
     lam = rrs.doubled_highest
-    simple = reduced_simple(rrs.counts, rrs.doubled_simple)
+    simple = reduced_simple(rs, rrs.keys, rrs.doubled_simple)
     return odd_pairing(rrs, ((2 * rs.scaled_inner(xi, lam), rs.scaled_inner(xi, xi)) for xi in simple))
 
 

@@ -12,8 +12,10 @@ digits never carry: base-256 digits for a root's coefficients, at most 6,
 and 5-bit ones for its coroot pairings, in -3..3, and string lengths, at
 most 3.  It yields the positive roots by height, packed as
 sum_i c_i 256^(n-1-i), and a `RootSystem` stores them so, as
-`positive_keys`.  The coefficient tuples are views that only `verify`
-builds: `positive_roots` decodes the keys, and `roots` adds the negatives.
+`positive_keys`; every layer packs and decodes a root through its one codec,
+`simple_keys`, `pack` and `unpack`.  The coefficient tuples are views that
+only `verify` builds: `positive_roots` decodes the keys, and `roots` adds
+the negatives.
 
 The closure also keeps the spanning tree it reached the roots along
 (`RootSystem.spanning_tree`): each root's first parent and the node it
@@ -146,17 +148,31 @@ ROOT_COUNT_FORMULAS = {
 class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys highest")):
     """A simple complex root system in simple-root coordinates: its
     `SimpleType`, the integer Cartan rows, the positive roots by height,
-    packed as sum_i c_i 256^(n-1-i), and the highest root."""
+    packed as sum_i c_i 256^(n-1-i) (`pack`), and the highest root."""
 
     @property
     def rank(self) -> int:
         return self.simple_type.rank
 
     @cached_property
+    def simple_keys(self) -> tuple[int, ...]:
+        """The packed simple roots a_i = 256^(n-1-i)."""
+        return tuple(1 << 8 * i for i in reversed(range(self.rank)))
+
+    def pack(self, v: Sequence[int]) -> int:
+        """The key of v, linear in v and equal for two vectors whose entries
+        differ by less than 256 only when they are equal.  Entries in 0..255
+        are its digits, and such keys sort as their vectors do."""
+        return sum(map(mul, v, self.simple_keys))
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The coefficients of a nonnegative key whose digits are below 256."""
+        return tuple(key.to_bytes(self.rank, "big"))
+
+    @cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         """The positive roots as coefficient tuples, decoded from `positive_keys`."""
-        n = self.rank
-        return tuple(tuple(key.to_bytes(n, "big")) for key in self.positive_keys)
+        return tuple(map(self.unpack, self.positive_keys))
 
     @cached_property
     def roots(self) -> tuple[tuple[int, ...], ...]:
@@ -251,14 +267,16 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
     t = SimpleType(letter, rank)
     n = t.rank
     cartan = cartan_matrix(t)
+    # the shell lends the closure its codec; the keys and the highest root fill it
+    shell = RootSystem(t, cartan, (), ())
     ones = (32**n - 1) // 31
     offset, high = 15 * ones, 16 * ones
     # per node i, keyed by the mask bit 5i + 4 that goes up along a_i: the
     # packed a_i, Cartan row i as pairing digits, string digit i, and 1 at it
     shifts = range(0, 5 * n, 5)
     steps = {
-        16 << 5 * i: (1 << 8 * (n - 1 - i), sum(map(lshift, cartan[i], shifts)), 31 << 5 * i, 1 << 5 * i, i)
-        for i in range(n)
+        16 << 5 * i: (unit, sum(map(lshift, cartan[i], shifts)), 31 << 5 * i, 1 << 5 * i, i)
+        for i, unit in enumerate(shell.simple_keys)
     }
 
     # each root carries [digits 15 - <gamma, a_k^v>, digits p_k of its descending strings,
@@ -297,7 +315,7 @@ def _build_cached(letter: str, rank: int) -> RootSystem:
 
     if len(tops) != 1:
         raise InvalidType(f"{t.name} has {len(tops)} maximal roots; system is not irreducible")
-    rs = RootSystem(t, cartan, tuple(positives), tuple(tops[0].to_bytes(n, "big")))
+    rs = shell._replace(positive_keys=tuple(positives), highest=shell.unpack(tops[0]))
     rs.spanning_tree = tuple(tree)
     return rs
 
@@ -314,7 +332,7 @@ def build_root_system(t: SimpleType) -> RootSystem:
 
     The closure runs on packed ints.  A root is its coefficients as big-endian
     base-256 digits, at most 6 (the highest root of E8), so stepping up by a_i
-    is one addition and `int.to_bytes` reads the coordinates back.  The
+    is one addition and `RootSystem.unpack` reads the coordinates back.  The
     pairings are 5-bit digits 15 - <gamma, a_k^v> and the string lengths 5-bit
     digits p_k.  A root string has at most four roots and |<gamma, a_k^v>| <= 3,
     so each digit of their sum lies in 12..21 and never carries; its bit 4 is

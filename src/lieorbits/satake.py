@@ -517,7 +517,7 @@ def tau_keys(rs: RootSystem, inv: SatakeInvolution) -> tuple[Sequence[int], list
     such vectors pack to signed digits and to equal keys only when equal.  An
     involution that passes its checks has M <= 24 (tau* a_b = -a_b on black
     nodes, tau* a_w >= 0 on white ones, and tau* phi is a root), so B = 256
-    and the keys are the closure's.
+    and the keys are the system's own (`RootSystem.simple_keys`).
     """
     n = rs.rank
     phi = rs.highest
@@ -526,7 +526,7 @@ def tau_keys(rs: RootSystem, inv: SatakeInvolution) -> tuple[Sequence[int], list
         for i, x in entries:
             reach[i] += abs(x) * phi[j]
     base = max(256, 1 << (2 * max(reach)).bit_length())
-    powers = [base ** (n - 1 - i) for i in range(n)]
+    powers = rs.simple_keys if base == 256 else [base ** (n - 1 - i) for i in range(n)]
     keys = rs.positive_keys if base == 256 else rs.carried(powers)
     images = rs.carried([sum(x * powers[i] for i, x in entries) for entries in inv.tau_columns])
     return keys, images
@@ -566,7 +566,7 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     root_keys = set(keys)
     bad = next(compress(count(), map(not_, map(root_keys.__contains__, map(abs, images)))), None)
     if bad is not None:
-        root = tuple(rs.positive_keys[bad].to_bytes(n, "big"))
+        root = rs.unpack(rs.positive_keys[bad])
         failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {root})"))
 
     for b in sorted(sd.black):
@@ -584,7 +584,7 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
 
     normal = next(compress(count(), map(root_keys.__contains__, map(abs, map(sub, keys, images)))), None)
     if normal is not None:
-        root = tuple(rs.positive_keys[normal].to_bytes(n, "big"))
+        root = rs.unpack(rs.positive_keys[normal])
         failures.append(("involution.tau-normal", f"alpha - tau*(alpha) is a root for alpha={root}"))
 
     permuted_phi = [0] * n

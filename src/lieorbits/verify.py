@@ -11,16 +11,15 @@ layers carry tau* and a weighted diagram's grading along the closure's
 spanning tree.  The coefficient tuples are built here only, once per type:
 `RootSystem.positive_roots` decodes the keys and `RootSystem.roots` adds the
 negatives, for the `roots.*` checks and the black-span count.
-`roots.spanning-tree` holds the keys and the tree to those tuples, and
-`minwdd.dimension` reads the grading only along a tree that passed it.
+`roots.spanning-tree` holds the tree to the keys, and `minwdd.dimension`
+reads the grading only along a tree that passed it.
 
-The searches over pairs of roots run on packed integers.  `_packer` maps a
-vector v to the int sum v_i B^i; the map is linear, so a sum or difference
-of roots is one int addition and a set lookup hashes one int.  It is
-injective only while B > 2 max|c| over every coefficient c of every vector
-whose packing is compared, so B = 4M + 1 where M bounds the packed vectors
-and their doubles, sums or differences are looked up: `roots.highest-unique`,
-`restricted.simple-two-routes` and `restricted.highest-nonextendable` use it.
+The searches over pairs of roots, `roots.highest-unique`,
+`restricted.simple-two-routes` and `restricted.highest-nonextendable`, run on
+the stored keys (`RootSystem.pack`): a sum or difference of roots is one int
+addition, and a set lookup hashes one int.  The digits are at most 6 for a
+root and 12 for a doubled restricted one, so nothing compared carries; a key
+is decoded only for a message.
 Where one side of an inner product is fixed, the other is paired with one
 `RootSystem.simple_pairings` row of it: the simple roots in the dominance
 test, the highest root in the parity scan.  Those two scans share one norm
@@ -33,8 +32,8 @@ symmetric under negation reads the positive half.  The restricted view
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
-from itertools import chain, repeat
+from collections.abc import Iterable, Sequence
+from itertools import repeat
 from math import gcd
 from operator import add, itemgetter, mul, neg
 
@@ -154,14 +153,12 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
         failures.append(Failure(name, "roots.spanning-tree", problem))
 
     # a sum of two positive roots is a root exactly when it is a positive one
-    pack = _packer(rs.positive_roots)
-    positive_keys = list(map(pack, rs.positive_roots))
-    root_keys = set(positive_keys)
-    non_extendable = {
-        xi for xi, x in zip(rs.positive_roots, positive_keys) if root_keys.isdisjoint(map(x.__add__, positive_keys))
-    }
-    if non_extendable != {rs.highest}:
-        failures.append(Failure(name, "roots.highest-unique", f"non-extendable positives: {sorted(non_extendable)}"))
+    keys = rs.positive_keys
+    root_keys = set(keys)
+    non_extendable = {x for x in keys if root_keys.isdisjoint(map(x.__add__, keys))}
+    if non_extendable != {rs.pack(rs.highest)}:
+        message = f"non-extendable positives: {sorted(map(rs.unpack, non_extendable))}"
+        failures.append(Failure(name, "roots.highest-unique", message))
 
     wdd = min_orbit_wdd(rs)
     if rs.rank == 1:
@@ -188,23 +185,20 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
 
 
 def _spanning_tree_problem(rs: RootSystem) -> str | None:
-    """What is wrong with the keys and spanning tree the closure kept, if
-    anything: the keys must pack the `positive_roots` view in base 256, the
-    tree must give each of them a parent that comes before it, or -1 for 0,
-    and each must be its parent plus a_node, which on the keys is one
+    """What is wrong with the spanning tree the closure kept, if anything:
+    it must give each positive key a parent that comes before it, or -1 for
+    0, and each must be its parent plus a_node, which on the keys is one
     addition."""
     n = rs.rank
-    powers = [256 ** (n - 1 - i) for i in range(n)]
+    units = rs.simple_keys
     keys = rs.positive_keys
-    if list(keys) != [sum(map(mul, root, powers)) for root in rs.positive_roots]:
-        return "the kept keys do not pack the positive roots"
     tree = [edge for parents, nodes in rs.spanning_tree for edge in zip(parents, nodes)]
     if len(tree) != len(keys):
         return f"the tree has {len(tree)} entries for {len(keys)} positive roots"
     for child, (parent, node) in enumerate(tree):
         if not -1 <= parent < child or not 0 <= node < n:
             return f"positive root {child} has parent {parent} and node {node}"
-        if keys[child] != (keys[parent] if parent >= 0 else 0) + powers[node]:
+        if keys[child] != (keys[parent] if parent >= 0 else 0) + units[node]:
             return f"positive root {child} is not its parent {parent} plus a_{node}"
     return None
 
@@ -226,32 +220,16 @@ def check_satake_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
     return failures
 
 
-def _packer(vectors: Iterable[Sequence[int]]) -> Callable[[Sequence[int]], int]:
-    """The packing v -> sum v_i B^i, with B = 4M + 1 and M the largest
-    |coefficient| among `vectors`.
-
-    The map is linear, so a sum or difference of two members packs to the
-    sum or difference of their packings.  It is injective on the vectors
-    whose coefficients c satisfy B > 2|c|: the members, their doubles and
-    their pairwise sums and differences.
-    """
-    vectors = list(vectors)
-    base = 4 * max(max(map(max, vectors)), -min(map(min, vectors))) + 1
-    powers = [base**i for i in range(len(vectors[0]))]
-    return lambda v: sum(map(mul, v, powers))
-
-
-def _indecomposables(positives, positive_keys: list[int], root_keys: set[int], witness_keys) -> list[tuple[int, ...]]:
-    """The reduced positive roots that are no sum of two others, by search.
+def _indecomposables(keys: Sequence[int], witness_keys: Iterable[int]) -> list[int]:
+    """The reduced positive roots that are no sum of two others, by search,
+    as keys: those of `keys`, the keys of every positive doubled root, in order.
 
     A decomposable root splits off a white-node root, so the witnesses are
     tried first and every positive root only for the few roots they leave.
-    Every argument but `positives` is packed by one `_packer`: `positive_keys`
-    follows `positives`, `root_keys` holds every positive doubled root.
     """
-    reduced = [(d, k) for d, k in zip(positives, positive_keys) if 2 * k not in root_keys]
-    reduced_keys = [k for _, k in reduced]
-    reduced_set = set(reduced_keys)
+    root_keys = set(keys)
+    reduced = [k for k in keys if 2 * k not in root_keys]
+    reduced_set = set(reduced)
     witness_keys = [k for k in witness_keys if k in reduced_set]
     # xi - eta packs to 0 only when eta is xi, which is no split
     nonzero_keys = reduced_set - {0}
@@ -259,7 +237,7 @@ def _indecomposables(positives, positive_keys: list[int], root_keys: set[int], w
     def splits(x: int, candidates: list[int]) -> bool:
         return not nonzero_keys.isdisjoint(map(x.__sub__, candidates))
 
-    return [d for d, k in reduced if not splits(k, witness_keys) and not splits(k, reduced_keys)]
+    return [k for k in reduced if not splits(k, witness_keys) and not splits(k, reduced)]
 
 
 def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
@@ -276,7 +254,6 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     # the sorted views are built once here, and only the next two checks read `doubled`
     doubled = rrs.doubled
     norms = positive_norms(rrs)
-    positives = list(norms)
 
     # an independent count of the roots restricting to zero, those supported on black
     # nodes: twice the positive roots whose white coordinates, a column each, sum to 0
@@ -306,19 +283,15 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
-    araki = sorted(reduced_simple(rrs.counts, rrs.doubled_simple))
-    # one packing serves every lookup below: each compared vector is a root,
-    # a witness, the highest root, or a double, sum or difference of two of them
-    pack = _packer(chain(rrs.counts, positives, araki, [rrs.doubled_highest]))
-    root_keys = set(map(pack, rrs.counts))
-    positive_keys = list(map(pack, positives))
-    searched = _indecomposables(positives, positive_keys, root_keys, list(map(pack, araki)))
+    araki = sorted(reduced_simple(rs, rrs.keys, rrs.doubled_simple))
+    keys = sorted(rrs.keys)
+    searched = list(map(rs.unpack, _indecomposables(keys, map(rs.pack, araki))))
     if searched != araki:
         message = f"indecomposable reduced positives {searched} vs white-node roots {araki}, doubled"
         failures.append(Failure(name, "restricted.simple-two-routes", message))
 
-    lam = pack(rrs.doubled_highest)
-    if not root_keys.isdisjoint(map(lam.__add__, positive_keys)):
+    lam = rs.pack(rrs.doubled_highest)
+    if any(map(rrs.keys.__contains__, map(lam.__add__, keys))):
         failures.append(Failure(name, "restricted.highest-nonextendable", "lambda + eta is a restricted root"))
 
     # gram_scale times <phi,phi>, and 4 gram_scale times <lam,lam> from the doubled 2 lam;

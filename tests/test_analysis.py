@@ -150,21 +150,24 @@ def test_the_route_wrappers_recompute_while_reports_hit_the_cache(monkeypatch):
 
 def _count_verify_tables(monkeypatch) -> Counter:
     """Count every build of a table that only verify's checks read: the norm
-    table of the restricted positive roots and a packing of root vectors."""
+    table of the restricted positive roots and the decoded `counts` view."""
     counts: Counter = Counter()
-    positive_norms, packer = restricted.positive_norms, verify._packer
+    positive_norms = restricted.positive_norms
+    decode = restricted.RestrictedRootSystem.counts.func
 
     def counting_norms(rrs):
         counts["positive_norms"] += 1
         return positive_norms(rrs)
 
-    def counting_packer(vectors):
-        counts["packer"] += 1
-        return packer(vectors)
+    def counting_decode(rrs):
+        counts["counts"] += 1
+        return decode(rrs)
 
     for module in (restricted, verify):
         monkeypatch.setattr(module, "positive_norms", counting_norms)
-    monkeypatch.setattr(verify, "_packer", counting_packer)
+    view = cached_property(counting_decode)
+    view.__set_name__(restricted.RestrictedRootSystem, "counts")
+    monkeypatch.setattr(restricted.RestrictedRootSystem, "counts", view)
     return counts
 
 
@@ -174,12 +177,11 @@ def test_describe_path_builds_no_verify_table(monkeypatch):
     for sd in catalog(8):
         orbit_report(sd)
     assert counts == Counter()
-    # the counters do see verify: one norm table per entry, one packing per
-    # entry and one per simple type
+    # the counters do see verify: one norm table and one decode per entry
     entries = catalog(8)
     assert run_verification(max_rank=8).ok
     assert counts["positive_norms"] == len(entries)
-    assert counts["packer"] == len(entries) + len({sd.rs.simple_type for sd in entries})
+    assert counts["counts"] == len(entries)
 
 
 def test_weights_outside_zero_one_two_fail_the_construction():

@@ -205,7 +205,7 @@ def label_of(monkeypatch, cbar):
     """What `restricted._classify` labels a reduced system whose Cartan matrix is `cbar`."""
     monkeypatch.setattr(restricted, "restricted_cartan", lambda rs, simple, name: cbar)
     simple = [simple_coord(len(cbar), i) for i in range(len(cbar))]
-    return restricted._classify(None, {}, simple, "x").letter
+    return restricted._classify(build_root_system(SimpleType("A", len(cbar))), {}, simple, "x").letter
 
 
 def message(call, *args):
@@ -302,7 +302,7 @@ def test_no_dynkin_diagram_raises_as_the_search_did(monkeypatch):
 @pytest.mark.parametrize("sd", ENTRIES, ids=lambda sd: sd.name)
 def test_entries_read_the_searched_labels_and_dualities(sd):
     rrs = restricted_root_system(sd)
-    simple = restricted.reduced_simple(rrs.counts, list(rrs.doubled_simple))
+    simple = restricted.reduced_simple(sd.rs, rrs.keys, list(rrs.doubled_simple))
     if rrs.type_label.reduced:
         assert rrs.type_label.letter == ref_label(restricted.restricted_cartan(sd.rs, simple, sd.name), sd.name)
     for comp in satake._black_components(sd):

@@ -1,15 +1,16 @@
 """Root sets stored by their positive half, against the code that stored both.
 
 `RootSystem` keeps the positive roots and builds `roots`, the negatives
-included, as a view on first read; `RestrictedRootSystem.counts` keeps the
-multiplicities of the positive half, and the view `doubled` adds the
-negatives on each read.  The references below are copies, kept here, of the
-code that built and stored both halves: the closure's negation of its
-decoded positive roots, and the restriction's count of alpha + tau* alpha
-with its negated keys, read through the sorted views as they were.  The
-views must give the same values on every simple type up to rank 30, on every
-catalog entry up to rank 16 and on six rank-64 forms; and a `describe` must
-build no negative half at all.
+included, as a view on first read; `RestrictedRootSystem.keys` keeps the
+multiplicities of the positive half, packed, the view `counts` decodes them,
+and the view `doubled` adds the negatives on each read.  The references
+below are copies, kept here, of the code that built and stored both halves:
+the closure's negation of its decoded positive roots, and the restriction's
+count of alpha + tau* alpha with its negated keys, read through the sorted
+views as they were.  The views must give the same values on every simple
+type up to rank 30, on every catalog entry up to rank 16 and on six rank-64
+forms; and a `describe` must build no negative half at all, and decode no
+root.
 """
 
 from collections import Counter
@@ -22,7 +23,7 @@ from test_diagram_kernels import candidate_types
 from lieorbits import orbits, rootsys, satake
 from lieorbits.orbits import orbit_report
 from lieorbits.restricted import restricted_root_system
-from lieorbits.rootsys import build_root_system
+from lieorbits.rootsys import RootSystem, build_root_system
 from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution
 
 RANK_64 = ["so(1,128)", "so*(128)", "su(32,32)", "sl(64,R)", "sp(64,R)", "so(64,64)"]
@@ -82,3 +83,25 @@ def test_describe_builds_no_negative_half():
         orbit_report(sd)
         assert "roots" not in vars(sd.rs), name
         assert all(min(key) >= 0 for key in restricted_root_system(sd).counts), name
+
+
+def test_describe_decodes_no_root(monkeypatch):
+    forms = [form(name) for name in ("e8(-24)", "sl(25,R)", "sp(64,R)")]
+    rootsys._build_cached.cache_clear()
+    satake.satake_involution.cache_clear()
+    restricted_root_system.cache_clear()
+    orbits._shared_analysis.cache_clear()
+    decoded = []
+    unpack = RootSystem.unpack
+
+    def counting(rs, key):
+        decoded.append(key)
+        return unpack(rs, key)
+
+    monkeypatch.setattr(RootSystem, "unpack", counting)
+    for sd in forms:
+        orbit_report(sd)
+        assert decoded == [], sd.name
+        assert "counts" not in vars(restricted_root_system(sd)), sd.name
+    # the counter sees a decode
+    assert restricted_root_system(sd).counts and decoded

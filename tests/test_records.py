@@ -66,7 +66,7 @@ DATACLASS_REPR = {
     "ValidationReport": "ValidationReport(entry='sl(2,R)', failures=())",
     "TypeLabel": "TypeLabel(letter='BC', rank=2, reduced=False)",
     "RestrictedRootSystem": (
-        f"RestrictedRootSystem(source={SL2R}, counts={{(2,): 1}}, doubled_simple=((2,),), "
+        f"RestrictedRootSystem(source={SL2R}, keys=Counter({{2: 1}}), doubled_simple=((2,),), "
         "doubled_highest=(2,), highest_mult=1, type_label=TypeLabel(letter='A', rank=1, reduced=True))"
     ),
     "EquivalenceConditions": NO_CONDITION,

@@ -326,31 +326,49 @@ def test_every_catalog_involution_packs_at_base_256():
 
 
 def doctored_trees(rs):
-    """(tree, keys, message) triples that break one condition each."""
-    tree, keys = list(rs.spanning_tree), rs.positive_keys
-    (parents, nodes), n, last = tree[1], rs.rank, len(keys) - 1
+    """(tree, message) pairs that break one condition each."""
+    tree, last = list(rs.spanning_tree), len(rs.positive_keys) - 1
+    (parents, nodes), n = tree[1], rs.rank
     # the first root of height 2 is root n, and its parent comes after it
     late = f"positive root {n} has parent {last} and node {nodes[0]}"
-    yield tree[:1] + [((last,) + parents[1:], nodes)] + tree[2:], keys, late
+    yield tree[:1] + [((last,) + parents[1:], nodes)] + tree[2:], late
     other = (nodes[0] + 1) % n
-    yield (
-        tree[:1] + [(parents, (other,) + nodes[1:])] + tree[2:],
-        keys,
-        f"positive root {n} is not its parent {parents[0]} plus a_{other}",
-    )
-    yield tree[:-1], keys, f"the tree has {last} entries for {last + 1} positive roots"
-    yield tree, keys[:1] + (keys[1] + 1,) + keys[2:], "the kept keys do not pack the positive roots"
+    wrong = f"positive root {n} is not its parent {parents[0]} plus a_{other}"
+    yield tree[:1] + [(parents, (other,) + nodes[1:])] + tree[2:], wrong
+    yield tree[:-1], f"the tree has {last} entries for {last + 1} positive roots"
 
 
 @pytest.mark.parametrize("name", ["A2", "B3", "C4", "D5", "G2", "F4", "E6", "E8"])
 def test_a_doctored_tree_fires_the_spanning_tree_check_alone(name):
     rs = build_root_system(SimpleType(name[0], int(name[1:])))
     assert verify.check_root_system(rs) == []
-    for tree, keys, message in doctored_trees(rs):
-        # the doctored keys beside the sound roots as the view
-        copy = rs._replace(positive_keys=tuple(keys))
-        copy.spanning_tree, copy.positive_roots = tuple(tree), rs.positive_roots
+    for tree, message in doctored_trees(rs):
+        copy = rs._replace()
+        copy.spanning_tree = tuple(tree)
         assert verify.check_root_system(copy) == [Failure(name, "roots.spanning-tree", message)]
+
+
+def non_extendable(roots):
+    """The distinct roots of `roots` that no one of them extends to one of them, sorted."""
+    found = set(roots)
+    return sorted(xi for xi in found if all(tuple(map(add, xi, eta)) not in found for eta in found))
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "C4", "D5", "G2", "F4", "E6", "E8"])
+def test_a_doctored_key_fires_the_tree_and_the_highest_root_scan(name):
+    # the second simple key, a_{n-2}, plus a_{n-1}, beside the sound roots as the
+    # view: the tree still reaches that key from 0 by a_{n-2}, and the
+    # highest-root scan reads the keys, so it fires wherever they no longer
+    # leave phi alone non-extendable
+    rs = build_root_system(SimpleType(name[0], int(name[1:])))
+    keys = rs.positive_keys
+    copy = rs._replace(positive_keys=keys[:1] + (keys[1] + 1,) + keys[2:])
+    copy.positive_roots = rs.positive_roots
+    expected = [Failure(name, "roots.spanning-tree", f"positive root 1 is not its parent -1 plus a_{rs.rank - 2}")]
+    found = non_extendable([tuple(key.to_bytes(rs.rank, "big")) for key in copy.positive_keys])
+    if found != [rs.highest]:
+        expected.append(Failure(name, "roots.highest-unique", f"non-extendable positives: {found}"))
+    assert verify.check_root_system(copy) == expected
 
 
 def test_the_tree_reaches_each_root_from_an_earlier_one():

@@ -1,8 +1,9 @@
-"""verify's packed-integer and pairing-row scans against the tuple code they replaced.
+"""verify's packed-key and pairing-row scans against the tuple code they replaced.
 
 The references below are copies, kept here, of the scans as they were written
 on tuples and `scaled_inner`: the non-extendable positive roots of
-`roots.highest-unique`, the reduced-root search of
+`roots.highest-unique`, the reduced simple roots of `reduced_simple`, the
+reduced-root search of
 `restricted.simple-two-routes`, the negation, black-span, nonextendable,
 dominance and full-parity scans of `check_restricted_entry`, the Cartan
 entries of `restricted._classify`, and `check_orbit_entry` with its
@@ -10,10 +11,10 @@ entries of `restricted._classify`, and `check_orbit_entry` with its
 every catalog entry up to rank 10 and every simple type up to rank 16, and
 the same failure lists on doctored systems that make each scan fire and on
 every single black-node toggle, arrow drop and arrow addition over the
-catalog up to rank 7.
+catalog up to rank 7.  The keys those scans read must keep the digit bound
+that lets them add and subtract without a carry.
 """
 
-import itertools
 from fractions import Fraction
 from operator import add, sub
 
@@ -36,6 +37,7 @@ from lieorbits.verify import Failure, expected_real_rank, golden_row
 
 TYPES = [t for rank in range(1, 17) for t in candidate_types(rank)]
 ENTRIES = catalog(10)
+RANK_64 = ["so(1,128)", "so*(128)", "su(32,32)", "sl(64,R)", "sp(64,R)", "so(64,64)"]
 
 
 # --- the tuple-based references ----------------------------------------------
@@ -53,6 +55,11 @@ def ref_non_extendable(rs):
         for xi in rs.positive_roots
         if all(tuple(a + b for a, b in zip(xi, eta)) not in roots for eta in rs.positive_roots)
     }
+
+
+def ref_reduced_simple(roots, simple):
+    doubles = [tuple(2 * x for x in s) for s in simple]
+    return [d if d in roots else s for s, d in zip(simple, doubles)]
 
 
 def ref_indecomposables(rrs, witnesses):
@@ -90,7 +97,7 @@ def ref_odd_pairing(rrs, roots):
 
 
 def ref_cartan(rs, simple_images, roots, name):
-    simple_reduced = reduced_simple(roots, simple_images)
+    simple_reduced = ref_reduced_simple(roots, simple_images)
     rank = len(simple_reduced)
 
     def cartan_entry(i, j):
@@ -159,7 +166,7 @@ def ref_check_restricted_entry(analysis):
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
-    araki = sorted(reduced_simple(rrs.doubled, rrs.doubled_simple))
+    araki = sorted(ref_reduced_simple(rrs.doubled, rrs.doubled_simple))
     searched = ref_indecomposables(rrs, araki)
     if searched != araki:
         message = f"indecomposable reduced positives {searched} vs white-node roots {araki}, doubled"
@@ -277,7 +284,7 @@ def mutations(sd):
 
 
 class GivenViews(restricted.RestrictedRootSystem):
-    """A doctored system whose sorted views are given, not read off its counts."""
+    """A doctored system whose sorted views are given, not read off its keys."""
 
     @property
     def doubled(self):
@@ -298,20 +305,22 @@ def doctored(rrs):
     """Restricted systems that make the rewritten scans fire, one at a time.
     A doctored multiplicity, or a key dropped from the negative half, is
     doctored in the view `doubled` alone, as in a copy of the stored sorted
-    dict.  An extra key goes into the positive half, `counts` and the
-    positive roots, after the true ones, and into `doubled` without its
-    negative."""
-    lam, positives, counts, doubled = rrs.doubled_highest, rrs.doubled_positives, rrs.counts, rrs.doubled
+    dict.  An extra root goes into the positive half, `keys` and the sorted
+    positive roots, and into `doubled` without its negative; the least
+    positive root leaves `keys` and the positive roots, but not `doubled`."""
+    lam, positives, keys, doubled = rrs.doubled_highest, rrs.doubled_positives, rrs.keys, rrs.doubled
+    pack = rrs.source.rs.pack
     eta = positives[0]
     negative = tuple(-x for x in eta)
     third = tuple(3 * x for x in rrs.doubled_simple[0])
     yield with_views(rrs, positives, {d: m for d, m in doubled.items() if d != negative})
     yield with_views(rrs, positives, {**doubled, lam: doubled[lam] + 1})
     for extra in (tuple(map(add, lam, eta)), third):
-        yield with_views(rrs, positives + (extra,), {**doubled, extra: 1}, counts={**counts, extra: 1})
+        yield with_views(rrs, sorted(positives + (extra,)), {**doubled, extra: 1}, keys={**keys, pack(extra): 1})
     yield rrs._replace(doubled_simple=(lam,) + rrs.doubled_simple[1:])
     if len(positives) > 1:
-        yield with_views(rrs, positives[1:], doubled)
+        rest = {k: m for k, m in keys.items() if k != pack(eta)}
+        yield with_views(rrs, positives[1:], doubled, keys=rest)
 
 
 def with_restricted(sd, rrs):
@@ -323,19 +332,18 @@ def with_restricted(sd, rrs):
 # --- the comparisons ------------------------------------------------------
 
 
-def test_packing_base_must_exceed_twice_every_coefficient():
-    def pack(v, base):
-        return sum(x * base**i for i, x in enumerate(v))
-
-    # M = 1: at base 4M two difference vectors collide, at 4M + 1 they do not
-    assert pack((2, 0), 4) == pack((-2, 1), 4)
-    assert pack((2, 0), 5) != pack((-2, 1), 5)
-    for bound, n in ((1, 4), (2, 3)):
-        packing = verify._packer([(bound,) + (0,) * (n - 1), (0,) * n])
-        box = list(itertools.product(range(-2 * bound, 2 * bound + 1), repeat=n))
-        keys = [packing(v) for v in box]
-        assert keys == [pack(v, 4 * bound + 1) for v in box]
-        assert len(set(keys)) == len(box)
+def test_restricted_keys_have_digits_that_never_carry():
+    # verify adds and subtracts these keys: with every digit in 0..12, a sum has
+    # digits up to 24 and a difference in -12..12, far inside a byte, and the
+    # keys sort as the doubled positive roots do
+    top = 0
+    for sd in catalog(16) + [build_satake(parse_form_name(name)) for name in RANK_64]:
+        rs, rrs = sd.rs, restricted_root_system(sd)
+        digits = [(key >> shift) & 255 for key in rrs.keys for shift in range(0, 8 * rs.rank, 8)]
+        assert all(0 <= key < 256**rs.rank for key in rrs.keys) and max(digits) <= 12, sd.name
+        assert list(map(rs.unpack, sorted(rrs.keys))) == list(rrs.doubled_positives), sd.name
+        top = max(top, *digits)
+    assert top == 12
 
 
 @pytest.mark.parametrize("t", TYPES, ids=lambda t: t.name)
@@ -360,15 +368,15 @@ def test_restricted_scans_match_the_tuple_scans(sd):
     norms = restricted.positive_norms(rrs)
     assert norms == {xi: rs.scaled_inner(xi, xi) for xi in rrs.doubled_positives}
     assert restricted.dominant_longest(rrs, norms) == ref_dominant_longest(rrs)
-    assert restricted.parity_criterion(rrs) == ref_odd_pairing(rrs, reduced_simple(rrs.doubled, rrs.doubled_simple))
+    simple = reduced_simple(rs, rrs.keys, rrs.doubled_simple)
+    assert simple == ref_reduced_simple(rrs.doubled, rrs.doubled_simple)
+    assert restricted.parity_criterion(rrs) == ref_odd_pairing(rrs, simple)
 
-    araki = sorted(reduced_simple(rrs.doubled, rrs.doubled_simple))
-    pack = verify._packer(itertools.chain(rrs.doubled, araki))
-    keys = [pack(d) for d in rrs.doubled_positives]
-    root_keys = {pack(d) for d in rrs.doubled}
+    araki = sorted(simple)
+    keys = sorted(rrs.keys)
     for witnesses in ([], araki):
-        searched = verify._indecomposables(rrs.doubled_positives, keys, root_keys, [pack(w) for w in witnesses])
-        assert searched == ref_indecomposables(rrs, witnesses) == araki
+        searched = verify._indecomposables(keys, map(rs.pack, witnesses))
+        assert list(map(rs.unpack, searched)) == ref_indecomposables(rrs, witnesses) == araki
 
     analysis = FormAnalysis(sd)
     assert verify.check_restricted_entry(analysis) == ref_check_restricted_entry(analysis) == []
@@ -384,9 +392,9 @@ def test_classify_cartan_entries_match_scaled_inner(monkeypatch, sd):
     seen = []
     classify, read = restricted._classify, restricted.read_cartan_type
 
-    def spy_classify(rs, roots, simple_images, name):
-        seen.append(("reference", ref_cartan(rs, simple_images, roots, name)))
-        return classify(rs, roots, simple_images, name)
+    def spy_classify(rs, keys, simple_images, name):
+        seen.append(("reference", ref_cartan(rs, simple_images, set(map(rs.unpack, keys)), name)))
+        return classify(rs, keys, simple_images, name)
 
     def spy_read(rows):
         seen.append(("rewritten", rows))
