@@ -3,8 +3,9 @@
 Two independent routes produce the weighted diagram of the smallest orbit
 meeting the real form: coroot pairings against the highest restricted root,
 and a square integer system in the matching-diagram unknowns plus the
-black/arrow coroot basis coefficients.  The verification sweep insists they
-agree on every catalog entry.
+black/arrow coroot basis coefficients, solved by blocks: the black/arrow
+block first, then each match value off one row.  The verification sweep
+insists they agree on every catalog entry.
 
 `FormAnalysis(sd)` holds every value derived for one diagram, one cached
 attribute each, built from one another, so each is computed once per
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import mul, sub
 
 from .errors import InconsistentDiagram, InvalidReport, NonIntegralWeights, TypeMismatch
 from .ratmat import int_solve
@@ -175,38 +177,58 @@ class FormAnalysis:
 
     @cached
     def coroot_solution(self) -> CorootSystemSolution:
-        """Set up and solve the linear system; one equation per node."""
+        """Solve the coroot system by blocks; one equation per node.
+
+        Row i reads x_i + sum_b C[i][b] y_b + sum_(a, c) (C[i][a] - C[i][c]) z_ac
+        = 2 t_i, with x_i the match value of i's class: a white node alone, or
+        an arrow pair.  A class column is 1 on its own class's rows only, so
+        the black rows and each arrow's row difference hold no x: they are a
+        square system in the y and z alone, solved first.  Each x is then read
+        off its class's first row.  Ordering the full matrix's rows as the
+        classes' first rows, then the block's, makes it block triangular with
+        the identity on the classes, so its determinant is the block's up to
+        sign, and the numerators over it are the full system's.  A split form
+        has an empty block and no solve.  Once the involution passed its
+        checks, arrows join white nodes of one length and no node twice, so
+        the block is the Gram matrix of the independent black roots and arrow
+        differences times a positive diagonal: it is never singular.
+        """
         sd = self.sd
         rs = sd.rs
-        n = rs.rank
         cartan = rs.cartan
         self.involution  # validates the entry before we trust its data
 
-        class_rep = {w: w for w in sd.white}
-        for i, j in sd.arrows:
-            class_rep[i] = class_rep[j] = min(i, j)
-        reps = sorted(set(class_rep.values()))
-        columns: list[tuple] = [("class", r) for r in reps]
-        columns += [("black", b) for b in sorted(sd.black)]
-        columns += [("arrow", i, j) for i, j in sd.arrows]
-        if len(columns) != n:
-            raise InconsistentDiagram(f"{sd.name}: coroot system is {n}x{len(columns)}, not square")
+        black = sorted(sd.black)
+        arrows = sd.arrows
+        rhs = [2 * t for t in self.min_wdd.weights]
 
-        def entry(i: int, col: tuple) -> int:
-            if col[0] == "class":
-                return int(class_rep.get(i) == col[1])
-            if col[0] == "black":
-                return cartan[i][col[1]]
-            return cartan[i][col[1]] - cartan[i][col[2]]
+        def coroots(i: int) -> list[int]:
+            """Row i of the black and arrow columns: <a_i, a_b^v> and <a_i, a_a^v - a_c^v>."""
+            row = cartan[i]
+            return [row[b] for b in black] + [row[a] - row[c] for a, c in arrows]
 
-        rows = [[entry(i, col) for col in columns] for i in range(n)]
-        nums, det = int_solve(rows, [2 * t for t in self.min_wdd.weights])
+        block = [coroots(b) for b in black] + [list(map(sub, coroots(a), coroots(c))) for a, c in arrows]
+        if block:
+            nums, det = int_solve(block, [rhs[b] for b in black] + [rhs[a] - rhs[c] for a, c in arrows])
+        else:
+            nums, det = (), 1
 
-        # the first len(reps) unknowns are the match values, over det
-        values = dict(zip(reps, nums))
+        # det times the coroot part of the solution, on the nodes: sum_b y_b a_b^v +
+        # sum_(a, c) z_ac (a_a^v - a_c^v); row i pairs it through C[i]
+        coroot_part = [0] * rs.rank
+        for b, y in zip(black, nums):
+            coroot_part[b] = y
+        for (a, c), z in zip(arrows, nums[len(black) :]):
+            coroot_part[a] += z
+            coroot_part[c] -= z
+        # det * x_i for each white node; an arrow's second node shares its first's value
+        partner = {c: a for a, c in arrows}
+        values = {i: det * rhs[i] - sum(map(mul, cartan[i], coroot_part)) for i in sd.white if i not in partner}
+        for c, a in partner.items():
+            values[c] = values[a]
         den = 2 * det if self.restricted.highest_mult == 1 else det
-        numerators = tuple(0 if i in sd.black else values[class_rep[i]] for i in range(n))
-        if any(x % den for x in numerators):
+        numerators = tuple(map(values.get, range(rs.rank), repeat(0)))
+        if any(map(den.__rmod__, numerators)):
             return CorootSystemSolution(None, numerators, den)
         return CorootSystemSolution(WeightedDynkinDiagram(rs.simple_type, tuple(x // den for x in numerators)), numerators, den)
 

@@ -3,8 +3,10 @@
 Integral data stays in plain ints: `RootSystem.cartan` is integer rows, and
 `RootSystem.scaled_inner` is the Gram form, on an integer multiple of
 itself.  The coroot system behind the weighted diagram is solved here
-(`int_solve`), on integer rows, as integer numerators over one determinant,
-and ranks are taken on integer vectors; both eliminate fraction-free, so no
+(`int_solve`), on integer rows, as integer numerators over one determinant:
+only its black and arrow block, the rows that hold no class unknown, whose
+determinant is the whole system's up to sign (`FormAnalysis.coroot_solution`).
+Ranks are taken on integer vectors; both eliminate fraction-free, so no
 entry ever leaves the ints.  The black Gram split behind theta* is solved
 on its tree, leaves first, in `satake`.
 Nothing here builds a `fractions.Fraction`: a caller that needs a rational
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import gcd
+from operator import mul
 
 from .errors import SingularMatrix
 
@@ -39,21 +42,28 @@ def int_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[tuple[
     m = [[*row, b] for row, b in zip(rows, rhs)]
     prev = 1
     for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot_row is None:
+        for r in range(k, n):
+            if m[r][k]:
+                break
+        else:
             raise SingularMatrix(f"no pivot in column {k}")
-        m[k], m[pivot_row] = m[pivot_row], m[k]
+        m[k], m[r] = m[r], m[k]
         pivot = m[k]
         piv = pivot[k]
         for r in range(k + 1, n):
-            factor = m[r][k]
-            m[r] = [(piv * a - factor * b) // prev for a, b in zip(m[r], pivot)]
+            row = m[r]
+            factor = row[k]
+            if factor:
+                m[r] = [(piv * a - factor * b) // prev for a, b in zip(row, pivot)]
+            elif piv != prev:
+                # a row with nothing to eliminate is only rescaled
+                m[r] = [piv * a // prev for a in row]
         prev = piv
     det = prev
     nums = [0] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
-        nums[i] = (det * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))) // row[i]
+        nums[i] = (det * row[n] - sum(map(mul, row[i + 1 : n], nums[i + 1 :]))) // row[i]
     if det < 0:
         return tuple(-x for x in nums), -det
     return tuple(nums), det

@@ -13,8 +13,12 @@ form (`RootSystem.scaled_inner`), so the doubling and the scaling cancel;
 The restriction is linear, so r(-alpha) = -r(alpha): a `RestrictedRootSystem`
 keeps the positive half, unsorted, as `keys`, all that `describe` reads.  A
 root is looked up there by its key: 2s for a simple root s, and r(phi).
-The decoded views are for `verify`: `counts`, kept once built, and the
-sorted `doubled`, both halves, and `doubled_positives`, built on every read.
+The decoded views are for `verify`, which reads each once per entry, and
+they make one sorted table: `counts` sorts the keys, whose order is the
+coordinate order, and decodes them in one pass (`RootSystem.decode`), kept
+once built; `doubled_positives` is its roots and `doubled` adds the
+negatives, built on every read without a sort, since the negative roots sort
+first and negation reverses their order.
 
 Nothing is searched for.  The simple restricted roots are the distinct images
 s of the white simple roots, and the reduced system's simple roots are those
@@ -28,10 +32,12 @@ reduced positive roots and over every pairing, run as `verify` checks.
 `restricted_cartan` pairs the simple roots over their nonzero coordinates.
 Where one side of an inner product is fixed, the other side is paired with
 one `RootSystem.simple_pairings` row of it: the simple roots in
-`dominant_longest`.  The norm table of the positive roots (`positive_norms`)
-is built only for `verify`, which shares it between `dominant_longest` and
-its parity scan, and pairs that scan through one row of the highest root;
-`parity_criterion` pairs r roots directly and builds neither.
+`dominant_longest`, which filters the longest roots by one row at a time.
+The norm table of the positive roots (`positive_norms`), read off
+`doubled_positives`, is built only for `verify`, which shares it between
+`dominant_longest` and its parity scan, and pairs that scan through one row
+of the highest root; `parity_criterion` pairs r roots directly and builds
+neither.
 `verify` adds and subtracts the keys: their digits are at most 12, so no
 sum or difference carries, and sorted they follow the coordinate order.
 """
@@ -74,11 +80,12 @@ class RestrictedRootSystem(
     Stored as doubled integer vectors 2 r(alpha): `keys` maps the key of
     each nonzero one of a positive root to its multiplicity, unsorted;
     `doubled_simple` follows the white nodes and, like `doubled_highest`, is
-    paired as coordinates, so both stay tuples.  The view `counts` decodes
-    `keys` once; `doubled` (`counts` and its negatives, sorted) and
-    `doubled_positives` (its keys, sorted) are built anew on each read, so
-    only `verify` pays for them.  Equality is identity, also against a plain
-    tuple, as the `keys` Counter cannot be hashed.
+    paired as coordinates, so both stay tuples.  The view `counts` sorts and
+    decodes `keys` once, and is the one sorted table the others are read
+    off: `doubled` (`counts` and its negatives, sorted) and
+    `doubled_positives` (its roots) are built anew on each read, without a
+    sort, so only `verify` pays for them.  Equality is identity, also
+    against a plain tuple, as the `keys` Counter cannot be hashed.
     """
 
     def __eq__(self, other):
@@ -91,17 +98,22 @@ class RestrictedRootSystem(
 
     @cached_property
     def counts(self) -> dict[IntVector, int]:
-        """`keys` decoded: each positive doubled root and its multiplicity."""
-        return dict(zip(map(self.source.rs.unpack, self.keys), self.keys.values()))
+        """`keys` decoded, in key order: each positive doubled root and its
+        multiplicity, sorted, since the keys' digits are its coordinates."""
+        keys = sorted(self.keys)
+        return dict(zip(self.source.rs.decode(keys), map(self.keys.__getitem__, keys)))
 
     @property
     def doubled(self) -> dict[IntVector, int]:
-        negatives = map(tuple, map(map, repeat(neg), self.counts))
-        return dict(sorted(chain(self.counts.items(), zip(negatives, self.counts.values()))))
+        """`counts` and its negatives, sorted: a negative root sorts before
+        every positive one, and negation reverses the order."""
+        counts = self.counts
+        negatives = map(tuple, map(map, repeat(neg), reversed(counts)))
+        return dict(zip(chain(negatives, counts), chain(reversed(counts.values()), counts.values())))
 
     @property
     def doubled_positives(self) -> tuple[IntVector, ...]:
-        return tuple(sorted(self.counts))
+        return tuple(self.counts)
 
     @cached_property
     def elements(self) -> tuple[tuple, ...]:
@@ -237,9 +249,10 @@ def dominant_longest(rrs: RestrictedRootSystem, norms: dict[IntVector, int]) -> 
     """
     rs = rrs.source.rs
     max_len = max(norms.values())
-    longest = [xi for xi, norm in norms.items() if norm == max_len]
-    rows = [rs.simple_pairings(s) for s in rrs.doubled_simple]
-    dominant = [xi for xi in longest if all(sum(map(mul, xi, row)) >= 0 for row in rows)]
+    dominant = list(compress(norms, map(max_len.__eq__, norms.values())))
+    for s in rrs.doubled_simple:
+        row = rs.simple_pairings(s)
+        dominant = list(compress(dominant, map((0).__le__, map(sum, map(map, repeat(mul), dominant, repeat(row))))))
     if len(dominant) != 1:
         raise InconsistentDiagram(f"{rrs.source.name}: {len(dominant)} dominant longest restricted roots")
     return dominant[0]

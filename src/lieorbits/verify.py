@@ -10,32 +10,45 @@ A root system stores its positive roots as packed keys, and the other
 layers carry tau* and a weighted diagram's grading along the closure's
 spanning tree.  The coefficient tuples are built here only, once per type:
 `RootSystem.positive_roots` decodes the keys and `RootSystem.roots` adds the
-negatives, for the `roots.*` checks and the black-span count.
-`roots.spanning-tree` holds the tree to the keys, and `minwdd.dimension`
-reads the grading only along a tree that passed it.
+negatives, for the `roots.*` checks.  `roots.spanning-tree` holds the tree to
+the keys, and `minwdd.dimension` reads the grading only along a tree that
+passed it.  That grading of the minimal orbit is computed once per type and
+kept (`_orbit_dim`, bounded like the other per-type caches), so each entry's
+`orbit.dim-monotone` reads it; the entry's own smallest meeting orbit is
+graded once, by its analysis.
 
 The searches over pairs of roots, `roots.highest-unique`,
-`restricted.simple-two-routes` and `restricted.highest-nonextendable`, run on
-the stored keys (`RootSystem.pack`): a sum or difference of roots is one int
-addition, and a set lookup hashes one int.  The digits are at most 6 for a
-root and 12 for a doubled restricted one, so nothing compared carries; a key
-is decoded only for a message.
-Where one side of an inner product is fixed, the other is paired with one
-`RootSystem.simple_pairings` row of it: the simple roots in the dominance
-test, the highest root in the parity scan.  Those two scans share one norm
-table of the positive roots, `restricted.positive_norms`: every scan that is
-symmetric under negation reads the positive half.  The restricted view
-`doubled`, both halves, is built here only, once per entry, for
-`restricted.negation` and `.mult-sum`.
+`restricted.simple-two-routes` and `restricted.highest-nonextendable`, and
+the black-span count of `restricted.mult-sum`, run on the stored keys
+(`RootSystem.pack`): a sum or difference of roots is one int addition, a set
+lookup hashes one int, and a root off the black span has a digit under the
+white-node mask.  The digits are at most 6 for a root and 12 for a doubled
+restricted one, so nothing compared carries; the simple-root search compares
+keys too, and a key is decoded only for a message.
+
+Each entry's restricted keys are decoded once, sorted, into the view
+`RestrictedRootSystem.counts`; the views `doubled` (both halves) and
+`doubled_positives` and the norm table `restricted.positive_norms` are read
+off it without another sort or decode, once per entry.  `doubled` serves
+`restricted.negation` and `.mult-sum`: a sorted view is closed under
+negation when its first half is its second half negated and reversed, and
+any other view is looked up vector by vector.  Where one side of an inner
+product is fixed, the other is paired with one `RootSystem.simple_pairings`
+row of it: the simple roots in the dominance test, the highest roots in the
+norm ratio and the parity scan.  The dominance test and the parity scan
+share the norm table: every scan that is symmetric under negation reads the
+positive half.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import repeat
+from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd
-from operator import add, itemgetter, mul, neg
+from operator import mul, ne, neg
 
 from .errors import LieOrbitsError
 from .orbits import FormAnalysis, _shared_analysis, in_five_families, ratio_text, wdd_matches_satake
@@ -43,6 +56,7 @@ from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norm
 from .rootsys import (
     ROOT_COUNT_FORMULAS,
     RootSystem,
+    WeightedDynkinDiagram,
     build_root_system,
     dual_coxeter_number,
     extended_neighbors,
@@ -132,6 +146,15 @@ def _analysis(entry: SatakeDiagram | FormAnalysis) -> FormAnalysis:
     return entry if isinstance(entry, FormAnalysis) else _shared_analysis(entry)
 
 
+# bounded like the other per-type caches: 256 is about the number of simple types up to rank 64
+@lru_cache(maxsize=256)
+def _orbit_dim(rs: RootSystem, wdd: WeightedDynkinDiagram) -> int:
+    """`orbit_dim_from_wdd`, kept per (type, diagram): the minimal orbit's
+    dimension is graded once per type, by `check_root_system`, and read by
+    every entry's `orbit.dim-monotone`."""
+    return orbit_dim_from_wdd(rs, wdd)
+
+
 def check_root_system(rs: RootSystem) -> list[Failure]:
     name = rs.simple_type.name
     failures = []
@@ -177,7 +200,7 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
     # grading; the grading is carried along the spanning tree, so only a tree
     # that passed roots.spanning-tree grades
     if problem is None:
-        dim = orbit_dim_from_wdd(rs, wdd)
+        dim = _orbit_dim(rs, wdd)
         if dim != 2 * dual_coxeter_number(rs) - 2:
             message = f"dim {dim} != 2h^v-2 = {2 * dual_coxeter_number(rs) - 2}"
             failures.append(Failure(name, "minwdd.dimension", message))
@@ -222,22 +245,26 @@ def check_satake_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
 
 def _indecomposables(keys: Sequence[int], witness_keys: Iterable[int]) -> list[int]:
     """The reduced positive roots that are no sum of two others, by search,
-    as keys: those of `keys`, the keys of every positive doubled root, in order.
+    as keys: those of `keys`, the keys of every positive doubled root, in
+    increasing order, and so in order.
 
     A decomposable root splits off a white-node root, so the witnesses are
     tried first and every positive root only for the few roots they leave.
+    A positive key that is a sum of two is the sum of one at most its half
+    and one at least its half, so only the keys up to half of it are tried.
     """
     root_keys = set(keys)
     reduced = [k for k in keys if 2 * k not in root_keys]
     reduced_set = set(reduced)
     witness_keys = [k for k in witness_keys if k in reduced_set]
-    # xi - eta packs to 0 only when eta is xi, which is no split
-    nonzero_keys = reduced_set - {0}
-
-    def splits(x: int, candidates: list[int]) -> bool:
-        return not nonzero_keys.isdisjoint(map(x.__sub__, candidates))
-
-    return [k for k in reduced if not splits(k, witness_keys) and not splits(k, reduced)]
+    # whether no key minus a candidate is a reduced key; xi - eta packs to 0
+    # only when eta is xi, which is no split
+    no_split = (reduced_set - {0}).isdisjoint
+    return [
+        k
+        for k in reduced
+        if no_split(map(k.__sub__, witness_keys)) and no_split(map(k.__sub__, reduced[: bisect_right(reduced, k // 2)]))
+    ]
 
 
 def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
@@ -251,31 +278,36 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     except LieOrbitsError as exc:
         return [Failure(name, "restricted.construction", str(exc))]
 
-    # the sorted views are built once here, and only the next two checks read `doubled`
+    # both views come from the one sorted decode of the keys, and only the next two checks read `doubled`
     doubled = rrs.doubled
     norms = positive_norms(rrs)
 
     # an independent count of the roots restricting to zero, those supported on black
-    # nodes: twice the positive roots whose white coordinates, a column each, sum to 0
+    # nodes: twice the positive keys with no digit on a white node, which `white` masks
     total = sum(doubled.values())
-    white_sums = repeat(0, len(rs.positive_roots))
-    for i in sd.white:
-        white_sums = map(add, white_sums, map(itemgetter(i), rs.positive_roots))
-    span_black = 2 * list(white_sums).count(0)
-    roots = 2 * len(rs.positive_roots)
+    white = 256**rs.rank - 1 - 255 * sum(map(rs.simple_keys.__getitem__, sd.black))
+    span_black = 2 * list(map(white.__and__, rs.positive_keys)).count(0)
+    roots = 2 * len(rs.positive_keys)
     if total + span_black != roots:
         failures.append(
             Failure(name, "restricted.mult-sum", f"mult sum {total} + black-span {span_black} != {roots} roots")
         )
 
-    # on the doubled vectors 2 xi, read without building the Fraction views
-    for d, m in doubled.items():
-        if doubled.get(tuple(map(neg, d))) != m:
+    # on the doubled vectors 2 xi, read without building the Fraction views.  A view
+    # sorted as `doubled` is, negatives first, is closed under negation with equal
+    # multiplicities when its first half is its second half negated and reversed;
+    # any other view has the multiplicity of each -xi looked up against that of xi
+    vectors, mults = list(doubled), list(doubled.values())
+    half, odd = divmod(len(vectors), 2)
+    mirror = map(tuple, map(map, repeat(neg), reversed(vectors[half:])))
+    if odd or mults != mults[::-1] or list(mirror) != vectors[:half]:
+        mirrored = map(doubled.get, map(tuple, map(map, repeat(neg), vectors)))
+        d = next(compress(vectors, map(ne, mirrored, mults)), None)
+        if d is not None:
             from fractions import Fraction
 
             xi = tuple(Fraction(x, 2) for x in d)
             failures.append(Failure(name, "restricted.negation", f"mult({xi}) != mult(-{xi})"))
-            break
 
     try:
         if dominant_longest(rrs, norms) != rrs.doubled_highest:
@@ -283,22 +315,25 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
+    # compared as keys, which pack the white-node roots injectively and in order
     araki = sorted(reduced_simple(rs, rrs.keys, rrs.doubled_simple))
+    araki_keys = list(map(rs.pack, araki))
     keys = sorted(rrs.keys)
-    searched = list(map(rs.unpack, _indecomposables(keys, map(rs.pack, araki))))
-    if searched != araki:
-        message = f"indecomposable reduced positives {searched} vs white-node roots {araki}, doubled"
+    searched = _indecomposables(keys, araki_keys)
+    if searched != araki_keys:
+        message = f"indecomposable reduced positives {list(map(rs.unpack, searched))} vs white-node roots {araki}, doubled"
         failures.append(Failure(name, "restricted.simple-two-routes", message))
 
     lam = rs.pack(rrs.doubled_highest)
     if any(map(rrs.keys.__contains__, map(lam.__add__, keys))):
         failures.append(Failure(name, "restricted.highest-nonextendable", "lambda + eta is a restricted root"))
 
-    # gram_scale times <phi,phi>, and 4 gram_scale times <lam,lam> from the doubled 2 lam;
-    # <phi,phi> = ratio <lam,lam>
+    # gram_scale times <phi,phi>, and 4 gram_scale times <lam,lam> from the doubled 2 lam,
+    # each paired through its own row; <phi,phi> = ratio <lam,lam>
     scale = rs.gram_scale
-    phi_sq = rs.scaled_inner(rs.highest, rs.highest)
-    lam_sq4 = rs.scaled_inner(rrs.doubled_highest, rrs.doubled_highest)
+    lam_row = rs.simple_pairings(rrs.doubled_highest)
+    phi_sq = sum(map(mul, rs.highest, rs.highest_pairings))
+    lam_sq4 = sum(map(mul, rrs.doubled_highest, lam_row))
     ratio = 2 if rrs.highest_mult >= 2 else 1
     if 4 * phi_sq != ratio * lam_sq4:
         from fractions import Fraction
@@ -313,15 +348,14 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
         failures.append(
             Failure(name, "restricted.mult-vs-phi-moved", f"mult {rrs.highest_mult} vs tau*phi moved {moved}")
         )
-    if moved and (product := rs.scaled_inner(rs.highest, tau_phi)):
+    if moved and (product := sum(map(mul, tau_phi, rs.highest_pairings))):
         # <phi, tau*phi> = product / scale, printed reduced and without "/1"
         g = gcd(product, scale)
         value = f"{product // g}" if g == scale else f"{product // g}/{scale // g}"
         failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {value}"))
 
-    # every positive root paired through one row of lambda; -xi pairs as xi does
-    row = rs.simple_pairings(rrs.doubled_highest)
-    pairings = ((2 * sum(map(mul, xi, row)), norm) for xi, norm in norms.items())
+    # every positive root paired through the row of lambda; -xi pairs as xi does
+    pairings = zip(map((2).__mul__, map(sum, map(map, repeat(mul), norms, repeat(lam_row)))), norms.values())
     try:
         scanned = odd_pairing(rrs, pairings)
     except LieOrbitsError as exc:
@@ -383,7 +417,7 @@ def check_orbit_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
     if (count == 2) != sd.hermitian_expected:
         failures.append(Failure(name, "orbit.count-hermitian", f"count {count} vs hermitian {sd.hermitian_expected}"))
 
-    min_dim = orbit_dim_from_wdd(sd.rs, analysis.min_wdd)
+    min_dim = _orbit_dim(sd.rs, analysis.min_wdd)
     g_dim = analysis.min_g_dim
     meets = analysis.min_meets
     if g_dim < min_dim or (g_dim == min_dim) != meets:

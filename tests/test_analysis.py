@@ -184,6 +184,64 @@ def test_describe_path_builds_no_verify_table(monkeypatch):
     assert counts["counts"] == len(entries)
 
 
+def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
+    # the minimal orbit's dimension is graded once per type and each entry's
+    # smallest meeting orbit once; the restriction's keys are decoded once, in
+    # one sorted pass per entry, and the root system's once per type
+    rootsys._build_cached.cache_clear()
+    restricted.restricted_root_system.cache_clear()
+    verify._orbit_dim.cache_clear()
+    # the closure reads each highest root off its key, before the sweep
+    entries = catalog(8)
+    graded: Counter = Counter()
+    decoded: Counter = Counter()
+    unpacked = []
+    orbit_dim, decode, unpack = rootsys.orbit_dim_from_wdd, rootsys.RootSystem.decode, rootsys.RootSystem.unpack
+
+    def counting_dim(rs, w):
+        graded[rs.simple_type.name, w.weights] += 1
+        return orbit_dim(rs, w)
+
+    def counting_decode(rs, keys):
+        keys = tuple(keys)
+        decoded[rs.simple_type.name, keys] += 1
+        return decode(rs, keys)
+
+    def counting_unpack(rs, key):
+        unpacked.append(key)
+        return unpack(rs, key)
+
+    for module in (rootsys, orbits, verify):
+        monkeypatch.setattr(module, "orbit_dim_from_wdd", counting_dim)
+    monkeypatch.setattr(rootsys.RootSystem, "decode", counting_decode)
+    monkeypatch.setattr(rootsys.RootSystem, "unpack", counting_unpack)
+    assert run_verification(max_rank=8).ok
+    types = {sd.rs.simple_type.name: sd.rs for sd in entries}
+    assert sum(graded.values()) == len(types) + len(entries) == 32 + 141
+    expected = Counter((name, rootsys.min_orbit_wdd(rs).weights) for name, rs in types.items())
+    expected.update((sd.rs.simple_type.name, FormAnalysis(sd).min_g_wdd.weights) for sd in entries)
+    assert graded == expected
+    expected = Counter((name, rs.positive_keys) for name, rs in types.items())
+    expected.update((sd.rs.simple_type.name, tuple(sorted(restricted.restricted_root_system(sd).keys))) for sd in entries)
+    assert decoded == expected and unpacked == []
+
+
+def test_the_kept_dimension_is_the_given_diagram_s():
+    # the per-type grading is kept per (type, diagram): a doctored minimal
+    # diagram is graded on its own, after the sound one was kept
+    verify._orbit_dim.cache_clear()
+    sd = form("sl(4,R)")
+    assert verify.check_orbit_entry(FormAnalysis(sd)) == []
+    doctored = FormAnalysis(sd)
+    doctored.min_wdd = rootsys.WeightedDynkinDiagram(sd.rs.simple_type, (1, 1, 1))
+    dim = rootsys.orbit_dim_from_wdd(sd.rs, doctored.min_wdd)
+    assert dim > doctored.min_g_dim == 6
+    message = f"dim 6 vs minimal dim {dim}, meets=True"
+    assert verify.Failure(sd.name, "orbit.dim-monotone", message) in verify.check_orbit_entry(doctored)
+    info = verify._orbit_dim.cache_info()
+    assert (info.maxsize, info.currsize) == (256, 2)
+
+
 def test_weights_outside_zero_one_two_fail_the_construction():
     # the direct diagram refuses such weights itself, so verify has no separate range check
     analysis = FormAnalysis(form("sl(3,R)"))

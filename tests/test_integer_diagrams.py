@@ -8,6 +8,12 @@ values over the determinant, halved when dim g_lambda = 1) and the dual
 Coxeter number.  The integer code must give equal exact values on every
 catalog entry up to rank 16 and on doctored analyses, refuse the same
 diagrams, and build no `Fraction` on the report path.
+
+The coroot system is solved by its black and arrow block; a copy of the
+dense n x n solve it replaced must give the same (wdd, numerators,
+denominator) on every catalog entry up to rank 16, on six rank-64 forms and
+on the doctored analyses, and a split form, whose block is empty, solves
+nothing.
 """
 
 import contextlib
@@ -28,6 +34,7 @@ from lieorbits.satake import build_satake, catalog, parse_form_name
 
 ENTRIES = catalog(16)
 NORTH_STAR = ["e8(8)", "e8(-24)", "sl(25,R)", "su(12,13)"]
+RANK_64 = ["so(1,128)", "so*(128)", "su(32,32)", "sl(64,R)", "sp(64,R)", "so(64,64)"]
 
 
 def form(name):
@@ -56,7 +63,10 @@ def ref_min_g_wdd(analysis):
     return weights
 
 
-def ref_coroot_weights(analysis):
+def dense_rows(analysis):
+    """The coroot system whole, as it was solved before the blocks: n x n
+    integer rows over the class, black and arrow unknowns, the class
+    representatives and each white node's representative."""
     sd = analysis.sd
     rs = sd.rs
     n = rs.rank
@@ -75,18 +85,38 @@ def ref_coroot_weights(analysis):
             return cartan[i][col[1]]
         return cartan[i][col[1]] - cartan[i][col[2]]
 
-    rows = [[entry(i, col) for col in columns] for i in range(n)]
+    return [[entry(i, col) for col in columns] for i in range(n)], reps, class_rep
+
+
+def ref_coroot_weights(analysis):
+    sd = analysis.sd
+    rows, reps, class_rep = dense_rows(analysis)
     nums, det = int_solve(rows, [2 * t for t in analysis.min_wdd.weights])
-    white_values = {columns[k][1]: Fraction(nums[k], det) for k in range(len(reps))}
+    white_values = {reps[k]: Fraction(nums[k], det) for k in range(len(reps))}
     halve = analysis.restricted.highest_mult == 1
     weights = []
-    for i in range(n):
+    for i in range(sd.rs.rank):
         if i in sd.black:
             weights.append(Fraction(0))
         else:
             value = white_values[class_rep[i]]
             weights.append(value / 2 if halve else value)
     return tuple(weights)
+
+
+def dense_coroot_solution(analysis):
+    """(wdd, numerators, denominator) from one dense Bareiss solve of all n
+    unknowns, as `FormAnalysis.coroot_solution` computed them before it
+    solved the black and arrow block alone."""
+    sd = analysis.sd
+    rows, reps, class_rep = dense_rows(analysis)
+    nums, det = int_solve(rows, [2 * t for t in analysis.min_wdd.weights])
+    values = dict(zip(reps, nums))
+    den = 2 * det if analysis.restricted.highest_mult == 1 else det
+    numerators = tuple(0 if i in sd.black else values[class_rep[i]] for i in range(sd.rs.rank))
+    if any(x % den for x in numerators):
+        return None, numerators, den
+    return WeightedDynkinDiagram(sd.rs.simple_type, tuple(x // den for x in numerators)), numerators, den
 
 
 def ref_dual_coxeter_number(rs):
@@ -183,6 +213,41 @@ def test_doctored_analyses_match_the_fraction_code():
             outcomes.add(compare(analysis))
     # every combination of refused and non-integral is reached
     assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
+
+
+# --- the coroot system by blocks ---------------------------------------------
+
+
+@pytest.mark.parametrize("sd", ENTRIES + [form(name) for name in RANK_64], ids=lambda sd: sd.name)
+def test_the_block_solve_gives_the_dense_solution(sd):
+    analysis = FormAnalysis(sd)
+    assert tuple(analysis.coroot_solution) == dense_coroot_solution(analysis)
+
+
+def test_the_block_solve_gives_the_dense_solution_on_doctored_analyses():
+    # the block's determinant is the whole system's up to sign, also where the
+    # doctored weights leave the integers
+    integral = set()
+    for sd in catalog(7):
+        # a minimal diagram that no arrow fixes, so the arrow unknowns are not 0
+        lopsided = FormAnalysis(sd)
+        lopsided.min_wdd = WeightedDynkinDiagram(sd.rs.simple_type, (1,) + (0,) * (sd.rs.rank - 1))
+        for analysis in [*doctored(sd), lopsided]:
+            solution = analysis.coroot_solution
+            assert tuple(solution) == dense_coroot_solution(analysis), sd.name
+            integral.add(solution.wdd is not None)
+    assert integral == {True, False}
+
+
+@pytest.mark.parametrize("name", ["sl(9,R)", "e8(8)", "sp(8,R)", "so(8,9)", "g2(2)"])
+def test_a_split_form_needs_no_solve(monkeypatch, name):
+    sd = form(name)
+    assert not sd.black and not sd.arrows
+    solves = []
+    monkeypatch.setattr(orbits, "int_solve", lambda *args: solves.append(args))
+    analysis = FormAnalysis(sd)
+    assert tuple(analysis.coroot_solution) == dense_coroot_solution(analysis)
+    assert analysis.coroot_solution.denominator in (1, 2) and solves == []
 
 
 def test_twice_a_simple_root_as_lambda_is_refused_with_int_weights():
