@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import gcd
-from operator import mul
 
 from .errors import SingularMatrix
 
@@ -42,28 +41,21 @@ def int_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[tuple[
     m = [[*row, b] for row, b in zip(rows, rhs)]
     prev = 1
     for k in range(n):
-        for r in range(k, n):
-            if m[r][k]:
-                break
-        else:
+        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot_row is None:
             raise SingularMatrix(f"no pivot in column {k}")
-        m[k], m[r] = m[r], m[k]
+        m[k], m[pivot_row] = m[pivot_row], m[k]
         pivot = m[k]
         piv = pivot[k]
         for r in range(k + 1, n):
-            row = m[r]
-            factor = row[k]
-            if factor:
-                m[r] = [(piv * a - factor * b) // prev for a, b in zip(row, pivot)]
-            elif piv != prev:
-                # a row with nothing to eliminate is only rescaled
-                m[r] = [piv * a // prev for a in row]
+            factor = m[r][k]
+            m[r] = [(piv * a - factor * b) // prev for a, b in zip(m[r], pivot)]
         prev = piv
     det = prev
     nums = [0] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
-        nums[i] = (det * row[n] - sum(map(mul, row[i + 1 : n], nums[i + 1 :]))) // row[i]
+        nums[i] = (det * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))) // row[i]
     if det < 0:
         return tuple(-x for x in nums), -det
     return tuple(nums), det

@@ -15,8 +15,8 @@ keeps the positive half, unsorted, as `keys`, all that `describe` reads.  A
 root is looked up there by its key: 2s for a simple root s, and r(phi).
 The decoded views are for `verify`, which reads each once per entry, and
 they make one sorted table: `counts` sorts the keys, whose order is the
-coordinate order, and decodes them in one pass (`RootSystem.decode`), kept
-once built; `doubled_positives` is its roots and `doubled` adds the
+coordinate order, and decodes each once (`RootSystem.unpack`), kept once
+built; `doubled_positives` is its roots and `doubled` adds the
 negatives, built on every read without a sort, since the negative roots sort
 first and negation reverses their order.
 
@@ -101,7 +101,7 @@ class RestrictedRootSystem(
         """`keys` decoded, in key order: each positive doubled root and its
         multiplicity, sorted, since the keys' digits are its coordinates."""
         keys = sorted(self.keys)
-        return dict(zip(self.source.rs.decode(keys), map(self.keys.__getitem__, keys)))
+        return dict(zip(map(self.source.rs.unpack, keys), map(self.keys.__getitem__, keys)))
 
     @property
     def doubled(self) -> dict[IntVector, int]:

@@ -32,7 +32,7 @@ comparing the relabelled rows with `cartan_matrix`; nothing is searched.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import add, itemgetter, lshift, mul, neg
@@ -169,17 +169,10 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         """The coefficients of a nonnegative key whose digits are below 256."""
         return tuple(key.to_bytes(self.rank, "big"))
 
-    def decode(self, keys: Iterable[int]) -> list[tuple[int, ...]]:
-        """`unpack` of each of `keys`, in order, read from one buffer of their
-        digits: the tuples are the buffer's consecutive runs of `rank` bytes."""
-        n = self.rank
-        digits = b"".join(map(int.to_bytes, keys, repeat(n), repeat("big")))
-        return list(zip(*[iter(digits)] * n))
-
     @cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         """The positive roots as coefficient tuples, decoded from `positive_keys`."""
-        return tuple(self.decode(self.positive_keys))
+        return tuple(map(self.unpack, self.positive_keys))
 
     @cached_property
     def roots(self) -> tuple[tuple[int, ...], ...]:
@@ -232,10 +225,9 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         `Fraction` ones; the cost is linear in the support of v."""
         rows = self.gram_support
         total = 0
-        for i in compress(range(len(rows)), v):
-            a = v[i]
-            for j, g in rows[i]:
-                total += a * g * w[j]
+        for i, a in enumerate(v):
+            if a:
+                total += a * sum(g * w[j] for j, g in rows[i])
         return total
 
     @cached_property
@@ -244,16 +236,9 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         return self.simple_pairings(self.highest)
 
     def simple_pairings(self, v: Sequence) -> tuple:
-        """gram_scale * <a_i, v> for every node i: the sparse Gram rows of
-        the nodes v is supported on, each times its coefficient, summed; the
-        Gram form is symmetric, so row k holds <a_i, a_k> for every i."""
-        rows = self.gram_support
-        out = [0] * len(rows)
-        for k in compress(range(len(rows)), v):
-            c = v[k]
-            for i, g in rows[k]:
-                out[i] += c * g
-        return tuple(out)
+        """gram_scale * <a_i, v> for every node i, from one sparse Gram row
+        each; the Gram form is symmetric, so row i pairs a_i with v."""
+        return tuple(sum(g * v[j] for j, g in row) for row in self.gram_support)
 
     def scaled_norms(self, vectors: Sequence[Sequence[int]]) -> list[int]:
         """gram_scale * <v, v> for each of `vectors`, a coordinate column at a

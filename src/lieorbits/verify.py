@@ -30,14 +30,12 @@ Each entry's restricted keys are decoded once, sorted, into the view
 `RestrictedRootSystem.counts`; the views `doubled` (both halves) and
 `doubled_positives` and the norm table `restricted.positive_norms` are read
 off it without another sort or decode, once per entry.  `doubled` serves
-`restricted.negation` and `.mult-sum`: a sorted view is closed under
-negation when its first half is its second half negated and reversed, and
-any other view is looked up vector by vector.  Where one side of an inner
-product is fixed, the other is paired with one `RootSystem.simple_pairings`
-row of it: the simple roots in the dominance test, the highest roots in the
-norm ratio and the parity scan.  The dominance test and the parity scan
-share the norm table: every scan that is symmetric under negation reads the
-positive half.
+`restricted.mult-sum` and `.negation`, which looks up the multiplicity of
+each -xi against that of xi.  Where one side of an inner product is fixed,
+the other is paired with one `RootSystem.simple_pairings` row of it: the
+simple roots in the dominance test, the highest roots in the norm ratio and
+the parity scan.  The dominance test and the parity scan share the norm
+table: every scan that is symmetric under negation reads the positive half.
 """
 
 from __future__ import annotations
@@ -293,21 +291,14 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
             Failure(name, "restricted.mult-sum", f"mult sum {total} + black-span {span_black} != {roots} roots")
         )
 
-    # on the doubled vectors 2 xi, read without building the Fraction views.  A view
-    # sorted as `doubled` is, negatives first, is closed under negation with equal
-    # multiplicities when its first half is its second half negated and reversed;
-    # any other view has the multiplicity of each -xi looked up against that of xi
-    vectors, mults = list(doubled), list(doubled.values())
-    half, odd = divmod(len(vectors), 2)
-    mirror = map(tuple, map(map, repeat(neg), reversed(vectors[half:])))
-    if odd or mults != mults[::-1] or list(mirror) != vectors[:half]:
-        mirrored = map(doubled.get, map(tuple, map(map, repeat(neg), vectors)))
-        d = next(compress(vectors, map(ne, mirrored, mults)), None)
-        if d is not None:
-            from fractions import Fraction
+    # on the doubled vectors 2 xi, read without building the Fraction views
+    negated = map(tuple, map(map, repeat(neg), doubled))
+    d = next(compress(doubled, map(ne, map(doubled.get, negated), doubled.values())), None)
+    if d is not None:
+        from fractions import Fraction
 
-            xi = tuple(Fraction(x, 2) for x in d)
-            failures.append(Failure(name, "restricted.negation", f"mult({xi}) != mult(-{xi})"))
+        xi = tuple(Fraction(x, 2) for x in d)
+        failures.append(Failure(name, "restricted.negation", f"mult({xi}) != mult(-{xi})"))
 
     try:
         if dominant_longest(rrs, norms) != rrs.doubled_highest:

@@ -186,8 +186,8 @@ def test_describe_path_builds_no_verify_table(monkeypatch):
 
 def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
     # the minimal orbit's dimension is graded once per type and each entry's
-    # smallest meeting orbit once; the restriction's keys are decoded once, in
-    # one sorted pass per entry, and the root system's once per type
+    # smallest meeting orbit once; each restricted key is decoded once per
+    # entry, and each positive key of a root system once per type
     rootsys._build_cached.cache_clear()
     restricted.restricted_root_system.cache_clear()
     verify._orbit_dim.cache_clear()
@@ -195,25 +195,18 @@ def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
     entries = catalog(8)
     graded: Counter = Counter()
     decoded: Counter = Counter()
-    unpacked = []
-    orbit_dim, decode, unpack = rootsys.orbit_dim_from_wdd, rootsys.RootSystem.decode, rootsys.RootSystem.unpack
+    orbit_dim, unpack = rootsys.orbit_dim_from_wdd, rootsys.RootSystem.unpack
 
     def counting_dim(rs, w):
         graded[rs.simple_type.name, w.weights] += 1
         return orbit_dim(rs, w)
 
-    def counting_decode(rs, keys):
-        keys = tuple(keys)
-        decoded[rs.simple_type.name, keys] += 1
-        return decode(rs, keys)
-
     def counting_unpack(rs, key):
-        unpacked.append(key)
+        decoded[rs.simple_type.name, key] += 1
         return unpack(rs, key)
 
     for module in (rootsys, orbits, verify):
         monkeypatch.setattr(module, "orbit_dim_from_wdd", counting_dim)
-    monkeypatch.setattr(rootsys.RootSystem, "decode", counting_decode)
     monkeypatch.setattr(rootsys.RootSystem, "unpack", counting_unpack)
     assert run_verification(max_rank=8).ok
     types = {sd.rs.simple_type.name: sd.rs for sd in entries}
@@ -221,9 +214,9 @@ def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
     expected = Counter((name, rootsys.min_orbit_wdd(rs).weights) for name, rs in types.items())
     expected.update((sd.rs.simple_type.name, FormAnalysis(sd).min_g_wdd.weights) for sd in entries)
     assert graded == expected
-    expected = Counter((name, rs.positive_keys) for name, rs in types.items())
-    expected.update((sd.rs.simple_type.name, tuple(sorted(restricted.restricted_root_system(sd).keys))) for sd in entries)
-    assert decoded == expected and unpacked == []
+    expected = Counter((name, key) for name, rs in types.items() for key in rs.positive_keys)
+    expected.update((sd.rs.simple_type.name, key) for sd in entries for key in restricted.restricted_root_system(sd).keys)
+    assert decoded == expected
 
 
 def test_the_kept_dimension_is_the_given_diagram_s():

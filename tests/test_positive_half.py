@@ -92,19 +92,13 @@ def test_describe_decodes_no_root(monkeypatch):
     restricted_root_system.cache_clear()
     orbits._shared_analysis.cache_clear()
     decoded = []
-    unpack, decode = RootSystem.unpack, RootSystem.decode
+    unpack = RootSystem.unpack
 
     def counting(rs, key):
         decoded.append(key)
         return unpack(rs, key)
 
-    def counting_all(rs, keys):
-        keys = list(keys)
-        decoded.extend(keys)
-        return decode(rs, keys)
-
     monkeypatch.setattr(RootSystem, "unpack", counting)
-    monkeypatch.setattr(RootSystem, "decode", counting_all)
     for sd in forms:
         orbit_report(sd)
         assert decoded == [], sd.name
