@@ -7,8 +7,8 @@ itself.  The coroot system behind the weighted diagram is solved here
 only its black and arrow block, the rows that hold no class unknown, whose
 determinant is the whole system's up to sign (`FormAnalysis.coroot_solution`).
 Ranks are taken on integer vectors; both eliminate fraction-free, so no
-entry ever leaves the ints.  The black Gram split behind theta* is solved
-on its tree, leaves first, in `satake`.
+entry ever leaves the ints.  theta* takes no solve: `satake` reads it off
+the root closure.
 Nothing here builds a `fractions.Fraction`: a caller that needs a rational
 keeps it as integer numerators over one denominator.
 """

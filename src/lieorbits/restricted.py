@@ -234,8 +234,8 @@ def parity_criterion(rrs: RestrictedRootSystem) -> bool:
 
 def positive_norms(rrs: RestrictedRootSystem) -> dict[IntVector, int]:
     """gram_scale * <xi, xi> for every positive doubled root xi, in order."""
-    positives = rrs.doubled_positives
-    return dict(zip(positives, rrs.source.rs.scaled_norms(positives)))
+    inner = rrs.source.rs.scaled_inner
+    return {xi: inner(xi, xi) for xi in rrs.doubled_positives}
 
 
 def dominant_longest(rrs: RestrictedRootSystem, norms: dict[IntVector, int]) -> IntVector:

@@ -12,10 +12,10 @@ digits never carry: base-256 digits for a root's coefficients, at most 6,
 and 5-bit ones for its coroot pairings, in -3..3, and string lengths, at
 most 3.  It yields the positive roots by height, packed as
 sum_i c_i 256^(n-1-i), and a `RootSystem` stores them so, as
-`positive_keys`; every layer packs and decodes a root through its one codec,
-`simple_keys`, `pack` and `unpack`.  The coefficient tuples are views that
-only `verify` builds: `positive_roots` decodes the keys, and `roots` adds
-the negatives.
+`positive_keys`; every layer packs, masks and decodes a root through its
+one codec, `simple_keys`, `pack`, `digit_mask` and `unpack`.  The
+coefficient tuples are views that only `verify` builds: `positive_roots`
+decodes the keys, and `roots` adds the negatives.
 
 The closure also keeps the spanning tree it reached the roots along
 (`RootSystem.spanning_tree`): each root's first parent and the node it
@@ -32,7 +32,7 @@ comparing the relabelled rows with `cartan_matrix`; nothing is searched.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import add, itemgetter, lshift, mul, neg
@@ -165,6 +165,11 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         are its digits, and such keys sort as their vectors do."""
         return sum(map(mul, v, self.simple_keys))
 
+    def digit_mask(self, nodes: Iterable[int]) -> int:
+        """The key with digits 255 at `nodes` and 0 elsewhere: and-ed with a
+        key whose digits are below 256, it keeps those nodes' coefficients."""
+        return 255 * sum(map(self.simple_keys.__getitem__, nodes))
+
     def unpack(self, key: int) -> tuple[int, ...]:
         """The coefficients of a nonnegative key whose digits are below 256."""
         return tuple(key.to_bytes(self.rank, "big"))
@@ -239,21 +244,6 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         """gram_scale * <a_i, v> for every node i, from one sparse Gram row
         each; the Gram form is symmetric, so row i pairs a_i with v."""
         return tuple(sum(g * v[j] for j, g in row) for row in self.gram_support)
-
-    def scaled_norms(self, vectors: Sequence[Sequence[int]]) -> list[int]:
-        """gram_scale * <v, v> for each of `vectors`, a coordinate column at a
-        time: one term per Gram entry on or above the diagonal, each a C-level
-        pass over the vectors."""
-        if not vectors:
-            return []
-        cols = list(zip(*vectors))
-        terms = [
-            map(mul, map(mul, cols[i], cols[j]), repeat(g if i == j else 2 * g))
-            for i, row in enumerate(self.gram_support)
-            for j, g in row
-            if j >= i
-        ]
-        return list(map(sum, zip(*terms)))
 
 
 def simple_coord(n: int, i: int) -> tuple[int, ...]:

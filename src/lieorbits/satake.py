@@ -7,19 +7,19 @@ against the involution invariants, so a mis-transcribed pattern surfaces as
 a named diagnostic rather than silently wrong output.  Complex ranks above
 MAX_RANK are refused before any root system is built.
 
-The involution theta* is stored only as integer columns over a common
-denominator, which is 1 for every sound diagram; tau* = -theta* acts on one
+The involution theta* = -w0 p~ is stored as integer columns.  w0, the
+longest element of the black Weyl group, is read off the closure: on a
+white node it is the last positive root by height whose white digits are
+that node's (`_build_involution`), and on a black one it is minus the
+component's duality, so nothing is solved.  tau* = -theta* acts on one
 vector through `SatakeInvolution.tau_image`, and on every positive root at
 once through `tau_keys`, which packs each root and its image into one int,
 the images carried along the closure's spanning tree, one addition per
-root, and the root checks look those keys up.  Only the projections onto
-the black span need a linear solve, an integer one on the scaled Gram rows,
-and only for the simple roots that pair with a black one: one leaves-first
-pass over each black component's tree solves for all its white neighbours.
-The invariants run on the integer columns, theta*^2 = I included, once per
-entry: `satake_involution` builds and checks the involution under one cache,
-raising InconsistentDiagram with the failed checks, and `validate_satake`
-reports those same failures.
+root, and the root checks look those keys up.  The invariants run on the
+integer columns, theta*^2 = I included, once per entry: `satake_involution`
+builds and checks the involution under one cache, raising
+InconsistentDiagram with the failed checks, and `validate_satake` reports
+those same failures.
 
 Node indices are 0-based Bourbaki positions.  The name grammar (parsed
 case-insensitively, no spaces):
@@ -35,8 +35,7 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import compress, count, starmap
-from math import gcd, lcm
+from itertools import compress, count
 from operator import getitem, itemgetter, neg, not_, sub
 
 from .errors import FormNameError, InconsistentDiagram, OutOfRangeParams
@@ -44,7 +43,6 @@ from .ratmat import matrix_rank
 from .rootsys import (
     RootSystem,
     SimpleType,
-    Validated,
     build_root_system,
     duality_permutation,
     read_cartan_type,
@@ -118,26 +116,18 @@ class SatakeDiagram(namedtuple("SatakeDiagram", "descriptor rs black arrows herm
         return tuple(i for i in range(self.rs.rank) if i not in self.black)
 
 
-class SatakeInvolution(Validated, namedtuple("SatakeInvolution", "columns p_tilde denominator", defaults=(1,))):
+class SatakeInvolution(namedtuple("SatakeInvolution", "columns p_tilde")):
     """theta* on simple-root coordinates and the node permutation p_tilde
     (arrow pairing on white nodes, duality involution on each black
     component).
 
-    theta* is stored as integer columns over their least common denominator:
-    `columns[j]` is `denominator * theta*(a_j)`, so the denominator is 1
-    exactly when theta* is integral, as it is for every sound diagram.
+    theta* is stored as integer columns: `columns[j]` is theta*(a_j).
     `tau_columns` and `tau_image` give tau* = -theta* on integer vectors.
     """
-
-    def _check(self):
-        if self.denominator < 1 or gcd(self.denominator, *starmap(gcd, self.columns)) != 1:
-            raise ValueError("theta* columns must be given over their least common denominator")
 
     @cached_property
     def tau_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries (i, x) of each column of tau*."""
-        if self.denominator != 1:
-            raise InconsistentDiagram("tau* does not preserve the root lattice")
         nodes = range(len(self.columns))
         return tuple(tuple(zip(compress(nodes, col), map(neg, filter(None, col)))) for col in self.columns)
 
@@ -365,7 +355,7 @@ def catalog(max_rank: int) -> list[SatakeDiagram]:
 
 def _black_components(sd: SatakeDiagram) -> list[tuple[int, ...]]:
     """The black components, least node first, each in breadth-first order
-    from its least node: every later node has one earlier neighbour."""
+    from its least node."""
     support = sd.rs.gram_support
     remaining = set(sd.black)
     components = []
@@ -394,38 +384,6 @@ def _component_duality(sd: SatakeDiagram, comp: tuple[int, ...]) -> dict[int, in
     return {comp[order[k]]: comp[order[delta[k]]] for k in range(len(comp))}
 
 
-def _black_split(support: Sequence, comp: tuple[int, ...]) -> tuple[int, dict[int, dict[int, int]]]:
-    """(det, {j: {b: x_b}}) for one black component, in `_black_components`
-    order, and `support` = `RootSystem.gram_support`: sum_b x_b a_b / det is
-    the projection of each white neighbour a_j onto the component's span,
-    and det the determinant of its Gram block.  The block is a tree, so
-    elimination leaves first creates no fill (George-Liu 1981, ch. 6): each
-    node's row is scaled by its children's pivots, which leaves at each node
-    the determinant of its subtree's block, det at the first.  Back
-    substitution then divides exactly, since det * x is integral (Cramer)."""
-    rank = {v: k for k, v in enumerate(comp)}
-    parent = {v: next(w for w, _ in support[v] if rank.get(w, rank[v]) < rank[v]) for v in comp[1:]}
-    neighbours = dict.fromkeys(w for v in comp for w, _ in support[v] if w not in rank)
-    gram = {v: dict(support[v]) for v in comp}
-    pivot = {v: gram[v][v] for v in comp}
-    rhs = {v: [gram[v].get(j, 0) for j in neighbours] for v in comp}
-    # the factor each row has been scaled by, which its other entries carry
-    scale = dict.fromkeys(comp, 1)
-    for v in reversed(comp[1:]):
-        u = parent[v]
-        g, d = gram[u][v] * scale[u], pivot[v]
-        pivot[u] = pivot[u] * d - g * gram[v][u] * scale[v]
-        rhs[u] = [a * d - g * b for a, b in zip(rhs[u], rhs[v])]
-        scale[u] *= d
-    det = pivot[comp[0]]
-    nums = {comp[0]: rhs[comp[0]]}
-    for v in comp[1:]:
-        u = parent[v]
-        e, d = gram[v][u] * scale[v], pivot[v]
-        nums[v] = [(det * a - e * x) // d for a, x in zip(rhs[v], nums[u])]
-    return det, {j: {v: nums[v][k] for v in comp if nums[v][k]} for k, j in enumerate(neighbours)}
-
-
 def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
     rs = sd.rs
     n = rs.rank
@@ -436,52 +394,26 @@ def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
     p_tilde = list(range(n))
     for i, j in sd.arrows:
         p_tilde[i], p_tilde[j] = j, i
-    components = _black_components(sd)
-    for comp in components:
+    for comp in _black_components(sd):
         for node, image in _component_duality(sd, comp).items():
             p_tilde[node] = image
 
-    # w0(Pi_0) acts as -duality on span(Pi_0) and identity on its
-    # Gram-orthogonal complement; realized through the Gram split of each
-    # basis vector, not through Weyl words.  Distinct black components are
-    # orthogonal, so the split is done per component.  A black root is its
-    # own projection, and a white root orthogonal to the component is fixed,
-    # so only the white neighbours need a solve, all of a component's in one
-    # leaves-first pass (`_black_split`).  Each moved column is kept sparse,
-    # as integer numerators over one denominator: the least common multiple
-    # of the determinants of the solves that moved it.
-    moved: dict[int, tuple[dict[int, int], int]] = {}
-    for comp in components:
-        for b in comp:
-            moved[b] = ({p_tilde[b]: -1}, 1)
-        det, solutions = _black_split(rs.gram_support, comp)
-        for j, nums in solutions.items():
-            column, den = moved.get(j, ({j: 1}, 1))
-            common = lcm(den, det)
-            column = {i: x * (common // den) for i, x in column.items()}
-            for b, c in nums.items():
-                c *= common // det
-                column[b] = column.get(b, 0) - c
-                column[p_tilde[b]] = column.get(p_tilde[b], 0) - c
-            moved[j] = (column, common)
-
-    # reduce each column by its gcd to the least denominator of its entries
-    for j, (column, den) in moved.items():
-        g = gcd(den, *column.values())
-        moved[j] = ({i: x // g for i, x in column.items()}, den // g)
-
-    # theta* a_j = -w0(a_{p~ j}), over the common denominator of the columns
-    den = lcm(1, *(d for _, d in moved.values()))
-
-    def theta_column(j: int) -> IntVector:
+    # theta* = -w0 p~, w0 the longest element of the black Weyl group (Araki
+    # 1962, sec. 2): theta* a_b = a_b on a black node, and theta* a_j = -w0 a_k,
+    # k = p~ j, on a white one.  The positive roots whose white digits are
+    # those of a_k make an irreducible module of the black Levi subalgebra
+    # (Azad-Barry-Seitz 1990) of lowest weight a_k, so w0 a_k is its highest
+    # weight, the last of them by height; with no black node w0 is 1.
+    top = {}
+    if sd.black:
+        white = rs.digit_mask(sd.white)
+        top = dict(zip(map(white.__and__, rs.positive_keys), rs.positive_keys))
+    columns = [simple_coord(n, j) for j in range(n)]
+    for j in sd.white:
         k = p_tilde[j]
-        column, d = moved.get(k, ({k: 1}, 1))
-        out = [0] * n
-        for i, x in column.items():
-            out[i] = -x * (den // d)
-        return tuple(out)
-
-    return SatakeInvolution(tuple(theta_column(j) for j in range(n)), tuple(p_tilde), den)
+        w0 = rs.unpack(top[rs.simple_keys[k]]) if top else simple_coord(n, k)
+        columns[j] = tuple(map(neg, w0))
+    return SatakeInvolution(tuple(columns), tuple(p_tilde))
 
 
 def _structural_failures(sd: SatakeDiagram) -> list[str]:
@@ -535,26 +467,22 @@ def tau_keys(rs: RootSystem, inv: SatakeInvolution) -> tuple[Sequence[int], list
 def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple[str, str]]:
     rs = sd.rs
     n = rs.rank
-    cols, d, p = inv.columns, inv.denominator, inv.p_tilde
+    cols, p = inv.columns, inv.p_tilde
     failures: list[tuple[str, str]] = []
-    # the nonzero entries (i, x) of each column of the integer matrix M = d theta*
+    # the nonzero entries (i, x) of each column of theta*
     entries = [list(zip(compress(range(n), col), filter(None, col))) for col in cols]
 
     def squares_to_identity(j: int) -> bool:
-        out = {j: -d * d}
+        out = {j: -1}
         for k, c in entries[j]:
             for i, x in entries[k]:
                 out[i] = out.get(i, 0) + c * x
         return not any(out.values())
 
-    # theta*^2 = I on M: each column of M^2 - d^2 I, summed over nonzero entries, is zero
+    # theta*^2 = I: each column of theta*^2 - I, summed over nonzero entries, is zero
     involution = all(map(squares_to_identity, range(n)))
     if not involution:
         failures.append(("involution.theta-squared", "theta* squared is not the identity"))
-
-    if d != 1:
-        failures.append(("involution.preserves-roots", "theta* does not preserve the root lattice"))
-        return failures
 
     # theta* = -tau* and both maps are linear while the root set is closed
     # under negation, so the tests below hold on every root exactly when they

@@ -283,7 +283,7 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     # an independent count of the roots restricting to zero, those supported on black
     # nodes: twice the positive keys with no digit on a white node, which `white` masks
     total = sum(doubled.values())
-    white = 256**rs.rank - 1 - 255 * sum(map(rs.simple_keys.__getitem__, sd.black))
+    white = rs.digit_mask(sd.white)
     span_black = 2 * list(map(white.__and__, rs.positive_keys)).count(0)
     roots = 2 * len(rs.positive_keys)
     if total + span_black != roots:

@@ -184,8 +184,8 @@ def test_criterion_5_involutions():
         # the five named invariants, re-asserted directly
         inv = satake_involution(sd)
         n = sd.rs.rank
-        # theta* as Fraction rows, read off the integer columns over their denominator
-        theta = [[Fraction(inv.columns[j][i], inv.denominator) for j in range(n)] for i in range(n)]
+        # theta* as Fraction rows, read off the integer columns
+        theta = [[Fraction(inv.columns[j][i]) for j in range(n)] for i in range(n)]
 
         def apply(v):
             return tuple(sum(x * y for x, y in zip(row, v)) for row in theta)

@@ -93,7 +93,7 @@ def ref_mult_sum(sd, rrs):
 def ref_involution_failures(sd, inv):
     rs = sd.rs
     n = rs.rank
-    cols, d, p = inv.columns, inv.denominator, inv.p_tilde
+    cols, p = inv.columns, inv.p_tilde
     failures = []
 
     def combine(v):
@@ -103,11 +103,8 @@ def ref_involution_failures(sd, inv):
                 out[i] += c * x
         return tuple(out)
 
-    if any(combine(cols[j]) != tuple(d * d * x for x in simple_coord(n, j)) for j in range(n)):
+    if any(combine(cols[j]) != simple_coord(n, j) for j in range(n)):
         failures.append(("involution.theta-squared", "theta* squared is not the identity"))
-    if d != 1:
-        failures.append(("involution.preserves-roots", "theta* does not preserve the root lattice"))
-        return failures
     root_set = set(rs.roots)
     positives = rs.positive_roots
     images = ref_images(inv, rs)

@@ -10,7 +10,7 @@ count of alpha + tau* alpha with its negated keys, read through the sorted
 views as they were.  The views must give the same values on every simple
 type up to rank 30, on every catalog entry up to rank 16 and on six rank-64
 forms; and a `describe` must build no negative half at all, and decode no
-root.
+root but the images w0 a_k that become theta*'s columns.
 """
 
 from collections import Counter
@@ -85,8 +85,9 @@ def test_describe_builds_no_negative_half():
         assert all(min(key) >= 0 for key in restricted_root_system(sd).counts), name
 
 
-def test_describe_decodes_no_root(monkeypatch):
-    forms = [form(name) for name in ("e8(-24)", "sl(25,R)", "sp(64,R)")]
+def test_describe_decodes_only_theta_columns(monkeypatch):
+    names = ("e8(-24)", "sl(25,R)", "sp(64,R)", "su(1,24)", "so(1,128)", "e7(-5)", "su(32,32)")
+    forms = [form(name) for name in names]
     rootsys._build_cached.cache_clear()
     satake.satake_involution.cache_clear()
     restricted_root_system.cache_clear()
@@ -95,13 +96,20 @@ def test_describe_decodes_no_root(monkeypatch):
     unpack = RootSystem.unpack
 
     def counting(rs, key):
-        decoded.append(key)
-        return unpack(rs, key)
+        decoded.append(unpack(rs, key))
+        return decoded[-1]
 
     monkeypatch.setattr(RootSystem, "unpack", counting)
     for sd in forms:
+        decoded.clear()
         orbit_report(sd)
-        assert decoded == [], sd.name
+        # at most one decode per white node, each the negative of a white column of theta*,
+        # and none without a black node
+        columns = satake_involution(sd).columns
+        assert len(decoded) <= len(sd.white) if sd.black else decoded == [], sd.name
+        assert {tuple(map(neg, v)) for v in decoded} <= set(map(columns.__getitem__, sd.white)), sd.name
+        assert vars(sd.rs).keys().isdisjoint({"positive_roots", "roots"}), sd.name
         assert "counts" not in vars(restricted_root_system(sd)), sd.name
     # the counter sees a decode
+    decoded.clear()
     assert restricted_root_system(sd).counts and decoded

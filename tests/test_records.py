@@ -2,7 +2,7 @@
 
 Each record prints as the dataclass it replaced did, so every message keeps
 its text; its fields cannot be assigned; no field shadows a tuple method;
-the three validated records refuse bad values through the constructor and
+the two validated records refuse bad values through the constructor and
 through `_replace` alike; `RestrictedRootSystem` compares by identity; and
 the layer caches hit for an equal diagram that is a different object.
 """
@@ -15,7 +15,7 @@ from lieorbits.errors import InvalidType, NonIntegralWeights
 from lieorbits.orbits import FormAnalysis
 from lieorbits.restricted import restricted_root_system
 from lieorbits.rootsys import SimpleType, build_root_system, min_orbit_wdd
-from lieorbits.satake import SatakeInvolution, build_satake, parse_form_name, satake_involution, validate_satake
+from lieorbits.satake import build_satake, parse_form_name, satake_involution, validate_satake
 from lieorbits.verify import Failure, run_verification
 
 
@@ -62,7 +62,7 @@ DATACLASS_REPR = {
     "WeightedDynkinDiagram": "WeightedDynkinDiagram(simple_type=SimpleType(letter='A', rank=2), weights=(1, 1))",
     "RealFormDescriptor": "RealFormDescriptor(family='su_pq', params=(1, 2))",
     "SatakeDiagram": SL2R,
-    "SatakeInvolution": "SatakeInvolution(columns=((0, -1), (-1, 0)), p_tilde=(1, 0), denominator=1)",
+    "SatakeInvolution": "SatakeInvolution(columns=((0, -1), (-1, 0)), p_tilde=(1, 0))",
     "ValidationReport": "ValidationReport(entry='sl(2,R)', failures=())",
     "TypeLabel": "TypeLabel(letter='BC', rank=2, reduced=False)",
     "RestrictedRootSystem": (
@@ -118,11 +118,6 @@ def test_restricted_root_system_equality_is_identity():
     assert len({rrs, copy}) == 2
 
 
-def test_record_defaults():
-    inv = SatakeInvolution(((0, -1), (-1, 0)), (1, 0))
-    assert inv.denominator == 1 and SatakeInvolution._field_defaults == {"denominator": 1}
-
-
 REFUSED = [
     ("SimpleType", {"letter": "Q"}, InvalidType),
     ("SimpleType", {"rank": 0}, InvalidType),
@@ -131,8 +126,6 @@ REFUSED = [
     ("WeightedDynkinDiagram", {"weights": (Fraction(1), 1)}, NonIntegralWeights),
     ("WeightedDynkinDiagram", {"weights": (1.0, 1)}, NonIntegralWeights),
     ("WeightedDynkinDiagram", {"weights": (True, 1)}, NonIntegralWeights),
-    ("SatakeInvolution", {"denominator": 0}, ValueError),
-    ("SatakeInvolution", {"columns": ((0, -2), (-2, 0)), "denominator": 2}, ValueError),
 ]
 
 

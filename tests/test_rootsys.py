@@ -253,15 +253,6 @@ def test_simple_pairings_match_scaled_inner(t):
         assert rs.simple_pairings(v) == tuple(rs.scaled_inner(simple_coord(n, i), v) for i in range(n)), v
 
 
-@pytest.mark.parametrize("t", PAIRING_TYPES, ids=lambda t: t.name)
-def test_scaled_norms_match_scaled_inner(t):
-    rs = build_root_system(t)
-    # the roots, and the sums with the highest root, most of which are no roots
-    vectors = list(rs.roots) + [tuple(a + b for a, b in zip(v, rs.highest)) for v in rs.roots]
-    assert rs.scaled_norms(vectors) == [rs.scaled_inner(v, v) for v in vectors]
-    assert rs.scaled_norms([]) == []
-
-
 def test_the_diagram_reader_confirms_against_one_type():
     # a relabelled B5: the nodes in reverse order
     src = tuple(tuple(row[::-1]) for row in cartan_matrix(SimpleType("B", 5))[::-1])

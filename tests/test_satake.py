@@ -129,7 +129,7 @@ def mat_vec(a, v):
 def theta_matrix(inv):
     """theta* as rows of Fractions, read off the integer columns."""
     n = len(inv.columns)
-    return tuple(tuple(Fraction(inv.columns[j][i], inv.denominator) for j in range(n)) for i in range(n))
+    return tuple(tuple(Fraction(inv.columns[j][i]) for j in range(n)) for i in range(n))
 
 
 def test_involution_split_is_minus_identity():
@@ -140,7 +140,6 @@ def test_involution_split_is_minus_identity():
 
 def test_involution_su_star4():
     inv = satake_involution(form("su*(4)"))
-    assert inv.denominator == 1
     # theta* fixes the black ends and sends a2 to -(a1+a2+a3)
     assert inv.columns[0] == (1, 0, 0)
     assert inv.columns[2] == (0, 0, 1)
@@ -149,7 +148,6 @@ def test_involution_su_star4():
 
 def test_involution_su12_arrow_swap():
     inv = satake_involution(form("su(1,2)"))
-    assert inv.denominator == 1
     assert inv.columns[0] == (0, -1)
     assert inv.columns[1] == (-1, 0)
     assert inv.p_tilde == (1, 0)
@@ -281,29 +279,12 @@ def test_hand_made_bad_involutions_fail_by_name():
         ("involution.theta-squared", "theta* squared is not the identity"),
         ("involution.preserves-roots", "theta* does not preserve the root set (e.g. (0, 1))"),
     ]
-    # theta* = [[-1, 1/2], [0, -1]]: neither an involution nor integral
-    non_integral = SatakeInvolution(((-2, 0), (1, -2)), (0, 1), denominator=2)
-    assert satake._involution_failures(sd, non_integral) == [
-        ("involution.theta-squared", "theta* squared is not the identity"),
-        ("involution.preserves-roots", "theta* does not preserve the root lattice"),
-    ]
-    # theta* = [[1, 1/2], [0, -1]] squares to the identity but is not integral
-    rational_involution = SatakeInvolution(((2, 0), (1, -2)), (0, 1), denominator=2)
-    assert satake._involution_failures(sd, rational_involution) == [
-        ("involution.preserves-roots", "theta* does not preserve the root lattice"),
-    ]
-
-
-def test_involution_columns_need_lowest_terms():
-    with pytest.raises(ValueError):
-        SatakeInvolution(((2, 0), (0, 2)), (0, 1), denominator=2)
 
 
 def test_involution_integer_columns_match_views():
     for sd in catalog(6):
         inv = satake_involution(sd)
         n = sd.rs.rank
-        assert inv.denominator == 1, sd.name
         theta = tuple(tuple(inv.columns[j][i] for j in range(n)) for i in range(n))
         assert theta_matrix(inv) == theta, sd.name
         tau = tuple(tuple(-x for x in row) for row in theta)

@@ -4,31 +4,40 @@ The references below are copies, kept here, of the code as it was written on
 coordinate columns: the positive roots as columns, tau* applied to all of
 them one C-level pass per entry of tau*, the involution checks that looked
 the image rows up among the root tuples, the restriction count of
-alpha + tau* alpha over those columns, and the black Gram split solved by
-`int_solve` for every node, one component at a time in sorted order.  The
-tree code must give the same failure lists, with the same first root
-reported, the same `counts` in the same order and the same theta* on every
-catalog entry up to rank 16, on six rank-64 forms, on the doctored
+alpha + tau* alpha over those columns, and theta* from the black Gram split
+solved by `int_solve` for every node, one component at a time in sorted
+order.  The tree code must give the same failure lists, with the same first
+root reported, the same `counts` in the same order and the same theta* on
+every catalog entry up to rank 16, on six rank-64 forms, on the doctored
 involutions of tests/test_column_kernels.py and on the mutant diagrams that
 tests/test_column_kernels.py and tests/test_verify_kernels.py both build.
-The leaves-first split must give `int_solve`'s numerators and determinant
-for every white neighbour of every black component of those diagrams.
+theta*, read off the closure, must match the dense split on every black
+subset of every simple type up to rank 8, too.
 """
 
 from collections import Counter
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, not_, sub
 
 import pytest
 from test_column_kernels import doctored_involutions, mutations
+from test_diagram_kernels import candidate_types
 
 from lieorbits import satake, verify
 from lieorbits.errors import InconsistentDiagram, LieOrbitsError
 from lieorbits.ratmat import int_solve, matrix_rank
 from lieorbits.restricted import RestrictedRootSystem, restricted_root_system
 from lieorbits.rootsys import SimpleType, build_root_system, simple_coord
-from lieorbits.satake import SatakeInvolution, build_satake, catalog, parse_form_name, satake_involution
+from lieorbits.satake import (
+    RealFormDescriptor,
+    SatakeDiagram,
+    SatakeInvolution,
+    build_satake,
+    catalog,
+    parse_form_name,
+    satake_involution,
+)
 from lieorbits.verify import Failure
 
 RANK_64 = ["so(1,128)", "so*(128)", "su(32,32)", "sl(64,R)", "sp(64,R)", "so(64,64)"]
@@ -60,12 +69,12 @@ def tau_image_columns(inv, columns):
 def column_involution_failures(sd, inv):
     rs = sd.rs
     n = rs.rank
-    cols, d, p = inv.columns, inv.denominator, inv.p_tilde
+    cols, p = inv.columns, inv.p_tilde
     failures = []
     entries = [list(zip(compress(range(n), col), filter(None, col))) for col in cols]
 
     def squares_to_identity(j):
-        out = {j: -d * d}
+        out = {j: -1}
         for k, c in entries[j]:
             for i, x in entries[k]:
                 out[i] = out.get(i, 0) + c * x
@@ -73,9 +82,6 @@ def column_involution_failures(sd, inv):
 
     if not all(map(squares_to_identity, range(n))):
         failures.append(("involution.theta-squared", "theta* squared is not the identity"))
-    if d != 1:
-        failures.append(("involution.preserves-roots", "theta* does not preserve the root lattice"))
-        return failures
 
     root_set = frozenset(rs.roots)
     positives = rs.positive_roots
@@ -206,7 +212,7 @@ def dense_involution(sd):
             return tuple(-x * (den // d) for x in column)
         return (0,) * k + (-den,) + (0,) * (n - k - 1)
 
-    return SatakeInvolution(tuple(theta_column(j) for j in range(n)), tuple(p_tilde), den)
+    return SatakeInvolution(tuple(theta_column(j) for j in range(n)), tuple(p_tilde))
 
 
 def outcome(build, sd):
@@ -214,23 +220,6 @@ def outcome(build, sd):
         return build(sd)
     except LieOrbitsError as exc:
         return type(exc), str(exc)
-
-
-def assert_split_matches_int_solve(sd):
-    """`_black_split` against one `int_solve` per white neighbour of each component."""
-    rs = sd.rs
-    gram = rs.scaled_gram
-    for comp in satake._black_components(sd):
-        det, solutions = satake._black_split(rs.gram_support, comp)
-        sub_gram = [[gram[a][c] for c in comp] for a in comp]
-        solved = {}
-        for j in range(rs.rank):
-            rhs = [gram[b][j] for b in comp]
-            if j not in comp and any(rhs):
-                nums, dense_det = int_solve(sub_gram, rhs)
-                assert dense_det == det, (sd.name, comp, j)
-                solved[j] = {b: x for b, x in zip(comp, nums) if x}
-        assert solutions == solved, (sd.name, comp)
 
 
 # --- the comparisons ------------------------------------------------------
@@ -242,7 +231,21 @@ def test_tree_code_matches_the_column_code(sd):
     assert satake._involution_failures(sd, inv) == column_involution_failures(sd, inv) == []
     assert list(restricted_root_system(sd).counts.items()) == sorted(column_counts(sd).items())
     assert satake._build_involution(sd) == dense_involution(sd)
-    assert_split_matches_int_solve(sd)
+
+
+def test_theta_matches_the_dense_split_on_every_black_subset():
+    # the descriptor only names the diagram in messages
+    descriptor = RealFormDescriptor("sl_R", (2,))
+    compared = 0
+    for rank in range(1, 9):
+        for t in candidate_types(rank):
+            rs = build_root_system(t)
+            for size in range(rank + 1):
+                for black in combinations(range(rank), size):
+                    sd = SatakeDiagram(descriptor, rs, frozenset(black), (), False)
+                    assert satake._build_involution(sd) == dense_involution(sd), (t.name, black)
+                    compared += 1
+    assert compared == 2490
 
 
 def hand_doctored():
@@ -272,7 +275,6 @@ def test_mutant_diagrams_give_the_column_results():
         for mutant in mutations(sd):
             built = outcome(satake._build_involution, mutant)
             assert built == outcome(dense_involution, mutant), mutant.name
-            assert_split_matches_int_solve(mutant)
             if not isinstance(built, SatakeInvolution):
                 continue
             assert satake._involution_failures(mutant, built) == column_involution_failures(mutant, built), mutant.name
