@@ -329,7 +329,20 @@ def _fraction_theta(sd):
     return tuple(tuple(-int(x * den) for x in w0[p[j]]) for j in range(n)), den
 
 
-def test_theta_matches_fraction_projections():
-    # the projections are rational, and their theta* comes out integral
-    for sd in catalog(8):
-        assert (satake._build_involution(sd).columns, 1) == _fraction_theta(sd), sd.name
+@pytest.mark.parametrize("wrong", [False, True], ids=["catalog", "identity-duality"])
+def test_integer_black_split_matches_fraction_projections(monkeypatch, wrong):
+    # the projections are rational, and their theta* comes out integral; with
+    # the identity in place of each black component's duality it no longer
+    # does, so the reference is exercised, while the closure read, which takes
+    # w0 off the roots and the duality only into p~ on black nodes, keeps its columns
+    entries = catalog(8)
+    columns = [satake._build_involution(sd).columns for sd in entries]
+    if wrong:
+        monkeypatch.setattr(satake, "_component_duality", lambda sd, comp: {c: c for c in comp})
+    denominators = set()
+    for sd, cols in zip(entries, columns):
+        assert satake._build_involution(sd).columns == cols, sd.name
+        reference, den = _fraction_theta(sd)
+        assert (reference, den) == (cols, 1) or wrong, sd.name
+        denominators.add(den)
+    assert (denominators != {1}) == wrong

@@ -85,9 +85,9 @@ def test_describe_builds_no_negative_half():
         assert all(min(key) >= 0 for key in restricted_root_system(sd).counts), name
 
 
-def test_describe_decodes_only_theta_columns(monkeypatch):
-    names = ("e8(-24)", "sl(25,R)", "sp(64,R)", "su(1,24)", "so(1,128)", "e7(-5)", "su(32,32)")
-    forms = [form(name) for name in names]
+def count_decodes(monkeypatch):
+    """Clear the layer caches and count `RootSystem.unpack`: the list of the
+    roots it decodes from now on."""
     rootsys._build_cached.cache_clear()
     satake.satake_involution.cache_clear()
     restricted_root_system.cache_clear()
@@ -100,13 +100,33 @@ def test_describe_decodes_only_theta_columns(monkeypatch):
         return decoded[-1]
 
     monkeypatch.setattr(RootSystem, "unpack", counting)
+    return decoded
+
+
+def test_describe_decodes_no_root(monkeypatch):
+    # with no black node, theta* = -p~ is read off no root
+    forms = [form(name) for name in ("sl(25,R)", "sp(64,R)", "su(32,32)")]
+    decoded = count_decodes(monkeypatch)
     for sd in forms:
+        assert not sd.black, sd.name
+        orbit_report(sd)
+        assert decoded == [], sd.name
+        assert vars(sd.rs).keys().isdisjoint({"positive_roots", "roots"}), sd.name
+        assert "counts" not in vars(restricted_root_system(sd)), sd.name
+    # the counter sees a decode
+    assert restricted_root_system(sd).counts and decoded
+
+
+def test_describe_decodes_only_theta_columns(monkeypatch):
+    forms = [form(name) for name in ("e8(-24)", "su(1,24)", "so(1,128)", "e7(-5)")]
+    decoded = count_decodes(monkeypatch)
+    for sd in forms:
+        assert sd.black, sd.name
         decoded.clear()
         orbit_report(sd)
-        # at most one decode per white node, each the negative of a white column of theta*,
-        # and none without a black node
+        # at most one decode per white node, each the negative of a white column of theta*
         columns = satake_involution(sd).columns
-        assert len(decoded) <= len(sd.white) if sd.black else decoded == [], sd.name
+        assert len(decoded) <= len(sd.white), sd.name
         assert {tuple(map(neg, v)) for v in decoded} <= set(map(columns.__getitem__, sd.white)), sd.name
         assert vars(sd.rs).keys().isdisjoint({"positive_roots", "roots"}), sd.name
         assert "counts" not in vars(restricted_root_system(sd)), sd.name

@@ -1,8 +1,8 @@
 """The package's value records are named tuples.
 
 Each record prints as the dataclass it replaced did, so every message keeps
-its text; its fields cannot be assigned; no field shadows a tuple method;
-the two validated records refuse bad values through the constructor and
+its text; its fields cannot be assigned and have no defaults; no field
+shadows a tuple method; the two validated records refuse bad values through the constructor and
 through `_replace` alike; `RestrictedRootSystem` compares by identity; and
 the layer caches hit for an equal diagram that is a different object.
 """
@@ -116,6 +116,15 @@ def test_restricted_root_system_equality_is_identity():
     assert rrs != tuple(rrs) and tuple(rrs) != rrs and not tuple(rrs) == rrs
     assert hash(rrs) == object.__hash__(rrs)
     assert len({rrs, copy}) == 2
+
+
+def test_record_defaults():
+    # no record has a default, so each refuses to be built without its last field
+    for name in RECORDS:
+        record = sample(name)
+        assert type(record)._field_defaults == {}, name
+        with pytest.raises(TypeError):
+            type(record)(*record[:-1])
 
 
 REFUSED = [

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain, combinations
 from math import lcm
 
 import pytest
@@ -19,6 +20,8 @@ from lieorbits.rootsys import (
     read_cartan_type,
     simple_coord,
 )
+from lieorbits.restricted import positive_norms, restricted_root_system
+from lieorbits.satake import RealFormDescriptor, SatakeDiagram
 
 ALL_TYPES = (
     [SimpleType("A", n) for n in range(1, 9)]
@@ -251,6 +254,34 @@ def test_simple_pairings_match_scaled_inner(t):
     half_integer = tuple(Fraction(2 * k + 1, 2) * (-1) ** k for k in range(n))
     for v in rs.roots + (half_integer,):
         assert rs.simple_pairings(v) == tuple(rs.scaled_inner(simple_coord(n, i), v) for i in range(n)), v
+
+
+@pytest.mark.parametrize("t", PAIRING_TYPES, ids=lambda t: t.name)
+def test_scaled_norms_match_scaled_inner(t):
+    # the norm table of the split form, whose doubled restricted roots are 2a
+    # for the positive roots a, in key order, against the exact Gram form
+    rs = build_root_system(t)
+    gram = gram_form(t)
+    n = rs.rank
+    sd = SatakeDiagram(RealFormDescriptor("sl_R", (2,)), rs, frozenset(), (), False)
+    norms = positive_norms(restricted_root_system(sd))
+    expected = [
+        (tuple(2 * x for x in a), 4 * rs.gram_scale * sum(a[i] * gram[i][j] * a[j] for i in range(n) for j in range(n)))
+        for a in sorted(rs.positive_roots)
+    ]
+    assert list(norms.items()) == expected
+    assert all(rs.scaled_inner(xi, xi) == norm for xi, norm in expected)
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)
+def test_digit_mask_keeps_the_digits_of_its_nodes(t):
+    rs = build_root_system(t)
+    n = rs.rank
+    for nodes in chain.from_iterable(combinations(range(n), size) for size in range(n + 1)):
+        mask = rs.digit_mask(nodes)
+        for key, root in zip(rs.positive_keys, rs.positive_roots):
+            kept = tuple(c if i in nodes else 0 for i, c in enumerate(root))
+            assert rs.unpack(key & mask) == kept, (nodes, root)
 
 
 def test_the_diagram_reader_confirms_against_one_type():
