@@ -30,14 +30,7 @@ from operator import mul, sub
 from .errors import InconsistentDiagram, InvalidReport, NonIntegralWeights, TypeMismatch
 from .ratmat import int_solve
 from .restricted import RestrictedRootSystem, is_hermitian, parity_criterion, restricted_root_system
-from .rootsys import (
-    SimpleType,
-    WeightedDynkinDiagram,
-    dual_coxeter_number,
-    extended_neighbors,
-    min_orbit_wdd,
-    orbit_dim_from_wdd,
-)
+from .rootsys import SimpleType, WeightedDynkinDiagram, orbit_dim_from_wdd
 from .satake import RealFormDescriptor, SatakeDiagram, SatakeInvolution, build_satake, parse_form_name, satake_involution
 
 CONDITION_FIELDS = ("c_i", "c_ii", "c_iv", "c_v", "c_vi", "c_vii", "c_xii")
@@ -101,7 +94,7 @@ def black_extended_criterion(sd: SatakeDiagram) -> bool:
     """Some black node is adjacent to the added node of the extended diagram."""
     if sd.rs.rank < 2:
         return False
-    return bool(sd.black & extended_neighbors(sd.rs))
+    return bool(sd.black & sd.rs.extended_nodes)
 
 
 FIVE_FAMILIES = ("su_star", "sp_pq", "f4_m20", "e6_m26")
@@ -151,7 +144,7 @@ class FormAnalysis:
 
     @cached
     def min_wdd(self) -> WeightedDynkinDiagram:
-        return min_orbit_wdd(self.sd.rs)
+        return self.sd.rs.min_wdd
 
     @cached
     def min_meets(self) -> bool:
@@ -258,7 +251,7 @@ class FormAnalysis:
         return EquivalenceConditions(
             c_i=self.min_g_wdd != self.min_wdd,
             # the minimal orbit is the one nonzero orbit of dimension 2h^v - 2
-            c_ii=self.min_g_dim != 2 * dual_coxeter_number(rs) - 2,
+            c_ii=self.min_g_dim != 2 * rs.dual_coxeter - 2,
             c_iv=self.restricted.highest_mult >= 2,
             c_v=self.involution.tau_image(rs.highest) != rs.highest,
             c_vi=not self.min_meets,

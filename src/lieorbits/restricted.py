@@ -22,14 +22,18 @@ first and negation reverses their order.
 
 Nothing is searched for.  The simple restricted roots are the distinct images
 s of the white simple roots, and the reduced system's simple roots are those
-s, or 2s where 2s is a root (`reduced_simple`).  The type is read off the
+s, or 2s where 2s is a root (`reduced_simple`), found once per entry: the
+construction classifies them and keeps them as the record's view
+`RestrictedRootSystem.reduced_simple`, which a record built otherwise, by
+`_replace` say, reads off its own fields.  The type is read off the
 Dynkin diagram of their Cartan matrix (`rootsys.read_cartan_type`), and
 `parity_criterion` pairs the highest root with their
 coroots only: every coroot is an integer combination of theirs, since
 xi^v = 2 (2 xi)^v.  The searches that reach the same answers, over the
 reduced positive roots and over every pairing, run as `verify` checks.
 
-`restricted_cartan` pairs the simple roots over their nonzero coordinates.
+`restricted_cartan` pairs the simple roots over their nonzero coordinates,
+summing each product into a plain dict per row.
 Where one side of an inner product is fixed, the other side is paired with
 one `RootSystem.simple_pairings` row of it: the simple roots in
 `dominant_longest`, which filters the longest roots by one row at a time.
@@ -37,7 +41,10 @@ The norm table of the positive roots (`positive_norms`), read off
 `doubled_positives`, is built only for `verify`, which shares it between
 `dominant_longest` and its parity scan, and pairs that scan through one row
 of the highest root; `parity_criterion` pairs r roots directly and builds
-neither.
+neither.  Each norm is the type's quadratic form (`RootSystem.norm_form`)
+on the root: its diagonal and chain as C-level passes, and one product per
+branch edge of D or E.  A pairing of a sparse vector stays sparse
+(`RootSystem.scaled_inner`), since its cost follows the vector's support.
 `verify` adds and subtracts the keys: their digits are at most 12, so no
 sum or difference carries, and sorted they follow the coordinate order.
 """
@@ -46,7 +53,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, repeat
 from operator import add, mul, neg, sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
@@ -84,8 +91,10 @@ class RestrictedRootSystem(
     decodes `keys` once, and is the one sorted table the others are read
     off: `doubled` (`counts` and its negatives, sorted) and
     `doubled_positives` (its roots) are built anew on each read, without a
-    sort, so only `verify` pays for them.  Equality is identity, also
-    against a plain tuple, as the `keys` Counter cannot be hashed.
+    sort, so only `verify` pays for them.  The view `reduced_simple` is read
+    off `keys` and `doubled_simple`, or kept by the construction, which
+    found it.  Equality is identity, also against a plain tuple, as the
+    `keys` Counter cannot be hashed.
     """
 
     def __eq__(self, other):
@@ -114,6 +123,12 @@ class RestrictedRootSystem(
     @property
     def doubled_positives(self) -> tuple[IntVector, ...]:
         return tuple(self.counts)
+
+    @cached_property
+    def reduced_simple(self) -> list[IntVector]:
+        """The reduced system's simple roots, doubled (`reduced_simple`),
+        read off the fields; the construction keeps the list it classified."""
+        return reduced_simple(self.source.rs, self.keys, self.doubled_simple)
 
     @cached_property
     def elements(self) -> tuple[tuple, ...]:
@@ -151,11 +166,12 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
             simple_images.append(image)
     highest = tuple(map(add, rs.highest, inv.tau_image(rs.highest)))
 
-    label = _classify(rs, keys, simple_images, sd.name)
+    simple_reduced = reduced_simple(rs, keys, simple_images)
+    label = _classify(rs, simple_reduced, simple_images, sd.name)
     lam = rs.pack(highest)
     if lam not in keys:
         raise InconsistentDiagram(f"{sd.name}: r(phi) is not a restricted root")
-    return RestrictedRootSystem(
+    rrs = RestrictedRootSystem(
         source=sd,
         keys=keys,
         doubled_simple=tuple(simple_images),
@@ -163,6 +179,8 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
         highest_mult=keys[lam],
         type_label=label,
     )
+    rrs.reduced_simple = simple_reduced
+    return rrs
 
 
 def restricted_cartan(rs: RootSystem, simple: list[IntVector], name: str) -> tuple[tuple[int, ...], ...]:
@@ -172,27 +190,35 @@ def restricted_cartan(rs: RootSystem, simple: list[IntVector], name: str) -> tup
     for j, s in enumerate(simple):
         for k in compress(range(rs.rank), s):
             holders[k].append((j, s[k]))
-    products: Counter[tuple[int, int]] = Counter()  # gram_scale <s_i, s_j> wherever it may be nonzero
+    # rows[i][j] = gram_scale <s_i, s_j> wherever it may be nonzero
+    rows: list[dict[int, int]] = [{} for _ in simple]
     for k, held in enumerate(holders):
+        if not held:
+            continue
         for m, g in rs.gram_support[k]:
-            for (i, c), (j, d) in product(held, holders[m]):
-                products[i, j] += c * g * d
+            others = holders[m]
+            if not others:
+                continue
+            for i, c in held:
+                row, cg = rows[i], c * g
+                for j, d in others:
+                    row[j] = row.get(j, 0) + cg * d
     cbar = [[0] * len(simple) for _ in simple]
-    for (i, j), pair in sorted(products.items()):
-        num, den = 2 * pair, products[j, j]
-        if num % den or (i != j and num > 0) or (i == j and num != 2 * den):
-            from fractions import Fraction
+    for i, row in enumerate(rows):
+        for j in sorted(row):
+            num, den = 2 * row[j], rows[j][j]
+            if num % den or (i != j and num > 0) or (i == j and num != 2 * den):
+                from fractions import Fraction
 
-            raise UnrecognizedSystem(f"{name}: restricted Cartan entry {Fraction(num, den)} at ({i},{j})")
-        cbar[i][j] = num // den
+                raise UnrecognizedSystem(f"{name}: restricted Cartan entry {Fraction(num, den)} at ({i},{j})")
+            cbar[i][j] = num // den
     return tuple(map(tuple, cbar))
 
 
-def _classify(rs: RootSystem, keys, simple_images: list[IntVector], name: str) -> TypeLabel:
-    """Type of the restricted system; every vector argument is doubled, and
-    `keys` packs the positive roots.  A rank-2 double bond reads as B2 or C2
-    by the order of the white nodes."""
-    simple_reduced = reduced_simple(rs, keys, simple_images)
+def _classify(rs: RootSystem, simple_reduced: list[IntVector], simple_images: list[IntVector], name: str) -> TypeLabel:
+    """Type of the restricted system from its reduced simple roots; every
+    vector argument is doubled.  A rank-2 double bond reads as B2 or C2 by
+    the order of the white nodes."""
     rank = len(simple_reduced)
     found = read_cartan_type(restricted_cartan(rs, simple_reduced, name))
     if found is None:
@@ -228,14 +254,21 @@ def parity_criterion(rrs: RestrictedRootSystem) -> bool:
     reduced system's r simple coroots span every coroot, so they decide."""
     rs = rrs.source.rs
     lam = rrs.doubled_highest
-    simple = reduced_simple(rs, rrs.keys, rrs.doubled_simple)
-    return odd_pairing(rrs, ((2 * rs.scaled_inner(xi, lam), rs.scaled_inner(xi, xi)) for xi in simple))
+    return odd_pairing(rrs, ((2 * rs.scaled_inner(xi, lam), rs.scaled_inner(xi, xi)) for xi in rrs.reduced_simple))
 
 
 def positive_norms(rrs: RestrictedRootSystem) -> dict[IntVector, int]:
-    """gram_scale * <xi, xi> for every positive doubled root xi, in order."""
-    inner = rrs.source.rs.scaled_inner
-    return {xi: inner(xi, xi) for xi in rrs.doubled_positives}
+    """gram_scale * <xi, xi> for every positive doubled root xi, in order,
+    each through the type's quadratic form (`RootSystem.norm_form`): a few
+    C-level passes over xi and one product per branch edge."""
+    diagonal, chain, branches = rrs.source.rs.norm_form
+    norms = {}
+    for xi in rrs.doubled_positives:
+        norm = sum(map(mul, map(mul, xi, xi), diagonal)) + sum(map(mul, map(mul, xi, xi[1:]), chain))
+        for i, j, g in branches:
+            norm += g * xi[i] * xi[j]
+        norms[xi] = norm
+    return norms
 
 
 def dominant_longest(rrs: RestrictedRootSystem, norms: dict[IntVector, int]) -> IntVector:

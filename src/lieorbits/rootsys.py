@@ -27,6 +27,14 @@ grading.
 The type of a Cartan matrix is read off its Dynkin diagram, its chain,
 branch node and bond labels (`read_cartan_type`), and confirmed by
 comparing the relabelled rows with `cartan_matrix`; nothing is searched.
+
+A `RootSystem` keeps what is read once per type: the sparse Gram rows
+(`gram_support`), which pair a sparse vector in time linear in its support;
+the Gram form as a quadratic form (`norm_form`: diagonal, chain and the
+branch edges of D and E), which gives a norm in a few C-level passes; the
+highest root's pairings; and the minimal orbit's diagram, the dual Coxeter
+number and the extended-diagram neighbours (`min_wdd`, `dual_coxeter` and
+`extended_nodes`), each computed by its module function on first read.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
-from operator import add, itemgetter, lshift, mul, neg
+from operator import add, getitem, itemgetter, lshift, mul, neg
 
 from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch
 
@@ -236,9 +244,39 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         return total
 
     @cached_property
+    def norm_form(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+        """(d, c, branches) with gram_scale * <v, v> = sum_i d_i v_i^2 +
+        sum_i c_i v_i v_(i+1) + sum g v_i v_j over (i, j, g) in branches:
+        the scaled Gram diagonal, twice its entries (i, i+1), and twice the
+        entries of the other edges, the branch edges of D and E."""
+        g = self.scaled_gram
+        n = self.rank
+        chain = tuple(2 * g[i][i + 1] for i in range(n - 1))
+        branches = tuple((i, j, 2 * x) for i in range(n) for j, x in self.gram_support[i] if j > i + 1)
+        return tuple(map(getitem, g, range(n))), chain, branches
+
+    @cached_property
     def highest_pairings(self) -> tuple[int, ...]:
         """gram_scale * <a_i, phi> for every node i, read on every report."""
         return self.simple_pairings(self.highest)
+
+    # kept, as `highest_pairings` is, and computed once per system by the
+    # module function each docstring names
+
+    @cached_property
+    def min_wdd(self) -> WeightedDynkinDiagram:
+        """The minimal orbit's weighted diagram (`min_orbit_wdd`)."""
+        return min_orbit_wdd(self)
+
+    @cached_property
+    def dual_coxeter(self) -> int:
+        """The dual Coxeter number (`dual_coxeter_number`)."""
+        return dual_coxeter_number(self)
+
+    @cached_property
+    def extended_nodes(self) -> frozenset[int]:
+        """The nodes next to the extended diagram's added node (`extended_neighbors`)."""
+        return extended_neighbors(self)
 
     def simple_pairings(self, v: Sequence) -> tuple:
         """gram_scale * <a_i, v> for every node i, from one sparse Gram row

@@ -16,10 +16,11 @@ vector through `SatakeInvolution.tau_image`, and on every positive root at
 once through `tau_keys`, which packs each root and its image into one int,
 the images carried along the closure's spanning tree, one addition per
 root, and the root checks look those keys up.  The invariants run on the
-integer columns, theta*^2 = I included, once per entry: `satake_involution`
-builds and checks the involution under one cache, raising
-InconsistentDiagram with the failed checks, and `validate_satake` reports
-those same failures.
+nonzero entries of tau*'s columns (`SatakeInvolution.tau_columns`, built
+once per involution and read by the restriction too), theta*^2 = tau*^2 = I
+included, once per entry: `satake_involution` builds and checks the
+involution under one cache, raising InconsistentDiagram with the failed
+checks, and `validate_satake` reports those same failures.
 
 Node indices are 0-based Bourbaki positions.  The name grammar (parsed
 case-insensitively, no spaces):
@@ -52,9 +53,10 @@ from .rootsys import (
 IntVector = tuple[int, ...]
 
 # Largest complex rank `build_satake` and `catalog` accept.  Describing a
-# form costs about rank^3 (one Xeon vCPU: sp(64,R) in 0.19 s cold,
-# sp(128,R) in 1.3 s and 89 MB), so a larger rank fails fast with
-# OutOfRangeParams instead of running for minutes.
+# form grows faster than rank^2 (one shared Xeon vCPU, in process:
+# sp(64,R) in about 20 ms, sp(128,R) in about 0.10 s and 21 MB; a cold
+# command, interpreter start included, takes 0.09 and 0.17 s), so a larger
+# rank fails fast with OutOfRangeParams instead of growing without bound.
 MAX_RANK = 64
 
 EXCEPTIONAL_RANK = {"g2": 2, "f4": 4, "e6": 6, "e7": 7, "e8": 8}
@@ -103,15 +105,15 @@ class RealFormDescriptor(namedtuple("RealFormDescriptor", "family params")):
 class SatakeDiagram(namedtuple("SatakeDiagram", "descriptor rs black arrows hermitian_expected")):
     """Dynkin diagram of the complexification + black nodes + arrow pairing:
     a `RealFormDescriptor`, a `RootSystem`, the black nodes as a frozenset,
-    the sorted arrow pairs and the reference Hermitian flag."""
-
-    __slots__ = ()
+    the sorted arrow pairs and the reference Hermitian flag.  The white
+    nodes are a view, built on first read and kept; `_replace` builds a
+    new diagram, which reads its own."""
 
     @property
     def name(self) -> str:
         return self.descriptor.canonical_name
 
-    @property
+    @cached_property
     def white(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.rs.rank) if i not in self.black)
 
@@ -469,8 +471,9 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     n = rs.rank
     cols, p = inv.columns, inv.p_tilde
     failures: list[tuple[str, str]] = []
-    # the nonzero entries (i, x) of each column of theta*
-    entries = [list(zip(compress(range(n), col), filter(None, col))) for col in cols]
+    # the nonzero entries (i, x) of each column of tau* = -theta*, which the
+    # checks below read with the sign turned where theta* is meant
+    entries = inv.tau_columns
 
     def squares_to_identity(j: int) -> bool:
         out = {j: -1}
@@ -479,7 +482,7 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
                 out[i] = out.get(i, 0) + c * x
         return not any(out.values())
 
-    # theta*^2 = I: each column of theta*^2 - I, summed over nonzero entries, is zero
+    # theta*^2 = tau*^2 = I: each column of tau*^2 - I, summed over nonzero entries, is zero
     involution = all(map(squares_to_identity, range(n)))
     if not involution:
         failures.append(("involution.theta-squared", "theta* squared is not the identity"))
@@ -498,12 +501,12 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
         failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {root})"))
 
     for b in sorted(sd.black):
-        if entries[b] != [(b, 1)]:
+        if entries[b] != ((b, -1),):
             failures.append(("involution.fixes-black", f"theta* moves black simple root {b}"))
 
     for w in sd.white:
-        # -theta*(a_w) - a_{p~ w}, by its nonzero entries
-        shifted = {i: -x for i, x in entries[w]}
+        # -theta*(a_w) - a_{p~ w} = tau*(a_w) - a_{p~ w}, by its nonzero entries
+        shifted = dict(entries[w])
         shifted[p[w]] = shifted.get(p[w], 0) - 1
         if any(x < 0 or x and i not in sd.black for i, x in shifted.items()):
             failures.append(

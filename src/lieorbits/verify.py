@@ -15,7 +15,11 @@ the keys, and `minwdd.dimension` reads the grading only along a tree that
 passed it.  That grading of the minimal orbit is computed once per type and
 kept (`_orbit_dim`, bounded like the other per-type caches), so each entry's
 `orbit.dim-monotone` reads it; the entry's own smallest meeting orbit is
-graded once, by its analysis.
+graded once, by its analysis.  The minimal diagram, the dual Coxeter number
+and the extended-diagram neighbours are read off the root system, which
+keeps each once computed (`RootSystem.min_wdd`, `.dual_coxeter` and
+`.extended_nodes`), so the `minwdd.*` checks and every entry's analysis
+share one value per type.
 
 The searches over pairs of roots, `roots.highest-unique`,
 `restricted.simple-two-routes` and `restricted.highest-nonextendable`, and
@@ -36,6 +40,8 @@ the other is paired with one `RootSystem.simple_pairings` row of it: the
 simple roots in the dominance test, the highest roots in the norm ratio and
 the parity scan.  The dominance test and the parity scan share the norm
 table: every scan that is symmetric under negation reads the positive half.
+`restricted.simple-two-routes` compares its search with the reduced simple
+roots the construction found, the view `RestrictedRootSystem.reduced_simple`.
 """
 
 from __future__ import annotations
@@ -50,17 +56,8 @@ from operator import mul, ne, neg
 
 from .errors import LieOrbitsError
 from .orbits import FormAnalysis, _shared_analysis, in_five_families, ratio_text, wdd_matches_satake
-from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms, reduced_simple
-from .rootsys import (
-    ROOT_COUNT_FORMULAS,
-    RootSystem,
-    WeightedDynkinDiagram,
-    build_root_system,
-    dual_coxeter_number,
-    extended_neighbors,
-    min_orbit_wdd,
-    orbit_dim_from_wdd,
-)
+from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms
+from .rootsys import ROOT_COUNT_FORMULAS, RootSystem, WeightedDynkinDiagram, build_root_system, orbit_dim_from_wdd
 from .satake import RealFormDescriptor, SatakeDiagram, catalog, validate_satake
 
 EXCEPTIONAL_REAL_RANK = {
@@ -181,7 +178,7 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
         message = f"non-extendable positives: {sorted(map(rs.unpack, non_extendable))}"
         failures.append(Failure(name, "roots.highest-unique", message))
 
-    wdd = min_orbit_wdd(rs)
+    wdd = rs.min_wdd
     if rs.rank == 1:
         if wdd.weights != (2,):
             failures.append(Failure(name, "minwdd.a1", f"A1 weight is {wdd.weights}, expected (2,)"))
@@ -189,9 +186,9 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
         if any(w not in (0, 1) for w in wdd.weights):
             failures.append(Failure(name, "minwdd.zero-one", f"weights {wdd.weights} not in {{0,1}}"))
         support = frozenset(i for i, w in enumerate(wdd.weights) if w != 0)
-        if support != extended_neighbors(rs):
+        if support != rs.extended_nodes:
             failures.append(
-                Failure(name, "minwdd.support", f"support {sorted(support)} vs neighbors {sorted(extended_neighbors(rs))}")
+                Failure(name, "minwdd.support", f"support {sorted(support)} vs neighbors {sorted(rs.extended_nodes)}")
             )
 
     # the dual Coxeter number is read off the highest root, independently of the
@@ -199,8 +196,8 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
     # that passed roots.spanning-tree grades
     if problem is None:
         dim = _orbit_dim(rs, wdd)
-        if dim != 2 * dual_coxeter_number(rs) - 2:
-            message = f"dim {dim} != 2h^v-2 = {2 * dual_coxeter_number(rs) - 2}"
+        if dim != 2 * rs.dual_coxeter - 2:
+            message = f"dim {dim} != 2h^v-2 = {2 * rs.dual_coxeter - 2}"
             failures.append(Failure(name, "minwdd.dimension", message))
     return failures
 
@@ -307,7 +304,7 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
     # compared as keys, which pack the white-node roots injectively and in order
-    araki = sorted(reduced_simple(rs, rrs.keys, rrs.doubled_simple))
+    araki = sorted(rrs.reduced_simple)
     araki_keys = list(map(rs.pack, araki))
     keys = sorted(rrs.keys)
     searched = _indecomposables(keys, araki_keys)

@@ -32,8 +32,10 @@ def _count_layers(monkeypatch) -> Counter:
 
     The direct diagram and the coroot solve exist only as FormAnalysis
     properties, so those are wrapped; `min_orbit_wdd` and `parity_criterion`
-    are wrapped in every module that calls them.
+    are wrapped in every module that calls them.  The root systems are built
+    afresh, since each keeps its minimal diagram once computed.
     """
+    rootsys._build_cached.cache_clear()
     counts: Counter = Counter()
     for prop in ("min_g_wdd", "coroot_solution"):
         original = getattr(FormAnalysis, prop).func
@@ -72,10 +74,9 @@ def test_orbit_layer_computed_once_per_entry_under_verify(monkeypatch):
     entries = catalog(8)
     for layer in ("min_g_wdd", "coroot_solution", "parity_criterion"):
         assert {name: n for (lay, name), n in counts.items() if lay == layer} == {sd.name: 1 for sd in entries}, layer
-    # once per entry, and once per type for check_root_system
-    per_type = Counter(sd.rs.simple_type.name for sd in entries)
+    # once per type, kept on the root system that the entries and check_root_system share
     assert {name: n for (lay, name), n in counts.items() if lay == "min_orbit_wdd"} == {
-        t: k + 1 for t, k in per_type.items()
+        sd.rs.simple_type.name: 1 for sd in entries
     }
 
 
@@ -100,15 +101,18 @@ def test_entry_checks_on_bare_diagrams_share_one_analysis_per_entry(monkeypatch)
 
 def test_orbit_layer_computed_once_per_report(monkeypatch):
     counts = _count_layers(monkeypatch)
+    graded: Counter = Counter()
     for sd in catalog(8):
         counts.clear()
         orbit_report(sd)
-        assert counts["min_orbit_wdd", sd.rs.simple_type.name] == 1, sd.name
+        # the minimal diagram once per type, by the type's first report
+        graded[sd.rs.simple_type.name] += counts["min_orbit_wdd", sd.rs.simple_type.name]
         assert counts["min_g_wdd", sd.name] == 1, sd.name
         # the report needs no linear system, and the parity only when dim g_lambda = 1
         assert counts["coroot_solution", sd.name] == 0, sd.name
         assert counts["parity_criterion", sd.name] <= 1, sd.name
         assert set(counts.values()) <= {0, 1}, sd.name
+    assert graded == {sd.rs.simple_type.name: 1 for sd in catalog(8)}
 
 
 def test_each_layer_built_once_per_diagram_across_repeated_reports(monkeypatch):
@@ -123,7 +127,7 @@ def test_each_layer_built_once_per_diagram_across_repeated_reports(monkeypatch):
     assert orbits._shared_analysis.cache_info()[:2] == (2 * n, n)
     assert satake.satake_involution.cache_info().misses == n
     assert restricted.restricted_root_system.cache_info().misses == n
-    per_type = Counter(sd.rs.simple_type.name for sd in entries)
+    per_type = {sd.rs.simple_type.name: 1 for sd in entries}
     assert {name: k for (lay, name), k in counts.items() if lay == "min_orbit_wdd"} == per_type
     assert {name: k for (lay, name), k in counts.items() if lay == "min_g_wdd"} == {sd.name: 1 for sd in entries}
     # the parity is read only when dim g_lambda = 1, and the linear system never
@@ -217,6 +221,44 @@ def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
     expected = Counter((name, key) for name, rs in types.items() for key in rs.positive_keys)
     expected.update((sd.rs.simple_type.name, key) for sd in entries for key in restricted.restricted_root_system(sd).keys)
     assert decoded == expected
+
+
+def test_verify_computes_each_type_s_values_once_and_each_entry_s_reduced_roots_once(monkeypatch):
+    # the reduced simple roots are found once per entry, by the construction,
+    # and read again by the parity criterion and restricted.simple-two-routes;
+    # the minimal diagram, the dual Coxeter number and the extended-diagram
+    # neighbours once per type, kept on its root system (an A1 asks for no
+    # neighbours)
+    rootsys._build_cached.cache_clear()
+    restricted.restricted_root_system.cache_clear()
+    counts: Counter = Counter()
+    for owner, name in (
+        (restricted, "reduced_simple"),
+        (rootsys, "min_orbit_wdd"),
+        (rootsys, "dual_coxeter_number"),
+        (rootsys, "extended_neighbors"),
+    ):
+
+        def counting(rs, *args, original=getattr(owner, name), name=name):
+            counts[name, rs.simple_type.name] += 1
+            return original(rs, *args)
+
+        for module in (rootsys, restricted, orbits, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    assert run_verification(max_rank=8).ok
+    entries = catalog(8)
+    types = {sd.rs.simple_type for sd in entries}
+
+    def per(name):
+        return {t: k for (key, t), k in counts.items() if key == name}
+
+    assert sum(per("reduced_simple").values()) == len(entries) == 141
+    assert per("reduced_simple") == Counter(sd.rs.simple_type.name for sd in entries)
+    for name in ("min_orbit_wdd", "dual_coxeter_number"):
+        assert per(name) == {t.name: 1 for t in types}, name
+    assert len(types) == 32
+    assert per("extended_neighbors") == {t.name: 1 for t in types if t.rank > 1}
 
 
 def test_the_kept_dimension_is_the_given_diagram_s():

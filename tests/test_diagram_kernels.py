@@ -205,7 +205,7 @@ def label_of(monkeypatch, cbar):
     """What `restricted._classify` labels a reduced system whose Cartan matrix is `cbar`."""
     monkeypatch.setattr(restricted, "restricted_cartan", lambda rs, simple, name: cbar)
     simple = [simple_coord(len(cbar), i) for i in range(len(cbar))]
-    return restricted._classify(build_root_system(SimpleType("A", len(cbar))), {}, simple, "x").letter
+    return restricted._classify(build_root_system(SimpleType("A", len(cbar))), simple, simple, "x").letter
 
 
 def message(call, *args):

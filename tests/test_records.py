@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieorbits import restricted
 from lieorbits.errors import InvalidType, NonIntegralWeights
 from lieorbits.orbits import FormAnalysis
 from lieorbits.restricted import restricted_root_system
@@ -160,3 +161,24 @@ def test_caches_hit_for_an_equal_diagram_object(cached):
     assert cached(copy) is value
     after = cached.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_kept_views_are_read_off_the_fields_of_each_record():
+    # SatakeDiagram.white and RestrictedRootSystem.reduced_simple are kept once
+    # read, but are no fields: a `_replace` copy reads its own, and a read
+    # changes no repr, hash or equality
+    sd = form("su(2,5)")
+    unread = form("su(2,5)")
+    white = sd.white
+    assert sd.white is white == (0, 1, 4, 5)
+    assert "white" not in sd._fields and "white" not in vars(unread)
+    assert repr(sd) == repr(unread) and hash(sd) == hash(unread) and sd == unread
+    assert sd._replace(black=sd.black | {0}).white == (1, 4, 5)
+
+    rrs = restricted_root_system(form("su(2,3)"))
+    rs = rrs.source.rs
+    assert "reduced_simple" not in rrs._fields
+    assert rrs.reduced_simple == restricted.reduced_simple(rs, rrs.keys, rrs.doubled_simple)
+    assert len(rrs.reduced_simple) == 2 and rrs.reduced_simple != list(rrs.doubled_simple)
+    doctored = rrs._replace(doubled_simple=rrs.doubled_simple[::-1])
+    assert doctored.reduced_simple == rrs.reduced_simple[::-1]

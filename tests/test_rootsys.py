@@ -21,7 +21,7 @@ from lieorbits.rootsys import (
     simple_coord,
 )
 from lieorbits.restricted import positive_norms, restricted_root_system
-from lieorbits.satake import RealFormDescriptor, SatakeDiagram
+from lieorbits.satake import RealFormDescriptor, SatakeDiagram, build_satake, catalog, parse_form_name
 
 ALL_TYPES = (
     [SimpleType("A", n) for n in range(1, 9)]
@@ -271,6 +271,17 @@ def test_scaled_norms_match_scaled_inner(t):
     ]
     assert list(norms.items()) == expected
     assert all(rs.scaled_inner(xi, xi) == norm for xi, norm in expected)
+
+
+def test_norm_table_matches_scaled_inner_on_the_catalog():
+    # the quadratic-form kernel, chain and branch edges, on the restricted
+    # systems of catalog(16) and of six forms at the rank cap, in one test
+    rank_cap = ("sl(64,R)", "so(1,128)", "sp(64,R)", "so(64,64)", "su(32,32)", "so*(128)")
+    for sd in catalog(16) + [build_satake(parse_form_name(name)) for name in rank_cap]:
+        rrs = restricted_root_system(sd)
+        norms = positive_norms(rrs)
+        assert tuple(norms) == rrs.doubled_positives, sd.name
+        assert [sd.rs.scaled_inner(xi, xi) for xi in norms] == list(norms.values()), sd.name
 
 
 @pytest.mark.parametrize("t", ALL_TYPES, ids=lambda t: t.name)

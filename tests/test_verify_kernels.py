@@ -391,10 +391,11 @@ def test_restricted_scans_match_the_tuple_scans(sd):
 def test_classify_cartan_entries_match_scaled_inner(monkeypatch, sd):
     seen = []
     classify, read = restricted._classify, restricted.read_cartan_type
+    roots = set(map(sd.rs.unpack, restricted_root_system(sd).keys))
 
-    def spy_classify(rs, keys, simple_images, name):
-        seen.append(("reference", ref_cartan(rs, simple_images, set(map(rs.unpack, keys)), name)))
-        return classify(rs, keys, simple_images, name)
+    def spy_classify(rs, simple_reduced, simple_images, name):
+        seen.append(("reference", ref_cartan(rs, simple_images, roots, name)))
+        return classify(rs, simple_reduced, simple_images, name)
 
     def spy_read(rows):
         seen.append(("rewritten", rows))
