@@ -55,7 +55,7 @@ IntVector = tuple[int, ...]
 # Largest complex rank `build_satake` and `catalog` accept.  Describing a
 # form grows faster than rank^2 (one shared Xeon vCPU, in process:
 # sp(64,R) in about 20 ms, sp(128,R) in about 0.10 s and 21 MB; a cold
-# command, interpreter start included, takes 0.09 and 0.17 s), so a larger
+# command, interpreter start included, takes 0.07 and 0.14 s), so a larger
 # rank fails fast with OutOfRangeParams instead of growing without bound.
 MAX_RANK = 64
 

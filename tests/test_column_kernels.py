@@ -177,8 +177,11 @@ def cartan_or_message(cartan, rs, simple, name):
 
 def doctored_simple_roots(simple, highest):
     """Simple roots with one scaled, negated, repeated, summed or swapped for
-    the highest root, and in reverse order."""
+    the highest root, in reverse order, and with the first and third scaled,
+    so that two entries of the second row fail and the first is reported."""
     yield [tuple(3 * x for x in simple[0])] + simple[1:]
+    if len(simple) > 2:
+        yield [tuple(3 * x for x in simple[0]), simple[1], tuple(3 * x for x in simple[2])] + simple[3:]
     yield [tuple(map(sub, (0,) * len(simple[0]), simple[0]))] + simple[1:]
     yield simple + simple[:1]
     yield simple[:-1] + [highest]

@@ -3,8 +3,9 @@
 Each record prints as the dataclass it replaced did, so every message keeps
 its text; its fields cannot be assigned and have no defaults; no field
 shadows a tuple method; the two validated records refuse bad values through the constructor and
-through `_replace` alike; `RestrictedRootSystem` compares by identity; and
-the layer caches hit for an equal diagram that is a different object.
+through `_replace` alike; `RestrictedRootSystem` compares by identity; the
+layer caches hit for an equal diagram that is a different object; and the
+views a record keeps once read are no fields, so a `_replace` copy reads its own.
 """
 
 from fractions import Fraction
