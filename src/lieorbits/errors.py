@@ -32,9 +32,10 @@ class FormNameError(LieOrbitsError):
 class InconsistentDiagram(LieOrbitsError):
     """A Satake diagram violating an involution invariant (mis-transcribed data).
 
-    `failures` holds the (check, message) pairs of the violated invariants
-    when the involution was built and checked; it is empty for an error
-    raised while building it.
+    `failures` holds the (check, message) pairs of the violated invariants:
+    the structural ones, when the diagram's black nodes or arrows are
+    malformed, or those of the built involution.  It is empty for any other
+    error raised while building the involution.
     """
 
     def __init__(self, message: str, failures: tuple[tuple[str, str], ...] = ()):

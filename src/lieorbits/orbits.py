@@ -10,9 +10,12 @@ insists they agree on every catalog entry.
 `FormAnalysis(sd)` holds every value derived for one diagram, one cached
 attribute each, built from one another, so each is computed once per
 analysis.  `orbit_report` and a `verify` entry check given a bare diagram
-read one shared analysis per diagram, kept in a bounded LRU, so a repeated
-report is a lookup.  `run_verification` builds one analysis per entry and
-keeps none, since a sweep visits each entry once.  `min_g_wdd_direct`,
+read one shared analysis per diagram, kept on the diagram
+(`SatakeDiagram._analysis`).  `build_satake` gives equal descriptors the
+same diagram and `parse_form_name` keeps each name's descriptor, so a
+repeated report from a name is two cache hits and an attribute read.
+`run_verification` builds one analysis per entry and keeps none, since a
+sweep visits each entry once.  `min_g_wdd_direct`,
 `min_g_wdd_linear_system` and `equivalence_conditions` each build a fresh
 analysis, so they recompute independently of the shared one.  Each
 diagram weight is an integer numerator divided by its denominator once a
@@ -22,7 +25,6 @@ divisibility test passes, so the report path builds no `Fraction`.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from operator import mul, sub
@@ -300,21 +302,10 @@ def equivalence_conditions(sd: SatakeDiagram) -> EquivalenceConditions:
     return FormAnalysis(sd).conditions
 
 
-@lru_cache(maxsize=256)
-def _shared_analysis(sd: SatakeDiagram) -> FormAnalysis:
-    """The one analysis of a diagram that `orbit_report` and the `verify`
-    entry checks given a bare diagram read.
-
-    Not exported, since an assignment onto a shared analysis would reach
-    every later report of the diagram.  A value whose computation raises is
-    not stored, so a doctored diagram raises again on every call."""
-    return FormAnalysis(sd)
-
-
 def orbit_report(sd: SatakeDiagram) -> OrbitReport:
     """Aggregate every computed quantity for one diagram, computed once per
-    diagram and read from the shared analysis on later calls."""
-    return _shared_analysis(sd).report
+    diagram and read from the analysis it keeps on later calls."""
+    return sd._analysis.report
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +336,7 @@ def report_to_dict(report: OrbitReport) -> dict:
         "g_lambda_dim": report.g_lambda_dim,
         "minimal_real_orbit_count": report.minimal_real_orbit_count,
         "hermitian": report.hermitian,
-        "conditions": {f: getattr(report.conditions, f) for f in CONDITION_FIELDS},
+        "conditions": dict(zip(CONDITION_FIELDS, report.conditions)),
     }
     labels = _drawn_labels(report.min_g_wdd)
     if labels is not None:

@@ -32,9 +32,10 @@ A `RootSystem` keeps what is read once per type: the sparse Gram rows
 (`gram_support`), which pair a sparse vector in time linear in its support;
 the Gram form as a quadratic form (`norm_form`: diagonal, chain and the
 branch edges of D and E), which gives a norm in a few C-level passes; the
-highest root's pairings; and the minimal orbit's diagram, the dual Coxeter
-number and the extended-diagram neighbours (`min_wdd`, `dual_coxeter` and
-`extended_nodes`), each computed by its module function on first read.
+highest root's pairings; and the minimal orbit's diagram and dimension,
+the dual Coxeter number and the extended-diagram neighbours (`min_wdd`,
+`min_orbit_dim`, `dual_coxeter` and `extended_nodes`), each computed by its
+module function on first read.
 """
 
 from __future__ import annotations
@@ -267,6 +268,11 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
     def min_wdd(self) -> WeightedDynkinDiagram:
         """The minimal orbit's weighted diagram (`min_orbit_wdd`)."""
         return min_orbit_wdd(self)
+
+    @cached_property
+    def min_orbit_dim(self) -> int:
+        """The minimal orbit's dimension (`orbit_dim_from_wdd` of `min_wdd`)."""
+        return orbit_dim_from_wdd(self, self.min_wdd)
 
     @cached_property
     def dual_coxeter(self) -> int:

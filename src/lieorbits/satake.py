@@ -20,7 +20,15 @@ nonzero entries of tau*'s columns (`SatakeInvolution.tau_columns`, built
 once per involution and read by the restriction too), theta*^2 = tau*^2 = I
 included, once per entry: `satake_involution` builds and checks the
 involution under one cache, raising InconsistentDiagram with the failed
-checks, and `validate_satake` reports those same failures.
+checks, the structural ones included, and `validate_satake` reports those
+same failures.
+
+A name is parsed and a diagram built once: `parse_form_name` keeps the
+descriptor of each name text, and `build_satake` the diagram of each
+descriptor, each in an LRU of 256, so equal descriptors give the same
+diagram.  The diagram keeps the one `FormAnalysis` that `orbit_report` reads
+(`SatakeDiagram._analysis`), so a repeated report from a name is two cache
+hits and an attribute read.
 
 Node indices are 0-based Bourbaki positions.  The name grammar (parsed
 case-insensitively, no spaces):
@@ -106,8 +114,8 @@ class SatakeDiagram(namedtuple("SatakeDiagram", "descriptor rs black arrows herm
     """Dynkin diagram of the complexification + black nodes + arrow pairing:
     a `RealFormDescriptor`, a `RootSystem`, the black nodes as a frozenset,
     the sorted arrow pairs and the reference Hermitian flag.  The white
-    nodes are a view, built on first read and kept; `_replace` builds a
-    new diagram, which reads its own."""
+    nodes and the diagram's shared analysis are views, built on first read
+    and kept; `_replace` builds a new diagram, which reads its own."""
 
     @property
     def name(self) -> str:
@@ -116,6 +124,18 @@ class SatakeDiagram(namedtuple("SatakeDiagram", "descriptor rs black arrows herm
     @cached_property
     def white(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.rs.rank) if i not in self.black)
+
+    @cached_property
+    def _analysis(self):
+        """The one `FormAnalysis` of this diagram that `orbit_report` and the
+        `verify` entry checks given a bare diagram read.
+
+        Private, since an assignment onto it would reach every later report
+        of the diagram.  A value whose computation raises is not stored, so
+        a doctored diagram raises again on every call."""
+        from .orbits import FormAnalysis
+
+        return FormAnalysis(self)
 
 
 class SatakeInvolution(namedtuple("SatakeInvolution", "columns p_tilde")):
@@ -180,8 +200,20 @@ def complex_rank(d: RealFormDescriptor) -> int:
 def build_satake(d: RealFormDescriptor) -> SatakeDiagram:
     """Instantiate the family pattern for one descriptor.
 
-    The complex rank is checked against MAX_RANK before anything is built.
+    Equal descriptors give the same diagram, kept in an LRU of 256; an
+    error is never kept.  A parameter that is not an int is refused first,
+    since True and 1.0 hash as 1 does and would be served su(1,2)'s diagram
+    for su(True,2).  The complex rank is checked against MAX_RANK before
+    anything is built.
     """
+    for x in d.params:
+        if type(x) is not int:
+            raise OutOfRangeParams(f"real-form parameters must be ints, got {type(x).__name__} {x!r}")
+    return _cached_satake(d)
+
+
+@lru_cache(maxsize=256)
+def _cached_satake(d: RealFormDescriptor) -> SatakeDiagram:
     rank = complex_rank(d)
     if rank > MAX_RANK:
         raise OutOfRangeParams(f"{d.canonical_name} has complex rank {rank}, above the cap MAX_RANK = {MAX_RANK}")
@@ -287,8 +319,11 @@ def _pq(groups) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+@lru_cache(maxsize=256)
 def parse_form_name(text: str) -> RealFormDescriptor:
-    """Parse a real-form name under the grammar in the module docstring."""
+    """Parse a real-form name under the grammar in the module docstring.
+
+    Kept per text in an LRU of 256; an error is never kept."""
     token = text.strip()
     if any(ch.isspace() for ch in token):
         raise FormNameError(f"form name {text!r} must not contain spaces")
@@ -391,7 +426,8 @@ def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
     n = rs.rank
     problems = _structural_failures(sd)
     if problems:
-        raise InconsistentDiagram(f"{sd.name}: " + "; ".join(problems))
+        failures = tuple(("structure.arrows", msg) for msg in problems)
+        raise InconsistentDiagram(f"{sd.name}: " + "; ".join(problems), failures)
 
     p_tilde = list(range(n))
     for i, j in sd.arrows:
@@ -585,11 +621,9 @@ def satake_involution(sd: SatakeDiagram) -> SatakeInvolution:
 def validate_satake(sd: SatakeDiagram) -> ValidationReport:
     """Run every structural and involution check, reporting all failures.
 
-    The involution checks are those `satake_involution` runs, so a sound
-    entry is checked once and its involution is cached for every later use."""
-    structural = [("structure.arrows", msg) for msg in _structural_failures(sd)]
-    if structural:
-        return ValidationReport(sd.name, tuple(structural))
+    The checks are those `satake_involution` runs, the structural ones
+    first, so a sound entry is checked once and its involution is cached for
+    every later use."""
     try:
         satake_involution(sd)
     except InconsistentDiagram as exc:

@@ -12,14 +12,15 @@ spanning tree.  The coefficient tuples are built here only, once per type:
 `RootSystem.positive_roots` decodes the keys and `RootSystem.roots` adds the
 negatives, for the `roots.*` checks.  `roots.spanning-tree` holds the tree to
 the keys, and `minwdd.dimension` reads the grading only along a tree that
-passed it.  That grading of the minimal orbit is computed once per type and
-kept (`_orbit_dim`, bounded like the other per-type caches), so each entry's
-`orbit.dim-monotone` reads it; the entry's own smallest meeting orbit is
-graded once, by its analysis.  The minimal diagram, the dual Coxeter number
-and the extended-diagram neighbours are read off the root system, which
-keeps each once computed (`RootSystem.min_wdd`, `.dual_coxeter` and
-`.extended_nodes`), so the `minwdd.*` checks and every entry's analysis
-share one value per type.
+passed it.  The minimal diagram, its orbit's dimension, the dual Coxeter
+number and the extended-diagram neighbours are read off the root system,
+which keeps each once computed (`RootSystem.min_wdd`, `.min_orbit_dim`,
+`.dual_coxeter` and `.extended_nodes`), so the `minwdd.*` checks, every
+entry's `orbit.dim-monotone` and every entry's analysis share one value per
+type; an analysis whose minimal diagram was assigned is graded on that
+diagram.  The entry's own smallest meeting orbit is graded once, by its
+analysis.  An entry check given a bare diagram reads the analysis the
+diagram keeps (`SatakeDiagram._analysis`), so the three checks share it.
 
 The searches over pairs of roots, `roots.highest-unique`,
 `restricted.simple-two-routes` and `restricted.highest-nonextendable`, and
@@ -49,15 +50,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd
 from operator import mul, ne, neg
 
 from .errors import LieOrbitsError
-from .orbits import FormAnalysis, _shared_analysis, in_five_families, ratio_text, wdd_matches_satake
+from .orbits import FormAnalysis, in_five_families, ratio_text, wdd_matches_satake
 from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms
-from .rootsys import ROOT_COUNT_FORMULAS, RootSystem, WeightedDynkinDiagram, build_root_system, orbit_dim_from_wdd
+from .rootsys import ROOT_COUNT_FORMULAS, RootSystem, build_root_system, orbit_dim_from_wdd
 from .satake import RealFormDescriptor, SatakeDiagram, catalog, validate_satake
 
 EXCEPTIONAL_REAL_RANK = {
@@ -136,18 +136,9 @@ class VerificationResult(namedtuple("VerificationResult", "entries checks_run fa
 
 
 def _analysis(entry: SatakeDiagram | FormAnalysis) -> FormAnalysis:
-    """The analysis an entry check reads: the one given, or the diagram's
-    shared one, so the three checks of a bare diagram share it."""
-    return entry if isinstance(entry, FormAnalysis) else _shared_analysis(entry)
-
-
-# bounded like the other per-type caches: 256 is about the number of simple types up to rank 64
-@lru_cache(maxsize=256)
-def _orbit_dim(rs: RootSystem, wdd: WeightedDynkinDiagram) -> int:
-    """`orbit_dim_from_wdd`, kept per (type, diagram): the minimal orbit's
-    dimension is graded once per type, by `check_root_system`, and read by
-    every entry's `orbit.dim-monotone`."""
-    return orbit_dim_from_wdd(rs, wdd)
+    """The analysis an entry check reads: the one given, or the one the
+    diagram keeps, so the three checks of a bare diagram share it."""
+    return entry if isinstance(entry, FormAnalysis) else entry._analysis
 
 
 def check_root_system(rs: RootSystem) -> list[Failure]:
@@ -195,7 +186,7 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
     # grading; the grading is carried along the spanning tree, so only a tree
     # that passed roots.spanning-tree grades
     if problem is None:
-        dim = _orbit_dim(rs, wdd)
+        dim = rs.min_orbit_dim
         if dim != 2 * rs.dual_coxeter - 2:
             message = f"dim {dim} != 2h^v-2 = {2 * rs.dual_coxeter - 2}"
             failures.append(Failure(name, "minwdd.dimension", message))
@@ -405,7 +396,9 @@ def check_orbit_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
     if (count == 2) != sd.hermitian_expected:
         failures.append(Failure(name, "orbit.count-hermitian", f"count {count} vs hermitian {sd.hermitian_expected}"))
 
-    min_dim = _orbit_dim(sd.rs, analysis.min_wdd)
+    # graded once per type, unless the analysis was given a minimal diagram of its own
+    min_wdd = analysis.min_wdd
+    min_dim = sd.rs.min_orbit_dim if min_wdd is sd.rs.min_wdd else orbit_dim_from_wdd(sd.rs, min_wdd)
     g_dim = analysis.min_g_dim
     meets = analysis.min_meets
     if g_dim < min_dim or (g_dim == min_dim) != meets:

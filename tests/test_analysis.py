@@ -80,10 +80,12 @@ def test_orbit_layer_computed_once_per_entry_under_verify(monkeypatch):
     }
 
 
-def test_run_verification_leaves_the_analysis_cache_empty():
+def test_run_verification_keeps_no_analysis_on_any_catalog_diagram():
     # a sweep visits each entry once, so it keeps none of its analyses
     assert run_verification(max_rank=8).ok
-    assert orbits._shared_analysis.cache_info().currsize == 0
+    entries = catalog(8)
+    assert all(map(is_, entries, catalog(8)))
+    assert [sd.name for sd in entries if "_analysis" in vars(sd)] == []
 
 
 def test_entry_checks_on_bare_diagrams_share_one_analysis_per_entry(monkeypatch):
@@ -124,7 +126,8 @@ def test_each_layer_built_once_per_diagram_across_repeated_reports(monkeypatch):
     passes = [[orbit_report(sd) for sd in entries] for _ in range(3)]
     for reports in passes[1:]:
         assert all(map(is_, reports, passes[0]))
-    assert orbits._shared_analysis.cache_info()[:2] == (2 * n, n)
+    # each diagram keeps the one analysis its three reports read
+    assert all(sd._analysis.report is report for sd, report in zip(entries, passes[0]))
     assert satake.satake_involution.cache_info().misses == n
     assert restricted.restricted_root_system.cache_info().misses == n
     per_type = {sd.rs.simple_type.name: 1 for sd in entries}
@@ -194,7 +197,6 @@ def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
     # entry, and each positive key of a root system once per type
     rootsys._build_cached.cache_clear()
     restricted.restricted_root_system.cache_clear()
-    verify._orbit_dim.cache_clear()
     # the closure reads each highest root off its key, before the sweep
     entries = catalog(8)
     graded: Counter = Counter()
@@ -262,19 +264,21 @@ def test_verify_computes_each_type_s_values_once_and_each_entry_s_reduced_roots_
 
 
 def test_the_kept_dimension_is_the_given_diagram_s():
-    # the per-type grading is kept per (type, diagram): a doctored minimal
-    # diagram is graded on its own, after the sound one was kept
-    verify._orbit_dim.cache_clear()
+    # the minimal orbit's dimension is kept on the root system, once per type:
+    # a doctored minimal diagram is graded on its own, after the sound one was kept
+    rootsys._build_cached.cache_clear()
     sd = form("sl(4,R)")
+    assert "min_orbit_dim" not in vars(sd.rs)
     assert verify.check_orbit_entry(FormAnalysis(sd)) == []
+    assert sd.rs.min_orbit_dim == rootsys.orbit_dim_from_wdd(sd.rs, sd.rs.min_wdd) == 6
     doctored = FormAnalysis(sd)
     doctored.min_wdd = rootsys.WeightedDynkinDiagram(sd.rs.simple_type, (1, 1, 1))
     dim = rootsys.orbit_dim_from_wdd(sd.rs, doctored.min_wdd)
     assert dim > doctored.min_g_dim == 6
     message = f"dim 6 vs minimal dim {dim}, meets=True"
     assert verify.Failure(sd.name, "orbit.dim-monotone", message) in verify.check_orbit_entry(doctored)
-    info = verify._orbit_dim.cache_info()
-    assert (info.maxsize, info.currsize) == (256, 2)
+    # the doctored grading is not kept in place of the type's
+    assert sd.rs.min_orbit_dim == 6
 
 
 def test_weights_outside_zero_one_two_fail_the_construction():
@@ -286,19 +290,26 @@ def test_weights_outside_zero_one_two_fail_the_construction():
     assert "outside {0,1,2}" in failures[0].message
 
 
-def test_the_analysis_cache_keeps_the_256_most_recently_used_diagrams():
-    shared = orbits._shared_analysis
-    entries = catalog(12)[:257]
-    analyses = [shared(sd) for sd in entries[:256]]
-    # a hit makes the first diagram the most recently used, so the 257th
-    # diagram pushes out the second
-    assert shared(entries[0]) is analyses[0]
-    shared(entries[256])
-    info = shared.cache_info()
+def test_the_diagram_cache_keeps_the_256_most_recently_used_descriptors():
+    descriptors = [sd.descriptor for sd in catalog(12)[:257]]
+    satake._cached_satake.cache_clear()
+    diagrams = [build_satake(d) for d in descriptors[:256]]
+    reports = [orbit_report(sd) for sd in diagrams]
+    # a hit makes the first descriptor the most recently used, so the 257th
+    # descriptor pushes out the second
+    assert build_satake(descriptors[0]) is diagrams[0]
+    build_satake(descriptors[256])
+    info = satake._cached_satake.cache_info()
     assert (info.maxsize, info.currsize) == (256, 256)
-    assert shared(entries[0]) is analyses[0]
-    assert shared(entries[2]) is analyses[2]
-    assert shared(entries[1]) is not analyses[1]
+    assert build_satake(descriptors[0]) is diagrams[0]
+    assert build_satake(descriptors[2]) is diagrams[2]
+    assert build_satake(descriptors[0])._analysis.report is reports[0]
+    # the evicted descriptor is built again, a new diagram with a fresh analysis
+    rebuilt = build_satake(descriptors[1])
+    assert rebuilt is not diagrams[1] and rebuilt == diagrams[1]
+    assert "_analysis" not in vars(rebuilt)
+    assert rebuilt._analysis is not diagrams[1]._analysis
+    assert orbit_report(rebuilt) is not reports[1] and orbit_report(rebuilt) == reports[1]
 
 
 def test_a_doctored_diagram_raises_the_same_error_on_every_call():

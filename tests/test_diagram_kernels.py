@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import pytest
 from test_column_kernels import doctored_involutions, mutations, ref_involution_failures
 
-from lieorbits import orbits, restricted, rootsys, satake
+from lieorbits import restricted, rootsys, satake
 from lieorbits.errors import InconsistentDiagram, LieOrbitsError, UnrecognizedSystem
 from lieorbits.orbits import FormAnalysis, orbit_report
 from lieorbits.ratmat import matrix_rank
@@ -360,7 +360,7 @@ def test_describe_decodes_no_positive_root():
     rootsys._build_cached.cache_clear()
     satake.satake_involution.cache_clear()
     restricted_root_system.cache_clear()
-    orbits._shared_analysis.cache_clear()
+    satake._cached_satake.cache_clear()
     for name in ("e8(-24)", "sl(25,R)", "sp(64,R)"):
         sd = form(name)
         orbit_report(sd)

@@ -20,7 +20,7 @@ from operator import add, neg
 import pytest
 from test_diagram_kernels import candidate_types
 
-from lieorbits import orbits, rootsys, satake
+from lieorbits import rootsys, satake
 from lieorbits.orbits import orbit_report
 from lieorbits.restricted import restricted_root_system
 from lieorbits.rootsys import RootSystem, build_root_system
@@ -77,7 +77,7 @@ def test_describe_builds_no_negative_half():
     rootsys._build_cached.cache_clear()
     satake.satake_involution.cache_clear()
     restricted_root_system.cache_clear()
-    orbits._shared_analysis.cache_clear()
+    satake._cached_satake.cache_clear()
     for name in ("e8(-24)", "sl(25,R)", "sp(64,R)"):
         sd = form(name)
         orbit_report(sd)
@@ -91,7 +91,7 @@ def count_decodes(monkeypatch):
     rootsys._build_cached.cache_clear()
     satake.satake_involution.cache_clear()
     restricted_root_system.cache_clear()
-    orbits._shared_analysis.cache_clear()
+    satake._cached_satake.cache_clear()
     decoded = []
     unpack = RootSystem.unpack
 

@@ -8,6 +8,7 @@ from lieorbits import satake
 from lieorbits.errors import FormNameError, InconsistentDiagram, OutOfRangeParams
 from lieorbits.satake import (
     MAX_RANK,
+    RealFormDescriptor,
     SatakeInvolution,
     build_satake,
     catalog,
@@ -308,3 +309,86 @@ def test_rank_cap_fails_fast():
     assert satake.complex_rank(parse_form_name("sl(66,R)")) == MAX_RANK + 1
     with pytest.raises(OutOfRangeParams, match="MAX_RANK"):
         build_satake(parse_form_name("sl(66,R)"))
+
+
+# --- names and diagrams are cached; an error never is -----------------------
+
+
+def test_equal_descriptors_give_the_same_diagram():
+    sd = form("E8(-24)")
+    assert form(" e8(-24) ") is sd
+    assert build_satake(RealFormDescriptor("e8_m24", ())) is sd
+    # (p,q) normalizes to p <= q before the diagram cache is read
+    assert form("SU(5,2)") is form("su(2,5)") is build_satake(RealFormDescriptor("su_pq", (2, 5)))
+    # each spelling is parsed once
+    assert parse_form_name("E8(-24)") is parse_form_name("E8(-24)")
+    info = parse_form_name.cache_info()
+    assert (info.hits, info.misses) == (2, 4)
+
+
+@pytest.mark.parametrize("params", [(True, 2), (1.0, 2), (1, 2.0)], ids=["bool", "float", "second-float"])
+def test_a_parameter_that_is_not_an_int_is_refused(params):
+    # True and 1.0 hash as 1 does: without the check su(True,2) would be
+    # served su(1,2)'s diagram
+    sound = form("su(1,2)")
+    for _ in range(2):
+        with pytest.raises(OutOfRangeParams, match="must be ints"):
+            build_satake(RealFormDescriptor("su_pq", params))
+    assert build_satake(RealFormDescriptor("su_pq", (1, 2))) is sound
+    assert satake._cached_satake.cache_info().currsize == 1
+
+
+def test_a_refused_input_is_refused_again_and_never_kept():
+    cases = [
+        (parse_form_name, "sl(3)", FormNameError),
+        (parse_form_name, "su*(5)", OutOfRangeParams),
+        (build_satake, RealFormDescriptor("su_pq", (3, 2)), OutOfRangeParams),
+        (build_satake, RealFormDescriptor("sl_R", (66,)), OutOfRangeParams),
+    ]
+    for call, arg, error in cases:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                call(arg)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1], arg
+    assert parse_form_name.cache_info().currsize == satake._cached_satake.cache_info().currsize == 0
+
+
+def test_an_evicted_name_is_parsed_again_to_an_equal_descriptor():
+    first = parse_form_name("sl(3,R)")
+    # 256 other names push it out; the parser reads no rank cap
+    for n in range(4, 260):
+        parse_form_name(f"sl({n},R)")
+    info = parse_form_name.cache_info()
+    assert (info.maxsize, info.currsize) == (256, 256)
+    again = parse_form_name("sl(3,R)")
+    assert again is not first and again == first
+    assert form("sl(3,R)") is build_satake(first)
+
+
+# --- the structural checks run once, inside the involution's build ---------
+
+
+def test_a_structural_failure_is_raised_with_its_named_failures():
+    bad = form("su(2,3)")._replace(black=frozenset({0}))
+    with pytest.raises(InconsistentDiagram) as exc:
+        satake_involution(bad)
+    assert str(exc.value) == "su(2,3): arrow (0,3) touches a black node"
+    assert exc.value.failures == (("structure.arrows", "arrow (0,3) touches a black node"),)
+    assert validate_satake(bad).failures == exc.value.failures
+
+
+def test_structural_checks_run_once_per_entry(monkeypatch):
+    checked = Counter()
+    original = satake._structural_failures
+
+    def counting(sd):
+        checked[sd.name] += 1
+        return original(sd)
+
+    monkeypatch.setattr(satake, "_structural_failures", counting)
+    satake_involution.cache_clear()
+    assert run_verification(max_rank=5).ok
+    assert sorted(checked) == sorted(sd.name for sd in catalog(5))
+    assert set(checked.values()) == {1}
