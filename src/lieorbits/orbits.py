@@ -14,11 +14,17 @@ read one shared analysis per diagram, kept on the diagram
 (`SatakeDiagram._analysis`).  `build_satake` gives equal descriptors the
 same diagram and `parse_form_name` keeps each name's descriptor, so a
 repeated report from a name is two cache hits and an attribute read.
-`run_verification` builds one analysis per entry and keeps none, since a
-sweep visits each entry once.  `min_g_wdd_direct`,
-`min_g_wdd_linear_system` and `equivalence_conditions` each build a fresh
-analysis, so they recompute independently of the shared one.  Each
-diagram weight is an integer numerator divided by its denominator once a
+`run_verification` builds one analysis per entry and keeps it on no
+diagram, since a sweep visits each entry once; the involution and the
+restriction it reads still come from the `satake_involution` and
+`restricted_root_system` LRUs, which keep the last 256 diagrams' layers.
+`min_g_wdd_direct`, `min_g_wdd_linear_system` and `equivalence_conditions`
+each build a fresh analysis, whose involution and restriction come from
+those same LRUs, so only the orbit-layer values are recomputed apart from
+the shared analysis.  `catalog(12)` has 281 entries and larger catalogs
+more, past the 256 slots of each LRU, so a repeated sweep of rank 12 or
+more rebuilds every diagram, involution and restriction.  Each diagram
+weight is an integer numerator divided by its denominator once a
 divisibility test passes, so the report path builds no `Fraction`.
 """
 
@@ -32,7 +38,7 @@ from operator import mul, sub
 from .errors import InconsistentDiagram, InvalidReport, NonIntegralWeights, TypeMismatch
 from .ratmat import int_solve
 from .restricted import RestrictedRootSystem, is_hermitian, parity_criterion, restricted_root_system
-from .rootsys import SimpleType, WeightedDynkinDiagram, orbit_dim_from_wdd
+from .rootsys import SimpleType, WeightedDynkinDiagram, cached, orbit_dim_from_wdd
 from .satake import RealFormDescriptor, SatakeDiagram, SatakeInvolution, build_satake, parse_form_name, satake_involution
 
 CONDITION_FIELDS = ("c_i", "c_ii", "c_iv", "c_v", "c_vi", "c_vii", "c_xii")
@@ -107,21 +113,6 @@ def in_five_families(descriptor: RealFormDescriptor) -> bool:
     if descriptor.family in FIVE_FAMILIES:
         return True
     return descriptor.family == "so_pq" and descriptor.params[0] == 1
-
-
-class cached:
-    """`functools.cached_property` without its lock: the first read stores the
-    value in the instance `__dict__`, which later reads (and assignments,
-    since there is no `__set__`) find first."""
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 class FormAnalysis:

@@ -52,12 +52,12 @@ sum or difference carries, and sorted they follow the coordinate order.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add, mul, neg, sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
-from .rootsys import RootSystem, read_cartan_type, simple_coord
+from .rootsys import RootSystem, cached, read_cartan_type, simple_coord
 from .satake import SatakeDiagram, satake_involution
 
 IntVector = tuple[int, ...]
@@ -105,7 +105,7 @@ class RestrictedRootSystem(
 
     __hash__ = object.__hash__
 
-    @cached_property
+    @cached
     def counts(self) -> dict[IntVector, int]:
         """`keys` decoded, in key order: each positive doubled root and its
         multiplicity, sorted, since the keys' digits are its coordinates."""
@@ -124,13 +124,13 @@ class RestrictedRootSystem(
     def doubled_positives(self) -> tuple[IntVector, ...]:
         return tuple(self.counts)
 
-    @cached_property
+    @cached
     def reduced_simple(self) -> list[IntVector]:
         """The reduced system's simple roots, doubled (`reduced_simple`),
         read off the fields; the construction keeps the list it classified."""
         return reduced_simple(self.source.rs, self.keys, self.doubled_simple)
 
-    @cached_property
+    @cached
     def elements(self) -> tuple[tuple, ...]:
         """The restricted roots r(alpha) as `Fraction` vectors, sorted."""
         from fractions import Fraction

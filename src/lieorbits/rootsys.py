@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, getitem, itemgetter, lshift, mul, neg
 
@@ -75,6 +75,22 @@ class Validated:
     @classmethod
     def _make(cls, fields):
         return cls(*fields)
+
+
+class cached:
+    """A kept view: the first read stores the value in the instance
+    `__dict__`, which later reads (and assignments, since there is no
+    `__set__`) find first.  It takes no lock, where the standard library's
+    kept property locks on first read before Python 3.12."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class SimpleType(Validated, namedtuple("SimpleType", "letter rank")):
@@ -163,7 +179,7 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
     def rank(self) -> int:
         return self.simple_type.rank
 
-    @cached_property
+    @cached
     def simple_keys(self) -> tuple[int, ...]:
         """The packed simple roots a_i = 256^(n-1-i)."""
         return tuple(1 << 8 * i for i in reversed(range(self.rank)))
@@ -183,12 +199,12 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         """The coefficients of a nonnegative key whose digits are below 256."""
         return tuple(key.to_bytes(self.rank, "big"))
 
-    @cached_property
+    @cached
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         """The positive roots as coefficient tuples, decoded from `positive_keys`."""
         return tuple(map(self.unpack, self.positive_keys))
 
-    @cached_property
+    @cached
     def roots(self) -> tuple[tuple[int, ...], ...]:
         """Every root: the positive ones, then their negatives in the same order."""
         return self.positive_roots + tuple(map(tuple, map(map, repeat(neg), self.positive_roots)))
@@ -197,7 +213,7 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
     # otherwise, by `_replace` say, reads its type's, and verify's
     # roots.spanning-tree check holds it to the keys.
 
-    @cached_property
+    @cached
     def spanning_tree(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """One (parents, nodes) pair per height: the k-th positive root of a
         height is positive root parents[k] (or 0, for -1) plus a_{nodes[k]}."""
@@ -218,18 +234,18 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         # lookup keyed on a diagram would cost more than the lookup saves
         return hash(self.simple_type)
 
-    @cached_property
+    @cached
     def gram_scale(self) -> int:
         """The least common denominator of the d_j, so scaled_gram is integral."""
         return max(_lengths(self.simple_type))
 
-    @cached_property
+    @cached
     def scaled_gram(self) -> IntRows:
         """gram_scale * <a_i, a_j> = C[i][j] * (gram_scale * d_j), as rows."""
         scaled = _lengths(self.simple_type)
         return tuple(tuple(map(mul, row, scaled)) for row in self.cartan)
 
-    @cached_property
+    @cached
     def gram_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero (column, entry) pairs of each scaled Gram row, at most four."""
         return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.scaled_gram)
@@ -244,7 +260,7 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
                 total += a * sum(g * w[j] for j, g in rows[i])
         return total
 
-    @cached_property
+    @cached
     def norm_form(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
         """(d, c, branches) with gram_scale * <v, v> = sum_i d_i v_i^2 +
         sum_i c_i v_i v_(i+1) + sum g v_i v_j over (i, j, g) in branches:
@@ -256,7 +272,7 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         branches = tuple((i, j, 2 * x) for i in range(n) for j, x in self.gram_support[i] if j > i + 1)
         return tuple(map(getitem, g, range(n))), chain, branches
 
-    @cached_property
+    @cached
     def highest_pairings(self) -> tuple[int, ...]:
         """gram_scale * <a_i, phi> for every node i, read on every report."""
         return self.simple_pairings(self.highest)
@@ -264,22 +280,22 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
     # kept, as `highest_pairings` is, and computed once per system by the
     # module function each docstring names
 
-    @cached_property
+    @cached
     def min_wdd(self) -> WeightedDynkinDiagram:
         """The minimal orbit's weighted diagram (`min_orbit_wdd`)."""
         return min_orbit_wdd(self)
 
-    @cached_property
+    @cached
     def min_orbit_dim(self) -> int:
         """The minimal orbit's dimension (`orbit_dim_from_wdd` of `min_wdd`)."""
         return orbit_dim_from_wdd(self, self.min_wdd)
 
-    @cached_property
+    @cached
     def dual_coxeter(self) -> int:
         """The dual Coxeter number (`dual_coxeter_number`)."""
         return dual_coxeter_number(self)
 
-    @cached_property
+    @cached
     def extended_nodes(self) -> frozenset[int]:
         """The nodes next to the extended diagram's added node (`extended_neighbors`)."""
         return extended_neighbors(self)

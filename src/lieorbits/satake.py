@@ -1,11 +1,18 @@
 """Satake diagrams of the non-compact real simple Lie algebras without
 complex structure, and the exact involutions they induce on the root lattice.
 
-The catalog is transcribed per family from the standard classification as
-parametrized patterns, never per instance; every entry is machine-checked
-against the involution invariants, so a mis-transcribed pattern surfaces as
-a named diagnostic rather than silently wrong output.  Complex ranks above
-MAX_RANK are refused before any root system is built.
+The families are read off two tables.  `CLASSICAL_FAMILIES` has one row
+per classical family: its name, `{}` where each parameter prints, its
+complex rank as a formula in the parameters, and whether its one parameter
+prints doubled (su*(2k), so*(2n)).  `EXCEPTIONAL_FAMILIES` has one row per
+exceptional form: its name and its whole Satake diagram.  The canonical
+name, the complex rank, the name grammar and the catalog's rank bound all
+read them.  The classical diagrams stay code: each family's pattern and
+its parameter bounds, in `_cached_satake` and `_build_so`, transcribed
+from the standard classification, never per instance.  Every entry is
+machine-checked against the involution invariants, so a mis-transcribed
+pattern surfaces as a named diagnostic rather than silently wrong output.
+Complex ranks above MAX_RANK are refused before any root system is built.
 
 The involution theta* = -w0 p~ is stored as integer columns.  w0, the
 longest element of the black Weyl group, is read off the closure: on a
@@ -36,6 +43,18 @@ case-insensitively, no spaces):
     sl(<n>,R)  su*(<2k>)  su(<p>,<q>)  so(<p>,<q>)  so*(<2n>)  sp(<n>,R)
     sp(<p>,<q>)  g2(2)  f4(4)  f4(-20)  e6(6)  e6(2)  e6(-14)  e6(-26)
     e7(7)  e7(-5)  e7(-25)  e8(8)  e8(-24)
+
+An exceptional name is looked up whole.  A classical one is read as the
+text between its digit runs, which picks the family's row, and the runs,
+which are the parameters: su*(m) and so*(m) need an even m, and (p,q) is
+sorted to p <= q.
+
+A catalog of rank r lists every descriptor whose complex rank is at most
+r, each family from its least parameters, and builds only those.  Past
+r = 11 it holds more entries than the 256 slots of each LRU it feeds (281
+at 12, 469 at 16), and it builds them in one fixed order, so a repeated
+catalog or verify sweep of rank 12 or more in one process rebuilds every
+diagram.
 """
 
 from __future__ import annotations
@@ -43,7 +62,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress, count
 from operator import getitem, itemgetter, neg, not_, sub
 
@@ -53,6 +72,7 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     build_root_system,
+    cached,
     duality_permutation,
     read_cartan_type,
     simple_coord,
@@ -67,22 +87,45 @@ IntVector = tuple[int, ...]
 # rank fails fast with OutOfRangeParams instead of growing without bound.
 MAX_RANK = 64
 
-EXCEPTIONAL_RANK = {"g2": 2, "f4": 4, "e6": 6, "e7": 7, "e8": 8}
+
+# One row per classical family: its name, with `{}` where each parameter
+# prints; its complex rank, read off the parameters; and whether its one
+# parameter prints doubled, as su*(2k) and so*(2n) do.
+ClassicalFamily = namedtuple("ClassicalFamily", "name rank doubled")
+
+# One row per exceptional real form: its name and its Satake diagram, the
+# type, the black nodes and the arrows, and the reference Hermitian flag.
+ExceptionalFamily = namedtuple("ExceptionalFamily", "name letter rank black arrows hermitian")
+
+CLASSICAL_FAMILIES = {
+    "sl_R": ClassicalFamily("sl({},R)", lambda p: p[0] - 1, False),
+    "su_star": ClassicalFamily("su*({})", lambda p: 2 * p[0] - 1, True),
+    "su_pq": ClassicalFamily("su({},{})", lambda p: p[0] + p[1] - 1, False),
+    "so_pq": ClassicalFamily("so({},{})", lambda p: (p[0] + p[1]) // 2, False),
+    "sp_R": ClassicalFamily("sp({},R)", lambda p: p[0], False),
+    "sp_pq": ClassicalFamily("sp({},{})", lambda p: p[0] + p[1], False),
+    "so_star": ClassicalFamily("so*({})", lambda p: p[0], True),
+}
 
 EXCEPTIONAL_FAMILIES = {
-    "g2_2": "g2(2)",
-    "f4_4": "f4(4)",
-    "f4_m20": "f4(-20)",
-    "e6_6": "e6(6)",
-    "e6_2": "e6(2)",
-    "e6_m14": "e6(-14)",
-    "e6_m26": "e6(-26)",
-    "e7_7": "e7(7)",
-    "e7_m5": "e7(-5)",
-    "e7_m25": "e7(-25)",
-    "e8_8": "e8(8)",
-    "e8_m24": "e8(-24)",
+    "g2_2": ExceptionalFamily("g2(2)", "G", 2, (), (), False),
+    "f4_4": ExceptionalFamily("f4(4)", "F", 4, (), (), False),
+    "f4_m20": ExceptionalFamily("f4(-20)", "F", 4, (0, 1, 2), (), False),
+    "e6_6": ExceptionalFamily("e6(6)", "E", 6, (), (), False),
+    "e6_2": ExceptionalFamily("e6(2)", "E", 6, (), ((0, 5), (2, 4)), False),
+    "e6_m14": ExceptionalFamily("e6(-14)", "E", 6, (2, 3, 4), ((0, 5),), True),
+    "e6_m26": ExceptionalFamily("e6(-26)", "E", 6, (1, 2, 3, 4), (), False),
+    "e7_7": ExceptionalFamily("e7(7)", "E", 7, (), (), False),
+    "e7_m5": ExceptionalFamily("e7(-5)", "E", 7, (1, 4, 6), (), False),
+    "e7_m25": ExceptionalFamily("e7(-25)", "E", 7, (1, 2, 3, 4), (), True),
+    "e8_8": ExceptionalFamily("e8(8)", "E", 8, (), (), False),
+    "e8_m24": ExceptionalFamily("e8(-24)", "E", 8, (1, 2, 3, 4), (), False),
 }
+
+# family -> (the name's bound `str.format`, doubled): the one lookup of
+# `canonical_name`, which every report reads
+_NAMES = {f: (row.name.format, row.doubled) for f, row in CLASSICAL_FAMILIES.items()}
+_NAMES.update((f, (row.name.format, False)) for f, row in EXCEPTIONAL_FAMILIES.items())
 
 
 class RealFormDescriptor(namedtuple("RealFormDescriptor", "family params")):
@@ -92,22 +135,9 @@ class RealFormDescriptor(namedtuple("RealFormDescriptor", "family params")):
 
     @property
     def canonical_name(self) -> str:
-        f, p = self.family, self.params
-        if f == "sl_R":
-            return f"sl({p[0]},R)"
-        if f == "su_star":
-            return f"su*({2 * p[0]})"
-        if f == "su_pq":
-            return f"su({p[0]},{p[1]})"
-        if f == "so_pq":
-            return f"so({p[0]},{p[1]})"
-        if f == "sp_R":
-            return f"sp({p[0]},R)"
-        if f == "sp_pq":
-            return f"sp({p[0]},{p[1]})"
-        if f == "so_star":
-            return f"so*({2 * p[0]})"
-        return EXCEPTIONAL_FAMILIES[f]
+        family, params = self
+        name, doubled = _NAMES[family]
+        return name(2 * params[0]) if doubled else name(*params)
 
 
 class SatakeDiagram(namedtuple("SatakeDiagram", "descriptor rs black arrows hermitian_expected")):
@@ -121,11 +151,11 @@ class SatakeDiagram(namedtuple("SatakeDiagram", "descriptor rs black arrows herm
     def name(self) -> str:
         return self.descriptor.canonical_name
 
-    @cached_property
+    @cached
     def white(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.rs.rank) if i not in self.black)
 
-    @cached_property
+    @cached
     def _analysis(self):
         """The one `FormAnalysis` of this diagram that `orbit_report` and the
         `verify` entry checks given a bare diagram read.
@@ -147,7 +177,7 @@ class SatakeInvolution(namedtuple("SatakeInvolution", "columns p_tilde")):
     `tau_columns` and `tau_image` give tau* = -theta* on integer vectors.
     """
 
-    @cached_property
+    @cached
     def tau_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries (i, x) of each column of tau*."""
         nodes = range(len(self.columns))
@@ -179,21 +209,11 @@ def _check(cond: bool, message: str):
 
 def complex_rank(d: RealFormDescriptor) -> int:
     """Rank of the complexification, read off the family parameters alone."""
-    f, p = d.family, d.params
-    if f == "sl_R":
-        return p[0] - 1
-    if f == "su_star":
-        return 2 * p[0] - 1
-    if f == "su_pq":
-        return p[0] + p[1] - 1
-    if f == "so_pq":
-        return (p[0] + p[1]) // 2
-    if f in ("sp_R", "so_star"):
-        return p[0]
-    if f == "sp_pq":
-        return p[0] + p[1]
+    f = d.family
+    if f in CLASSICAL_FAMILIES:
+        return CLASSICAL_FAMILIES[f].rank(d.params)
     if f in EXCEPTIONAL_FAMILIES:
-        return EXCEPTIONAL_RANK[f.split("_")[0]]
+        return EXCEPTIONAL_FAMILIES[f].rank
     raise FormNameError(f"unknown real-form family {f!r}")
 
 
@@ -255,21 +275,7 @@ def _cached_satake(d: RealFormDescriptor) -> SatakeDiagram:
         if n % 2 == 0:
             return _diagram(d, "D", n, range(0, n, 2), (), hermitian=True)
         return _diagram(d, "D", n, range(0, n - 2, 2), ((n - 2, n - 1),), hermitian=True)
-    letter, rank, black, arrows, hermitian = {
-        "g2_2": ("G", 2, (), (), False),
-        "f4_4": ("F", 4, (), (), False),
-        "f4_m20": ("F", 4, (0, 1, 2), (), False),
-        "e6_6": ("E", 6, (), (), False),
-        "e6_2": ("E", 6, (), ((0, 5), (2, 4)), False),
-        "e6_m14": ("E", 6, (2, 3, 4), ((0, 5),), True),
-        "e6_m26": ("E", 6, (1, 2, 3, 4), (), False),
-        "e7_7": ("E", 7, (), (), False),
-        "e7_m5": ("E", 7, (1, 4, 6), (), False),
-        "e7_m25": ("E", 7, (1, 2, 3, 4), (), True),
-        "e8_8": ("E", 8, (), (), False),
-        "e8_m24": ("E", 8, (1, 2, 3, 4), (), False),
-    }[f]
-    return _diagram(d, letter, rank, black, arrows, hermitian)
+    return _diagram(d, *EXCEPTIONAL_FAMILIES[f][1:])
 
 
 def _build_so(d: RealFormDescriptor) -> SatakeDiagram:
@@ -296,27 +302,16 @@ def _build_so(d: RealFormDescriptor) -> SatakeDiagram:
     return _diagram(d, "D", m, range(p_, m), (), hermitian)
 
 
-_NAME_PATTERNS = [
-    (re.compile(r"^sl\((\d+),r\)$"), lambda g: RealFormDescriptor("sl_R", (int(g[0]),))),
-    (re.compile(r"^su\*\((\d+)\)$"), "su_star"),
-    (re.compile(r"^su\((\d+),(\d+)\)$"), lambda g: RealFormDescriptor("su_pq", _pq(g))),
-    (re.compile(r"^so\((\d+),(\d+)\)$"), lambda g: RealFormDescriptor("so_pq", _pq(g))),
-    (re.compile(r"^so\*\((\d+)\)$"), "so_star"),
-    (re.compile(r"^sp\((\d+),r\)$"), lambda g: RealFormDescriptor("sp_R", (int(g[0]),))),
-    (re.compile(r"^sp\((\d+),(\d+)\)$"), lambda g: RealFormDescriptor("sp_pq", _pq(g))),
-]
-
-_EXCEPTIONAL_BY_NAME = {name: fam for fam, name in EXCEPTIONAL_FAMILIES.items()}
+# A name is read as the text between its digit runs, which picks the family,
+# and the runs, its parameters.
+_DIGITS = re.compile(r"(\d+)")
+_FAMILY_BY_TEXT = {tuple(row.name.lower().split("{}")): f for f, row in CLASSICAL_FAMILIES.items()}
+_EXCEPTIONAL_BY_NAME = {row.name: f for f, row in EXCEPTIONAL_FAMILIES.items()}
 
 # In every family a parameter above 2 * MAX_RANK + 1 gives a complex rank
 # above MAX_RANK, so a parameter with more digits than that is refused
 # before int() reads it (int() refuses more than 4300 digits).
 _MAX_PARAM_DIGITS = len(str(2 * MAX_RANK + 1))
-
-
-def _pq(groups) -> tuple[int, int]:
-    a, b = int(groups[0]), int(groups[1])
-    return (a, b) if a <= b else (b, a)
 
 
 @lru_cache(maxsize=256)
@@ -330,26 +325,22 @@ def parse_form_name(text: str) -> RealFormDescriptor:
     lowered = token.lower()
     if lowered in _EXCEPTIONAL_BY_NAME:
         return RealFormDescriptor(_EXCEPTIONAL_BY_NAME[lowered], ())
-    for pattern, make in _NAME_PATTERNS:
-        m = pattern.match(lowered)
-        if not m:
-            continue
-        groups = tuple(g.lstrip("0") or "0" for g in m.groups())
-        digits = max(map(len, groups))
-        if digits > _MAX_PARAM_DIGITS:
-            raise OutOfRangeParams(f"a {digits}-digit parameter puts the complex rank above the cap MAX_RANK = {MAX_RANK}")
-        if make == "su_star":
-            val = int(groups[0])
-            if val % 2 != 0:
-                raise OutOfRangeParams(f"su*(m) needs even m, got {val}")
-            return RealFormDescriptor("su_star", (val // 2,))
-        if make == "so_star":
-            val = int(groups[0])
-            if val % 2 != 0:
-                raise OutOfRangeParams(f"so*(m) needs even m, got {val}")
-            return RealFormDescriptor("so_star", (val // 2,))
-        return make(groups)
-    raise FormNameError(f"cannot parse real-form name {token!r}")
+    parts = _DIGITS.split(lowered)
+    family = _FAMILY_BY_TEXT.get(tuple(parts[::2]))
+    if family is None:
+        raise FormNameError(f"cannot parse real-form name {token!r}")
+    groups = [g.lstrip("0") or "0" for g in parts[1::2]]
+    digits = max(map(len, groups))
+    if digits > _MAX_PARAM_DIGITS:
+        raise OutOfRangeParams(f"a {digits}-digit parameter puts the complex rank above the cap MAX_RANK = {MAX_RANK}")
+    params = sorted(map(int, groups))
+    row = CLASSICAL_FAMILIES[family]
+    if row.doubled:
+        (m,) = params
+        if m % 2 != 0:
+            raise OutOfRangeParams(f"{row.name.format('m')} needs even m, got {m}")
+        params = [m // 2]
+    return RealFormDescriptor(family, tuple(params))
 
 
 def catalog(max_rank: int) -> list[SatakeDiagram]:
@@ -363,26 +354,20 @@ def catalog(max_rank: int) -> list[SatakeDiagram]:
         raise OutOfRangeParams(f"catalog needs max_rank >= 2, got {max_rank}")
     if max_rank > MAX_RANK:
         raise OutOfRangeParams(f"catalog needs max_rank <= MAX_RANK = {MAX_RANK}, got {max_rank}")
-    descriptors: list[RealFormDescriptor] = []
-    descriptors += [RealFormDescriptor("sl_R", (n,)) for n in range(2, max_rank + 2)]
-    descriptors += [RealFormDescriptor("su_star", (k,)) for k in range(2, (max_rank + 1) // 2 + 1)]
-    for total in range(2, max_rank + 2):
-        descriptors += [RealFormDescriptor("su_pq", (a, total - a)) for a in range(1, total // 2 + 1)]
-    for total in range(5, 2 * max_rank + 2):
-        if total % 2 == 0 and total != 6 and total // 2 > max_rank:
-            continue
-        if total % 2 == 1 and (total - 1) // 2 > max_rank:
-            continue
-        descriptors += [RealFormDescriptor("so_pq", (a, total - a)) for a in range(1, total // 2 + 1)]
-    descriptors += [RealFormDescriptor("sp_R", (n,)) for n in range(1, max_rank + 1)]
-    for total in range(2, max_rank + 1):
-        descriptors += [RealFormDescriptor("sp_pq", (a, total - a)) for a in range(1, total // 2 + 1)]
-    descriptors += [RealFormDescriptor("so_star", (n,)) for n in range(3, max_rank + 1)]
-    for fam in EXCEPTIONAL_FAMILIES:
-        if EXCEPTIONAL_RANK[fam.split("_")[0]] <= max_rank:
-            descriptors.append(RealFormDescriptor(fam, ()))
-    entries = [build_satake(d) for d in descriptors]
-    entries = [sd for sd in entries if sd.rs.rank <= max_rank]
+    # a complex rank of at most max_rank bounds every family's parameter, and
+    # the sum p + q of a two-parameter one, by 2 * max_rank + 1
+    top = 2 * max_rank + 2
+    singles = {"sl_R": 2, "su_star": 2, "sp_R": 1, "so_star": 3}  # the least parameter
+    pairs = {"su_pq": 2, "so_pq": 5, "sp_pq": 2}  # the least p + q
+    candidates = [RealFormDescriptor(f, (n,)) for f, least in singles.items() for n in range(least, top)]
+    candidates += [
+        RealFormDescriptor(f, (p, total - p))
+        for f, least in pairs.items()
+        for total in range(least, top)
+        for p in range(1, total // 2 + 1)
+    ]
+    candidates += [RealFormDescriptor(f, ()) for f in EXCEPTIONAL_FAMILIES]
+    entries = [build_satake(d) for d in candidates if complex_rank(d) <= max_rank]
     return sorted(entries, key=lambda sd: sd.name)
 
 

@@ -35,12 +35,30 @@ def test_parse_grammar_roundtrip():
     assert parse_form_name("SU*(4)").canonical_name == "su*(4)"
     assert parse_form_name("so(5,1)").canonical_name == "so(1,5)"
     assert parse_form_name("SP(3,R)").canonical_name == "sp(3,R)"
+    # every catalog name parses back, in capitals, to its descriptor, and the
+    # complex rank read off the parameters is the rank of the built diagram
+    entries = catalog(16)
+    assert len(entries) == 469
+    for sd in entries:
+        assert parse_form_name(sd.name.upper()) == sd.descriptor, sd.name
+        assert satake.complex_rank(sd.descriptor) == sd.rs.rank, sd.name
 
 
 def test_parse_rejects_garbage():
-    for bad in ["sl(3)", "so(2;3)", "su**(4)", "e9(9)", "sp()", "sl(3, R)", "frobnicate"]:
+    for bad in ["sl(3)", "so(2;3)", "su**(4)", "e9(9)", "sp()", "sl(3, R)", "frobnicate", "su(1,2,3)", "su(3,R)"]:
         with pytest.raises((FormNameError, OutOfRangeParams)):
             parse_form_name(bad)
+    messages = {
+        "su*(5)": (OutOfRangeParams, "su*(m) needs even m, got 5"),
+        "so*(5)": (OutOfRangeParams, "so*(m) needs even m, got 5"),
+        "su(1,2,3)": (FormNameError, "cannot parse real-form name 'su(1,2,3)'"),
+        "su(3,R)": (FormNameError, "cannot parse real-form name 'su(3,R)'"),
+        "sl({},R)": (FormNameError, "cannot parse real-form name 'sl({},R)'"),
+    }
+    for bad, (error, message) in messages.items():
+        with pytest.raises(error) as exc:
+            parse_form_name(bad)
+        assert str(exc.value) == message, bad
 
 
 def test_bounds_rejected():
@@ -305,10 +323,26 @@ def test_rank_cap_fails_fast():
         catalog(MAX_RANK + 1)
     # leading zeros are not significant digits
     assert parse_form_name(f"su({'0' * 5000}2,03)") == parse_form_name("su(2,3)")
-    assert satake.complex_rank(parse_form_name("sl(65,R)")) == MAX_RANK
-    assert satake.complex_rank(parse_form_name("sl(66,R)")) == MAX_RANK + 1
-    with pytest.raises(OutOfRangeParams, match="MAX_RANK"):
-        build_satake(parse_form_name("sl(66,R)"))
+    # per classical family, the largest complex rank up to the cap builds,
+    # to a diagram of that rank, and the next one is refused (su*(2k) has
+    # odd ranks only)
+    edges = [
+        (("sl_R", (65,)), ("sl_R", (66,))),
+        (("su_star", (32,)), ("su_star", (33,))),
+        (("su_pq", (32, 33)), ("su_pq", (33, 33))),
+        (("so_pq", (64, 65)), ("so_pq", (65, 65))),
+        (("sp_R", (64,)), ("sp_R", (65,))),
+        (("sp_pq", (32, 32)), ("sp_pq", (32, 33))),
+        (("so_star", (64,)), ("so_star", (65,))),
+    ]
+    for last, first_over in edges:
+        last, first_over = RealFormDescriptor(*last), RealFormDescriptor(*first_over)
+        assert satake.complex_rank(last) == build_satake(last).rs.rank == MAX_RANK - (last.family == "su_star"), last
+        assert satake.complex_rank(first_over) == MAX_RANK + 1, first_over
+        with pytest.raises(OutOfRangeParams, match="MAX_RANK"):
+            build_satake(first_over)
+        for d in (last, first_over):
+            assert parse_form_name(d.canonical_name.upper()) == d
 
 
 # --- names and diagrams are cached; an error never is -----------------------
