@@ -26,6 +26,11 @@ more, past the 256 slots of each LRU, so a repeated sweep of rank 12 or
 more rebuilds every diagram, involution and restriction.  Each diagram
 weight is an integer numerator divided by its denominator once a
 divisibility test passes, so the report path builds no `Fraction`.
+
+A report keeps the dict `report_to_dict` prints (`OrbitReport._printed`),
+built on first read, and each `report_to_dict` call returns a copy whose
+containers are all new, so a repeated report from a name is two cache hits,
+an attribute read and one shallow copy per container.
 """
 
 from __future__ import annotations
@@ -66,9 +71,35 @@ class OrbitReport(
         "descriptor min_wdd min_meets min_g_wdd min_g_dim g_lambda_dim minimal_real_orbit_count hermitian conditions",
     )
 ):
-    """Everything this package computes about one real form."""
+    """Everything this package computes about one real form.
 
-    __slots__ = ()
+    The dict `report_to_dict` prints is a view, built on first read and
+    kept; a report is immutable, so it cannot go stale, and a `_replace`
+    copy builds its own."""
+
+    @cached
+    def _printed(self) -> dict:
+        """The printed dict, shared by every `report_to_dict` call, which
+        copies it; private, since a change to it would reach every later
+        copy."""
+        data = {
+            "descriptor": self.descriptor.canonical_name,
+            "min_wdd": list(self.min_wdd.weights),
+            "min_meets": self.min_meets,
+            "min_g_wdd": list(self.min_g_wdd.weights),
+            "min_g_dim": self.min_g_dim,
+            "g_lambda_dim": self.g_lambda_dim,
+            "minimal_real_orbit_count": self.minimal_real_orbit_count,
+            "hermitian": self.hermitian,
+            "conditions": dict(zip(CONDITION_FIELDS, self.conditions)),
+        }
+        labels = _drawn_labels(self.min_g_wdd)
+        if labels is not None:
+            data["paper_labels"] = {
+                "min_wdd": _drawn_labels(self.min_wdd),
+                "min_g_wdd": labels,
+            }
+        return data
 
 
 class CorootSystemSolution(namedtuple("CorootSystemSolution", "wdd numerators denominator")):
@@ -318,23 +349,19 @@ def _drawn_labels(wdd: WeightedDynkinDiagram) -> dict[str, int] | None:
 
 
 def report_to_dict(report: OrbitReport) -> dict:
-    data = {
-        "descriptor": report.descriptor.canonical_name,
-        "min_wdd": list(report.min_wdd.weights),
-        "min_meets": report.min_meets,
-        "min_g_wdd": list(report.min_g_wdd.weights),
-        "min_g_dim": report.min_g_dim,
-        "g_lambda_dim": report.g_lambda_dim,
-        "minimal_real_orbit_count": report.minimal_real_orbit_count,
-        "hermitian": report.hermitian,
-        "conditions": dict(zip(CONDITION_FIELDS, report.conditions)),
-    }
-    labels = _drawn_labels(report.min_g_wdd)
+    """The report as the dict `describe --format json` prints.
+
+    The report keeps that dict (`OrbitReport._printed`), built on its first
+    call; each call returns a copy in which every container is new, the
+    weight lists, `conditions` and `paper_labels` with its two inner dicts
+    included, so a caller may change the result freely."""
+    data = report._printed.copy()
+    data["min_wdd"] = data["min_wdd"][:]
+    data["min_g_wdd"] = data["min_g_wdd"][:]
+    data["conditions"] = data["conditions"].copy()
+    labels = data.get("paper_labels")
     if labels is not None:
-        data["paper_labels"] = {
-            "min_wdd": _drawn_labels(report.min_wdd),
-            "min_g_wdd": labels,
-        }
+        data["paper_labels"] = {"min_wdd": labels["min_wdd"].copy(), "min_g_wdd": labels["min_g_wdd"].copy()}
     return data
 
 

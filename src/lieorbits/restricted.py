@@ -3,9 +3,11 @@
 Restricted roots stay in the ambient simple-root coordinates, inside the
 tau*-fixed subspace, and are stored doubled: 2 r(alpha) = alpha + tau* alpha
 is an integer vector, since tau* permutes the root lattice.  It is counted
-for every positive root at once, as packed ints carried along the closure's
-spanning tree from the packed columns of I + tau* (`RootSystem.carried`),
-and kept so, in the root system's own format (`RootSystem.pack`).
+for every positive root at once, as packed ints in the root system's own
+format (`RootSystem.pack`), and kept so: each root's key plus the key of
+its image, which the involution's checks carried along the closure's
+spanning tree and kept (`SatakeInvolution.root_images`), so this module
+carries nothing over the roots itself.
 Every quantity used is a ratio of inner products of the integer-scaled Gram
 form (`RootSystem.scaled_inner`), so the doubling and the scaling cancel;
 `elements` is the one `Fraction` view.
@@ -145,12 +147,10 @@ def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
     n = rs.rank
     inv = satake_involution(sd)
 
-    # the involution passed its checks, so tau* packs in base 256 (`satake.tau_keys`)
-    # and keeps the positive roots outside the black span positive: carried from
-    # the packed columns of I + tau*, each alpha + tau* alpha has digits 0..12
-    units = rs.simple_keys
-    columns = [units[j] + sum(x * units[i] for i, x in entries) for j, entries in enumerate(inv.tau_columns)]
-    keys = Counter(rs.carried(columns))
+    # the involution passed its checks, which kept tau* of every positive root
+    # packed in the system's format, and tau* keeps the positive roots outside
+    # the black span positive: each alpha + tau* alpha has digits 0..12
+    keys = Counter(map(add, rs.positive_keys, inv.root_images))
     keys.pop(0, None)
     if not keys:
         raise InconsistentDiagram(f"{sd.name}: every root restricts to zero (compact-form diagram)")

@@ -20,9 +20,9 @@ decodes the keys, and `roots` adds the negatives.
 The closure also keeps the spanning tree it reached the roots along
 (`RootSystem.spanning_tree`): each root's first parent and the node it
 stepped up by.  A linear map on every positive root is then one addition
-per root (`RootSystem.carried`); the involution checks and the restriction
-take tau* that way, and the orbit dimension takes a weighted diagram's
-grading.
+per root (`RootSystem.carried`); the involution checks take tau* that way,
+keeping the images for the restriction, and the orbit dimension takes a
+weighted diagram's grading.
 
 The type of a Cartan matrix is read off its Dynkin diagram, its chain,
 branch node and bond labels (`read_cartan_type`), and confirmed by

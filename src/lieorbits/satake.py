@@ -22,7 +22,10 @@ component's duality, so nothing is solved.  tau* = -theta* acts on one
 vector through `SatakeInvolution.tau_image`, and on every positive root at
 once through `tau_keys`, which packs each root and its image into one int,
 the images carried along the closure's spanning tree, one addition per
-root, and the root checks look those keys up.  The invariants run on the
+root, and the root checks look those keys up.  This module is the one
+that carries tau* over the roots, once per entry: an involution that
+passes its checks keeps the images (`SatakeInvolution.root_images`), and
+the restriction adds them to the roots' keys.  The invariants run on the
 nonzero entries of tau*'s columns (`SatakeInvolution.tau_columns`, built
 once per involution and read by the restriction too), theta*^2 = tau*^2 = I
 included, once per entry: `satake_involution` builds and checks the
@@ -127,6 +130,10 @@ EXCEPTIONAL_FAMILIES = {
 _NAMES = {f: (row.name.format, row.doubled) for f, row in CLASSICAL_FAMILIES.items()}
 _NAMES.update((f, (row.name.format, False)) for f, row in EXCEPTIONAL_FAMILIES.items())
 
+# family -> how many parameters its descriptor holds, one per `{}` of the name
+_ARITY = {f: row.name.count("{}") for f, row in CLASSICAL_FAMILIES.items()}
+_ARITY.update(dict.fromkeys(EXCEPTIONAL_FAMILIES, 0))
+
 
 class RealFormDescriptor(namedtuple("RealFormDescriptor", "family params")):
     """A real form named by family plus integer parameters."""
@@ -175,6 +182,9 @@ class SatakeInvolution(namedtuple("SatakeInvolution", "columns p_tilde")):
 
     theta* is stored as integer columns: `columns[j]` is theta*(a_j).
     `tau_columns` and `tau_image` give tau* = -theta* on integer vectors.
+    Once its checks pass, an involution keeps `root_images`: tau* of every
+    positive root, packed in the root system's format and in the closure's
+    order (`tau_keys`), which the restriction reads.
     """
 
     @cached
@@ -221,11 +231,15 @@ def build_satake(d: RealFormDescriptor) -> SatakeDiagram:
     """Instantiate the family pattern for one descriptor.
 
     Equal descriptors give the same diagram, kept in an LRU of 256; an
-    error is never kept.  A parameter that is not an int is refused first,
-    since True and 1.0 hash as 1 does and would be served su(1,2)'s diagram
-    for su(True,2).  The complex rank is checked against MAX_RANK before
-    anything is built.
+    error is never kept.  Parameters that are not a tuple of ints are
+    refused first, since True and 1.0 hash as 1 does and would be served
+    su(1,2)'s diagram for su(True,2).  Under the cache, a parameter count
+    other than the family's, one per `{}` of its name and none for an
+    exceptional form, is refused, and then a complex rank above MAX_RANK,
+    before anything is built; each refusal is an OutOfRangeParams.
     """
+    if type(d.params) is not tuple:
+        raise OutOfRangeParams(f"real-form parameters must be a tuple, got {type(d.params).__name__} {d.params!r}")
     for x in d.params:
         if type(x) is not int:
             raise OutOfRangeParams(f"real-form parameters must be ints, got {type(x).__name__} {x!r}")
@@ -234,6 +248,9 @@ def build_satake(d: RealFormDescriptor) -> SatakeDiagram:
 
 @lru_cache(maxsize=256)
 def _cached_satake(d: RealFormDescriptor) -> SatakeDiagram:
+    arity = _ARITY.get(d.family)
+    if arity is not None and len(d.params) != arity:
+        raise OutOfRangeParams(f"real-form family {d.family!r} needs {arity} parameter(s), got {d.params!r}")
     rank = complex_rank(d)
     if rank > MAX_RANK:
         raise OutOfRangeParams(f"{d.canonical_name} has complex rank {rank}, above the cap MAX_RANK = {MAX_RANK}")
@@ -578,6 +595,10 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
         failures.append(
             ("involution.basis-count", f"-1 eigenspace of tau* has dim {eigen_dim}, basis has {len(omega)} vectors")
         )
+    if not failures:
+        # a sound involution packs in base 256 (`tau_keys`), so its images are
+        # in the system's format: kept, as the closure keeps its spanning tree
+        inv.root_images = images
     return failures
 
 

@@ -175,6 +175,69 @@ def test_report_paper_labels_e6():
     assert "paper_labels" not in report_to_dict(orbit_report(form("sl(3,R)")))
 
 
+def containers(data):
+    """Every mutable container of a `report_to_dict` result, by path."""
+    found = {
+        "": data,
+        "min_wdd": data["min_wdd"],
+        "min_g_wdd": data["min_g_wdd"],
+        "conditions": data["conditions"],
+    }
+    if "paper_labels" in data:
+        labels = found["paper_labels"] = data["paper_labels"]
+        found["paper_labels.min_wdd"] = labels["min_wdd"]
+        found["paper_labels.min_g_wdd"] = labels["min_g_wdd"]
+    return found
+
+
+def copy_contract_reports():
+    """The 141 reports of rank <= 8, and one rebuilt from its dict."""
+    reports = [orbit_report(sd) for sd in catalog(8)]
+    original = orbit_report(form("e6(-14)"))
+    rebuilt = report_from_dict(report_to_dict(original))
+    # a rebuilt report is equal, but keeps a printed dict of its own
+    assert rebuilt == original and rebuilt is not original and "_printed" not in vars(rebuilt)
+    assert report_to_dict(rebuilt) == report_to_dict(original)
+    assert vars(rebuilt)["_printed"] is not vars(original)["_printed"]
+    return reports + [rebuilt]
+
+
+def test_each_report_to_dict_call_returns_new_containers():
+    reports = copy_contract_reports()
+    assert len(reports) == 142
+    labelled = 0
+    for report in reports:
+        first, second = report_to_dict(report), report_to_dict(report)
+        assert first == second, report.descriptor
+        mine, theirs = containers(first), containers(second)
+        assert mine.keys() == theirs.keys()
+        assert {id(c) for c in mine.values()}.isdisjoint(map(id, theirs.values())), report.descriptor
+        labelled += "paper_labels" in first
+    # e6(6), e6(2), e6(-14), e6(-26), f4(4), f4(-20) and the rebuilt e6(-14)
+    assert labelled == 7
+
+
+def test_changing_a_result_leaves_the_next_call_unchanged():
+    for report in copy_contract_reports():
+        text = json.dumps(report_to_dict(report), indent=2)
+        for container in containers(report_to_dict(report)).values():
+            if isinstance(container, list):
+                container[0] = 5
+                container.append(3)
+            else:
+                container.clear()
+                container["changed"] = True
+        assert json.dumps(report_to_dict(report), indent=2) == text, report.descriptor
+
+
+def test_a_replaced_report_prints_its_own_fields():
+    report = orbit_report(form("su(2,3)"))
+    printed = report_to_dict(report)
+    flipped = report._replace(hermitian=not report.hermitian)
+    assert report_to_dict(flipped) == {**printed, "hermitian": not report.hermitian}
+    assert report_to_dict(report) == printed
+
+
 ISOMORPHIC_PAIRS = [
     ("sp(1,1)", "so(1,4)"),
     ("sp(2,R)", "so(2,3)"),

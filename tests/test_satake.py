@@ -372,6 +372,28 @@ def test_a_parameter_that_is_not_an_int_is_refused(params):
     assert satake._cached_satake.cache_info().currsize == 1
 
 
+MALFORMED = [
+    (("sl_R", (3, 4)), "needs 1 parameter"),
+    (("su_pq", (3,)), "needs 2 parameter"),
+    (("g2_2", (1,)), "needs 0 parameter"),
+    (("sl_R", 3), "must be a tuple"),
+    (("sl_R", [3]), "must be a tuple"),
+]
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED, ids=repr)
+def test_a_malformed_descriptor_is_refused_by_name(fields, message):
+    # the count is checked before any parameter is unpacked, so no bare
+    # ValueError or IndexError escapes and g2(2) keeps its one diagram
+    for _ in range(2):
+        with pytest.raises(OutOfRangeParams, match=message):
+            build_satake(RealFormDescriptor(*fields))
+    assert satake._cached_satake.cache_info().currsize == 0
+    g2 = build_satake(RealFormDescriptor("g2_2", ()))
+    assert g2 is form("g2(2)") and g2.name == "g2(2)"
+    assert satake._cached_satake.cache_info().currsize == 1
+
+
 def test_a_refused_input_is_refused_again_and_never_kept():
     cases = [
         (parse_form_name, "sl(3)", FormNameError),

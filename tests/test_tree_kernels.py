@@ -15,6 +15,7 @@ theta*, read off the closure, must match the dense split on every black
 subset of every simple type up to rank 8, too.
 """
 
+import sys
 from collections import Counter
 from itertools import combinations, compress, repeat
 from math import gcd, lcm
@@ -24,11 +25,12 @@ import pytest
 from test_column_kernels import doctored_involutions, mutations
 from test_diagram_kernels import candidate_types
 
-from lieorbits import satake, verify
+from lieorbits import rootsys, satake, verify
 from lieorbits.errors import InconsistentDiagram, LieOrbitsError
+from lieorbits.orbits import orbit_report
 from lieorbits.ratmat import int_solve, matrix_rank
 from lieorbits.restricted import RestrictedRootSystem, restricted_root_system
-from lieorbits.rootsys import SimpleType, build_root_system, simple_coord
+from lieorbits.rootsys import RootSystem, SimpleType, build_root_system, simple_coord
 from lieorbits.satake import (
     RealFormDescriptor,
     SatakeDiagram,
@@ -323,6 +325,48 @@ def test_every_catalog_involution_packs_at_base_256():
     for sd in ENTRIES:
         keys, _ = satake.tau_keys(sd.rs, satake_involution(sd))
         assert keys is sd.rs.positive_keys, sd.name
+
+
+def test_a_sound_involution_keeps_the_image_of_every_positive_root():
+    for sd in ENTRIES:
+        inv = satake_involution(sd)
+        assert inv.root_images == [sd.rs.pack(inv.tau_image(r)) for r in sd.rs.positive_roots], sd.name
+    # a failing involution keeps nothing
+    failing = 0
+    for sd in catalog(5):
+        for inv in doctored_involutions(satake_involution(sd)):
+            if satake._involution_failures(sd, inv):
+                assert "root_images" not in vars(inv), sd.name
+                failing += 1
+    assert failing > 50
+
+
+def test_tau_is_carried_over_the_roots_once_per_entry(monkeypatch):
+    # `RootSystem.carried` calls, by the module that made them
+    calls = Counter()
+    original = RootSystem.carried
+
+    def counting(rs, images):
+        calls[sys._getframe(1).f_globals["__name__"]] += 1
+        return original(rs, images)
+
+    monkeypatch.setattr(RootSystem, "carried", counting)
+    # a report carries tau* once, in the involution's checks, and its meeting
+    # orbit's grading once; the restriction adds the kept images
+    satake_involution.cache_clear()
+    restricted_root_system.cache_clear()
+    orbit_report(form("e7(-5)"))
+    assert calls == {"lieorbits.satake": 1, "lieorbits.rootsys": 1}
+
+    # a cold sweep of rank 8: once per entry for tau*, and once per entry and
+    # once per type (32 types) for the orbit dimensions
+    calls.clear()
+    rootsys._build_cached.cache_clear()
+    satake._cached_satake.cache_clear()
+    satake_involution.cache_clear()
+    restricted_root_system.cache_clear()
+    assert verify.run_verification(max_rank=8).ok
+    assert calls == {"lieorbits.satake": 141, "lieorbits.rootsys": 141 + 32}
 
 
 # --- the spanning tree -------------------------------------------------------
