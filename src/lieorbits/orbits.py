@@ -9,21 +9,24 @@ insists they agree on every catalog entry.
 
 `FormAnalysis(sd)` holds every value derived for one diagram, one cached
 attribute each, built from one another, so each is computed once per
-analysis.  `orbit_report` and a `verify` entry check given a bare diagram
-read one shared analysis per diagram, kept on the diagram
-(`SatakeDiagram._analysis`).  `build_satake` gives equal descriptors the
-same diagram and `parse_form_name` keeps each name's descriptor, so a
-repeated report from a name is two cache hits and an attribute read.
-`run_verification` builds one analysis per entry and keeps it on no
-diagram, since a sweep visits each entry once; the involution and the
-restriction it reads still come from the `satake_involution` and
-`restricted_root_system` LRUs, which keep the last 256 diagrams' layers.
+analysis.  It builds its own involution and restriction, through the
+functions `satake.checked_involution` and `restricted.build_restricted`,
+which keep nothing.  All sharing goes through one analysis per diagram,
+kept on the diagram (`SatakeDiagram._analysis`): `orbit_report`,
+`validate_satake`, `is_hermitian`, `satake_involution`,
+`restricted_root_system` and a `verify` entry check given a bare diagram
+read it.  `build_satake` gives equal descriptors the same diagram and
+`parse_form_name` keeps each name's descriptor, so a repeated report from a
+name is two cache hits and an attribute read.  `run_verification` builds
+one analysis per entry and drops it after the entry's three checks, keeping
+it on no diagram and in no cache, since a sweep visits each entry once: a
+sweep holds one entry's involution and restriction at a time.
 `min_g_wdd_direct`, `min_g_wdd_linear_system` and `equivalence_conditions`
-each build a fresh analysis, whose involution and restriction come from
-those same LRUs, so only the orbit-layer values are recomputed apart from
-the shared analysis.  `catalog(12)` has 281 entries and larger catalogs
-more, past the 256 slots of each LRU, so a repeated sweep of rank 12 or
-more rebuilds every diagram, involution and restriction.  Each diagram
+each build a fresh analysis given the shared one's involution and
+restriction, so only the orbit-layer values are recomputed apart from it.
+`catalog(12)` has 281 entries and larger catalogs more, past the 256 slots
+of the diagram LRU (`satake._cached_satake`), so a repeated sweep of rank 12
+or more rebuilds every diagram.  Each diagram
 weight is an integer numerator divided by its denominator once a
 divisibility test passes, so the report path builds no `Fraction`.
 
@@ -42,9 +45,17 @@ from operator import mul, sub
 
 from .errors import InconsistentDiagram, InvalidReport, NonIntegralWeights, TypeMismatch
 from .ratmat import int_solve
-from .restricted import RestrictedRootSystem, is_hermitian, parity_criterion, restricted_root_system
+from .restricted import RestrictedRootSystem, build_restricted, is_C_or_BC, parity_criterion
 from .rootsys import SimpleType, WeightedDynkinDiagram, cached, orbit_dim_from_wdd
-from .satake import RealFormDescriptor, SatakeDiagram, SatakeInvolution, build_satake, parse_form_name, satake_involution
+from .satake import (
+    RealFormDescriptor,
+    SatakeDiagram,
+    SatakeInvolution,
+    ValidationReport,
+    build_satake,
+    checked_involution,
+    parse_form_name,
+)
 
 CONDITION_FIELDS = ("c_i", "c_ii", "c_iv", "c_v", "c_vi", "c_vii", "c_xii")
 
@@ -151,8 +162,11 @@ class FormAnalysis:
 
     Each attribute reads the ones it depends on, so an `orbit_report` and the
     three `verify` entry checks sharing one analysis compute every layer
-    once.  A value may be assigned to stand in for the computed one, on an
-    analysis built for that purpose, never on the shared one.
+    once.  The involution and the restriction are built here, by functions
+    that keep nothing, so an analysis holds the only reference to them
+    unless a caller keeps one.  A value may be assigned to stand in for the
+    computed one, on an analysis built for that purpose, never on the
+    shared one.
     """
 
     def __init__(self, sd: SatakeDiagram):
@@ -160,11 +174,20 @@ class FormAnalysis:
 
     @cached
     def involution(self) -> SatakeInvolution:
-        return satake_involution(self.sd)
+        return checked_involution(self.sd)
+
+    def validate(self) -> ValidationReport:
+        """Every structural and involution check, run by reading the
+        involution: a sound one is kept, and a failed one runs again."""
+        try:
+            self.involution
+        except InconsistentDiagram as exc:
+            return ValidationReport(self.sd.name, exc.failures or (("structure.construction", str(exc)),))
+        return ValidationReport(self.sd.name, ())
 
     @cached
     def restricted(self) -> RestrictedRootSystem:
-        return restricted_root_system(self.sd)
+        return build_restricted(self.sd, self.involution)
 
     @cached
     def min_wdd(self) -> WeightedDynkinDiagram:
@@ -266,7 +289,9 @@ class FormAnalysis:
 
     @cached
     def hermitian(self) -> bool:
-        return is_hermitian(self.sd)
+        """Hermitian symmetric real form: dim g_lambda = 1 and restricted type C/BC."""
+        rrs = self.restricted
+        return rrs.highest_mult == 1 and is_C_or_BC(rrs)
 
     @cached
     def conditions(self) -> EquivalenceConditions:
@@ -286,6 +311,7 @@ class FormAnalysis:
     @cached
     def report(self) -> OrbitReport:
         sd = self.sd
+        self.involution  # validates the entry before we trust its data
         report = OrbitReport(
             descriptor=sd.descriptor,
             min_wdd=self.min_wdd,
@@ -305,15 +331,25 @@ class FormAnalysis:
         return report
 
 
+def _fresh_analysis(sd: SatakeDiagram) -> FormAnalysis:
+    """A new analysis of `sd` given the involution and restriction of the one
+    the diagram keeps, so it recomputes the orbit-layer values only."""
+    kept = sd._analysis
+    analysis = FormAnalysis(sd)
+    analysis.involution = kept.involution
+    analysis.restricted = kept.restricted
+    return analysis
+
+
 def min_g_wdd_direct(sd: SatakeDiagram) -> WeightedDynkinDiagram:
     """Weighted diagram of the smallest orbit meeting the real form."""
-    return FormAnalysis(sd).min_g_wdd
+    return _fresh_analysis(sd).min_g_wdd
 
 
 def min_g_wdd_linear_system(sd: SatakeDiagram) -> WeightedDynkinDiagram:
     """Same diagram as min_g_wdd_direct, through the linear-system route;
     NonIntegralWeights when that route's weights are not integers."""
-    solution = FormAnalysis(sd).coroot_solution
+    solution = _fresh_analysis(sd).coroot_solution
     if solution.wdd is None:
         raise NonIntegralWeights(f"{sd.name}: linear system gives {ratio_text(solution.numerators, solution.denominator)}")
     return solution.wdd
@@ -321,7 +357,7 @@ def min_g_wdd_linear_system(sd: SatakeDiagram) -> WeightedDynkinDiagram:
 
 def equivalence_conditions(sd: SatakeDiagram) -> EquivalenceConditions:
     """The seven booleans, each computed by its own route."""
-    return FormAnalysis(sd).conditions
+    return _fresh_analysis(sd).conditions
 
 
 def orbit_report(sd: SatakeDiagram) -> OrbitReport:

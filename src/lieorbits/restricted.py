@@ -49,6 +49,14 @@ branch edge of D or E.  A pairing of a sparse vector stays sparse
 (`RootSystem.scaled_inner`), since its cost follows the vector's support.
 `verify` adds and subtracts the keys: their digits are at most 12, so no
 sum or difference carries, and sorted they follow the coordinate order.
+
+`build_restricted(sd, inv)` builds the restriction through the diagram's
+checked involution and keeps it nowhere: each `FormAnalysis` calls it once
+and keeps the result.  `restricted_root_system` and `is_hermitian` read the
+analysis the diagram keeps (`SatakeDiagram._analysis`).  The LRU of 256 on
+`restricted_root_system` adds no sharing and remains only for the
+benchmark's `cache.restricted_root_system.*` metrics; it hashes the
+diagram, so it may raise a bare `TypeError` for an unhashable field.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from operator import add, mul, neg, sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
 from .rootsys import RootSystem, cached, read_cartan_type, simple_coord
-from .satake import SatakeDiagram, satake_involution
+from .satake import SatakeDiagram, SatakeInvolution
 
 IntVector = tuple[int, ...]
 
@@ -142,10 +150,18 @@ class RestrictedRootSystem(
 
 @lru_cache(maxsize=256)
 def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
-    """Restricted roots {r(alpha)} \\ {0} with mult(xi) = #{alpha : r(alpha) = xi}."""
+    """Restricted roots {r(alpha)} \\ {0} with mult(xi) = #{alpha : r(alpha) = xi},
+    read from the analysis the diagram keeps (`SatakeDiagram._analysis`), so
+    they are built once per diagram."""
+    return sd._analysis.restricted
+
+
+def build_restricted(sd: SatakeDiagram, inv: SatakeInvolution) -> RestrictedRootSystem:
+    """The restricted root system of `sd` through its checked involution
+    `inv` (`satake.checked_involution`), kept nowhere: each `FormAnalysis`
+    builds its own."""
     rs = sd.rs
     n = rs.rank
-    inv = satake_involution(sd)
 
     # the involution passed its checks, which kept tau* of every positive root
     # packed in the system's format, and tau* keeps the positive roots outside
@@ -292,6 +308,6 @@ def dominant_longest(rrs: RestrictedRootSystem, norms: dict[IntVector, int]) -> 
 
 
 def is_hermitian(sd: SatakeDiagram) -> bool:
-    """Hermitian symmetric real form: dim g_lambda = 1 and restricted type C/BC."""
-    rrs = restricted_root_system(sd)
-    return rrs.highest_mult == 1 and is_C_or_BC(rrs)
+    """Hermitian symmetric real form: dim g_lambda = 1 and restricted type
+    C/BC (`FormAnalysis.hermitian`), read from the analysis the diagram keeps."""
+    return sd._analysis.hermitian

@@ -28,17 +28,24 @@ passes its checks keeps the images (`SatakeInvolution.root_images`), and
 the restriction adds them to the roots' keys.  The invariants run on the
 nonzero entries of tau*'s columns (`SatakeInvolution.tau_columns`, built
 once per involution and read by the restriction too), theta*^2 = tau*^2 = I
-included, once per entry: `satake_involution` builds and checks the
-involution under one cache, raising InconsistentDiagram with the failed
-checks, the structural ones included, and `validate_satake` reports those
-same failures.
+included, once per entry: `checked_involution` builds and checks the
+involution, raising InconsistentDiagram with the failed checks, the
+structural ones included, and keeps it nowhere.  Each `FormAnalysis`
+calls it once and keeps the result; `satake_involution` and
+`validate_satake` read the analysis the diagram keeps, so `validate_satake`
+reports the failures that one build raised.  The structural checks refuse
+first a `black` that is not a frozenset of ints and `arrows` that are not a
+tuple of int pairs, so no later check reads a malformed field.
 
 A name is parsed and a diagram built once: `parse_form_name` keeps the
 descriptor of each name text, and `build_satake` the diagram of each
 descriptor, each in an LRU of 256, so equal descriptors give the same
 diagram.  The diagram keeps the one `FormAnalysis` that `orbit_report` reads
 (`SatakeDiagram._analysis`), so a repeated report from a name is two cache
-hits and an attribute read.
+hits and an attribute read.  `satake_involution` keeps an LRU of 256 over
+its read of that analysis, which adds no sharing and remains only for the
+benchmark's `cache.satake_involution.*` metrics; it hashes the diagram, so
+it may raise a bare `TypeError` for a diagram with an unhashable field.
 
 Node indices are 0-based Bourbaki positions.  The name grammar (parsed
 case-insensitively, no spaces):
@@ -54,10 +61,10 @@ sorted to p <= q.
 
 A catalog of rank r lists every descriptor whose complex rank is at most
 r, each family from its least parameters, and builds only those.  Past
-r = 11 it holds more entries than the 256 slots of each LRU it feeds (281
-at 12, 469 at 16), and it builds them in one fixed order, so a repeated
-catalog or verify sweep of rank 12 or more in one process rebuilds every
-diagram.
+r = 11 it holds more entries than the 256 slots of the diagram LRU
+(`_cached_satake`), the one cache it feeds (281 at 12, 469 at 16), and it
+builds them in one fixed order, so a repeated catalog or verify sweep of
+rank 12 or more in one process rebuilds every diagram.
 """
 
 from __future__ import annotations
@@ -456,9 +463,21 @@ def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
     return SatakeInvolution(tuple(columns), tuple(p_tilde))
 
 
+def _is_pair(arrow) -> bool:
+    return type(arrow) is tuple and len(arrow) == 2 and type(arrow[0]) is int and type(arrow[1]) is int
+
+
 def _structural_failures(sd: SatakeDiagram) -> list[str]:
     n = sd.rs.rank
+    # the checks below and every consumer read black as a set of nodes and
+    # arrows as pairs of them, so any other shape is refused first
     problems = []
+    if type(sd.black) is not frozenset or not all(type(b) is int for b in sd.black):
+        problems.append(f"black nodes {sd.black!r} are not a frozenset of ints")
+    if type(sd.arrows) is not tuple or not all(map(_is_pair, sd.arrows)):
+        problems.append(f"arrows {sd.arrows!r} are not a tuple of int pairs")
+    if problems:
+        return problems
     if not all(0 <= b < n for b in sd.black):
         problems.append(f"black nodes {sorted(sd.black)} out of range for rank {n}")
     seen: set[int] = set()
@@ -612,10 +631,10 @@ class ValidationReport(namedtuple("ValidationReport", "entry failures")):
         return not self.failures
 
 
-@lru_cache(maxsize=256)
-def satake_involution(sd: SatakeDiagram) -> SatakeInvolution:
-    """theta* for a diagram, built and checked once per entry.  If any
-    invariant fails, raises InconsistentDiagram carrying the failures."""
+def checked_involution(sd: SatakeDiagram) -> SatakeInvolution:
+    """theta* for a diagram, built and checked, and kept nowhere: each
+    `FormAnalysis` builds its own.  If any invariant fails, raises
+    InconsistentDiagram carrying the failures, the structural ones first."""
     inv = _build_involution(sd)
     failures = tuple(_involution_failures(sd, inv))
     if failures:
@@ -624,14 +643,19 @@ def satake_involution(sd: SatakeDiagram) -> SatakeInvolution:
     return inv
 
 
+@lru_cache(maxsize=256)
+def satake_involution(sd: SatakeDiagram) -> SatakeInvolution:
+    """theta* for a diagram, read from the analysis the diagram keeps
+    (`SatakeDiagram._analysis`), so it is built and checked once per
+    diagram.  If any invariant fails, raises InconsistentDiagram carrying
+    the failures."""
+    return sd._analysis.involution
+
+
 def validate_satake(sd: SatakeDiagram) -> ValidationReport:
     """Run every structural and involution check, reporting all failures.
 
-    The checks are those `satake_involution` runs, the structural ones
-    first, so a sound entry is checked once and its involution is cached for
-    every later use."""
-    try:
-        satake_involution(sd)
-    except InconsistentDiagram as exc:
-        return ValidationReport(sd.name, exc.failures or (("structure.construction", str(exc)),))
-    return ValidationReport(sd.name, ())
+    The checks are those `checked_involution` runs, the structural ones
+    first, read through the analysis the diagram keeps, so a sound entry is
+    checked once and its involution kept for every later use."""
+    return sd._analysis.validate()

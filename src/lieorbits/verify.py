@@ -21,6 +21,11 @@ type; an analysis whose minimal diagram was assigned is graded on that
 diagram.  The entry's own smallest meeting orbit is graded once, by its
 analysis.  An entry check given a bare diagram reads the analysis the
 diagram keeps (`SatakeDiagram._analysis`), so the three checks share it.
+`run_verification` gives each entry's three checks one analysis of its own,
+which builds the entry's involution and restriction and is dropped after
+them, so a sweep holds one entry's layers at a time and leaves nothing on
+the diagrams or in the layer LRUs; `check_satake_entry` validates through
+the analysis it is given (`FormAnalysis.validate`).
 
 The searches over pairs of roots, `roots.highest-unique`,
 `restricted.simple-two-routes` and `restricted.highest-nonextendable`, and
@@ -58,7 +63,7 @@ from .errors import LieOrbitsError
 from .orbits import FormAnalysis, in_five_families, ratio_text, wdd_matches_satake
 from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms
 from .rootsys import ROOT_COUNT_FORMULAS, RootSystem, build_root_system, orbit_dim_from_wdd
-from .satake import RealFormDescriptor, SatakeDiagram, catalog, validate_satake
+from .satake import RealFormDescriptor, SatakeDiagram, catalog
 
 EXCEPTIONAL_REAL_RANK = {
     "g2_2": 2,
@@ -215,7 +220,7 @@ def _spanning_tree_problem(rs: RootSystem) -> str | None:
 def check_satake_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
     analysis = _analysis(entry)
     sd = analysis.sd
-    report = validate_satake(sd)
+    report = analysis.validate()
     failures = [Failure(sd.name, check, msg) for check, msg in report.failures]
     if failures:
         return failures
@@ -419,7 +424,7 @@ ENTRY_CHECKS = (check_satake_entry, check_restricted_entry, check_orbit_entry)
 
 def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None = None) -> VerificationResult:
     """Run every invariant suite; used by the CLI `verify` command.  The
-    entry checks of one entry share one analysis."""
+    entry checks of one entry share one analysis, dropped once they ran."""
     diagrams: Sequence[SatakeDiagram] = list(entries) if entries is not None else catalog(max_rank)
     failures: list[Failure] = []
     checks = 0

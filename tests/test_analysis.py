@@ -1,5 +1,7 @@
 """One FormAnalysis per real form: each orbit-layer value computed once."""
 
+import gc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -7,6 +9,7 @@ from math import lcm
 from operator import is_, mul
 
 import pytest
+from test_column_kernels import mutations
 
 from lieorbits import orbits, restricted, rootsys, satake, verify
 from lieorbits.errors import InconsistentDiagram
@@ -67,6 +70,21 @@ def _count_layers(monkeypatch) -> Counter:
     return counts
 
 
+def _count_builds(monkeypatch) -> Counter:
+    """Count every build of an involution and of a restriction, keyed on
+    (function, entry); an analysis calls both build functions by their names
+    in `orbits`."""
+    counts: Counter = Counter()
+    for name in ("checked_involution", "build_restricted"):
+
+        def counting(sd, *args, original=getattr(orbits, name), name=name):
+            counts[name, sd.name] += 1
+            return original(sd, *args)
+
+        monkeypatch.setattr(orbits, name, counting)
+    return counts
+
+
 def test_orbit_layer_computed_once_per_entry_under_verify(monkeypatch):
     counts = _count_layers(monkeypatch)
     result = run_verification(max_rank=8)
@@ -86,6 +104,39 @@ def test_run_verification_keeps_no_analysis_on_any_catalog_diagram():
     entries = catalog(8)
     assert all(map(is_, entries, catalog(8)))
     assert [sd.name for sd in entries if "_analysis" in vars(sd)] == []
+
+
+class _Tag:
+    """A weakly referenced stand-in for a built value, since a record, a
+    tuple, takes no weak reference: tagged onto the value alone, it dies
+    with it."""
+
+
+def test_a_sweep_keeps_no_entry_s_involution_or_restriction(monkeypatch):
+    # run_verification drops each entry's analysis after its three checks, so
+    # once a sweep returns, nothing holds an involution or restriction it built
+    tags = []
+    for name in ("checked_involution", "build_restricted"):
+
+        def tagging(sd, *args, original=getattr(orbits, name)):
+            value = original(sd, *args)
+            value._tag = tag = _Tag()
+            tags.append(weakref.ref(tag))
+            return value
+
+        monkeypatch.setattr(orbits, name, tagging)
+    for cached in (satake.satake_involution, restricted.restricted_root_system):
+        cached.cache_clear()
+    sound = run_verification(max_rank=8)
+    mutants = [mutant for sd in catalog(7)[::8] for mutant in mutations(sd)]
+    doctored = run_verification(entries=mutants)
+    assert sound.ok and not doctored.ok
+    assert len(tags) > 2 * sound.entries
+    gc.collect()
+    assert [ref for ref in tags if ref() is not None] == []
+    assert satake.satake_involution.cache_info().currsize == 0
+    assert restricted.restricted_root_system.cache_info().currsize == 0
+    assert [sd.name for sd in catalog(8) + mutants if "_analysis" in vars(sd)] == []
 
 
 def test_entry_checks_on_bare_diagrams_share_one_analysis_per_entry(monkeypatch):
@@ -118,18 +169,15 @@ def test_orbit_layer_computed_once_per_report(monkeypatch):
 
 
 def test_each_layer_built_once_per_diagram_across_repeated_reports(monkeypatch):
-    for cached in (satake.satake_involution, restricted.restricted_root_system):
-        cached.cache_clear()
     counts = _count_layers(monkeypatch)
+    built = _count_builds(monkeypatch)
     entries = catalog(8)
-    n = len(entries)
     passes = [[orbit_report(sd) for sd in entries] for _ in range(3)]
     for reports in passes[1:]:
         assert all(map(is_, reports, passes[0]))
     # each diagram keeps the one analysis its three reports read
     assert all(sd._analysis.report is report for sd, report in zip(entries, passes[0]))
-    assert satake.satake_involution.cache_info().misses == n
-    assert restricted.restricted_root_system.cache_info().misses == n
+    assert built == {(build, sd.name): 1 for build in ("checked_involution", "build_restricted") for sd in entries}
     per_type = {sd.rs.simple_type.name: 1 for sd in entries}
     assert {name: k for (lay, name), k in counts.items() if lay == "min_orbit_wdd"} == per_type
     assert {name: k for (lay, name), k in counts.items() if lay == "min_g_wdd"} == {sd.name: 1 for sd in entries}
@@ -194,11 +242,27 @@ def test_describe_path_builds_no_verify_table(monkeypatch):
 def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
     # the minimal orbit's dimension is graded once per type and each entry's
     # smallest meeting orbit once; each restricted key is decoded once per
-    # entry, and each positive key of a root system once per type
+    # entry, and each positive key of a root system once per type; each
+    # entry's involution, built by the sweep, decodes w0 a_(p~ j) once per
+    # white node j where there are black nodes, which is minus column j
     rootsys._build_cached.cache_clear()
     restricted.restricted_root_system.cache_clear()
     # the closure reads each highest root off its key, before the sweep
     entries = catalog(8)
+    # the expected counts build analyses of their own, which decode and
+    # grade, so they are built before the counters are in place
+    types = {sd.rs.simple_type.name: sd.rs for sd in entries}
+    analyses = [FormAnalysis(sd) for sd in entries]
+    expected_graded = Counter((name, rootsys.min_orbit_wdd(rs).weights) for name, rs in types.items())
+    expected_graded.update((a.sd.rs.simple_type.name, a.min_g_wdd.weights) for a in analyses)
+    expected_decoded = Counter((name, key) for name, rs in types.items() for key in rs.positive_keys)
+    expected_decoded.update((a.sd.rs.simple_type.name, key) for a in analyses for key in a.restricted.keys)
+    expected_decoded.update(
+        (a.sd.rs.simple_type.name, a.sd.rs.pack(tuple(-x for x in a.involution.columns[j])))
+        for a in analyses
+        if a.sd.black
+        for j in a.sd.white
+    )
     graded: Counter = Counter()
     decoded: Counter = Counter()
     orbit_dim, unpack = rootsys.orbit_dim_from_wdd, rootsys.RootSystem.unpack
@@ -215,14 +279,9 @@ def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
         monkeypatch.setattr(module, "orbit_dim_from_wdd", counting_dim)
     monkeypatch.setattr(rootsys.RootSystem, "unpack", counting_unpack)
     assert run_verification(max_rank=8).ok
-    types = {sd.rs.simple_type.name: sd.rs for sd in entries}
     assert sum(graded.values()) == len(types) + len(entries) == 32 + 141
-    expected = Counter((name, rootsys.min_orbit_wdd(rs).weights) for name, rs in types.items())
-    expected.update((sd.rs.simple_type.name, FormAnalysis(sd).min_g_wdd.weights) for sd in entries)
-    assert graded == expected
-    expected = Counter((name, key) for name, rs in types.items() for key in rs.positive_keys)
-    expected.update((sd.rs.simple_type.name, key) for sd in entries for key in restricted.restricted_root_system(sd).keys)
-    assert decoded == expected
+    assert graded == expected_graded
+    assert decoded == expected_decoded
 
 
 def test_verify_computes_each_type_s_values_once_and_each_entry_s_reduced_roots_once(monkeypatch):
@@ -312,9 +371,9 @@ def test_the_diagram_cache_keeps_the_256_most_recently_used_descriptors():
     assert orbit_report(rebuilt) is not reports[1] and orbit_report(rebuilt) == reports[1]
 
 
-def test_a_doctored_diagram_raises_the_same_error_on_every_call():
+def test_a_doctored_diagram_raises_the_same_error_on_every_call(monkeypatch):
     sd = form("su*(4)")._replace(black=frozenset({0, 1}))
-    misses = satake.satake_involution.cache_info().misses
+    built = _count_builds(monkeypatch)
     messages = []
     for _ in range(3):
         with pytest.raises(InconsistentDiagram) as exc:
@@ -323,7 +382,7 @@ def test_a_doctored_diagram_raises_the_same_error_on_every_call():
     assert messages == [messages[0]] * 3
     assert "involution.preserves-roots" in messages[0]
     # no half-built answer is kept: each call builds the involution again
-    assert satake.satake_involution.cache_info().misses == misses + 3
+    assert built == {("checked_involution", sd.name): 3}
 
 
 def test_c_ii_reads_the_dimension_not_the_diagram_match(monkeypatch):

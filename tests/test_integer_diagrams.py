@@ -261,10 +261,11 @@ def test_non_integral_coroot_weights_are_reported_as_two_methods():
     assert fired >= 15
 
 
-def test_the_linear_system_route_refuses_non_integral_weights(monkeypatch):
-    sd = form("e6(-26)")
-    rrs = with_mult_toggled(sd).restricted
-    monkeypatch.setattr(orbits, "restricted_root_system", lambda sd: rrs)
+def test_the_linear_system_route_refuses_non_integral_weights():
+    # a copy of the diagram keeps an analysis of its own, which stands the
+    # doctored restriction in for the one it would build
+    sd = form("e6(-26)")._replace()
+    sd._analysis.restricted = with_mult_toggled(sd).restricted
     with pytest.raises(NonIntegralWeights, match=r"e6\(-26\): linear system gives \(1, 0, 0, 0, 0, 1\)/2"):
         orbits.min_g_wdd_linear_system(sd)
 

@@ -6,6 +6,7 @@ import pytest
 
 from lieorbits import satake
 from lieorbits.errors import FormNameError, InconsistentDiagram, OutOfRangeParams
+from lieorbits.orbits import orbit_report
 from lieorbits.satake import (
     MAX_RANK,
     RealFormDescriptor,
@@ -448,3 +449,50 @@ def test_structural_checks_run_once_per_entry(monkeypatch):
     assert run_verification(max_rank=5).ok
     assert sorted(checked) == sorted(sd.name for sd in catalog(5))
     assert set(checked.values()) == {1}
+
+
+# --- malformed diagram fields are refused by name at every entry point -----
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"black": frozenset({7})}, "black nodes [7] out of range for rank 4"),
+        ({"arrows": ((0, 9),)}, "arrow (0,9) out of range for rank 4"),
+    ],
+    ids=["black-7", "arrow-0-9"],
+)
+def test_a_report_refuses_an_out_of_range_node_by_name(changes, message):
+    # the report reads the involution first, so the structural failure comes
+    # out before any weight is indexed by the bad node
+    bad = form("so(4,4)")._replace(**changes)
+    assert validate_satake(bad).failures == (("structure.arrows", message),)
+    with pytest.raises(InconsistentDiagram) as exc:
+        orbit_report(bad)
+    assert exc.value.failures == (("structure.arrows", message),)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"black": (1, 2, 3)}, "black nodes (1, 2, 3) are not a frozenset of ints"),
+        ({"black": "12"}, "black nodes '12' are not a frozenset of ints"),
+        ({"black": frozenset({True})}, "black nodes frozenset({True}) are not a frozenset of ints"),
+        ({"arrows": [[2, 3]]}, "arrows [[2, 3]] are not a tuple of int pairs"),
+        ({"arrows": ((2, 3, 1),)}, "arrows ((2, 3, 1),) are not a tuple of int pairs"),
+    ],
+    ids=["black-tuple", "black-str", "black-bool", "arrows-list", "arrows-triple"],
+)
+def test_a_malformed_field_is_refused_by_name_at_every_entry_point(changes, message):
+    bad = form("so(4,4)")._replace(**changes)
+    assert validate_satake(bad).failures == (("structure.arrows", message),)
+    with pytest.raises(InconsistentDiagram) as exc:
+        orbit_report(bad)
+    assert exc.value.failures == (("structure.arrows", message),)
+    result = run_verification(entries=[bad])
+    assert [(f.entry, f.check) for f in result.failures] == [
+        ("so(4,4)", "structure.arrows"),
+        ("so(4,4)", "restricted.construction"),
+        ("so(4,4)", "orbit.construction"),
+    ]
+    assert result.failures[0].message == message

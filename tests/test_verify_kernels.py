@@ -24,7 +24,7 @@ from test_diagram_kernels import candidate_types
 from lieorbits import restricted, verify
 from lieorbits.errors import InconsistentDiagram, LieOrbitsError, UnrecognizedSystem
 from lieorbits.orbits import FormAnalysis, in_five_families, ratio_text, wdd_matches_satake
-from lieorbits.restricted import is_C_or_BC, reduced_simple, restricted_root_system
+from lieorbits.restricted import build_restricted, is_C_or_BC, reduced_simple, restricted_root_system
 from lieorbits.rootsys import (
     build_root_system,
     dual_coxeter_number,
@@ -32,7 +32,7 @@ from lieorbits.rootsys import (
     min_orbit_wdd,
     orbit_dim_from_wdd,
 )
-from lieorbits.satake import build_satake, catalog, parse_form_name
+from lieorbits.satake import build_satake, catalog, checked_involution, parse_form_name
 from lieorbits.verify import Failure, expected_real_rank, golden_row
 
 TYPES = [t for rank in range(1, 17) for t in candidate_types(rank)]
@@ -403,7 +403,7 @@ def test_classify_cartan_entries_match_scaled_inner(monkeypatch, sd):
 
     monkeypatch.setattr(restricted, "_classify", spy_classify)
     monkeypatch.setattr(restricted, "read_cartan_type", spy_read)
-    restricted_root_system.__wrapped__(sd)
+    build_restricted(sd, checked_involution(sd))
     (_, reference), (_, rewritten) = seen
     assert rewritten == reference
 
