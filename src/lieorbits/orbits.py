@@ -302,7 +302,8 @@ class FormAnalysis:
             # the minimal orbit is the one nonzero orbit of dimension 2h^v - 2
             c_ii=self.min_g_dim != 2 * rs.dual_coxeter - 2,
             c_iv=self.restricted.highest_mult >= 2,
-            c_v=self.involution.tau_image(rs.highest) != rs.highest,
+            # tau* phi is the last of the images the involution's checks kept
+            c_v=self.involution.root_images[-1] != rs.positive_keys[-1],
             c_vi=not self.min_meets,
             c_vii=black_extended_criterion(sd),
             c_xii=in_five_families(sd.descriptor),

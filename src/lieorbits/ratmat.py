@@ -1,11 +1,12 @@
 """Exact linear algebra on integer data.
 
 Integral data stays in plain ints: `RootSystem.cartan` is integer rows, and
-`RootSystem.scaled_inner` is the Gram form, on an integer multiple of
-itself.  The coroot system behind the weighted diagram is solved here
-(`int_solve`), on integer rows, as integer numerators over one determinant:
-only its black and arrow block, the rows that hold no class unknown, whose
-determinant is the whole system's up to sign (`FormAnalysis.coroot_solution`).
+`RootSystem.simple_pairings` evaluates the Gram form, on an integer multiple
+of itself, for `scaled_inner` and every pairing row.  The coroot system
+behind the weighted diagram is solved here (`int_solve`), on integer rows,
+as integer numerators over one determinant: only its black and arrow
+block, the rows that hold no class unknown, whose determinant is the whole
+system's up to sign (`FormAnalysis.coroot_solution`).
 Ranks are taken on integer vectors; both eliminate fraction-free, so no
 entry ever leaves the ints.  theta* takes no solve: `satake` reads it off
 the root closure.

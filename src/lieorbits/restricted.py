@@ -9,7 +9,7 @@ its image, which the involution's checks carried along the closure's
 spanning tree and kept (`SatakeInvolution.root_images`), so this module
 carries nothing over the roots itself.
 Every quantity used is a ratio of inner products of the integer-scaled Gram
-form (`RootSystem.scaled_inner`), so the doubling and the scaling cancel;
+form (`RootSystem.simple_pairings`), so the doubling and the scaling cancel;
 `elements` is the one `Fraction` view.
 
 The restriction is linear, so r(-alpha) = -r(alpha): a `RestrictedRootSystem`
@@ -28,7 +28,8 @@ s, or 2s where 2s is a root (`reduced_simple`), found once per entry: the
 construction classifies them and keeps them as the record's view
 `RestrictedRootSystem.reduced_simple`, which a record built otherwise, by
 `_replace` say, reads off its own fields.  The type is read off the
-Dynkin diagram of their Cartan matrix (`rootsys.read_cartan_type`), and
+Dynkin diagram of their Cartan matrix (`rootsys.read_cartan_type`, which
+reads each distinct matrix once per process), and
 `parity_criterion` pairs the highest root with their
 coroots only: every coroot is an integer combination of theirs, since
 xi^v = 2 (2 xi)^v.  The searches that reach the same answers, over the
@@ -42,11 +43,12 @@ one `RootSystem.simple_pairings` row of it: the simple roots in
 The norm table of the positive roots (`positive_norms`), read off
 `doubled_positives`, is built only for `verify`, which shares it between
 `dominant_longest` and its parity scan, and pairs that scan through one row
-of the highest root; `parity_criterion` pairs r roots directly and builds
-neither.  Each norm is the type's quadratic form (`RootSystem.norm_form`)
-on the root: its diagonal and chain as C-level passes, and one product per
-branch edge of D or E.  A pairing of a sparse vector stays sparse
-(`RootSystem.scaled_inner`), since its cost follows the vector's support.
+of the highest root; `parity_criterion` pairs the r reduced simple roots
+with that row and each with its own, and builds neither.  Each norm is the
+type's quadratic form (`RootSystem.norm_form`) on the root: its diagonal and
+chain as C-level passes, and one product per branch edge of D or E.  A
+pairing row costs what the vector's support does:
+`RootSystem.simple_pairings` walks only its nonzero coordinates.
 `verify` adds and subtracts the keys: their digits are at most 12, so no
 sum or difference carries, and sorted they follow the coordinate order.
 
@@ -269,8 +271,9 @@ def parity_criterion(rrs: RestrictedRootSystem) -> bool:
     """Whether some restricted root pairs oddly against the highest root; the
     reduced system's r simple coroots span every coroot, so they decide."""
     rs = rrs.source.rs
-    lam = rrs.doubled_highest
-    return odd_pairing(rrs, ((2 * rs.scaled_inner(xi, lam), rs.scaled_inner(xi, xi)) for xi in rrs.reduced_simple))
+    lam_row = rs.simple_pairings(rrs.doubled_highest)
+    pairings = ((2 * sum(map(mul, xi, lam_row)), sum(map(mul, xi, rs.simple_pairings(xi)))) for xi in rrs.reduced_simple)
+    return odd_pairing(rrs, pairings)
 
 
 def positive_norms(rrs: RestrictedRootSystem) -> dict[IntVector, int]:

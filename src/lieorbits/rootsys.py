@@ -27,15 +27,19 @@ weighted diagram's grading.
 The type of a Cartan matrix is read off its Dynkin diagram, its chain,
 branch node and bond labels (`read_cartan_type`), and confirmed by
 comparing the relabelled rows with `cartan_matrix`; nothing is searched.
+Each distinct matrix is read once per process: `read_cartan_type` keeps its
+answers in an LRU of 256 keyed on the rows, and `cartan_matrix` builds the
+rows it confirms against on each miss.
 
 A `RootSystem` keeps what is read once per type: the sparse Gram rows
-(`gram_support`), which pair a sparse vector in time linear in its support;
-the Gram form as a quadratic form (`norm_form`: diagonal, chain and the
-branch edges of D and E), which gives a norm in a few C-level passes; the
-highest root's pairings; and the minimal orbit's diagram and dimension,
-the dual Coxeter number and the extended-diagram neighbours (`min_wdd`,
-`min_orbit_dim`, `dual_coxeter` and `extended_nodes`), each computed by its
-module function on first read.
+(`gram_support`), through which `simple_pairings` walks only the nonzero
+coordinates of a vector, the one kernel of the Gram form (`scaled_inner`
+goes through it); the Gram form as a quadratic form (`norm_form`: diagonal,
+chain and the branch edges of D and E), which gives a norm in a few C-level
+passes; the highest root's pairings; and the minimal orbit's diagram and
+dimension, the dual Coxeter number and the extended-diagram neighbours
+(`min_wdd`, `min_orbit_dim`, `dual_coxeter` and `extended_nodes`), each
+computed by its module function on first read.
 """
 
 from __future__ import annotations
@@ -140,13 +144,10 @@ def _lengths(t: SimpleType) -> tuple[int, ...]:
     return (1,) * n
 
 
-@lru_cache(maxsize=256)
 def cartan_matrix(t: SimpleType) -> IntRows:
-    """Integer Cartan matrix C[i][j] = 2<a_i,a_j>/<a_j,a_j>, as rows.
-
-    Cached (the rows are immutable): the restricted-type and black-component
-    classifiers confirm every diagram they read against the same few types.
-    """
+    """Integer Cartan matrix C[i][j] = 2<a_i,a_j>/<a_j,a_j>, as rows, built
+    anew on each call: the closure reads it once per type, and the diagram
+    reader once per distinct matrix it has not read before."""
     n = t.rank
     d = _lengths(t)
     rows = [[0] * i + [2] + [0] * (n - i - 1) for i in range(n)]
@@ -252,13 +253,8 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
 
     def scaled_inner(self, v: Sequence, w: Sequence):
         """gram_scale * <v, w>: an int for integer vectors, exact for
-        `Fraction` ones; the cost is linear in the support of v."""
-        rows = self.gram_support
-        total = 0
-        for i, a in enumerate(v):
-            if a:
-                total += a * sum(g * w[j] for j, g in rows[i])
-        return total
+        `Fraction` ones; w against the pairings of v (`simple_pairings`)."""
+        return sum(map(mul, w, self.simple_pairings(v)))
 
     @cached
     def norm_form(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -301,9 +297,16 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         return extended_neighbors(self)
 
     def simple_pairings(self, v: Sequence) -> tuple:
-        """gram_scale * <a_i, v> for every node i, from one sparse Gram row
-        each; the Gram form is symmetric, so row i pairs a_i with v."""
-        return tuple(sum(g * v[j] for j, g in row) for row in self.gram_support)
+        """gram_scale * <a_i, v> for every node i: each nonzero coordinate
+        v_j adds v_j times Gram row j, which is column j, since the form is
+        symmetric, so the cost follows the support of v."""
+        rows = self.gram_support
+        out = [0] * len(rows)
+        for j in compress(range(len(rows)), v):
+            a = v[j]
+            for i, g in rows[j]:
+                out[i] += g * a
+        return tuple(out)
 
 
 def simple_coord(n: int, i: int) -> tuple[int, ...]:
@@ -311,7 +314,7 @@ def simple_coord(n: int, i: int) -> tuple[int, ...]:
     return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
-# bounded like cartan_matrix: 256 is about the number of simple types up to rank 64
+# bounded like read_cartan_type: 256 is about the number of simple types up to rank 64
 @lru_cache(maxsize=256)
 def _build_cached(letter: str, rank: int) -> RootSystem:
     t = SimpleType(letter, rank)
@@ -461,10 +464,25 @@ def dual_coxeter_number(rs: RootSystem) -> int:
     return 1 + total
 
 
-def read_cartan_type(rows: IntRows) -> tuple[SimpleType, tuple[int, ...]] | None:
+def read_cartan_type(rows: Sequence[Sequence[int]]) -> tuple[SimpleType, tuple[int, ...]] | None:
     """The simple type t of integer Cartan rows and the node order with
     cartan_matrix(t)[k][l] == rows[order[k]][order[l]], or None for rows
     that are no Cartan matrix of a connected Dynkin diagram.
+
+    Each distinct matrix is read once: the answers are kept in an LRU of
+    256 keyed on the rows (`cache_info` and `cache_clear` are its own).
+    Rows that do not hash, lists say, are keyed as tuples.
+    """
+    try:
+        return _read_cartan_type(rows)
+    except TypeError:
+        # the body raises none on int rows: this is the LRU hashing its key
+        return _read_cartan_type(tuple(map(tuple, rows)))
+
+
+@lru_cache(maxsize=256)
+def _read_cartan_type(rows: IntRows) -> tuple[SimpleType, tuple[int, ...]] | None:
+    """`read_cartan_type` on hashable rows.
 
     The type is read off the diagram (Bourbaki VI 4.2): a chain is A, B, C,
     F4 or G2 by its one multiple bond C[i][j] C[j][i] > 1 and where it sits,
@@ -541,6 +559,10 @@ def read_cartan_type(rows: IntRows) -> tuple[SimpleType, tuple[int, ...]] | None
     if tuple(map(pick, pick(rows))) != cartan_matrix(t):
         return None
     return t, tuple(order)
+
+
+read_cartan_type.cache_info = _read_cartan_type.cache_info
+read_cartan_type.cache_clear = _read_cartan_type.cache_clear
 
 
 def duality_permutation(t: SimpleType) -> tuple[int, ...]:

@@ -341,7 +341,7 @@ def test_a_warm_report_builds_no_fraction(fraction_count):
 
 @pytest.mark.parametrize("name", NORTH_STAR)
 def test_a_cold_describe_json_builds_no_fraction(fraction_count, name):
-    for cached in (rootsys.cartan_matrix, rootsys._build_cached):
+    for cached in (rootsys.read_cartan_type, rootsys._build_cached):
         cached.cache_clear()
     satake.satake_involution.cache_clear()
     restricted.restricted_root_system.cache_clear()

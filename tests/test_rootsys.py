@@ -1,10 +1,11 @@
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
+from operator import mul
 
 import pytest
 
-from lieorbits import rootsys
+from lieorbits import restricted, rootsys, satake
 from lieorbits.errors import InvalidType, NonIntegralWeights, RankTooSmall
 from lieorbits.rootsys import (
     ROOT_COUNT_FORMULAS,
@@ -22,6 +23,7 @@ from lieorbits.rootsys import (
 )
 from lieorbits.restricted import positive_norms, restricted_root_system
 from lieorbits.satake import RealFormDescriptor, SatakeDiagram, build_satake, catalog, parse_form_name
+from lieorbits.verify import run_verification
 
 ALL_TYPES = (
     [SimpleType("A", n) for n in range(1, 9)]
@@ -40,6 +42,9 @@ CLOSURE_TYPES = (
     + [SimpleType("E", n) for n in (6, 7, 8)]
     + [SimpleType("F", 4), SimpleType("G", 2)]
 )
+
+# the six forms at the rank cap
+RANK_CAP = ("sl(64,R)", "so(1,128)", "sp(64,R)", "so(64,64)", "su(32,32)", "so*(128)")
 
 # standard highest-root coefficient tables, frozen as an oracle against the
 # closure construction
@@ -276,8 +281,7 @@ def test_scaled_norms_match_scaled_inner(t):
 def test_norm_table_matches_scaled_inner_on_the_catalog():
     # the quadratic-form kernel, chain and branch edges, on the restricted
     # systems of catalog(16) and of six forms at the rank cap, in one test
-    rank_cap = ("sl(64,R)", "so(1,128)", "sp(64,R)", "so(64,64)", "su(32,32)", "so*(128)")
-    for sd in catalog(16) + [build_satake(parse_form_name(name)) for name in rank_cap]:
+    for sd in catalog(16) + [build_satake(parse_form_name(name)) for name in RANK_CAP]:
         rrs = restricted_root_system(sd)
         norms = positive_norms(rrs)
         assert tuple(norms) == rrs.doubled_positives, sd.name
@@ -295,15 +299,88 @@ def test_digit_mask_keeps_the_digits_of_its_nodes(t):
             assert rs.unpack(key & mask) == kept, (nodes, root)
 
 
+def reversed_nodes(rows):
+    """The Cartan rows relabelled by reversing the nodes."""
+    return tuple(tuple(row[::-1]) for row in rows[::-1])
+
+
 def test_the_diagram_reader_confirms_against_one_type():
     # a relabelled B5: the nodes in reverse order
-    src = tuple(tuple(row[::-1]) for row in cartan_matrix(SimpleType("B", 5))[::-1])
-    rootsys.cartan_matrix.cache_clear()
+    src = reversed_nodes(cartan_matrix(SimpleType("B", 5)))
+    read_cartan_type.cache_clear()
     for _ in range(3):
         assert read_cartan_type(src) == (SimpleType("B", 5), (4, 3, 2, 1, 0))
-    # one type's rows per read, built once
-    info = rootsys.cartan_matrix.cache_info()
+    # one matrix, read once and then found
+    info = read_cartan_type.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+def test_a_cold_sweep_reads_each_distinct_matrix_once(monkeypatch):
+    # the two readers, the black-component duality and the restricted type,
+    # call through spies that note each matrix they read
+    read = []
+
+    def spy(rows):
+        read.append(rows)
+        return read_cartan_type(rows)
+
+    monkeypatch.setattr(satake, "read_cartan_type", spy)
+    monkeypatch.setattr(restricted, "read_cartan_type", spy)
+    read_cartan_type.cache_clear()
+    assert run_verification(max_rank=16).ok
+    info = read_cartan_type.cache_info()
+    assert info.misses == len(set(read)) == 67
+    assert info.hits == len(read) - info.misses > info.misses
+
+
+def test_the_diagram_reader_keeps_the_256_latest_matrices():
+    # 257 distinct Cartan matrices: the types up to rank 60, then B3, B4, ...
+    # with their nodes reversed, the double bond first
+    matrices = [cartan_matrix(t) for t in CLOSURE_TYPES + [SimpleType(x, n) for x in "ABCD" for n in range(31, 61)]]
+    matrices += [reversed_nodes(cartan_matrix(SimpleType("B", n))) for n in range(3, 260 - len(matrices))]
+    assert len(set(matrices)) == len(matrices) == 257
+    read_cartan_type.cache_clear()
+    for rows in matrices:
+        t, order = read_cartan_type(rows)
+        assert tuple(tuple(rows[a][b] for b in order) for a in order) == cartan_matrix(t)
+    info = read_cartan_type.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (257, 0, 256)
+    # the first matrix, the least recently read, made room for the last
+    read_cartan_type(matrices[1])
+    read_cartan_type(matrices[0])
+    info = read_cartan_type.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (258, 1, 256)
+
+
+def test_list_rows_read_as_tuple_rows():
+    # the LRU keys on the rows: rows that do not hash are keyed as tuples,
+    # so a list of lists gets the tuple rows' answer and no TypeError
+    b5 = cartan_matrix(SimpleType("B", 5))
+    sources = [cartan_matrix(t) for t in ALL_TYPES] + [
+        reversed_nodes(b5),
+        ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+        ((2, 0), (0, 2)),
+        ((2, -2, 0), (-2, 2, -1), (0, -1, 2)),
+    ]
+    for rows in sources:
+        expected = read_cartan_type(rows)
+        assert read_cartan_type([list(row) for row in rows]) == expected, rows
+        assert read_cartan_type(tuple(map(list, rows))) == expected, rows
+        assert read_cartan_type(list(rows)) == expected, rows
+    assert read_cartan_type([list(row) for row in reversed_nodes(b5)])[0] == SimpleType("B", 5)
+    assert read_cartan_type([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]) is None
+
+
+def test_simple_pairings_match_the_dense_gram_product():
+    # the support walk against every row of the scaled Gram form, on the
+    # doubled simple roots, r(phi), phi, zero and a vector with negative entries
+    for sd in catalog(16) + [build_satake(parse_form_name(name)) for name in RANK_CAP]:
+        rs, rrs = sd.rs, restricted_root_system(sd)
+        n = rs.rank
+        vectors = [*rrs.doubled_simple, *rrs.reduced_simple, rrs.doubled_highest, rs.highest, (0,) * n]
+        vectors.append(tuple(i % 5 - 2 for i in range(n)))
+        for v in vectors:
+            assert rs.simple_pairings(v) == tuple(sum(map(mul, row, v)) for row in rs.scaled_gram), (sd.name, v)
 
 
 def test_highest_root_never_extendable():
