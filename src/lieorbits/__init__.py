@@ -20,21 +20,18 @@ from .orbits import (
     OrbitReport,
     black_extended_criterion,
     equivalence_conditions,
+    kept_analysis,
     min_g_wdd_direct,
     min_g_wdd_linear_system,
     orbit_report,
     report_from_dict,
     report_to_dict,
+    restricted_root_system,
+    satake_involution,
+    validate_satake,
     wdd_matches_satake,
 )
-from .restricted import (
-    RestrictedRootSystem,
-    TypeLabel,
-    is_C_or_BC,
-    is_hermitian,
-    parity_criterion,
-    restricted_root_system,
-)
+from .restricted import RestrictedRootSystem, TypeLabel, is_C_or_BC, parity_criterion
 from .rootsys import (
     RootSystem,
     SimpleType,
@@ -45,16 +42,7 @@ from .rootsys import (
     min_orbit_wdd,
     orbit_dim_from_wdd,
 )
-from .satake import (
-    RealFormDescriptor,
-    SatakeDiagram,
-    SatakeInvolution,
-    build_satake,
-    catalog,
-    parse_form_name,
-    satake_involution,
-    validate_satake,
-)
+from .satake import RealFormDescriptor, SatakeDiagram, SatakeInvolution, build_satake, catalog, parse_form_name
 from .verify import run_verification
 
 __version__ = "0.1.0"

@@ -9,26 +9,32 @@ insists they agree on every catalog entry.
 
 `FormAnalysis(sd)` holds every value derived for one diagram, one cached
 attribute each, built from one another, so each is computed once per
-analysis.  It builds its own involution and restriction, through the
-functions `satake.checked_involution` and `restricted.build_restricted`,
-which keep nothing.  All sharing goes through one analysis per diagram,
-kept on the diagram (`SatakeDiagram._analysis`): `orbit_report`,
-`validate_satake`, `is_hermitian`, `satake_involution`,
-`restricted_root_system` and a `verify` entry check given a bare diagram
-read it.  `build_satake` gives equal descriptors the same diagram and
-`parse_form_name` keeps each name's descriptor, so a repeated report from a
-name is two cache hits and an attribute read.  `run_verification` builds
-one analysis per entry and drops it after the entry's three checks, keeping
-it on no diagram and in no cache, since a sweep visits each entry once: a
-sweep holds one entry's involution and restriction at a time.
-`min_g_wdd_direct`, `min_g_wdd_linear_system` and `equivalence_conditions`
-each build a fresh analysis given the shared one's involution and
-restriction, so only the orbit-layer values are recomputed apart from it.
-`catalog(12)` has 281 entries and larger catalogs more, past the 256 slots
-of the diagram LRU (`satake._cached_satake`), so a repeated sweep of rank 12
-or more rebuilds every diagram.  Each diagram
-weight is an integer numerator divided by its denominator once a
-divisibility test passes, so the report path builds no `Fraction`.
+analysis.  It builds its own involution and restriction through
+`satake.checked_involution` and `restricted.build_restricted`, which keep
+nothing, so this module owns every kept analysis and every reader of one.
+Each diagram keeps one, built on first read by `kept_analysis` into the
+slot `SatakeDiagram._analysis`; `orbit_report`, `validate_satake`,
+`satake_involution`, `restricted_root_system` and a `verify` entry check
+given a bare diagram all read it.  `min_g_wdd_direct`,
+`min_g_wdd_linear_system` and `equivalence_conditions` each build a fresh
+analysis given the kept one's involution and restriction, so only the
+orbit-layer values are recomputed apart from it.  `run_verification`
+builds one analysis per entry and drops it after the entry's three checks,
+keeping it on no diagram and in no cache: a sweep holds one entry's
+involution and restriction at a time.  Each diagram weight is an integer
+numerator divided by its denominator once a divisibility test passes, so
+the report path builds no `Fraction`.
+
+Every cache is an LRU of 256, and an error is never kept: those of
+`satake.parse_form_name`, keyed on the name text, `satake._cached_satake`
+(behind `build_satake`) on the descriptor, `rootsys._build_cached` on the
+type and `rootsys.read_cartan_type` on the Cartan rows.  `satake_involution`
+and `restricted_root_system` are keyed on the diagram, which hashes as its
+descriptor; they add no sharing and remain for the benchmark's `cache.*`
+metrics.  `catalog(12)` has 281 entries and larger catalogs more, past the
+256 slots of `_cached_satake`, and builds them in one fixed order, so a
+repeated catalog or sweep of rank 12 or more in one process rebuilds every
+diagram.
 
 A report keeps the dict `report_to_dict` prints (`OrbitReport._printed`),
 built on first read, and each `report_to_dict` call returns a copy whose
@@ -39,6 +45,7 @@ an attribute read and one shallow copy per container.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from operator import mul, sub
@@ -47,15 +54,7 @@ from .errors import InconsistentDiagram, InvalidReport, NonIntegralWeights, Type
 from .ratmat import int_solve
 from .restricted import RestrictedRootSystem, build_restricted, is_C_or_BC, parity_criterion
 from .rootsys import SimpleType, WeightedDynkinDiagram, cached, orbit_dim_from_wdd
-from .satake import (
-    RealFormDescriptor,
-    SatakeDiagram,
-    SatakeInvolution,
-    ValidationReport,
-    build_satake,
-    checked_involution,
-    parse_form_name,
-)
+from .satake import RealFormDescriptor, SatakeDiagram, SatakeInvolution, build_satake, checked_involution, parse_form_name
 
 CONDITION_FIELDS = ("c_i", "c_ii", "c_iv", "c_v", "c_vi", "c_vii", "c_xii")
 
@@ -157,16 +156,23 @@ def in_five_families(descriptor: RealFormDescriptor) -> bool:
     return descriptor.family == "so_pq" and descriptor.params[0] == 1
 
 
+class ValidationReport(namedtuple("ValidationReport", "entry failures")):
+    """Outcome of validate_satake: empty failures means the entry is sound."""
+
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
 class FormAnalysis:
     """Every value derived for one Satake diagram, each computed once.
 
     Each attribute reads the ones it depends on, so an `orbit_report` and the
     three `verify` entry checks sharing one analysis compute every layer
-    once.  The involution and the restriction are built here, by functions
-    that keep nothing, so an analysis holds the only reference to them
-    unless a caller keeps one.  A value may be assigned to stand in for the
-    computed one, on an analysis built for that purpose, never on the
-    shared one.
+    once.  A value may be assigned to stand in for the computed one, on an
+    analysis built for that purpose, never on a kept one.
     """
 
     def __init__(self, sd: SatakeDiagram):
@@ -332,10 +338,39 @@ class FormAnalysis:
         return report
 
 
+def kept_analysis(sd: SatakeDiagram) -> FormAnalysis:
+    """The one analysis of `sd` its readers share, built on the first call
+    and kept in the private slot `SatakeDiagram._analysis`, since an
+    assignment onto it would reach every later report of the diagram."""
+    if sd._analysis is None:
+        sd._analysis = FormAnalysis(sd)
+    return sd._analysis
+
+
+@lru_cache(maxsize=256)
+def satake_involution(sd: SatakeDiagram) -> SatakeInvolution:
+    """theta* for a diagram, read from its kept analysis.  If any invariant
+    fails, raises InconsistentDiagram carrying the failures."""
+    return kept_analysis(sd).involution
+
+
+@lru_cache(maxsize=256)
+def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
+    """Restricted roots {r(alpha)} \\ {0} with mult(xi) = #{alpha : r(alpha) = xi},
+    read from the diagram's kept analysis."""
+    return kept_analysis(sd).restricted
+
+
+def validate_satake(sd: SatakeDiagram) -> ValidationReport:
+    """Every structural and involution check, with all failures, run once
+    through the diagram's kept analysis."""
+    return kept_analysis(sd).validate()
+
+
 def _fresh_analysis(sd: SatakeDiagram) -> FormAnalysis:
     """A new analysis of `sd` given the involution and restriction of the one
     the diagram keeps, so it recomputes the orbit-layer values only."""
-    kept = sd._analysis
+    kept = kept_analysis(sd)
     analysis = FormAnalysis(sd)
     analysis.involution = kept.involution
     analysis.restricted = kept.restricted
@@ -364,7 +399,12 @@ def equivalence_conditions(sd: SatakeDiagram) -> EquivalenceConditions:
 def orbit_report(sd: SatakeDiagram) -> OrbitReport:
     """Aggregate every computed quantity for one diagram, computed once per
     diagram and read from the analysis it keeps on later calls."""
-    return sd._analysis.report
+    # a kept analysis is one attribute read away; an empty slot's None has no
+    # `report`, and an AttributeError raised building a report is raised again
+    try:
+        return sd._analysis.report
+    except AttributeError:
+        return kept_analysis(sd).report
 
 
 # ---------------------------------------------------------------------------

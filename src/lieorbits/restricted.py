@@ -51,20 +51,11 @@ pairing row costs what the vector's support does:
 `RootSystem.simple_pairings` walks only its nonzero coordinates.
 `verify` adds and subtracts the keys: their digits are at most 12, so no
 sum or difference carries, and sorted they follow the coordinate order.
-
-`build_restricted(sd, inv)` builds the restriction through the diagram's
-checked involution and keeps it nowhere: each `FormAnalysis` calls it once
-and keeps the result.  `restricted_root_system` and `is_hermitian` read the
-analysis the diagram keeps (`SatakeDiagram._analysis`).  The LRU of 256 on
-`restricted_root_system` adds no sharing and remains only for the
-benchmark's `cache.restricted_root_system.*` metrics; it hashes the
-diagram, so it may raise a bare `TypeError` for an unhashable field.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add, mul, neg, sub
 
@@ -150,18 +141,9 @@ class RestrictedRootSystem(
         return tuple(tuple(Fraction(x, 2) for x in d) for d in self.doubled)
 
 
-@lru_cache(maxsize=256)
-def restricted_root_system(sd: SatakeDiagram) -> RestrictedRootSystem:
-    """Restricted roots {r(alpha)} \\ {0} with mult(xi) = #{alpha : r(alpha) = xi},
-    read from the analysis the diagram keeps (`SatakeDiagram._analysis`), so
-    they are built once per diagram."""
-    return sd._analysis.restricted
-
-
 def build_restricted(sd: SatakeDiagram, inv: SatakeInvolution) -> RestrictedRootSystem:
     """The restricted root system of `sd` through its checked involution
-    `inv` (`satake.checked_involution`), kept nowhere: each `FormAnalysis`
-    builds its own."""
+    `inv` (`satake.checked_involution`), kept nowhere."""
     rs = sd.rs
     n = rs.rank
 
@@ -309,8 +291,3 @@ def dominant_longest(rrs: RestrictedRootSystem, norms: dict[IntVector, int]) -> 
         raise InconsistentDiagram(f"{rrs.source.name}: {len(dominant)} dominant longest restricted roots")
     return dominant[0]
 
-
-def is_hermitian(sd: SatakeDiagram) -> bool:
-    """Hermitian symmetric real form: dim g_lambda = 1 and restricted type
-    C/BC (`FormAnalysis.hermitian`), read from the analysis the diagram keeps."""
-    return sd._analysis.hermitian

@@ -26,10 +26,8 @@ weighted diagram's grading.
 
 The type of a Cartan matrix is read off its Dynkin diagram, its chain,
 branch node and bond labels (`read_cartan_type`), and confirmed by
-comparing the relabelled rows with `cartan_matrix`; nothing is searched.
-Each distinct matrix is read once per process: `read_cartan_type` keeps its
-answers in an LRU of 256 keyed on the rows, and `cartan_matrix` builds the
-rows it confirms against on each miss.
+comparing the relabelled rows with `cartan_matrix`, which builds them on
+each miss of the cache `read_cartan_type` keeps; nothing is searched.
 
 A `RootSystem` keeps what is read once per type: the sparse Gram rows
 (`gram_support`), through which `simple_pairings` walks only the nonzero

@@ -22,30 +22,16 @@ component's duality, so nothing is solved.  tau* = -theta* acts on one
 vector through `SatakeInvolution.tau_image`, and on every positive root at
 once through `tau_keys`, which packs each root and its image into one int,
 the images carried along the closure's spanning tree, one addition per
-root, and the root checks look those keys up.  This module is the one
-that carries tau* over the roots, once per entry: an involution that
-passes its checks keeps the images (`SatakeInvolution.root_images`), and
-the restriction adds them to the roots' keys.  The invariants run on the
-nonzero entries of tau*'s columns (`SatakeInvolution.tau_columns`, built
-once per involution and read by the restriction too), theta*^2 = tau*^2 = I
-included, once per entry: `checked_involution` builds and checks the
-involution, raising InconsistentDiagram with the failed checks, the
-structural ones included, and keeps it nowhere.  Each `FormAnalysis`
-calls it once and keeps the result; `satake_involution` and
-`validate_satake` read the analysis the diagram keeps, so `validate_satake`
-reports the failures that one build raised.  The structural checks refuse
-first a `black` that is not a frozenset of ints and `arrows` that are not a
-tuple of int pairs, so no later check reads a malformed field.
-
-A name is parsed and a diagram built once: `parse_form_name` keeps the
-descriptor of each name text, and `build_satake` the diagram of each
-descriptor, each in an LRU of 256, so equal descriptors give the same
-diagram.  The diagram keeps the one `FormAnalysis` that `orbit_report` reads
-(`SatakeDiagram._analysis`), so a repeated report from a name is two cache
-hits and an attribute read.  `satake_involution` keeps an LRU of 256 over
-its read of that analysis, which adds no sharing and remains only for the
-benchmark's `cache.satake_involution.*` metrics; it hashes the diagram, so
-it may raise a bare `TypeError` for a diagram with an unhashable field.
+root, and the root checks look those keys up; an involution that passes
+them keeps the images for the restriction (`SatakeInvolution.root_images`).
+The invariants run on the nonzero entries of tau*'s columns
+(`SatakeInvolution.tau_columns`, built once per involution and read by the
+restriction too), theta*^2 = tau*^2 = I included: `checked_involution`
+builds and checks the involution, raising InconsistentDiagram with the
+failed checks, the structural ones first, and keeps it nowhere.  Those
+refuse a root system that is not a `RootSystem`, a `black` that is not a
+frozenset of ints and `arrows` that are not a tuple of int pairs, so no
+later check reads a malformed field.
 
 Node indices are 0-based Bourbaki positions.  The name grammar (parsed
 case-insensitively, no spaces):
@@ -60,11 +46,7 @@ which are the parameters: su*(m) and so*(m) need an even m, and (p,q) is
 sorted to p <= q.
 
 A catalog of rank r lists every descriptor whose complex rank is at most
-r, each family from its least parameters, and builds only those.  Past
-r = 11 it holds more entries than the 256 slots of the diagram LRU
-(`_cached_satake`), the one cache it feeds (281 at 12, 469 at 16), and it
-builds them in one fixed order, so a repeated catalog or verify sweep of
-rank 12 or more in one process rebuilds every diagram.
+r, each family from its least parameters, and builds only those.
 """
 
 from __future__ import annotations
@@ -158,8 +140,15 @@ class SatakeDiagram(namedtuple("SatakeDiagram", "descriptor rs black arrows herm
     """Dynkin diagram of the complexification + black nodes + arrow pairing:
     a `RealFormDescriptor`, a `RootSystem`, the black nodes as a frozenset,
     the sorted arrow pairs and the reference Hermitian flag.  The white
-    nodes and the diagram's shared analysis are views, built on first read
-    and kept; `_replace` builds a new diagram, which reads its own."""
+    nodes are a view, built on first read and kept; `_replace` builds a new
+    diagram, which reads its own.  A diagram hashes as its descriptor, as
+    equal diagrams have equal ones, so no other field need be hashable.
+    `_analysis` is the slot `orbits.kept_analysis` fills."""
+
+    _analysis = None
+
+    def __hash__(self) -> int:
+        return hash(self.descriptor)
 
     @property
     def name(self) -> str:
@@ -168,18 +157,6 @@ class SatakeDiagram(namedtuple("SatakeDiagram", "descriptor rs black arrows herm
     @cached
     def white(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.rs.rank) if i not in self.black)
-
-    @cached
-    def _analysis(self):
-        """The one `FormAnalysis` of this diagram that `orbit_report` and the
-        `verify` entry checks given a bare diagram read.
-
-        Private, since an assignment onto it would reach every later report
-        of the diagram.  A value whose computation raises is not stored, so
-        a doctored diagram raises again on every call."""
-        from .orbits import FormAnalysis
-
-        return FormAnalysis(self)
 
 
 class SatakeInvolution(namedtuple("SatakeInvolution", "columns p_tilde")):
@@ -431,13 +408,12 @@ def _component_duality(sd: SatakeDiagram, comp: tuple[int, ...]) -> dict[int, in
 
 
 def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
-    rs = sd.rs
-    n = rs.rank
     problems = _structural_failures(sd)
     if problems:
         failures = tuple(("structure.arrows", msg) for msg in problems)
         raise InconsistentDiagram(f"{sd.name}: " + "; ".join(problems), failures)
-
+    rs = sd.rs
+    n = rs.rank
     p_tilde = list(range(n))
     for i, j in sd.arrows:
         p_tilde[i], p_tilde[j] = j, i
@@ -468,9 +444,11 @@ def _is_pair(arrow) -> bool:
 
 
 def _structural_failures(sd: SatakeDiagram) -> list[str]:
+    # the checks below and every consumer read rs as a root system, black as a
+    # set of nodes and arrows as pairs of them, so any other shape is refused first
+    if not isinstance(sd.rs, RootSystem):
+        return [f"root system {sd.rs!r} is not a RootSystem"]
     n = sd.rs.rank
-    # the checks below and every consumer read black as a set of nodes and
-    # arrows as pairs of them, so any other shape is refused first
     problems = []
     if type(sd.black) is not frozenset or not all(type(b) is int for b in sd.black):
         problems.append(f"black nodes {sd.black!r} are not a frozenset of ints")
@@ -621,20 +599,10 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     return failures
 
 
-class ValidationReport(namedtuple("ValidationReport", "entry failures")):
-    """Outcome of validate_satake: empty failures means the entry is sound."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def checked_involution(sd: SatakeDiagram) -> SatakeInvolution:
-    """theta* for a diagram, built and checked, and kept nowhere: each
-    `FormAnalysis` builds its own.  If any invariant fails, raises
-    InconsistentDiagram carrying the failures, the structural ones first."""
+    """theta* for a diagram, built and checked, and kept nowhere.  If any
+    invariant fails, raises InconsistentDiagram carrying the failures, the
+    structural ones first."""
     inv = _build_involution(sd)
     failures = tuple(_involution_failures(sd, inv))
     if failures:
@@ -642,20 +610,3 @@ def checked_involution(sd: SatakeDiagram) -> SatakeInvolution:
         raise InconsistentDiagram(f"{sd.name}: {detail}", failures)
     return inv
 
-
-@lru_cache(maxsize=256)
-def satake_involution(sd: SatakeDiagram) -> SatakeInvolution:
-    """theta* for a diagram, read from the analysis the diagram keeps
-    (`SatakeDiagram._analysis`), so it is built and checked once per
-    diagram.  If any invariant fails, raises InconsistentDiagram carrying
-    the failures."""
-    return sd._analysis.involution
-
-
-def validate_satake(sd: SatakeDiagram) -> ValidationReport:
-    """Run every structural and involution check, reporting all failures.
-
-    The checks are those `checked_involution` runs, the structural ones
-    first, read through the analysis the diagram keeps, so a sound entry is
-    checked once and its involution kept for every later use."""
-    return sd._analysis.validate()

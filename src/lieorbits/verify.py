@@ -18,14 +18,8 @@ which keeps each once computed (`RootSystem.min_wdd`, `.min_orbit_dim`,
 `.dual_coxeter` and `.extended_nodes`), so the `minwdd.*` checks, every
 entry's `orbit.dim-monotone` and every entry's analysis share one value per
 type; an analysis whose minimal diagram was assigned is graded on that
-diagram.  The entry's own smallest meeting orbit is graded once, by its
-analysis.  An entry check given a bare diagram reads the analysis the
-diagram keeps (`SatakeDiagram._analysis`), so the three checks share it.
-`run_verification` gives each entry's three checks one analysis of its own,
-which builds the entry's involution and restriction and is dropped after
-them, so a sweep holds one entry's layers at a time and leaves nothing on
-the diagrams or in the layer LRUs; `check_satake_entry` validates through
-the analysis it is given (`FormAnalysis.validate`).
+diagram.  The entry's own smallest meeting orbit is graded once, by the
+analysis its three checks share (`_analysis`).
 
 The searches over pairs of roots, `roots.highest-unique`,
 `restricted.simple-two-routes` and `restricted.highest-nonextendable`, and
@@ -60,7 +54,7 @@ from math import gcd
 from operator import mul, ne, neg
 
 from .errors import LieOrbitsError
-from .orbits import FormAnalysis, in_five_families, ratio_text, wdd_matches_satake
+from .orbits import FormAnalysis, in_five_families, kept_analysis, ratio_text, wdd_matches_satake
 from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms
 from .rootsys import ROOT_COUNT_FORMULAS, RootSystem, build_root_system, orbit_dim_from_wdd
 from .satake import RealFormDescriptor, SatakeDiagram, catalog
@@ -143,7 +137,7 @@ class VerificationResult(namedtuple("VerificationResult", "entries checks_run fa
 def _analysis(entry: SatakeDiagram | FormAnalysis) -> FormAnalysis:
     """The analysis an entry check reads: the one given, or the one the
     diagram keeps, so the three checks of a bare diagram share it."""
-    return entry if isinstance(entry, FormAnalysis) else entry._analysis
+    return entry if isinstance(entry, FormAnalysis) else kept_analysis(entry)
 
 
 def check_root_system(rs: RootSystem) -> list[Failure]:
@@ -431,7 +425,8 @@ def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None 
 
     seen_types = []
     for sd in diagrams:
-        if sd.rs.simple_type not in seen_types:
+        # an entry whose rs is no root system is refused by its entry checks
+        if isinstance(sd.rs, RootSystem) and sd.rs.simple_type not in seen_types:
             seen_types.append(sd.rs.simple_type)
     for t in seen_types:
         checks += 1

@@ -9,8 +9,16 @@ from fractions import Fraction
 
 from lieorbits import cli, satake
 from lieorbits.errors import InconsistentDiagram
-from lieorbits.orbits import FormAnalysis, equivalence_conditions, in_five_families, min_g_wdd_direct
-from lieorbits.restricted import is_C_or_BC, parity_criterion, restricted_root_system
+from lieorbits.orbits import (
+    FormAnalysis,
+    equivalence_conditions,
+    in_five_families,
+    min_g_wdd_direct,
+    restricted_root_system,
+    satake_involution,
+    validate_satake,
+)
+from lieorbits.restricted import is_C_or_BC, parity_criterion
 from lieorbits.rootsys import (
     ROOT_COUNT_FORMULAS,
     build_root_system,
@@ -18,7 +26,7 @@ from lieorbits.rootsys import (
     min_orbit_wdd,
     orbit_dim_from_wdd,
 )
-from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution, validate_satake
+from lieorbits.satake import build_satake, catalog, parse_form_name
 from lieorbits.verify import run_verification
 
 
@@ -326,5 +334,5 @@ def test_every_package_cache_is_bounded():
         for attr, value in vars(module).items():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 caches[f"{module.__name__}.{attr}"] = value.cache_parameters()["maxsize"]
-    assert {"lieorbits.restricted.restricted_root_system", "lieorbits.satake.satake_involution"} <= set(caches)
+    assert {"lieorbits.orbits.restricted_root_system", "lieorbits.orbits.satake_involution"} <= set(caches)
     assert {name for name, maxsize in caches.items() if maxsize is None} == set()

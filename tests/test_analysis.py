@@ -17,6 +17,7 @@ from lieorbits.orbits import (
     FormAnalysis,
     equivalence_conditions,
     in_five_families,
+    kept_analysis,
     min_g_wdd_direct,
     min_g_wdd_linear_system,
     orbit_report,
@@ -125,7 +126,7 @@ def test_a_sweep_keeps_no_entry_s_involution_or_restriction(monkeypatch):
             return value
 
         monkeypatch.setattr(orbits, name, tagging)
-    for cached in (satake.satake_involution, restricted.restricted_root_system):
+    for cached in (orbits.satake_involution, orbits.restricted_root_system):
         cached.cache_clear()
     sound = run_verification(max_rank=8)
     mutants = [mutant for sd in catalog(7)[::8] for mutant in mutations(sd)]
@@ -134,8 +135,8 @@ def test_a_sweep_keeps_no_entry_s_involution_or_restriction(monkeypatch):
     assert len(tags) > 2 * sound.entries
     gc.collect()
     assert [ref for ref in tags if ref() is not None] == []
-    assert satake.satake_involution.cache_info().currsize == 0
-    assert restricted.restricted_root_system.cache_info().currsize == 0
+    assert orbits.satake_involution.cache_info().currsize == 0
+    assert orbits.restricted_root_system.cache_info().currsize == 0
     assert [sd.name for sd in catalog(8) + mutants if "_analysis" in vars(sd)] == []
 
 
@@ -176,7 +177,7 @@ def test_each_layer_built_once_per_diagram_across_repeated_reports(monkeypatch):
     for reports in passes[1:]:
         assert all(map(is_, reports, passes[0]))
     # each diagram keeps the one analysis its three reports read
-    assert all(sd._analysis.report is report for sd, report in zip(entries, passes[0]))
+    assert all(kept_analysis(sd).report is report for sd, report in zip(entries, passes[0]))
     assert built == {(build, sd.name): 1 for build in ("checked_involution", "build_restricted") for sd in entries}
     per_type = {sd.rs.simple_type.name: 1 for sd in entries}
     assert {name: k for (lay, name), k in counts.items() if lay == "min_orbit_wdd"} == per_type
@@ -228,7 +229,7 @@ def _count_verify_tables(monkeypatch) -> Counter:
 
 def test_describe_path_builds_no_verify_table(monkeypatch):
     counts = _count_verify_tables(monkeypatch)
-    restricted.restricted_root_system.cache_clear()
+    orbits.restricted_root_system.cache_clear()
     for sd in catalog(8):
         orbit_report(sd)
     assert counts == Counter()
@@ -246,7 +247,7 @@ def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
     # entry's involution, built by the sweep, decodes w0 a_(p~ j) once per
     # white node j where there are black nodes, which is minus column j
     rootsys._build_cached.cache_clear()
-    restricted.restricted_root_system.cache_clear()
+    orbits.restricted_root_system.cache_clear()
     # the closure reads each highest root off its key, before the sweep
     entries = catalog(8)
     # the expected counts build analyses of their own, which decode and
@@ -291,7 +292,7 @@ def test_verify_computes_each_type_s_values_once_and_each_entry_s_reduced_roots_
     # neighbours once per type, kept on its root system (an A1 asks for no
     # neighbours)
     rootsys._build_cached.cache_clear()
-    restricted.restricted_root_system.cache_clear()
+    orbits.restricted_root_system.cache_clear()
     counts: Counter = Counter()
     for owner, name in (
         (restricted, "reduced_simple"),
@@ -362,12 +363,12 @@ def test_the_diagram_cache_keeps_the_256_most_recently_used_descriptors():
     assert (info.maxsize, info.currsize) == (256, 256)
     assert build_satake(descriptors[0]) is diagrams[0]
     assert build_satake(descriptors[2]) is diagrams[2]
-    assert build_satake(descriptors[0])._analysis.report is reports[0]
+    assert kept_analysis(build_satake(descriptors[0])).report is reports[0]
     # the evicted descriptor is built again, a new diagram with a fresh analysis
     rebuilt = build_satake(descriptors[1])
     assert rebuilt is not diagrams[1] and rebuilt == diagrams[1]
     assert "_analysis" not in vars(rebuilt)
-    assert rebuilt._analysis is not diagrams[1]._analysis
+    assert kept_analysis(rebuilt) is not kept_analysis(diagrams[1])
     assert orbit_report(rebuilt) is not reports[1] and orbit_report(rebuilt) == reports[1]
 
 

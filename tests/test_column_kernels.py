@@ -23,11 +23,11 @@ import pytest
 
 from lieorbits import cli, restricted, satake, verify
 from lieorbits.errors import LieOrbitsError, UnrecognizedSystem
-from lieorbits.orbits import FormAnalysis
+from lieorbits.orbits import FormAnalysis, restricted_root_system, satake_involution
 from lieorbits.ratmat import matrix_rank
-from lieorbits.restricted import RestrictedRootSystem, reduced_simple, restricted_cartan, restricted_root_system
+from lieorbits.restricted import RestrictedRootSystem, reduced_simple, restricted_cartan
 from lieorbits.rootsys import min_orbit_wdd, orbit_dim_from_wdd, simple_coord
-from lieorbits.satake import SatakeInvolution, build_satake, catalog, parse_form_name, satake_involution
+from lieorbits.satake import SatakeInvolution, build_satake, catalog, parse_form_name
 
 ENTRIES = catalog(16)
 

@@ -27,9 +27,8 @@ from test_column_kernels import doctored_involutions, mutations, ref_involution_
 
 from lieorbits import restricted, rootsys, satake
 from lieorbits.errors import InconsistentDiagram, LieOrbitsError, UnrecognizedSystem
-from lieorbits.orbits import FormAnalysis, orbit_report
+from lieorbits.orbits import FormAnalysis, orbit_report, restricted_root_system, satake_involution
 from lieorbits.ratmat import matrix_rank
-from lieorbits.restricted import restricted_root_system
 from lieorbits.rootsys import (
     RANK_BOUNDS,
     SimpleType,
@@ -41,7 +40,7 @@ from lieorbits.rootsys import (
     read_cartan_type,
     simple_coord,
 )
-from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution
+from lieorbits.satake import build_satake, catalog, parse_form_name
 
 RANK_64 = ["so(1,128)", "so*(128)", "su(32,32)", "sl(64,R)", "sp(64,R)", "so(64,64)"]
 
@@ -358,7 +357,7 @@ def test_a_swap_with_no_arrow_fails_the_count_by_the_trace():
 
 def test_describe_decodes_no_positive_root():
     rootsys._build_cached.cache_clear()
-    satake.satake_involution.cache_clear()
+    satake_involution.cache_clear()
     restricted_root_system.cache_clear()
     satake._cached_satake.cache_clear()
     for name in ("e8(-24)", "sl(25,R)", "sp(64,R)"):

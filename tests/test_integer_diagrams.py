@@ -24,9 +24,9 @@ from operator import mul
 
 import pytest
 
-from lieorbits import cli, orbits, restricted, rootsys, satake, verify
+from lieorbits import cli, orbits, rootsys, verify
 from lieorbits.errors import InconsistentDiagram, InvalidType, NonIntegralWeights
-from lieorbits.orbits import FormAnalysis, orbit_report, report_from_dict, report_to_dict
+from lieorbits.orbits import FormAnalysis, kept_analysis, orbit_report, report_from_dict, report_to_dict
 from lieorbits.ratmat import int_solve
 from lieorbits.rootsys import SimpleType, WeightedDynkinDiagram, build_root_system, dual_coxeter_number, min_orbit_wdd
 from lieorbits.satake import build_satake, catalog, parse_form_name
@@ -265,7 +265,7 @@ def test_the_linear_system_route_refuses_non_integral_weights():
     # a copy of the diagram keeps an analysis of its own, which stands the
     # doctored restriction in for the one it would build
     sd = form("e6(-26)")._replace()
-    sd._analysis.restricted = with_mult_toggled(sd).restricted
+    kept_analysis(sd).restricted = with_mult_toggled(sd).restricted
     with pytest.raises(NonIntegralWeights, match=r"e6\(-26\): linear system gives \(1, 0, 0, 0, 0, 1\)/2"):
         orbits.min_g_wdd_linear_system(sd)
 
@@ -343,8 +343,8 @@ def test_a_warm_report_builds_no_fraction(fraction_count):
 def test_a_cold_describe_json_builds_no_fraction(fraction_count, name):
     for cached in (rootsys.read_cartan_type, rootsys._build_cached):
         cached.cache_clear()
-    satake.satake_involution.cache_clear()
-    restricted.restricted_root_system.cache_clear()
+    orbits.satake_involution.cache_clear()
+    orbits.restricted_root_system.cache_clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["describe", name, "--format", "json"]) == 0

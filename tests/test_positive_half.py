@@ -21,10 +21,9 @@ import pytest
 from test_diagram_kernels import candidate_types
 
 from lieorbits import rootsys, satake
-from lieorbits.orbits import orbit_report
-from lieorbits.restricted import restricted_root_system
+from lieorbits.orbits import orbit_report, restricted_root_system, satake_involution
 from lieorbits.rootsys import RootSystem, build_root_system
-from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution
+from lieorbits.satake import build_satake, catalog, parse_form_name
 
 RANK_64 = ["so(1,128)", "so*(128)", "su(32,32)", "sl(64,R)", "sp(64,R)", "so(64,64)"]
 TYPES = [t for rank in range(1, 31) for t in candidate_types(rank)]
@@ -75,7 +74,7 @@ def test_the_restricted_views_are_the_stored_views(sd):
 
 def test_describe_builds_no_negative_half():
     rootsys._build_cached.cache_clear()
-    satake.satake_involution.cache_clear()
+    satake_involution.cache_clear()
     restricted_root_system.cache_clear()
     satake._cached_satake.cache_clear()
     for name in ("e8(-24)", "sl(25,R)", "sp(64,R)"):
@@ -89,7 +88,7 @@ def count_decodes(monkeypatch):
     """Clear the layer caches and count `RootSystem.unpack`: the list of the
     roots it decodes from now on."""
     rootsys._build_cached.cache_clear()
-    satake.satake_involution.cache_clear()
+    satake_involution.cache_clear()
     restricted_root_system.cache_clear()
     satake._cached_satake.cache_clear()
     decoded = []

@@ -14,10 +14,9 @@ import pytest
 
 from lieorbits import restricted
 from lieorbits.errors import InvalidType, NonIntegralWeights
-from lieorbits.orbits import FormAnalysis
-from lieorbits.restricted import restricted_root_system
+from lieorbits.orbits import FormAnalysis, restricted_root_system, satake_involution, validate_satake
 from lieorbits.rootsys import SimpleType, build_root_system, min_orbit_wdd
-from lieorbits.satake import build_satake, parse_form_name, satake_involution, validate_satake
+from lieorbits.satake import build_satake, parse_form_name
 from lieorbits.verify import Failure, run_verification
 
 

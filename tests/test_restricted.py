@@ -5,17 +5,15 @@ import pytest
 
 from lieorbits import verify
 from lieorbits.errors import InconsistentDiagram
-from lieorbits.orbits import FormAnalysis
+from lieorbits.orbits import FormAnalysis, orbit_report, restricted_root_system, satake_involution
 from lieorbits.restricted import (
     RestrictedRootSystem,
     dominant_longest,
     is_C_or_BC,
-    is_hermitian,
     parity_criterion,
     positive_norms,
-    restricted_root_system,
 )
-from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution
+from lieorbits.satake import build_satake, catalog, parse_form_name
 
 
 def form(name):
@@ -191,12 +189,12 @@ def test_parity_iff_not_c_bc_over_catalog():
 
 
 def test_hermitian_examples_and_catalog():
-    assert is_hermitian(form("su(1,2)"))
-    assert not is_hermitian(form("f4(-20)"))
-    assert not is_hermitian(form("sl(3,R)"))
-    assert is_hermitian(form("sl(2,R)"))
+    assert orbit_report(form("su(1,2)")).hermitian
+    assert not orbit_report(form("f4(-20)")).hermitian
+    assert not orbit_report(form("sl(3,R)")).hermitian
+    assert orbit_report(form("sl(2,R)")).hermitian
     for sd in catalog(6):
-        assert is_hermitian(sd) == sd.hermitian_expected, sd.name
+        assert orbit_report(sd).hermitian == sd.hermitian_expected, sd.name
 
 
 def test_highest_root_two_routes_and_norms():

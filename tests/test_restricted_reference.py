@@ -14,8 +14,9 @@ from operator import sub
 
 import pytest
 
-from lieorbits.restricted import dominant_longest, parity_criterion, positive_norms, restricted_root_system
-from lieorbits.satake import build_satake, catalog, parse_form_name, satake_involution
+from lieorbits.orbits import restricted_root_system, satake_involution
+from lieorbits.restricted import dominant_longest, parity_criterion, positive_norms
+from lieorbits.satake import build_satake, catalog, parse_form_name
 
 EXTRA_FORMS = ["sl(12,R)", "su(5,7)", "so(4,9)", "sp(10,R)"]
 FORMS = [sd.name for sd in catalog(8)] + EXTRA_FORMS

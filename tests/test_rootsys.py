@@ -21,7 +21,8 @@ from lieorbits.rootsys import (
     read_cartan_type,
     simple_coord,
 )
-from lieorbits.restricted import positive_norms, restricted_root_system
+from lieorbits.orbits import restricted_root_system
+from lieorbits.restricted import positive_norms
 from lieorbits.satake import RealFormDescriptor, SatakeDiagram, build_satake, catalog, parse_form_name
 from lieorbits.verify import run_verification
 

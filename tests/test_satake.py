@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -5,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from lieorbits import satake
-from lieorbits.errors import FormNameError, InconsistentDiagram, OutOfRangeParams
-from lieorbits.orbits import orbit_report
+from lieorbits.errors import FormNameError, InconsistentDiagram, LieOrbitsError, OutOfRangeParams
+from lieorbits.orbits import orbit_report, restricted_root_system, satake_involution, validate_satake
+from lieorbits.rootsys import SimpleType, build_root_system
 from lieorbits.satake import (
     MAX_RANK,
     RealFormDescriptor,
@@ -14,10 +16,8 @@ from lieorbits.satake import (
     build_satake,
     catalog,
     parse_form_name,
-    satake_involution,
-    validate_satake,
 )
-from lieorbits.verify import run_verification
+from lieorbits.verify import ENTRY_CHECKS, check_satake_entry, run_verification
 
 
 def form(name):
@@ -478,21 +478,89 @@ def test_a_report_refuses_an_out_of_range_node_by_name(changes, message):
         ({"black": (1, 2, 3)}, "black nodes (1, 2, 3) are not a frozenset of ints"),
         ({"black": "12"}, "black nodes '12' are not a frozenset of ints"),
         ({"black": frozenset({True})}, "black nodes frozenset({True}) are not a frozenset of ints"),
+        ({"black": [1]}, "black nodes [1] are not a frozenset of ints"),
         ({"arrows": [[2, 3]]}, "arrows [[2, 3]] are not a tuple of int pairs"),
         ({"arrows": ((2, 3, 1),)}, "arrows ((2, 3, 1),) are not a tuple of int pairs"),
+        ({"rs": None}, "root system None is not a RootSystem"),
+        ({"rs": "rs"}, "root system 'rs' is not a RootSystem"),
     ],
-    ids=["black-tuple", "black-str", "black-bool", "arrows-list", "arrows-triple"],
+    ids=["black-tuple", "black-str", "black-bool", "black-list", "arrows-list", "arrows-triple", "rs-none", "rs-str"],
 )
 def test_a_malformed_field_is_refused_by_name_at_every_entry_point(changes, message):
     bad = form("so(4,4)")._replace(**changes)
-    assert validate_satake(bad).failures == (("structure.arrows", message),)
-    with pytest.raises(InconsistentDiagram) as exc:
-        orbit_report(bad)
-    assert exc.value.failures == (("structure.arrows", message),)
+    structural = (("structure.arrows", message),)
+    assert validate_satake(bad).failures == structural
+    # the layer LRUs hash the diagram as its descriptor, so none of them
+    # hashes the malformed field
+    for entry_point in (orbit_report, satake_involution, restricted_root_system):
+        with pytest.raises(InconsistentDiagram) as exc:
+            entry_point(bad)
+        assert exc.value.failures == structural, entry_point.__name__
+    checks = [(f.entry, f.check) for check in ENTRY_CHECKS for f in check(bad)]
     result = run_verification(entries=[bad])
-    assert [(f.entry, f.check) for f in result.failures] == [
+    assert checks == [(f.entry, f.check) for f in result.failures] == [
         ("so(4,4)", "structure.arrows"),
         ("so(4,4)", "restricted.construction"),
         ("so(4,4)", "orbit.construction"),
     ]
-    assert result.failures[0].message == message
+    assert check_satake_entry(bad)[0].message == result.failures[0].message == message
+
+
+def malformed_diagrams(seed: int, count: int):
+    """`count` catalog diagrams, each with one to three of black, arrows and
+    rs replaced by a malformed value: a wrong container, bools, an
+    out-of-range node, a self-arrow, two arrows sharing a node, no root
+    system, or another type's root system."""
+    rng = random.Random(seed)
+    bases = [form(name) for name in ("so(4,4)", "su(2,3)", "e6(-14)", "sp(1,2)", "g2(2)", "so*(10)", "f4(-20)")]
+    others = [build_root_system(SimpleType(letter, rank)) for letter, rank in (("A", 4), ("B", 3), ("C", 4), ("D", 5))]
+
+    def black(sd):
+        n = sd.rs.rank
+        wrong = [list(sd.black), tuple(sd.black), "01", frozenset({True}), frozenset({n}), frozenset({-1})]
+        return rng.choice(wrong + [sd.black | {rng.randrange(n)}])
+
+    def arrows(sd):
+        n = sd.rs.rank
+        i = rng.randrange(n)
+        listed = [list(a) for a in sd.arrows]
+        return rng.choice([listed, ((True, 1),), ((i, n),), ((i, i),), ((0, 1), (1, 2)), ((0, 1, 2),), "01"])
+
+    def rs(sd):
+        return rng.choice([None, "rs", sd.rs.simple_type, tuple(sd.rs), rng.choice(others)])
+
+    makers = {"black": black, "arrows": arrows, "rs": rs}
+    for _ in range(count):
+        sd = rng.choice(bases)
+        fields = rng.sample(sorted(makers), rng.randint(1, 3))
+        yield sd._replace(**{field: makers[field](sd) for field in fields})
+
+
+MALFORMED_ENTRY_POINTS = (
+    validate_satake,
+    satake_involution,
+    restricted_root_system,
+    orbit_report,
+    lambda sd: run_verification(entries=[sd]),
+    *ENTRY_CHECKS,
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_entry_point_refuses_a_malformed_diagram_by_name(seed):
+    # each call returns a value or raises the package's own error, never a bare one
+    escaped = []
+    calls = 0
+    start = time.perf_counter()
+    for sd in malformed_diagrams(seed, 150):
+        for entry_point in MALFORMED_ENTRY_POINTS:
+            calls += 1
+            try:
+                entry_point(sd)
+            except LieOrbitsError:
+                pass
+            except Exception as exc:
+                escaped.append((sd, type(exc).__name__, str(exc)))
+    elapsed = time.perf_counter() - start
+    assert escaped == []
+    assert calls >= 1000 and elapsed < 1, (calls, elapsed)

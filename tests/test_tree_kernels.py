@@ -27,9 +27,9 @@ from test_diagram_kernels import candidate_types
 
 from lieorbits import rootsys, satake, verify
 from lieorbits.errors import InconsistentDiagram, LieOrbitsError
-from lieorbits.orbits import orbit_report
+from lieorbits.orbits import orbit_report, restricted_root_system, satake_involution
 from lieorbits.ratmat import int_solve, matrix_rank
-from lieorbits.restricted import RestrictedRootSystem, build_restricted, restricted_root_system
+from lieorbits.restricted import RestrictedRootSystem, build_restricted
 from lieorbits.rootsys import RootSystem, SimpleType, build_root_system, simple_coord
 from lieorbits.satake import (
     RealFormDescriptor,
@@ -38,7 +38,6 @@ from lieorbits.satake import (
     build_satake,
     catalog,
     parse_form_name,
-    satake_involution,
 )
 from lieorbits.verify import Failure
 

@@ -23,8 +23,8 @@ from test_diagram_kernels import candidate_types
 
 from lieorbits import restricted, verify
 from lieorbits.errors import InconsistentDiagram, LieOrbitsError, UnrecognizedSystem
-from lieorbits.orbits import FormAnalysis, in_five_families, ratio_text, wdd_matches_satake
-from lieorbits.restricted import build_restricted, is_C_or_BC, reduced_simple, restricted_root_system
+from lieorbits.orbits import FormAnalysis, in_five_families, ratio_text, restricted_root_system, wdd_matches_satake
+from lieorbits.restricted import build_restricted, is_C_or_BC, reduced_simple
 from lieorbits.rootsys import (
     build_root_system,
     dual_coxeter_number,
