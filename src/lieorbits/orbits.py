@@ -212,8 +212,8 @@ class FormAnalysis:
         """
         sd = self.sd
         # on the doubled root 2 lambda: weight_i = 4<a_i, 2 lambda>/<2 lambda, 2 lambda>
-        lam = self.restricted.doubled_highest
-        pairs = sd.rs.simple_pairings(lam)
+        rrs = self.restricted
+        lam, pairs = rrs.doubled_highest, rrs.highest_pairings
         norm = sum(map(mul, lam, pairs))
         nums = [4 * p for p in pairs]
         weights = tuple(x // norm for x in nums)

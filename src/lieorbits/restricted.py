@@ -15,12 +15,19 @@ form (`RootSystem.simple_pairings`), so the doubling and the scaling cancel;
 The restriction is linear, so r(-alpha) = -r(alpha): a `RestrictedRootSystem`
 keeps the positive half, unsorted, as `keys`, all that `describe` reads.  A
 root is looked up there by its key: 2s for a simple root s, and r(phi).
-The decoded views are for `verify`, which reads each once per entry, and
-they make one sorted table: `counts` sorts the keys, whose order is the
-coordinate order, and decodes each once (`RootSystem.unpack`), kept once
-built; `doubled_positives` is its roots and `doubled` adds the
-negatives, built on every read without a sort, since the negative roots sort
-first and negation reverses their order.
+The sorted views are for `verify`, which reads each once per entry, and
+they share one sort: `sorted_keys`, kept once built, in the coordinate
+order.  The signed view `signed` adds the negatives on the keys
+themselves, -key for -xi, since `pack` is linear, with no decode
+(`RootSystem.unpack_signed` decodes a key of either sign); `counts` decodes
+each sorted key once (`RootSystem.unpack`), kept once built;
+`doubled_positives` is its roots and the tuple view `doubled` adds the
+negatives.  `signed`, `doubled_positives` and `doubled` are built on every
+read without a sort, since the negative roots sort first and negation
+reverses their order; `verify` reads no `doubled`, which stays as the
+source of `elements`.  The pairing row of r(phi), `highest_pairings`, is
+kept once built, as `RootSystem.highest_pairings` is phi's: the direct
+diagram, `parity_criterion` and `verify` read the one row.
 
 Nothing is searched for.  The simple restricted roots are the distinct images
 s of the white simple roots, and the reduced system's simple roots are those
@@ -42,8 +49,8 @@ one `RootSystem.simple_pairings` row of it: the simple roots in
 `dominant_longest`, which filters the longest roots by one row at a time.
 The norm table of the positive roots (`positive_norms`), read off
 `doubled_positives`, is built only for `verify`, which shares it between
-`dominant_longest` and its parity scan, and pairs that scan through one row
-of the highest root; `parity_criterion` pairs the r reduced simple roots
+`dominant_longest` and its parity scan, and pairs that scan through the kept
+row of the highest root; `parity_criterion` pairs the r reduced simple roots
 with that row and each with its own, and builds neither.  Each norm is the
 type's quadratic form (`RootSystem.norm_form`) on the root: its diagonal and
 chain as C-level passes, and one product per branch edge of D or E.  A
@@ -90,14 +97,16 @@ class RestrictedRootSystem(
     Stored as doubled integer vectors 2 r(alpha): `keys` maps the key of
     each nonzero one of a positive root to its multiplicity, unsorted;
     `doubled_simple` follows the white nodes and, like `doubled_highest`, is
-    paired as coordinates, so both stay tuples.  The view `counts` sorts and
-    decodes `keys` once, and is the one sorted table the others are read
-    off: `doubled` (`counts` and its negatives, sorted) and
-    `doubled_positives` (its roots) are built anew on each read, without a
-    sort, so only `verify` pays for them.  The view `reduced_simple` is read
-    off `keys` and `doubled_simple`, or kept by the construction, which
-    found it.  Equality is identity, also against a plain tuple, as the
-    `keys` Counter cannot be hashed.
+    paired as coordinates, so both stay tuples.  The view `sorted_keys`
+    sorts `keys` once, and is the one sort the others are read off: the
+    signed view `signed` (the keys and their negatives, sorted) and, through
+    the kept decode `counts`, `doubled` (`counts` and its negatives, sorted)
+    and `doubled_positives` (its roots) are built anew on each read, without
+    a sort, so only `verify` pays for them.  The view `highest_pairings`
+    keeps the pairing row of `doubled_highest`.  The view `reduced_simple`
+    is read off `keys` and `doubled_simple`, or kept by the construction,
+    which found it.  Equality is identity, also against a plain tuple, as
+    the `keys` Counter cannot be hashed.
     """
 
     def __eq__(self, other):
@@ -109,11 +118,33 @@ class RestrictedRootSystem(
     __hash__ = object.__hash__
 
     @cached
+    def sorted_keys(self) -> tuple[int, ...]:
+        """`keys` sorted, which is the coordinate order: the one sort of
+        them, kept, that `counts`, `signed` and `verify` read."""
+        return tuple(sorted(self.keys))
+
+    @cached
     def counts(self) -> dict[IntVector, int]:
         """`keys` decoded, in key order: each positive doubled root and its
         multiplicity, sorted, since the keys' digits are its coordinates."""
-        keys = sorted(self.keys)
+        keys = self.sorted_keys
         return dict(zip(map(self.source.rs.unpack, keys), map(self.keys.__getitem__, keys)))
+
+    @property
+    def signed(self) -> dict[int, int]:
+        """Every doubled root's key and its multiplicity, sorted: the sorted
+        keys, with the negative roots first as -key, since `pack` is linear
+        (`RootSystem.unpack_signed` decodes one).  Built on each read from
+        `sorted_keys`, with no decode."""
+        keys = self.sorted_keys
+        mults = list(map(self.keys.__getitem__, keys))
+        return dict(zip(chain(map(neg, reversed(keys)), keys), chain(reversed(mults), mults)))
+
+    @cached
+    def highest_pairings(self) -> tuple[int, ...]:
+        """gram_scale * <a_i, 2 r(phi)> for every node i, kept: the pairing
+        row of `doubled_highest`, as `RootSystem.highest_pairings` is phi's."""
+        return self.source.rs.simple_pairings(self.doubled_highest)
 
     @property
     def doubled(self) -> dict[IntVector, int]:
@@ -253,7 +284,7 @@ def parity_criterion(rrs: RestrictedRootSystem) -> bool:
     """Whether some restricted root pairs oddly against the highest root; the
     reduced system's r simple coroots span every coroot, so they decide."""
     rs = rrs.source.rs
-    lam_row = rs.simple_pairings(rrs.doubled_highest)
+    lam_row = rrs.highest_pairings
     pairings = ((2 * sum(map(mul, xi, lam_row)), sum(map(mul, xi, rs.simple_pairings(xi)))) for xi in rrs.reduced_simple)
     return odd_pairing(rrs, pairings)
 

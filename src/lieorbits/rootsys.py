@@ -13,7 +13,8 @@ and 5-bit ones for its coroot pairings, in -3..3, and string lengths, at
 most 3.  It yields the positive roots by height, packed as
 sum_i c_i 256^(n-1-i), and a `RootSystem` stores them so, as
 `positive_keys`; every layer packs, masks and decodes a root through its
-one codec, `simple_keys`, `pack`, `digit_mask` and `unpack`.  The
+one codec, `simple_keys`, `pack`, `digit_mask`, `unpack` and, for a key
+that may be negative, `unpack_signed`.  The
 coefficient tuples are views that only `verify` builds: `positive_roots`
 decodes the keys, and `roots` adds the negatives.
 
@@ -29,7 +30,9 @@ branch node and bond labels (`read_cartan_type`), and confirmed by
 comparing the relabelled rows with `cartan_matrix`, which builds them on
 each miss of the cache `read_cartan_type` keeps; nothing is searched.
 
-A `RootSystem` keeps what is read once per type: the sparse Gram rows
+A `RootSystem` keeps what is read once per type: its keys as a set
+(`key_set`), which the involution's root scans test in single set calls; the
+sparse Gram rows
 (`gram_support`), through which `simple_pairings` walks only the nonzero
 coordinates of a vector, the one kernel of the Gram form (`scaled_inner`
 goes through it); the Gram form as a quadratic form (`norm_form`: diagonal,
@@ -197,6 +200,18 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
     def unpack(self, key: int) -> tuple[int, ...]:
         """The coefficients of a nonnegative key whose digits are below 256."""
         return tuple(key.to_bytes(self.rank, "big"))
+
+    def unpack_signed(self, key: int) -> tuple[int, ...]:
+        """The coefficients of the key of a vector whose entries are all of
+        one sign and below 256 in size: a negative key is minus the key of
+        the negated vector, as `pack` is linear."""
+        return self.unpack(key) if key >= 0 else tuple(map(neg, self.unpack(-key)))
+
+    @cached
+    def key_set(self) -> frozenset[int]:
+        """`positive_keys` as a set, kept: the involution's root scans and
+        verify's `roots.highest-unique` test membership in it."""
+        return frozenset(self.positive_keys)
 
     @cached
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:

@@ -22,14 +22,16 @@ component's duality, so nothing is solved.  tau* = -theta* acts on one
 vector through `SatakeInvolution.tau_image`, and on every positive root at
 once through `tau_keys`, which packs each root and its image into one int,
 the images carried along the closure's spanning tree, one addition per
-root, and the root checks look those keys up; an involution that passes
+root, and the root checks test them against the type's kept key set
+(`RootSystem.key_set`) in single set calls; an involution that passes
 them keeps the images for the restriction (`SatakeInvolution.root_images`).
 The invariants run on the nonzero entries of tau*'s columns
 (`SatakeInvolution.tau_columns`, built once per involution and read by the
 restriction too), theta*^2 = tau*^2 = I included: `checked_involution`
 builds and checks the involution, raising InconsistentDiagram with the
 failed checks, the structural ones first, and keeps it nowhere.  Those
-refuse a root system that is not a `RootSystem`, a `black` that is not a
+refuse a descriptor that `build_satake` would refuse (`_descriptor_error`),
+a root system that is not a `RootSystem`, a `black` that is not a
 frozenset of ints and `arrows` that are not a tuple of int pairs, so no
 later check reads a malformed field.
 
@@ -148,11 +150,19 @@ class SatakeDiagram(namedtuple("SatakeDiagram", "descriptor rs black arrows herm
     _analysis = None
 
     def __hash__(self) -> int:
-        return hash(self.descriptor)
+        try:
+            return hash(self.descriptor)
+        except TypeError:
+            # an unhashable descriptor, which the structural check refuses by name
+            return 0
 
     @property
     def name(self) -> str:
-        return self.descriptor.canonical_name
+        try:
+            return self.descriptor.canonical_name
+        except (AttributeError, LookupError, TypeError):
+            # a malformed descriptor, which the structural check refuses, names itself
+            return repr(self.descriptor)
 
     @cached
     def white(self) -> tuple[int, ...]:
@@ -215,26 +225,45 @@ def build_satake(d: RealFormDescriptor) -> SatakeDiagram:
     """Instantiate the family pattern for one descriptor.
 
     Equal descriptors give the same diagram, kept in an LRU of 256; an
-    error is never kept.  Parameters that are not a tuple of ints are
-    refused first, since True and 1.0 hash as 1 does and would be served
-    su(1,2)'s diagram for su(True,2).  Under the cache, a parameter count
-    other than the family's, one per `{}` of its name and none for an
-    exceptional form, is refused, and then a complex rank above MAX_RANK,
-    before anything is built; each refusal is an OutOfRangeParams.
+    error is never kept.  A malformed descriptor is refused before the
+    cache is read (`_descriptor_error`): parameters that are not a tuple of
+    ints first, since True and 1.0 hash as 1 does and would be served
+    su(1,2)'s diagram for su(True,2), then an unknown family and a
+    parameter count other than the family's, one per `{}` of its name and
+    none for an exceptional form.  Under the cache a complex rank above
+    MAX_RANK is refused before anything is built.  An unknown family or a
+    value that is no `RealFormDescriptor` raises FormNameError, and every
+    other refusal OutOfRangeParams.
     """
-    if type(d.params) is not tuple:
-        raise OutOfRangeParams(f"real-form parameters must be a tuple, got {type(d.params).__name__} {d.params!r}")
-    for x in d.params:
-        if type(x) is not int:
-            raise OutOfRangeParams(f"real-form parameters must be ints, got {type(x).__name__} {x!r}")
+    error = _descriptor_error(d)
+    if error is not None:
+        raise error
     return _cached_satake(d)
+
+
+def _descriptor_error(d) -> FormNameError | OutOfRangeParams | None:
+    """The error a malformed descriptor is refused with, or None: `d` must
+    be a `RealFormDescriptor` whose parameters are a tuple of ints, and
+    whose family is a known one and gets as many parameters as its name has
+    `{}`s.  `build_satake` raises it, and the structural check reports it."""
+    if type(d) is not RealFormDescriptor:
+        return FormNameError(f"a real form is named by a RealFormDescriptor, got {type(d).__name__} {d!r}")
+    family, params = d
+    if type(params) is not tuple:
+        return OutOfRangeParams(f"real-form parameters must be a tuple, got {type(params).__name__} {params!r}")
+    for x in params:
+        if type(x) is not int:
+            return OutOfRangeParams(f"real-form parameters must be ints, got {type(x).__name__} {x!r}")
+    arity = _ARITY.get(family) if type(family) is str else None
+    if arity is None:
+        return FormNameError(f"unknown real-form family {family!r}")
+    if len(params) != arity:
+        return OutOfRangeParams(f"real-form family {family!r} needs {arity} parameter(s), got {params!r}")
+    return None
 
 
 @lru_cache(maxsize=256)
 def _cached_satake(d: RealFormDescriptor) -> SatakeDiagram:
-    arity = _ARITY.get(d.family)
-    if arity is not None and len(d.params) != arity:
-        raise OutOfRangeParams(f"real-form family {d.family!r} needs {arity} parameter(s), got {d.params!r}")
     rank = complex_rank(d)
     if rank > MAX_RANK:
         raise OutOfRangeParams(f"{d.canonical_name} has complex rank {rank}, above the cap MAX_RANK = {MAX_RANK}")
@@ -408,10 +437,11 @@ def _component_duality(sd: SatakeDiagram, comp: tuple[int, ...]) -> dict[int, in
 
 
 def _build_involution(sd: SatakeDiagram) -> SatakeInvolution:
-    problems = _structural_failures(sd)
-    if problems:
-        failures = tuple(("structure.arrows", msg) for msg in problems)
-        raise InconsistentDiagram(f"{sd.name}: " + "; ".join(problems), failures)
+    error = _descriptor_error(sd.descriptor)
+    failures = [("structure.descriptor", str(error))] if error is not None else []
+    failures += (("structure.arrows", msg) for msg in _structural_failures(sd))
+    if failures:
+        raise InconsistentDiagram(f"{sd.name}: " + "; ".join(msg for _, msg in failures), tuple(failures))
     rs = sd.rs
     n = rs.rank
     p_tilde = list(range(n))
@@ -527,11 +557,13 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
     # hold on the positive ones.  Roots, images and differences are compared
     # as packed ints (`tau_keys`), whose sign is that of the leading
     # coefficient: v is a root exactly when |key(v)| is a positive root's key.
-    # A scan finds a root's index, whose coefficients only a message decodes.
+    # Each test is one set call; only a failed one scans for a root's index,
+    # whose coefficients the message decodes.  In base 256 the keys are the
+    # system's own, whose set it keeps (`RootSystem.key_set`).
     keys, images = tau_keys(rs, inv)
-    root_keys = set(keys)
-    bad = next(compress(count(), map(not_, map(root_keys.__contains__, map(abs, images)))), None)
-    if bad is not None:
+    root_keys = rs.key_set if keys is rs.positive_keys else frozenset(keys)
+    if not root_keys.issuperset(map(abs, images)):
+        bad = next(compress(count(), map(not_, map(root_keys.__contains__, map(abs, images)))))
         root = rs.unpack(rs.positive_keys[bad])
         failures.append(("involution.preserves-roots", f"theta* does not preserve the root set (e.g. {root})"))
 
@@ -548,8 +580,8 @@ def _involution_failures(sd: SatakeDiagram, inv: SatakeInvolution) -> list[tuple
                 ("involution.white-translate", f"-theta*(a_{w}) - p~(a_{w}) is not a nonnegative black combination")
             )
 
-    normal = next(compress(count(), map(root_keys.__contains__, map(abs, map(sub, keys, images)))), None)
-    if normal is not None:
+    if not root_keys.isdisjoint(map(abs, map(sub, keys, images))):
+        normal = next(compress(count(), map(root_keys.__contains__, map(abs, map(sub, keys, images)))))
         root = rs.unpack(rs.positive_keys[normal])
         failures.append(("involution.tau-normal", f"alpha - tau*(alpha) is a root for alpha={root}"))
 

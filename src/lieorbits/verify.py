@@ -30,25 +30,38 @@ white-node mask.  The digits are at most 6 for a root and 12 for a doubled
 restricted one, so nothing compared carries; the simple-root search compares
 keys too, and a key is decoded only for a message.
 
-Each entry's restricted keys are decoded once, sorted, into the view
-`RestrictedRootSystem.counts`; the views `doubled` (both halves) and
-`doubled_positives` and the norm table `restricted.positive_norms` are read
-off it without another sort or decode, once per entry.  `doubled` serves
-`restricted.mult-sum` and `.negation`, which looks up the multiplicity of
-each -xi against that of xi.  Where one side of an inner product is fixed,
-the other is paired with one `RootSystem.simple_pairings` row of it: the
-simple roots in the dominance test, the highest roots in the norm ratio and
-the parity scan.  The dominance test and the parity scan share the norm
-table: every scan that is symmetric under negation reads the positive half.
-`restricted.simple-two-routes` compares its search with the reduced simple
-roots the construction found, the view `RestrictedRootSystem.reduced_simple`.
+Each entry's restricted keys are sorted once, into the view
+`RestrictedRootSystem.sorted_keys`, which the decode `counts`, the signed
+view `signed` and the searches of `restricted.simple-two-routes` and
+`restricted.highest-nonextendable` share; the view `doubled_positives` and
+the norm table `restricted.positive_norms` are read off `counts` without
+another sort or decode, once per entry.  The signed view, the sorted keys
+with each negative root as -key, serves `restricted.mult-sum` and
+`.negation`, which looks up the multiplicity of each -xi, one int negation
+and one dict lookup, against that of xi; a failure decodes its key for the
+message (`RootSystem.unpack_signed`).  Where one side of an inner product
+is fixed, the other is paired with one `RootSystem.simple_pairings` row of
+it: the simple roots in the dominance test, phi in the norm ratio, and
+r(phi) in the norm ratio and the parity scan, whose row the restriction
+keeps once built (`RestrictedRootSystem.highest_pairings`) for the direct
+diagram and the parity criterion too.  The dominance test and the parity
+scan share the norm table: every scan that is symmetric under negation
+reads the positive half.  `roots.highest-unique` tests sums against the
+type's kept key set (`RootSystem.key_set`), which the involution's root
+scans read as well.  `restricted.simple-two-routes` compares its search
+with the reduced simple roots the construction found, the view
+`RestrictedRootSystem.reduced_simple`.
+
+`orbit.golden-row` reads the table's weights on the catalog's diagram for
+the entry's descriptor; an entry that is another diagram, relabelled from
+it by a Dynkin diagram automorphism, is held to the weights moved by it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 from itertools import compress, repeat
 from math import gcd
 from operator import mul, ne, neg
@@ -57,7 +70,7 @@ from .errors import LieOrbitsError
 from .orbits import FormAnalysis, in_five_families, kept_analysis, ratio_text, wdd_matches_satake
 from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms
 from .rootsys import ROOT_COUNT_FORMULAS, RootSystem, build_root_system, orbit_dim_from_wdd
-from .satake import RealFormDescriptor, SatakeDiagram, catalog
+from .satake import RealFormDescriptor, SatakeDiagram, build_satake, catalog
 
 EXCEPTIONAL_REAL_RANK = {
     "g2_2": 2,
@@ -119,6 +132,52 @@ def golden_row(d: RealFormDescriptor) -> tuple[tuple[int, ...], int] | None:
     return None
 
 
+def _automorphisms(cartan: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Every permutation sigma of the nodes with C[sigma i][sigma j] = C[i][j],
+    the identity first: node i goes, in turn, to each free node j that keeps
+    the rows of the nodes placed before it."""
+    n = len(cartan)
+    sigma: list[int] = []
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        i = len(sigma)
+        if i == n:
+            yield tuple(sigma)
+            return
+        for j in range(n):
+            if j not in sigma and all(
+                cartan[sigma[k]][j] == cartan[k][i] and cartan[j][sigma[k]] == cartan[i][k] for k in range(i)
+            ):
+                sigma.append(j)
+                yield from extend()
+                sigma.pop()
+
+    return extend()
+
+
+def _table_weights(sd: SatakeDiagram, weights: tuple[int, ...]) -> tuple[int, ...]:
+    """A golden row's weights, given on the catalog's diagram for the
+    descriptor, on the nodes of `sd`: moved by a Dynkin diagram automorphism
+    that carries the catalog's diagram onto `sd`, when `sd` is such an image
+    of it and not that diagram itself, and as given otherwise."""
+    try:
+        ref = build_satake(sd.descriptor)
+    except LieOrbitsError:
+        return weights
+    if (ref.black, ref.arrows) == (sd.black, sd.arrows) or ref.rs.simple_type != sd.rs.simple_type:
+        return weights
+    arrows = set(map(frozenset, sd.arrows))
+    for sigma in _automorphisms(sd.rs.cartan):
+        if frozenset(map(sigma.__getitem__, ref.black)) == sd.black and {
+            frozenset(map(sigma.__getitem__, pair)) for pair in ref.arrows
+        } == arrows:
+            moved = [0] * len(weights)
+            for i, w in zip(sigma, weights):
+                moved[i] = w
+            return tuple(moved)
+    return weights
+
+
 class Failure(namedtuple("Failure", "entry check message")):
     __slots__ = ()
 
@@ -162,7 +221,7 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
 
     # a sum of two positive roots is a root exactly when it is a positive one
     keys = rs.positive_keys
-    root_keys = set(keys)
+    root_keys = rs.key_set
     non_extendable = {x for x in keys if root_keys.isdisjoint(map(x.__add__, keys))}
     if non_extendable != {rs.pack(rs.highest)}:
         message = f"non-extendable positives: {sorted(map(rs.unpack, non_extendable))}"
@@ -228,18 +287,18 @@ def check_satake_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
     return failures
 
 
-def _indecomposables(keys: Sequence[int], witness_keys: Iterable[int]) -> list[int]:
+def _indecomposables(keys: Sequence[int], roots: Container[int], witness_keys: Iterable[int]) -> list[int]:
     """The reduced positive roots that are no sum of two others, by search,
     as keys: those of `keys`, the keys of every positive doubled root, in
-    increasing order, and so in order.
+    increasing order, and so in order; `roots` holds the same keys, and
+    tells a reduced one, whose double is not among them.
 
     A decomposable root splits off a white-node root, so the witnesses are
     tried first and every positive root only for the few roots they leave.
     A positive key that is a sum of two is the sum of one at most its half
     and one at least its half, so only the keys up to half of it are tried.
     """
-    root_keys = set(keys)
-    reduced = [k for k in keys if 2 * k not in root_keys]
+    reduced = [k for k in keys if 2 * k not in roots]
     reduced_set = set(reduced)
     witness_keys = [k for k in witness_keys if k in reduced_set]
     # whether no key minus a candidate is a reduced key; xi - eta packs to 0
@@ -263,13 +322,15 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     except LieOrbitsError as exc:
         return [Failure(name, "restricted.construction", str(exc))]
 
-    # both views come from the one sorted decode of the keys, and only the next two checks read `doubled`
-    doubled = rrs.doubled
+    # the keys are sorted once, for the decode behind the norm table, the signed view
+    # and the searches; only the next two checks read the signed view
+    keys = rrs.sorted_keys
+    signed = rrs.signed
     norms = positive_norms(rrs)
 
     # an independent count of the roots restricting to zero, those supported on black
     # nodes: twice the positive keys with no digit on a white node, which `white` masks
-    total = sum(doubled.values())
+    total = sum(signed.values())
     white = rs.digit_mask(sd.white)
     span_black = 2 * list(map(white.__and__, rs.positive_keys)).count(0)
     roots = 2 * len(rs.positive_keys)
@@ -278,13 +339,12 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
             Failure(name, "restricted.mult-sum", f"mult sum {total} + black-span {span_black} != {roots} roots")
         )
 
-    # on the doubled vectors 2 xi, read without building the Fraction views
-    negated = map(tuple, map(map, repeat(neg), doubled))
-    d = next(compress(doubled, map(ne, map(doubled.get, negated), doubled.values())), None)
+    # on the keys of the doubled vectors 2 xi: -xi has key -key
+    d = next(compress(signed, map(ne, map(signed.get, map(neg, signed)), signed.values())), None)
     if d is not None:
         from fractions import Fraction
 
-        xi = tuple(Fraction(x, 2) for x in d)
+        xi = tuple(Fraction(x, 2) for x in rs.unpack_signed(d))
         failures.append(Failure(name, "restricted.negation", f"mult({xi}) != mult(-{xi})"))
 
     try:
@@ -296,8 +356,7 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     # compared as keys, which pack the white-node roots injectively and in order
     araki = sorted(rrs.reduced_simple)
     araki_keys = list(map(rs.pack, araki))
-    keys = sorted(rrs.keys)
-    searched = _indecomposables(keys, araki_keys)
+    searched = _indecomposables(keys, rrs.keys, araki_keys)
     if searched != araki_keys:
         message = f"indecomposable reduced positives {list(map(rs.unpack, searched))} vs white-node roots {araki}, doubled"
         failures.append(Failure(name, "restricted.simple-two-routes", message))
@@ -309,7 +368,7 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     # gram_scale times <phi,phi>, and 4 gram_scale times <lam,lam> from the doubled 2 lam,
     # each paired through its own row; <phi,phi> = ratio <lam,lam>
     scale = rs.gram_scale
-    lam_row = rs.simple_pairings(rrs.doubled_highest)
+    lam_row = rrs.highest_pairings
     phi_sq = sum(map(mul, rs.highest, rs.highest_pairings))
     lam_sq4 = sum(map(mul, rrs.doubled_highest, lam_row))
     ratio = 2 if rrs.highest_mult >= 2 else 1
@@ -403,9 +462,12 @@ def check_orbit_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]:
     if g_dim < min_dim or (g_dim == min_dim) != meets:
         failures.append(Failure(name, "orbit.dim-monotone", f"dim {g_dim} vs minimal dim {min_dim}, meets={meets}"))
 
+    # the table gives the catalog's labelling, so an entry relabelled by a diagram automorphism is
+    # held to the table's weights moved along with it
     row = golden_row(sd.descriptor)
     if row is not None:
         weights, dim = row
+        weights = _table_weights(sd, weights)
         if direct.weights != weights or g_dim != dim:
             failures.append(
                 Failure(name, "orbit.golden-row", f"got {direct.weights} dim {g_dim}, table says {weights} dim {dim}")

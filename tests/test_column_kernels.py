@@ -14,6 +14,7 @@ never build the sorted views.
 """
 
 import contextlib
+import functools
 import io
 from collections import Counter
 from fractions import Fraction
@@ -21,12 +22,12 @@ from operator import add, mul, sub
 
 import pytest
 
-from lieorbits import cli, restricted, satake, verify
+from lieorbits import cli, orbits, restricted, satake, verify
 from lieorbits.errors import LieOrbitsError, UnrecognizedSystem
 from lieorbits.orbits import FormAnalysis, restricted_root_system, satake_involution
 from lieorbits.ratmat import matrix_rank
 from lieorbits.restricted import RestrictedRootSystem, reduced_simple, restricted_cartan
-from lieorbits.rootsys import min_orbit_wdd, orbit_dim_from_wdd, simple_coord
+from lieorbits.rootsys import RootSystem, cached, min_orbit_wdd, orbit_dim_from_wdd, simple_coord
 from lieorbits.satake import SatakeInvolution, build_satake, catalog, parse_form_name
 
 ENTRIES = catalog(16)
@@ -341,16 +342,28 @@ def test_involution_checks_apply_tau_to_no_root_one_at_a_time(monkeypatch):
         assert sum(calls.values()) == len(sd.black) + len(sd.arrows) < len(sd.rs.positive_roots), name
 
 
-def test_describe_never_builds_the_sorted_views(monkeypatch):
-    built = Counter()
-    for view in ("doubled", "doubled_positives"):
-        getter = getattr(RestrictedRootSystem, view).fget
+SORTED_VIEWS = ("sorted_keys", "counts", "signed", "doubled", "doubled_positives", "highest_pairings")
 
+
+def count_view_builds(monkeypatch):
+    """A Counter of the builds of each of `SORTED_VIEWS` on every restricted
+    system: a property counts each read, a kept view its first."""
+    built = Counter()
+    for view in SORTED_VIEWS:
+        original = vars(RestrictedRootSystem)[view]
+        getter = original.fget if isinstance(original, property) else original.func
+
+        @functools.wraps(getter)
         def counting(self, getter=getter, view=view):
             built[view] += 1
             return getter(self)
 
-        monkeypatch.setattr(RestrictedRootSystem, view, property(counting))
+        monkeypatch.setattr(RestrictedRootSystem, view, property(counting) if isinstance(original, property) else cached(counting))
+    return built
+
+
+def test_describe_never_builds_the_sorted_views(monkeypatch):
+    built = count_view_builds(monkeypatch)
     restricted_root_system.cache_clear()
     satake_involution.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -358,13 +371,54 @@ def test_describe_never_builds_the_sorted_views(monkeypatch):
             for fmt in ("json", "text", "dot"):
                 assert cli.main(["describe", name, "--format", fmt]) == 0
         assert cli.main(["table1"]) == 0
-    assert built == Counter()
+    # a report builds the one pairing row of r(phi), and none of the sorted views
+    assert set(built) <= {"highest_pairings"}
+    built.clear()
 
-    # verify reads each view once per entry
+    # verify sorts and decodes the keys once per entry and reads each view once; it
+    # builds no tuple view `doubled`, and the row of r(phi) once
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--max-rank", "3"]) == 0
     entries = len(catalog(3))
-    assert built == Counter({"doubled": entries, "doubled_positives": entries})
+    assert built == Counter(dict.fromkeys(("sorted_keys", "counts", "signed", "doubled_positives", "highest_pairings"), entries))
+
+
+def test_a_sweep_pairs_the_doubled_highest_root_once_per_entry(monkeypatch):
+    # each restriction built is kept alive, so its r(phi) is told by identity
+    systems = {}
+    build = orbits.build_restricted
+
+    def keeping(sd, inv):
+        rrs = build(sd, inv)
+        systems[id(rrs.doubled_highest)] = rrs
+        return rrs
+
+    paired = Counter()
+    simple_pairings = RootSystem.simple_pairings
+
+    def counting(rs, v):
+        rrs = systems.get(id(v))
+        if rrs is not None and rrs.doubled_highest is v:
+            paired[rrs.source.name] += 1
+        return simple_pairings(rs, v)
+
+    monkeypatch.setattr(orbits, "build_restricted", keeping)
+    monkeypatch.setattr(RootSystem, "simple_pairings", counting)
+    assert verify.run_verification(max_rank=8).ok
+    names = [sd.name for sd in catalog(8)]
+    assert len(systems) == len(names)
+    assert paired == Counter(names)
+
+
+def test_the_signed_view_is_the_doubled_view_packed():
+    for sd in ENTRIES:
+        rrs = restricted_root_system(sd)
+        rs = sd.rs
+        signed = rrs.signed
+        assert list(signed.items()) == [(rs.pack(d), m) for d, m in rrs.doubled.items()], sd.name
+        assert list(map(rs.unpack_signed, signed)) == list(rrs.doubled), sd.name
+        assert rrs.sorted_keys == tuple(sorted(rrs.keys)) and rrs.signed is not signed
+        assert "signed" not in vars(rrs)
 
 
 def test_sorted_views_are_not_kept():

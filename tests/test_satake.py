@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -506,11 +507,44 @@ def test_a_malformed_field_is_refused_by_name_at_every_entry_point(changes, mess
     assert check_satake_entry(bad)[0].message == result.failures[0].message == message
 
 
+@pytest.mark.parametrize(
+    "descriptor, name, message",
+    [
+        (
+            RealFormDescriptor("so_pq", [4, 4]),
+            "so(4,4)",
+            "real-form parameters must be a tuple, got list [4, 4]",
+        ),
+        (None, "None", "a real form is named by a RealFormDescriptor, got NoneType None"),
+        (RealFormDescriptor("xx", ()), "RealFormDescriptor(family='xx', params=())", "unknown real-form family 'xx'"),
+        (RealFormDescriptor("so_pq", (4, 4, 4)), "so(4,4)", "real-form family 'so_pq' needs 2 parameter(s), got (4, 4, 4)"),
+    ],
+    ids=["params-list", "none", "family-xx", "arity"],
+)
+def test_a_malformed_descriptor_is_refused_by_name_at_every_entry_point(descriptor, name, message):
+    bad = form("so(4,4)")._replace(descriptor=descriptor)
+    structural = (("structure.descriptor", message),)
+    assert validate_satake(bad) == (name, structural)
+    for entry_point in (orbit_report, satake_involution, restricted_root_system):
+        with pytest.raises(InconsistentDiagram) as exc:
+            entry_point(bad)
+        assert exc.value.failures == structural, entry_point.__name__
+    assert [tuple(f) for f in run_verification(entries=[bad]).failures] == [
+        (name, "structure.descriptor", message),
+        (name, "restricted.construction", f"{name}: {message}"),
+        (name, "orbit.construction", f"{name}: {message}"),
+    ]
+    with pytest.raises(LieOrbitsError, match=re.escape(message)):
+        build_satake(descriptor)
+
+
 def malformed_diagrams(seed: int, count: int):
-    """`count` catalog diagrams, each with one to three of black, arrows and
-    rs replaced by a malformed value: a wrong container, bools, an
-    out-of-range node, a self-arrow, two arrows sharing a node, no root
-    system, or another type's root system."""
+    """`count` catalog diagrams, each with one to four of descriptor, black,
+    arrows and rs replaced by a malformed value: no descriptor, a plain
+    tuple, an unknown or unhashable family, parameters of the wrong
+    container, type or count, a wrong container, bools, an out-of-range
+    node, a self-arrow, two arrows sharing a node, no root system, or
+    another type's root system."""
     rng = random.Random(seed)
     bases = [form(name) for name in ("so(4,4)", "su(2,3)", "e6(-14)", "sp(1,2)", "g2(2)", "so*(10)", "f4(-20)")]
     others = [build_root_system(SimpleType(letter, rank)) for letter, rank in (("A", 4), ("B", 3), ("C", 4), ("D", 5))]
@@ -529,14 +563,29 @@ def malformed_diagrams(seed: int, count: int):
     def rs(sd):
         return rng.choice([None, "rs", sd.rs.simple_type, tuple(sd.rs), rng.choice(others)])
 
-    makers = {"black": black, "arrows": arrows, "rs": rs}
+    def descriptor(sd):
+        family, params = sd.descriptor
+        wrong = [
+            None,
+            tuple(sd.descriptor),
+            sd.name,
+            RealFormDescriptor("xx", params),
+            RealFormDescriptor([family], params),
+            RealFormDescriptor(family, list(params)),
+            RealFormDescriptor(family, params + (1,)),
+            RealFormDescriptor(family, tuple(map(float, params))),
+        ]
+        return rng.choice(wrong)
+
+    makers = {"descriptor": descriptor, "black": black, "arrows": arrows, "rs": rs}
     for _ in range(count):
         sd = rng.choice(bases)
-        fields = rng.sample(sorted(makers), rng.randint(1, 3))
+        fields = rng.sample(sorted(makers), rng.randint(1, 4))
         yield sd._replace(**{field: makers[field](sd) for field in fields})
 
 
 MALFORMED_ENTRY_POINTS = (
+    lambda sd: build_satake(sd.descriptor),
     validate_satake,
     satake_involution,
     restricted_root_system,

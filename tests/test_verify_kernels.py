@@ -12,7 +12,10 @@ every catalog entry up to rank 10 and every simple type up to rank 16, and
 the same failure lists on doctored systems that make each scan fire and on
 every single black-node toggle, arrow drop and arrow addition over the
 catalog up to rank 7.  The keys those scans read must keep the digit bound
-that lets them add and subtract without a carry.
+that lets them add and subtract without a carry.  A diagram relabelled by a
+Dynkin diagram automorphism, found here by a search of its own, must give
+the report with its weights moved and pass `verify`, `orbit.golden-row`
+included.
 """
 
 from fractions import Fraction
@@ -284,7 +287,13 @@ def mutations(sd):
 
 
 class GivenViews(restricted.RestrictedRootSystem):
-    """A doctored system whose sorted views are given, not read off its keys."""
+    """A doctored system whose signed view and sorted positive roots are
+    given, not read off its keys; the tuple view `doubled`, which only the
+    references read, decodes the given signed view."""
+
+    @property
+    def signed(self):
+        return self.given_signed
 
     @property
     def doubled(self):
@@ -295,32 +304,39 @@ class GivenViews(restricted.RestrictedRootSystem):
         return self.given_positives
 
 
-def with_views(rrs, positives, doubled, **changes):
+def decode(n, key):
+    """The vector of a signed key of a rank-n system: a negative key is minus a positive one."""
+    sign = -1 if key < 0 else 1
+    return tuple(sign * x for x in abs(key).to_bytes(n, "big"))
+
+
+def with_views(rrs, positives, signed, **changes):
     doctored = GivenViews(*rrs._replace(**changes))
-    doctored.given_positives, doctored.given_doubled = tuple(positives), dict(sorted(doubled.items()))
+    doctored.given_positives, doctored.given_signed = tuple(positives), dict(sorted(signed.items()))
+    doctored.given_doubled = {decode(rrs.source.rs.rank, k): m for k, m in doctored.given_signed.items()}
     return doctored
 
 
 def doctored(rrs):
     """Restricted systems that make the rewritten scans fire, one at a time.
     A doctored multiplicity, or a key dropped from the negative half, is
-    doctored in the view `doubled` alone, as in a copy of the stored sorted
-    dict.  An extra root goes into the positive half, `keys` and the sorted
-    positive roots, and into `doubled` without its negative; the least
-    positive root leaves `keys` and the positive roots, but not `doubled`."""
-    lam, positives, keys, doubled = rrs.doubled_highest, rrs.doubled_positives, rrs.keys, rrs.doubled
+    doctored in the signed view alone, as in a copy of the sorted dict.  An
+    extra root goes into the positive half, `keys` and the sorted positive
+    roots, and into the signed view without its negative; the least
+    positive root leaves `keys` and the positive roots, but not the signed
+    view."""
+    lam, positives, keys, signed = rrs.doubled_highest, rrs.doubled_positives, rrs.keys, rrs.signed
     pack = rrs.source.rs.pack
     eta = positives[0]
-    negative = tuple(-x for x in eta)
     third = tuple(3 * x for x in rrs.doubled_simple[0])
-    yield with_views(rrs, positives, {d: m for d, m in doubled.items() if d != negative})
-    yield with_views(rrs, positives, {**doubled, lam: doubled[lam] + 1})
+    yield with_views(rrs, positives, {k: m for k, m in signed.items() if k != -pack(eta)})
+    yield with_views(rrs, positives, {**signed, pack(lam): signed[pack(lam)] + 1})
     for extra in (tuple(map(add, lam, eta)), third):
-        yield with_views(rrs, sorted(positives + (extra,)), {**doubled, extra: 1}, keys={**keys, pack(extra): 1})
+        yield with_views(rrs, sorted(positives + (extra,)), {**signed, pack(extra): 1}, keys={**keys, pack(extra): 1})
     yield rrs._replace(doubled_simple=(lam,) + rrs.doubled_simple[1:])
     if len(positives) > 1:
         rest = {k: m for k, m in keys.items() if k != pack(eta)}
-        yield with_views(rrs, positives[1:], doubled, keys=rest)
+        yield with_views(rrs, positives[1:], signed, keys=rest)
 
 
 def with_restricted(sd, rrs):
@@ -375,7 +391,7 @@ def test_restricted_scans_match_the_tuple_scans(sd):
     araki = sorted(simple)
     keys = sorted(rrs.keys)
     for witnesses in ([], araki):
-        searched = verify._indecomposables(keys, map(rs.pack, witnesses))
+        searched = verify._indecomposables(keys, rrs.keys, map(rs.pack, witnesses))
         assert list(map(rs.unpack, searched)) == ref_indecomposables(rrs, witnesses) == araki
 
     analysis = FormAnalysis(sd)
@@ -444,3 +460,81 @@ def test_mutants_give_the_same_verify_failures():
     assert len(mutants) == 673
     for mutant in mutants:
         assert verify.run_verification(entries=[mutant]).failures == ref_verification_failures(mutant), mutant.name
+
+
+# --- a diagram relabelled by a Dynkin diagram automorphism -----------------
+
+
+def diagram_automorphisms(cartan):
+    """Every permutation sigma with C[sigma i][sigma j] = C[i][j], by
+    backtracking: node i may go to a node j only if the rows of the nodes
+    already placed agree."""
+    n = len(cartan)
+    found = []
+
+    def place(sigma):
+        i = len(sigma)
+        if i == n:
+            found.append(tuple(sigma))
+            return
+        for j in set(range(n)) - set(sigma):
+            if cartan[j][j] == cartan[i][i] and all(
+                cartan[sigma[k]][j] == cartan[k][i] and cartan[j][sigma[k]] == cartan[i][k] for k in range(i)
+            ):
+                place(sigma + [j])
+
+    place([])
+    return found
+
+
+def relabelled(sd, sigma):
+    """`sd` with node i renamed sigma[i]: the same real form."""
+    arrows = tuple(sorted(tuple(sorted((sigma[i], sigma[j]))) for i, j in sd.arrows))
+    return sd._replace(black=frozenset(sigma[b] for b in sd.black), arrows=arrows)
+
+
+def moved(weights, sigma):
+    out = [0] * len(weights)
+    for i, w in enumerate(weights):
+        out[sigma[i]] = w
+    return tuple(out)
+
+
+def test_the_trialities_of_so_1_7_pass_the_golden_row():
+    # the golden table gives so(1,7)'s weights on the catalog's diagram, white node 0;
+    # four of D4's six automorphisms move that node to 2 or 3
+    sd = build_satake(parse_form_name("so(1,7)"))
+    sigmas = diagram_automorphisms(sd.rs.cartan)
+    assert len(sigmas) == 6 and sum(sigma[0] != 0 for sigma in sigmas) == 4
+    for sigma in sigmas:
+        image = relabelled(sd, sigma)
+        assert verify.run_verification(entries=[image]).failures == [], sigma
+        assert verify.check_orbit_entry(FormAnalysis(image)) == [], sigma
+
+
+def test_a_wrong_golden_row_fires_on_the_catalog_labelling(monkeypatch):
+    # (0, 0, 2, 0) is a triality's image of so(1,7)'s true row, so only a
+    # node-by-node comparison on the catalog's own diagram refuses it
+    sd = build_satake(parse_form_name("so(1,7)"))
+    monkeypatch.setattr(verify, "golden_row", lambda d: ((0, 0, 2, 0), 12))
+    failures = verify.check_orbit_entry(FormAnalysis(sd))
+    assert failures == [Failure("so(1,7)", "orbit.golden-row", "got (2, 0, 0, 0) dim 12, table says (0, 0, 2, 0) dim 12")]
+    # on a relabelled diagram the wrong row moves along and still fires
+    image = relabelled(sd, (2, 1, 0, 3))
+    assert [f.check for f in verify.check_orbit_entry(FormAnalysis(image))] == ["orbit.golden-row"]
+
+
+def test_reports_and_verify_commute_with_diagram_automorphisms():
+    relabellings = 0
+    for sd in catalog(12):
+        report = FormAnalysis(sd).report
+        for sigma in diagram_automorphisms(sd.rs.cartan)[1:]:
+            image = relabelled(sd, sigma)
+            relabellings += 1
+            assert verify.run_verification(entries=[image]).failures == [], (sd.name, sigma)
+            got = FormAnalysis(image).report
+            assert got.min_wdd.weights == moved(report.min_wdd.weights, sigma), (sd.name, sigma)
+            assert got.min_g_wdd.weights == moved(report.min_g_wdd.weights, sigma), (sd.name, sigma)
+            fields = ("min_wdd", "min_g_wdd")
+            assert got._replace(**dict.fromkeys(fields)) == report._replace(**dict.fromkeys(fields)), (sd.name, sigma)
+    assert relabellings > 100
