@@ -102,7 +102,8 @@ class RestrictedRootSystem(
     signed view `signed` (the keys and their negatives, sorted) and, through
     the kept decode `counts`, `doubled` (`counts` and its negatives, sorted)
     and `doubled_positives` (its roots) are built anew on each read, without
-    a sort, so only `verify` pays for them.  The view `highest_pairings`
+    a sort, so only their readers pay for them: `verify` reads `signed` and
+    `doubled_positives`, and `elements` reads `doubled`.  The view `highest_pairings`
     keeps the pairing row of `doubled_highest`.  The view `reduced_simple`
     is read off `keys` and `doubled_simple`, or kept by the construction,
     which found it.  Equality is identity, also against a plain tuple, as

@@ -342,14 +342,14 @@ def test_involution_checks_apply_tau_to_no_root_one_at_a_time(monkeypatch):
         assert sum(calls.values()) == len(sd.black) + len(sd.arrows) < len(sd.rs.positive_roots), name
 
 
-SORTED_VIEWS = ("sorted_keys", "counts", "signed", "doubled", "doubled_positives", "highest_pairings")
+RESTRICTED_VIEWS = ("sorted_keys", "counts", "signed", "doubled", "doubled_positives", "highest_pairings")
 
 
 def count_view_builds(monkeypatch):
-    """A Counter of the builds of each of `SORTED_VIEWS` on every restricted
+    """A Counter of the builds of each of `RESTRICTED_VIEWS` on every restricted
     system: a property counts each read, a kept view its first."""
     built = Counter()
-    for view in SORTED_VIEWS:
+    for view in RESTRICTED_VIEWS:
         original = vars(RestrictedRootSystem)[view]
         getter = original.fget if isinstance(original, property) else original.func
 
