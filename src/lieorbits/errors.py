@@ -52,4 +52,5 @@ class TypeMismatch(LieOrbitsError):
 
 
 class InvalidReport(LieOrbitsError):
-    """A serialized orbit report with a missing field or a value of the wrong type."""
+    """A serialized orbit report with a missing or unknown field, a value of
+    the wrong type, or values no report holds together."""

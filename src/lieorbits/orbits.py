@@ -471,18 +471,51 @@ def _weights_field(data: dict, key: str, simple_type: SimpleType) -> WeightedDyn
     return WeightedDynkinDiagram(simple_type, tuple(values))
 
 
+def _known_keys(data: dict, known, where: str = "") -> None:
+    """Refuse a key of `data` that no report holds."""
+    for key in data:
+        if key not in known:
+            raise InvalidReport(f"report field {where + str(key)!r} is held by no report")
+
+
+def _labels_field(data: dict, min_wdd: WeightedDynkinDiagram, min_g_wdd: WeightedDynkinDiagram) -> None:
+    """The derived `paper_labels`, when present, must be the drawn labels of
+    the two weight lists, label for label."""
+    if "paper_labels" not in data:
+        return
+    labels = _field(data, "paper_labels", dict)
+    if _drawn_labels(min_wdd) is None:
+        drawn_types = " and ".join(DRAWN_NODE_ORDERS)
+        raise InvalidReport(f"report field 'paper_labels' is held by {drawn_types} reports only, not {min_wdd.simple_type.name}")
+    _known_keys(labels, ("min_wdd", "min_g_wdd"), "paper_labels.")
+    for key, wdd in (("min_wdd", min_wdd), ("min_g_wdd", min_g_wdd)):
+        where = f"paper_labels.{key}."
+        given = _field(labels, key, dict, "paper_labels.")
+        drawn = _drawn_labels(wdd)
+        _known_keys(given, drawn, where)
+        for label, weight in drawn.items():
+            if _field(given, label, int, where) != weight:
+                raise InvalidReport(f"report field {where + label!r} must be {weight}, the drawn label of {key!r}, got {given[label]}")
+
+
 def report_from_dict(data: dict) -> OrbitReport:
     """Inverse of report_to_dict.  Every field is checked, not coerced: a
-    missing field, a value of the wrong type or a value no report can hold
-    (a weight outside {0,1,2}, an orbit count other than 1 or 2, a
-    dimension below 1) raises InvalidReport naming it.  The derived
-    `paper_labels` field is not read."""
+    missing field, a key no report holds, a value of the wrong type or a
+    value no report can hold (a weight outside {0,1,2}, an orbit count other
+    than 1 or 2, a dimension below 1) raises InvalidReport naming it.  So do
+    a `paper_labels` that is not the drawn labels of the two weight lists,
+    and a report that breaks an invariant every report keeps: `min_meets`
+    exactly when the two diagrams agree (a report raises on `min_meets` with
+    differing diagrams, and `verify`'s battery holds conditions (i) and (vi)
+    to each other), and an orbit count of 2 exactly for a Hermitian form."""
     if not isinstance(data, dict):
         raise InvalidReport(f"report must be an object, got {type(data).__name__}")
+    _known_keys(data, (*OrbitReport._fields, "paper_labels"))
     descriptor = parse_form_name(_field(data, "descriptor", str))
     simple_type = build_satake(descriptor).rs.simple_type
     conditions = _field(data, "conditions", dict)
-    return OrbitReport(
+    _known_keys(conditions, CONDITION_FIELDS, "conditions.")
+    report = OrbitReport(
         descriptor=descriptor,
         min_wdd=_weights_field(data, "min_wdd", simple_type),
         min_meets=_field(data, "min_meets", bool),
@@ -493,3 +526,12 @@ def report_from_dict(data: dict) -> OrbitReport:
         hermitian=_field(data, "hermitian", bool),
         conditions=EquivalenceConditions(**{f: _field(conditions, f, bool, "conditions.") for f in CONDITION_FIELDS}),
     )
+    _labels_field(data, report.min_wdd, report.min_g_wdd)
+    if report.min_meets != (report.min_g_wdd == report.min_wdd):
+        agree = "agree" if report.min_g_wdd == report.min_wdd else "differ"
+        raise InvalidReport(f"report field 'min_meets' is {report.min_meets}, but 'min_wdd' and 'min_g_wdd' {agree}")
+    count, hermitian = report.minimal_real_orbit_count, report.hermitian
+    if (count == 2) != hermitian:
+        message = f"is {count}, but 'hermitian' is {hermitian}: the count is 2 exactly for a Hermitian form"
+        raise InvalidReport(f"report field 'minimal_real_orbit_count' {message}")
+    return report

@@ -18,16 +18,15 @@ root is looked up there by its key: 2s for a simple root s, and r(phi).
 The sorted views are for `verify`, which reads each once per entry, and
 they share one sort: `sorted_keys`, kept once built, in the coordinate
 order.  The signed view `signed` adds the negatives on the keys
-themselves, -key for -xi, since `pack` is linear, with no decode
-(`RootSystem.unpack_signed` decodes a key of either sign); `counts` decodes
-each sorted key once (`RootSystem.unpack`), kept once built;
-`doubled_positives` is its roots and the tuple view `doubled` adds the
-negatives.  `signed`, `doubled_positives` and `doubled` are built on every
-read without a sort, since the negative roots sort first and negation
-reverses their order; `verify` reads no `doubled`, which stays as the
-source of `elements`.  The pairing row of r(phi), `highest_pairings`, is
-kept once built, as `RootSystem.highest_pairings` is phi's: the direct
-diagram, `parity_criterion` and `verify` read the one row.
+themselves, -key for -xi, since `pack` is linear, with no decode, and is
+built on every read without a sort, since the negative roots sort first
+and negation reverses their order.  No view keeps a decoded root: a reader
+that needs coordinates decodes `sorted_keys` with `RootSystem.unpack` or
+`signed` with `RootSystem.unpack_signed`, one key at a time, as
+`positive_norms` and `elements` do.  The pairing row of r(phi),
+`highest_pairings`, is kept once built, as `RootSystem.highest_pairings`
+is phi's: the direct diagram, `parity_criterion` and `verify` read the one
+row.
 
 Nothing is searched for.  The simple restricted roots are the distinct images
 s of the white simple roots, and the reduced system's simple roots are those
@@ -47,8 +46,8 @@ summing each product into a plain dict per row.
 Where one side of an inner product is fixed, the other side is paired with
 one `RootSystem.simple_pairings` row of it: the simple roots in
 `dominant_longest`, which filters the longest roots by one row at a time.
-The norm table of the positive roots (`positive_norms`), read off
-`doubled_positives`, is built only for `verify`, which shares it between
+The norm table of the positive roots (`positive_norms`), which decodes
+`sorted_keys`, is built only for `verify`, which shares it between
 `dominant_longest` and its parity scan, and pairs that scan through the kept
 row of the highest root; `parity_criterion` pairs the r reduced simple roots
 with that row and each with its own, and builds neither.  Each norm is the
@@ -99,12 +98,11 @@ class RestrictedRootSystem(
     `doubled_simple` follows the white nodes and, like `doubled_highest`, is
     paired as coordinates, so both stay tuples.  The view `sorted_keys`
     sorts `keys` once, and is the one sort the others are read off: the
-    signed view `signed` (the keys and their negatives, sorted) and, through
-    the kept decode `counts`, `doubled` (`counts` and its negatives, sorted)
-    and `doubled_positives` (its roots) are built anew on each read, without
-    a sort, so only their readers pay for them: `verify` reads `signed` and
-    `doubled_positives`, and `elements` reads `doubled`.  The view `highest_pairings`
-    keeps the pairing row of `doubled_highest`.  The view `reduced_simple`
+    signed view `signed` (the keys and their negatives, sorted) is built
+    anew on each read, without a sort, so only its readers pay for it:
+    `verify` and `elements`, the one view that decodes, into `Fraction`
+    vectors.  The view `highest_pairings` keeps the pairing row of
+    `doubled_highest`.  The view `reduced_simple`
     is read off `keys` and `doubled_simple`, or kept by the construction,
     which found it.  Equality is identity, also against a plain tuple, as
     the `keys` Counter cannot be hashed.
@@ -121,15 +119,8 @@ class RestrictedRootSystem(
     @cached
     def sorted_keys(self) -> tuple[int, ...]:
         """`keys` sorted, which is the coordinate order: the one sort of
-        them, kept, that `counts`, `signed` and `verify` read."""
+        them, kept, that `signed`, `positive_norms` and `verify` read."""
         return tuple(sorted(self.keys))
-
-    @cached
-    def counts(self) -> dict[IntVector, int]:
-        """`keys` decoded, in key order: each positive doubled root and its
-        multiplicity, sorted, since the keys' digits are its coordinates."""
-        keys = self.sorted_keys
-        return dict(zip(map(self.source.rs.unpack, keys), map(self.keys.__getitem__, keys)))
 
     @property
     def signed(self) -> dict[int, int]:
@@ -147,18 +138,6 @@ class RestrictedRootSystem(
         row of `doubled_highest`, as `RootSystem.highest_pairings` is phi's."""
         return self.source.rs.simple_pairings(self.doubled_highest)
 
-    @property
-    def doubled(self) -> dict[IntVector, int]:
-        """`counts` and its negatives, sorted: a negative root sorts before
-        every positive one, and negation reverses the order."""
-        counts = self.counts
-        negatives = map(tuple, map(map, repeat(neg), reversed(counts)))
-        return dict(zip(chain(negatives, counts), chain(reversed(counts.values()), counts.values())))
-
-    @property
-    def doubled_positives(self) -> tuple[IntVector, ...]:
-        return tuple(self.counts)
-
     @cached
     def reduced_simple(self) -> list[IntVector]:
         """The reduced system's simple roots, doubled (`reduced_simple`),
@@ -167,10 +146,11 @@ class RestrictedRootSystem(
 
     @cached
     def elements(self) -> tuple[tuple, ...]:
-        """The restricted roots r(alpha) as `Fraction` vectors, sorted."""
+        """The restricted roots r(alpha) as `Fraction` vectors, sorted: the
+        signed view decoded and halved."""
         from fractions import Fraction
 
-        return tuple(tuple(Fraction(x, 2) for x in d) for d in self.doubled)
+        return tuple(tuple(Fraction(x, 2) for x in d) for d in map(self.source.rs.unpack_signed, self.signed))
 
 
 def build_restricted(sd: SatakeDiagram, inv: SatakeInvolution) -> RestrictedRootSystem:
@@ -292,11 +272,13 @@ def parity_criterion(rrs: RestrictedRootSystem) -> bool:
 
 def positive_norms(rrs: RestrictedRootSystem) -> dict[IntVector, int]:
     """gram_scale * <xi, xi> for every positive doubled root xi, in order,
-    each through the type's quadratic form (`RootSystem.norm_form`): a few
-    C-level passes over xi and one product per branch edge."""
-    diagonal, chain, branches = rrs.source.rs.norm_form
+    each decoded from `sorted_keys` and put through the type's quadratic
+    form (`RootSystem.norm_form`): a few C-level passes over xi and one
+    product per branch edge."""
     norms = {}
-    for xi in rrs.doubled_positives:
+    rs = rrs.source.rs
+    diagonal, chain, branches = rs.norm_form
+    for xi in map(rs.unpack, rrs.sorted_keys):
         norm = sum(map(mul, map(mul, xi, xi), diagonal)) + sum(map(mul, map(mul, xi, xi[1:]), chain))
         for i, j, g in branches:
             norm += g * xi[i] * xi[j]

@@ -15,8 +15,10 @@ sum_i c_i 256^(n-1-i), and a `RootSystem` stores them so, as
 `positive_keys`; every layer packs, masks and decodes a root through its
 one codec, `simple_keys`, `pack`, `digit_mask`, `unpack` and, for a key
 that may be negative, `unpack_signed`.  The
-coefficient tuples are views that only `verify` builds: `positive_roots`
-decodes the keys, and `roots` adds the negatives.
+coefficient tuples are kept views that no layer of the package reads, for
+callers and tests: `positive_roots` decodes the keys, and `roots` adds the
+negatives.  `verify` reads the keys, decoding one at a time where it needs
+a root's coordinates.
 
 The closure also keeps the spanning tree it reached the roots along
 (`RootSystem.spanning_tree`): each root's first parent and the node it
@@ -215,7 +217,8 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
 
     @cached
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        """The positive roots as coefficient tuples, decoded from `positive_keys`."""
+        """The positive roots as coefficient tuples, decoded from `positive_keys`;
+        kept for callers, as the package reads the keys."""
         return tuple(map(self.unpack, self.positive_keys))
 
     @cached

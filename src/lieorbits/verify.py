@@ -8,11 +8,13 @@ rows) catch corruptions that still yield a structurally valid diagram.
 
 A root system stores its positive roots as packed keys, and the other
 layers carry tau* and a weighted diagram's grading along the closure's
-spanning tree.  The coefficient tuples are built here only, once per type:
-`RootSystem.positive_roots` decodes the keys and `RootSystem.roots` adds the
-negatives, for the `roots.*` checks.  `roots.spanning-tree` holds the tree to
-the keys, and `minwdd.dimension` reads the grading only along a tree that
-passed it.  The minimal diagram, its orbit's dimension, the dual Coxeter
+spanning tree.  The `roots.*` checks read the keys too, and a sweep builds
+no coefficient tuple view of a root system (`RootSystem.positive_roots`,
+`.roots`): `roots.count` counts the keys twice, one per sign, and
+`roots.positive-first` holds them to the height order, each height the digit
+sum of one key decoded and kept nowhere.  `roots.spanning-tree` holds the
+tree to the keys, and `minwdd.dimension` reads the grading only along a tree
+that passed it.  The minimal diagram, its orbit's dimension, the dual Coxeter
 number and the extended-diagram neighbours are read off the root system,
 which keeps each once computed (`RootSystem.min_wdd`, `.min_orbit_dim`,
 `.dual_coxeter` and `.extended_nodes`), so the `minwdd.*` checks, every
@@ -31,11 +33,11 @@ restricted one, so nothing compared carries; the simple-root search compares
 keys too, and a key is decoded only for a message.
 
 Each entry's restricted keys are sorted once, into the view
-`RestrictedRootSystem.sorted_keys`, which the decode `counts`, the signed
-view `signed` and the searches of `restricted.simple-two-routes` and
-`restricted.highest-nonextendable` share; the view `doubled_positives` and
-the norm table `restricted.positive_norms` are read off `counts` without
-another sort or decode, once per entry.  The signed view, the sorted keys
+`RestrictedRootSystem.sorted_keys`, which the signed view `signed`, the norm
+table `restricted.positive_norms` and the searches of
+`restricted.simple-two-routes` and `restricted.highest-nonextendable` share;
+the norm table decodes each key once, keeping the roots only as its own
+keys, and is built once per entry.  The signed view, the sorted keys
 with each negative root as -key, serves `restricted.mult-sum` and
 `.negation`, which looks up the multiplicity of each -xi, one int negation
 and one dict lookup, against that of xi; a failure decodes its key for the
@@ -203,15 +205,16 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
     name = rs.simple_type.name
     failures = []
 
+    # the negatives are the view `roots` adds, so the positive keys are counted twice
+    keys = rs.positive_keys
     expected = ROOT_COUNT_FORMULAS[rs.simple_type.letter](rs.rank)
-    if len(rs.roots) != expected:
-        failures.append(Failure(name, "roots.count", f"{len(rs.roots)} roots, closed form gives {expected}"))
+    if 2 * len(keys) != expected:
+        failures.append(Failure(name, "roots.count", f"{2 * len(keys)} roots, closed form gives {expected}"))
 
-    # the view rs.roots must be the positive roots by height, then their negatives
-    half = len(rs.roots) // 2
-    heights = list(map(sum, rs.roots[:half]))
-    negated = tuple(map(tuple, map(map, repeat(neg), rs.roots[:half])))
-    if len(rs.roots) % 2 or min(heights, default=1) < 1 or heights != sorted(heights) or rs.roots[half:] != negated:
+    # the positive keys must be in height order, each height at least 1; a height is
+    # the digit sum of one decoded key, kept nowhere
+    heights = list(map(sum, map(rs.unpack, keys)))
+    if min(heights, default=1) < 1 or heights != sorted(heights):
         message = "the roots are not the positive ones by height followed by their negatives"
         failures.append(Failure(name, "roots.positive-first", message))
 
@@ -220,7 +223,6 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
         failures.append(Failure(name, "roots.spanning-tree", problem))
 
     # a sum of two positive roots is a root exactly when it is a positive one
-    keys = rs.positive_keys
     root_keys = rs.key_set
     non_extendable = {x for x in keys if root_keys.isdisjoint(map(x.__add__, keys))}
     if non_extendable != {rs.pack(rs.highest)}:

@@ -206,24 +206,25 @@ def test_the_route_wrappers_recompute_while_reports_hit_the_cache(monkeypatch):
 
 def _count_verify_tables(monkeypatch) -> Counter:
     """Count every build of a table that only verify's checks read: the norm
-    table of the restricted positive roots and the decoded `counts` view."""
+    table of the restricted positive roots, which decodes them, and the
+    `sorted_keys` view."""
     counts: Counter = Counter()
     positive_norms = restricted.positive_norms
-    decode = restricted.RestrictedRootSystem.counts.func
+    sort = restricted.RestrictedRootSystem.sorted_keys.func
 
     def counting_norms(rrs):
         counts["positive_norms"] += 1
         return positive_norms(rrs)
 
-    def counting_decode(rrs):
-        counts["counts"] += 1
-        return decode(rrs)
+    def counting_sort(rrs):
+        counts["sorted_keys"] += 1
+        return sort(rrs)
 
     for module in (restricted, verify):
         monkeypatch.setattr(module, "positive_norms", counting_norms)
-    view = cached_property(counting_decode)
-    view.__set_name__(restricted.RestrictedRootSystem, "counts")
-    monkeypatch.setattr(restricted.RestrictedRootSystem, "counts", view)
+    view = cached_property(counting_sort)
+    view.__set_name__(restricted.RestrictedRootSystem, "sorted_keys")
+    monkeypatch.setattr(restricted.RestrictedRootSystem, "sorted_keys", view)
     return counts
 
 
@@ -233,11 +234,11 @@ def test_describe_path_builds_no_verify_table(monkeypatch):
     for sd in catalog(8):
         orbit_report(sd)
     assert counts == Counter()
-    # the counters do see verify: one norm table and one decode per entry
+    # the counters do see verify: one norm table and one sort per entry
     entries = catalog(8)
     assert run_verification(max_rank=8).ok
     assert counts["positive_norms"] == len(entries)
-    assert counts["counts"] == len(entries)
+    assert counts["sorted_keys"] == len(entries)
 
 
 def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):

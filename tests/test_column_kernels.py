@@ -10,7 +10,9 @@ the restricted Cartan matrix paired densely over every coordinate, and
 give the same values on every catalog entry up to rank 16, the same failure
 lists on doctored involutions and on every single black-node toggle, arrow
 drop and arrow addition over the catalog up to rank 7, and `describe` must
-never build the sorted views.
+never build the sorted views.  The restriction keeps packed keys only, so the
+tuple dicts the references give are compared with its keys decoded here
+(`decoded_doubled`, `decoded_positives`), through the codec `RootSystem` owns.
 """
 
 import contextlib
@@ -34,6 +36,17 @@ ENTRIES = catalog(16)
 
 
 # --- the row-based references ------------------------------------------------
+
+
+def decoded_doubled(rrs):
+    """Every doubled root and its multiplicity, sorted: the signed view, decoded."""
+    signed = rrs.signed
+    return dict(zip(map(rrs.source.rs.unpack_signed, signed), signed.values()))
+
+
+def decoded_positives(rrs):
+    """The positive doubled roots, sorted: the sorted keys, decoded."""
+    return tuple(map(rrs.source.rs.unpack, rrs.sorted_keys))
 
 
 def ref_images(inv, rs):
@@ -83,7 +96,7 @@ def ref_cartan(rs, simple, name):
 def ref_mult_sum(sd, rrs):
     """`verify`'s restricted.mult-sum check with the black span counted over every root."""
     rs = sd.rs
-    total = sum(rrs.doubled.values())
+    total = sum(decoded_doubled(rrs).values())
     span_black = sum(1 for r in rs.roots if not any(map(r.__getitem__, sd.white)))
     if total + span_black != len(rs.roots):
         message = f"mult sum {total} + black-span {span_black} != {len(rs.roots)} roots"
@@ -228,9 +241,8 @@ def test_column_passes_match_the_row_code(sd):
 
     rrs = restricted_root_system(sd)
     doubled, positives = ref_restriction(sd)
-    assert rrs.doubled == doubled and list(rrs.doubled) == list(doubled)
-    assert rrs.doubled_positives == positives
-    assert rrs.counts == {xi: doubled[xi] for xi in positives}
+    assert decoded_doubled(rrs) == doubled and list(decoded_doubled(rrs)) == list(doubled)
+    assert decoded_positives(rrs) == positives
     assert satake._involution_failures(sd, inv) == ref_involution_failures(sd, inv) == []
 
 
@@ -342,7 +354,7 @@ def test_involution_checks_apply_tau_to_no_root_one_at_a_time(monkeypatch):
         assert sum(calls.values()) == len(sd.black) + len(sd.arrows) < len(sd.rs.positive_roots), name
 
 
-RESTRICTED_VIEWS = ("sorted_keys", "counts", "signed", "doubled", "doubled_positives", "highest_pairings")
+RESTRICTED_VIEWS = ("sorted_keys", "signed", "highest_pairings", "elements")
 
 
 def count_view_builds(monkeypatch):
@@ -375,12 +387,12 @@ def test_describe_never_builds_the_sorted_views(monkeypatch):
     assert set(built) <= {"highest_pairings"}
     built.clear()
 
-    # verify sorts and decodes the keys once per entry and reads each view once; it
-    # builds no tuple view `doubled`, and the row of r(phi) once
+    # verify sorts the keys once per entry and reads the signed view once; it
+    # builds no `Fraction` view `elements`, and the row of r(phi) once
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--max-rank", "3"]) == 0
     entries = len(catalog(3))
-    assert built == Counter(dict.fromkeys(("sorted_keys", "counts", "signed", "doubled_positives", "highest_pairings"), entries))
+    assert built == Counter(dict.fromkeys(("sorted_keys", "signed", "highest_pairings"), entries))
 
 
 def test_a_sweep_pairs_the_doubled_highest_root_once_per_entry(monkeypatch):
@@ -415,19 +427,21 @@ def test_the_signed_view_is_the_doubled_view_packed():
         rrs = restricted_root_system(sd)
         rs = sd.rs
         signed = rrs.signed
-        assert list(signed.items()) == [(rs.pack(d), m) for d, m in rrs.doubled.items()], sd.name
-        assert list(map(rs.unpack_signed, signed)) == list(rrs.doubled), sd.name
+        doubled, _ = ref_restriction(sd)
+        assert list(signed.items()) == [(rs.pack(d), m) for d, m in doubled.items()], sd.name
+        assert list(map(rs.unpack_signed, signed)) == list(doubled), sd.name
         assert rrs.sorted_keys == tuple(sorted(rrs.keys)) and rrs.signed is not signed
         assert "signed" not in vars(rrs)
 
 
 def test_sorted_views_are_not_kept():
     rrs = restricted_root_system(form("so(4,9)"))
-    assert rrs.doubled is not rrs.doubled
-    assert rrs.doubled_positives == rrs.doubled_positives
-    assert "doubled" not in vars(rrs) and "doubled_positives" not in vars(rrs)
-    assert all(sum(xi) > 0 for xi in rrs.doubled_positives)
-    assert restricted.positive_norms(rrs).keys() == set(rrs.doubled_positives)
+    assert rrs.signed is not rrs.signed and rrs.signed == rrs.signed
+    assert "signed" not in vars(rrs)
+    for view in ("counts", "doubled", "doubled_positives"):
+        assert not hasattr(rrs, view), view
+    assert all(sum(xi) > 0 for xi in decoded_positives(rrs))
+    assert list(restricted.positive_norms(rrs)) == list(decoded_positives(rrs))
 
 
 @pytest.mark.parametrize("sd", ENTRIES, ids=lambda sd: sd.name)

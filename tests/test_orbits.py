@@ -343,6 +343,72 @@ def test_report_from_dict_rejects_missing_fields():
     assert issubclass(InvalidReport, LieOrbitsError)
 
 
+def test_report_from_dict_rejects_keys_no_report_holds():
+    data = report_data()
+    data["bogus"] = 1
+    with pytest.raises(InvalidReport, match="'bogus' is held by no report"):
+        report_from_dict(data)
+    data = report_data()
+    data["conditions"]["c_iii"] = False
+    with pytest.raises(InvalidReport, match=r"'conditions\.c_iii' is held by no report"):
+        report_from_dict(data)
+    data = report_data("e6(-14)")
+    data["paper_labels"]["min_wdd"]["alpha7"] = 0
+    with pytest.raises(InvalidReport, match=r"'paper_labels\.min_wdd\.alpha7' is held by no report"):
+        report_from_dict(data)
+
+
+def test_report_from_dict_rejects_labels_that_are_not_the_drawn_ones():
+    data = report_data("e6(-14)")
+    data["paper_labels"]["min_wdd"]["alpha1"] = 2
+    with pytest.raises(InvalidReport, match=r"'paper_labels\.min_wdd\.alpha1' must be 0"):
+        report_from_dict(data)
+    data = report_data("f4(-20)")
+    data["paper_labels"]["min_g_wdd"]["alpha4"] = True
+    with pytest.raises(InvalidReport, match=r"'paper_labels\.min_g_wdd\.alpha4' must be int"):
+        report_from_dict(data)
+    data = report_data("f4(-20)")
+    del data["paper_labels"]["min_g_wdd"]
+    with pytest.raises(InvalidReport, match=r"'paper_labels\.min_g_wdd' is missing"):
+        report_from_dict(data)
+    # a type with no drawn labelling has no labels
+    data = report_data("sl(3,R)")
+    data["paper_labels"] = {"min_wdd": {}, "min_g_wdd": {}}
+    with pytest.raises(InvalidReport, match="'paper_labels' is held by E6 and F4 reports only, not A2"):
+        report_from_dict(data)
+    # the labels are derived, so a report without them still loads
+    data = report_data("e6(-14)")
+    del data["paper_labels"]
+    assert report_from_dict(data) == orbit_report(form("e6(-14)"))
+
+
+@pytest.mark.parametrize("name", ["e6(-14)", "e6(-26)", "sl(3,R)", "su(1,2)"])
+def test_report_from_dict_rejects_a_flipped_min_meets(name):
+    data = report_data(name)
+    meets = data["min_meets"]
+    assert meets == (data["min_wdd"] == data["min_g_wdd"])
+    data["min_meets"] = not meets
+    agree = "agree" if meets else "differ"
+    with pytest.raises(InvalidReport, match=f"'min_meets' is {not meets}, but 'min_wdd' and 'min_g_wdd' {agree}"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("name", ["e6(-14)", "sl(2,R)", "so(3,5)", "f4(-20)"])
+def test_report_from_dict_rejects_a_count_that_breaks_the_hermitian_rule(name):
+    for field, flip in (("hermitian", lambda v: not v), ("minimal_real_orbit_count", lambda v: 3 - v)):
+        data = report_data(name)
+        assert (data["minimal_real_orbit_count"] == 2) == data["hermitian"]
+        data[field] = flip(data[field])
+        with pytest.raises(InvalidReport, match="'minimal_real_orbit_count' is [12], but 'hermitian' is"):
+            report_from_dict(data)
+
+
+def test_every_catalog_report_loads():
+    for sd in catalog(8):
+        report = orbit_report(sd)
+        assert report_from_dict(report_data(sd.name)) == report, sd.name
+
+
 def test_report_from_dict_refuses_an_over_long_descriptor():
     data = report_data()
     data["descriptor"] = f"sl({'9' * 5000},R)"

@@ -2,28 +2,33 @@
 
 `RootSystem` keeps the positive roots and builds `roots`, the negatives
 included, as a view on first read; `RestrictedRootSystem.keys` keeps the
-multiplicities of the positive half, packed, the view `counts` decodes them,
-and the view `doubled` adds the negatives on each read.  The references
-below are copies, kept here, of the code that built and stored both halves:
-the closure's negation of its decoded positive roots, and the restriction's
-count of alpha + tau* alpha with its negated keys, read through the sorted
-views as they were.  The views must give the same values on every simple
-type up to rank 30, on every catalog entry up to rank 16 and on six rank-64
-forms; and a `describe` must build no negative half at all, and decode no
-root but the images w0 a_k that become theta*'s columns.
+multiplicities of the positive half, packed, the view `sorted_keys` sorts
+them, and the view `signed` adds the negatives, as -key, on each read.  The
+references below are copies, kept here, of the code that built and stored
+both halves: the closure's negation of its decoded positive roots, and the
+restriction's count of alpha + tau* alpha with its negated keys, read
+through the sorted tuple views as they were.  The views, decoded here, must
+give the same values on every simple type up to rank 30, on every catalog
+entry up to rank 16 and on six rank-64 forms, and `elements` must be the
+halves of the decoded signed view; a `describe` must build no negative half
+at all, and decode no root but the images w0 a_k that become theta*'s
+columns; and a `verify` sweep must leave no decoded root on any root system.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import add, neg
 
 import pytest
+from test_column_kernels import decoded_doubled, decoded_positives
 from test_diagram_kernels import candidate_types
 
 from lieorbits import rootsys, satake
 from lieorbits.orbits import orbit_report, restricted_root_system, satake_involution
 from lieorbits.rootsys import RootSystem, build_root_system
 from lieorbits.satake import build_satake, catalog, parse_form_name
+from lieorbits.verify import run_verification
 
 RANK_64 = ["so(1,128)", "so*(128)", "su(32,32)", "sl(64,R)", "sp(64,R)", "so(64,64)"]
 TYPES = [t for rank in range(1, 31) for t in candidate_types(rank)]
@@ -43,7 +48,8 @@ def ref_roots(rs):
 
 
 def ref_views(sd):
-    """(`doubled`, `doubled_positives`) as the restriction stored `counts`, both halves."""
+    """The sorted multiplicity dict and the sorted positive roots, as the
+    restriction stored them, both halves."""
     n = sd.rs.rank
     keys, images = satake.tau_keys(sd.rs, satake_involution(sd))
     doubled = Counter(map(add, keys, images))
@@ -68,8 +74,25 @@ def test_the_roots_view_is_the_stored_roots(t):
 def test_the_restricted_views_are_the_stored_views(sd):
     rrs = restricted_root_system(sd)
     doubled, positives = ref_views(sd)
-    assert rrs.doubled == doubled and list(rrs.doubled) == list(doubled)
-    assert rrs.doubled_positives == positives
+    assert decoded_doubled(rrs) == doubled and list(decoded_doubled(rrs)) == list(doubled)
+    assert decoded_positives(rrs) == positives
+
+
+@pytest.mark.parametrize("sd", catalog(12) + [form(name) for name in RANK_64], ids=lambda sd: sd.name)
+def test_elements_are_the_halves_of_the_signed_decode(sd):
+    rrs = restricted_root_system(sd)
+    halves = [tuple(Fraction(x, 2) for x in sd.rs.unpack_signed(key)) for key in rrs.signed]
+    assert list(rrs.elements) == halves
+    assert all(type(x) is Fraction for xi in rrs.elements for x in xi)
+
+
+def test_a_sweep_leaves_no_decoded_root():
+    # a cold sweep: every root system it reads is built by it
+    rootsys._build_cached.cache_clear()
+    assert run_verification(max_rank=12).ok
+    systems = [sd.rs for sd in catalog(12)] + [build_root_system(sd.rs.simple_type) for sd in catalog(12)]
+    for rs in systems:
+        assert vars(rs).keys().isdisjoint({"positive_roots", "roots"}), rs.simple_type.name
 
 
 def test_describe_builds_no_negative_half():
@@ -81,7 +104,7 @@ def test_describe_builds_no_negative_half():
         sd = form(name)
         orbit_report(sd)
         assert "roots" not in vars(sd.rs), name
-        assert all(min(key) >= 0 for key in restricted_root_system(sd).counts), name
+        assert min(map(min, decoded_positives(restricted_root_system(sd)))) >= 0, name
 
 
 def count_decodes(monkeypatch):
@@ -111,9 +134,9 @@ def test_describe_decodes_no_root(monkeypatch):
         orbit_report(sd)
         assert decoded == [], sd.name
         assert vars(sd.rs).keys().isdisjoint({"positive_roots", "roots"}), sd.name
-        assert "counts" not in vars(restricted_root_system(sd)), sd.name
+        assert "sorted_keys" not in vars(restricted_root_system(sd)), sd.name
     # the counter sees a decode
-    assert restricted_root_system(sd).counts and decoded
+    assert restricted_root_system(sd).elements and decoded
 
 
 def test_describe_decodes_only_theta_columns(monkeypatch):
@@ -128,7 +151,7 @@ def test_describe_decodes_only_theta_columns(monkeypatch):
         assert len(decoded) <= len(sd.white), sd.name
         assert {tuple(map(neg, v)) for v in decoded} <= set(map(columns.__getitem__, sd.white)), sd.name
         assert vars(sd.rs).keys().isdisjoint({"positive_roots", "roots"}), sd.name
-        assert "counts" not in vars(restricted_root_system(sd)), sd.name
+        assert "sorted_keys" not in vars(restricted_root_system(sd)), sd.name
     # the counter sees a decode
     decoded.clear()
-    assert restricted_root_system(sd).counts and decoded
+    assert restricted_root_system(sd).elements and decoded

@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_column_kernels import decoded_doubled, decoded_positives
 
 from lieorbits import verify
 from lieorbits.errors import InconsistentDiagram
@@ -49,7 +50,7 @@ def halved(v):
 def test_restrict_kills_black_and_fixes_split():
     sd = form("su*(4)")
     assert doubled(sd, (1, 0, 0)) == (0, 0, 0)
-    assert (0, 0, 0) not in rrs("su*(4)").doubled
+    assert (0, 0, 0) not in decoded_doubled(rrs("su*(4)"))
     split = form("sl(4,R)")
     assert doubled(split, (1, 2, 3)) == (2, 4, 6)
     assert rrs("sl(4,R)").doubled_simple == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
@@ -80,7 +81,7 @@ def test_restrict_linear_and_idempotent():
 def test_split_restriction_is_whole_system():
     r = rrs("sl(3,R)")
     assert r.type_label.name == "A2" and r.type_label.reduced
-    assert all(m == 1 for m in r.doubled.values())
+    assert all(m == 1 for m in r.signed.values())
     assert r.highest_mult == 1
     assert len(r.elements) == 6
 
@@ -101,7 +102,7 @@ def test_su_star4_against_hand_built_involution():
             counts[image] += 1
 
     r = rrs("su*(4)")
-    assert r.doubled == dict(counts)
+    assert decoded_doubled(r) == dict(counts)
     assert r.type_label.name == "A1"
     assert r.highest_mult == 4
     lam = as_vector((F(1, 2), 1, F(1, 2)))
@@ -112,7 +113,7 @@ def test_su12_brute_force():
     r = rrs("su(1,2)")
     xi = (F(1, 2), F(1, 2))
     two_xi = (F(1), F(1))
-    by_root = {halved(d): m for d, m in r.doubled.items()}
+    by_root = {halved(d): m for d, m in decoded_doubled(r).items()}
     assert by_root == {xi: 2, tuple(-x for x in xi): 2, two_xi: 1, tuple(-x for x in two_xi): 1}
     assert r.type_label.name == "BC1" and not r.type_label.reduced
     assert halved(r.doubled_highest) == two_xi and r.highest_mult == 1
@@ -122,9 +123,9 @@ def test_f4_m20_structure():
     r = rrs("f4(-20)")
     assert r.type_label.name == "BC1"
     # BC1 shape: exactly {±xi, ±2xi} with multiplicities 8 and 7
-    by_mult = sorted(r.doubled.values())
+    by_mult = sorted(r.signed.values())
     assert by_mult == [7, 7, 8, 8]
-    xi = next(halved(d) for d, m in r.doubled.items() if m == 8 and sum(x > 0 for x in d))
+    xi = next(halved(d) for d, m in decoded_doubled(r).items() if m == 8 and sum(x > 0 for x in d))
     assert tuple(2 * x for x in xi) == halved(r.doubled_highest)
     assert r.highest_mult == 7
 
@@ -154,7 +155,7 @@ def test_classification_examples():
 def test_expected_multiplicity_tables():
     # spot checks against the standard restricted-root multiplicity tables
     def mult_multiset(name):
-        return sorted(Counter(rrs(name).doubled.values()).items())
+        return sorted(Counter(rrs(name).signed.values()).items())
 
     assert rrs("su*(6)").highest_mult == 4
     assert rrs("so(1,7)").highest_mult == 6
@@ -241,23 +242,24 @@ def test_parity_two_routes_fires_on_a_negated_parity():
 
 
 class GivenPositives(RestrictedRootSystem):
-    """A doctored system whose positive roots are given, not read off its counts."""
+    """A doctored system whose sorted keys are given, not read off its keys."""
 
     @property
-    def doubled_positives(self):
+    def sorted_keys(self):
         return self.given
 
 
 def test_parity_two_routes_reports_a_non_integral_pairing():
     sd = form("sl(3,R)")
     r = restricted_root_system(sd)
-    # -3 a1 / 2 pairs with the highest root a1 + a2 to -2/3; given ahead of
+    # 3 a1 / 2 pairs with the highest root a1 + a2 to 2/3; given ahead of
     # every true positive root, the scan over them meets it before any odd pairing
     doctored = GivenPositives(*r)
-    doctored.given = ((-3, 0),) + r.doubled_positives
-    assert next(iter(positive_norms(doctored))) == (-3, 0)
+    doctored.given = (sd.rs.pack((3, 0)),) + r.sorted_keys
+    assert next(iter(positive_norms(doctored))) == (3, 0)
+    assert decoded_positives(doctored)[1:] == decoded_positives(r)
     failures = _restricted_failures(sd, doctored)
-    assert failures["restricted.parity-two-routes"] == "non-integral pairing -2/3 in sl(3,R)"
+    assert failures["restricted.parity-two-routes"] == "non-integral pairing 2/3 in sl(3,R)"
 
 
 @pytest.mark.parametrize("name", ["su(32,32)", "so(3,125)", "su*(64)", "sp(20,44)", "e8(-24)"])

@@ -7,7 +7,8 @@ the image rows up among the root tuples, the restriction count of
 alpha + tau* alpha over those columns, and theta* from the black Gram split
 solved by `int_solve` for every node, one component at a time in sorted
 order.  The tree code must give the same failure lists, with the same first
-root reported, the same `counts` in the same order and the same theta* on
+root reported, the same positive doubled roots and multiplicities, in the
+same order, and the same theta* on
 every catalog entry up to rank 16, on six rank-64 forms, on the doctored
 involutions of tests/test_column_kernels.py and on the mutant diagrams that
 tests/test_column_kernels.py and tests/test_verify_kernels.py both build.
@@ -22,7 +23,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul, not_, sub
 
 import pytest
-from test_column_kernels import doctored_involutions, mutations
+from test_column_kernels import decoded_positives, doctored_involutions, mutations
 from test_diagram_kernels import candidate_types
 
 from lieorbits import rootsys, satake, verify
@@ -137,9 +138,9 @@ def column_involution_failures(sd, inv):
 
 
 def column_counts(sd):
-    """The restriction's `counts` as the column code built them, but for
-    the negative half, which `counts` no longer holds, and the order:
-    `counts` is sorted."""
+    """The positive doubled roots and their multiplicities as the column code
+    built them, but for the negative half, which the restriction no longer
+    holds, and the order: its keys are compared sorted."""
     inv = satake_involution(sd)
 
     def doubled(columns):
@@ -216,6 +217,11 @@ def dense_involution(sd):
     return SatakeInvolution(tuple(theta_column(j) for j in range(n)), tuple(p_tilde))
 
 
+def counts(rrs):
+    """Each positive doubled root of `rrs` and its multiplicity, in key order."""
+    return list(zip(decoded_positives(rrs), map(rrs.keys.__getitem__, rrs.sorted_keys)))
+
+
 def restriction(sd):
     """The restriction of `sd` as its build functions make it, through an involution
     built and checked anew."""
@@ -236,7 +242,7 @@ def outcome(build, sd):
 def test_tree_code_matches_the_column_code(sd):
     inv = satake_involution(sd)
     assert satake._involution_failures(sd, inv) == column_involution_failures(sd, inv) == []
-    assert list(restricted_root_system(sd).counts.items()) == sorted(column_counts(sd).items())
+    assert counts(restricted_root_system(sd)) == sorted(column_counts(sd).items())
     assert satake._build_involution(sd) == dense_involution(sd)
 
 
@@ -288,7 +294,7 @@ def test_mutant_diagrams_give_the_column_results():
             compared += 1
             restricted = outcome(restriction, mutant)
             if isinstance(restricted, RestrictedRootSystem):
-                assert list(restricted.counts.items()) == sorted(column_counts(mutant).items()), mutant.name
+                assert counts(restricted) == sorted(column_counts(mutant).items()), mutant.name
                 counted += 1
     assert compared > 500 and counted >= 100
 
@@ -408,16 +414,21 @@ def non_extendable(roots):
 
 @pytest.mark.parametrize("name", ["A2", "B3", "C4", "D5", "G2", "F4", "E6", "E8"])
 def test_a_doctored_key_fires_the_tree_and_the_highest_root_scan(name):
-    # the second simple key, a_{n-2}, plus a_{n-1}, beside the sound roots as the
-    # view: the tree still reaches that key from 0 by a_{n-2}, and the
-    # highest-root scan reads the keys, so it fires wherever they no longer
-    # leave phi alone non-extendable
+    # the second simple key, a_{n-2}, plus a_{n-1}: the height order breaks
+    # wherever a root of height 1 follows it, the tree still reaches that key
+    # from 0 by a_{n-2}, and the highest-root scan fires wherever the keys no
+    # longer leave phi alone non-extendable
     rs = build_root_system(SimpleType(name[0], int(name[1:])))
     keys = rs.positive_keys
     copy = rs._replace(positive_keys=keys[:1] + (keys[1] + 1,) + keys[2:])
-    copy.positive_roots = rs.positive_roots
-    expected = [Failure(name, "roots.spanning-tree", f"positive root 1 is not its parent -1 plus a_{rs.rank - 2}")]
-    found = non_extendable([tuple(key.to_bytes(rs.rank, "big")) for key in copy.positive_keys])
+    roots = [tuple(key.to_bytes(rs.rank, "big")) for key in copy.positive_keys]
+    heights = list(map(sum, roots))
+    expected = []
+    if heights != sorted(heights):
+        message = "the roots are not the positive ones by height followed by their negatives"
+        expected.append(Failure(name, "roots.positive-first", message))
+    expected.append(Failure(name, "roots.spanning-tree", f"positive root 1 is not its parent -1 plus a_{rs.rank - 2}"))
+    found = non_extendable(roots)
     if found != [rs.highest]:
         expected.append(Failure(name, "roots.highest-unique", f"non-extendable positives: {found}"))
     assert verify.check_root_system(copy) == expected

@@ -15,7 +15,9 @@ catalog up to rank 7.  The keys those scans read must keep the digit bound
 that lets them add and subtract without a carry.  A diagram relabelled by a
 Dynkin diagram automorphism, found here by a search of its own, must give
 the report with its weights moved and pass `verify`, `orbit.golden-row`
-included.
+included.  The references read the restriction's tuple views as they were
+(`ref_doubled`, `ref_positives`), decoded here from its signed view and its
+sorted keys.
 """
 
 from fractions import Fraction
@@ -60,13 +62,32 @@ def ref_non_extendable(rs):
     }
 
 
+def decode(n, key):
+    """The vector of a signed key of a rank-n system: a negative key is minus a positive one."""
+    sign = -1 if key < 0 else 1
+    return tuple(sign * x for x in abs(key).to_bytes(n, "big"))
+
+
+def ref_doubled(rrs):
+    """The tuple view `doubled`: every doubled root and its multiplicity, sorted."""
+    n = rrs.source.rs.rank
+    return {decode(n, k): m for k, m in rrs.signed.items()}
+
+
+def ref_positives(rrs):
+    """The tuple view `doubled_positives`: the positive doubled roots, sorted."""
+    n = rrs.source.rs.rank
+    return tuple(decode(n, k) for k in rrs.sorted_keys)
+
+
 def ref_reduced_simple(roots, simple):
     doubles = [tuple(2 * x for x in s) for s in simple]
     return [d if d in roots else s for s, d in zip(simple, doubles)]
 
 
 def ref_indecomposables(rrs, witnesses):
-    reduced_pos = [d for d in rrs.doubled_positives if tuple(2 * x for x in d) not in rrs.doubled]
+    doubled = ref_doubled(rrs)
+    reduced_pos = [d for d in ref_positives(rrs) if tuple(2 * x for x in d) not in doubled]
     reduced_set = set(reduced_pos)
     witnesses = [w for w in witnesses if w in reduced_set]
 
@@ -78,7 +99,7 @@ def ref_indecomposables(rrs, witnesses):
 
 def ref_dominant_longest(rrs):
     rs = rrs.source.rs
-    norms = {xi: rs.scaled_inner(xi, xi) for xi in rrs.doubled_positives}
+    norms = {xi: rs.scaled_inner(xi, xi) for xi in ref_positives(rrs)}
     max_len = max(norms.values())
     longest = [xi for xi, norm in norms.items() if norm == max_len]
     dominant = [xi for xi in longest if all(rs.scaled_inner(s, xi) >= 0 for s in rrs.doubled_simple)]
@@ -149,16 +170,17 @@ def ref_check_restricted_entry(analysis):
         rrs = analysis.restricted
     except LieOrbitsError as exc:
         return [Failure(name, "restricted.construction", str(exc))]
+    doubled = ref_doubled(rrs)
 
-    total = sum(rrs.doubled.values())
+    total = sum(doubled.values())
     span_black = sum(1 for r in rs.roots if all(r[i] == 0 for i in range(rs.rank) if i not in sd.black))
     if total + span_black != len(rs.roots):
         failures.append(
             Failure(name, "restricted.mult-sum", f"mult sum {total} + black-span {span_black} != {len(rs.roots)} roots")
         )
 
-    for d, m in rrs.doubled.items():
-        if rrs.doubled.get(tuple(-x for x in d)) != m:
+    for d, m in doubled.items():
+        if doubled.get(tuple(-x for x in d)) != m:
             xi = tuple(Fraction(x, 2) for x in d)
             failures.append(Failure(name, "restricted.negation", f"mult({xi}) != mult(-{xi})"))
             break
@@ -169,13 +191,13 @@ def ref_check_restricted_entry(analysis):
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
 
-    araki = sorted(ref_reduced_simple(rrs.doubled, rrs.doubled_simple))
+    araki = sorted(ref_reduced_simple(doubled, rrs.doubled_simple))
     searched = ref_indecomposables(rrs, araki)
     if searched != araki:
         message = f"indecomposable reduced positives {searched} vs white-node roots {araki}, doubled"
         failures.append(Failure(name, "restricted.simple-two-routes", message))
 
-    if any(tuple(map(add, rrs.doubled_highest, eta)) in rrs.doubled for eta in rrs.doubled_positives):
+    if any(tuple(map(add, rrs.doubled_highest, eta)) in doubled for eta in ref_positives(rrs)):
         failures.append(Failure(name, "restricted.highest-nonextendable", "lambda + eta is a restricted root"))
 
     scale = rs.gram_scale
@@ -195,7 +217,7 @@ def ref_check_restricted_entry(analysis):
         failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {inner(rs, rs.highest, tau_phi)}"))
 
     try:
-        scanned = ref_odd_pairing(rrs, rrs.doubled)
+        scanned = ref_odd_pairing(rrs, doubled)
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.parity-two-routes", str(exc)))
     else:
@@ -287,33 +309,22 @@ def mutations(sd):
 
 
 class GivenViews(restricted.RestrictedRootSystem):
-    """A doctored system whose signed view and sorted positive roots are
-    given, not read off its keys; the tuple view `doubled`, which only the
-    references read, decodes the given signed view."""
+    """A doctored system whose signed view and sorted keys are given, not
+    read off its keys."""
 
     @property
     def signed(self):
         return self.given_signed
 
     @property
-    def doubled(self):
-        return self.given_doubled
-
-    @property
-    def doubled_positives(self):
-        return self.given_positives
-
-
-def decode(n, key):
-    """The vector of a signed key of a rank-n system: a negative key is minus a positive one."""
-    sign = -1 if key < 0 else 1
-    return tuple(sign * x for x in abs(key).to_bytes(n, "big"))
+    def sorted_keys(self):
+        return self.given_sorted
 
 
 def with_views(rrs, positives, signed, **changes):
     doctored = GivenViews(*rrs._replace(**changes))
-    doctored.given_positives, doctored.given_signed = tuple(positives), dict(sorted(signed.items()))
-    doctored.given_doubled = {decode(rrs.source.rs.rank, k): m for k, m in doctored.given_signed.items()}
+    doctored.given_sorted = tuple(map(rrs.source.rs.pack, positives))
+    doctored.given_signed = dict(sorted(signed.items()))
     return doctored
 
 
@@ -321,11 +332,10 @@ def doctored(rrs):
     """Restricted systems that make the rewritten scans fire, one at a time.
     A doctored multiplicity, or a key dropped from the negative half, is
     doctored in the signed view alone, as in a copy of the sorted dict.  An
-    extra root goes into the positive half, `keys` and the sorted positive
-    roots, and into the signed view without its negative; the least
-    positive root leaves `keys` and the positive roots, but not the signed
-    view."""
-    lam, positives, keys, signed = rrs.doubled_highest, rrs.doubled_positives, rrs.keys, rrs.signed
+    extra root goes into the positive half, `keys` and the sorted keys, and
+    into the signed view without its negative; the least positive root
+    leaves `keys` and the sorted keys, but not the signed view."""
+    lam, positives, keys, signed = rrs.doubled_highest, ref_positives(rrs), rrs.keys, rrs.signed
     pack = rrs.source.rs.pack
     eta = positives[0]
     third = tuple(3 * x for x in rrs.doubled_simple[0])
@@ -357,7 +367,7 @@ def test_restricted_keys_have_digits_that_never_carry():
         rs, rrs = sd.rs, restricted_root_system(sd)
         digits = [(key >> shift) & 255 for key in rrs.keys for shift in range(0, 8 * rs.rank, 8)]
         assert all(0 <= key < 256**rs.rank for key in rrs.keys) and max(digits) <= 12, sd.name
-        assert list(map(rs.unpack, sorted(rrs.keys))) == list(rrs.doubled_positives), sd.name
+        assert list(map(rs.unpack, sorted(rrs.keys))) == sorted(decode(rs.rank, key) for key in rrs.keys), sd.name
         top = max(top, *digits)
     assert top == 12
 
@@ -382,10 +392,10 @@ def test_restricted_scans_match_the_tuple_scans(sd):
     rrs = restricted_root_system(sd)
     rs = sd.rs
     norms = restricted.positive_norms(rrs)
-    assert norms == {xi: rs.scaled_inner(xi, xi) for xi in rrs.doubled_positives}
+    assert norms == {xi: rs.scaled_inner(xi, xi) for xi in ref_positives(rrs)}
     assert restricted.dominant_longest(rrs, norms) == ref_dominant_longest(rrs)
     simple = reduced_simple(rs, rrs.keys, rrs.doubled_simple)
-    assert simple == ref_reduced_simple(rrs.doubled, rrs.doubled_simple)
+    assert simple == ref_reduced_simple(ref_doubled(rrs), rrs.doubled_simple)
     assert restricted.parity_criterion(rrs) == ref_odd_pairing(rrs, simple)
 
     araki = sorted(simple)
