@@ -7,10 +7,10 @@ the image rows up among the root tuples, the restriction count of
 alpha + tau* alpha over those columns, and theta* from the black Gram split
 solved by `int_solve` for every node, one component at a time in sorted
 order.  The tree code must give the same failure lists, with the same first
-root reported, the same positive doubled roots and multiplicities, in the
-same order, and the same theta* on
-every catalog entry up to rank 16, on six rank-64 forms, on the doctored
-involutions of tests/test_column_kernels.py and on the mutant diagrams that
+root reported, the same positive doubled roots and multiplicities in the
+same order, and the same theta* on every catalog entry up to rank 16, on
+six rank-64 forms, on the doctored involutions of
+tests/test_column_kernels.py and on the mutant diagrams that
 tests/test_column_kernels.py and tests/test_verify_kernels.py both build.
 theta*, read off the closure, must match the dense split on every black
 subset of every simple type up to rank 8, too.
