@@ -14,11 +14,11 @@ most 3.  It yields the positive roots by height, packed as
 sum_i c_i 256^(n-1-i), and a `RootSystem` stores them so, as
 `positive_keys`; every layer packs, masks and decodes a root through its
 one codec, `simple_keys`, `pack`, `digit_mask`, `unpack` and, for a key
-that may be negative, `unpack_signed`.  The
-coefficient tuples are kept views that no layer of the package reads, for
-callers and tests: `positive_roots` decodes the keys, and `roots` adds the
-negatives.  `verify` reads the keys, decoding one at a time where it needs
-a root's coordinates.
+that may be negative, `unpack_signed`, and `decodable` tells the keys
+`unpack` reads.  The coefficient tuples are kept views that no layer of the
+package reads, for callers and tests: `positive_roots` decodes the keys, and
+`roots` adds the negatives.  `verify` reads the keys, decoding one at a time
+where it needs a root's coordinates.
 
 The closure also keeps the spanning tree it reached the roots along
 (`RootSystem.spanning_tree`): each root's first parent and the node it
@@ -31,6 +31,12 @@ The type of a Cartan matrix is read off its Dynkin diagram, its chain,
 branch node and bond labels (`read_cartan_type`), and confirmed by
 comparing the relabelled rows with `cartan_matrix`, which builds them on
 each miss of the cache `read_cartan_type` keeps; nothing is searched.
+
+The automorphisms of a Dynkin diagram are one table, written down here and
+nowhere else (`diagram_automorphisms`): one line per type, the identity
+first.  The involution -w0 of the simple roots is read off it
+(`duality_permutation`), for the black components of a Satake diagram, and
+`verify` moves a golden row's weights by it onto a relabelled diagram.
 
 A `RootSystem` keeps what is read once per type: its keys as a set
 (`key_set`), which the involution's root scans test in single set calls; the
@@ -50,7 +56,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress, permutations, repeat
 from operator import add, getitem, itemgetter, lshift, mul, neg
 
 from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch
@@ -202,6 +208,10 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
     def unpack(self, key: int) -> tuple[int, ...]:
         """The coefficients of a nonnegative key whose digits are below 256."""
         return tuple(key.to_bytes(self.rank, "big"))
+
+    def decodable(self, key: int) -> bool:
+        """Whether `unpack` reads `key`: nonnegative, with no more digits than nodes."""
+        return 0 <= key < 1 << 8 * self.rank
 
     def unpack_signed(self, key: int) -> tuple[int, ...]:
         """The coefficients of the key of a vector whose entries are all of
@@ -581,14 +591,28 @@ read_cartan_type.cache_info = _read_cartan_type.cache_info
 read_cartan_type.cache_clear = _read_cartan_type.cache_clear
 
 
-def duality_permutation(t: SimpleType) -> tuple[int, ...]:
-    """The involution -w0 induces on the simple roots, in Bourbaki order."""
+def diagram_automorphisms(t: SimpleType) -> tuple[tuple[int, ...], ...]:
+    """Every permutation sigma of the nodes with C[sigma i][sigma j] = C[i][j],
+    the identity first and the rest in increasing order: the reversal of
+    A_n (n >= 2), the permutations of D4's three outer nodes, which fix the
+    branch node 1, the swap of D_n's last two nodes (n >= 5) and E6's
+    reflection; every other type has the identity only (Humphreys 12.2)."""
     n = t.rank
     ident = tuple(range(n))
-    if t.letter == "A":
-        return tuple(range(n - 1, -1, -1))
-    if t.letter == "D" and n % 2 == 1:
-        return ident[:-2] + (n - 1, n - 2)
+    if t.letter == "A" and n > 1:
+        return ident, ident[::-1]
+    if t.letter == "D" and n == 4:
+        return tuple((a, 1, b, c) for a, b, c in permutations((0, 2, 3)))
+    if t.letter == "D":
+        return ident, ident[:-2] + (n - 1, n - 2)
     if t.letter == "E" and n == 6:
-        return (5, 1, 4, 3, 2, 0)
-    return ident
+        return ident, (5, 1, 4, 3, 2, 0)
+    return (ident,)
+
+
+def duality_permutation(t: SimpleType) -> tuple[int, ...]:
+    """The involution -w0 induces on the simple roots, in Bourbaki order:
+    the last of the diagram automorphisms, the identity where it is the
+    only one and for D_n with n even, where w0 = -1."""
+    automorphisms = diagram_automorphisms(t)
+    return automorphisms[0] if t.letter == "D" and t.rank % 2 == 0 else automorphisms[-1]

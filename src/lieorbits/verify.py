@@ -57,13 +57,16 @@ with the reduced simple roots the construction found, the view
 `orbit.golden-row` reads the table's weights on the catalog's diagram for
 the entry's descriptor; an entry that is another diagram, relabelled from
 it by a Dynkin diagram automorphism, is held to the weights moved by it.
+The automorphisms are read off the type's table
+(`rootsys.diagram_automorphisms`), the identity first, so the catalog's own
+diagram keeps the weights as given.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Container, Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Sequence
 from itertools import compress, repeat
 from math import gcd
 from operator import mul, ne, neg
@@ -71,7 +74,7 @@ from operator import mul, ne, neg
 from .errors import LieOrbitsError
 from .orbits import FormAnalysis, in_five_families, kept_analysis, ratio_text, wdd_matches_satake
 from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms
-from .rootsys import ROOT_COUNT_FORMULAS, RootSystem, build_root_system, orbit_dim_from_wdd
+from .rootsys import ROOT_COUNT_FORMULAS, RootSystem, build_root_system, diagram_automorphisms, orbit_dim_from_wdd
 from .satake import RealFormDescriptor, SatakeDiagram, build_satake, catalog
 
 EXCEPTIONAL_REAL_RANK = {
@@ -134,42 +137,21 @@ def golden_row(d: RealFormDescriptor) -> tuple[tuple[int, ...], int] | None:
     return None
 
 
-def _automorphisms(cartan: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    """Every permutation sigma of the nodes with C[sigma i][sigma j] = C[i][j],
-    the identity first: node i goes, in turn, to each free node j that keeps
-    the rows of the nodes placed before it."""
-    n = len(cartan)
-    sigma: list[int] = []
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        i = len(sigma)
-        if i == n:
-            yield tuple(sigma)
-            return
-        for j in range(n):
-            if j not in sigma and all(
-                cartan[sigma[k]][j] == cartan[k][i] and cartan[j][sigma[k]] == cartan[i][k] for k in range(i)
-            ):
-                sigma.append(j)
-                yield from extend()
-                sigma.pop()
-
-    return extend()
-
-
 def _table_weights(sd: SatakeDiagram, weights: tuple[int, ...]) -> tuple[int, ...]:
     """A golden row's weights, given on the catalog's diagram for the
-    descriptor, on the nodes of `sd`: moved by a Dynkin diagram automorphism
-    that carries the catalog's diagram onto `sd`, when `sd` is such an image
-    of it and not that diagram itself, and as given otherwise."""
+    descriptor, on the nodes of `sd`: moved by the first automorphism in the
+    type's table (`diagram_automorphisms`) that carries the catalog's
+    diagram onto `sd`, the identity when `sd` is that diagram, and as given
+    when none does."""
     try:
         ref = build_satake(sd.descriptor)
     except LieOrbitsError:
         return weights
-    if (ref.black, ref.arrows) == (sd.black, sd.arrows) or ref.rs.simple_type != sd.rs.simple_type:
+    # an automorphism of another rank would index out of range
+    if ref.rs.simple_type != sd.rs.simple_type:
         return weights
     arrows = set(map(frozenset, sd.arrows))
-    for sigma in _automorphisms(sd.rs.cartan):
+    for sigma in diagram_automorphisms(sd.rs.simple_type):
         if frozenset(map(sigma.__getitem__, ref.black)) == sd.black and {
             frozenset(map(sigma.__getitem__, pair)) for pair in ref.arrows
         } == arrows:
@@ -212,8 +194,10 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
         failures.append(Failure(name, "roots.count", f"{2 * len(keys)} roots, closed form gives {expected}"))
 
     # the positive keys must be in height order, each height at least 1; a height is
-    # the digit sum of one decoded key, kept nowhere
-    heights = list(map(sum, map(rs.unpack, keys)))
+    # the digit sum of one decoded key, kept nowhere.  The keys that decode are an
+    # interval, so all do when the least and the greatest do; if not, they are out of order
+    decodable = rs.decodable(min(keys, default=0)) and rs.decodable(max(keys, default=0))
+    heights = list(map(sum, map(rs.unpack, keys))) if decodable else [0]
     if min(heights, default=1) < 1 or heights != sorted(heights):
         message = "the roots are not the positive ones by height followed by their negatives"
         failures.append(Failure(name, "roots.positive-first", message))
@@ -226,7 +210,7 @@ def check_root_system(rs: RootSystem) -> list[Failure]:
     root_keys = rs.key_set
     non_extendable = {x for x in keys if root_keys.isdisjoint(map(x.__add__, keys))}
     if non_extendable != {rs.pack(rs.highest)}:
-        message = f"non-extendable positives: {sorted(map(rs.unpack, non_extendable))}"
+        message = f"non-extendable positives: {sorted(map(rs.unpack, filter(rs.decodable, non_extendable)))}"
         failures.append(Failure(name, "roots.highest-unique", message))
 
     wdd = rs.min_wdd

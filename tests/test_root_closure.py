@@ -137,3 +137,16 @@ def test_positive_first_fires_on_a_root_list_out_of_order(name):
         copy = rs._replace(positive_keys=keys)
         checks = {f.check for f in verify.check_root_system(copy)}
         assert "roots.positive-first" in checks, keys
+
+
+def test_a_key_that_does_not_decode_fails_by_name():
+    # a negative key and one with more digits than the rank: unpack reads neither,
+    # and the highest-root scan lists only the keys it reads
+    rs = build_root_system(SimpleType("A", 3))
+    keys = rs.positive_keys
+    for bad, non_extendable in ((-1, [(1, 1, 0)]), (1 << 30, [(1, 1, 0), (1, 1, 1)])):
+        assert verify.check_root_system(rs._replace(positive_keys=(bad,) + keys[1:])) == [
+            ("A3", "roots.positive-first", "the roots are not the positive ones by height followed by their negatives"),
+            ("A3", "roots.spanning-tree", "positive root 0 is not its parent -1 plus a_2"),
+            ("A3", "roots.highest-unique", f"non-extendable positives: {non_extendable}"),
+        ], bad

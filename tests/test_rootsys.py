@@ -4,6 +4,7 @@ from math import lcm
 from operator import mul
 
 import pytest
+from test_diagram_kernels import candidate_types
 
 from lieorbits import restricted, rootsys, satake
 from lieorbits.errors import InvalidType, NonIntegralWeights, RankTooSmall
@@ -406,6 +407,27 @@ def test_diagram_types_and_duality():
     assert duality_permutation(SimpleType("D", 4)) == (0, 1, 2, 3)
     assert duality_permutation(SimpleType("E", 6)) == (5, 1, 4, 3, 2, 0)
     assert duality_permutation(SimpleType("E", 7)) == tuple(range(7))
+
+
+def transcribed_duality(t):
+    """-w0 on the simple roots as it was written out type by type before it
+    was read off the table of diagram automorphisms."""
+    n = t.rank
+    ident = tuple(range(n))
+    if t.letter == "A":
+        return tuple(range(n - 1, -1, -1))
+    if t.letter == "D" and n % 2 == 1:
+        return ident[:-2] + (n - 1, n - 2)
+    if t.letter == "E" and n == 6:
+        return (5, 1, 4, 3, 2, 0)
+    return ident
+
+
+def test_duality_read_off_the_automorphism_table_is_the_transcription():
+    types = [t for rank in range(1, 65) for t in candidate_types(rank)]
+    assert len(types) == 256
+    for t in types:
+        assert duality_permutation(t) == transcribed_duality(t), t
 
 
 def test_root_system_hash_is_the_type_hash():

@@ -15,7 +15,8 @@ catalog up to rank 7.  The keys those scans read must keep the digit bound
 that lets them add and subtract without a carry.  A diagram relabelled by a
 Dynkin diagram automorphism, found here by a search of its own, must give
 the report with its weights moved and pass `verify`, `orbit.golden-row`
-included.  The references read the restriction's tuple views as they were
+included; the package's table of those automorphisms must list what the
+search finds, in the same order.  The references read the restriction's tuple views as they were
 (`ref_doubled`, `ref_positives`), decoded here from its signed view and its
 sorted keys.
 """
@@ -31,7 +32,10 @@ from lieorbits.errors import InconsistentDiagram, LieOrbitsError, UnrecognizedSy
 from lieorbits.orbits import FormAnalysis, in_five_families, ratio_text, restricted_root_system, wdd_matches_satake
 from lieorbits.restricted import build_restricted, is_C_or_BC, reduced_simple
 from lieorbits.rootsys import (
+    SimpleType,
     build_root_system,
+    cartan_matrix,
+    diagram_automorphisms,
     dual_coxeter_number,
     extended_neighbors,
     min_orbit_wdd,
@@ -475,10 +479,11 @@ def test_mutants_give_the_same_verify_failures():
 # --- a diagram relabelled by a Dynkin diagram automorphism -----------------
 
 
-def diagram_automorphisms(cartan):
+def searched_automorphisms(cartan):
     """Every permutation sigma with C[sigma i][sigma j] = C[i][j], by
     backtracking: node i may go to a node j only if the rows of the nodes
-    already placed agree."""
+    already placed agree.  The free nodes are tried in increasing order, so
+    the permutations come in increasing order, the identity first."""
     n = len(cartan)
     found = []
 
@@ -487,8 +492,8 @@ def diagram_automorphisms(cartan):
         if i == n:
             found.append(tuple(sigma))
             return
-        for j in set(range(n)) - set(sigma):
-            if cartan[j][j] == cartan[i][i] and all(
+        for j in range(n):
+            if j not in sigma and cartan[j][j] == cartan[i][i] and all(
                 cartan[sigma[k]][j] == cartan[k][i] and cartan[j][sigma[k]] == cartan[i][k] for k in range(i)
             ):
                 place(sigma + [j])
@@ -510,11 +515,18 @@ def moved(weights, sigma):
     return tuple(out)
 
 
+def test_the_automorphism_table_is_the_search():
+    # every type up to rank 16, and D64, on which the search takes most of a second
+    types = [t for rank in range(1, 17) for t in candidate_types(rank)] + [SimpleType("D", 64)]
+    for t in types:
+        assert diagram_automorphisms(t) == tuple(searched_automorphisms(cartan_matrix(t))), t
+
+
 def test_the_trialities_of_so_1_7_pass_the_golden_row():
     # the golden table gives so(1,7)'s weights on the catalog's diagram, white node 0;
     # four of D4's six automorphisms move that node to 2 or 3
     sd = build_satake(parse_form_name("so(1,7)"))
-    sigmas = diagram_automorphisms(sd.rs.cartan)
+    sigmas = searched_automorphisms(sd.rs.cartan)
     assert len(sigmas) == 6 and sum(sigma[0] != 0 for sigma in sigmas) == 4
     for sigma in sigmas:
         image = relabelled(sd, sigma)
@@ -538,7 +550,7 @@ def test_reports_and_verify_commute_with_diagram_automorphisms():
     relabellings = 0
     for sd in catalog(12):
         report = FormAnalysis(sd).report
-        for sigma in diagram_automorphisms(sd.rs.cartan)[1:]:
+        for sigma in searched_automorphisms(sd.rs.cartan)[1:]:
             image = relabelled(sd, sigma)
             relabellings += 1
             assert verify.run_verification(entries=[image]).failures == [], (sd.name, sigma)
