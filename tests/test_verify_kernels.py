@@ -16,9 +16,9 @@ that lets them add and subtract without a carry.  A diagram relabelled by a
 Dynkin diagram automorphism, found here by a search of its own, must give
 the report with its weights moved and pass `verify`, `orbit.golden-row`
 included; the package's table of those automorphisms must list what the
-search finds, in the same order.  The references read the restriction's tuple views as they were
-(`ref_doubled`, `ref_positives`), decoded here from its signed view and its
-sorted keys.
+search finds, in the same order.  The references read the restriction's
+tuple views as they were (`ref_doubled`, `ref_positives`), decoded here from
+its signed view and its sorted keys.
 """
 
 from fractions import Fraction
