@@ -22,7 +22,8 @@ from .orbits import (
     orbit_report,
     report_to_dict,
 )
-from .satake import MAX_RANK, RealFormDescriptor, SatakeDiagram, build_satake, catalog, parse_form_name
+from .rootsys import MAX_RANK
+from .satake import RealFormDescriptor, SatakeDiagram, build_satake, catalog, parse_form_name
 from .verify import golden_row, run_verification
 
 TABLE_PARAMETERS = (

@@ -45,10 +45,12 @@ reduced positive roots and over every pairing, run as `verify` checks.
 summing each product into a plain dict per row.
 Where one side of an inner product is fixed, the other side is paired with
 one `RootSystem.simple_pairings` row of it: the simple roots in
-`dominant_longest`, which filters the longest roots by one row at a time.
+`dominant_longest`, a reflection ascent from one longest root that pairs the
+root it reached with one row per simple root at each step, and checks each
+step on the keys.
 The norm table of the positive roots (`positive_norms`), which decodes
-`sorted_keys`, is built only for `verify`, which shares it between
-`dominant_longest` and its parity scan, and pairs that scan through the kept
+`sorted_keys`, is built only for `verify`, which picks the ascent's start
+off it and scans every norm in its parity scan, paired through the kept
 row of the highest root; `parity_criterion` pairs the r reduced simple roots
 with that row and each with its own, and builds neither.  Each norm is the
 type's quadratic form (`RootSystem.norm_form`) on the root: its diagonal and
@@ -62,7 +64,7 @@ sum or difference carries, and sorted they follow the coordinate order.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import add, mul, neg, sub
 
 from .errors import InconsistentDiagram, UnrecognizedSystem
@@ -287,21 +289,43 @@ def positive_norms(rrs: RestrictedRootSystem) -> dict[IntVector, int]:
 
 
 def dominant_longest(rrs: RestrictedRootSystem, norms: dict[IntVector, int]) -> IntVector:
-    """The unique dominant restricted root of maximal squared length, doubled.
+    """The dominant restricted root of maximal squared length, doubled, by a
+    reflection ascent (Humphreys 13.2).
 
-    Independent route to the highest root; construction uses r(phi).  A
-    dominant root is positive, so only the positive roots, the keys of
-    `norms` (`positive_norms(rrs)`), are tried, and each is a nonnegative
-    combination of the simple roots, which test dominance through one
-    pairing row each.
+    Independent route to the highest root; construction uses r(phi).  The
+    ascent starts at the last longest root of `norms` (`positive_norms(rrs)`,
+    in key order: the greatest key), and while some doubled simple root eta
+    pairs negatively with xi it sets xi to s_eta xi = xi - c eta, with
+    c = 2<xi, eta>/<eta, eta> a negative integer.  Each eta is paired through
+    its own row, its norm included.  A step adds -c key(eta) to the key, which
+    must rise and stay among the restricted roots' `keys`, so the ascent ends
+    at the one dominant root of the longest roots' W-orbit; a step that does
+    not, or a c that is no integer, is an `InconsistentDiagram`.  On a sound
+    system the greatest key is the highest root's, which is dominant, so
+    the ascent takes no step; from `dict(reversed(norms.items()))` it starts
+    at the least longest root and climbs.
     """
     rs = rrs.source.rs
     max_len = max(norms.values())
-    dominant = list(compress(norms, map(max_len.__eq__, norms.values())))
-    for s in rrs.doubled_simple:
-        row = rs.simple_pairings(s)
-        dominant = list(compress(dominant, map((0).__le__, map(sum, map(map, repeat(mul), dominant, repeat(row))))))
-    if len(dominant) != 1:
-        raise InconsistentDiagram(f"{rrs.source.name}: {len(dominant)} dominant longest restricted roots")
-    return dominant[0]
+    xi = next(compress(reversed(norms), map(max_len.__eq__, reversed(norms.values()))))
+    key = rs.pack(xi)
+    simple = []
+    for eta in rrs.doubled_simple:
+        row = rs.simple_pairings(eta)
+        simple.append((eta, row, sum(map(mul, eta, row)), rs.pack(eta)))
+    while True:
+        for eta, row, norm, step in simple:
+            pairing = sum(map(mul, xi, row))
+            if pairing < 0:
+                break
+        else:
+            return xi
+        c, rest = divmod(2 * pairing, norm)
+        if rest:
+            raise InconsistentDiagram(f"{rrs.source.name}: reflecting {xi} in {eta} is not integral")
+        raised = key - c * step
+        if raised <= key or raised not in rrs.keys:
+            raise InconsistentDiagram(f"{rrs.source.name}: reflecting {xi} in {eta} gives no higher restricted root")
+        key = raised
+        xi = tuple(map(sub, xi, map(c.__mul__, eta)))
 

@@ -63,11 +63,19 @@ from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch
 
 IntRows = tuple[tuple[int, ...], ...]
 
+# Largest rank of a simple type, and so the largest complex rank
+# `satake.build_satake` and `satake.catalog` accept.  Describing a form
+# grows faster than rank^2 (one shared Xeon vCPU, in process: sp(64,R) in
+# about 20 ms, sp(128,R) in about 0.10 s and 21 MB; a cold command,
+# interpreter start included, takes 0.07 and 0.14 s), so a larger rank
+# fails fast instead of growing without bound.
+MAX_RANK = 64
+
 RANK_BOUNDS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (4, None),
+    "A": (1, MAX_RANK),
+    "B": (2, MAX_RANK),
+    "C": (2, MAX_RANK),
+    "D": (4, MAX_RANK),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -107,17 +115,21 @@ class cached:
 
 
 class SimpleType(Validated, namedtuple("SimpleType", "letter rank")):
-    """Isomorphism class of a simple complex Lie algebra: letter + rank."""
+    """Isomorphism class of a simple complex Lie algebra: letter + rank.
+    The rank is an int, not a bool, within the letter's `RANK_BOUNDS`, so at
+    most MAX_RANK."""
 
     __slots__ = ()
 
     def _check(self):
-        bounds = RANK_BOUNDS.get(self.letter)
+        bounds = RANK_BOUNDS.get(self.letter) if isinstance(self.letter, str) else None
         if bounds is None:
             raise InvalidType(f"unknown letter {self.letter!r}")
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
+            raise InvalidType(f"the rank of type {self.letter} must be an int, got {type(self.rank).__name__} {self.rank!r}")
         lo, hi = bounds
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidType(f"rank {self.rank} out of range for type {self.letter}")
+        if not lo <= self.rank <= hi:
+            raise InvalidType(f"rank {self.rank} out of range {lo}..{hi} for type {self.letter}")
 
     @property
     def name(self) -> str:
@@ -495,7 +507,8 @@ def read_cartan_type(rows: Sequence[Sequence[int]]) -> tuple[SimpleType, tuple[i
     cartan_matrix(t)[k][l] == rows[order[k]][order[l]], or None for rows
     that are no Cartan matrix of a connected Dynkin diagram.
 
-    Each distinct matrix is read once: the answers are kept in an LRU of
+    Rows of more than MAX_RANK nodes give None: no type above the cap is
+    built.  Each distinct matrix is read once: the answers are kept in an LRU of
     256 keyed on the rows (`cache_info` and `cache_clear` are its own).
     Rows that do not hash, lists say, are keyed as tuples.
     """
@@ -518,6 +531,8 @@ def _read_cartan_type(rows: IntRows) -> tuple[SimpleType, tuple[int, ...]] | Non
     the relabelled rows with `cartan_matrix(t)` confirms both.
     """
     r = len(rows)
+    if r > MAX_RANK:
+        return None
     if r < 2:
         return (SimpleType("A", 1), (0,)) if r and rows[0][0] == 2 else None
     nodes = range(r)

@@ -63,6 +63,7 @@ from operator import getitem, itemgetter, neg, not_, sub
 from .errors import FormNameError, InconsistentDiagram, OutOfRangeParams
 from .ratmat import matrix_rank
 from .rootsys import (
+    MAX_RANK,
     RootSystem,
     SimpleType,
     build_root_system,
@@ -73,14 +74,6 @@ from .rootsys import (
 )
 
 IntVector = tuple[int, ...]
-
-# Largest complex rank `build_satake` and `catalog` accept.  Describing a
-# form grows faster than rank^2 (one shared Xeon vCPU, in process:
-# sp(64,R) in about 20 ms, sp(128,R) in about 0.10 s and 21 MB; a cold
-# command, interpreter start included, takes 0.07 and 0.14 s), so a larger
-# rank fails fast with OutOfRangeParams instead of growing without bound.
-MAX_RANK = 64
-
 
 # One row per classical family: its name, with `{}` where each parameter
 # prints; its complex rank, read off the parameters; and whether its one
@@ -344,11 +337,20 @@ _EXCEPTIONAL_BY_NAME = {row.name: f for f, row in EXCEPTIONAL_FAMILIES.items()}
 _MAX_PARAM_DIGITS = len(str(2 * MAX_RANK + 1))
 
 
-@lru_cache(maxsize=256)
 def parse_form_name(text: str) -> RealFormDescriptor:
-    """Parse a real-form name under the grammar in the module docstring.
+    """Parse a real-form name under the grammar in the module docstring; a
+    value that is no str raises FormNameError.
 
-    Kept per text in an LRU of 256; an error is never kept."""
+    Kept per text in an LRU of 256 (`cache_info` and `cache_clear` are its
+    own); an error is never kept."""
+    if not isinstance(text, str):
+        raise FormNameError(f"a real-form name is a str, got {type(text).__name__}")
+    return _parse_form_name(text)
+
+
+@lru_cache(maxsize=256)
+def _parse_form_name(text: str) -> RealFormDescriptor:
+    """`parse_form_name` on a str."""
     token = text.strip()
     if any(ch.isspace() for ch in token):
         raise FormNameError(f"form name {text!r} must not contain spaces")
@@ -373,13 +375,20 @@ def parse_form_name(text: str) -> RealFormDescriptor:
     return RealFormDescriptor(family, tuple(params))
 
 
+parse_form_name.cache_info = _parse_form_name.cache_info
+parse_form_name.cache_clear = _parse_form_name.cache_clear
+
+
 def catalog(max_rank: int) -> list[SatakeDiagram]:
     """All catalog entries of complex rank <= max_rank, sorted by name.
 
     Isomorphic low-rank duplicates (sl(2,R)/su(1,1)/sp(1,R), so(1,5)/su*(4),
     ...) are retained: the catalog is indexed by descriptor, not by
-    isomorphism class.
+    isomorphism class.  A max_rank that is no int, or a bool, raises
+    OutOfRangeParams.
     """
+    if not isinstance(max_rank, int) or isinstance(max_rank, bool):
+        raise OutOfRangeParams(f"catalog needs an int max_rank, got {type(max_rank).__name__} {max_rank!r}")
     if max_rank < 2:
         raise OutOfRangeParams(f"catalog needs max_rank >= 2, got {max_rank}")
     if max_rank > MAX_RANK:

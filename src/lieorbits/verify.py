@@ -43,16 +43,17 @@ with each negative root as -key, serves `restricted.mult-sum` and
 and one dict lookup, against that of xi; a failure decodes its key for the
 message (`RootSystem.unpack_signed`).  Where one side of an inner product
 is fixed, the other is paired with one `RootSystem.simple_pairings` row of
-it: the simple roots in the dominance test, phi in the norm ratio, and
-r(phi) in the norm ratio and the parity scan, whose row the restriction
-keeps once built (`RestrictedRootSystem.highest_pairings`) for the direct
-diagram and the parity criterion too.  The dominance test and the parity
-scan share the norm table: every scan that is symmetric under negation
-reads the positive half.  `roots.highest-unique` tests sums against the
-type's kept key set (`RootSystem.key_set`), which the involution's root
-scans read as well.  `restricted.simple-two-routes` compares its search
-with the reduced simple roots the construction found, the view
-`RestrictedRootSystem.reduced_simple`.
+it: the simple roots in the reflection ascent to the dominant longest
+root (`restricted.dominant_longest`), phi in the norm ratio, and r(phi) in
+the norm ratio and the parity scan, whose row the restriction keeps once
+built (`RestrictedRootSystem.highest_pairings`) for the direct diagram and
+the parity criterion too.  The ascent starts at a longest root of the norm
+table, which the parity scan reads whole: every scan that is symmetric
+under negation reads the positive half.  `roots.highest-unique` tests sums
+against the type's kept key set (`RootSystem.key_set`), which the
+involution's root scans read as well.  `restricted.simple-two-routes`
+compares its search with the reduced simple roots the construction found,
+the view `RestrictedRootSystem.reduced_simple`.
 
 `orbit.golden-row` reads the table's weights on the catalog's diagram for
 the entry's descriptor; an entry that is another diagram, relabelled from
@@ -466,7 +467,10 @@ ENTRY_CHECKS = (check_satake_entry, check_restricted_entry, check_orbit_entry)
 
 def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None = None) -> VerificationResult:
     """Run every invariant suite; used by the CLI `verify` command.  The
-    entry checks of one entry share one analysis, dropped once they ran."""
+    entry checks of one entry share one analysis, dropped once they ran.
+    Without `entries`, the sweep is `catalog(max_rank)`, which refuses a
+    max_rank that is no int, a bool, or outside 2..MAX_RANK with
+    OutOfRangeParams."""
     diagrams: Sequence[SatakeDiagram] = list(entries) if entries is not None else catalog(max_rank)
     failures: list[Failure] = []
     checks = 0

@@ -9,6 +9,7 @@ from test_diagram_kernels import candidate_types
 from lieorbits import restricted, rootsys, satake
 from lieorbits.errors import InvalidType, NonIntegralWeights, RankTooSmall
 from lieorbits.rootsys import (
+    MAX_RANK,
     ROOT_COUNT_FORMULAS,
     SimpleType,
     WeightedDynkinDiagram,
@@ -89,6 +90,23 @@ def test_invalid_types():
     for letter, rank in [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 1), ("X", 2)]:
         with pytest.raises(InvalidType):
             SimpleType(letter, rank)
+    # a rank that is no int, a bool, a rank above the cap and an unhashable letter are refused by name
+    for letter, rank in [("A", "3"), ("A", 3.0), ("A", True), ("A", MAX_RANK + 1), ("D", 10**5), (["A"], 3)]:
+        with pytest.raises(InvalidType):
+            SimpleType(letter, rank)
+    with pytest.raises(InvalidType, match="must be an int, got bool True"):
+        SimpleType("A", True)
+
+
+def test_every_classical_letter_stops_at_the_cap():
+    for letter in "ABCD":
+        assert build_root_system(SimpleType(letter, MAX_RANK)).rank == MAX_RANK
+        with pytest.raises(InvalidType):
+            build_root_system(SimpleType(letter, MAX_RANK + 1))
+    # the diagram reader builds no type above the cap: an A65 chain reads as None
+    chain_rows = [[2 if i == j else -(abs(i - j) == 1) for j in range(MAX_RANK + 1)] for i in range(MAX_RANK + 1)]
+    assert read_cartan_type(chain_rows) is None
+    assert read_cartan_type([row[:MAX_RANK] for row in chain_rows[:MAX_RANK]])[0] == SimpleType("A", MAX_RANK)
 
 
 def test_a1_roots():

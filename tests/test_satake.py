@@ -413,6 +413,24 @@ def test_a_refused_input_is_refused_again_and_never_kept():
     assert parse_form_name.cache_info().currsize == satake._cached_satake.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("text", [None, 123, b"sl(2,R)", []], ids=["None", "int", "bytes", "list"])
+def test_a_form_name_that_is_not_a_str_is_refused_by_name(text):
+    # no bare AttributeError from str methods, and no TypeError from the LRU hashing a list
+    with pytest.raises(FormNameError, match=f"is a str, got {type(text).__name__}$"):
+        parse_form_name(text)
+    assert parse_form_name.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "call, max_rank",
+    [(catalog, "8"), (catalog, 8.0), (catalog, True), (run_verification, "8"), (run_verification, 2.5)],
+    ids=["catalog-str", "catalog-float", "catalog-bool", "verify-str", "verify-float"],
+)
+def test_a_max_rank_that_is_not_an_int_is_refused_by_name(call, max_rank):
+    with pytest.raises(OutOfRangeParams, match=f"needs an int max_rank, got {type(max_rank).__name__}"):
+        call(max_rank=max_rank)
+
+
 def test_an_evicted_name_is_parsed_again_to_an_equal_descriptor():
     first = parse_form_name("sl(3,R)")
     # 256 other names push it out; the parser reads no rank cap

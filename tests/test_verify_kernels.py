@@ -4,8 +4,10 @@ The references below are copies, kept here, of the scans as they were written
 on tuples and `scaled_inner`: the non-extendable positive roots of
 `roots.highest-unique`, the reduced simple roots of `reduced_simple`, the
 reduced-root search of
-`restricted.simple-two-routes`, the negation, black-span, nonextendable,
-dominance and full-parity scans of `check_restricted_entry`, the Cartan
+`restricted.simple-two-routes`, the negation, black-span, nonextendable
+and full-parity scans of `check_restricted_entry`, its reflection ascent
+to the dominant longest root (`ref_ascent`, held on `catalog(16)` to the
+filter over every longest root it replaced, `ref_dominant_longest`), the Cartan
 entries of `restricted._classify`, and `check_orbit_entry` with its
 `orbit.weights-range` branch.  The rewritten code must give the same values on
 every catalog entry up to rank 10 and every simple type up to rank 16, and
@@ -23,6 +25,7 @@ its signed view and its sorted keys.
 
 from fractions import Fraction
 from operator import add, sub
+from re import escape as re_escape
 
 import pytest
 from test_diagram_kernels import candidate_types
@@ -112,6 +115,30 @@ def ref_dominant_longest(rrs):
     return dominant[0]
 
 
+def ref_ascent(rrs, start=None):
+    """The reflection ascent of `dominant_longest` on tuples: from `start`,
+    or the longest positive root that sorts last, reflect in the first
+    doubled simple root that pairs negatively until none does."""
+    rs = rrs.source.rs
+    name = rrs.source.name
+    positives = ref_positives(rrs)
+    if start is None:
+        max_len = max(rs.scaled_inner(xi, xi) for xi in positives)
+        start = [xi for xi in positives if rs.scaled_inner(xi, xi) == max_len][-1]
+    roots, xi = set(positives), start
+    while True:
+        eta = next((s for s in rrs.doubled_simple if rs.scaled_inner(xi, s) < 0), None)
+        if eta is None:
+            return xi
+        num, den = 2 * rs.scaled_inner(xi, eta), rs.scaled_inner(eta, eta)
+        if num % den:
+            raise InconsistentDiagram(f"{name}: reflecting {xi} in {eta} is not integral")
+        reflected = tuple(x - num // den * y for x, y in zip(xi, eta))
+        if reflected <= xi or reflected not in roots:
+            raise InconsistentDiagram(f"{name}: reflecting {xi} in {eta} gives no higher restricted root")
+        xi = reflected
+
+
 def ref_odd_pairing(rrs, roots):
     rs = rrs.source.rs
     lam = rrs.doubled_highest
@@ -190,7 +217,7 @@ def ref_check_restricted_entry(analysis):
             break
 
     try:
-        if ref_dominant_longest(rrs) != rrs.doubled_highest:
+        if ref_ascent(rrs) != rrs.doubled_highest:
             failures.append(Failure(name, "restricted.highest-two-routes", "r(phi) is not the dominant longest root"))
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
@@ -397,7 +424,7 @@ def test_restricted_scans_match_the_tuple_scans(sd):
     rs = sd.rs
     norms = restricted.positive_norms(rrs)
     assert norms == {xi: rs.scaled_inner(xi, xi) for xi in ref_positives(rrs)}
-    assert restricted.dominant_longest(rrs, norms) == ref_dominant_longest(rrs)
+    assert restricted.dominant_longest(rrs, norms) == ref_ascent(rrs)
     simple = reduced_simple(rs, rrs.keys, rrs.doubled_simple)
     assert simple == ref_reduced_simple(ref_doubled(rrs), rrs.doubled_simple)
     assert restricted.parity_criterion(rrs) == ref_odd_pairing(rrs, simple)
@@ -453,6 +480,65 @@ def test_doctored_restricted_systems_give_the_same_failures():
         "restricted.highest-nonextendable",
         "restricted.parity-two-routes",
     } <= fired
+
+
+@pytest.mark.parametrize("sd", catalog(16) + [build_satake(parse_form_name(name)) for name in RANK_64], ids=lambda sd: sd.name)
+def test_the_ascent_from_either_end_of_the_norm_table_reaches_r_phi(sd):
+    rrs = restricted_root_system(sd)
+    norms = restricted.positive_norms(rrs)
+    lam = rrs.doubled_highest
+    assert restricted.dominant_longest(rrs, norms) == lam
+    # reversed, the table puts the least longest root last, and the ascent starts there
+    least = next(xi for xi, norm in norms.items() if norm == max(norms.values()))
+    assert restricted.dominant_longest(rrs, dict(reversed(norms.items()))) == ref_ascent(rrs, least) == lam
+    if sd.rs.rank <= 16:
+        assert ref_dominant_longest(rrs) == lam
+
+
+def test_every_doctored_system_gives_the_ascent_a_root_or_a_named_error():
+    # from either end of the norm table, a doctored system's ascent ends at a root
+    # or raises InconsistentDiagram: one that lacks a doubled simple root in its
+    # table pairs it through its own row, and never looks its norm up
+    raised = 0
+    for sd in catalog(7):
+        for rrs in doctored(restricted_root_system(sd)):
+            norms = restricted.positive_norms(rrs)
+            for table in (norms, dict(reversed(norms.items()))):
+                try:
+                    restricted.dominant_longest(rrs, table)
+                except InconsistentDiagram:
+                    raised += 1
+    assert raised > 0
+
+
+def sl3_doctored(rrs, pack):
+    """sl(3,R)'s system with its first doubled simple root replaced by one
+    that r(phi) reflects in by a non-integral multiple, or by a negative
+    one, and with (4, 0), twice the doubled a_1, added as a longest root."""
+    lam, positives, keys, signed = rrs.doubled_highest, ref_positives(rrs), rrs.keys, rrs.signed
+    yield rrs._replace(doubled_simple=((1, -3),) + rrs.doubled_simple[1:])
+    yield rrs._replace(doubled_simple=((-2, 0),) + rrs.doubled_simple[1:])
+    extra = (4, 0)
+    yield with_views(rrs, sorted(positives + (extra,)), {**signed, pack(extra): 1}, keys={**keys, pack(extra): 1})
+
+
+def test_a_failed_ascent_is_a_named_failure_of_the_two_routes():
+    sd = build_satake(parse_form_name("sl(3,R)"))
+    true = FormAnalysis(sd)
+    messages = [
+        "sl(3,R): reflecting (2, 2) in (1, -3) is not integral",
+        "sl(3,R): reflecting (2, 2) in (-2, 0) gives no higher restricted root",
+        "sl(3,R): reflecting (4, 0) in (0, 2) gives no higher restricted root",
+    ]
+    for rrs, message in zip(sl3_doctored(true.restricted, sd.rs.pack), messages, strict=True):
+        with pytest.raises(InconsistentDiagram, match=re_escape(message)):
+            restricted.dominant_longest(rrs, restricted.positive_norms(rrs))
+        analysis = with_restricted(sd, rrs)
+        # the simple-root parity reads the doctored simple roots, so it is the true one
+        analysis.parity = true.parity
+        failures = verify.check_restricted_entry(analysis)
+        assert failures == ref_check_restricted_entry(analysis)
+        assert Failure("sl(3,R)", "restricted.highest-two-routes", message) in failures
 
 
 @pytest.mark.parametrize("highest, value", [((0, 1, 0), "-1/2"), ((1, 0, 0), "-1")], ids=["half", "whole"])
