@@ -30,7 +30,8 @@ class FormNameError(LieOrbitsError):
 
 
 class InconsistentDiagram(LieOrbitsError):
-    """A Satake diagram violating an involution invariant (mis-transcribed data).
+    """A Satake diagram violating an involution invariant (mis-transcribed
+    data), or a value that is no `SatakeDiagram` where one is expected.
 
     `failures` holds the (check, message) pairs of the violated invariants:
     the structural ones, when the diagram's black nodes or arrows are

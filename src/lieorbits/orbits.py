@@ -176,6 +176,8 @@ class FormAnalysis:
     """
 
     def __init__(self, sd: SatakeDiagram):
+        if not isinstance(sd, SatakeDiagram):
+            raise InconsistentDiagram(f"a real form is given by a SatakeDiagram, got {type(sd).__name__} {sd!r}")
         self.sd = sd
 
     @cached
@@ -342,7 +344,8 @@ def kept_analysis(sd: SatakeDiagram) -> FormAnalysis:
     """The one analysis of `sd` its readers share, built on the first call
     and kept in the private slot `SatakeDiagram._analysis`, since an
     assignment onto it would reach every later report of the diagram."""
-    if sd._analysis is None:
+    # FormAnalysis refuses a value that is no diagram by name
+    if not isinstance(sd, SatakeDiagram) or sd._analysis is None:
         sd._analysis = FormAnalysis(sd)
     return sd._analysis
 

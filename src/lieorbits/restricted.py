@@ -23,7 +23,7 @@ built on every read without a sort, since the negative roots sort first
 and negation reverses their order.  No view keeps a decoded root: a reader
 that needs coordinates decodes `sorted_keys` with `RootSystem.unpack` or
 `signed` with `RootSystem.unpack_signed`, one key at a time, as
-`positive_norms` and `elements` do.  The pairing row of r(phi),
+`dominant_longest` and `elements` do.  The pairing row of r(phi),
 `highest_pairings`, is kept once built, as `RootSystem.highest_pairings`
 is phi's: the direct diagram, `parity_criterion` and `verify` read the one
 row.
@@ -39,24 +39,26 @@ reads each distinct matrix once per process), and
 `parity_criterion` pairs the highest root with their
 coroots only: every coroot is an integer combination of theirs, since
 xi^v = 2 (2 xi)^v.  The searches that reach the same answers, over the
-reduced positive roots and over every pairing, run as `verify` checks.
+reduced positive roots and over every positive root's string down from the
+highest one, run as `verify` checks.
 
 `restricted_cartan` pairs the simple roots over their nonzero coordinates,
 summing each product into a plain dict per row.
 Where one side of an inner product is fixed, the other side is paired with
-one `RootSystem.simple_pairings` row of it: the simple roots in
-`dominant_longest`, a reflection ascent from one longest root that pairs the
-root it reached with one row per simple root at each step, and checks each
-step on the keys.
-The norm table of the positive roots (`positive_norms`), which decodes
-`sorted_keys`, is built only for `verify`, which picks the ascent's start
-off it and scans every norm in its parity scan, paired through the kept
-row of the highest root; `parity_criterion` pairs the r reduced simple roots
-with that row and each with its own, and builds neither.  Each norm is the
-type's quadratic form (`RootSystem.norm_form`) on the root: its diagonal and
-chain as C-level passes, and one product per branch edge of D or E.  A
+one `RootSystem.simple_pairings` row of it: the doubled simple roots in
+`ascend`, a reflection ascent that pairs the root it reached with each of
+their rows (`RestrictedRootSystem.simple_reflections`) at each step, and
+checks each step on the keys; `parity_criterion` pairs the r reduced simple
+roots with the kept row of the highest root and each with its own.  A
 pairing row costs what the vector's support does:
 `RootSystem.simple_pairings` walks only its nonzero coordinates.
+
+Two routes are built only for `verify`, and read no norm of every root.
+`dominant_longest` reads the longest length off the simple roots' rows and
+starts its ascent at the greatest key that long, which on a sound system
+is r(phi): it decodes that one key.  `highest_strings` counts, for every
+positive root xi, the roots lambda - k xi down from the highest one, whose
+number is <lambda, xi^v>, in a few C-level rounds over the keys.
 `verify` adds and subtracts the keys: their digits are at most 12, so no
 sum or difference carries, and sorted they follow the coordinate order.
 """
@@ -104,7 +106,8 @@ class RestrictedRootSystem(
     anew on each read, without a sort, so only its readers pay for it:
     `verify` and `elements`, the one view that decodes, into `Fraction`
     vectors.  The view `highest_pairings` keeps the pairing row of
-    `doubled_highest`.  The view `reduced_simple`
+    `doubled_highest`, and `simple_reflections` those of `doubled_simple`,
+    for `verify`'s ascent.  The view `reduced_simple`
     is read off `keys` and `doubled_simple`, or kept by the construction,
     which found it.  Equality is identity, also against a plain tuple, as
     the `keys` Counter cannot be hashed.
@@ -121,7 +124,8 @@ class RestrictedRootSystem(
     @cached
     def sorted_keys(self) -> tuple[int, ...]:
         """`keys` sorted, which is the coordinate order: the one sort of
-        them, kept, that `signed`, `positive_norms` and `verify` read."""
+        them, kept, that `signed`, `dominant_longest`, `highest_strings` and
+        `verify` read."""
         return tuple(sorted(self.keys))
 
     @property
@@ -139,6 +143,15 @@ class RestrictedRootSystem(
         """gram_scale * <a_i, 2 r(phi)> for every node i, kept: the pairing
         row of `doubled_highest`, as `RootSystem.highest_pairings` is phi's."""
         return self.source.rs.simple_pairings(self.doubled_highest)
+
+    @cached
+    def simple_reflections(self) -> tuple[tuple[IntVector, tuple[int, ...], int, int], ...]:
+        """(eta, row, norm, key) for each of `doubled_simple`, kept: eta's
+        pairing row, gram_scale <eta, eta> and key, what a reflection in eta
+        reads (`ascend`)."""
+        rs = self.source.rs
+        rows = map(rs.simple_pairings, self.doubled_simple)
+        return tuple((eta, row, sum(map(mul, eta, row)), rs.pack(eta)) for eta, row in zip(self.doubled_simple, rows))
 
     @cached
     def reduced_simple(self) -> list[IntVector]:
@@ -250,10 +263,14 @@ def is_C_or_BC(rrs: RestrictedRootSystem) -> bool:
     return (label.letter == "A" and label.rank == 1) or (label.letter == "B" and label.rank == 2)
 
 
-def odd_pairing(rrs: RestrictedRootSystem, pairings) -> bool:
-    """Whether some pairing 2<xi, lambda>/<xi, xi> against the highest root,
-    given as a (numerator, denominator) pair of integers, is odd."""
-    for num, den in pairings:
+def parity_criterion(rrs: RestrictedRootSystem) -> bool:
+    """Whether some restricted root pairs oddly against the highest root; the
+    reduced system's r simple coroots span every coroot, so they decide.
+    Each pairing 2<xi, lambda>/<xi, xi> must be an integer."""
+    rs = rrs.source.rs
+    lam_row = rrs.highest_pairings
+    for xi in rrs.reduced_simple:
+        num, den = 2 * sum(map(mul, xi, lam_row)), sum(map(mul, xi, rs.simple_pairings(xi)))
         if num % den:
             from fractions import Fraction
 
@@ -263,56 +280,71 @@ def odd_pairing(rrs: RestrictedRootSystem, pairings) -> bool:
     return False
 
 
-def parity_criterion(rrs: RestrictedRootSystem) -> bool:
-    """Whether some restricted root pairs oddly against the highest root; the
-    reduced system's r simple coroots span every coroot, so they decide."""
-    rs = rrs.source.rs
-    lam_row = rrs.highest_pairings
-    pairings = ((2 * sum(map(mul, xi, lam_row)), sum(map(mul, xi, rs.simple_pairings(xi)))) for xi in rrs.reduced_simple)
-    return odd_pairing(rrs, pairings)
+def highest_strings(rrs: RestrictedRootSystem) -> tuple[int, ...]:
+    """For each positive doubled root xi, in the order of `sorted_keys`, the
+    length p of the xi-string down from the highest root lambda: the number
+    of k = 1, 2, ... for which lambda - k xi is a restricted root of either
+    sign or 0, up to the first that is not.
+
+    Nothing lies above lambda, so p = <lambda, xi^v> (Humphreys 9.4): at most
+    4, where xi is half of lambda in BC.  The strings are walked on the keys,
+    `pack` being linear, one round per k, each a few C-level passes over the
+    strings still going; after the first round only the roots that pair with
+    lambda are left, and the walk stops at a round that leaves none, or after
+    the fourth.  Each key read has digits in -48..12, so none is taken for
+    another.
+    """
+    keys = rrs.sorted_keys
+    lam = rrs.source.rs.pack(rrs.doubled_highest)
+    roots = {0, *keys, *map(neg, keys)}
+    strings = [0] * len(keys)
+    going, steps = range(len(keys)), keys
+    ends = list(map(lam.__sub__, keys))
+    for _ in range(4):
+        on = list(map(roots.__contains__, ends))
+        going = list(compress(going, on))
+        if not going:
+            break
+        for i in going:
+            strings[i] += 1
+        steps = list(compress(steps, on))
+        ends = list(map(sub, compress(ends, on), steps))
+    return tuple(strings)
 
 
-def positive_norms(rrs: RestrictedRootSystem) -> dict[IntVector, int]:
-    """gram_scale * <xi, xi> for every positive doubled root xi, in order,
-    each decoded from `sorted_keys` and put through the type's quadratic
-    form (`RootSystem.norm_form`): a few C-level passes over xi and one
-    product per branch edge."""
-    norms = {}
-    rs = rrs.source.rs
-    diagonal, chain, branches = rs.norm_form
-    for xi in map(rs.unpack, rrs.sorted_keys):
-        norm = sum(map(mul, map(mul, xi, xi), diagonal)) + sum(map(mul, map(mul, xi, xi[1:]), chain))
-        for i, j, g in branches:
-            norm += g * xi[i] * xi[j]
-        norms[xi] = norm
-    return norms
-
-
-def dominant_longest(rrs: RestrictedRootSystem, norms: dict[IntVector, int]) -> IntVector:
+def dominant_longest(rrs: RestrictedRootSystem) -> IntVector:
     """The dominant restricted root of maximal squared length, doubled, by a
-    reflection ascent (Humphreys 13.2).
+    reflection ascent (Humphreys 13.2): an independent route to the highest
+    root, which the construction reads off r(phi).
 
-    Independent route to the highest root; construction uses r(phi).  The
-    ascent starts at the last longest root of `norms` (`positive_norms(rrs)`,
-    in key order: the greatest key), and while some doubled simple root eta
-    pairs negatively with xi it sets xi to s_eta xi = xi - c eta, with
-    c = 2<xi, eta>/<eta, eta> a negative integer.  Each eta is paired through
-    its own row, its norm included.  A step adds -c key(eta) to the key, which
-    must rise and stay among the restricted roots' `keys`, so the ascent ends
-    at the one dominant root of the longest roots' W-orbit; a step that does
-    not, or a c that is no integer, is an `InconsistentDiagram`.  On a sound
-    system the greatest key is the highest root's, which is dominant, so
-    the ascent takes no step; from `dict(reversed(norms.items()))` it starts
-    at the least longest root and climbs.
+    The longest roots are as long as the longest reduced simple root: a
+    doubled simple root eta, or 2 eta, four times as long, where its key is
+    among `keys`; each norm is read off eta's row (`simple_reflections`).
+    The ascent (`ascend`) starts at the greatest key whose own norm is at
+    least that, tried from the top down, each decoded and paired through its
+    own row.  On a sound system the greatest key is the highest root's,
+    which is longest and dominant: one key is decoded, and the ascent takes
+    no step.  A system with no key that long is an `InconsistentDiagram`.
     """
     rs = rrs.source.rs
-    max_len = max(norms.values())
-    xi = next(compress(reversed(norms), map(max_len.__eq__, reversed(norms.values()))))
-    key = rs.pack(xi)
-    simple = []
-    for eta in rrs.doubled_simple:
-        row = rs.simple_pairings(eta)
-        simple.append((eta, row, sum(map(mul, eta, row)), rs.pack(eta)))
+    longest = max(norm << 2 if 2 * key in rrs.keys else norm for _, _, norm, key in rrs.simple_reflections)
+    for key in reversed(rrs.sorted_keys):
+        xi = rs.unpack(key)
+        if sum(map(mul, xi, rs.simple_pairings(xi))) >= longest:
+            return ascend(rrs, xi)
+    raise InconsistentDiagram(f"{rrs.source.name}: no restricted root is as long as the longest simple root")
+
+
+def ascend(rrs: RestrictedRootSystem, xi: IntVector) -> IntVector:
+    """The reflection ascent from the doubled root xi: while some doubled
+    simple root eta pairs negatively with xi, set xi to s_eta xi = xi - c eta,
+    with c = 2<xi, eta>/<eta, eta> a negative integer, reading eta's row,
+    norm and key off `simple_reflections`.  A step adds -c key(eta) to the
+    key, which must rise and stay among the restricted roots' `keys`, so the
+    ascent ends at the one dominant root of xi's W-orbit; a step that does
+    not, or a c that is no integer, is an `InconsistentDiagram`."""
+    key = rrs.source.rs.pack(xi)
+    simple = rrs.simple_reflections
     while True:
         for eta, row, norm, step in simple:
             pairing = sum(map(mul, xi, row))
@@ -328,4 +360,3 @@ def dominant_longest(rrs: RestrictedRootSystem, norms: dict[IntVector, int]) -> 
             raise InconsistentDiagram(f"{rrs.source.name}: reflecting {xi} in {eta} gives no higher restricted root")
         key = raised
         xi = tuple(map(sub, xi, map(c.__mul__, eta)))
-

@@ -40,15 +40,12 @@ first.  The involution -w0 of the simple roots is read off it
 
 A `RootSystem` keeps what is read once per type: its keys as a set
 (`key_set`), which the involution's root scans test in single set calls; the
-sparse Gram rows
-(`gram_support`), through which `simple_pairings` walks only the nonzero
-coordinates of a vector, the one kernel of the Gram form (`scaled_inner`
-goes through it); the Gram form as a quadratic form (`norm_form`: diagonal,
-chain and the branch edges of D and E), which gives a norm in a few C-level
-passes; the highest root's pairings; and the minimal orbit's diagram and
-dimension, the dual Coxeter number and the extended-diagram neighbours
-(`min_wdd`, `min_orbit_dim`, `dual_coxeter` and `extended_nodes`), each
-computed by its module function on first read.
+sparse Gram rows (`gram_support`), through which `simple_pairings` walks
+only the nonzero coordinates of a vector, the one kernel of the Gram form
+(`scaled_inner` goes through it); the highest root's pairings; and the
+minimal orbit's diagram and dimension, the dual Coxeter number and the
+extended-diagram neighbours (`min_wdd`, `min_orbit_dim`, `dual_coxeter`
+and `extended_nodes`), each computed by its module function on first read.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import compress, permutations, repeat
-from operator import add, getitem, itemgetter, lshift, mul, neg
+from operator import add, itemgetter, lshift, mul, neg
 
 from .errors import InvalidType, NonIntegralWeights, RankTooSmall, TypeMismatch
 
@@ -295,18 +292,6 @@ class RootSystem(namedtuple("RootSystem", "simple_type cartan positive_keys high
         return sum(map(mul, w, self.simple_pairings(v)))
 
     @cached
-    def norm_form(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-        """(d, c, branches) with gram_scale * <v, v> = sum_i d_i v_i^2 +
-        sum_i c_i v_i v_(i+1) + sum g v_i v_j over (i, j, g) in branches:
-        the scaled Gram diagonal, twice its entries (i, i+1), and twice the
-        entries of the other edges, the branch edges of D and E."""
-        g = self.scaled_gram
-        n = self.rank
-        chain = tuple(2 * g[i][i + 1] for i in range(n - 1))
-        branches = tuple((i, j, 2 * x) for i in range(n) for j, x in self.gram_support[i] if j > i + 1)
-        return tuple(map(getitem, g, range(n))), chain, branches
-
-    @cached
     def highest_pairings(self) -> tuple[int, ...]:
         """gram_scale * <a_i, phi> for every node i, read on every report."""
         return self.simple_pairings(self.highest)
@@ -430,7 +415,10 @@ def build_root_system(t: SimpleType) -> RootSystem:
     set exactly when p_k > <gamma, a_k^v>, so one addition and one mask test
     every node.  A layer of the search is one height, and int order within it
     is coordinate order, so the roots come sorted by height, then coordinates.
+    A value that is no `SimpleType` raises InvalidType.
     """
+    if not isinstance(t, SimpleType):
+        raise InvalidType(f"a root system is built from a SimpleType, got {type(t).__name__} {t!r}")
     return _build_cached(t.letter, t.rank)
 
 
@@ -508,7 +496,8 @@ def read_cartan_type(rows: Sequence[Sequence[int]]) -> tuple[SimpleType, tuple[i
     that are no Cartan matrix of a connected Dynkin diagram.
 
     Rows of more than MAX_RANK nodes give None: no type above the cap is
-    built.  Each distinct matrix is read once: the answers are kept in an LRU of
+    built.  So do ragged rows, any of another length than their number.
+    Each distinct matrix is read once: the answers are kept in an LRU of
     256 keyed on the rows (`cache_info` and `cache_clear` are its own).
     Rows that do not hash, lists say, are keyed as tuples.
     """
@@ -531,7 +520,7 @@ def _read_cartan_type(rows: IntRows) -> tuple[SimpleType, tuple[int, ...]] | Non
     the relabelled rows with `cartan_matrix(t)` confirms both.
     """
     r = len(rows)
-    if r > MAX_RANK:
+    if r > MAX_RANK or any(len(row) != r for row in rows):
         return None
     if r < 2:
         return (SimpleType("A", 1), (0,)) if r and rows[0][0] == 2 else None

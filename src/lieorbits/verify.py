@@ -33,23 +33,26 @@ restricted one, so nothing compared carries; the simple-root search compares
 keys too, and a key is decoded only for a message.
 
 Each entry's restricted keys are sorted once, into the view
-`RestrictedRootSystem.sorted_keys`, which the signed view `signed`, the norm
-table `restricted.positive_norms` and the searches of
-`restricted.simple-two-routes` and `restricted.highest-nonextendable` share;
-the norm table decodes each key once, keeping the roots only as its own
-keys, and is built once per entry.  The signed view, the sorted keys
-with each negative root as -key, serves `restricted.mult-sum` and
-`.negation`, which looks up the multiplicity of each -xi, one int negation
-and one dict lookup, against that of xi; a failure decodes its key for the
-message (`RootSystem.unpack_signed`).  Where one side of an inner product
-is fixed, the other is paired with one `RootSystem.simple_pairings` row of
-it: the simple roots in the reflection ascent to the dominant longest
-root (`restricted.dominant_longest`), phi in the norm ratio, and r(phi) in
-the norm ratio and the parity scan, whose row the restriction keeps once
-built (`RestrictedRootSystem.highest_pairings`) for the direct diagram and
-the parity criterion too.  The ascent starts at a longest root of the norm
-table, which the parity scan reads whole: every scan that is symmetric
-under negation reads the positive half.  `roots.highest-unique` tests sums
+`RestrictedRootSystem.sorted_keys`, which the signed view `signed`, the
+ascent's start, the root strings and the searches of
+`restricted.simple-two-routes` and `restricted.highest-nonextendable`
+share.  The signed view, the sorted keys with each negative root as -key,
+serves `restricted.mult-sum` and `.negation`, which looks up the
+multiplicity of each -xi, one int negation and one dict lookup, against
+that of xi; a failure decodes its key for the message
+(`RootSystem.unpack_signed`).  Where one side of an inner product is fixed,
+the other is paired with one `RootSystem.simple_pairings` row of it: the
+simple roots in the reflection ascent to the dominant longest root
+(`restricted.dominant_longest`), and phi and r(phi) in the norm ratio, the
+row of r(phi) kept by the restriction
+(`RestrictedRootSystem.highest_pairings`) for the direct diagram and the
+parity criterion too.  The ascent reads the longest length off the simple
+roots and starts at the greatest key that long, r(phi) on a sound entry,
+the one restricted key a sound sweep decodes.  The full parity scan reads
+no inner product: <lambda, xi^v> is the length of the xi-string down from
+lambda (`restricted.highest_strings`), counted on the keys, and -xi pairs
+as xi does, so it reads the positive half, as every scan that is
+symmetric under negation does.  `roots.highest-unique` tests sums
 against the type's kept key set (`RootSystem.key_set`), which the
 involution's root scans read as well.  `restricted.simple-two-routes`
 compares its search with the reduced simple roots the construction found,
@@ -68,13 +71,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Container, Iterable, Sequence
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd
 from operator import mul, ne, neg
 
-from .errors import LieOrbitsError
+from .errors import InconsistentDiagram, LieOrbitsError
 from .orbits import FormAnalysis, in_five_families, kept_analysis, ratio_text, wdd_matches_satake
-from .restricted import dominant_longest, is_C_or_BC, odd_pairing, positive_norms
+from .restricted import dominant_longest, highest_strings, is_C_or_BC
 from .rootsys import ROOT_COUNT_FORMULAS, RootSystem, build_root_system, diagram_automorphisms, orbit_dim_from_wdd
 from .satake import RealFormDescriptor, SatakeDiagram, build_satake, catalog
 
@@ -309,11 +312,10 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     except LieOrbitsError as exc:
         return [Failure(name, "restricted.construction", str(exc))]
 
-    # the keys are sorted once, for the decode behind the norm table, the signed view
+    # the keys are sorted once, for the signed view, the ascent's start, the strings
     # and the searches; only the next two checks read the signed view
     keys = rrs.sorted_keys
     signed = rrs.signed
-    norms = positive_norms(rrs)
 
     # an independent count of the roots restricting to zero, those supported on black
     # nodes: twice the positive keys with no digit on a white node, which `white` masks
@@ -335,7 +337,7 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
         failures.append(Failure(name, "restricted.negation", f"mult({xi}) != mult(-{xi})"))
 
     try:
-        if dominant_longest(rrs, norms) != rrs.doubled_highest:
+        if dominant_longest(rrs) != rrs.doubled_highest:
             failures.append(Failure(name, "restricted.highest-two-routes", "r(phi) is not the dominant longest root"))
     except LieOrbitsError as exc:
         failures.append(Failure(name, "restricted.highest-two-routes", str(exc)))
@@ -355,9 +357,8 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
     # gram_scale times <phi,phi>, and 4 gram_scale times <lam,lam> from the doubled 2 lam,
     # each paired through its own row; <phi,phi> = ratio <lam,lam>
     scale = rs.gram_scale
-    lam_row = rrs.highest_pairings
     phi_sq = sum(map(mul, rs.highest, rs.highest_pairings))
-    lam_sq4 = sum(map(mul, rrs.doubled_highest, lam_row))
+    lam_sq4 = sum(map(mul, rrs.doubled_highest, rrs.highest_pairings))
     ratio = 2 if rrs.highest_mult >= 2 else 1
     if 4 * phi_sq != ratio * lam_sq4:
         from fractions import Fraction
@@ -378,15 +379,11 @@ def check_restricted_entry(entry: SatakeDiagram | FormAnalysis) -> list[Failure]
         value = f"{product // g}" if g == scale else f"{product // g}/{scale // g}"
         failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {value}"))
 
-    # every positive root paired through the row of lambda; -xi pairs as xi does
-    pairings = zip(map((2).__mul__, map(sum, map(map, repeat(mul), norms, repeat(lam_row)))), norms.values())
-    try:
-        scanned = odd_pairing(rrs, pairings)
-    except LieOrbitsError as exc:
-        failures.append(Failure(name, "restricted.parity-two-routes", str(exc)))
-    else:
-        if scanned != analysis.parity:
-            failures.append(Failure(name, "restricted.parity-two-routes", f"full scan {scanned}, simple roots {not scanned}"))
+    # <lambda, xi^v> for every positive root is the length of the xi-string down from
+    # lambda; -xi pairs as xi does
+    scanned = any(map((1).__and__, highest_strings(rrs)))
+    if scanned != analysis.parity:
+        failures.append(Failure(name, "restricted.parity-two-routes", f"full scan {scanned}, simple roots {not scanned}"))
 
     if analysis.parity == is_C_or_BC(rrs):
         failures.append(
@@ -470,7 +467,8 @@ def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None 
     entry checks of one entry share one analysis, dropped once they ran.
     Without `entries`, the sweep is `catalog(max_rank)`, which refuses a
     max_rank that is no int, a bool, or outside 2..MAX_RANK with
-    OutOfRangeParams."""
+    OutOfRangeParams; an entry that is no `SatakeDiagram` is refused with
+    InconsistentDiagram before any is checked."""
     diagrams: Sequence[SatakeDiagram] = list(entries) if entries is not None else catalog(max_rank)
     failures: list[Failure] = []
     checks = 0
@@ -478,6 +476,8 @@ def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None 
     seen_types = []
     for sd in diagrams:
         # an entry whose rs is no root system is refused by its entry checks
+        if not isinstance(sd, SatakeDiagram):
+            raise InconsistentDiagram(f"verify takes SatakeDiagram entries, got {type(sd).__name__} {sd!r}")
         if isinstance(sd.rs, RootSystem) and sd.rs.simple_type not in seen_types:
             seen_types.append(sd.rs.simple_type)
     for t in seen_types:

@@ -205,23 +205,23 @@ def test_the_route_wrappers_recompute_while_reports_hit_the_cache(monkeypatch):
 
 
 def _count_verify_tables(monkeypatch) -> Counter:
-    """Count every build of a table that only verify's checks read: the norm
-    table of the restricted positive roots, which decodes them, and the
-    `sorted_keys` view."""
+    """Count every build of a table that only verify's checks read: the
+    strings down from the highest restricted root, and the `sorted_keys`
+    view."""
     counts: Counter = Counter()
-    positive_norms = restricted.positive_norms
+    highest_strings = restricted.highest_strings
     sort = restricted.RestrictedRootSystem.sorted_keys.func
 
-    def counting_norms(rrs):
-        counts["positive_norms"] += 1
-        return positive_norms(rrs)
+    def counting_strings(rrs):
+        counts["highest_strings"] += 1
+        return highest_strings(rrs)
 
     def counting_sort(rrs):
         counts["sorted_keys"] += 1
         return sort(rrs)
 
     for module in (restricted, verify):
-        monkeypatch.setattr(module, "positive_norms", counting_norms)
+        monkeypatch.setattr(module, "highest_strings", counting_strings)
     view = cached_property(counting_sort)
     view.__set_name__(restricted.RestrictedRootSystem, "sorted_keys")
     monkeypatch.setattr(restricted.RestrictedRootSystem, "sorted_keys", view)
@@ -234,17 +234,18 @@ def test_describe_path_builds_no_verify_table(monkeypatch):
     for sd in catalog(8):
         orbit_report(sd)
     assert counts == Counter()
-    # the counters do see verify: one norm table and one sort per entry
+    # the counters do see verify: one string table and one sort per entry
     entries = catalog(8)
     assert run_verification(max_rank=8).ok
-    assert counts["positive_norms"] == len(entries)
+    assert counts["highest_strings"] == len(entries)
     assert counts["sorted_keys"] == len(entries)
 
 
 def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
     # the minimal orbit's dimension is graded once per type and each entry's
-    # smallest meeting orbit once; each restricted key is decoded once per
-    # entry, and each positive key of a root system once per type; each
+    # smallest meeting orbit once; one restricted key is decoded per entry,
+    # the ascent's start, which is the highest root's, and each positive key
+    # of a root system once per type; each
     # entry's involution, built by the sweep, decodes w0 a_(p~ j) once per
     # white node j where there are black nodes, which is minus column j
     rootsys._build_cached.cache_clear()
@@ -258,7 +259,7 @@ def test_verify_grades_each_type_once_and_decodes_each_key_once(monkeypatch):
     expected_graded = Counter((name, rootsys.min_orbit_wdd(rs).weights) for name, rs in types.items())
     expected_graded.update((a.sd.rs.simple_type.name, a.min_g_wdd.weights) for a in analyses)
     expected_decoded = Counter((name, key) for name, rs in types.items() for key in rs.positive_keys)
-    expected_decoded.update((a.sd.rs.simple_type.name, key) for a in analyses for key in a.restricted.keys)
+    expected_decoded.update((a.sd.rs.simple_type.name, a.sd.rs.pack(a.restricted.doubled_highest)) for a in analyses)
     expected_decoded.update(
         (a.sd.rs.simple_type.name, a.sd.rs.pack(tuple(-x for x in a.involution.columns[j])))
         for a in analyses

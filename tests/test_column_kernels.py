@@ -24,7 +24,7 @@ from operator import add, mul, sub
 
 import pytest
 
-from lieorbits import cli, orbits, restricted, satake, verify
+from lieorbits import cli, orbits, satake, verify
 from lieorbits.errors import LieOrbitsError, UnrecognizedSystem
 from lieorbits.orbits import FormAnalysis, restricted_root_system, satake_involution
 from lieorbits.ratmat import matrix_rank
@@ -47,6 +47,24 @@ def decoded_doubled(rrs):
 def decoded_positives(rrs):
     """The positive doubled roots, sorted: the sorted keys, decoded."""
     return tuple(map(rrs.source.rs.unpack, rrs.sorted_keys))
+
+
+def positive_norms(rrs):
+    """gram_scale * <xi, xi> for every positive doubled root xi, in key
+    order, the reference the root strings and the ascent are held to: each
+    root decoded from the sorted keys and put through the type's quadratic
+    form, the scaled Gram diagonal, twice its entries (i, i+1) and twice
+    those of the branch edges of D and E."""
+    rs = rrs.source.rs
+    g, n = rs.scaled_gram, rs.rank
+    diagonal = [g[i][i] for i in range(n)]
+    chain = [2 * g[i][i + 1] for i in range(n - 1)]
+    branches = [(i, j, 2 * g[i][j]) for i in range(n) for j in range(i + 2, n) if g[i][j]]
+    norms = {}
+    for xi in decoded_positives(rrs):
+        norm = sum(map(mul, map(mul, xi, xi), diagonal)) + sum(map(mul, map(mul, xi, xi[1:]), chain))
+        norms[xi] = norm + sum(c * xi[i] * xi[j] for i, j, c in branches)
+    return norms
 
 
 def ref_images(inv, rs):
@@ -441,7 +459,7 @@ def test_sorted_views_are_not_kept():
     for view in ("counts", "doubled", "doubled_positives"):
         assert not hasattr(rrs, view), view
     assert all(sum(xi) > 0 for xi in decoded_positives(rrs))
-    assert list(restricted.positive_norms(rrs)) == list(decoded_positives(rrs))
+    assert list(positive_norms(rrs)) == list(decoded_positives(rrs))
 
 
 @pytest.mark.parametrize("sd", ENTRIES, ids=lambda sd: sd.name)

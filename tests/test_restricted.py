@@ -10,9 +10,9 @@ from lieorbits.orbits import FormAnalysis, orbit_report, restricted_root_system,
 from lieorbits.restricted import (
     RestrictedRootSystem,
     dominant_longest,
+    highest_strings,
     is_C_or_BC,
     parity_criterion,
-    positive_norms,
 )
 from lieorbits.satake import build_satake, catalog, parse_form_name
 
@@ -202,7 +202,7 @@ def test_highest_root_two_routes_and_norms():
     for name in ["sl(5,R)", "su*(8)", "su(2,3)", "so(3,5)", "sp(2,2)", "so*(10)", "e6(-26)", "f4(-20)", "e7(-5)"]:
         sd = form(name)
         r = restricted_root_system(sd)
-        assert dominant_longest(r, positive_norms(r)) == r.doubled_highest, name
+        assert dominant_longest(r) == r.doubled_highest, name
         phi = as_vector(sd.rs.highest)
         lam = halved(r.doubled_highest)
         ratio = inner(sd.rs, phi, phi) / inner(sd.rs, lam, lam)
@@ -249,17 +249,17 @@ class GivenPositives(RestrictedRootSystem):
         return self.given
 
 
-def test_parity_two_routes_reports_a_non_integral_pairing():
+def test_the_full_parity_scan_reads_no_fraction():
     sd = form("sl(3,R)")
     r = restricted_root_system(sd)
-    # 3 a1 / 2 pairs with the highest root a1 + a2 to 2/3; given ahead of
-    # every true positive root, the scan over them meets it before any odd pairing
+    # 3 a1 / 2 pairs with the highest root a1 + a2 to 2/3, no integer; but
+    # lambda - 3 a1 / 2 is no root, so its string is empty, and the true roots
+    # keep their odd strings
     doctored = GivenPositives(*r)
     doctored.given = (sd.rs.pack((3, 0)),) + r.sorted_keys
-    assert next(iter(positive_norms(doctored))) == (3, 0)
     assert decoded_positives(doctored)[1:] == decoded_positives(r)
-    failures = _restricted_failures(sd, doctored)
-    assert failures["restricted.parity-two-routes"] == "non-integral pairing 2/3 in sl(3,R)"
+    assert highest_strings(doctored) == (0,) + highest_strings(r) == (0, 1, 1, 2)
+    assert "restricted.parity-two-routes" not in _restricted_failures(sd, doctored)
 
 
 @pytest.mark.parametrize("name", ["su(32,32)", "so(3,125)", "su*(64)", "sp(20,44)", "e8(-24)"])

@@ -16,7 +16,7 @@ import pytest
 from test_column_kernels import decoded_doubled, decoded_positives
 
 from lieorbits.orbits import restricted_root_system, satake_involution
-from lieorbits.restricted import dominant_longest, parity_criterion, positive_norms
+from lieorbits.restricted import dominant_longest, parity_criterion
 from lieorbits.satake import build_satake, catalog, parse_form_name
 
 EXTRA_FORMS = ["sl(12,R)", "su(5,7)", "so(4,9)", "sp(10,R)"]
@@ -133,7 +133,7 @@ def test_restricted_layer_matches_brute_force(name):
     assert (label.letter, label.rank, label.reduced) == ref["type"]
     assert parity_criterion(r) == ref["parity"]
     assert len(ref["dominant"]) == 1
-    assert dominant_longest(r, positive_norms(r)) == twice(ref["dominant"][0])
+    assert dominant_longest(r) == twice(ref["dominant"][0])
 
 
 def test_doubled_storage_is_twice_the_views():

@@ -4,6 +4,7 @@ from math import lcm
 from operator import mul
 
 import pytest
+from test_column_kernels import positive_norms
 from test_diagram_kernels import candidate_types
 
 from lieorbits import restricted, rootsys, satake
@@ -24,7 +25,6 @@ from lieorbits.rootsys import (
     simple_coord,
 )
 from lieorbits.orbits import restricted_root_system
-from lieorbits.restricted import positive_norms
 from lieorbits.satake import RealFormDescriptor, SatakeDiagram, build_satake, catalog, parse_form_name
 from lieorbits.verify import run_verification
 
@@ -107,6 +107,11 @@ def test_every_classical_letter_stops_at_the_cap():
     chain_rows = [[2 if i == j else -(abs(i - j) == 1) for j in range(MAX_RANK + 1)] for i in range(MAX_RANK + 1)]
     assert read_cartan_type(chain_rows) is None
     assert read_cartan_type([row[:MAX_RANK] for row in chain_rows[:MAX_RANK]])[0] == SimpleType("A", MAX_RANK)
+
+
+@pytest.mark.parametrize("rows", [[[2, -1], [-1]], [[2], []], [[2, -1, 0], [-1, 2]]], ids=["short", "empty", "long"])
+def test_ragged_rows_are_no_cartan_matrix(rows):
+    assert read_cartan_type(rows) is None
 
 
 def test_a1_roots():

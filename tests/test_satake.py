@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lieorbits import satake
-from lieorbits.errors import FormNameError, InconsistentDiagram, LieOrbitsError, OutOfRangeParams
+from lieorbits.errors import FormNameError, InconsistentDiagram, InvalidType, LieOrbitsError, OutOfRangeParams
 from lieorbits.orbits import orbit_report, restricted_root_system, satake_involution, validate_satake
 from lieorbits.rootsys import SimpleType, build_root_system
 from lieorbits.satake import (
@@ -562,7 +562,9 @@ def malformed_diagrams(seed: int, count: int):
     tuple, an unknown or unhashable family, parameters of the wrong
     container, type or count, a wrong container, bools, an out-of-range
     node, a self-arrow, two arrows sharing a node, no root system, or
-    another type's root system."""
+    another type's root system; then, for each base diagram, six values
+    that are no diagram: None, its name, an int, its fields as a plain
+    tuple, its descriptor and its root system."""
     rng = random.Random(seed)
     bases = [form(name) for name in ("so(4,4)", "su(2,3)", "e6(-14)", "sp(1,2)", "g2(2)", "so*(10)", "f4(-20)")]
     others = [build_root_system(SimpleType(letter, rank)) for letter, rank in (("A", 4), ("B", 3), ("C", 4), ("D", 5))]
@@ -600,10 +602,13 @@ def malformed_diagrams(seed: int, count: int):
         sd = rng.choice(bases)
         fields = rng.sample(sorted(makers), rng.randint(1, 4))
         yield sd._replace(**{field: makers[field](sd) for field in fields})
+    for sd in bases:
+        yield from (None, sd.name, len(sd.black), tuple(sd), sd.descriptor, sd.rs)
 
 
 MALFORMED_ENTRY_POINTS = (
-    lambda sd: build_satake(sd.descriptor),
+    # a value that is no diagram is given to build_satake itself
+    lambda sd: build_satake(getattr(sd, "descriptor", sd)),
     validate_satake,
     satake_involution,
     restricted_root_system,
@@ -631,3 +636,24 @@ def test_every_entry_point_refuses_a_malformed_diagram_by_name(seed):
     elapsed = time.perf_counter() - start
     assert escaped == []
     assert calls >= 1000 and elapsed < 1, (calls, elapsed)
+
+
+NO_DIAGRAM = [
+    (orbit_report, None, InconsistentDiagram, "a real form is given by a SatakeDiagram, got NoneType None"),
+    (orbit_report, "sl(2,R)", InconsistentDiagram, "a real form is given by a SatakeDiagram, got str 'sl(2,R)'"),
+    (validate_satake, None, InconsistentDiagram, "a real form is given by a SatakeDiagram, got NoneType None"),
+    (lambda e: run_verification(entries=[e]), None, InconsistentDiagram, "verify takes SatakeDiagram entries, got NoneType None"),
+    (lambda e: run_verification(entries=[e]), 1, InconsistentDiagram, "verify takes SatakeDiagram entries, got int 1"),
+    (build_root_system, "A", InvalidType, "a root system is built from a SimpleType, got str 'A'"),
+    (build_root_system, None, InvalidType, "a root system is built from a SimpleType, got NoneType None"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value, error, message",
+    NO_DIAGRAM,
+    ids=["report-none", "report-name", "validate-none", "verify-none", "verify-int", "roots-letter", "roots-none"],
+)
+def test_a_value_that_is_no_diagram_is_refused_by_name(call, value, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(value)

@@ -4,10 +4,12 @@ The references below are copies, kept here, of the scans as they were written
 on tuples and `scaled_inner`: the non-extendable positive roots of
 `roots.highest-unique`, the reduced simple roots of `reduced_simple`, the
 reduced-root search of
-`restricted.simple-two-routes`, the negation, black-span, nonextendable
-and full-parity scans of `check_restricted_entry`, its reflection ascent
-to the dominant longest root (`ref_ascent`, held on `catalog(16)` to the
-filter over every longest root it replaced, `ref_dominant_longest`), the Cartan
+`restricted.simple-two-routes`, the negation, black-span and nonextendable
+scans of `check_restricted_entry`, its full parity scan on the root strings
+down from the highest root (`ref_strings`, held on `catalog(16)` and at the
+rank cap to the pairings of the norm table it replaced), its reflection
+ascent to the dominant longest root (`ref_ascent`, held on `catalog(16)` to
+the filter over every longest root it replaced, `ref_dominant_longest`), the Cartan
 entries of `restricted._classify`, and `check_orbit_entry` with its
 `orbit.weights-range` branch.  The rewritten code must give the same values on
 every catalog entry up to rank 10 and every simple type up to rank 16, and
@@ -24,10 +26,11 @@ its signed view and its sorted keys.
 """
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from re import escape as re_escape
 
 import pytest
+from test_column_kernels import positive_norms
 from test_diagram_kernels import candidate_types
 
 from lieorbits import restricted, verify
@@ -117,15 +120,22 @@ def ref_dominant_longest(rrs):
 
 def ref_ascent(rrs, start=None):
     """The reflection ascent of `dominant_longest` on tuples: from `start`,
-    or the longest positive root that sorts last, reflect in the first
-    doubled simple root that pairs negatively until none does."""
+    or the last positive root in sorted order that is at least as long as
+    the longest reduced simple root, reflect in the first doubled simple
+    root that pairs negatively until none does."""
     rs = rrs.source.rs
     name = rrs.source.name
     positives = ref_positives(rrs)
+    roots = set(map(rs.unpack, rrs.keys))
     if start is None:
-        max_len = max(rs.scaled_inner(xi, xi) for xi in positives)
-        start = [xi for xi in positives if rs.scaled_inner(xi, xi) == max_len][-1]
-    roots, xi = set(positives), start
+        max_len = max(
+            rs.scaled_inner(s, s) * (4 if tuple(2 * x for x in s) in roots else 1) for s in rrs.doubled_simple
+        )
+        long_enough = [xi for xi in positives if rs.scaled_inner(xi, xi) >= max_len]
+        if not long_enough:
+            raise InconsistentDiagram(f"{name}: no restricted root is as long as the longest simple root")
+        start = long_enough[-1]
+    xi = start
     while True:
         eta = next((s for s in rrs.doubled_simple if rs.scaled_inner(xi, s) < 0), None)
         if eta is None:
@@ -137,6 +147,22 @@ def ref_ascent(rrs, start=None):
         if reflected <= xi or reflected not in roots:
             raise InconsistentDiagram(f"{name}: reflecting {xi} in {eta} gives no higher restricted root")
         xi = reflected
+
+
+def ref_strings(rrs):
+    """The strings of `highest_strings` on tuples: for each positive root xi,
+    in sorted order, how many of lambda - xi, lambda - 2 xi, lambda - 3 xi
+    and lambda - 4 xi, up to the first that is not, are roots or 0."""
+    positives = ref_positives(rrs)
+    lam = rrs.doubled_highest
+    roots = {*positives, *(tuple(-x for x in xi) for xi in positives), (0,) * len(lam)}
+    strings = []
+    for xi in positives:
+        p = 0
+        while p < 4 and tuple(a - (p + 1) * b for a, b in zip(lam, xi)) in roots:
+            p += 1
+        strings.append(p)
+    return tuple(strings)
 
 
 def ref_odd_pairing(rrs, roots):
@@ -247,13 +273,9 @@ def ref_check_restricted_entry(analysis):
     if moved and rs.scaled_inner(rs.highest, tau_phi) != 0:
         failures.append(Failure(name, "restricted.phi-tau-orthogonal", f"<phi, tau*phi> = {inner(rs, rs.highest, tau_phi)}"))
 
-    try:
-        scanned = ref_odd_pairing(rrs, doubled)
-    except LieOrbitsError as exc:
-        failures.append(Failure(name, "restricted.parity-two-routes", str(exc)))
-    else:
-        if scanned != analysis.parity:
-            failures.append(Failure(name, "restricted.parity-two-routes", f"full scan {scanned}, simple roots {not scanned}"))
+    scanned = any(p % 2 for p in ref_strings(rrs))
+    if scanned != analysis.parity:
+        failures.append(Failure(name, "restricted.parity-two-routes", f"full scan {scanned}, simple roots {not scanned}"))
 
     if analysis.parity == is_C_or_BC(rrs):
         failures.append(
@@ -422,9 +444,8 @@ def test_highest_unique_matches_the_tuple_scan(t):
 def test_restricted_scans_match_the_tuple_scans(sd):
     rrs = restricted_root_system(sd)
     rs = sd.rs
-    norms = restricted.positive_norms(rrs)
-    assert norms == {xi: rs.scaled_inner(xi, xi) for xi in ref_positives(rrs)}
-    assert restricted.dominant_longest(rrs, norms) == ref_ascent(rrs)
+    assert restricted.highest_strings(rrs) == ref_strings(rrs)
+    assert restricted.dominant_longest(rrs) == ref_ascent(rrs)
     simple = reduced_simple(rs, rrs.keys, rrs.doubled_simple)
     assert simple == ref_reduced_simple(ref_doubled(rrs), rrs.doubled_simple)
     assert restricted.parity_criterion(rrs) == ref_odd_pairing(rrs, simple)
@@ -483,29 +504,54 @@ def test_doctored_restricted_systems_give_the_same_failures():
 
 
 @pytest.mark.parametrize("sd", catalog(16) + [build_satake(parse_form_name(name)) for name in RANK_64], ids=lambda sd: sd.name)
+def test_the_strings_down_from_r_phi_are_its_pairings(sd):
+    # p = 2<xi, lambda>/<xi, xi> for every positive root, against the norm table
+    rrs = restricted_root_system(sd)
+    rs = sd.rs
+    lam_row = rs.simple_pairings(rrs.doubled_highest)
+    pairings = [Fraction(2 * sum(map(mul, xi, lam_row)), norm) for xi, norm in positive_norms(rrs).items()]
+    assert list(restricted.highest_strings(rrs)) == pairings
+    if sd.rs.rank <= 16:
+        assert restricted.highest_strings(rrs) == ref_strings(rrs)
+
+
+@pytest.mark.parametrize("sd", catalog(16) + [build_satake(parse_form_name(name)) for name in RANK_64], ids=lambda sd: sd.name)
 def test_the_ascent_from_either_end_of_the_norm_table_reaches_r_phi(sd):
     rrs = restricted_root_system(sd)
-    norms = restricted.positive_norms(rrs)
+    norms = positive_norms(rrs)
     lam = rrs.doubled_highest
-    assert restricted.dominant_longest(rrs, norms) == lam
-    # reversed, the table puts the least longest root last, and the ascent starts there
+    assert restricted.dominant_longest(rrs) == lam
+    # the least longest root, first in the table, ascends to it as well
     least = next(xi for xi, norm in norms.items() if norm == max(norms.values()))
-    assert restricted.dominant_longest(rrs, dict(reversed(norms.items()))) == ref_ascent(rrs, least) == lam
+    assert restricted.ascend(rrs, least) == ref_ascent(rrs, least) == lam
     if sd.rs.rank <= 16:
         assert ref_dominant_longest(rrs) == lam
 
 
+def test_the_ascent_starts_at_the_greatest_key_that_is_long_enough():
+    # sp(2,R)'s C2 without r(phi) among its sorted keys: the greatest key left
+    # is short and dominant, so the ascent passes it over for the long root
+    # below it, which climbs back to r(phi), still a key
+    rrs = restricted_root_system(build_satake(parse_form_name("sp(2,R)")))
+    positives = ref_positives(rrs)
+    assert positives == ((0, 2), (2, 0), (2, 2), (4, 2))
+    cut = with_views(rrs, positives[:-1], rrs.signed)
+    assert restricted.dominant_longest(cut) == ref_ascent(cut) == (4, 2)
+    assert restricted.ascend(cut, (2, 2)) == (2, 2)
+
+
 def test_every_doctored_system_gives_the_ascent_a_root_or_a_named_error():
-    # from either end of the norm table, a doctored system's ascent ends at a root
-    # or raises InconsistentDiagram: one that lacks a doubled simple root in its
-    # table pairs it through its own row, and never looks its norm up
+    # from its start and from its least longest root, a doctored system's ascent
+    # ends at a root or raises InconsistentDiagram: one that lacks a doubled
+    # simple root among its keys pairs it through its own row
     raised = 0
     for sd in catalog(7):
         for rrs in doctored(restricted_root_system(sd)):
-            norms = restricted.positive_norms(rrs)
-            for table in (norms, dict(reversed(norms.items()))):
+            norms = positive_norms(rrs)
+            least = next(xi for xi, norm in norms.items() if norm == max(norms.values()))
+            for ascent in (restricted.dominant_longest, lambda rrs: restricted.ascend(rrs, least)):
                 try:
-                    restricted.dominant_longest(rrs, table)
+                    ascent(rrs)
                 except InconsistentDiagram:
                     raised += 1
     assert raised > 0
@@ -513,26 +559,28 @@ def test_every_doctored_system_gives_the_ascent_a_root_or_a_named_error():
 
 def sl3_doctored(rrs, pack):
     """sl(3,R)'s system with its first doubled simple root replaced by one
-    that r(phi) reflects in by a non-integral multiple, or by a negative
-    one, and with (4, 0), twice the doubled a_1, added as a longest root."""
-    lam, positives, keys, signed = rrs.doubled_highest, ref_positives(rrs), rrs.keys, rrs.signed
+    longer than every root, or by a negative one, and with a key added above
+    r(phi): (3, 1), which reflects in (0, 2) by -1/2, and (4, 0), twice the
+    doubled a_1."""
+    positives, keys, signed = ref_positives(rrs), rrs.keys, rrs.signed
     yield rrs._replace(doubled_simple=((1, -3),) + rrs.doubled_simple[1:])
     yield rrs._replace(doubled_simple=((-2, 0),) + rrs.doubled_simple[1:])
-    extra = (4, 0)
-    yield with_views(rrs, sorted(positives + (extra,)), {**signed, pack(extra): 1}, keys={**keys, pack(extra): 1})
+    for extra in ((3, 1), (4, 0)):
+        yield with_views(rrs, sorted(positives + (extra,)), {**signed, pack(extra): 1}, keys={**keys, pack(extra): 1})
 
 
 def test_a_failed_ascent_is_a_named_failure_of_the_two_routes():
     sd = build_satake(parse_form_name("sl(3,R)"))
     true = FormAnalysis(sd)
     messages = [
-        "sl(3,R): reflecting (2, 2) in (1, -3) is not integral",
+        "sl(3,R): no restricted root is as long as the longest simple root",
         "sl(3,R): reflecting (2, 2) in (-2, 0) gives no higher restricted root",
+        "sl(3,R): reflecting (3, 1) in (0, 2) is not integral",
         "sl(3,R): reflecting (4, 0) in (0, 2) gives no higher restricted root",
     ]
     for rrs, message in zip(sl3_doctored(true.restricted, sd.rs.pack), messages, strict=True):
         with pytest.raises(InconsistentDiagram, match=re_escape(message)):
-            restricted.dominant_longest(rrs, restricted.positive_norms(rrs))
+            restricted.dominant_longest(rrs)
         analysis = with_restricted(sd, rrs)
         # the simple-root parity reads the doctored simple roots, so it is the true one
         analysis.parity = true.parity
