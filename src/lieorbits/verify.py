@@ -475,9 +475,9 @@ def run_verification(max_rank: int = 8, entries: Iterable[SatakeDiagram] | None 
 
     seen_types = []
     for sd in diagrams:
-        # an entry whose rs is no root system is refused by its entry checks
         if not isinstance(sd, SatakeDiagram):
             raise InconsistentDiagram(f"verify takes SatakeDiagram entries, got {type(sd).__name__} {sd!r}")
+        # an entry whose rs is no root system is refused by its entry checks
         if isinstance(sd.rs, RootSystem) and sd.rs.simple_type not in seen_types:
             seen_types.append(sd.rs.simple_type)
     for t in seen_types:
